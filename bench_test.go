@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/experiments"
+	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/machine"
 	"repro/internal/overload"
@@ -393,6 +395,62 @@ func BenchmarkClusterScale(b *testing.B) {
 	b.Run("m8", func(b *testing.B) { run(b, 8) })
 	b.Run("m64", func(b *testing.B) { run(b, 64) })
 	b.Run("m256", func(b *testing.B) { run(b, 256) })
+}
+
+// BenchmarkBlockedPopulation measures what one short-lived thread's whole
+// life costs next to a population of parked ones: one machine holds P
+// threads blocked receiving, each registered on its own port, and each
+// op creates a thread, lets it block in a receive, wakes it from an
+// interrupt, and runs it through exit and the reaper. The paper's space
+// argument says the parked population should not matter, and the
+// kernel's lifecycle bookkeeping (census, reaping, IPC release) is O(1)
+// per thread. CI gates p10000 <= 1.5x p100 (benchjson -max-ratio), which
+// any per-thread or per-port sweep on that path would blow through.
+func BenchmarkBlockedPopulation(b *testing.B) {
+	run := func(b *testing.B, parked int) {
+		sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true})
+		task := sys.NewTask("pop")
+		for i := 0; i < parked; i++ {
+			port := sys.IPC.NewPort(fmt.Sprintf("parked-%d", i))
+			sys.Start(task.NewThread(fmt.Sprintf("parked-%d", i), core.ProgramFunc(
+				func(e *core.Env, t *core.Thread) core.Action {
+					return core.Syscall("recv", func(e *core.Env) {
+						sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
+					})
+				}), 10))
+		}
+		sys.Run(0)
+		churn := sys.IPC.NewPort("churn")
+		wake := func(e *core.Env) {
+			t := sys.IPC.PopWaiter(e, churn)
+			sys.IPC.DeliverTo(e, t, sys.IPC.NewMessage(1, ipc.HeaderBytes, nil, nil))
+			e.K.Setrun(t)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			received := false
+			th := task.NewThread("churn", core.ProgramFunc(func(e *core.Env, t *core.Thread) core.Action {
+				if received {
+					sys.IPC.FreeMessage(sys.IPC.Received(t))
+					return core.Exit()
+				}
+				received = true
+				return core.Syscall("recv", func(e *core.Env) {
+					sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: churn})
+				})
+			}), 10)
+			sys.Start(th)
+			sys.Run(0) // create and block
+			sys.K.TakeInterrupt("wake", wake)
+			sys.Run(0) // wake, exit and reap
+			if th.State() != core.StateHalted || sys.Reaped != uint64(i+1) {
+				b.Fatalf("op %d: churn thread %v, %d reaped", i, th.State(), sys.Reaped)
+			}
+		}
+	}
+	b.Run("p100", func(b *testing.B) { run(b, 100) })
+	b.Run("p10000", func(b *testing.B) { run(b, 10000) })
 }
 
 // BenchmarkDispatchTracedVsUntraced measures the observability tax on

@@ -28,8 +28,8 @@ func (k *Kernel) AbortToContinuation(t *Thread, cont *Continuation) {
 	if cont == nil {
 		panic("core: AbortToContinuation(nil)")
 	}
-	if t.State != StateWaiting {
-		panic(fmt.Sprintf("core: AbortToContinuation on %v which is %v, not waiting", t, t.State))
+	if t.state != StateWaiting {
+		panic(fmt.Sprintf("core: AbortToContinuation on %v which is %v, not waiting", t, t.state))
 	}
 	k.Stats.Aborts++
 	if t.Cont != nil {

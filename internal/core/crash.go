@@ -28,7 +28,7 @@ func (k *Kernel) CrashReset() int {
 		p.dispose = nil
 	}
 	for _, t := range k.Threads {
-		if t.State != StateHalted {
+		if t.state != StateHalted {
 			killed++
 		}
 		if t.Stack != nil {
@@ -38,13 +38,18 @@ func (k *Kernel) CrashReset() int {
 			k.Stacks.Free(s)
 		}
 		t.Cont = nil
-		t.State = StateHalted
+		k.SetState(t, StateHalted)
 		t.WaitLabel = ""
 		t.queued = false
 		t.disposalPending = false
 		t.WakeupPending = false
 	}
+	clear(k.Threads)
 	k.Threads = k.Threads[:0]
+	clear(k.pendingReap)
+	k.pendingReap = k.pendingReap[:0]
+	k.deadInRegistry = 0
+	k.waiting = 0
 	k.Invariants = nil
 	k.OnHalt = nil
 	k.HandleFault = nil
@@ -71,19 +76,19 @@ type BlockedSnapshot struct {
 func (k *Kernel) SnapshotThreads() []BlockedSnapshot {
 	var out []BlockedSnapshot
 	for _, t := range k.Threads {
-		if t.State == StateHalted {
+		if t.state == StateHalted {
 			continue
 		}
 		snap := BlockedSnapshot{
 			ID:        t.ID,
 			Name:      t.Name,
-			State:     t.State,
+			State:     t.state,
 			WaitLabel: t.WaitLabel,
 		}
 		switch {
 		case t.Cont != nil:
 			snap.Cont = t.Cont.Name()
-		case t.State == StateRunning:
+		case t.state == StateRunning:
 			snap.Cont = "<running>"
 		default:
 			snap.Cont = "<stack>"

@@ -23,8 +23,8 @@ func (k *Kernel) Validate() error {
 			return fmt.Errorf("thread %v current on processors %d and %d", t, prev.ID, p.ID)
 		}
 		running[t] = p
-		if t.State != StateRunning {
-			return fmt.Errorf("current %v in state %v", t, t.State)
+		if t.state != StateRunning {
+			return fmt.Errorf("current %v in state %v", t, t.state)
 		}
 		if t.Stack == nil {
 			return fmt.Errorf("running %v has no kernel stack", t)
@@ -34,9 +34,37 @@ func (k *Kernel) Validate() error {
 		}
 	}
 
+	pending := make(map[*Thread]bool, len(k.pendingReap))
+	for _, t := range k.pendingReap {
+		if pending[t] {
+			return fmt.Errorf("%v twice on the pending-reap list", t)
+		}
+		pending[t] = true
+	}
+
 	stackOwners := make(map[*machine.Stack]*Thread)
-	var attached int
-	for _, t := range k.Threads {
+	var attached, waiting, reaped, unreaped int
+	for i, t := range k.Threads {
+		// The lifecycle oracles: the registry stays in ID order (reaping
+		// order and compaction both depend on it), and its tallies match
+		// the incrementally maintained counts checked below.
+		if i > 0 && k.Threads[i-1].ID >= t.ID {
+			return fmt.Errorf("registry out of ID order: %v before %v", k.Threads[i-1], t)
+		}
+		if t.reaped {
+			if t.state != StateHalted {
+				return fmt.Errorf("reaped %v in state %v", t, t.state)
+			}
+			reaped++
+		} else if t.state == StateHalted {
+			if !pending[t] {
+				return fmt.Errorf("halted %v missing from the pending-reap list", t)
+			}
+			unreaped++
+		}
+		if t.state == StateWaiting {
+			waiting++
+		}
 		if t.Stack != nil {
 			if other, dup := stackOwners[t.Stack]; dup {
 				return fmt.Errorf("stack %d owned by both %v and %v", t.Stack.ID, other, t)
@@ -49,7 +77,7 @@ func (k *Kernel) Validate() error {
 			}
 		}
 
-		switch t.State {
+		switch t.state {
 		case StateRunning:
 			if _, ok := running[t]; !ok {
 				return fmt.Errorf("%v running but current on no processor", t)
@@ -81,12 +109,27 @@ func (k *Kernel) Validate() error {
 			}
 		}
 
-		if t.queued && t.State != StateRunnable {
-			return fmt.Errorf("%v queued in state %v", t, t.State)
+		if t.queued && t.state != StateRunnable {
+			return fmt.Errorf("%v queued in state %v", t, t.state)
 		}
 		if t.Scratch.Used() > ScratchSlots {
 			return fmt.Errorf("%v scratch overflow", t)
 		}
+	}
+
+	if waiting != k.waiting {
+		return fmt.Errorf("waiting count %d, registry holds %d waiting threads", k.waiting, waiting)
+	}
+	if reaped != k.deadInRegistry {
+		return fmt.Errorf("registry holds %d reaped threads, bookkeeping says %d", reaped, k.deadInRegistry)
+	}
+	if reaped > 0 && 2*reaped >= len(k.Threads) {
+		return fmt.Errorf("registry not compacted: %d of %d threads reaped", reaped, len(k.Threads))
+	}
+	// With the membership check in the loop, this makes the pending-reap
+	// list exactly the registry's halted threads that are not yet reaped.
+	if unreaped != len(pending) {
+		return fmt.Errorf("registry holds %d halted unreaped threads, pending-reap list %d", unreaped, len(pending))
 	}
 
 	// The pool's accounting matches the attachments: every in-use stack

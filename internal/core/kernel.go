@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/machine"
@@ -161,13 +162,25 @@ type Kernel struct {
 	// first violation found or nil. Run by Validate.
 	Invariants []func() error
 
-	// Threads is the registry of all created threads, live and halted.
+	// Threads is the registry of created threads in ID order: live ones,
+	// halted ones awaiting the reaper, and reaped ones not yet compacted
+	// away (see ReapHalted). Walkers skip halted threads.
 	Threads []*Thread
 
 	// BlockedHighWater is the most threads ever simultaneously blocked
 	// (StateWaiting), sampled at each completed block — the denominator
 	// of the paper's space claim, read against Stacks.MaxInUse().
 	BlockedHighWater int
+
+	// waiting counts registry threads in StateWaiting, created-but-
+	// unstarted ones included. SetState maintains it, so sampling the
+	// census costs O(1) however many threads are blocked.
+	waiting int
+
+	// pendingReap holds halted threads ReapHalted has not handed out yet;
+	// deadInRegistry counts reaped threads still occupying Threads slots.
+	pendingReap    []*Thread
+	deadInRegistry int
 
 	// HandleFault services a user-level page fault (set by the VM
 	// substrate). write distinguishes store faults, which must resolve
@@ -268,7 +281,6 @@ func (k *Kernel) NewThread(spec ThreadSpec) *Thread {
 	t := &Thread{
 		ID:       k.nextThreadID,
 		Name:     spec.Name,
-		State:    StateWaiting,
 		Mode:     ModeKernel,
 		SpaceID:  spec.SpaceID,
 		Program:  spec.Program,
@@ -301,17 +313,32 @@ func (k *Kernel) NewThread(spec ThreadSpec) *Thread {
 		})
 	}
 	k.Threads = append(k.Threads, t)
+	k.SetState(t, StateWaiting)
 	return t
+}
+
+// SetState is the only writer of a thread's scheduling state. Funneling
+// every transition through it keeps the waiting count exact, which is
+// what lets recordBlock sample the blocked-thread census without walking
+// the registry.
+func (k *Kernel) SetState(t *Thread, s ThreadState) {
+	if t.state == StateWaiting {
+		k.waiting--
+	}
+	if s == StateWaiting {
+		k.waiting++
+	}
+	t.state = s
 }
 
 // Setrun makes a blocked thread runnable and queues it.
 func (k *Kernel) Setrun(t *Thread) {
-	switch t.State {
+	switch t.state {
 	case StateWaiting:
 		if r := k.Obs; r != nil {
 			r.Emit(obs.Wakeup, t.ID, t.Name, "", t.WaitLabel)
 		}
-		t.State = StateRunnable
+		k.SetState(t, StateRunnable)
 		t.WaitLabel = ""
 		k.queueRunnable(t)
 	case StateRunnable, StateRunning:
@@ -412,7 +439,7 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 	s := old.Stack
 	old.Stack = nil
 	newt.Stack = s
-	newt.State = StateRunning
+	k.SetState(newt, StateRunning)
 	e.P.Prev = old
 	e.P.Cur = newt
 	newt.QuantumRemaining = k.Sched.Quantum()
@@ -585,15 +612,15 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 	if cont == nil && resume == nil {
 		panic("core: Block with neither continuation nor resume step")
 	}
-	if old.State == StateRunning {
+	if old.state == StateRunning {
 		panic(fmt.Sprintf("core: Block: caller must set wait state of %v first", old))
 	}
 
 	// A wakeup that raced ahead of this block: consume it and keep
 	// running without a control transfer.
-	if old.WakeupPending && old.State == StateWaiting {
+	if old.WakeupPending && old.state == StateWaiting {
 		old.WakeupPending = false
-		old.State = StateRunning
+		k.SetState(old, StateRunning)
 		if cont != nil {
 			k.CallContinuation(e, cont)
 		}
@@ -605,11 +632,11 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 	if newt != nil {
 		k.noteSelected(e, newt)
 	}
-	if newt == nil && old.State == StateRunnable {
+	if newt == nil && old.state == StateRunnable {
 		// Nothing better to run; keep the processor. No control transfer
 		// happens, so nothing is tallied: the stack is neither discarded
 		// nor handed off.
-		old.State = StateRunning
+		k.SetState(old, StateRunning)
 		old.QuantumRemaining = k.Sched.Quantum()
 		if cont != nil {
 			k.CallContinuation(e, cont)
@@ -629,7 +656,7 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 			k.recordBlock(old, reason, true, cont)
 			k.StackHandoff(e, newt)
 			old.Cont = cont
-			if old.State == StateRunnable {
+			if old.state == StateRunnable {
 				k.queueRunnable(old)
 			}
 			if k.Obs != nil {
@@ -667,7 +694,7 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 		})
 		k.recordBlock(old, reason, false, nil)
 	}
-	if old.State == StateRunnable {
+	if old.state == StateRunnable {
 		// Yielding with nothing else runnable still parks; requeue so
 		// the run loop picks the thread right back up.
 		k.queueRunnable(old)
@@ -690,7 +717,7 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 // thread's wait state.
 func (k *Kernel) BlockDirected(e *Env, reason stats.BlockReason, resume func(*Env), frameBytes int, label string, newt *Thread) {
 	old := e.Cur()
-	if old.State == StateRunning {
+	if old.state == StateRunning {
 		panic(fmt.Sprintf("core: BlockDirected: caller must set wait state of %v first", old))
 	}
 	if newt.Cont != nil {
@@ -716,13 +743,13 @@ func (k *Kernel) ThreadHandoff(e *Env, reason stats.BlockReason, cont *Continuat
 	if newt.Cont == nil || newt.Stack != nil {
 		panic(fmt.Sprintf("core: ThreadHandoff target %v is not continuation-blocked", newt))
 	}
-	if old.State == StateRunning {
+	if old.state == StateRunning {
 		panic(fmt.Sprintf("core: ThreadHandoff: caller must set wait state of %v first", old))
 	}
 	k.recordBlock(old, reason, true, cont)
 	k.StackHandoff(e, newt)
 	old.Cont = cont
-	if old.State == StateRunnable {
+	if old.state == StateRunnable {
 		k.queueRunnable(old)
 	}
 	if k.Obs != nil {
@@ -781,12 +808,12 @@ func (k *Kernel) ThreadDispatch(e *Env, old *Thread) {
 	if old == nil || old == e.Cur() {
 		return
 	}
-	if old.Stack != nil && (old.State == StateHalted || old.Cont != nil) {
+	if old.Stack != nil && (old.state == StateHalted || old.Cont != nil) {
 		s := k.StackDetach(e, old)
 		k.Stacks.Free(s)
 	}
 	old.disposalPending = false
-	if old.State == StateRunnable && !old.queued {
+	if old.state == StateRunnable && !old.queued {
 		k.queueRunnable(old)
 	}
 }
@@ -799,7 +826,7 @@ func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	}
 	p.Prev = old
 	p.Cur = newt
-	newt.State = StateRunning
+	k.SetState(newt, StateRunning)
 	newt.QuantumRemaining = k.Sched.Quantum()
 	f := newt.Stack.PopFrame()
 	p.pending = f.Resume.(resumeStep)
@@ -819,24 +846,15 @@ func (k *Kernel) recordBlock(t *Thread, reason stats.BlockReason, discarded bool
 			cn = cont.Name()
 		}
 		yield := 0
-		if t.State == StateRunnable {
+		if t.state == StateRunnable {
 			yield = 1
 		}
 		r.EmitArg(obs.ThreadBlocked, t.ID, t.Name, cn, reason.String(), yield)
 	}
 	// Sample the blocked-thread census at its only growth point: the
-	// count can rise exactly when a block completes. A linear scan of
-	// the registry keeps the counter exact with no per-transition
-	// bookkeeping (wakeups are scattered across substrates) and no
-	// allocation on the dispatch path.
-	blocked := 0
-	for _, th := range k.Threads {
-		if th.State == StateWaiting {
-			blocked++
-		}
-	}
-	if blocked > k.BlockedHighWater {
-		k.BlockedHighWater = blocked
+	// count can rise exactly when a block completes.
+	if k.waiting > k.BlockedHighWater {
+		k.BlockedHighWater = k.waiting
 	}
 	if t.NoStats {
 		return
@@ -848,8 +866,9 @@ func (k *Kernel) recordBlock(t *Thread, reason stats.BlockReason, discarded bool
 // returns.
 func (k *Kernel) Halt(e *Env) {
 	t := e.Cur()
-	t.State = StateHalted
+	k.SetState(t, StateHalted)
 	t.Cont = nil
+	k.pendingReap = append(k.pendingReap, t)
 	if k.OnHalt != nil {
 		k.OnHalt(t)
 	}
@@ -941,7 +960,7 @@ func (k *Kernel) userStep(e *Env) {
 		// is no kernel state to save; block with the return-to-user
 		// continuation.
 		k.KernelEntry(e, ReturnException, "thread_switch")
-		t.State = StateRunnable
+		k.SetState(t, StateRunnable)
 		k.Block(e, stats.BlockThreadSwitch, ContThreadExceptionReturn,
 			resumeExceptionReturn, 96, "thread_switch")
 	case ActExit:
@@ -1027,7 +1046,7 @@ func (k *Kernel) burnUser(t *Thread, d machine.Duration) {
 // runnable. Terminal.
 func (k *Kernel) preemptNow(e *Env, t *Thread, label string) {
 	k.KernelEntry(e, ReturnException, label)
-	t.State = StateRunnable
+	k.SetState(t, StateRunnable)
 	k.Block(e, stats.BlockPreempt, ContThreadExceptionReturn,
 		resumeExceptionReturn, 96, "preempt")
 }
@@ -1197,7 +1216,7 @@ func (k *Kernel) Run(deadline machine.Time) uint64 {
 func (k *Kernel) LiveThreads() int {
 	n := 0
 	for _, t := range k.Threads {
-		if t.State != StateHalted {
+		if t.state != StateHalted {
 			n++
 		}
 	}
@@ -1240,21 +1259,39 @@ func (k *Kernel) TakeInterrupt(label string, handler func(*Env)) {
 	e.Charge(k.Costs.InterruptExit)
 }
 
-// ReapHalted removes halted threads from the registry and returns them;
-// the kern reaper thread calls this to drain dead threads. Halted threads
-// whose stack disposal has not happened yet (possible on a multiprocessor
-// between the halt and the successor's thread_dispatch) are left for the
-// next pass.
+// ReapHalted hands out the halted threads awaiting the reaper, in ID
+// (registry) order; the kern reaper thread calls this to drain dead
+// threads. Halted threads whose stack disposal has not happened yet
+// (possible on a multiprocessor between the halt and the successor's
+// thread_dispatch) are left for the next pass. Only the pending-reap list
+// Halt fills is walked. Reaped threads leave the registry by
+// order-preserving compaction once they fill half of it, so the
+// registry's upkeep is amortized O(1) per reaped thread.
 func (k *Kernel) ReapHalted() []*Thread {
+	slices.SortFunc(k.pendingReap, func(a, b *Thread) int { return a.ID - b.ID })
 	var reaped []*Thread
-	kept := k.Threads[:0]
-	for _, t := range k.Threads {
-		if t.State == StateHalted && t.Stack == nil {
+	kept := k.pendingReap[:0]
+	for _, t := range k.pendingReap {
+		if t.Stack == nil {
+			t.reaped = true
 			reaped = append(reaped, t)
 		} else {
 			kept = append(kept, t)
 		}
 	}
-	k.Threads = kept
+	clear(k.pendingReap[len(kept):])
+	k.pendingReap = kept
+	k.deadInRegistry += len(reaped)
+	if 2*k.deadInRegistry >= len(k.Threads) {
+		live := k.Threads[:0]
+		for _, t := range k.Threads {
+			if !t.reaped {
+				live = append(live, t)
+			}
+		}
+		clear(k.Threads[len(live):])
+		k.Threads = live
+		k.deadInRegistry = 0
+	}
 	return reaped
 }

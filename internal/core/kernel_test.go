@@ -52,8 +52,8 @@ func TestRunTrivialProgram(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "user", SpaceID: 1, Program: prog})
 	start(k, th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("thread state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("thread state = %v", th.State())
 	}
 	if got := k.Clock.Now(); got < 1000*1000 {
 		t.Fatalf("clock advanced only %v", got)
@@ -108,7 +108,7 @@ var sleepDone = core.NewContinuation("sleep_done", func(e *core.Env) {
 func sleepSyscall(d machine.Duration) core.Action {
 	return core.Syscall("sleep", func(e *core.Env) {
 		th := e.Cur()
-		th.State = core.StateWaiting
+		e.K.SetState(th, core.StateWaiting)
 		e.K.Clock.After(d, "sleep-wakeup", func() { e.K.Setrun(th) })
 		e.K.Block(e, stats.BlockInternal, sleepDone,
 			func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 1) }, 64, "sleep")
@@ -122,13 +122,13 @@ func TestSleepViaContinuationDiscardsStack(t *testing.T) {
 	start(k, th)
 
 	// Drive until the sleeper has blocked and the processor parked.
-	for i := 0; i < 100 && th.State != core.StateWaiting; i++ {
+	for i := 0; i < 100 && th.State() != core.StateWaiting; i++ {
 		if !k.Step() {
 			break
 		}
 	}
-	if th.State != core.StateWaiting {
-		t.Fatalf("sleeper state = %v", th.State)
+	if th.State() != core.StateWaiting {
+		t.Fatalf("sleeper state = %v", th.State())
 	}
 	if th.HasStack() {
 		t.Fatal("continuation-blocked thread still holds a stack")
@@ -141,8 +141,8 @@ func TestSleepViaContinuationDiscardsStack(t *testing.T) {
 	}
 
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("sleeper did not finish: %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("sleeper did not finish: %v", th.State())
 	}
 	if len(prog.retvals) != 1 || prog.retvals[0] != 1 {
 		t.Fatalf("retvals = %v", prog.retvals)
@@ -158,13 +158,13 @@ func TestSleepProcessModelKeepsStack(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "sleeper", SpaceID: 1, Program: prog})
 	start(k, th)
 
-	for i := 0; i < 100 && th.State != core.StateWaiting; i++ {
+	for i := 0; i < 100 && th.State() != core.StateWaiting; i++ {
 		if !k.Step() {
 			break
 		}
 	}
-	if th.State != core.StateWaiting {
-		t.Fatalf("sleeper state = %v", th.State)
+	if th.State() != core.StateWaiting {
+		t.Fatalf("sleeper state = %v", th.State())
 	}
 	if !th.HasStack() {
 		t.Fatal("process-model thread lost its stack while blocked")
@@ -177,8 +177,8 @@ func TestSleepProcessModelKeepsStack(t *testing.T) {
 	}
 
 	k.Run(0)
-	if th.State != core.StateHalted || len(prog.retvals) != 1 {
-		t.Fatalf("sleeper did not finish: %v retvals=%v", th.State, prog.retvals)
+	if th.State() != core.StateHalted || len(prog.retvals) != 1 {
+		t.Fatalf("sleeper did not finish: %v retvals=%v", th.State(), prog.retvals)
 	}
 	if d := k.Stats.TotalDiscards(); d != 0 {
 		t.Fatalf("process-model kernel recorded %d discards", d)
@@ -207,8 +207,8 @@ func TestHandoffBetweenContinuationThreads(t *testing.T) {
 	start(k, a)
 	start(k, b)
 	k.Run(0)
-	if a.State != core.StateHalted || b.State != core.StateHalted {
-		t.Fatalf("states a=%v b=%v", a.State, b.State)
+	if a.State() != core.StateHalted || b.State() != core.StateHalted {
+		t.Fatalf("states a=%v b=%v", a.State(), b.State())
 	}
 	if k.Stats.Handoffs == 0 {
 		t.Fatal("no stack handoffs between continuation threads")
@@ -258,8 +258,8 @@ func TestPreemptionRoundRobin(t *testing.T) {
 	k.Setrun(a)
 	k.Setrun(b)
 	k.Run(0)
-	if a.State != core.StateHalted || b.State != core.StateHalted {
-		t.Fatalf("states a=%v b=%v", a.State, b.State)
+	if a.State() != core.StateHalted || b.State() != core.StateHalted {
+		t.Fatalf("states a=%v b=%v", a.State(), b.State())
 	}
 	if k.Stats.BlocksWithDiscard[stats.BlockPreempt] == 0 {
 		t.Fatal("no preemptions recorded")
@@ -301,8 +301,8 @@ func TestYieldAloneKeepsProcessor(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "solo", SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("state = %v", th.State())
 	}
 	// Yielding with an empty run queue is not a real control transfer.
 	if k.Stats.BlocksWithDiscard[stats.BlockThreadSwitch] != 0 {
@@ -316,8 +316,8 @@ func TestHaltFreesStack(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "short", SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("state = %v", th.State())
 	}
 	if k.Stacks.InUse() != 0 {
 		t.Fatalf("stacks leaked: %d in use", k.Stacks.InUse())
@@ -337,7 +337,7 @@ func TestWakeupBeforeBlockIsNotLost(t *testing.T) {
 			// block: the block must consume the pending wakeup and keep
 			// running.
 			e.K.Setrun(th)
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			e.K.Block(e, stats.BlockInternal, sleepDone,
 				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 1) }, 64, "wait")
 		}),
@@ -345,8 +345,8 @@ func TestWakeupBeforeBlockIsNotLost(t *testing.T) {
 	waiter = k.NewThread(core.ThreadSpec{Name: "waiter", SpaceID: 1, Program: prog})
 	k.Setrun(waiter)
 	k.Run(0)
-	if waiter.State != core.StateHalted {
-		t.Fatalf("waiter hung in state %v", waiter.State)
+	if waiter.State() != core.StateHalted {
+		t.Fatalf("waiter hung in state %v", waiter.State())
 	}
 	if len(prog.retvals) != 1 {
 		t.Fatalf("retvals = %v", prog.retvals)
@@ -364,7 +364,7 @@ func TestScratchSurvivesBlock(t *testing.T) {
 		core.Syscall("stash", func(e *core.Env) {
 			th := e.Cur()
 			th.Scratch.PutWord(0, 0xabcd)
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			e.K.Clock.After(1000, "wake", func() { e.K.Setrun(th) })
 			e.K.Block(e, stats.BlockInternal, resumeCont, nil, 0, "")
 		}),
@@ -388,7 +388,7 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 	serverProg := &script{actions: []core.Action{
 		core.Syscall("serve", func(e *core.Env) {
 			th := e.Cur()
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			e.K.Block(e, stats.BlockReceive, recvCont, nil, 0, "")
 		}),
 		core.RunFor(10),
@@ -401,9 +401,9 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 			th := e.Cur()
 			if !server.BlockedWith(recvCont) {
 				t.Errorf("server not blocked with recv_continue: cont=%v state=%v",
-					server.Cont, server.State)
+					server.Cont, server.State())
 			}
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			e.K.Clock.After(1000, "client-wake", func() { e.K.Setrun(th) })
 			e.K.ThreadHandoff(e, stats.BlockReceive, sleepDone, server)
 			handedOff = true
@@ -433,8 +433,8 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 	if serverProg.retvals[0] != 7 {
 		t.Fatalf("server retvals = %v", serverProg.retvals)
 	}
-	if client.State != core.StateHalted || server.State != core.StateHalted {
-		t.Fatalf("client=%v server=%v", client.State, server.State)
+	if client.State() != core.StateHalted || server.State() != core.StateHalted {
+		t.Fatalf("client=%v server=%v", client.State(), server.State())
 	}
 }
 
@@ -449,7 +449,7 @@ func TestRecognizeWrongContinuation(t *testing.T) {
 	serverProg := &script{actions: []core.Action{
 		core.Syscall("serve", func(e *core.Env) {
 			th := e.Cur()
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			e.K.Block(e, stats.BlockReceive, other, nil, 0, "")
 		}),
 	}}
@@ -462,7 +462,7 @@ func TestRecognizeWrongContinuation(t *testing.T) {
 		core.RunFor(100),
 		core.Syscall("send", func(e *core.Env) {
 			th := e.Cur()
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			e.K.Clock.After(1000, "client-wake", func() { e.K.Setrun(th) })
 			e.K.ThreadHandoff(e, stats.BlockReceive, sleepDone, server)
 			if e.K.Recognize(e, expect) {
@@ -482,8 +482,8 @@ func TestRecognizeWrongContinuation(t *testing.T) {
 	if serverProg.retvals[0] != 9 {
 		t.Fatalf("server resumed wrongly: %v", serverProg.retvals)
 	}
-	if client.State != core.StateHalted || server.State != core.StateHalted {
-		t.Fatalf("client=%v server=%v", client.State, server.State)
+	if client.State() != core.StateHalted || server.State() != core.StateHalted {
+		t.Fatalf("client=%v server=%v", client.State(), server.State())
 	}
 }
 
@@ -502,8 +502,8 @@ func TestMultiprocessorRunsAllThreads(t *testing.T) {
 	}
 	k.Run(0)
 	for _, th := range threads {
-		if th.State != core.StateHalted {
-			t.Fatalf("%v state = %v", th, th.State)
+		if th.State() != core.StateHalted {
+			t.Fatalf("%v state = %v", th, th.State())
 		}
 	}
 }
@@ -567,7 +567,7 @@ func TestBlockNeitherStylePanics(t *testing.T) {
 	prog := &script{actions: []core.Action{
 		core.Syscall("bad", func(e *core.Env) {
 			th := e.Cur()
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			// No continuation is honoured in a process-model kernel and
 			// no resume step is given: impossible block.
 			e.K.Block(e, stats.BlockInternal, sleepDone, nil, 0, "")
@@ -589,7 +589,7 @@ func TestRunDeadline(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	k.Run(machine.Time(1000)) // 1 us deadline
-	if th.State == core.StateHalted {
+	if th.State() == core.StateHalted {
 		t.Fatal("deadline did not stop the run")
 	}
 }
@@ -627,8 +627,8 @@ func TestSyscallReturnOverrideDiscount(t *testing.T) {
 		th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
 		k.Setrun(th)
 		k.Run(0)
-		if th.State != core.StateHalted || prog.retvals[0] != 7 {
-			t.Fatalf("state=%v rets=%v", th.State, prog.retvals)
+		if th.State() != core.StateHalted || prog.retvals[0] != 7 {
+			t.Fatalf("state=%v rets=%v", th.State(), prog.retvals)
 		}
 		return k.Acct.Total()
 	}

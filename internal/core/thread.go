@@ -72,9 +72,10 @@ type Thread struct {
 	ID   int
 	Name string
 
-	// State is the scheduling state. Transitions are performed by the
-	// kernel's control-transfer operations.
-	State ThreadState
+	// state is the scheduling state, read through State and written only
+	// through Kernel.SetState, which keeps the kernel's waiting count
+	// exact.
+	state ThreadState
 
 	// Mode records whether the thread is in user or kernel space.
 	Mode Mode
@@ -159,7 +160,15 @@ type Thread struct {
 	// disposalPending marks the window between a context switch away
 	// from this thread and the thread_dispatch that frees its stack.
 	disposalPending bool
+
+	// reaped marks a thread ReapHalted has handed out. It stays in the
+	// registry until the next compaction; every registry walker already
+	// skips halted threads.
+	reaped bool
 }
+
+// State returns the thread's scheduling state.
+func (t *Thread) State() ThreadState { return t.state }
 
 // Queued reports whether the thread is currently on a run queue.
 func (t *Thread) Queued() bool { return t.queued }
@@ -172,13 +181,13 @@ func (t *Thread) String() string {
 }
 
 // Blocked reports whether the thread is waiting.
-func (t *Thread) Blocked() bool { return t.State == StateWaiting }
+func (t *Thread) Blocked() bool { return t.state == StateWaiting }
 
 // BlockedWith reports whether the thread is blocked in the interrupt
 // style at exactly the given continuation — the predicate behind
 // continuation recognition.
 func (t *Thread) BlockedWith(c *Continuation) bool {
-	return t.State == StateWaiting && t.Cont == c
+	return t.state == StateWaiting && t.Cont == c
 }
 
 // HasStack reports whether a kernel stack is attached.

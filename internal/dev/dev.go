@@ -310,7 +310,7 @@ func (s *Subsystem) noteHandlerWork(body machine.Cost) {
 // wakes it. Called from interrupt context.
 func (s *Subsystem) PostCompletion(r *Request) {
 	s.completions = append(s.completions, r)
-	if s.IoThread.State == core.StateWaiting {
+	if s.IoThread.State() == core.StateWaiting {
 		s.K.Setrun(s.IoThread)
 	}
 }
@@ -346,9 +346,9 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 			if len(s.completions) > 0 {
 				// More completions pending: stay runnable and continue the
 				// loop when rescheduled.
-				t.State = core.StateRunnable
+				e.K.SetState(t, core.StateRunnable)
 			} else {
-				t.State = core.StateWaiting
+				e.K.SetState(t, core.StateWaiting)
 				t.WaitLabel = "io_done: idle"
 			}
 			s.IoDoneHandoffs++
@@ -361,12 +361,12 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 			}
 			k.CallContinuation(e, e.Cur().Cont)
 		}
-		if w.State == core.StateWaiting {
+		if w.State() == core.StateWaiting {
 			k.Setrun(w)
 		}
 	}
 	t := e.Cur()
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "io_done: idle"
 	k.Block(e, stats.BlockInternal, s.ContIoDone,
 		func(e2 *core.Env) { s.ioLoop(e2) }, 256, "io-done-wait")
@@ -385,7 +385,7 @@ func (s *Subsystem) DeviceRead(e *core.Env, d *Device, bytes int) {
 	t.Scratch.PutRef(2, d)
 	s.submitIO(t, d, "read", bytes, s.ContDeviceRead,
 		func(e2 *core.Env) { s.deviceReadContinue(e2) })
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device_read: " + d.Name
 	s.K.Block(e, stats.BlockDeviceIO, s.ContDeviceRead,
 		func(e2 *core.Env) { s.deviceReadContinue(e2) }, 192, "device-read")
@@ -417,7 +417,7 @@ func (s *Subsystem) DeviceWrite(e *core.Env, d *Device, bytes int) {
 	t.Scratch.PutRef(2, d)
 	s.submitIO(t, d, "write", bytes, s.ContDeviceWrite,
 		func(e2 *core.Env) { s.deviceWriteContinue(e2) })
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device_write: " + d.Name
 	s.K.Block(e, stats.BlockDeviceIO, s.ContDeviceWrite,
 		func(e2 *core.Env) { s.deviceWriteContinue(e2) }, 192, "device-write")

@@ -51,7 +51,7 @@ func (s *Subsystem) submitIO(t *core.Thread, d *Device, label string, bytes int,
 	if s.IoTimeout > 0 {
 		r.timeout = s.K.Clock.After(s.IoTimeout, d.Name+"-io-timeout", func() {
 			w := r.Waiter
-			if w == nil || w.State != core.StateWaiting {
+			if w == nil || w.State() != core.StateWaiting {
 				return
 			}
 			// Detach the waiter; if the transfer lands later the io_done
@@ -93,7 +93,7 @@ func (s *Subsystem) retryOrFail(e *core.Env, code uint64, cont *core.Continuatio
 		s.submitIO(t, d, label+"-retry", bytes, cont, resume)
 	})
 	s.pendingRetry[t.ID] = ev
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device retry: " + d.Name
 	s.K.Block(e, stats.BlockDeviceIO, cont, resume, 192, "device-retry")
 }
@@ -216,9 +216,9 @@ func (s *Subsystem) PendingIO() int {
 // holds an armed I/O timeout.
 func (s *Subsystem) checkInvariants() error {
 	check := func(r *Request, where string) error {
-		if r.Waiter != nil && r.Waiter.State != core.StateWaiting {
+		if r.Waiter != nil && r.Waiter.State() != core.StateWaiting {
 			return fmt.Errorf("dev: %s request %q waiter %v is %v, not waiting",
-				where, r.Label, r.Waiter, r.Waiter.State)
+				where, r.Label, r.Waiter, r.Waiter.State())
 		}
 		if r.Waiter == nil && r.timeout.Pending() {
 			return fmt.Errorf("dev: detached %s request %q holds a live timeout", where, r.Label)

@@ -49,8 +49,8 @@ func TestInjectedFailureExhaustsRetries(t *testing.T) {
 	th, ret := readerWithResult(sys, 4096)
 	sys.Start(th)
 	sys.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("reader stuck in %v (%q)", th.State, th.WaitLabel)
+	if th.State() != core.StateHalted {
+		t.Fatalf("reader stuck in %v (%q)", th.State(), th.WaitLabel)
 	}
 	if *ret != dev.DevIOError {
 		t.Fatalf("retval = %d, want DevIOError", *ret)
@@ -92,8 +92,8 @@ func TestTransientFailureRecoversByRetry(t *testing.T) {
 	if sys.Dev.IoRetries != 1 || sys.Dev.IoFailures != 1 {
 		t.Fatalf("retries=%d failures=%d, want 1/1", sys.Dev.IoRetries, sys.Dev.IoFailures)
 	}
-	if th.State != core.StateHalted {
-		t.Fatalf("reader stuck in %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("reader stuck in %v", th.State())
 	}
 	quiesceClean(t, sys)
 }

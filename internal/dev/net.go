@@ -663,7 +663,7 @@ func (n *Netmsg) AnnounceIncarnation() {
 		n.track(pkt)
 	}
 	n.outbox = append(n.outbox, pkt)
-	if n.Thread.State == core.StateWaiting {
+	if n.Thread.State() == core.StateWaiting {
 		n.Sub.K.Setrun(n.Thread)
 	}
 }
@@ -740,7 +740,7 @@ func (n *Netmsg) armRexmit(u *unackedPkt) {
 			return
 		}
 		n.outbox = append(n.outbox, u.pkt)
-		if n.Thread.State == core.StateWaiting {
+		if n.Thread.State() == core.StateWaiting {
 			n.Sub.K.Setrun(n.Thread)
 		}
 		n.armRexmit(u)
@@ -756,7 +756,7 @@ func (n *Netmsg) takePacket(e *core.Env, pkt *Packet) {
 	if len(n.inbox) > n.InboxHighWater {
 		n.InboxHighWater = len(n.inbox)
 	}
-	if n.Thread.State == core.StateWaiting {
+	if n.Thread.State() == core.StateWaiting {
 		n.Sub.K.Setrun(n.Thread)
 	}
 }
@@ -802,7 +802,7 @@ func (n *Netmsg) loop(e *core.Env) {
 		n.deliver(e, pkt)
 	}
 	t := e.Cur()
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "netmsg: idle"
 	k.Block(e, stats.BlockInternal, n.cont,
 		func(e2 *core.Env) { n.loop(e2) }, 256, "netmsg-wait")
@@ -879,9 +879,9 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 		n.X.DeliverTo(e, recv, msg)
 		t := e.Cur()
 		if len(n.inbox) > 0 || len(n.outbox) > 0 {
-			t.State = core.StateRunnable
+			e.K.SetState(t, core.StateRunnable)
 		} else {
-			t.State = core.StateWaiting
+			e.K.SetState(t, core.StateWaiting)
 			t.WaitLabel = "netmsg: idle"
 		}
 		k.ThreadHandoff(e, stats.BlockInternal, n.cont, recv)

@@ -141,7 +141,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 			ex.FastRaises++
 			msg := ex.X.NewMessage(ipc.ExcOpRaise, ipc.HeaderBytes, info, reply)
 			ex.X.DeliverTo(e, server, msg)
-			t.State = core.StateWaiting
+			e.K.SetState(t, core.StateWaiting)
 			t.WaitLabel = "exception reply"
 			k.ThreadHandoff(e, stats.BlockException, ex.ContExcReturn, server)
 			// Running as the server, in the faulter's call context.
@@ -159,7 +159,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 		e.Charge(buildMsgCost)
 		msg := ex.X.NewMessage(ipc.ExcOpRaise, ExcMsgBytes, info, reply)
 		ex.X.Enqueue(e, port, msg)
-		t.State = core.StateWaiting
+		e.K.SetState(t, core.StateWaiting)
 		t.WaitLabel = "exception reply"
 		k.Block(e, stats.BlockException, ex.ContExcReturn, nil, 0, "")
 	}
@@ -178,7 +178,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 	if server != nil {
 		ex.K.Setrun(server)
 	}
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "exception reply"
 	k.Block(e, stats.BlockException, nil, func(e2 *core.Env) {
 		e2.Charge(restartCost)
@@ -205,7 +205,7 @@ func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, op
 		// hand the stack straight back to the faulting thread.
 		ex.FastReplies++
 		cont := ex.X.RegisterReceiver(server, opts.ReceiveFrom, opts.MaxSize)
-		server.State = core.StateWaiting
+		e.K.SetState(server, core.StateWaiting)
 		k.ThreadHandoff(e, stats.BlockReceive, cont, faulter)
 		// Running as the faulter, in the server's call context.
 		if k.Recognize(e, ex.ContExcReturn) {
@@ -219,7 +219,7 @@ func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, op
 	// the scheduler and let the server continue with its own receive.
 	ex.SlowReplies++
 	e.Charge(stateRestore)
-	if faulter.State == core.StateWaiting {
+	if faulter.State() == core.StateWaiting {
 		k.Setrun(faulter)
 	}
 	if opts.ReceiveFrom != nil {

@@ -84,8 +84,8 @@ func runExc(t *testing.T, style ipc.Style, raises int) (*core.Kernel, *ipc.IPC, 
 	k.Setrun(st)
 	k.Setrun(ft)
 	k.Run(0)
-	if ft.State != core.StateHalted {
-		t.Fatalf("faulter did not finish: %v", ft.State)
+	if ft.State() != core.StateHalted {
+		t.Fatalf("faulter did not finish: %v", ft.State())
 	}
 	return k, x, ex, srv, ft
 }
@@ -177,8 +177,8 @@ func TestExceptionFaulterStacklessWhileServerWorks(t *testing.T) {
 	if !sawBlockedFaulter {
 		t.Fatal("never observed the faulter blocked on its exception reply")
 	}
-	if ft.State != core.StateHalted {
-		t.Fatalf("faulter state = %v", ft.State)
+	if ft.State() != core.StateHalted {
+		t.Fatalf("faulter state = %v", ft.State())
 	}
 }
 
@@ -217,8 +217,8 @@ func TestSlowRaiseWhenServerBusy(t *testing.T) {
 	k.Setrun(f1)
 	k.Setrun(f2)
 	k.Run(0)
-	if f1.State != core.StateHalted || f2.State != core.StateHalted {
-		t.Fatalf("faulters did not finish: %v %v", f1.State, f2.State)
+	if f1.State() != core.StateHalted || f2.State() != core.StateHalted {
+		t.Fatalf("faulters did not finish: %v %v", f1.State(), f2.State())
 	}
 	if srv.handled != 6 {
 		t.Fatalf("handled = %d", srv.handled)

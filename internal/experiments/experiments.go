@@ -549,7 +549,7 @@ func Firefly886(flavor kern.Flavor) FireflyResult {
 				sys.K.Clock.AfterBackground(machine.Duration(1e15), "timer", func() {
 					sys.K.Setrun(t)
 				})
-				t.State = core.StateWaiting
+				e.K.SetState(t, core.StateWaiting)
 				sys.K.Block(e, stats.BlockInternal, contSleepForever,
 					func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 128, "sleep")
 			})
@@ -576,7 +576,7 @@ func Firefly886(flavor kern.Flavor) FireflyResult {
 	// then runs a compute thread), and take the census.
 	settled := func() bool {
 		for _, th := range blocked {
-			if th.State != core.StateWaiting {
+			if th.State() != core.StateWaiting {
 				return false
 			}
 		}

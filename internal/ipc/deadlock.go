@@ -44,15 +44,15 @@ func (x *IPC) FindDeadlock() []string {
 	// stuck reports a registration whose thread is genuinely blocked with
 	// no way out of its own: live, waiting, and without an armed timeout.
 	stuck := func(w *rcvWaiter) bool {
-		return !w.cancelled && w.t.State == core.StateWaiting && !w.timeout.Pending()
+		return !w.cancelled && w.t.State() == core.StateWaiting && !w.timeout.Pending()
 	}
 	owner := func(p *Port) *core.Thread {
 		for _, w := range p.waiters {
-			if !w.cancelled && w.t.State == core.StateWaiting {
+			if !w.cancelled && w.t.State() == core.StateWaiting {
 				return w.t
 			}
 		}
-		if lr := p.lastReceiver; lr != nil && lr.State != core.StateHalted {
+		if lr := p.lastReceiver; lr != nil && lr.State() != core.StateHalted {
 			return lr
 		}
 		return nil
@@ -84,7 +84,7 @@ func (x *IPC) FindDeadlock() []string {
 	// (not the map) so the graph construction is deterministic.
 	for _, holder := range x.K.Threads {
 		m := x.delivered[holder.ID]
-		if m == nil || m.Reply == nil || holder.State == core.StateHalted {
+		if m == nil || m.Reply == nil || holder.State() == core.StateHalted {
 			continue
 		}
 		for _, w := range m.Reply.waiters {

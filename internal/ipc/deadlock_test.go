@@ -72,8 +72,8 @@ func TestFindDeadlockSelfWait(t *testing.T) {
 	primeSend(k, x, port)
 	k.Run(0)
 
-	if th.State != core.StateWaiting {
-		t.Fatalf("selfish thread is %v, want blocked", th.State)
+	if th.State() != core.StateWaiting {
+		t.Fatalf("selfish thread is %v, want blocked", th.State())
 	}
 	cycle := x.FindDeadlock()
 	if cycle == nil {
@@ -140,13 +140,13 @@ func buildFullPortSelfBlock(t *testing.T, sndTimeout machine.Duration) (*ipc.IPC
 	primeSend(k, x, port)
 	// Step until the sender is parked in its flood phase (step >= 2 rules
 	// out the earlier prime-receive block).
-	for th.State != core.StateWaiting || fp.step < 2 {
+	for th.State() != core.StateWaiting || fp.step < 2 {
 		if !k.Step() {
 			break
 		}
 	}
-	if th.State != core.StateWaiting || fp.step < 2 {
-		t.Fatalf("flooder is %v at step %d, want blocked on the full queue", th.State, fp.step)
+	if th.State() != core.StateWaiting || fp.step < 2 {
+		t.Fatalf("flooder is %v at step %d, want blocked on the full queue", th.State(), fp.step)
 	}
 	return x, th
 }

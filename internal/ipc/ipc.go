@@ -207,10 +207,17 @@ func (p *Port) limit() int {
 // rcvWaiter is one thread's registration on a port's waiter (or
 // send-waiter) list. Cancellation covers consumption by a sender,
 // expiry of a receive timeout, and port destruction.
+//
+// While a registration sits on a list it is also on its thread's index:
+// an intrusive doubly linked list (prev/next) headed in IPC.regs, so the
+// reaper and thread_abort touch only the dying thread's registrations
+// instead of sweeping every port.
 type rcvWaiter struct {
-	t         *core.Thread
-	cancelled bool
-	timeout   *machine.Event
+	t          *core.Thread
+	cancelled  bool
+	send       bool // on a send-waiter list, not a receive list
+	timeout    *machine.Event
+	prev, next *rcvWaiter
 }
 
 // MsgOptions describes one mach_msg invocation: an optional send phase
@@ -320,10 +327,18 @@ type IPC struct {
 	// thread's user program (the copied-out user buffer).
 	received map[int]*Message
 
-	// ports and sets register every allocation, for thread_abort's waiter
-	// search and the invariant checker's consistency sweep.
+	// ports and sets register every allocation, for the port census and
+	// the invariant checker's consistency sweep.
 	ports []*Port
 	sets  []*PortSet
+
+	// regs heads each thread's registration index, by thread ID: every
+	// registration naming the thread that is still on some waiter list,
+	// live or cancelled. newWaiter links a registration in; freeWaiter,
+	// which every removal from a list goes through, unlinks it. Thread
+	// IDs are small and dense per kernel, so a slice beats a map on the
+	// per-message path.
+	regs []*rcvWaiter
 
 	// waiterFree and msgFree recycle waiter registrations and message
 	// buffers so the steady-state RPC path allocates nothing; see
@@ -526,7 +541,7 @@ func (x *IPC) popWaiterList(list *[]*rcvWaiter) *core.Thread {
 	for n < len(q) {
 		w := q[n]
 		n++
-		if w.cancelled || w.t.State != core.StateWaiting {
+		if w.cancelled || w.t.State() != core.StateWaiting {
 			x.freeWaiter(w)
 			continue
 		}
@@ -549,23 +564,52 @@ func (x *IPC) popWaiterList(list *[]*rcvWaiter) *core.Thread {
 	return res
 }
 
-// newWaiter takes a registration from the free list, or allocates one.
+// newWaiter takes a registration from the free list, or allocates one,
+// and links it into t's index. The caller puts it on a waiter list.
 func (x *IPC) newWaiter(t *core.Thread) *rcvWaiter {
+	var w *rcvWaiter
 	if n := len(x.waiterFree); n > 0 {
-		w := x.waiterFree[n-1]
+		w = x.waiterFree[n-1]
 		x.waiterFree[n-1] = nil
 		x.waiterFree = x.waiterFree[:n-1]
 		w.t = t
-		return w
+	} else {
+		w = &rcvWaiter{t: t}
 	}
-	return &rcvWaiter{t: t}
+	for t.ID >= len(x.regs) {
+		x.regs = append(x.regs, nil)
+	}
+	if head := x.regs[t.ID]; head != nil {
+		head.prev = w
+		w.next = head
+	}
+	x.regs[t.ID] = w
+	return w
 }
 
-// freeWaiter recycles a registration that has left its waiter list. A
-// registration whose timeout is still armed is left to the garbage
-// collector: the timeout closure holds a reference, and recycling it
-// would let a stale timer cancel an unrelated waiter.
+// registrations returns the head of t's registration index.
+func (x *IPC) registrations(t *core.Thread) *rcvWaiter {
+	if t.ID < len(x.regs) {
+		return x.regs[t.ID]
+	}
+	return nil
+}
+
+// freeWaiter unlinks a registration that has left its waiter list from
+// its thread's index and recycles it. A registration whose timeout is
+// still armed is left to the garbage collector: the timeout closure holds
+// a reference, and recycling it would let a stale timer cancel an
+// unrelated waiter.
 func (x *IPC) freeWaiter(w *rcvWaiter) {
+	if w.prev != nil {
+		w.prev.next = w.next
+	} else {
+		x.regs[w.t.ID] = w.next
+	}
+	if w.next != nil {
+		w.next.prev = w.prev
+	}
+	w.prev, w.next = nil, nil
 	if w.timeout != nil {
 		return
 	}
@@ -675,7 +719,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 			x.DirectSwitches++
 			if src != nil && !src.hasPending() && x.delivered[t.ID] == nil {
 				maxSize := opts.MaxSize
-				t.State = core.StateWaiting
+				e.K.SetState(t, core.StateWaiting)
 				t.WaitLabel = "mach_msg receive"
 				w := src.push(x, t)
 				x.armTimeout(w, opts.RcvTimeout)
@@ -736,10 +780,11 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	t.Scratch.PutWord(3, uint32(opts.MaxSize))
 	t.Scratch.PutRef(4, opts.SndTimeout)
 	w := x.newWaiter(t)
+	w.send = true
 	dest.sendWaiters = append(dest.sendWaiters, w)
 	if d := opts.SndTimeout; d != 0 {
 		w.timeout = x.K.Clock.After(d, "mach_msg-snd-timeout", func() {
-			if w.cancelled || w.t.State != core.StateWaiting {
+			if w.cancelled || w.t.State() != core.StateWaiting {
 				return
 			}
 			w.cancelled = true
@@ -747,7 +792,7 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 			x.K.Setrun(w.t)
 		})
 	}
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "mach_msg send (queue full)"
 	x.K.Block(e, stats.BlockReceive, x.ContMsgSendRetry,
 		x.msgSendRetryFn, 224, "send-queue-full")
@@ -787,7 +832,7 @@ func (x *IPC) wakeSender(p *Port) {
 	for n < len(q) {
 		w := q[n]
 		n++
-		if w.cancelled || w.t.State != core.StateWaiting {
+		if w.cancelled || w.t.State() != core.StateWaiting {
 			x.freeWaiter(w)
 			continue
 		}
@@ -815,7 +860,7 @@ func (x *IPC) armTimeout(w *rcvWaiter, d machine.Duration) {
 		return
 	}
 	w.timeout = x.K.Clock.After(d, "mach_msg-rcv-timeout", func() {
-		if w.cancelled || w.t.State != core.StateWaiting {
+		if w.cancelled || w.t.State() != core.StateWaiting {
 			return
 		}
 		w.cancelled = true
@@ -835,7 +880,7 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 	p.dead = true
 	p.queue = nil
 	for _, w := range p.waiters {
-		if w.cancelled || w.t.State != core.StateWaiting {
+		if w.cancelled || w.t.State() != core.StateWaiting {
 			continue
 		}
 		w.cancelled = true
@@ -845,9 +890,12 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 		x.rcvError[w.t.ID] = RcvPortDied
 		x.K.Setrun(w.t)
 	}
+	for _, w := range p.waiters {
+		x.freeWaiter(w)
+	}
 	p.waiters = nil
 	for _, w := range p.sendWaiters {
-		if w.cancelled || w.t.State != core.StateWaiting {
+		if w.cancelled || w.t.State() != core.StateWaiting {
 			continue
 		}
 		w.cancelled = true
@@ -856,6 +904,9 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 		}
 		x.rcvError[w.t.ID] = SendInvalidDest
 		x.K.Setrun(w.t)
+	}
+	for _, w := range p.sendWaiters {
+		x.freeWaiter(w)
 	}
 	p.sendWaiters = nil
 }
@@ -914,7 +965,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 	x.saveReceiveState(t, src, opts.MaxSize)
 	w := src.push(x, t)
 	x.armTimeout(w, opts.RcvTimeout)
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "mach_msg receive"
 	cont := x.ContMsgContinue
 	if opts.MaxSize > 0 {
@@ -973,7 +1024,7 @@ func (x *IPC) receive(e *core.Env, src source, maxSize int, timeout machine.Dura
 	x.saveReceiveState(t, src, maxSize)
 	w := src.push(x, t)
 	x.armTimeout(w, timeout)
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "mach_msg receive"
 	cont := x.ContMsgContinue
 	if maxSize > 0 {

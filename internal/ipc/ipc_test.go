@@ -98,8 +98,8 @@ func runRPC(t *testing.T, style ipc.Style, rpcs, maxSize int) (*core.Kernel, *ip
 	k.Setrun(st)
 	k.Setrun(ct)
 	k.Run(0)
-	if ct.State != core.StateHalted {
-		t.Fatalf("client did not finish: %v", ct.State)
+	if ct.State() != core.StateHalted {
+		t.Fatalf("client did not finish: %v", ct.State())
 	}
 	return k, x, cli, srv
 }
@@ -325,8 +325,8 @@ func TestReceiversAreStacklessWhileBlocked(t *testing.T) {
 	}
 	k.Run(0)
 	for _, th := range servers {
-		if th.State != core.StateWaiting {
-			t.Fatalf("%v state = %v", th, th.State)
+		if th.State() != core.StateWaiting {
+			t.Fatalf("%v state = %v", th, th.State())
 		}
 		if th.HasStack() {
 			t.Fatalf("%v holds a stack while blocked in receive", th)

@@ -41,8 +41,8 @@ func TestReceiveTimeout(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("receiver hung: %v (%q)", th.State, th.WaitLabel)
+	if th.State() != core.StateHalted {
+		t.Fatalf("receiver hung: %v (%q)", th.State(), th.WaitLabel)
 	}
 	if len(prog.rets) != 1 || prog.rets[0] != ipc.RcvTimedOut {
 		t.Fatalf("rets = %#x, want RcvTimedOut", prog.rets)
@@ -117,8 +117,8 @@ func TestDestroyPortWakesReceivers(t *testing.T) {
 		t.Fatal("port not dead")
 	}
 	for _, th := range k.Threads {
-		if th.State != core.StateHalted {
-			t.Fatalf("%v stuck in %v", th, th.State)
+		if th.State() != core.StateHalted {
+			t.Fatalf("%v stuck in %v", th, th.State())
 		}
 	}
 	if rets == nil {
@@ -136,7 +136,7 @@ func TestDestroyedPortReceiversGetPortDied(t *testing.T) {
 	}}
 	th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: prog})
 	k.Setrun(th)
-	for i := 0; i < 100 && th.State != core.StateWaiting; i++ {
+	for i := 0; i < 100 && th.State() != core.StateWaiting; i++ {
 		k.Step()
 	}
 	e := &core.Env{K: k, P: k.Procs[0]}
@@ -190,12 +190,12 @@ func TestQueueLimitBlocksSender(t *testing.T) {
 	k.Setrun(pt)
 
 	// Drive until the producer blocks on the full queue.
-	for i := 0; i < 10000 && pt.State != core.StateWaiting; i++ {
+	for i := 0; i < 10000 && pt.State() != core.StateWaiting; i++ {
 		if !k.Step() {
 			break
 		}
 	}
-	if pt.State != core.StateWaiting {
+	if pt.State() != core.StateWaiting {
 		t.Fatalf("producer did not block (sent %d)", sent)
 	}
 	if port.QueueLen() != 2 || port.SendWaiters() != 1 {
@@ -224,8 +224,8 @@ func TestQueueLimitBlocksSender(t *testing.T) {
 	ct := k.NewThread(core.ThreadSpec{Name: "consumer", SpaceID: 2, Program: consumer})
 	k.Setrun(ct)
 	k.Run(0)
-	if pt.State != core.StateHalted || ct.State != core.StateHalted {
-		t.Fatalf("producer=%v consumer=%v", pt.State, ct.State)
+	if pt.State() != core.StateHalted || ct.State() != core.StateHalted {
+		t.Fatalf("producer=%v consumer=%v", pt.State(), ct.State())
 	}
 	if len(got) != 5 {
 		t.Fatalf("consumed %d", len(got))
@@ -271,8 +271,8 @@ func TestQueueLimitProcessModel(t *testing.T) {
 	k.Setrun(pt)
 	k.Setrun(ct)
 	k.Run(0)
-	if len(got) != 3 || pt.State != core.StateHalted {
-		t.Fatalf("got=%v producer=%v", got, pt.State)
+	if len(got) != 3 || pt.State() != core.StateHalted {
+		t.Fatalf("got=%v producer=%v", got, pt.State())
 	}
 }
 
@@ -292,17 +292,17 @@ func TestDestroyPortWakesBlockedSender(t *testing.T) {
 	}}
 	th := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 1, Program: prog})
 	k.Setrun(th)
-	for i := 0; i < 10000 && th.State != core.StateWaiting; i++ {
+	for i := 0; i < 10000 && th.State() != core.StateWaiting; i++ {
 		k.Step()
 	}
-	if th.State != core.StateWaiting {
+	if th.State() != core.StateWaiting {
 		t.Fatal("sender did not block")
 	}
 	e := &core.Env{K: k, P: k.Procs[0]}
 	x.DestroyPort(e, port)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("sender stuck: %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("sender stuck: %v", th.State())
 	}
 	// First send succeeded; the blocked retry fails with the port dead.
 	if len(prog.rets) != 2 || prog.rets[0] != ipc.MsgSuccess || prog.rets[1] != ipc.SendInvalidDest {
@@ -333,7 +333,7 @@ func TestTimeoutRaceWithSender(t *testing.T) {
 			}
 		})
 		k.Run(0)
-		if rt.State != core.StateHalted {
+		if rt.State() != core.StateHalted {
 			t.Fatalf("delay %v: receiver stuck", d)
 		}
 		if len(recvProg.rets) != 1 {

@@ -11,33 +11,22 @@ import (
 // the aborted mach_msg should complete with: RcvInterrupted for a
 // blocked receive (port or set), SendInterrupted for a sender parked on
 // a full queue. It returns ok=false when t is not blocked in IPC; the
-// thread itself is not touched — kern's thread_abort resumes it.
+// thread itself is not touched — kern's thread_abort resumes it. A
+// waiting thread holds at most one live registration (checkInvariants),
+// so the first one on its index is the one to cancel.
 func (x *IPC) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
-	cancel := func(list []*rcvWaiter) bool {
-		for _, w := range list {
-			if w.cancelled || w.t != t {
-				continue
-			}
-			w.cancelled = true
-			if w.timeout != nil {
-				x.K.Clock.Cancel(w.timeout)
-			}
-			return true
+	for w := x.registrations(t); w != nil; w = w.next {
+		if w.cancelled {
+			continue
 		}
-		return false
-	}
-	for _, p := range x.ports {
-		if cancel(p.waiters) {
-			return RcvInterrupted, true
+		w.cancelled = true
+		if w.timeout != nil {
+			x.K.Clock.Cancel(w.timeout)
 		}
-		if cancel(p.sendWaiters) {
+		if w.send {
 			return SendInterrupted, true
 		}
-	}
-	for _, ps := range x.sets {
-		if cancel(ps.waiters) {
-			return RcvInterrupted, true
-		}
+		return RcvInterrupted, true
 	}
 	return 0, false
 }
@@ -46,19 +35,29 @@ func (x *IPC) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
 // (registered by New, run by core.Kernel.Validate): every live waiter
 // registration belongs to a thread that is actually waiting, no thread
 // is live on two lists at once, and no cancelled registration still
-// holds an armed callout.
+// holds an armed callout. It is also the oracle for the per-thread
+// registration index: the registrations on every port, send-waiter and
+// port-set list are exactly the ones on their threads' indexes.
 func (x *IPC) checkInvariants() error {
 	where := make(map[*core.Thread]string)
-	check := func(list []*rcvWaiter, label string) error {
+	listed := make(map[*rcvWaiter]string)
+	check := func(list []*rcvWaiter, label string, send bool) error {
 		for _, w := range list {
+			if prev, dup := listed[w]; dup {
+				return fmt.Errorf("ipc: registration of %v on both %s and %s", w.t, prev, label)
+			}
+			listed[w] = label
+			if w.send != send {
+				return fmt.Errorf("ipc: registration of %v on %s has send=%v", w.t, label, w.send)
+			}
 			if w.cancelled {
 				if w.timeout.Pending() {
 					return fmt.Errorf("ipc: cancelled waiter %v on %s holds a live callout", w.t, label)
 				}
 				continue
 			}
-			if w.t.State != core.StateWaiting {
-				return fmt.Errorf("ipc: live waiter %v on %s is %v, not waiting", w.t, label, w.t.State)
+			if w.t.State() != core.StateWaiting {
+				return fmt.Errorf("ipc: live waiter %v on %s is %v, not waiting", w.t, label, w.t.State())
 			}
 			if prev, dup := where[w.t]; dup {
 				return fmt.Errorf("ipc: %v live on both %s and %s", w.t, prev, label)
@@ -68,17 +67,38 @@ func (x *IPC) checkInvariants() error {
 		return nil
 	}
 	for _, p := range x.ports {
-		if err := check(p.waiters, "port "+p.Name); err != nil {
+		if err := check(p.waiters, "port "+p.Name, false); err != nil {
 			return err
 		}
-		if err := check(p.sendWaiters, "send-waiters of "+p.Name); err != nil {
+		if err := check(p.sendWaiters, "send-waiters of "+p.Name, true); err != nil {
 			return err
 		}
 	}
 	for _, ps := range x.sets {
-		if err := check(ps.waiters, "set "+ps.Name); err != nil {
+		if err := check(ps.waiters, "set "+ps.Name, false); err != nil {
 			return err
 		}
+	}
+	indexed := 0
+	for id, head := range x.regs {
+		if head != nil && head.prev != nil {
+			return fmt.Errorf("ipc: registration index of thread %d has a bad head", id)
+		}
+		for w := head; w != nil; w = w.next {
+			if w.t.ID != id {
+				return fmt.Errorf("ipc: registration of %v on the index of thread %d", w.t, id)
+			}
+			if w.next != nil && w.next.prev != w {
+				return fmt.Errorf("ipc: registration index of %v has a broken back link", w.t)
+			}
+			if _, ok := listed[w]; !ok {
+				return fmt.Errorf("ipc: registration index of %v holds a registration on no waiter list", w.t)
+			}
+			indexed++
+		}
+	}
+	if indexed != len(listed) {
+		return fmt.Errorf("ipc: %d registrations on waiter lists, %d on thread indexes", len(listed), indexed)
 	}
 	return nil
 }

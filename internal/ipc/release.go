@@ -10,7 +10,9 @@ import "repro/internal/core"
 // cancelled with its callout disarmed — which also makes the
 // registration recyclable (freeWaiter refuses registrations holding an
 // armed timeout, so before this an abnormally terminated receiver could
-// strand its registration for the garbage collector).
+// strand its registration for the garbage collector). Only t's own
+// registration index is walked. The entries stay on their lists — the
+// normal pop and sweep paths recycle cancelled registrations.
 func (x *IPC) ReleaseThread(t *core.Thread) {
 	if m := x.delivered[t.ID]; m != nil {
 		delete(x.delivered, t.ID)
@@ -21,23 +23,7 @@ func (x *IPC) ReleaseThread(t *core.Thread) {
 		x.FreeMessage(m)
 	}
 	delete(x.rcvError, t.ID)
-	for _, p := range x.ports {
-		x.cancelRegistrations(p.waiters, t)
-		x.cancelRegistrations(p.sendWaiters, t)
-	}
-	for _, ps := range x.sets {
-		x.cancelRegistrations(ps.waiters, t)
-	}
-}
-
-// cancelRegistrations cancels every registration naming t on one waiter
-// list, disarming callouts. The entries stay in place — the normal pop
-// and sweep paths recycle cancelled registrations.
-func (x *IPC) cancelRegistrations(list []*rcvWaiter, t *core.Thread) {
-	for _, w := range list {
-		if w.t != t {
-			continue
-		}
+	for w := x.registrations(t); w != nil; w = w.next {
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 			w.timeout = nil
@@ -61,19 +47,10 @@ func (x *IPC) Residue(t *core.Thread) int {
 	if _, ok := x.rcvError[t.ID]; ok {
 		n++
 	}
-	live := func(list []*rcvWaiter) {
-		for _, w := range list {
-			if !w.cancelled && w.t == t {
-				n++
-			}
+	for w := x.registrations(t); w != nil; w = w.next {
+		if !w.cancelled {
+			n++
 		}
-	}
-	for _, p := range x.ports {
-		live(p.waiters)
-		live(p.sendWaiters)
-	}
-	for _, ps := range x.sets {
-		live(ps.waiters)
 	}
 	return n
 }

@@ -53,8 +53,8 @@ func runSendRace(t *testing.T, skew int64) uint64 {
 	// Park the sender without letting any timer fire.
 	for k.StepNoAdvance() {
 	}
-	if th.State != core.StateWaiting || len(port.sendWaiters) != 1 {
-		t.Fatalf("sender not parked: %v, %d waiters", th.State, len(port.sendWaiters))
+	if th.State() != core.StateWaiting || len(port.sendWaiters) != 1 {
+		t.Fatalf("sender not parked: %v, %d waiters", th.State(), len(port.sendWaiters))
 	}
 	w := port.sendWaiters[0]
 	if w.timeout == nil || !w.timeout.Pending() {
@@ -69,8 +69,8 @@ func runSendRace(t *testing.T, skew int64) uint64 {
 	})
 
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("skew %v: sender stuck in %v (%q)", skew, th.State, th.WaitLabel)
+	if th.State() != core.StateHalted {
+		t.Fatalf("skew %v: sender stuck in %v (%q)", skew, th.State(), th.WaitLabel)
 	}
 	if len(rets) != 2 || rets[0] != MsgSuccess {
 		t.Fatalf("skew %v: rets = %#x", skew, rets)
@@ -104,8 +104,8 @@ func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 	k.Setrun(th)
 	for k.StepNoAdvance() {
 	}
-	if th.State != core.StateWaiting || len(port.waiters) != 1 {
-		t.Fatalf("receiver not parked: %v, %d waiters", th.State, len(port.waiters))
+	if th.State() != core.StateWaiting || len(port.waiters) != 1 {
+		t.Fatalf("receiver not parked: %v, %d waiters", th.State(), len(port.waiters))
 	}
 	w := port.waiters[0]
 	if w.timeout == nil || !w.timeout.Pending() {
@@ -124,8 +124,8 @@ func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 	})
 
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("skew %v: receiver stuck in %v (%q)", skew, th.State, th.WaitLabel)
+	if th.State() != core.StateHalted {
+		t.Fatalf("skew %v: receiver stuck in %v (%q)", skew, th.State(), th.WaitLabel)
 	}
 	if k.Clock.Pending() != 0 {
 		t.Fatalf("skew %v: %d callouts leaked", skew, k.Clock.Pending())

@@ -32,8 +32,8 @@ func TestSendTimeout(t *testing.T) {
 		th := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 1, Program: prog})
 		k.Setrun(th)
 		k.Run(0)
-		if th.State != core.StateHalted {
-			t.Fatalf("%v: sender hung: %v (%q)", style, th.State, th.WaitLabel)
+		if th.State() != core.StateHalted {
+			t.Fatalf("%v: sender hung: %v (%q)", style, th.State(), th.WaitLabel)
 		}
 		if len(prog.rets) != 2 || prog.rets[0] != ipc.MsgSuccess || prog.rets[1] != ipc.SendTimedOut {
 			t.Fatalf("%v: rets = %#x, want [MsgSuccess SendTimedOut]", style, prog.rets)
@@ -171,8 +171,8 @@ func TestDestroyPortUnderLoad(t *testing.T) {
 	x.DestroyPort(e, empty)
 	k.Run(0)
 	for _, th := range threads {
-		if th.State != core.StateHalted {
-			t.Fatalf("%v stuck in %v (%q)", th, th.State, th.WaitLabel)
+		if th.State() != core.StateHalted {
+			t.Fatalf("%v stuck in %v (%q)", th, th.State(), th.WaitLabel)
 		}
 	}
 	// Senders 0 and 1 queued successfully; 2 and 3 were parked and fail.

@@ -25,7 +25,7 @@ import (
 // operation: running, runnable, halted, or waiting on a non-interruptible
 // event (kernel memory, locks, retry-free internal waits).
 func (s *System) ThreadAbort(t *core.Thread) bool {
-	if t.State != core.StateWaiting {
+	if t.State() != core.StateWaiting {
 		return false
 	}
 	code, ok := s.IPC.AbortWaiter(t)

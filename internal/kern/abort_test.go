@@ -73,15 +73,15 @@ func TestAbortBlockedReceive(t *testing.T) {
 			th := task.NewThread("rcv", prog, 10)
 			sys.Start(th)
 			sys.Run(0)
-			if th.State != core.StateWaiting {
-				t.Fatalf("state before abort = %v", th.State)
+			if th.State() != core.StateWaiting {
+				t.Fatalf("state before abort = %v", th.State())
 			}
 			if !sys.ThreadAbort(th) {
 				t.Fatal("ThreadAbort refused a blocked receiver")
 			}
 			sys.Run(0)
-			if th.State != core.StateHalted {
-				t.Fatalf("state after abort = %v", th.State)
+			if th.State() != core.StateHalted {
+				t.Fatalf("state after abort = %v", th.State())
 			}
 			if prog.ret != ipc.RcvInterrupted {
 				t.Fatalf("retval = %#x, want RcvInterrupted", prog.ret)
@@ -154,8 +154,8 @@ func TestAbortBlockedSendCancelsTimeout(t *testing.T) {
 	// cannot fire; the overflow send is parked when progress stops.
 	for sys.K.StepNoAdvance() {
 	}
-	if th.State != core.StateWaiting {
-		t.Fatalf("state before abort = %v", th.State)
+	if th.State() != core.StateWaiting {
+		t.Fatalf("state before abort = %v", th.State())
 	}
 	if got := sys.K.Clock.Pending(); got != 1 {
 		t.Fatalf("armed callouts before abort = %d, want 1 (snd timeout)", got)
@@ -188,8 +188,8 @@ func TestAbortBlockedDeviceRead(t *testing.T) {
 			// Stop before the disk completion interrupt can fire.
 			for sys.K.StepNoAdvance() {
 			}
-			if th.State != core.StateWaiting {
-				t.Fatalf("state before abort = %v", th.State)
+			if th.State() != core.StateWaiting {
+				t.Fatalf("state before abort = %v", th.State())
 			}
 			if !sys.ThreadAbort(th) {
 				t.Fatal("ThreadAbort refused a blocked reader")
@@ -200,8 +200,8 @@ func TestAbortBlockedDeviceRead(t *testing.T) {
 			if prog.ret != dev.DevAborted {
 				t.Fatalf("retval = %d, want DevAborted", prog.ret)
 			}
-			if th.State != core.StateHalted {
-				t.Fatalf("state after abort = %v", th.State)
+			if th.State() != core.StateHalted {
+				t.Fatalf("state after abort = %v", th.State())
 			}
 			checkClean(t, sys, flavor)
 		})

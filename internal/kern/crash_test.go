@@ -479,8 +479,8 @@ func TestReaperReleasesRejectedCallerResources(t *testing.T) {
 	tick := sys.K.Clock.Now() + machine.Duration(1e6)
 	sys.K.Clock.After(machine.Duration(1e6), "park-probe", func() {})
 	sys.Run(tick)
-	if abandTh.State != core.StateWaiting {
-		t.Fatalf("abandoned caller state = %v, want waiting", abandTh.State)
+	if abandTh.State() != core.StateWaiting {
+		t.Fatalf("abandoned caller state = %v, want waiting", abandTh.State())
 	}
 	armed := sys.K.Clock.Pending()
 	if !sys.ThreadAbort(abandTh) {
@@ -492,8 +492,8 @@ func TestReaperReleasesRejectedCallerResources(t *testing.T) {
 		t.Fatalf("armed callouts %d -> %d; receive timeout not disarmed", armed, got)
 	}
 	sys.Run(0)
-	if abandTh.State != core.StateHalted {
-		t.Fatalf("abandoned caller state = %v, want halted", abandTh.State)
+	if abandTh.State() != core.StateHalted {
+		t.Fatalf("abandoned caller state = %v, want halted", abandTh.State())
 	}
 	if res := sys.IPC.Residue(abandTh); res != 0 {
 		t.Fatalf("aborted caller still owns %d IPC resources", res)

@@ -410,7 +410,7 @@ func (s *System) startReaper() {
 		StartPM:  pm,
 	})
 	s.K.OnHalt = func(t *core.Thread) {
-		if s.Reaper.State == core.StateWaiting {
+		if s.Reaper.State() == core.StateWaiting {
 			s.K.Setrun(s.Reaper)
 		}
 	}
@@ -443,7 +443,7 @@ func (s *System) reaperLoop(e *core.Env) {
 		s.Reaped++
 	}
 	t := e.Cur()
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "reaper: idle"
 	s.K.Block(e, stats.BlockInternal, s.contReaper,
 		func(e2 *core.Env) { s.reaperLoop(e2) }, 256, "reaper-wait")
@@ -471,11 +471,11 @@ func (s *System) calloutLoop(e *core.Env) {
 	e.Charge(machine.Cost{Instrs: 200, Loads: 60, Stores: 30})
 	t := e.Cur()
 	s.K.Clock.AfterBackground(CalloutInterval, "callout-tick", func() {
-		if t.State == core.StateWaiting {
+		if t.State() == core.StateWaiting {
 			s.K.Setrun(t)
 		}
 	})
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "callout: tick wait"
 	// A nil continuation forces the process model even in MK40.
 	s.K.Block(e, stats.BlockInternal, nil, s.calloutLoop, 512, "callout-wait")
@@ -547,11 +547,11 @@ func (s *System) AllocWait(e *core.Env, frameBytes int, resume func(*core.Env)) 
 	s.AllocWaits++
 	t := e.Cur()
 	s.K.Clock.After(machine.Duration(500*1000), "kmem-free", func() {
-		if t.State == core.StateWaiting {
+		if t.State() == core.StateWaiting {
 			s.K.Setrun(t)
 		}
 	})
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "kmem alloc"
 	s.K.Block(e, stats.BlockKernelAlloc, nil, resume, frameBytes, "kmem-wait")
 }
@@ -562,11 +562,11 @@ func (s *System) LockWait(e *core.Env, frameBytes int, resume func(*core.Env)) {
 	s.LockWaits++
 	t := e.Cur()
 	s.K.Clock.After(machine.Duration(50*1000), "lock-release", func() {
-		if t.State == core.StateWaiting {
+		if t.State() == core.StateWaiting {
 			s.K.Setrun(t)
 		}
 	})
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "lock wait"
 	s.K.Block(e, stats.BlockLock, nil, resume, frameBytes, "lock-wait")
 }
@@ -578,7 +578,7 @@ func (s *System) LiveUserThreads() int {
 	n := 0
 	for _, task := range s.tasks {
 		for _, th := range task.Threads {
-			if th.State != core.StateHalted {
+			if th.State() != core.StateHalted {
 				n++
 			}
 		}
@@ -595,7 +595,7 @@ func (s *System) LiveUserThreads() int {
 func (s *System) MeasuredPerThreadBytes() float64 {
 	threads := 0
 	for _, th := range s.K.Threads {
-		if th.State != core.StateHalted {
+		if th.State() != core.StateHalted {
 			threads++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -240,8 +241,8 @@ func TestAllocAndLockWaits(t *testing.T) {
 	th := task.NewThread("w", prog, 10)
 	sys.Start(th)
 	sys.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("state = %v", th.State())
 	}
 	if sys.AllocWaits != 1 || sys.LockWaits != 1 {
 		t.Fatalf("alloc=%d lock=%d", sys.AllocWaits, sys.LockWaits)
@@ -266,5 +267,30 @@ func TestTaskThreadNaming(t *testing.T) {
 	}
 	if th.SpaceID != task.ID {
 		t.Fatal("thread space mismatch")
+	}
+}
+
+// TestUnstartedThreadCensus pins how a created but never started thread
+// enters the blocked-thread census: it is born waiting, so it adds one to
+// BlockedHighWater (and to the live threads) of an otherwise identical
+// run.
+func TestUnstartedThreadCensus(t *testing.T) {
+	for _, tc := range []struct {
+		unstarted bool
+		want      obs.Census
+	}{
+		{false, obs.Census{StackHighWater: 2, BlockedHighWater: 5, LiveThreads: 5}},
+		{true, obs.Census{StackHighWater: 2, BlockedHighWater: 6, LiveThreads: 6}},
+	} {
+		sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100})
+		task := sys.NewTask("idle")
+		if tc.unstarted {
+			task.NewThread("never-started", exitProg, 10)
+		}
+		sys.Start(task.NewThread("runner", exitProg, 10))
+		sys.Run(0)
+		if got := sys.MemoryCensus(); got != tc.want {
+			t.Errorf("unstarted thread %v: census = %+v, want %+v", tc.unstarted, got, tc.want)
+		}
 	}
 }

@@ -55,11 +55,11 @@ func (p *chaosProgram) Next(e *core.Env, t *core.Thread) core.Action {
 			th := e.Cur()
 			d := machine.Duration(1000 * (1 + p.rng.Intn(500)))
 			p.sys.K.Clock.After(d, "chaos-sleep", func() {
-				if th.State == core.StateWaiting {
+				if th.State() == core.StateWaiting {
 					p.sys.K.Setrun(th)
 				}
 			})
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			p.sys.K.Block(e, stats.BlockInternal, chaosSleepDone,
 				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 96, "chaos-sleep")
 		})
@@ -171,9 +171,9 @@ func runChaos(t *testing.T, flavor kern.Flavor, procs, clients int, seed uint64)
 		}
 	}
 	for _, th := range threads {
-		if th.State != core.StateHalted {
+		if th.State() != core.StateHalted {
 			t.Fatalf("seed %d: %v never finished (state %v, wait %q)",
-				seed, th, th.State, th.WaitLabel)
+				seed, th, th.State(), th.WaitLabel)
 		}
 	}
 }
@@ -264,8 +264,8 @@ func TestChaosAblations(t *testing.T) {
 				t.Fatalf("ablation %+v, step %d: %v", cfg, steps, err)
 			}
 		}
-		if th.State != core.StateHalted {
-			t.Fatalf("ablation %+v: client stuck in %v", cfg, th.State)
+		if th.State() != core.StateHalted {
+			t.Fatalf("ablation %+v: client stuck in %v", cfg, th.State())
 		}
 	}
 }

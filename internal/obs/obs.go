@@ -430,13 +430,16 @@ func NewRecorder(clock *machine.Clock, capacity int) *Recorder {
 // traceview to rebuild statistics from an exported file.
 func NewReplay() *Recorder { return newRecorder(0) }
 
+// initialRing is the ring's starting allocation; store doubles it up to
+// the recorder's capacity, so short traced runs never pay for a full
+// DefaultCapacity ring.
+const initialRing = 256
+
 func newRecorder(capacity int) *Recorder {
 	r := &Recorder{
 		capacity: capacity,
-		// Full-capacity ring up front: growing it with append would make
-		// early emits allocate on the dispatch path.
-		ring:  make([]Event, 0, capacity),
-		conts: make(map[string]*ContProfile),
+		ring:     make([]Event, 0, min(initialRing, capacity)),
+		conts:    make(map[string]*ContProfile),
 	}
 	for i := range r.Hist {
 		r.Hist[i] = &Histogram{Name: Latency(i).String()}
@@ -476,7 +479,14 @@ func (r *Recorder) store(ev Event) {
 	if r.capacity == 0 {
 		return
 	}
-	if len(r.ring) < r.capacity {
+	if n := len(r.ring); n < r.capacity {
+		if n == cap(r.ring) {
+			// Grow by doubling, clamped so a full ring holds exactly
+			// capacity events.
+			grown := make([]Event, n, min(2*n, r.capacity))
+			copy(grown, r.ring)
+			r.ring = grown
+		}
 		r.ring = append(r.ring, ev)
 		return
 	}

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,6 +115,45 @@ func TestDefaultCapacity(t *testing.T) {
 	r := NewRecorder(machine.NewClock(), 0)
 	if r.capacity != DefaultCapacity {
 		t.Fatalf("capacity = %d, want %d", r.capacity, DefaultCapacity)
+	}
+}
+
+// TestLazyRingMatchesPreallocated drives a lazily grown ring and one
+// preallocated at full capacity through the same emits, well past
+// capacity and across several doublings: both must retain and export the
+// same events in the same order, and the grown ring must stop at exactly
+// capacity.
+func TestLazyRingMatchesPreallocated(t *testing.T) {
+	const capacity = 3*initialRing + 17 // not a power-of-two multiple
+	for _, emits := range []int{1, initialRing, initialRing + 1, capacity, 4*capacity + 5} {
+		clock := machine.NewClock()
+		lazy := NewRecorder(clock, capacity)
+		pre := NewRecorder(clock, capacity)
+		pre.ring = make([]Event, 0, capacity)
+		for i := 0; i < emits; i++ {
+			clock.Advance(machine.Duration(i%7 + 1))
+			kind := Kind(i % NumKinds)
+			name := fmt.Sprintf("t%d", i%5)
+			lazy.EmitArg(kind, i%5+1, name, "c", fmt.Sprint(i), i)
+			pre.EmitArg(kind, i%5+1, name, "c", fmt.Sprint(i), i)
+		}
+		if !reflect.DeepEqual(lazy.Events(), pre.Events()) || lazy.Dropped != pre.Dropped {
+			t.Fatalf("%d emits: lazy ring retains %d events (dropped %d), preallocated %d (dropped %d)",
+				emits, lazy.Len(), lazy.Dropped, pre.Len(), pre.Dropped)
+		}
+		if c := cap(lazy.ring); c > capacity || (emits >= capacity && c != capacity) {
+			t.Fatalf("%d emits: lazy ring capacity %d, want at most (and when full exactly) %d", emits, c, capacity)
+		}
+		var a, b bytes.Buffer
+		if err := WriteChrome(&a, lazy); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteChrome(&b, pre); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%d emits: Chrome exports differ", emits)
+		}
 	}
 }
 

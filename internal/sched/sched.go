@@ -98,8 +98,8 @@ func (q *RunQueue) Quantum() machine.Duration { return q.quantum }
 // Setrun implements core.Scheduler: it appends the thread at its priority
 // level.
 func (q *RunQueue) Setrun(t *core.Thread) {
-	if t.State != core.StateRunnable {
-		panic(fmt.Sprintf("sched: Setrun of %v in state %v", t, t.State))
+	if t.State() != core.StateRunnable {
+		panic(fmt.Sprintf("sched: Setrun of %v in state %v", t, t.State()))
 	}
 	p := t.Priority
 	if p < 0 {

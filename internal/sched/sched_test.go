@@ -8,8 +8,14 @@ import (
 	"repro/internal/core"
 )
 
+// threads is the kernel the test threads are created on; a continuation
+// kernel, so creating one attaches no stack.
+var threads = core.NewKernel(core.Config{UseContinuations: true})
+
 func runnable(pri int) *core.Thread {
-	return &core.Thread{State: core.StateRunnable, Priority: pri}
+	t := threads.NewThread(core.ThreadSpec{Priority: pri})
+	threads.SetState(t, core.StateRunnable)
+	return t
 }
 
 func TestEmptyQueue(t *testing.T) {
@@ -79,7 +85,7 @@ func TestSetrunWrongStatePanics(t *testing.T) {
 			t.Fatal("Setrun of running thread did not panic")
 		}
 	}()
-	q.Setrun(&core.Thread{State: core.StateRunning})
+	q.Setrun(&core.Thread{}) // the zero thread is running
 }
 
 func TestQueueCounters(t *testing.T) {

@@ -88,7 +88,7 @@ func (p *Pool) program() core.UserProgram {
 		}
 		return core.Syscall("upcall_wait", func(e *core.Env) {
 			th := e.Cur()
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			th.WaitLabel = "upcall: parked"
 			p.idle = append(p.idle, th)
 			p.sys.K.Block(e, stats.BlockInternal, p.contWait, func(e2 *core.Env) {
@@ -108,7 +108,7 @@ func (p *Pool) Upcall(h Handler) bool {
 	for len(p.idle) > 0 {
 		th := p.idle[0]
 		p.idle = p.idle[1:]
-		if th.State != core.StateWaiting {
+		if th.State() != core.StateWaiting {
 			continue
 		}
 		p.sys.K.Acct.Charge(upcallDispatchCost)
@@ -201,7 +201,7 @@ func (a *AsyncIO) complete(t *core.Thread, oncomplete *core.Continuation) {
 		a.sys.K.Setrun(t)
 		return
 	}
-	if t.State == core.StateWaiting {
+	if t.State() == core.StateWaiting {
 		// Blocked elsewhere (process model or another continuation):
 		// just wake it; collect will find the completion.
 		a.sys.K.Setrun(t)
@@ -218,7 +218,7 @@ func (a *AsyncIO) Wait(e *core.Env) {
 	if a.inflight[t.ID] == 0 {
 		panic(fmt.Sprintf("upcall: %v waits with no I/O in flight", t))
 	}
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "aio: wait"
 	a.sys.K.Block(e, stats.BlockReceive, a.contWait, func(e2 *core.Env) {
 		a.collect(e2)

@@ -96,7 +96,7 @@ func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 		v.wakeDaemon()
 		t.Scratch.PutWord(0, uint32(page))
 		t.Scratch.PutWord(1, 1) // write fault
-		t.State = core.StateWaiting
+		e.K.SetState(t, core.StateWaiting)
 		t.WaitLabel = "vm: cow frame wait"
 		v.K.Block(e, blockReasonFault, v.ContFaultRetry,
 			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, true) },

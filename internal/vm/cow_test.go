@@ -97,8 +97,8 @@ func TestWriteFaultBreaksSharing(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "writer", SpaceID: 2, Program: p})
 	k.Setrun(th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("writer state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("writer state = %v", th.State())
 	}
 	if v.CowBreaks != 1 {
 		t.Fatalf("CowBreaks = %d", v.CowBreaks)
@@ -204,8 +204,8 @@ func TestSharedEvictionFreesFrameOnlyAtLastRef(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "churn", SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("churn state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("churn state = %v", th.State())
 	}
 	// Conservation: frames are either free or backing resident pages
 	// (each shared frame counted once).

@@ -245,7 +245,7 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 		v.wakeDaemon()
 		t.Scratch.PutWord(0, uint32(page))
 		t.Scratch.PutWord(1, wflag)
-		t.State = core.StateWaiting
+		e.K.SetState(t, core.StateWaiting)
 		t.WaitLabel = "vm: frame wait"
 		v.K.Block(e, stats.BlockPageFault, v.ContFaultRetry,
 			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, write) }, 160, "vm-frame-wait")
@@ -288,7 +288,7 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 	}
 	t.Scratch.PutWord(0, uint32(page))
 	t.Scratch.PutWord(1, wflag)
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "vm: page-in"
 	v.K.Block(e, stats.BlockPageFault, v.ContFaultContinue,
 		func(e2 *core.Env) { v.faultContinue(e2) }, 160, "vm-page-in")
@@ -325,7 +325,7 @@ func (v *VM) KernelFault(e *core.Env, frameBytes int, resume func(*core.Env)) {
 	v.K.Clock.After(v.DiskLatency, "kernel-page-in", func() {
 		v.K.Setrun(t)
 	})
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "vm: kernel fault"
 	v.K.Block(e, stats.BlockKernelFault, nil, func(e2 *core.Env) {
 		e2.Charge(faultMapCost)
@@ -335,7 +335,7 @@ func (v *VM) KernelFault(e *core.Env, frameBytes int, resume func(*core.Env)) {
 
 // wakeDaemon makes the pageout thread runnable if it is sleeping.
 func (v *VM) wakeDaemon() {
-	if v.Daemon.State == core.StateWaiting {
+	if v.Daemon.State() == core.StateWaiting {
 		v.K.Setrun(v.Daemon)
 	}
 }
@@ -386,7 +386,7 @@ func (v *VM) pageoutLoop(e *core.Env) {
 		v.waiters = append(v.waiters[:0], v.waiters[n:]...)
 	}
 	d := e.Cur()
-	d.State = core.StateWaiting
+	e.K.SetState(d, core.StateWaiting)
 	d.WaitLabel = "pageout: idle"
 	v.K.Block(e, stats.BlockInternal, v.contPageout,
 		func(e2 *core.Env) { v.pageoutLoop(e2) }, 256, "pageout-wait")

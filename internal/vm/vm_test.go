@@ -47,8 +47,8 @@ func TestFaultBringsPageIn(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("state = %v", th.State())
 	}
 	if v.DiskFaults != 2 {
 		t.Fatalf("DiskFaults = %d, want 2 (third touch is resident)", v.DiskFaults)
@@ -67,13 +67,13 @@ func TestFaultingThreadIsStackless(t *testing.T) {
 	p := &faultProg{addrs: []uint64{0x5000}, v: v, space: 1}
 	th := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: p})
 	k.Setrun(th)
-	for i := 0; i < 200 && th.State != core.StateWaiting; i++ {
+	for i := 0; i < 200 && th.State() != core.StateWaiting; i++ {
 		if !k.Step() {
 			break
 		}
 	}
-	if th.State != core.StateWaiting {
-		t.Fatalf("state = %v", th.State)
+	if th.State() != core.StateWaiting {
+		t.Fatalf("state = %v", th.State())
 	}
 	if th.HasStack() {
 		t.Fatal("faulting thread kept a kernel stack while waiting for the disk")
@@ -82,8 +82,8 @@ func TestFaultingThreadIsStackless(t *testing.T) {
 		t.Fatalf("blocked with %v, want vm_fault_continue", th.Cont)
 	}
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("final state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("final state = %v", th.State())
 	}
 }
 
@@ -93,7 +93,7 @@ func TestFaultProcessModelKeepsStack(t *testing.T) {
 	p := &faultProg{addrs: []uint64{0x5000}, v: v, space: 1}
 	th := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: p})
 	k.Setrun(th)
-	for i := 0; i < 200 && th.State != core.StateWaiting; i++ {
+	for i := 0; i < 200 && th.State() != core.StateWaiting; i++ {
 		if !k.Step() {
 			break
 		}
@@ -102,8 +102,8 @@ func TestFaultProcessModelKeepsStack(t *testing.T) {
 		t.Fatal("process-model faulter should keep its stack")
 	}
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("final state = %v", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("final state = %v", th.State())
 	}
 }
 
@@ -119,8 +119,8 @@ func TestPageoutDaemonFreesFrames(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "pig", SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
-	if th.State != core.StateHalted {
-		t.Fatalf("state = %v (frame starvation?)", th.State)
+	if th.State() != core.StateHalted {
+		t.Fatalf("state = %v (frame starvation?)", th.State())
 	}
 	if v.Evictions == 0 {
 		t.Fatal("pageout daemon never evicted")
@@ -152,7 +152,7 @@ func TestManyFaultersFewStacks(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		allBlocked := true
 		for _, th := range threads {
-			if th.State != core.StateWaiting {
+			if th.State() != core.StateWaiting {
 				allBlocked = false
 			}
 		}
@@ -168,8 +168,8 @@ func TestManyFaultersFewStacks(t *testing.T) {
 	}
 	k.Run(0)
 	for _, th := range threads {
-		if th.State != core.StateHalted {
-			t.Fatalf("%v state = %v", th, th.State)
+		if th.State() != core.StateHalted {
+			t.Fatalf("%v state = %v", th, th.State())
 		}
 	}
 }
@@ -193,7 +193,7 @@ func TestKernelFaultUsesProcessModel(t *testing.T) {
 	th := k.NewThread(core.ThreadSpec{Name: "syscaller", SpaceID: 1, Program: prog})
 	k.Setrun(th)
 
-	for i := 0; i < 200 && th.State != core.StateWaiting; i++ {
+	for i := 0; i < 200 && th.State() != core.StateWaiting; i++ {
 		if !k.Step() {
 			break
 		}
@@ -205,8 +205,8 @@ func TestKernelFaultUsesProcessModel(t *testing.T) {
 		t.Fatal("kernel-mode fault must not use a continuation")
 	}
 	k.Run(0)
-	if !resumed || th.State != core.StateHalted {
-		t.Fatalf("resumed=%v state=%v", resumed, th.State)
+	if !resumed || th.State() != core.StateHalted {
+		t.Fatalf("resumed=%v state=%v", resumed, th.State())
 	}
 	if k.Stats.BlocksWithoutDiscard[stats.BlockKernelFault] != 1 {
 		t.Fatalf("kernel fault not tallied in the no-discard row: %+v", k.Stats.BlocksWithoutDiscard)
@@ -233,8 +233,8 @@ func TestFrameWaitAndRetry(t *testing.T) {
 	}
 	k.Run(0)
 	for _, th := range threads {
-		if th.State != core.StateHalted {
-			t.Fatalf("%v state = %v", th, th.State)
+		if th.State() != core.StateHalted {
+			t.Fatalf("%v state = %v", th, th.State())
 		}
 	}
 	if v.Evictions == 0 {

@@ -50,7 +50,7 @@ func NewDaemon(sys *kern.System, name string, workCost machine.Cost) *Daemon {
 // Kick queues one unit of work and wakes the daemon.
 func (d *Daemon) Kick() {
 	d.pending++
-	if d.Thread.State == core.StateWaiting {
+	if d.Thread.State() == core.StateWaiting {
 		d.sys.K.Setrun(d.Thread)
 	}
 }
@@ -74,12 +74,12 @@ func (d *Daemon) loop(e *core.Env) {
 	if d.pending > 0 {
 		// More device work queued: wait for the next interrupt.
 		d.sys.K.Clock.After(itemGap, "dev-intr", func() {
-			if t.State == core.StateWaiting {
+			if t.State() == core.StateWaiting {
 				d.sys.K.Setrun(t)
 			}
 		})
 	}
-	t.State = core.StateWaiting
+	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "daemon: idle"
 	d.sys.K.Block(e, stats.BlockInternal, d.cont, d.loop, 256, "daemon-wait")
 }

@@ -18,8 +18,8 @@ func TestDaemonDrainsAllKicks(t *testing.T) {
 	if d.Wakeups != 10 || d.Pending() != 0 {
 		t.Fatalf("wakeups=%d pending=%d, want 10/0", d.Wakeups, d.Pending())
 	}
-	if d.Thread.State != core.StateWaiting {
-		t.Fatalf("daemon state = %v", d.Thread.State)
+	if d.Thread.State() != core.StateWaiting {
+		t.Fatalf("daemon state = %v", d.Thread.State())
 	}
 }
 

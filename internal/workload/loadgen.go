@@ -130,11 +130,11 @@ func (s *mtSession) Next(e *core.Env, t *core.Thread) core.Action {
 		s.sleepAct = core.Syscall("tenant-think", func(e *core.Env) {
 			th := e.Cur()
 			s.sys.K.Clock.Schedule(s.intended, "tenant-wake", func() {
-				if th.State == core.StateWaiting {
+				if th.State() == core.StateWaiting {
 					s.sys.K.Setrun(th)
 				}
 			})
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			s.sys.K.Block(e, stats.BlockInternal, tenantWakeDone,
 				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 96, "tenant-think")
 		})

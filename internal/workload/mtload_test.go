@@ -3,11 +3,13 @@ package workload
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // runMTLoadReport executes spec under the given GOMAXPROCS and returns
@@ -166,4 +168,31 @@ func TestRegistryIncludesMTLoad(t *testing.T) {
 		}
 	}
 	t.Fatal("registry has no mtload entry")
+}
+
+// TestMTLoadCensusPinned pins the exact memory census of a small mtload
+// run — per machine and the cluster report line — at the values the
+// original registry scan produced, so the O(1) waiting count can never
+// drift from it.
+func TestMTLoadCensusPinned(t *testing.T) {
+	spec := DefaultMTLoad()
+	spec.Machines = 4
+	spec.SessionsPerTenant = 40
+	res := RunMTLoad(kern.MK40, machine.ArchDS3100, spec)
+	want := []obs.Census{
+		{StackHighWater: 2, BlockedHighWater: 85, LiveThreads: 5},
+		{StackHighWater: 2, BlockedHighWater: 9, LiveThreads: 9},
+		{StackHighWater: 2, BlockedHighWater: 85, LiveThreads: 5},
+		{StackHighWater: 2, BlockedHighWater: 9, LiveThreads: 9},
+	}
+	for i, sys := range res.Machines {
+		if got := sys.MemoryCensus(); i >= len(want) || got != want[i] {
+			t.Errorf("machine %d census = %+v, want %+v", i, got, want[i])
+		}
+	}
+	report := MTLoadReport(kern.MK40, machine.ArchDS3100, spec)
+	const line = "memory census (cluster): 8 stacks high-water vs 188 blocked threads high-water (28 live threads); max per-machine stacks 2\n"
+	if !strings.Contains(report, line) {
+		t.Errorf("report lacks %q", line)
+	}
 }

@@ -87,11 +87,11 @@ func (s *Server) Next(e *core.Env, t *core.Thread) core.Action {
 				if s.RemoteKick != nil {
 					s.RemoteKick.Kick()
 				}
-				if th.State == core.StateWaiting {
+				if th.State() == core.StateWaiting {
 					s.sys.K.Setrun(th)
 				}
 			})
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			th.WaitLabel = "afs: network wait"
 			s.sys.K.Block(e, stats.BlockReceive, s.contNetWait,
 				func(e2 *core.Env) { s.sys.K.ThreadSyscallReturn(e2, 0) },

@@ -163,11 +163,11 @@ func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
 		s.sleepAct = core.Syscall("storm-think", func(e *core.Env) {
 			th := e.Cur()
 			s.sys.K.Clock.Schedule(s.intended, "storm-wake", func() {
-				if th.State == core.StateWaiting {
+				if th.State() == core.StateWaiting {
 					s.sys.K.Setrun(th)
 				}
 			})
-			th.State = core.StateWaiting
+			e.K.SetState(th, core.StateWaiting)
 			s.sys.K.Block(e, stats.BlockInternal, stormWakeDone,
 				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 96, "storm-think")
 		})

@@ -85,8 +85,8 @@ func TestFaultAndTouch(t *testing.T) {
 		}
 	}), 10)
 	sys.Run()
-	if th.State.String() != "halted" {
-		t.Fatalf("state = %v", th.State)
+	if th.State().String() != "halted" {
+		t.Fatalf("state = %v", th.State())
 	}
 	if sys.Kern().VM.FastFaults != 1 || sys.Kern().VM.DiskFaults != 1 {
 		t.Fatalf("faults: fast=%d disk=%d", sys.Kern().VM.FastFaults, sys.Kern().VM.DiskFaults)
