@@ -19,6 +19,7 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/stats"
 	"repro/internal/threadmodel"
@@ -161,11 +162,14 @@ func BenchmarkFigure2_FastRPCPath(b *testing.B) {
 		us = experiments.NullRPC(kern.MK40, machine.ArchDS3100, 200)
 	}
 	b.ReportMetric(us, "sim-us/rpc")
-	tr := experiments.Figure2Trace()
-	if !tr.Has(stats.TraceStackHandoff) || !tr.Has(stats.TraceRecognition) {
+	seen := map[obs.Kind]bool{}
+	for _, ev := range experiments.Figure2Trace() {
+		seen[ev.Kind] = true
+	}
+	if !seen[obs.StackHandoff] || !seen[obs.Recognition] {
 		b.Fatal("fast path signature missing from trace")
 	}
-	if tr.Has(stats.TraceQueueMessage) || tr.Has(stats.TraceContextSwitch) {
+	if seen[obs.QueueMessage] || seen[obs.ContextSwitch] {
 		b.Fatal("fast path queued or context switched")
 	}
 }

@@ -72,7 +72,9 @@
 // Shared cluster flags: -parallel drives the machines on one goroutine
 // each (output stays byte-identical to the sequential driver); -crash
 // injects whole-machine crashes (below); -faults adds wire/device
-// faults.
+// faults. A flag the chosen workload would ignore (-pairs off netrpc,
+// -scale on a cluster workload, -crash on a paper workload, ...) exits
+// 2; -fuzz without -workload runs the kv campaign.
 //
 // -faults installs a seeded deterministic fault plan, e.g.
 // "42:drop=0.1,devfail=0.05,devslow=0.1:2ms"; wire faults switch the
@@ -143,6 +145,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -190,7 +193,7 @@ var (
 	// crashFlags collects the repeatable -crash flag's raw values; each is
 	// sugar for a crash=… rule in the -faults spec. The machine part may
 	// be a role alias (primary, cache, …), which only resolves once the
-	// workload is known — so parsing is deferred to resolveCrashes.
+	// workload is known — so parsing is deferred until then.
 	crashFlags []string
 )
 
@@ -202,61 +205,37 @@ func init() {
 		})
 }
 
-// crashAliases maps each cluster workload's role names to machine
-// indices in its topology.
-var crashAliases = map[string]map[string]int{
-	"netrpc": {
-		"client": 0, "primary": 1, "replica": 2, "backup": 2,
-	},
-	"kv": {
-		"client": 0, "primary": 1, "replica": 2, "backup": 2,
-	},
-	"svcgraph": {
-		"frontend": 0, "cache": 1, "primary": 2, "replica": 3, "backup": 3,
-	},
-}
-
-// resolveCrashes parses the collected -crash flags for the chosen
-// workload, translating role aliases into machine indices first.
-func resolveCrashes(workloadName string) []fault.Crash {
-	aliases := crashAliases[workloadName]
-	out := make([]fault.Crash, 0, len(crashFlags))
-	for _, val := range crashFlags {
-		if at := strings.IndexByte(val, '@'); at > 0 {
-			if idx, ok := aliases[strings.TrimSpace(val[:at])]; ok {
-				val = fmt.Sprintf("%d%s", idx, val[at:])
-			}
-		}
-		c, err := fault.ParseCrash(val)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// mtloadOnlyFlags and clusterOnlyFlags partition the flags that bind to
-// one workload family: the first group only means something under
-// -workload mtload, the second only under the pair/fault workloads.
-// stormFlags are the cluster flags the mtload storm scenario (selected by
-// -overload) takes back: the storm has a real fault plane and traces.
+// mtloadOnlyFlags only mean something under -workload mtload.
+// scopedFlags bind to the workloads flagScope lists for them; every
+// other workload rejects them.
 var (
-	mtloadOnlyFlags  = []string{"machines", "tenants", "sessions"}
-	clusterOnlyFlags = []string{
+	mtloadOnlyFlags = []string{"machines", "tenants", "sessions"}
+	scopedFlags     = []string{
 		"pairs", "clients", "failover", "faults", "crash",
 		"fuzz", "fuzzout", "breakkv", "sample", "scale",
 	}
-	stormFlags = map[string]bool{"faults": true, "sample": true}
+	// flagScope names the workloads each cluster flag applies to;
+	// "storm" is mtload under -overload.
+	flagScope = map[string][]string{
+		"pairs":    {"netrpc"},
+		"clients":  {"netrpc", "kv", "svcgraph"},
+		"failover": {"netrpc"},
+		"faults":   {"compile", "build", "dos", "netrpc", "kv", "svcgraph", "storm"},
+		"crash":    {"netrpc", "kv", "svcgraph"},
+		"fuzz":     {"kv"},
+		"fuzzout":  {"kv"},
+		"breakkv":  {"kv"},
+		"sample":   {"kv", "svcgraph", "storm"},
+		"scale":    {"compile", "build", "dos"},
+	}
 )
 
 // validateWorkloadFlags rejects nonsensical flag combinations before any
-// machine boots: mtload-only sizing flags on other workloads, the
-// pair/fault flags on mtload, overload flags on workloads with no
-// shedding tiers, and mtload sizes that cannot describe a cluster. set
-// reports whether a flag appeared on the command line (flagWasSet in
-// production; a stub in tests).
+// machine boots: mtload-only sizing flags on other workloads, a cluster
+// flag on a workload that would ignore it, overload flags on workloads
+// with no shedding tiers, and mtload sizes that cannot describe a
+// cluster. set reports whether a flag appeared on the command line
+// (flagWasSet in production; a stub in tests).
 //
 // -overload on mtload switches it into the storm scenario: a fixed
 // 4-machine frontend/cache/KV chain under open-loop session load, where
@@ -267,6 +246,7 @@ func validateWorkloadFlags(name string, machines, tenants, sessions int, set fun
 	if set("breakoverload") && !set("overload") {
 		return fmt.Errorf("-breakoverload requires -overload (nothing sheds without it)")
 	}
+	storm := name == "mtload" && set("overload")
 	if name != "mtload" {
 		if set("overload") && name != "kv" {
 			return fmt.Errorf("-overload only applies to -workload kv or mtload (got %q)", name)
@@ -276,20 +256,22 @@ func validateWorkloadFlags(name string, machines, tenants, sessions int, set fun
 				return fmt.Errorf("-%s only applies to -workload mtload (got %q)", f, name)
 			}
 		}
-		return nil
 	}
-	storm := set("overload")
-	for _, f := range clusterOnlyFlags {
-		if !set(f) {
-			continue
-		}
-		if storm && stormFlags[f] {
+	scope := name
+	if storm {
+		scope = "storm"
+	}
+	for _, f := range scopedFlags {
+		if !set(f) || slices.Contains(flagScope[f], scope) {
 			continue
 		}
 		if storm {
 			return fmt.Errorf("-%s does not apply to the mtload storm scenario (-overload)", f)
 		}
-		return fmt.Errorf("-%s does not apply to -workload mtload", f)
+		return fmt.Errorf("-%s does not apply to -workload %s", f, name)
+	}
+	if name != "mtload" {
+		return nil
 	}
 	if storm {
 		for _, f := range []string{"machines", "tenants"} {
@@ -317,7 +299,11 @@ func validateWorkloadFlags(name string, machines, tenants, sessions int, set fun
 func main() {
 	flag.Parse()
 
-	if err := validateWorkloadFlags(*workloadName, *machines, *tenants, *sessions, flagWasSet); err != nil {
+	name := *workloadName
+	if *fuzzFlag != "" && !flagWasSet("workload") {
+		name = "kv" // the fuzzer runs the kv workload
+	}
+	if err := validateWorkloadFlags(name, *machines, *tenants, *sessions, flagWasSet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -375,14 +361,21 @@ func main() {
 		ovPolicy = p
 	}
 
-	faultSpec.Crashes = append(faultSpec.Crashes, resolveCrashes(*workloadName)...)
+	for _, val := range crashFlags {
+		c, err := workload.ResolveCrash(name, val)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		faultSpec.Crashes = append(faultSpec.Crashes, c)
+	}
 
 	if *fuzzFlag != "" {
 		runFuzz(flavor, arch)
 		return
 	}
 
-	switch *workloadName {
+	switch name {
 	case "netrpc":
 		runNetRPC(flavor, arch, faultSeed, faultSpec)
 		return
@@ -402,7 +395,7 @@ func main() {
 	}
 
 	var spec workload.Spec
-	switch *workloadName {
+	switch name {
 	case "compile":
 		spec = workload.CompileTest()
 	case "build":
@@ -410,7 +403,7 @@ func main() {
 	case "dos":
 		spec = workload.DOSEmulation()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workloadName)
+		fmt.Fprintf(os.Stderr, "unknown workload %q\n", name)
 		os.Exit(2)
 	}
 
@@ -418,9 +411,8 @@ func main() {
 	sys := workload.NewSystem(flavor, arch, wspec)
 	sys.K.DebugChecks = *check
 	sys.InjectFaults(faultSeed, faultSpec)
-	var rec *obs.Recorder
 	if *traceFile != "" || *profile {
-		rec = sys.EnableObservation(0)
+		sys.EnableObservation(0)
 	}
 	inst := workload.Install(sys, wspec, *seed)
 	inst.Run()
@@ -453,7 +445,9 @@ func main() {
 	fmt.Printf("per-thread kernel memory now: %.0f bytes (static %v: %d bytes)\n",
 		sys.MeasuredPerThreadBytes(), flavor, flavor.StaticThreadSpace().Total())
 
-	printFaultReport(sys)
+	workload.WriteFaultReport(os.Stdout, sys, workload.NetRPCReportOptions{
+		Faults: *faultsFlag != "", Check: *check,
+	})
 
 	if *verbose {
 		fmt.Printf("\ndetail:\n")
@@ -478,19 +472,17 @@ func main() {
 		fmt.Printf("  user time             %12.0f ms\n", float64(sys.K.UserTime)/1e6)
 	}
 
-	if rec != nil {
-		rec.Census = sys.MemoryCensus()
-	}
-	emitObservations(rec)
+	emitObservations(sys)
 }
 
-// emitObservations writes the Chrome trace and/or prints the profile
-// report for whichever recorders the run installed (nils are skipped, so
-// callers can pass K.Obs fields directly).
-func emitObservations(recs ...*obs.Recorder) {
+// emitObservations stamps every installed recorder with its machine's
+// memory census, then writes the Chrome trace and/or prints the profile
+// report for them (machines without a recorder are skipped).
+func emitObservations(machines ...*kern.System) {
 	var live []*obs.Recorder
-	for _, r := range recs {
-		if r != nil {
+	for _, sys := range machines {
+		if r := sys.K.Obs; r != nil {
+			r.Census = sys.MemoryCensus()
 			live = append(live, r)
 		}
 	}
@@ -525,30 +517,6 @@ func emitObservations(recs ...*obs.Recorder) {
 	}
 }
 
-// printFaultReport prints the fault-injection and recovery counters when
-// a fault plan or the invariant checker is active.
-func printFaultReport(sys *kern.System) {
-	fs := sys.FaultStats()
-	if !*check && *faultsFlag == "" {
-		return
-	}
-	fmt.Printf("\nfaults & recovery:\n")
-	fmt.Printf("  injected: %s\n", fs)
-	fmt.Printf("  dev: timeouts %d, retries %d, failures surfaced %d\n",
-		sys.Dev.IoTimeouts, sys.Dev.IoRetries, sys.Dev.IoFailures)
-	if sys.Net != nil {
-		fmt.Printf("  net: retransmits %d, acks rx %d, dups dropped %d, lost %d, unacked %d\n",
-			sys.Net.Retransmits, sys.Net.AcksRx, sys.Net.DupsDropped,
-			sys.Net.Lost, sys.Net.UnackedLen())
-	}
-	fmt.Printf("  aborts: %d; invariant sweeps passed: %d\n",
-		sys.Aborted, sys.K.Stats.InvariantPasses)
-	if *check {
-		sys.K.MustValidate()
-		fmt.Printf("  final invariant check: clean\n")
-	}
-}
-
 // runNetRPC drives the cross-machine echo workload and prints per-machine
 // block tables plus the device subsystem counters.
 func runNetRPC(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
@@ -568,11 +536,7 @@ func runNetRPC(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpe
 		Failover: spec.Failover,
 	})
 
-	recs := make([]*obs.Recorder, len(res.Machines))
-	for i, sys := range res.Machines {
-		recs[i] = sys.K.Obs
-	}
-	emitObservations(recs...)
+	emitObservations(res.Machines...)
 }
 
 // runKV drives the replicated sharded KV workload and prints its
@@ -598,7 +562,7 @@ func runKV(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fa
 	workload.WriteKVReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
 		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
 	})
-	emitClusterObservations(res.Machines)
+	emitObservations(res.Machines...)
 }
 
 // runSvcGraph drives the multi-tier service-graph workload.
@@ -620,7 +584,7 @@ func runSvcGraph(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultS
 	workload.WriteSvcGraphReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
 		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
 	})
-	emitClusterObservations(res.Machines)
+	emitObservations(res.Machines...)
 }
 
 // runStorm drives the mtload overload scenario: the svcgraph-shaped
@@ -646,7 +610,7 @@ func runStorm(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec
 	spec.SampleEvery = sampleEvery
 	res := workload.RunStorm(flavor, arch, spec)
 	workload.WriteStormReport(os.Stdout, flavor, arch, res)
-	emitClusterObservations(res.Machines)
+	emitObservations(res.Machines...)
 }
 
 // runMTLoad drives the open-loop multi-tenant load generator and prints
@@ -665,7 +629,7 @@ func runMTLoad(flavor kern.Flavor, arch machine.Arch) {
 	spec.DebugChecks = *check
 	res := workload.RunMTLoad(flavor, arch, spec)
 	workload.WriteMTLoadReport(os.Stdout, res)
-	emitClusterObservations(res.Machines)
+	emitObservations(res.Machines...)
 }
 
 // runFuzz runs the kv nemesis fuzzing campaign named by -fuzz seed:count
@@ -710,14 +674,4 @@ func flagWasSet(name string) bool {
 		}
 	})
 	return set
-}
-
-// emitClusterObservations forwards every machine's recorder to
-// emitObservations.
-func emitClusterObservations(machines []*kern.System) {
-	recs := make([]*obs.Recorder, len(machines))
-	for i, sys := range machines {
-		recs[i] = sys.K.Obs
-	}
-	emitObservations(recs...)
 }

@@ -423,8 +423,8 @@ func Table5(n int) []Table5Result {
 // ---------------------------------------------------------------------
 
 // Figure2Trace records the control-transfer steps of one steady-state
-// fast RPC on MK40.
-func Figure2Trace() *stats.Trace {
+// fast RPC on MK40 (obs.TransferString renders them).
+func Figure2Trace() []obs.Event {
 	sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true})
 	st := sys.NewTask("server")
 	ct := sys.NewTask("client")
@@ -437,16 +437,16 @@ func Figure2Trace() *stats.Trace {
 
 	// Warm up two RPCs so both sides are parked in mach_msg_continue,
 	// then trace the third by attaching an event recorder for just that
-	// window and rendering the legacy control-transfer steps from it.
+	// window and keeping its control-transfer steps.
 	for cli.done < 3 && sys.K.Step() {
 	}
 	rec := sys.EnableObservation(0)
 	for cli.done < 4 && sys.K.Step() {
 	}
 	sys.K.Obs = nil
-	trace := obs.ToTrace(rec.Events())
+	steps := obs.Transfers(rec.Events())
 	sys.Run(0)
-	return trace
+	return steps
 }
 
 // DeviceReadTrace records the control-transfer steps of one steady-state
@@ -455,7 +455,7 @@ func Figure2Trace() *stats.Trace {
 // the current processor's stack, and the io_done thread handing its stack
 // to the reader, recognizing the device continuation, and finishing the
 // read inline.
-func DeviceReadTrace() *stats.Trace {
+func DeviceReadTrace() []obs.Event {
 	sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100,
 		DisableCallout: true,
 		// A short service time keeps the trace tight.
@@ -484,7 +484,7 @@ func DeviceReadTrace() *stats.Trace {
 	sys.Start(oneRead("rd"))
 	sys.Run(0)
 	sys.K.Obs = nil
-	return obs.ToTrace(rec.Events())
+	return obs.Transfers(rec.Events())
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kern"
 	"repro/internal/machine"
-	"repro/internal/stats"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -116,31 +116,41 @@ func TestTable5(t *testing.T) {
 	}
 }
 
+// hasKind reports whether any event in evs has kind k.
+func hasKind(evs []obs.Event, k obs.Kind) bool {
+	for _, ev := range evs {
+		if ev.Kind == k {
+			return true
+		}
+	}
+	return false
+}
+
 func TestFigure2TraceShape(t *testing.T) {
 	tr := experiments.Figure2Trace()
 	// The fast path of Figure 2: enter kernel, copy in, find receiver,
 	// stack handoff, recognition, copy out, exit kernel.
-	for _, kind := range []stats.TraceKind{
-		stats.TraceKernelEntry,
-		stats.TraceCopyIn,
-		stats.TraceFindReceiver,
-		stats.TraceStackHandoff,
-		stats.TraceRecognition,
-		stats.TraceCopyOut,
-		stats.TraceKernelExit,
+	for _, kind := range []obs.Kind{
+		obs.KernelEntry,
+		obs.CopyIn,
+		obs.FindReceiver,
+		obs.StackHandoff,
+		obs.Recognition,
+		obs.CopyOut,
+		obs.KernelExit,
 	} {
-		if !tr.Has(kind) {
-			t.Errorf("trace lacks %v:\n%s", kind, tr)
+		if !hasKind(tr, kind) {
+			t.Errorf("trace lacks %v:\n%s", kind, obs.TransferString(tr))
 		}
 	}
 	// The fast path must not queue, dequeue or context switch.
-	for _, kind := range []stats.TraceKind{
-		stats.TraceQueueMessage,
-		stats.TraceDequeueMessage,
-		stats.TraceContextSwitch,
+	for _, kind := range []obs.Kind{
+		obs.QueueMessage,
+		obs.DequeueMessage,
+		obs.ContextSwitch,
 	} {
-		if tr.Has(kind) {
-			t.Errorf("fast path contains %v:\n%s", kind, tr)
+		if hasKind(tr, kind) {
+			t.Errorf("fast path contains %v:\n%s", kind, obs.TransferString(tr))
 		}
 	}
 }

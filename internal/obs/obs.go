@@ -19,22 +19,23 @@
 package obs
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
-// Kind labels one recorded kernel event. The first group mirrors the
-// legacy stats.TraceKind steps (emitted at the same call sites with the
-// same detail strings, so Figure 2-style renderings are unchanged); the
-// second group is new lifecycle instrumentation that drives the latency
+// Kind labels one recorded kernel event. The first group is the
+// control-transfer steps a Figure 2-style trace shows (see Transfers);
+// the second group is lifecycle instrumentation that drives the latency
 // histograms and the continuation profiler.
 type Kind int
 
 const (
-	// Legacy control-transfer steps (Figure 2 rendering).
+	// Control-transfer steps (Figure 2 rendering).
 	KernelEntry Kind = iota
 	KernelExit
 	CopyIn
@@ -201,41 +202,32 @@ var kindByName = func() map[string]Kind {
 	return m
 }()
 
-// legacyKind maps the event kinds the pre-obs kernel actually emitted to
-// their stats.TraceKind equivalents. Lifecycle kinds (and Wakeup, which
-// existed as a TraceKind but was never emitted) are deliberately absent
-// so renderings built on ToTrace keep their historical shape.
-var legacyKind = map[Kind]stats.TraceKind{
-	KernelEntry:      stats.TraceKernelEntry,
-	KernelExit:       stats.TraceKernelExit,
-	CopyIn:           stats.TraceCopyIn,
-	CopyOut:          stats.TraceCopyOut,
-	FindReceiver:     stats.TraceFindReceiver,
-	StackHandoff:     stats.TraceStackHandoff,
-	Recognition:      stats.TraceRecognition,
-	ContinuationCall: stats.TraceContinuationCall,
-	ContextSwitch:    stats.TraceContextSwitch,
-	Block:            stats.TraceBlock,
-	QueueMessage:     stats.TraceQueueMessage,
-	DequeueMessage:   stats.TraceDequeueMessage,
-	Note:             stats.TraceNote,
-	Interrupt:        stats.TraceInterrupt,
+// Transfers returns the control-transfer steps among events, in order:
+// the kinds KernelEntry through Interrupt, less Wakeup, which is
+// scheduling bookkeeping rather than a step on the path.
+func Transfers(events []Event) []Event {
+	var out []Event
+	for _, ev := range events {
+		if ev.Kind <= Interrupt && ev.Kind != Wakeup {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
-// ToTrace renders events as a legacy stats.Trace, keeping only the
-// control-transfer steps the pre-obs kernel traced (with identical
-// thread names and detail strings). cmd/tracer's Figure 2 and device
-// read renderings are built on this, so their golden output is stable.
-func ToTrace(events []Event) *stats.Trace {
-	tr := &stats.Trace{Enabled: true}
-	for _, ev := range events {
-		k, ok := legacyKind[ev.Kind]
-		if !ok {
-			continue
+// TransferString renders the control-transfer steps among events as a
+// numbered step table, one "[thread] kind: detail" line per step (the
+// ": detail" omitted when empty) — the Figure 2 format.
+func TransferString(events []Event) string {
+	var b strings.Builder
+	for i, ev := range Transfers(events) {
+		fmt.Fprintf(&b, "%2d. [%s] %s", i+1, ev.Thread, ev.Kind)
+		if ev.Detail != "" {
+			fmt.Fprintf(&b, ": %s", ev.Detail)
 		}
-		tr.Add(k, ev.Thread, ev.Detail)
+		b.WriteByte('\n')
 	}
-	return tr
+	return b.String()
 }
 
 // Event is one recorded kernel event.

@@ -167,130 +167,6 @@ func Percent(part, whole uint64) float64 {
 	return 100 * float64(part) / float64(whole)
 }
 
-// TraceKind labels entries in an RPC/exception trace (Figure 2).
-type TraceKind int
-
-const (
-	TraceKernelEntry TraceKind = iota
-	TraceKernelExit
-	TraceCopyIn
-	TraceCopyOut
-	TraceFindReceiver
-	TraceStackHandoff
-	TraceRecognition
-	TraceContinuationCall
-	TraceContextSwitch
-	TraceBlock
-	TraceWakeup
-	TraceQueueMessage
-	TraceDequeueMessage
-	TraceSchedule
-	TraceNote
-	// TraceInterrupt marks a device interrupt handled in interrupt context
-	// on the named thread's (i.e. the current processor's) stack.
-	TraceInterrupt
-)
-
-func (k TraceKind) String() string {
-	switch k {
-	case TraceKernelEntry:
-		return "kernel-entry"
-	case TraceKernelExit:
-		return "kernel-exit"
-	case TraceCopyIn:
-		return "copy-in"
-	case TraceCopyOut:
-		return "copy-out"
-	case TraceFindReceiver:
-		return "find-receiver"
-	case TraceStackHandoff:
-		return "stack-handoff"
-	case TraceRecognition:
-		return "recognition"
-	case TraceContinuationCall:
-		return "call-continuation"
-	case TraceContextSwitch:
-		return "context-switch"
-	case TraceBlock:
-		return "block"
-	case TraceWakeup:
-		return "wakeup"
-	case TraceQueueMessage:
-		return "queue-message"
-	case TraceDequeueMessage:
-		return "dequeue-message"
-	case TraceSchedule:
-		return "schedule"
-	case TraceNote:
-		return "note"
-	case TraceInterrupt:
-		return "interrupt"
-	default:
-		return fmt.Sprintf("TraceKind(%d)", int(k))
-	}
-}
-
-// TraceEntry is one step in a recorded control-transfer path.
-type TraceEntry struct {
-	Kind   TraceKind
-	Thread string // name of the thread the step runs as
-	Detail string
-}
-
-func (e TraceEntry) String() string {
-	if e.Detail == "" {
-		return fmt.Sprintf("[%s] %s", e.Thread, e.Kind)
-	}
-	return fmt.Sprintf("[%s] %s: %s", e.Thread, e.Kind, e.Detail)
-}
-
-// Trace records control-transfer steps when enabled. The zero value is a
-// disabled trace that discards entries, so tracing costs nothing unless a
-// test or tool turns it on.
-type Trace struct {
-	Enabled bool
-	Entries []TraceEntry
-}
-
-// Add appends an entry if the trace is enabled.
-func (t *Trace) Add(kind TraceKind, thread, detail string) {
-	if t == nil || !t.Enabled {
-		return
-	}
-	t.Entries = append(t.Entries, TraceEntry{Kind: kind, Thread: thread, Detail: detail})
-}
-
-// Reset discards recorded entries but keeps the enabled state.
-func (t *Trace) Reset() { t.Entries = t.Entries[:0] }
-
-// Kinds returns the sequence of entry kinds, convenient for asserting a
-// path shape in tests.
-func (t *Trace) Kinds() []TraceKind {
-	ks := make([]TraceKind, len(t.Entries))
-	for i, e := range t.Entries {
-		ks[i] = e.Kind
-	}
-	return ks
-}
-
-// Has reports whether any recorded entry has the given kind.
-func (t *Trace) Has(kind TraceKind) bool {
-	for _, e := range t.Entries {
-		if e.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
-func (t *Trace) String() string {
-	var b strings.Builder
-	for i, e := range t.Entries {
-		fmt.Fprintf(&b, "%2d. %s\n", i+1, e)
-	}
-	return b.String()
-}
-
 // Counter is a labelled monotonically increasing count, used by
 // workloads and servers for ad-hoc bookkeeping.
 type Counter struct {

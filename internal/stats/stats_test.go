@@ -89,59 +89,6 @@ func TestDiscardReasonsMatchPaperRows(t *testing.T) {
 	}
 }
 
-func TestTraceDisabledByDefault(t *testing.T) {
-	var tr Trace
-	tr.Add(TraceKernelEntry, "t", "x")
-	if len(tr.Entries) != 0 {
-		t.Fatal("disabled trace recorded an entry")
-	}
-	var nilTrace *Trace
-	nilTrace.Add(TraceKernelEntry, "t", "x") // must not panic
-}
-
-func TestTraceRecording(t *testing.T) {
-	tr := Trace{Enabled: true}
-	tr.Add(TraceKernelEntry, "client", "mach_msg")
-	tr.Add(TraceStackHandoff, "server", "from client")
-	tr.Add(TraceRecognition, "server", "mach_msg_continue")
-	kinds := tr.Kinds()
-	if len(kinds) != 3 || kinds[1] != TraceStackHandoff {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	if !tr.Has(TraceRecognition) || tr.Has(TraceContextSwitch) {
-		t.Fatal("Has misreports")
-	}
-	if tr.String() == "" {
-		t.Fatal("empty String for non-empty trace")
-	}
-	tr.Reset()
-	if len(tr.Entries) != 0 || !tr.Enabled {
-		t.Fatal("Reset misbehaved")
-	}
-}
-
-func TestTraceEntryString(t *testing.T) {
-	e := TraceEntry{Kind: TraceCopyIn, Thread: "client"}
-	if e.String() != "[client] copy-in" {
-		t.Fatalf("String = %q", e.String())
-	}
-	e.Detail = "24 bytes"
-	if e.String() != "[client] copy-in: 24 bytes" {
-		t.Fatalf("String = %q", e.String())
-	}
-}
-
-func TestTraceKindStringsDistinct(t *testing.T) {
-	seen := map[string]bool{}
-	for k := TraceKernelEntry; k <= TraceNote; k++ {
-		s := k.String()
-		if seen[s] {
-			t.Fatalf("duplicate kind string %q", s)
-		}
-		seen[s] = true
-	}
-}
-
 func TestCounter(t *testing.T) {
 	c := NewCounter("rpcs")
 	c.Inc()

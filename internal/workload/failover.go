@@ -185,77 +185,18 @@ func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
 	return c.sendAct
 }
 
-// runNetRPCFailover is RunNetRPC's HA branch.
-func runNetRPCFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) *NetRPCResult {
-	res, clis, readers := bootNetRPCFailover(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Client.K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	for _, cli := range clis {
-		res.Completed += cli.done
-		res.Recovery.Failovers += cli.Failovers
-		res.Recovery.Failbacks += cli.Failbacks
-		res.Recovery.Salvaged += cli.Salvaged
-		res.Recovery.Failed += uint64(cli.failed)
-	}
-	for i, rd := range readers {
-		if i < len(res.DiskReadsDone) {
-			res.DiskReadsDone[i] = rd.done
-		}
-	}
-	res.Elapsed = machine.Duration(res.Client.K.Clock.Now() - start)
-	res.Recovery.fill(res.Machines)
-	stampCensus(res.Machines)
-	return res
-}
-
-// bootNetRPCFailover builds the four-machine HA cluster: machine 0 and 3
-// are clients, 1 is the primary server, 2 the replica. Every machine has
-// two links; clients reach the primary on Links[0] and the replica on
-// Links[1], servers reach client 0 on Links[0] and client 1 on Links[1].
-func bootNetRPCFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) (*NetRPCResult, []*haClient, []*diskReader) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency}
-	msgBytes := spec.MsgBytes
-	if msgBytes < ipc.HeaderBytes {
-		msgBytes = ipc.HeaderBytes
-	}
+// installHA starts the HA cluster's threads: echo servers on the
+// primary (machine 1) and replica (2), clients on machines 0 and 3.
+// Clients reach the primary on Links[0] and the replica on Links[1];
+// servers reach client 0 on Links[0] and client 1 on Links[1]. Each
+// machine's reboot script re-installs its threads.
+func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
+	msgBytes := max(spec.MsgBytes, ipc.HeaderBytes)
 	timeout := spec.RPCTimeout
 	if timeout == 0 {
 		timeout = DefaultRPCTimeout
 	}
-	clientsPer := spec.Clients
-	if clientsPer <= 0 {
-		clientsPer = 1
-	}
-
-	res := &NetRPCResult{}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-		sys[i].AddLink()
-	}
-	client0, primary, replica, client1 := sys[0], sys[1], sys[2], sys[3]
-	dev.Connect(client0.Links[0].NIC, primary.Links[0].NIC, spec.Wire)
-	dev.Connect(client0.Links[1].NIC, replica.Links[0].NIC, spec.Wire)
-	dev.Connect(client1.Links[0].NIC, primary.Links[1].NIC, spec.Wire)
-	dev.Connect(client1.Links[1].NIC, replica.Links[1].NIC, spec.Wire)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		// HA always runs the reliable protocol: failover detection and
-		// stale-incarnation rejection ride its stamps and retransmits.
-		for _, n := range s.Links {
-			n.EnableReliable()
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		if spec.Observe {
-			r := s.EnableObservation(0)
-			r.SetHost(i)
-		}
-	}
+	clientsPer := max(spec.Clients, 1)
 
 	// Echo servers, re-installed by the reboot script so a crashed server
 	// comes back serving.
@@ -270,34 +211,21 @@ func bootNetRPCFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) 
 		}
 		s.Start(st.NewThread("srv", &netEchoServer{sys: s, port: sport}, 20))
 	}
-	installEcho(primary)
-	installEcho(replica)
-	primary.OnReboot = installEcho
-	replica.OnReboot = installEcho
+	for _, s := range ms[1:3] {
+		installEcho(s)
+		s.OnReboot = installEcho
+	}
 
 	// Clients, also re-started by the reboot script: the program object
 	// survives its machine's crash, so a rebooted client resumes at the
 	// RPC it was on (with a fresh reply port — the old one died with the
 	// old incarnation's IPC).
 	var clis []*haClient
-	startClients := func(s *kern.System, mine []*haClient) func(*kern.System) {
-		boot := func(s *kern.System) {
-			ct := s.NewTask("net-client")
-			for _, cli := range mine {
-				cli.reply = s.IPC.NewPort(cli.name + "-reply")
-				cli.waiting = false
-				cli.attempts = 0
-				s.Start(ct.NewThread(cli.name, cli, 10))
-			}
-		}
-		boot(s)
-		return boot
-	}
-	for _, cm := range []*kern.System{client0, client1} {
+	for _, cm := range []*kern.System{ms[0], ms[3]} {
 		var mine []*haClient
 		for j := 0; j < clientsPer; j++ {
 			name := "cli"
-			if cm == client1 {
+			if cm == ms[3] {
 				name = "cli-b"
 			}
 			if j > 0 {
@@ -308,24 +236,17 @@ func bootNetRPCFailover(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) 
 			mine = append(mine, cli)
 			clis = append(clis, cli)
 		}
-		cm.OnReboot = startClients(cm, mine)
-	}
-
-	// One disk reader per machine keeps the device layer busy, so a crash
-	// lands on real in-flight I/O.
-	var readers []*diskReader
-	if spec.DiskReads > 0 {
-		for _, s := range sys {
-			task := s.NewTask("disk-reader")
-			rd := &diskReader{sys: s, disk: s.Disk,
-				bytes: spec.DiskReadBytes, reads: spec.DiskReads}
-			readers = append(readers, rd)
-			s.Start(task.NewThread("rd", rd, 12))
+		start := func(s *kern.System) {
+			ct := s.NewTask("net-client")
+			for _, cli := range mine {
+				cli.reply = s.IPC.NewPort(cli.name + "-reply")
+				cli.waiting = false
+				cli.attempts = 0
+				s.Start(ct.NewThread(cli.name, cli, 10))
+			}
 		}
+		start(cm)
+		cm.OnReboot = start
 	}
-
-	res.Machines = sys
-	res.Client, res.Server = client0, primary
-	scheduleCrashes(sys, spec)
-	return res, clis, readers
+	return clis
 }

@@ -183,9 +183,15 @@ func (r *KVResult) ClientOvTotals() overload.Stats {
 }
 
 // ReplicaOvTotals sums the replica tier's shedding counters.
-func (r *KVResult) ReplicaOvTotals() overload.Stats {
+func (r *KVResult) ReplicaOvTotals() overload.Stats { return replicaOvTotals(r.Replicas) }
+
+// ReplicaTotals sums the two replicas' service counters.
+func (r *KVResult) ReplicaTotals() svc.ReplicaStats { return replicaTotals(r.Replicas) }
+
+// replicaOvTotals sums a replica pair's shedding counters.
+func replicaOvTotals(replicas [svc.NumRanks]*svc.ReplicaConfig) overload.Stats {
 	var t overload.Stats
-	for _, cfg := range r.Replicas {
+	for _, cfg := range replicas {
 		if cfg == nil || cfg.Ov == nil {
 			continue
 		}
@@ -196,10 +202,10 @@ func (r *KVResult) ReplicaOvTotals() overload.Stats {
 	return t
 }
 
-// ReplicaTotals sums the two replicas' service counters.
-func (r *KVResult) ReplicaTotals() svc.ReplicaStats {
+// replicaTotals sums a replica pair's service counters.
+func replicaTotals(replicas [svc.NumRanks]*svc.ReplicaConfig) svc.ReplicaStats {
 	var t svc.ReplicaStats
-	for _, cfg := range r.Replicas {
+	for _, cfg := range replicas {
 		if cfg == nil || cfg.Stats == nil {
 			continue
 		}
@@ -240,124 +246,36 @@ func kvOps(seed uint64, clientID int, ops int, keyspan uint64, putPer10k int) []
 	return out
 }
 
-// scheduleCrashPlan applies a fault plan's machine crashes to any
-// cluster (the workload-agnostic half of scheduleCrashes).
-func scheduleCrashPlan(machines []*kern.System, crashes []fault.Crash) {
-	for _, cr := range crashes {
-		if cr.Machine >= 0 && cr.Machine < len(machines) {
-			machines[cr.Machine].ScheduleCrash(cr.At, cr.RebootAfter)
-		}
-	}
-}
-
-// RunKV boots and drives the replicated KV cluster.
+// RunKV boots and drives the replicated KV cluster: machines 0 and 3
+// are clients, 1 and 2 the rank-0 and rank-1 replicas. Clients reach
+// rank 0 on Links[0] and rank 1 on Links[1]; the replicas reach each
+// other on Links[2], their replication and rejoin channel. Every link
+// runs the reliable protocol — leases, elections and fencing all ride
+// its membership stamps.
 func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
-	res, clis := bootKV(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Machines[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	for _, c := range clis {
-		res.Completed += c.Stats.Done
-		res.Failed += c.Stats.Failed
-		res.Mismatches += c.Stats.Mismatches
-		res.Redirects += c.Stats.Redirects
-		res.Failovers += c.Stats.Failovers
-		res.Salvaged += c.Stats.Salvaged
-	}
-	res.Elapsed = machine.Duration(res.Machines[0].K.Clock.Now() - start)
-	res.Recovery.fill(res.Machines)
-	res.Recovery.Failovers = res.Failovers
-	res.Recovery.Salvaged = res.Salvaged
-	res.Recovery.Failed = uint64(res.Failed)
-	for _, c := range clis {
-		res.History = append(res.History, c.History...)
-	}
-	res.Check = check.Linearizable(res.History)
-	logs := make([]map[check.AckKey]uint64, 0, svc.NumRanks)
-	for _, cfg := range res.Replicas {
-		if cfg != nil {
-			logs = append(logs, cfg.AckLog)
-		}
-	}
-	res.SplitBrain = check.SplitBrain(logs)
-	stampCensus(res.Machines)
-	return res
-}
-
-// bootKV builds the four-machine KV cluster: machines 0 and 3 are
-// clients, 1 and 2 the rank-0 and rank-1 replicas. Clients reach rank 0
-// on Links[0] and rank 1 on Links[1]; the replicas reach each other on
-// Links[2], their replication and rejoin channel. Every link runs the
-// reliable protocol — leases, elections and fencing all ride its
-// membership stamps.
-func bootKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) (*KVResult, []*svc.Caller) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
-	clientsPer := spec.Clients
-	if clientsPer <= 0 {
-		clientsPer = 1
-	}
+	clientsPer := max(spec.Clients, 1)
 	ops := spec.Ops
 	if ops <= 0 {
 		ops = 60
 	}
-
-	res := &KVResult{}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-	}
-	client0, rank0, rank1, client1 := sys[0], sys[1], sys[2], sys[3]
-	client0.AddLink()
-	client1.AddLink()
-	rank0.AddLink()
-	rank0.AddLink()
-	rank1.AddLink()
-	rank1.AddLink()
-	dev.Connect(client0.Links[0].NIC, rank0.Links[0].NIC, spec.Wire)
-	dev.Connect(client0.Links[1].NIC, rank1.Links[0].NIC, spec.Wire)
-	dev.Connect(client1.Links[0].NIC, rank0.Links[1].NIC, spec.Wire)
-	dev.Connect(client1.Links[1].NIC, rank1.Links[1].NIC, spec.Wire)
-	dev.Connect(rank0.Links[2].NIC, rank1.Links[2].NIC, spec.Wire)
 	tmo := provisionTimeouts(arch, spec.RPCTimeout, spec.RenewEvery, spec.IdleExit, spec.DeadAfter)
-	res.Topo = fault.NewTopology(spec.FaultSpec)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		s.InstallTopology(i, res.Topo)
-		for _, n := range s.Links {
-			n.EnableReliable()
-			n.DeadAfter = tmo.deadAfter
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		// The service histograms (kv.op, kv.replicate) live on the
-		// recorder, so observation is always on for this workload; the
-		// host index salts span ids so they never collide across machines.
-		r := s.EnableObservation(0)
-		r.SetHost(i)
-		r.SetSpanSampling(spec.SampleEvery)
-	}
+	// The service histograms (kv.op, kv.replicate) live on the
+	// recorder, so observation is always on for this workload.
+	c := boot(clusterSpec{
+		topo: kvTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
+		wire: spec.Wire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
+		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
+		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
+	})
+	res := &KVResult{Machines: c.machines, Topo: c.topo}
 
 	smap := svc.NewShardMap(spec.Shards, spec.Groups)
-
-	// Replicas: the durable config (leases, done bits, stats) is created
-	// once here; RegisterService re-runs the installer on every warm
-	// reboot, so a crashed replica comes back in recovery and rejoins.
-	for rank, s := range []*kern.System{rank0, rank1} {
-		rcfg := &svc.ReplicaConfig{
-			Rank: rank, PeerRank: svc.NumRanks - 1 - rank,
-			Map: smap, PeerLink: 2, Clients: 2 * clientsPer,
-			RenewEvery: tmo.renewEvery, IdleExit: tmo.idleExit,
-			Break:    spec.Break,
-			Overload: spec.Overload, BreakOverload: spec.BreakOverload,
-		}
-		res.Replicas[rank] = rcfg
-		s.RegisterService("kv-replica", func(s *kern.System) {
-			svc.InstallReplica(s, rcfg)
-		})
-	}
+	res.Replicas = installReplicas(c.machines[1:3], svc.ReplicaConfig{
+		Map: smap, PeerLink: 2, Clients: 2 * clientsPer,
+		RenewEvery: tmo.renewEvery, IdleExit: tmo.idleExit,
+		Break:    spec.Break,
+		Overload: spec.Overload, BreakOverload: spec.BreakOverload,
+	})
 
 	// Callers: the program objects are durable (script position, acked
 	// map, stats survive their machine's crash); the installer re-arms
@@ -396,34 +314,83 @@ func bootKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) (*KVResult, []*s
 			mine[j] = cli
 			clis = append(clis, cli)
 		}
-		s.RegisterService("kv-clients", func(s *kern.System) {
-			ct := s.NewTask("kv-client")
-			for _, c := range mine {
-				c.Reset(s)
-				s.Start(ct.NewThread(c.Name, c, 10))
-			}
-		})
+		startCallers(s, "kv-clients", "kv-client", mine)
 	}
-	mkClients(client0, 0, "kv-cli")
-	mkClients(client1, clientsPer, "kv-cli-b")
+	mkClients(c.machines[0], 0, "kv-cli")
+	mkClients(c.machines[3], clientsPer, "kv-cli-b")
 
-	res.Machines = sys
-	scheduleCrashPlan(sys, spec.FaultSpec.Crashes)
-	return res, clis
+	res.Steps, res.Elapsed = c.drive()
+	t := callerTotals(clis)
+	res.Completed, res.Failed, res.Mismatches = t.Done, t.Failed, t.Mismatches
+	res.Redirects, res.Failovers, res.Salvaged = t.Redirects, t.Failovers, t.Salvaged
+	res.Recovery.fill(res.Machines)
+	res.Recovery.Failovers = res.Failovers
+	res.Recovery.Salvaged = res.Salvaged
+	res.Recovery.Failed = uint64(res.Failed)
+	res.History, res.Check, res.SplitBrain = checkHistory(clis, res.Replicas)
+	return res
 }
 
-// kvMachineName labels the KV topology's machines.
-func kvMachineName(i int) string {
-	switch i {
-	case 0:
-		return "machine 0 (client)"
-	case 1:
-		return "machine 1 (kv primary)"
-	case 2:
-		return "machine 2 (kv backup)"
-	default:
-		return fmt.Sprintf("machine %d (client)", i)
+// installReplicas registers the KV replica pair on two machines, in rank
+// order, from one prototype config. Each durable config (leases, done
+// bits, stats) is created once here; RegisterService re-runs the
+// installer on every warm reboot, so a crashed replica comes back in
+// recovery and rejoins.
+func installReplicas(ms []*kern.System, proto svc.ReplicaConfig) [svc.NumRanks]*svc.ReplicaConfig {
+	var cfgs [svc.NumRanks]*svc.ReplicaConfig
+	for rank, s := range ms {
+		rcfg := proto
+		rcfg.Rank, rcfg.PeerRank = rank, svc.NumRanks-1-rank
+		cfgs[rank] = &rcfg
+		s.RegisterService("kv-replica", func(s *kern.System) {
+			svc.InstallReplica(s, &rcfg)
+		})
 	}
+	return cfgs
+}
+
+// startCallers registers the service that starts each caller as a
+// thread of one task. The callers are durable; every incarnation resets
+// them onto its fresh ports.
+func startCallers(s *kern.System, service, task string, clis []*svc.Caller) {
+	s.RegisterService(service, func(s *kern.System) {
+		ct := s.NewTask(task)
+		for _, c := range clis {
+			c.Reset(s)
+			s.Start(ct.NewThread(c.Name, c, 10))
+		}
+	})
+}
+
+// callerTotals sums the callers' lifetime accounting.
+func callerTotals(clis []*svc.Caller) svc.CallerStats {
+	var t svc.CallerStats
+	for _, c := range clis {
+		t.Done += c.Stats.Done
+		t.Failed += c.Stats.Failed
+		t.Redirects += c.Stats.Redirects
+		t.Failovers += c.Stats.Failovers
+		t.Salvaged += c.Stats.Salvaged
+		t.Mismatches += c.Stats.Mismatches
+	}
+	return t
+}
+
+// checkHistory merges the callers' recorded histories in caller order,
+// checks them for linearizability, and checks the replicas' ack logs
+// for split brain.
+func checkHistory(clis []*svc.Caller, replicas [svc.NumRanks]*svc.ReplicaConfig) ([]check.Op, check.Result, []check.AckKey) {
+	var hist []check.Op
+	for _, c := range clis {
+		hist = append(hist, c.History...)
+	}
+	logs := make([]map[check.AckKey]uint64, 0, svc.NumRanks)
+	for _, cfg := range replicas {
+		if cfg != nil {
+			logs = append(logs, cfg.AckLog)
+		}
+	}
+	return hist, check.Linearizable(hist), check.SplitBrain(logs)
 }
 
 // writeServiceLatency prints one merged-across-machines latency line per
@@ -431,18 +398,7 @@ func kvMachineName(i int) string {
 func writeServiceLatency(w io.Writer, machines []*kern.System, elapsed machine.Duration, tiers []string) {
 	fmt.Fprintf(w, "\nservice latency (all machines):\n")
 	for _, name := range tiers {
-		m := &obs.Histogram{Name: name}
-		for _, sys := range machines {
-			if r := sys.K.Obs; r == nil {
-				continue
-			} else {
-				for _, h := range r.ServiceHistograms() {
-					if h.Name == name {
-						m.Merge(h)
-					}
-				}
-			}
-		}
+		m := mergedService(machines, name)
 		if m.Count == 0 {
 			fmt.Fprintf(w, "  %-14s (no samples)\n", name)
 			continue
@@ -455,6 +411,21 @@ func writeServiceLatency(w io.Writer, machines []*kern.System, elapsed machine.D
 			name, m.Count, rate,
 			obs.FmtNS(m.Quantile(0.50)), obs.FmtNS(m.Quantile(0.99)), obs.FmtNS(m.Max))
 	}
+}
+
+// mergedService merges every machine's service histogram of that name.
+func mergedService(machines []*kern.System, name string) *obs.Histogram {
+	m := &obs.Histogram{Name: name}
+	for _, sys := range machines {
+		if r := sys.K.Obs; r != nil {
+			for _, h := range r.ServiceHistograms() {
+				if h.Name == name {
+					m.Merge(h)
+				}
+			}
+		}
+	}
+	return m
 }
 
 // WriteKVReport prints the replicated KV run in machsim's output format:
@@ -484,12 +455,9 @@ func WriteKVReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *KVRe
 	writeServiceLatency(w, res.Machines, res.Elapsed, []string{"kv.op", "kv.replicate"})
 	writeCritPathSection(w, res.Machines)
 	for i, sys := range res.Machines {
-		writeMachineSection(w, kvMachineName(i), sys, opt)
+		writeMachineSection(w, kvTopology.heading(i), sys, opt)
 	}
-	if res.Recovery.Crashes > 0 || opt.Failover || res.Topo != nil {
-		writeRecoveryBody(w, res.Recovery, res.Machines)
-		writeNemesisBody(w, res.Topo, res.Machines)
-	}
+	writeRecoveryReport(w, res.Recovery, res.Topo, res.Machines, opt.Failover)
 }
 
 // splitBrainStr renders the split-brain verdict for the report headline.

@@ -14,10 +14,10 @@ package workload
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dev"
 	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/machine"
@@ -88,10 +88,40 @@ type MTLoadResult struct {
 	Elapsed   machine.Duration
 }
 
-// tenantWakeDone resumes a session after its open-loop think sleep.
-var tenantWakeDone = core.NewContinuation("tenant_think_done", func(e *core.Env) {
-	e.K.ThreadSyscallReturn(e, 0)
-})
+// thinker is one open-loop workload's think sleep: the syscall name
+// (also the wait label), the wake event's name, and the continuation
+// that resumes the session. Each workload has its own, so traces and
+// profiles name the workload whose session slept.
+type thinker struct {
+	name, wake string
+	done       *core.Continuation
+}
+
+var (
+	tenantThink = &thinker{"tenant-think", "tenant-wake",
+		core.NewContinuation("tenant_think_done", resumeThink)}
+	stormThink = &thinker{"storm-think", "storm-wake",
+		core.NewContinuation("storm_think_done", resumeThink)}
+)
+
+// resumeThink returns 0 from a think sleep.
+func resumeThink(e *core.Env) { e.K.ThreadSyscallReturn(e, 0) }
+
+// thinkSleep builds an open-loop session's think-time syscall: it parks
+// the calling thread as a blocked continuation until *until, the
+// session's next intended arrival, then resumes it through k.done.
+func thinkSleep(sys *kern.System, until *machine.Time, k *thinker) core.Action {
+	return core.Syscall(k.name, func(e *core.Env) {
+		th := e.Cur()
+		sys.K.Clock.Schedule(*until, k.wake, func() {
+			if th.State() == core.StateWaiting {
+				sys.K.Setrun(th)
+			}
+		})
+		e.K.SetState(th, core.StateWaiting)
+		sys.K.Block(e, stats.BlockInternal, k.done, resumeThink, 96, k.name)
+	})
+}
 
 // mtSession is one tenant session: an open-loop arrival generator that
 // sleeps through each think gap as a blocked continuation, then issues
@@ -127,17 +157,7 @@ func (s *mtSession) Next(e *core.Env, t *core.Thread) core.Action {
 				Send: req, SendTo: s.proxy, ReceiveFrom: s.reply,
 			})
 		})
-		s.sleepAct = core.Syscall("tenant-think", func(e *core.Env) {
-			th := e.Cur()
-			s.sys.K.Clock.Schedule(s.intended, "tenant-wake", func() {
-				if th.State() == core.StateWaiting {
-					s.sys.K.Setrun(th)
-				}
-			})
-			e.K.SetState(th, core.StateWaiting)
-			s.sys.K.Block(e, stats.BlockInternal, tenantWakeDone,
-				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 96, "tenant-think")
-		})
+		s.sleepAct = thinkSleep(s.sys, &s.intended, tenantThink)
 	}
 	if m := s.sys.IPC.Received(t); m != nil {
 		s.sys.IPC.FreeMessage(m)
@@ -189,51 +209,31 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 	pairs := spec.Machines / 2
 	tenants := MakeTenants(spec.Tenants, spec.SessionsPerTenant)
 	placement := placeSessions(tenants, pairs)
+	loads := pairLoads(placement)
 	if spec.Warmup <= 0 {
 		// Booting a session costs a dispatch plus a blocking syscall on
 		// the client machine's single processor; size the ramp so even
 		// the busiest pair finishes booting while everyone else sleeps.
-		maxPerPair := 0
-		for p := 0; p < pairs; p++ {
-			n := 0
-			for ti := range tenants {
-				n += placement[p][ti]
-			}
-			if n > maxPerPair {
-				maxPerPair = n
-			}
-		}
-		spec.Warmup = machine.Duration(5_000_000 + 250_000*maxPerPair)
+		spec.Warmup = machine.Duration(5_000_000 + 250_000*slices.Max(loads))
 	}
 	res := &MTLoadResult{Spec: spec, Tenants: tenants, Placement: placement}
 
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
+	// A small ring keeps 256-machine traces affordable; histograms and
+	// the census are maintained online regardless.
+	c := boot(clusterSpec{
+		topo: pairTopology(pairs), cfg: kern.Config{Flavor: flavor, Arch: arch},
+		wire: spec.Wire, debug: spec.DebugChecks,
+		observe: true, ringCap: 512, parallel: spec.Parallel,
+	})
+	res.Machines = c.machines
 	var sessions []*mtSession
 	for p := 0; p < pairs; p++ {
-		a := kern.New(cfg)
-		b := kern.New(cfg)
-		dev.Connect(a.Net.NIC, b.Net.NIC, spec.Wire)
-		if spec.DebugChecks {
-			a.K.DebugChecks = true
-			b.K.DebugChecks = true
-		}
-		// A small ring keeps 256-machine traces affordable; histograms
-		// and the census are maintained online regardless.
-		ra := a.EnableObservation(512)
-		ra.SetHost(2 * p)
-		rb := b.EnableObservation(512)
-		rb.SetHost(2*p + 1)
-
-		onPair := 0
-		for ti := range tenants {
-			onPair += placement[p][ti]
-		}
-
+		a, b := c.machines[2*p], c.machines[2*p+1]
 		st := b.NewTask("echo-server")
 		sport := b.IPC.NewPort("echo")
 		// Every session on the pair can land a request in the same
 		// wire-latency window.
-		sport.QueueLimit = 2 * (onPair + 1)
+		sport.QueueLimit = 2 * (loads[p] + 1)
 		b.Net.Export("echo", sport)
 		for w := 0; w < spec.ServerWorkers; w++ {
 			name := "srv"
@@ -246,10 +246,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		ct := a.NewTask("tenants")
 		for ti := range tenants {
 			tn := &tenants[ti]
-			bytes := tn.MsgBytes
-			if bytes < ipc.HeaderBytes {
-				bytes = ipc.HeaderBytes
-			}
+			bytes := max(tn.MsgBytes, ipc.HeaderBytes)
 			for j := 0; j < placement[p][ti]; j++ {
 				s := &mtSession{
 					sys: a, tenant: tn, tenantIx: ti,
@@ -257,7 +254,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 					reply: a.IPC.NewPort(fmt.Sprintf("rp-%d-%d", ti, j)),
 					rng: NewRNG(spec.Seed ^ uint64(p)<<40 ^
 						uint64(ti)<<20 ^ uint64(j)),
-					hist:     ra.Service("tenant " + tn.Name),
+					hist:     a.K.Obs.Service("tenant " + tn.Name),
 					bytes:    bytes,
 					ops:      spec.Ops,
 					intended: a.K.Clock.Now() + machine.Time(spec.Warmup),
@@ -266,22 +263,14 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 				a.Start(ct.NewThread(fmt.Sprintf("%s-%d", tn.Name, j), s, 10))
 			}
 		}
-
-		res.Machines = append(res.Machines, a, b)
 	}
-
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Machines[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	res.Elapsed = machine.Duration(res.Machines[0].K.Clock.Now() - start)
-	stampCensus(res.Machines)
+	res.Steps, res.Elapsed = c.drive()
 
 	res.PerTenant = make([]TenantStats, len(tenants))
 	for ti := range tenants {
 		res.PerTenant[ti] = TenantStats{
 			Name: tenants[ti].Name,
-			Hist: &obs.Histogram{Name: "tenant " + tenants[ti].Name},
+			Hist: mergedService(res.Machines, "tenant "+tenants[ti].Name),
 		}
 	}
 	for _, s := range sessions {
@@ -289,19 +278,6 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		ts.Sessions++
 		ts.Ops += uint64(s.done)
 		ts.Attained += uint64(s.attained)
-	}
-	for _, sys := range res.Machines {
-		r := sys.K.Obs
-		if r == nil {
-			continue
-		}
-		for _, h := range r.ServiceHistograms() {
-			for ti := range res.PerTenant {
-				if h.Name == res.PerTenant[ti].Hist.Name {
-					res.PerTenant[ti].Hist.Merge(h)
-				}
-			}
-		}
 	}
 	return res
 }
@@ -347,38 +323,43 @@ func WriteMTLoadReport(w io.Writer, res *MTLoadResult) {
 			obs.FmtNS(uint64(tn.SLA)), attained)
 	}
 
-	minS, maxS := -1, 0
-	for p := 0; p < pairs; p++ {
-		n := 0
-		for ti := range res.Tenants {
-			n += res.Placement[p][ti]
-		}
-		if minS < 0 || n < minS {
-			minS = n
-		}
-		if n > maxS {
-			maxS = n
-		}
-	}
-	if minS < 0 {
-		minS = 0
+	minS, maxS := 0, 0
+	if loads := pairLoads(res.Placement); len(loads) > 0 {
+		minS, maxS = slices.Min(loads), slices.Max(loads)
 	}
 	fmt.Fprintf(w, "\nload balancer: sessions per pair min %d / max %d (spread %d)\n",
 		minS, maxS, maxS-minS)
 
-	var stacks, blocked, live uint64
-	maxStacks := 0
-	for _, sys := range res.Machines {
-		mc := sys.MemoryCensus()
-		stacks += uint64(mc.StackHighWater)
-		blocked += uint64(mc.BlockedHighWater)
-		live += uint64(mc.LiveThreads)
-		if mc.StackHighWater > maxStacks {
-			maxStacks = mc.StackHighWater
+	maxStacks := writeClusterCensus(w, res.Machines)
+	fmt.Fprintf(w, "; max per-machine stacks %d\n", maxStacks)
+}
+
+// pairLoads is how many sessions the balancer placed on each pair.
+func pairLoads(placement [][]int) []int {
+	loads := make([]int, len(placement))
+	for p, counts := range placement {
+		for _, n := range counts {
+			loads[p] += n
 		}
 	}
-	fmt.Fprintf(w, "memory census (cluster): %d stacks high-water vs %d blocked threads high-water (%d live threads); max per-machine stacks %d\n",
-		stacks, blocked, live, maxStacks)
+	return loads
+}
+
+// writeClusterCensus prints the machines' summed memory census — the
+// space claim at cluster scale — without a trailing newline, and
+// returns the largest single machine's stack high-water.
+func writeClusterCensus(w io.Writer, machines []*kern.System) (maxStacks int) {
+	var sum obs.Census
+	for _, sys := range machines {
+		mc := sys.MemoryCensus()
+		sum.StackHighWater += mc.StackHighWater
+		sum.BlockedHighWater += mc.BlockedHighWater
+		sum.LiveThreads += mc.LiveThreads
+		maxStacks = max(maxStacks, mc.StackHighWater)
+	}
+	fmt.Fprintf(w, "memory census (cluster): %d stacks high-water vs %d blocked threads high-water (%d live threads)",
+		sum.StackHighWater, sum.BlockedHighWater, sum.LiveThreads)
+	return maxStacks
 }
 
 // MTLoadReport runs the workload and renders the report as a string —

@@ -137,6 +137,8 @@ type NetRPCResult struct {
 	// Recovery is the crash/failover accounting, populated on every run
 	// (all zeros when no crashes were injected).
 	Recovery RecoveryStats
+
+	topo topology
 }
 
 // netEchoServer answers echo RPCs arriving through the netmsg thread. Its
@@ -237,81 +239,75 @@ func (r *diskReader) Next(e *core.Env, t *core.Thread) core.Action {
 	return r.readAct
 }
 
-// RunNetRPC boots 2*Pairs machines, wires each pair's NICs together, and
-// drives the cluster until every client has completed its RPCs and the
-// disk readers have drained (or no machine can progress). Fully
+// RunNetRPC boots the spec's cluster — Pairs client/server pairs, or
+// the four-machine HA topology with Failover — starts its threads, and
+// drives it until every client has completed its RPCs and the disk
+// readers have drained (or no machine can progress). Fully
 // deterministic: with the same spec the run is byte-identical regardless
 // of spec.Parallel or GOMAXPROCS.
 func RunNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) *NetRPCResult {
+	c := boot(netRPCCluster(flavor, arch, spec))
+	var clis []*netClient
+	var haClis []*haClient
 	if spec.Failover {
-		return runNetRPCFailover(flavor, arch, spec)
+		haClis = installHA(c.machines, spec)
+	} else {
+		clis = installPairs(c.machines, spec)
 	}
-	res, clis, pair0Readers := bootNetRPC(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Client.K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
+	readers := startDiskReaders(c.machines, spec)
+
+	res := &NetRPCResult{Client: c.machines[0], Server: c.machines[1], Machines: c.machines, topo: c.spec.topo}
+	res.Steps, res.Elapsed = c.drive()
 	for _, cli := range clis {
 		res.Completed += cli.done
 	}
-	for i, rd := range pair0Readers {
-		res.DiskReadsDone[i] = rd.done
+	for _, cli := range haClis {
+		res.Completed += cli.done
+		res.Recovery.Failovers += cli.Failovers
+		res.Recovery.Failbacks += cli.Failbacks
+		res.Recovery.Salvaged += cli.Salvaged
+		res.Recovery.Failed += uint64(cli.failed)
 	}
-	res.Elapsed = machine.Duration(res.Client.K.Clock.Now() - start)
+	for i := range res.DiskReadsDone {
+		if i < len(readers) {
+			res.DiskReadsDone[i] = readers[i].done
+		}
+	}
 	res.Recovery.fill(res.Machines)
-	stampCensus(res.Machines)
 	return res
 }
 
-// scheduleCrashes arms the spec's whole-machine crash events; indices
-// name positions in machines.
-func scheduleCrashes(machines []*kern.System, spec NetRPCSpec) {
-	for _, cr := range spec.FaultSpec.Crashes {
-		if cr.Machine >= 0 && cr.Machine < len(machines) {
-			machines[cr.Machine].ScheduleCrash(cr.At, cr.RebootAfter)
-		}
+// netRPCCluster is the spec's cluster. Every HA link runs the reliable
+// protocol: failover detection and stale-incarnation rejection ride its
+// stamps and retransmits. Pair links turn reliable only when the fault
+// plan makes the wire lossy.
+func netRPCCluster(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) clusterSpec {
+	topo := pairTopology(max(spec.Pairs, 1))
+	if spec.Failover {
+		topo = haTopology
+	}
+	return clusterSpec{
+		topo:      topo,
+		cfg:       kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency},
+		wire:      spec.Wire,
+		faultSeed: spec.FaultSeed,
+		faults:    spec.FaultSpec,
+		reliable:  spec.Failover,
+		debug:     spec.DebugChecks,
+		observe:   spec.Observe,
+		parallel:  spec.Parallel,
 	}
 }
 
-// bootNetRPC builds the cluster's machines and threads without driving
-// them: RunNetRPC's setup phase, shared with the driver-level tests.
-func bootNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) (*NetRPCResult, []*netClient, []*diskReader) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency}
-	pairs := spec.Pairs
-	if pairs <= 0 {
-		pairs = 1
-	}
-	clients := spec.Clients
-	if clients <= 0 {
-		clients = 1
-	}
-	msgBytes := spec.MsgBytes
-	if msgBytes < ipc.HeaderBytes {
-		msgBytes = ipc.HeaderBytes
-	}
-
-	res := &NetRPCResult{}
+// installPairs starts each pair's echo server on its server machine,
+// reachable from the wire as "echo", and the spec's clients on its
+// client machine, talking to the server through a proxy port.
+func installPairs(ms []*kern.System, spec NetRPCSpec) []*netClient {
+	clients := max(spec.Clients, 1)
+	msgBytes := max(spec.MsgBytes, ipc.HeaderBytes)
 	var clis []*netClient
-	var readers []*diskReader
-	var pair0Readers []*diskReader
-	for i := 0; i < pairs; i++ {
-		a := kern.New(cfg)
-		b := kern.New(cfg)
-		dev.Connect(a.Net.NIC, b.Net.NIC, spec.Wire)
-		a.InjectFaults(spec.FaultSeed+uint64(2*i), spec.FaultSpec)
-		b.InjectFaults(spec.FaultSeed+uint64(2*i)+1, spec.FaultSpec)
-		if spec.DebugChecks {
-			a.K.DebugChecks = true
-			b.K.DebugChecks = true
-		}
-		if spec.Observe {
-			ra := a.EnableObservation(0)
-			ra.SetHost(2 * i)
-			rb := b.EnableObservation(0)
-			rb.SetHost(2*i + 1)
-		}
-
-		// Echo server on machine B, reachable from the wire as "echo".
+	for p := 0; p+1 < len(ms); p += 2 {
+		a, b := ms[p], ms[p+1]
 		st := b.NewTask("echo-server")
 		sport := b.IPC.NewPort("echo")
 		if clients > 1 {
@@ -321,13 +317,12 @@ func bootNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) (*NetRPC
 			sport.QueueLimit = 2 * clients
 		}
 		b.Net.Export("echo", sport)
-		srv := &netEchoServer{sys: b, port: sport}
-		b.Start(st.NewThread("srv", srv, 20))
+		b.Start(st.NewThread("srv", &netEchoServer{sys: b, port: sport}, 20))
 
-		// Clients on machine A, talking to B through a proxy port. Each
-		// needs its own reply port (netmsg auto-export is name-keyed);
-		// client 0 keeps the historical names so single-client runs are
-		// byte-identical to the old two-machine driver.
+		// Each client needs its own reply port (netmsg auto-export is
+		// name-keyed); client 0 keeps the historical names so
+		// single-client runs are byte-identical to the old two-machine
+		// driver.
 		ct := a.NewTask("net-client")
 		for j := 0; j < clients; j++ {
 			replyName, threadName := "echo-reply", "cli"
@@ -340,25 +335,22 @@ func bootNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) (*NetRPC
 			clis = append(clis, cli)
 			a.Start(ct.NewThread(threadName, cli, 10))
 		}
-
-		// One disk reader per machine.
-		if spec.DiskReads > 0 {
-			for _, sys := range []*kern.System{a, b} {
-				task := sys.NewTask("disk-reader")
-				rd := &diskReader{sys: sys, disk: sys.Disk,
-					bytes: spec.DiskReadBytes, reads: spec.DiskReads}
-				readers = append(readers, rd)
-				if i == 0 {
-					pair0Readers = append(pair0Readers, rd)
-				}
-				sys.Start(task.NewThread("rd", rd, 12))
-			}
-		}
-
-		res.Machines = append(res.Machines, a, b)
 	}
+	return clis
+}
 
-	res.Client, res.Server = res.Machines[0], res.Machines[1]
-	scheduleCrashes(res.Machines, spec)
-	return res, clis, pair0Readers
+// startDiskReaders starts one disk reader per machine (none when
+// spec.DiskReads is 0), keeping the device layer busy so a crash lands
+// on real in-flight I/O. It returns them in machine order.
+func startDiskReaders(ms []*kern.System, spec NetRPCSpec) []*diskReader {
+	if spec.DiskReads <= 0 {
+		return nil
+	}
+	readers := make([]*diskReader, len(ms))
+	for i, sys := range ms {
+		readers[i] = &diskReader{sys: sys, disk: sys.Disk,
+			bytes: spec.DiskReadBytes, reads: spec.DiskReads}
+		sys.Start(sys.NewTask("disk-reader").NewThread("rd", readers[i], 12))
+	}
+	return readers
 }

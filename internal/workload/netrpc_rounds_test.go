@@ -19,8 +19,9 @@ func TestHorizonRoundBalance(t *testing.T) {
 	spec.Pairs = 2
 	spec.Clients = 32
 	spec.DiskReads = 0
-	res, _, _ := bootNetRPC(kern.MK40, machine.ArchDS3100, spec)
-	c := kern.NewCluster(res.Machines...)
+	booted := boot(netRPCCluster(kern.MK40, machine.ArchDS3100, spec))
+	installPairs(booted.machines, spec)
+	c := kern.NewCluster(booted.machines...)
 	c.SetDeferredForTest(true)
 	defer c.SetDeferredForTest(false)
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -16,8 +17,8 @@ import (
 type NetRPCReportOptions struct {
 	Faults bool
 	Check  bool
-	// Failover labels the machines for the HA topology (client, primary,
-	// replica, client) and prints the recovery section.
+	// Failover prints the recovery section even when nothing crashed
+	// (the HA topology's failover accounting).
 	Failover bool
 }
 
@@ -31,13 +32,9 @@ func WriteNetRPCReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *
 		flavor, arch, res.Completed, float64(res.Elapsed)/1e6, res.Steps)
 
 	for i, sys := range res.Machines {
-		name := machineName(i, len(res.Machines))
-		if opt.Failover {
-			name = haMachineName(i)
-		}
-		writeMachineSection(w, name, sys, opt)
+		writeMachineSection(w, res.topo.heading(i), sys, opt)
 	}
-	writeRecoveryReport(w, res, opt)
+	writeRecoveryReport(w, res.Recovery, nil, res.Machines, opt.Failover)
 }
 
 // writeMachineSection prints one machine's block table, device counters
@@ -81,17 +78,7 @@ func writeMachineSection(w io.Writer, name string, sys *kern.System, opt NetRPCR
 	mc := sys.MemoryCensus()
 	fmt.Fprintf(w, "  memory census: %d stacks high-water vs %d blocked threads high-water (%d live threads)\n",
 		mc.StackHighWater, mc.BlockedHighWater, mc.LiveThreads)
-	writeFaultReport(w, sys, opt)
-}
-
-// stampCensus snapshots every machine's memory census onto its recorder
-// after a run, so the Chrome export carries the space-claim metadata.
-func stampCensus(machines []*kern.System) {
-	for _, sys := range machines {
-		if r := sys.K.Obs; r != nil {
-			r.Census = sys.MemoryCensus()
-		}
-	}
+	WriteFaultReport(w, sys, opt)
 }
 
 // writeCritPathSection collects every machine's recorded spans, runs the
@@ -111,18 +98,13 @@ func writeCritPathSection(w io.Writer, machines []*kern.System) {
 	obs.WriteCritPath(w, obs.AnalyzeCritPath(spans))
 }
 
-// writeRecoveryReport prints the cluster-wide crash/failover accounting
-// when the run injected crashes or ran the HA topology.
-func writeRecoveryReport(w io.Writer, res *NetRPCResult, opt NetRPCReportOptions) {
-	r := res.Recovery
-	if !opt.Failover && r.Crashes == 0 {
+// writeRecoveryReport prints the crash/failover accounting and the
+// nemesis timeline when the run crashed a machine, scheduled topology
+// faults, or always is set (the HA topology).
+func writeRecoveryReport(w io.Writer, r RecoveryStats, topo *fault.Topology, machines []*kern.System, always bool) {
+	if !always && r.Crashes == 0 && topo == nil {
 		return
 	}
-	writeRecoveryBody(w, r, res.Machines)
-}
-
-// writeRecoveryBody prints the shared crash/failover block.
-func writeRecoveryBody(w io.Writer, r RecoveryStats, machines []*kern.System) {
 	fmt.Fprintf(w, "\nrecovery:\n")
 	fmt.Fprintf(w, "  machine crashes %d, warm reboots %d\n", r.Crashes, r.Reboots)
 	fmt.Fprintf(w, "  peer deaths detected %d, recoveries %d\n", r.DeathsDetected, r.Recoveries)
@@ -135,40 +117,13 @@ func writeRecoveryBody(w io.Writer, r RecoveryStats, machines []*kern.System) {
 			fmt.Fprintf(w, "  machine %d last %v\n", i, rec)
 		}
 	}
+	writeNemesisBody(w, topo, machines)
 }
 
-// haMachineName labels the failover topology's machines.
-func haMachineName(i int) string {
-	switch i {
-	case 0:
-		return "machine 0 (client)"
-	case 1:
-		return "machine 1 (primary)"
-	case 2:
-		return "machine 2 (replica)"
-	default:
-		return fmt.Sprintf("machine %d (client)", i)
-	}
-}
-
-// machineName labels machine index i of n in the report. Two-machine
-// clusters keep the historical "machine A (client)" / "machine B
-// (server)" names so single-pair output is byte-identical to the old
-// driver's.
-func machineName(i, n int) string {
-	role, letter := "client", "A"
-	if i%2 == 1 {
-		role, letter = "server", "B"
-	}
-	if n <= 2 {
-		return fmt.Sprintf("machine %s (%s)", letter, role)
-	}
-	return fmt.Sprintf("pair %d machine %s (%s)", i/2, letter, role)
-}
-
-// writeFaultReport prints the fault-injection and recovery counters when
-// a fault plan or the invariant checker is active.
-func writeFaultReport(w io.Writer, sys *kern.System, opt NetRPCReportOptions) {
+// WriteFaultReport prints a machine's fault-injection and recovery
+// counters when a fault plan (opt.Faults) or the invariant checker
+// (opt.Check, which also runs the final sweep) is active.
+func WriteFaultReport(w io.Writer, sys *kern.System, opt NetRPCReportOptions) {
 	if !opt.Check && !opt.Faults {
 		return
 	}

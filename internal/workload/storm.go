@@ -24,13 +24,11 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/dev"
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/overload"
-	"repro/internal/stats"
 	"repro/internal/svc"
 )
 
@@ -130,11 +128,6 @@ type stormRec struct {
 	outcome  stormOutcome
 }
 
-// stormWakeDone resumes a session after its open-loop think sleep.
-var stormWakeDone = core.NewContinuation("storm_think_done", func(e *core.Env) {
-	e.K.ThreadSyscallReturn(e, 0)
-})
-
 // stormSession is one open-loop session: it generates arrivals on its
 // own jittered schedule (multiplied through any active burst window),
 // runs each as one operation on its embedded one-shot caller, and never
@@ -160,17 +153,7 @@ type stormSession struct {
 
 func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
 	if s.sleepAct.Invoke == nil {
-		s.sleepAct = core.Syscall("storm-think", func(e *core.Env) {
-			th := e.Cur()
-			s.sys.K.Clock.Schedule(s.intended, "storm-wake", func() {
-				if th.State() == core.StateWaiting {
-					s.sys.K.Setrun(th)
-				}
-			})
-			e.K.SetState(th, core.StateWaiting)
-			s.sys.K.Block(e, stats.BlockInternal, stormWakeDone,
-				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 96, "storm-think")
-		})
+		s.sleepAct = thinkSleep(s.sys, &s.intended, stormThink)
 	}
 	for {
 		if s.inOp || s.doneSent {
@@ -300,20 +283,6 @@ type StormResult struct {
 	Topo       *fault.Topology
 }
 
-// ReplicaOv sums the replica tier's shedding counters.
-func (r *StormResult) ReplicaOv() overload.Stats {
-	var t overload.Stats
-	for _, cfg := range r.Replicas {
-		if cfg == nil || cfg.Ov == nil {
-			continue
-		}
-		t.Admitted += cfg.Ov.Admitted
-		t.Expired += cfg.Ov.Expired
-		t.Rejected += cfg.Ov.Rejected
-	}
-	return t
-}
-
 // RunStorm boots and drives the storm cluster: the svcgraph machine
 // chain (0 frontend, 1 cache, 2/3 KV replicas) under open-loop session
 // load.
@@ -343,71 +312,26 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		spec.Timeout = machine.Duration(5 * 1e6)
 	}
 
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
-	res := &StormResult{Spec: spec}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-	}
-	frontend, cache, rank0, rank1 := sys[0], sys[1], sys[2], sys[3]
-	cache.AddLink()
-	cache.AddLink()
-	rank0.AddLink()
-	rank1.AddLink()
-	dev.Connect(frontend.Links[0].NIC, cache.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[1].NIC, rank0.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[2].NIC, rank1.Links[0].NIC, spec.Wire)
-	dev.Connect(rank0.Links[1].NIC, rank1.Links[1].NIC, spec.Wire)
 	tmo := provisionTimeouts(arch, 0, 0, 0, 0)
-	res.Topo = fault.NewTopology(spec.FaultSpec)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		s.InstallTopology(i, res.Topo)
-		for _, n := range s.Links {
-			n.EnableReliable()
-			n.DeadAfter = tmo.deadAfter
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		r := s.EnableObservation(0)
-		r.SetHost(i)
-		r.SetSpanSampling(spec.SampleEvery)
-	}
-
-	smap := svc.NewShardMap(0, 0)
-
-	for rank, s := range []*kern.System{rank0, rank1} {
-		rcfg := &svc.ReplicaConfig{
-			Rank: rank, PeerRank: svc.NumRanks - 1 - rank,
-			Map: smap, PeerLink: 1, Clients: spec.Workers,
-			RenewEvery: tmo.renewEvery, IdleExit: tmo.idleExit,
-			Overload: spec.Overload, BreakOverload: spec.BreakOverload,
-		}
-		res.Replicas[rank] = rcfg
-		s.RegisterService("kv-replica", func(s *kern.System) {
-			svc.InstallReplica(s, rcfg)
-		})
-	}
-
-	ccfg := &svc.CacheConfig{
-		Map: smap, Links: [svc.NumRanks]int{1, 2},
-		Workers: spec.Workers, Capacity: spec.Capacity,
-		Frontends: spec.Sessions, FirstClientID: 0,
-		Timeout: tmo.rpcTimeout, IdleExit: tmo.idleExit,
-		Overload: spec.Overload,
-	}
-	res.Cache = ccfg
-	cache.RegisterService("cache", func(s *kern.System) {
-		svc.InstallCache(s, ccfg)
+	c := boot(clusterSpec{
+		topo: chainTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
+		wire: spec.Wire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
+		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
+		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
+	res := &StormResult{Spec: spec, Machines: c.machines, Topo: c.topo}
+	smap := svc.NewShardMap(0, 0)
+	res.Cache, res.Replicas = installBackend(c.machines, smap, tmo, svc.CacheConfig{
+		Workers: spec.Workers, Capacity: spec.Capacity, Frontends: spec.Sessions,
+		Overload: spec.Overload,
+	}, spec.BreakOverload)
 
 	// Frontend sessions. The circuit breaker is per frontend machine —
 	// one shared view of the downstream's health — while retry budgets
 	// are per session, so one greedy session cannot drain its neighbors'
 	// tokens. All shared state stays within machine 0, which the
 	// parallel driver serializes.
+	frontend := c.machines[0]
 	res.FrontOv = &overload.Stats{}
 	pol := spec.Overload
 	var breaker *overload.Breaker
@@ -415,6 +339,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		breaker = overload.NewBreaker(pol.Breaker, pol.Cooldown, spec.Seed^0xb4ea4e4)
 	}
 	sessions := make([]*stormSession, spec.Sessions)
+	clis := make([]*svc.Caller, spec.Sessions)
 	for j := range sessions {
 		cli := &svc.Caller{
 			Sys: frontend, Name: fmt.Sprintf("storm%d", j), ID: j,
@@ -429,13 +354,13 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 			cli.Budget = overload.NewRetryBudget(pol.Budget, pol.Refill)
 		}
 		rng := NewRNG(spec.Seed ^ uint64(j+1)*0x9e3779b97f4a7c15)
-		s := &stormSession{
+		sessions[j] = &stormSession{
 			sys: frontend, cli: cli, rng: rng, topo: res.Topo,
 			spec: &spec, policy: &pol,
 			intended: frontend.K.Clock.Now() + machine.Time(spec.Warmup) +
 				machine.Time(rng.Burst(uint64(spec.Think))),
 		}
-		sessions[j] = s
+		clis[j] = cli
 	}
 	frontend.RegisterService("storm-sessions", func(fsys *kern.System) {
 		ct := fsys.NewTask("storm")
@@ -445,32 +370,14 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		}
 	})
 
-	res.Machines = sys
-	scheduleCrashPlan(sys, spec.FaultSpec.Crashes)
-
-	cluster := kern.NewCluster(sys...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := sys[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	res.Elapsed = machine.Duration(sys[0].K.Clock.Now() - start)
-	stampCensus(sys)
-
+	res.Steps, res.Elapsed = c.drive()
+	t := callerTotals(clis)
+	res.Completed, res.Failed, res.Mismatches = t.Done, t.Failed, t.Mismatches
+	res.History, res.Check, res.SplitBrain = checkHistory(clis, res.Replicas)
 	var recs []stormRec
 	for _, s := range sessions {
-		res.Completed += s.cli.Stats.Done
-		res.Failed += s.cli.Stats.Failed
-		res.Mismatches += s.cli.Stats.Mismatches
-		res.History = append(res.History, s.cli.History...)
 		recs = append(recs, s.recs...)
 	}
-	res.Check = check.Linearizable(res.History)
-	logs := make([]map[check.AckKey]uint64, 0, svc.NumRanks)
-	for _, rcfg := range res.Replicas {
-		if rcfg != nil {
-			logs = append(logs, rcfg.AckLog)
-		}
-	}
-	res.SplitBrain = check.SplitBrain(logs)
 	analyzeStorm(res, recs)
 	return res
 }
@@ -644,7 +551,7 @@ func WriteStormReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *S
 		fmt.Fprintf(w, "verdict: DEGRADED — neither metastable nor recovered in bound\n")
 	}
 
-	kv := res.ReplicaOv()
+	kv := replicaOvTotals(res.Replicas)
 	fmt.Fprintf(w, "\nper-tier overload counters:\n")
 	fmt.Fprintf(w, "  %-9s %9s %9s %9s %14s %17s %14s\n",
 		"tier", "admitted", "expired", "rejected", "budget-denied", "breaker-fastfail", "breaker-opens")
@@ -662,15 +569,9 @@ func WriteStormReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *S
 	fmt.Fprintf(w, "\nchecker: %s; split brain: %s\n", res.Check, splitBrainStr(res.SplitBrain))
 	writeNemesisBody(w, res.Topo, res.Machines)
 
-	var stacks, blocked, live uint64
-	for _, sys := range res.Machines {
-		mc := sys.MemoryCensus()
-		stacks += uint64(mc.StackHighWater)
-		blocked += uint64(mc.BlockedHighWater)
-		live += uint64(mc.LiveThreads)
-	}
-	fmt.Fprintf(w, "\nmemory census (cluster): %d stacks high-water vs %d blocked threads high-water (%d live threads)\n",
-		stacks, blocked, live)
+	fmt.Fprintf(w, "\n")
+	writeClusterCensus(w, res.Machines)
+	fmt.Fprintf(w, "\n")
 }
 
 // StormReport runs the storm and renders the report as a string — the

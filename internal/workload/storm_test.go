@@ -39,7 +39,7 @@ func TestStormMetastableOff(t *testing.T) {
 		t.Fatalf("%d mismatches", res.Mismatches)
 	}
 	// The controls were off, so no tier may have shed anything.
-	kv := res.ReplicaOv()
+	kv := replicaOvTotals(res.Replicas)
 	if res.FrontOv.Shed() != 0 || res.Cache.Ov.Shed() != 0 || kv.Shed() != 0 {
 		t.Fatalf("controls-off run shed work: front %+v cache %+v kv %+v",
 			res.FrontOv, res.Cache.Ov, kv)

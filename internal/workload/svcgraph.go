@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/dev"
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
@@ -88,46 +87,19 @@ type SvcGraphResult struct {
 	Elapsed  machine.Duration
 	Steps    uint64
 	Recovery RecoveryStats
+	// Topo is the scheduled topology-fault plan (nil when the spec has
+	// no partition/link/gray rules).
+	Topo *fault.Topology
 }
 
 // ReplicaTotals sums the backend replicas' service counters.
-func (r *SvcGraphResult) ReplicaTotals() svc.ReplicaStats {
-	kv := KVResult{Replicas: r.Replicas}
-	return kv.ReplicaTotals()
-}
+func (r *SvcGraphResult) ReplicaTotals() svc.ReplicaStats { return replicaTotals(r.Replicas) }
 
-// RunSvcGraph boots and drives the three-tier cluster.
+// RunSvcGraph boots and drives the three-tier chain: machine 0 runs the
+// frontend threads, machine 1 the cache tier, machines 2 and 3 the KV
+// replicas.
 func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcGraphResult {
-	res, fronts := bootSvcGraph(flavor, arch, spec)
-	cluster := kern.NewCluster(res.Machines...)
-	cluster.CrossCheck = spec.DebugChecks
-	start := res.Machines[0].K.Clock.Now()
-	res.Steps = cluster.Drive(spec.Parallel)
-	for _, f := range fronts {
-		res.Completed += f.Stats.Done
-		res.Failed += f.Stats.Failed
-		res.Mismatches += f.Stats.Mismatches
-		res.Salvaged += f.Stats.Salvaged
-	}
-	res.Elapsed = machine.Duration(res.Machines[0].K.Clock.Now() - start)
-	res.Recovery.fill(res.Machines)
-	res.Recovery.Salvaged = res.Salvaged
-	res.Recovery.Failed = uint64(res.Failed)
-	stampCensus(res.Machines)
-	return res
-}
-
-// bootSvcGraph builds the chain: machine 0 runs the frontend threads,
-// machine 1 the cache tier, machines 2 and 3 the KV replicas. The
-// frontend reaches the cache on its only link; the cache reaches rank 0
-// on Links[1] and rank 1 on Links[2]; the replicas reach each other on
-// their Links[1].
-func bootSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) (*SvcGraphResult, []*svc.Caller) {
-	cfg := kern.Config{Flavor: flavor, Arch: arch}
-	frontends := spec.Frontends
-	if frontends <= 0 {
-		frontends = 1
-	}
+	frontends := max(spec.Frontends, 1)
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = 2
@@ -136,108 +108,65 @@ func bootSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) (*Sv
 	if ops <= 0 {
 		ops = 80
 	}
-
-	res := &SvcGraphResult{}
-	sys := make([]*kern.System, 4)
-	for i := range sys {
-		sys[i] = kern.New(cfg)
-	}
-	frontend, cache, rank0, rank1 := sys[0], sys[1], sys[2], sys[3]
-	cache.AddLink()
-	cache.AddLink()
-	rank0.AddLink()
-	rank1.AddLink()
-	dev.Connect(frontend.Links[0].NIC, cache.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[1].NIC, rank0.Links[0].NIC, spec.Wire)
-	dev.Connect(cache.Links[2].NIC, rank1.Links[0].NIC, spec.Wire)
-	dev.Connect(rank0.Links[1].NIC, rank1.Links[1].NIC, spec.Wire)
 	tmo := provisionTimeouts(arch, spec.RPCTimeout, spec.RenewEvery, spec.IdleExit, spec.DeadAfter)
-	for i, s := range sys {
-		s.InjectFaults(spec.FaultSeed+uint64(i), spec.FaultSpec)
-		for _, n := range s.Links {
-			n.EnableReliable()
-			n.DeadAfter = tmo.deadAfter
-		}
-		if spec.DebugChecks {
-			s.K.DebugChecks = true
-			s.EnableWatchdog()
-		}
-		r := s.EnableObservation(0)
-		r.SetHost(i)
-		r.SetSpanSampling(spec.SampleEvery)
-	}
+	c := boot(clusterSpec{
+		topo: chainTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
+		wire: spec.Wire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
+		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
+		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
+	})
+	res := &SvcGraphResult{Machines: c.machines, Topo: c.topo}
 
 	smap := svc.NewShardMap(spec.Shards, spec.Groups)
-
-	// KV replicas, as in the KV workload but with the cache's workers as
-	// their only clients and the peer on Links[1].
-	for rank, s := range []*kern.System{rank0, rank1} {
-		rcfg := &svc.ReplicaConfig{
-			Rank: rank, PeerRank: svc.NumRanks - 1 - rank,
-			Map: smap, PeerLink: 1, Clients: workers,
-			RenewEvery: tmo.renewEvery, IdleExit: tmo.idleExit,
-		}
-		res.Replicas[rank] = rcfg
-		s.RegisterService("kv-replica", func(s *kern.System) {
-			svc.InstallReplica(s, rcfg)
-		})
-	}
-
-	// Cache tier: durable config, volatile contents — a cache crash comes
-	// back empty and refills from the backend.
-	ccfg := &svc.CacheConfig{
-		Map: smap, Links: [svc.NumRanks]int{1, 2},
-		Workers: workers, Capacity: spec.Capacity,
-		Frontends: frontends, FirstClientID: 0,
-		Timeout: tmo.rpcTimeout, IdleExit: tmo.idleExit,
-	}
-	res.Cache = ccfg
-	cache.RegisterService("cache", func(s *kern.System) {
-		svc.InstallCache(s, ccfg)
-	})
+	res.Cache, res.Replicas = installBackend(c.machines, smap, tmo, svc.CacheConfig{
+		Workers: workers, Capacity: spec.Capacity, Frontends: frontends,
+	}, false)
 
 	// Frontend threads: plain callers aimed at the cache port. Both rank
 	// slots route over the frontend's single link — the cache is the only
 	// service they know.
-	var fronts []*svc.Caller
-	mine := make([]*svc.Caller, frontends)
-	for j := 0; j < frontends; j++ {
-		f := &svc.Caller{
-			Sys: frontend, Name: fmt.Sprintf("fe%d", j), ID: j,
+	fronts := make([]*svc.Caller, frontends)
+	for j := range fronts {
+		fronts[j] = &svc.Caller{
+			Sys: c.machines[0], Name: fmt.Sprintf("fe%d", j), ID: j,
 			Map: smap, Links: [svc.NumRanks]int{0, 0},
 			Port: svc.CachePortName, Timeout: tmo.rpcTimeout,
 			HistName: "frontend",
 			Ops:      kvOps(spec.Seed, j, ops, spec.Keyspan, spec.PutPer10k),
 			Track:    true,
 		}
-		mine[j] = f
-		fronts = append(fronts, f)
 	}
-	frontend.RegisterService("frontends", func(s *kern.System) {
-		ct := s.NewTask("frontend")
-		for _, f := range mine {
-			f.Reset(s)
-			s.Start(ct.NewThread(f.Name, f, 10))
-		}
-	})
+	startCallers(c.machines[0], "frontends", "frontend", fronts)
 
-	res.Machines = sys
-	scheduleCrashPlan(sys, spec.FaultSpec.Crashes)
-	return res, fronts
+	res.Steps, res.Elapsed = c.drive()
+	t := callerTotals(fronts)
+	res.Completed, res.Failed, res.Mismatches, res.Salvaged = t.Done, t.Failed, t.Mismatches, t.Salvaged
+	res.Recovery.fill(res.Machines)
+	res.Recovery.Salvaged = res.Salvaged
+	res.Recovery.Failed = uint64(res.Failed)
+	return res
 }
 
-// svcGraphMachineName labels the service-graph topology's machines.
-func svcGraphMachineName(i int) string {
-	switch i {
-	case 0:
-		return "machine 0 (frontend)"
-	case 1:
-		return "machine 1 (cache)"
-	case 2:
-		return "machine 2 (kv primary)"
-	default:
-		return "machine 3 (kv backup)"
-	}
+// installBackend installs the chain topology's service tiers from the
+// cache's sizing and overload policy: the KV replicas on machines 2 and
+// 3, peered on their Links[1] with the cache's workers as their only
+// clients, and the cache on machine 1, reaching rank 0 on Links[1] and
+// rank 1 on Links[2]. The cache config is durable, its contents
+// volatile — a crashed cache comes back empty and refills from the
+// backend. breakOv runs the broken-shedding replicas.
+func installBackend(ms []*kern.System, smap svc.ShardMap, tmo svcTimeouts, cache svc.CacheConfig, breakOv bool) (*svc.CacheConfig, [svc.NumRanks]*svc.ReplicaConfig) {
+	replicas := installReplicas(ms[2:4], svc.ReplicaConfig{
+		Map: smap, PeerLink: 1, Clients: cache.Workers,
+		RenewEvery: tmo.renewEvery, IdleExit: tmo.idleExit,
+		Overload: cache.Overload, BreakOverload: breakOv,
+	})
+	cache.Map, cache.Links = smap, [svc.NumRanks]int{1, 2}
+	cache.Timeout, cache.IdleExit = tmo.rpcTimeout, tmo.idleExit
+	ccfg := &cache
+	ms[1].RegisterService("cache", func(s *kern.System) {
+		svc.InstallCache(s, ccfg)
+	})
+	return ccfg, replicas
 }
 
 // WriteSvcGraphReport prints the three-tier run in machsim's output
@@ -259,9 +188,7 @@ func WriteSvcGraphReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res
 		[]string{"frontend", "cache.fetch", "kv.replicate"})
 	writeCritPathSection(w, res.Machines)
 	for i, sys := range res.Machines {
-		writeMachineSection(w, svcGraphMachineName(i), sys, opt)
+		writeMachineSection(w, chainTopology.heading(i), sys, opt)
 	}
-	if res.Recovery.Crashes > 0 || opt.Failover {
-		writeRecoveryBody(w, res.Recovery, res.Machines)
-	}
+	writeRecoveryReport(w, res.Recovery, res.Topo, res.Machines, opt.Failover)
 }

@@ -323,13 +323,13 @@ func (s *System) EnableTrace() {
 // for histogram and continuation-profile queries.
 func (s *System) Recorder() *obs.Recorder { return s.rec }
 
-// TraceString renders the recorded control-transfer steps in the legacy
+// TraceString renders the recorded control-transfer steps in the
 // Figure 2 format.
 func (s *System) TraceString() string {
 	if s.rec == nil {
 		return ""
 	}
-	return obs.ToTrace(s.rec.Events()).String()
+	return obs.TransferString(s.rec.Events())
 }
 
 // ProfileString renders the recorder's continuation profile and latency
