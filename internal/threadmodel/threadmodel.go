@@ -51,19 +51,28 @@ func stackGrower(depth int, ch <-chan struct{}) {
 	_ = pad
 }
 
-// memUsed samples heap plus goroutine stack memory.
-func memUsed() uint64 {
+// memUsed collects garbage and returns the heap and goroutine-stack
+// bytes in use.
+func memUsed() (heap, stack uint64) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse + ms.StackInuse
+	return ms.HeapInuse, ms.StackInuse
+}
+
+// perActivity is the memory growth from before to after spread over n
+// activities. The difference is signed: memory the runtime reclaims
+// inside the window makes it negative rather than wrapping.
+func perActivity(before, after uint64, n int) float64 {
+	return float64(int64(after)-int64(before)) / float64(n)
 }
 
 // GoroutinePark parks n goroutines blocked on a channel, each having
 // grown its stack by depth frames first, and returns the measured bytes
 // per goroutine. Call the returned release function to unpark them.
 func GoroutinePark(n, depth int) (bytesPer float64, release func()) {
-	before := memUsed()
+	base := runtime.NumGoroutine()
+	heap0, stack0 := memUsed()
 	ch := make(chan struct{})
 	var wg sync.WaitGroup
 	started := make(chan struct{}, n)
@@ -80,25 +89,35 @@ func GoroutinePark(n, depth int) (bytesPer float64, release func()) {
 	}
 	// Give the parked goroutines a moment to settle at their block.
 	time.Sleep(10 * time.Millisecond)
-	after := memUsed()
-	per := float64(after-before) / float64(n)
+	heap1, stack1 := memUsed()
+	per := perActivity(heap0+stack0, heap1+stack1, n)
 	return per, func() {
 		close(ch)
 		wg.Wait()
+		// wg.Done runs before a goroutine has finished exiting. Wait until
+		// the parked goroutines are gone, so none exits inside a later
+		// measurement.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 }
 
 // RecordPark allocates n continuation records representing the same
 // blocked population and returns measured bytes per record. The returned
-// slice keeps them live.
+// slice keeps them live. A record lives on the heap and holds no stack,
+// so only heap growth is charged to it: the runtime can hand back a
+// stack span several collections after the stack was freed, and that
+// must not be netted against the records.
 func RecordPark(n int) (bytesPer float64, records []*Record) {
-	before := memUsed()
+	before, _ := memUsed()
 	records = make([]*Record, n)
 	for i := 0; i < n; i++ {
 		records[i] = &Record{ID: i, State: 1, Cont: func(r *Record) { r.State = 2 }}
 	}
-	after := memUsed()
-	return float64(after-before) / float64(n), records
+	after, _ := memUsed()
+	return perActivity(before, after, n), records
 }
 
 // GoroutineSwitchNs measures one hop of a channel ping-pong between two
