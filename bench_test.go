@@ -317,27 +317,36 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterStep measures the allocation behavior of the cluster
-// driver itself: two machines each running a warmed-up local fast-RPC
-// ping-pong, stepped round-robin. The driver's sorted view is hoisted
-// and the dispatch path is allocation-free, so this must report
-// 0 allocs/op.
-func BenchmarkClusterStep(b *testing.B) {
+// BenchmarkClusterRound measures the allocation behavior of the cluster
+// driver itself: two connected machines, each running a warmed-up local
+// fast-RPC ping-pong, one horizon round per op. The activity heap, wire
+// lookahead and dirty-NIC flush reuse their state and the dispatch path
+// is allocation-free, so this must report 0 allocs/op.
+func BenchmarkClusterRound(b *testing.B) {
 	cfg := kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true}
 	a, c := kern.New(cfg), kern.New(cfg)
+	dev.Connect(a.Net.NIC, c.Net.NIC, machine.Duration(100_000))
 	experiments.SetupNullRPC(a, 1<<30)
 	experiments.SetupNullRPC(c, 1<<30)
 	cluster := kern.NewCluster(a, c)
+	cluster.SetDeferredForTest(true)
+	defer cluster.SetDeferredForTest(false)
 	for i := 0; i < 2000; i++ {
-		if !cluster.Step(false) {
+		if _, ok := cluster.RoundForTest(); !ok {
 			b.Fatal("cluster quiesced during warmup")
 		}
 	}
+	var steps uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cluster.Step(false)
+		n, ok := cluster.RoundForTest()
+		if !ok {
+			b.Fatal("cluster quiesced")
+		}
+		steps += n
 	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/round")
 }
 
 // BenchmarkClusterNetRPC compares sequential and parallel execution of

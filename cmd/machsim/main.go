@@ -41,10 +41,8 @@
 //     report's per-tenant p50/p99 and SLA-attainment include queueing
 //     delay. The aggregate report ends with the cluster memory census:
 //     stacks stay O(processors) per machine while blocked sessions scale
-//     into the 10^5..10^6 range. -machines/-tenants/-sessions only make
-//     sense here, and the pair/fault flags of the other cluster
-//     workloads make no sense here; machsim rejects either mixture.
-//     Adding -overload switches mtload into the storm scenario (below).
+//     into the 10^5..10^6 range. Adding -overload switches mtload into
+//     the storm scenario (below).
 //
 // -overload arms the end-to-end overload controls on the kv and mtload
 // workloads: absolute deadlines propagated in the message headers (every
@@ -67,14 +65,22 @@
 // for five trigger durations after the trigger cleared — and `-overload
 // on` must read RECOVERED (90% of baseline goodput within two trigger
 // durations). -faults overrides the trigger schedule, -sessions the
-// open-loop session count; -machines/-tenants are rejected there.
+// open-loop session count.
 //
-// Shared cluster flags: -parallel drives the machines on one goroutine
-// each (output stays byte-identical to the sequential driver); -crash
-// injects whole-machine crashes (below); -faults adds wire/device
-// faults. A flag the chosen workload would ignore (-pairs off netrpc,
-// -scale on a cluster workload, -crash on a paper workload, ...) exits
-// 2; -fuzz without -workload runs the kv campaign.
+// Shared cluster flags: -parallel drives every cluster workload's
+// machines on one goroutine each (output stays byte-identical to the
+// sequential driver); -crash injects whole-machine crashes (below);
+// -faults adds wire/device faults. -fuzz without -workload runs the kv
+// campaign.
+//
+// machsim accepts a flag exactly when the chosen run reads it. The runs
+// are the paper workloads, netrpc, kv, the kv fuzz campaign (-fuzz),
+// svcgraph, mtload and the mtload storm (-overload); a flag the run does
+// not read exits 2 naming the flag, before anything boots. So -pairs
+// off netrpc's client/server pairs (including the HA topology that
+// -failover and -crash select), -scale or -v on a cluster workload,
+// -parallel on a paper workload, and -check, -seed, -trace or a fault
+// plan on the fuzz campaign are all rejected rather than ignored.
 //
 // -faults installs a seeded deterministic fault plan, e.g.
 // "42:drop=0.1,devfail=0.05,devslow=0.1:2ms"; wire faults switch the
@@ -142,10 +148,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -157,328 +163,231 @@ import (
 	"repro/internal/workload"
 )
 
+// A setting is one command-line flag. A run reads it through get or
+// lookup, which records that the run consumed it; main rejects any flag
+// given on the command line that the chosen run never read.
+type setting[T any] struct {
+	name string
+	val  *T
+}
+
+// define registers a flag through def (flag.String, flag.Int, ...).
+func define[T any](def func(string, T, string) *T, name string, value T, usage string) setting[T] {
+	return setting[T]{name, def(name, value, usage)}
+}
+
+// get reads the flag's value.
+func (s setting[T]) get() T {
+	consumed[s.name] = true
+	return *s.val
+}
+
+// lookup reads the flag's value and whether the command line gave it.
+func (s setting[T]) lookup() (T, bool) {
+	return s.get(), given[s.name]
+}
+
 var (
-	workloadName = flag.String("workload", "compile", "compile, build, dos, netrpc, kv, svcgraph, or mtload")
-	flavorName   = flag.String("flavor", "mk40", "mk40, mk32, or mach25")
-	archName     = flag.String("arch", "toshiba", "ds3100 or toshiba")
-	scale        = flag.Float64("scale", 0.25, "fraction of the paper's duration to simulate")
-	seed         = flag.Uint64("seed", 12345, "workload random seed")
-	verbose      = flag.Bool("v", false, "also print per-component detail")
-	faultsFlag   = flag.String("faults", "", "seed:spec fault plan, e.g. 42:drop=0.1,devfail=0.05")
-	check        = flag.Bool("check", false, "run the kernel invariant sweep after every dispatch")
-	traceFile    = flag.String("trace", "", "write a Chrome trace_event JSON trace to this file")
-	profile      = flag.Bool("profile", false, "print the continuation profile and latency histograms")
-	pairs        = flag.Int("pairs", 1, "netrpc: client/server machine pairs (2*pairs machines)")
-	clients      = flag.Int("clients", 1, "netrpc: client threads per client machine")
-	parallel     = flag.Bool("parallel", false, "netrpc: run machines on goroutines (byte-identical output)")
-	failover     = flag.Bool("failover", false, "netrpc: boot the 4-machine HA topology (client/primary/replica/client)")
-	fuzzFlag     = flag.String("fuzz", "", "kv: fuzz nemesis schedules, seed:count (e.g. 7:25)")
-	fuzzOut      = flag.String("fuzzout", "", "kv fuzz: directory receiving one history dump per schedule")
-	breakKV      = flag.Bool("breakkv", false, "kv: run the deliberately broken replicas (checker must flag them)")
-	sampleFlag   = flag.String("sample", "", "kv/svcgraph: head-sample 1/N of operation traces (default 1/1, keep all)")
-	machines     = flag.Int("machines", 8, "mtload: cluster size (even, >= 2)")
-	tenants      = flag.Int("tenants", 4, "mtload: tenant count")
-	sessions     = flag.Int("sessions", 0, "mtload: sessions per tenant (default 100 per machine)")
-	overloadFlag = flag.String("overload", "", "kv/mtload: overload controls, off|on[:key=value,...] (mtload: selects the storm scenario)")
-	breakOv      = flag.Bool("breakoverload", false, "kv/mtload: replicas apply already-expired writes before shedding them (checker must flag)")
+	// given holds the flags on the command line, consumed the flags the
+	// chosen run read.
+	given    = map[string]bool{}
+	consumed = map[string]bool{}
 
-	// sampleEvery is the parsed -sample denominator (1 = keep everything).
-	sampleEvery = 1
+	workloadName = define(flag.String, "workload", "compile", "compile, build, dos, netrpc, kv, svcgraph, or mtload")
+	flavorName   = define(flag.String, "flavor", "mk40", "mk40, mk32, or mach25")
+	archName     = define(flag.String, "arch", "toshiba", "ds3100 or toshiba")
+	scale        = define(flag.Float64, "scale", 0.25, "paper workloads: fraction of the paper's duration to simulate")
+	seed         = define(flag.Uint64, "seed", 12345, "workload random seed")
+	verbose      = define(flag.Bool, "v", false, "paper workloads: also print per-component detail")
+	faults       = define(flag.String, "faults", "", "seed:spec fault plan, e.g. 42:drop=0.1,devfail=0.05")
+	check        = define(flag.Bool, "check", false, "run the kernel invariant sweep after every dispatch")
+	traceFile    = define(flag.String, "trace", "", "write a Chrome trace_event JSON trace to this file")
+	profile      = define(flag.Bool, "profile", false, "print the continuation profile and latency histograms")
+	pairs        = define(flag.Int, "pairs", 1, "netrpc: client/server machine pairs (2*pairs machines)")
+	clients      = define(flag.Int, "clients", 1, "netrpc/kv/svcgraph: client threads per client machine")
+	parallel     = define(flag.Bool, "parallel", false, "every cluster workload: run machines on goroutines (byte-identical output)")
+	failover     = define(flag.Bool, "failover", false, "netrpc: boot the 4-machine HA topology (client/primary/replica/client)")
+	fuzz         = define(flag.String, "fuzz", "", "kv: fuzz nemesis schedules, seed:count (e.g. 7:25)")
+	fuzzOut      = define(flag.String, "fuzzout", "", "kv fuzz: directory receiving one history dump per schedule")
+	breakKV      = define(flag.Bool, "breakkv", false, "kv: run the deliberately broken replicas (checker must flag them)")
+	sample       = define(flag.String, "sample", "", "kv/svcgraph/mtload storm: head-sample 1/N of operation traces (default 1/1, keep all)")
+	machines     = define(flag.Int, "machines", 8, "mtload: cluster size (even, >= 2)")
+	tenants      = define(flag.Int, "tenants", 4, "mtload: tenant count")
+	sessions     = define(flag.Int, "sessions", 0, "mtload: sessions per tenant (default 100 per machine)")
+	overloadFlag = define(flag.String, "overload", "", "kv/mtload: overload controls, off|on[:key=value,...] (mtload: selects the storm scenario)")
+	breakOv      = define(flag.Bool, "breakoverload", false, "kv/mtload: replicas apply already-expired writes before shedding them (checker must flag)")
 
-	// ovPolicy is the parsed -overload policy (zero value, Enabled false,
-	// when the flag is absent — armed workloads stay byte-identical to the
-	// legacy report in that case).
-	ovPolicy overload.Policy
-
-	// crashFlags collects the repeatable -crash flag's raw values; each is
+	// crash collects the repeatable -crash flag's raw values; each is
 	// sugar for a crash=… rule in the -faults spec. The machine part may
-	// be a role alias (primary, cache, …), which only resolves once the
-	// workload is known — so parsing is deferred until then.
-	crashFlags []string
+	// be a role alias (primary, cache, …), which resolves against the
+	// run's workload when the run reads the flag.
+	crash = setting[[]string]{name: "crash", val: new([]string)}
 )
 
 func init() {
 	flag.Func("crash", "crash machine M (index or role alias) at offset T, e.g. primary@40ms:reboot+80ms (repeatable; implies -failover for netrpc)",
 		func(val string) error {
-			crashFlags = append(crashFlags, val)
+			*crash.val = append(*crash.val, val)
 			return nil
 		})
 }
 
-// mtloadOnlyFlags only mean something under -workload mtload.
-// scopedFlags bind to the workloads flagScope lists for them; every
-// other workload rejects them.
-var (
-	mtloadOnlyFlags = []string{"machines", "tenants", "sessions"}
-	scopedFlags     = []string{
-		"pairs", "clients", "failover", "faults", "crash",
-		"fuzz", "fuzzout", "breakkv", "sample", "scale",
+// exitIf prints err and exits 2, machsim's status for a command line it
+// rejects, when err is non-nil.
+func exitIf(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	// flagScope names the workloads each cluster flag applies to;
-	// "storm" is mtload under -overload.
-	flagScope = map[string][]string{
-		"pairs":    {"netrpc"},
-		"clients":  {"netrpc", "kv", "svcgraph"},
-		"failover": {"netrpc"},
-		"faults":   {"compile", "build", "dos", "netrpc", "kv", "svcgraph", "storm"},
-		"crash":    {"netrpc", "kv", "svcgraph"},
-		"fuzz":     {"kv"},
-		"fuzzout":  {"kv"},
-		"breakkv":  {"kv"},
-		"sample":   {"kv", "svcgraph", "storm"},
-		"scale":    {"compile", "build", "dos"},
-	}
-)
-
-// validateWorkloadFlags rejects nonsensical flag combinations before any
-// machine boots: mtload-only sizing flags on other workloads, a cluster
-// flag on a workload that would ignore it, overload flags on workloads
-// with no shedding tiers, and mtload sizes that cannot describe a
-// cluster. set reports whether a flag appeared on the command line
-// (flagWasSet in production; a stub in tests).
-//
-// -overload on mtload switches it into the storm scenario: a fixed
-// 4-machine frontend/cache/KV chain under open-loop session load, where
-// -faults names the trigger schedule and -sessions the open-loop session
-// count. The mtload sizing flags -machines/-tenants describe the
-// balancer cluster and mean nothing there.
-func validateWorkloadFlags(name string, machines, tenants, sessions int, set func(string) bool) error {
-	if set("breakoverload") && !set("overload") {
-		return fmt.Errorf("-breakoverload requires -overload (nothing sheds without it)")
-	}
-	storm := name == "mtload" && set("overload")
-	if name != "mtload" {
-		if set("overload") && name != "kv" {
-			return fmt.Errorf("-overload only applies to -workload kv or mtload (got %q)", name)
-		}
-		for _, f := range mtloadOnlyFlags {
-			if set(f) {
-				return fmt.Errorf("-%s only applies to -workload mtload (got %q)", f, name)
-			}
-		}
-	}
-	scope := name
-	if storm {
-		scope = "storm"
-	}
-	for _, f := range scopedFlags {
-		if !set(f) || slices.Contains(flagScope[f], scope) {
-			continue
-		}
-		if storm {
-			return fmt.Errorf("-%s does not apply to the mtload storm scenario (-overload)", f)
-		}
-		return fmt.Errorf("-%s does not apply to -workload %s", f, name)
-	}
-	if name != "mtload" {
-		return nil
-	}
-	if storm {
-		for _, f := range []string{"machines", "tenants"} {
-			if set(f) {
-				return fmt.Errorf("-%s does not apply to the mtload storm scenario (-overload); the storm topology is fixed, only -sessions sizes the load", f)
-			}
-		}
-		if set("sessions") && sessions < 1 {
-			return fmt.Errorf("-sessions must be >= 1, got %d", sessions)
-		}
-		return nil
-	}
-	if machines < 2 || machines%2 != 0 {
-		return fmt.Errorf("-machines must be even and >= 2, got %d", machines)
-	}
-	if tenants < 1 {
-		return fmt.Errorf("-tenants must be >= 1, got %d", tenants)
-	}
-	if set("sessions") && sessions < 1 {
-		return fmt.Errorf("-sessions must be >= 1, got %d", sessions)
-	}
-	return nil
 }
 
 func main() {
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if given["breakoverload"] && !given["overload"] {
+		exitIf(errors.New("-breakoverload requires -overload (nothing sheds without it)"))
+	}
+	flavor, arch := readFlavor(), readArch()
 
-	name := *workloadName
-	if *fuzzFlag != "" && !flagWasSet("workload") {
+	name := workloadName.get()
+	if given["fuzz"] && !given["workload"] {
 		name = "kv" // the fuzzer runs the kv workload
 	}
-	if err := validateWorkloadFlags(name, *machines, *tenants, *sessions, flagWasSet); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	var flavor kern.Flavor
-	switch *flavorName {
-	case "mk40":
-		flavor = kern.MK40
-	case "mk32":
-		flavor = kern.MK32
-	case "mach25":
-		flavor = kern.Mach25
-	default:
-		fmt.Fprintf(os.Stderr, "unknown flavor %q\n", *flavorName)
-		os.Exit(2)
-	}
-
-	var arch machine.Arch
-	switch *archName {
-	case "ds3100":
-		arch = machine.ArchDS3100
-	case "toshiba":
-		arch = machine.ArchToshiba5200
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *archName)
-		os.Exit(2)
-	}
-
-	var faultSeed uint64
-	var faultSpec fault.Spec
-	if *faultsFlag != "" {
-		var err error
-		faultSeed, faultSpec, err = fault.ParseFlag(*faultsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-
-	if *sampleFlag != "" {
-		n, err := obs.ParseSample(*sampleFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sampleEvery = n
-	}
-
-	if flagWasSet("overload") {
-		p, err := overload.ParsePolicy(*overloadFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		ovPolicy = p
-	}
-
-	for _, val := range crashFlags {
-		c, err := workload.ResolveCrash(name, val)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		faultSpec.Crashes = append(faultSpec.Crashes, c)
-	}
-
-	if *fuzzFlag != "" {
-		runFuzz(flavor, arch)
-		return
-	}
-
+	scope := "-workload " + name
+	var run func()
 	switch name {
+	case "compile", "build", "dos":
+		run = paperRun(name, flavor, arch)
 	case "netrpc":
-		runNetRPC(flavor, arch, faultSeed, faultSpec)
-		return
+		run = netRPCRun(flavor, arch)
 	case "kv":
-		runKV(flavor, arch, faultSeed, faultSpec)
-		return
-	case "svcgraph":
-		runSvcGraph(flavor, arch, faultSeed, faultSpec)
-		return
-	case "mtload":
-		if flagWasSet("overload") {
-			runStorm(flavor, arch, faultSeed, faultSpec)
+		if given["fuzz"] {
+			scope = "the kv fuzz campaign (-fuzz)"
+			run = fuzzRun(flavor, arch)
 		} else {
-			runMTLoad(flavor, arch)
+			run = kvRun(flavor, arch)
 		}
-		return
-	}
-
-	var spec workload.Spec
-	switch name {
-	case "compile":
-		spec = workload.CompileTest()
-	case "build":
-		spec = workload.KernelBuild()
-	case "dos":
-		spec = workload.DOSEmulation()
+	case "svcgraph":
+		run = svcGraphRun(flavor, arch)
+	case "mtload":
+		if given["overload"] {
+			scope = "the mtload storm scenario (-overload)"
+			run = stormRun(flavor, arch)
+		} else {
+			run = mtLoadRun(flavor, arch)
+		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", name)
-		os.Exit(2)
+		exitIf(fmt.Errorf("unknown workload %q", name))
 	}
-
-	wspec := spec.Scale(*scale)
-	sys := workload.NewSystem(flavor, arch, wspec)
-	sys.K.DebugChecks = *check
-	sys.InjectFaults(faultSeed, faultSpec)
-	if *traceFile != "" || *profile {
-		sys.EnableObservation(0)
-	}
-	inst := workload.Install(sys, wspec, *seed)
-	inst.Run()
-	st := sys.K.Stats
-	total := st.TotalBlocks()
-
-	fmt.Printf("%s on %v/%v — %.0f simulated seconds (scale %.2f), %d blocking operations\n\n",
-		spec.Name, flavor, arch, sys.K.Clock.Now().Seconds(), *scale, total)
-
-	fmt.Printf("%-20s %12s %8s\n", "operation", "blocks", "%")
-	for _, r := range stats.DiscardReasons {
-		n := st.BlocksWithDiscard[r]
-		fmt.Printf("%-20s %12d %7.1f%%\n", r, n, stats.Percent(n, total))
-	}
-	fmt.Printf("%-20s %12d %7.1f%%\n", "total stack discards",
-		st.TotalDiscards(), stats.Percent(st.TotalDiscards(), total))
-	fmt.Printf("%-20s %12d %7.1f%%\n", "no stack discards",
-		st.TotalNoDiscards(), stats.Percent(st.TotalNoDiscards(), total))
-
-	fmt.Printf("\n%-20s %12d %7.1f%%\n", "stack handoff", st.Handoffs,
-		stats.Percent(st.Handoffs, total))
-	fmt.Printf("%-20s %12d %7.1f%%\n", "recognition", st.Recognitions,
-		stats.Percent(st.Recognitions, total))
-
-	fmt.Printf("\nkernel stacks: %.3f average in use, %d worst case, %d threads live\n",
-		sys.K.Stacks.AverageInUse(), sys.K.Stacks.MaxInUse(), sys.K.LiveThreads())
-	mc := sys.MemoryCensus()
-	fmt.Printf("memory census: %d stacks high-water vs %d blocked threads high-water\n",
-		mc.StackHighWater, mc.BlockedHighWater)
-	fmt.Printf("per-thread kernel memory now: %.0f bytes (static %v: %d bytes)\n",
-		sys.MeasuredPerThreadBytes(), flavor, flavor.StaticThreadSpace().Total())
-
-	workload.WriteFaultReport(os.Stdout, sys, workload.NetRPCReportOptions{
-		Faults: *faultsFlag != "", Check: *check,
+	flag.Visit(func(f *flag.Flag) {
+		if !consumed[f.Name] {
+			exitIf(fmt.Errorf("-%s does not apply to %s", f.Name, scope))
+		}
 	})
-
-	if *verbose {
-		fmt.Printf("\ndetail:\n")
-		fmt.Printf("  context switches      %12d\n", st.ContextSwitches)
-		fmt.Printf("  continuation calls    %12d\n", st.ContinuationCalls)
-		fmt.Printf("  stack attaches        %12d\n", st.StackAttaches)
-		fmt.Printf("  run-queue traffic     %12d enq / %d deq\n", sys.Sched.Enqueues, sys.Sched.Dequeues)
-		fmt.Printf("  run-queue high water  %12d\n", sys.Sched.HighWater)
-		fmt.Printf("  vm: disk faults       %12d\n", sys.VM.DiskFaults)
-		fmt.Printf("  vm: evictions         %12d\n", sys.VM.Evictions)
-		fmt.Printf("  ipc: fast RPCs        %12d\n", sys.IPC.FastRPCs)
-		fmt.Printf("  ipc: queued sends     %12d\n", sys.IPC.QueuedSends)
-		fmt.Printf("  exc: fast raises      %12d\n", sys.Exc.FastRaises)
-		var handled uint64
-		for _, s := range inst.Servers {
-			handled += s.Handled
-		}
-		fmt.Printf("  server requests       %12d\n", handled)
-		if inst.ExcServer != nil {
-			fmt.Printf("  exceptions handled    %12d\n", inst.ExcServer.Handled)
-		}
-		fmt.Printf("  user time             %12.0f ms\n", float64(sys.K.UserTime)/1e6)
-	}
-
-	emitObservations(sys)
+	run()
 }
 
-// emitObservations stamps every installed recorder with its machine's
-// memory census, then writes the Chrome trace and/or prints the profile
-// report for them (machines without a recorder are skipped).
-func emitObservations(machines ...*kern.System) {
+func readFlavor() kern.Flavor {
+	switch v := flavorName.get(); v {
+	case "mk40":
+		return kern.MK40
+	case "mk32":
+		return kern.MK32
+	case "mach25":
+		return kern.Mach25
+	default:
+		exitIf(fmt.Errorf("unknown flavor %q", v))
+		return 0
+	}
+}
+
+func readArch() machine.Arch {
+	switch v := archName.get(); v {
+	case "ds3100":
+		return machine.ArchDS3100
+	case "toshiba":
+		return machine.ArchToshiba5200
+	default:
+		exitIf(fmt.Errorf("unknown arch %q", v))
+		return 0
+	}
+}
+
+// readFaults reads the -faults plan (none when absent). faulted reports
+// that the flag gave one; the report then prints every machine's fault
+// block.
+func readFaults() (faultSeed uint64, spec fault.Spec, faulted bool) {
+	arg := faults.get()
+	if arg == "" {
+		return 0, fault.Spec{}, false
+	}
+	faultSeed, spec, err := fault.ParseFlag(arg)
+	exitIf(err)
+	return faultSeed, spec, true
+}
+
+// readCrashFaults reads the -faults plan plus each -crash, its machine
+// resolved against the named workload's roles. faulted reports that
+// either flag asked for faults.
+func readCrashFaults(name string) (faultSeed uint64, spec fault.Spec, faulted bool) {
+	faultSeed, spec, faulted = readFaults()
+	for _, val := range crash.get() {
+		c, err := workload.ResolveCrash(name, val)
+		exitIf(err)
+		spec.Crashes = append(spec.Crashes, c)
+		faulted = true
+	}
+	return faultSeed, spec, faulted
+}
+
+// readSample reads -sample 1/N as N (1, keep every trace, when absent).
+func readSample() int {
+	arg := sample.get()
+	if arg == "" {
+		return 1
+	}
+	n, err := obs.ParseSample(arg)
+	exitIf(err)
+	return n
+}
+
+// readOverload reads the -overload policy (the zero policy, which leaves
+// every legacy path untouched, when absent).
+func readOverload() overload.Policy {
+	arg, ok := overloadFlag.lookup()
+	if !ok {
+		return overload.Policy{}
+	}
+	p, err := overload.ParsePolicy(arg)
+	exitIf(err)
+	return p
+}
+
+// readSessions reads -sessions, which must be >= 1 when given.
+func readSessions() (int, bool) {
+	n, ok := sessions.lookup()
+	if ok && n < 1 {
+		exitIf(fmt.Errorf("-sessions must be >= 1, got %d", n))
+	}
+	return n, ok
+}
+
+// observer is where a run's recorders go: the -trace file and the
+// -profile report.
+type observer struct {
+	trace   string
+	profile bool
+}
+
+func readObserver() observer { return observer{traceFile.get(), profile.get()} }
+
+// on reports whether the run must install recorders at all.
+func (o observer) on() bool { return o.trace != "" || o.profile }
+
+// emit stamps every installed recorder with its machine's memory census,
+// then writes the Chrome trace and/or prints the profile report for them
+// (machines without a recorder are skipped).
+func (o observer) emit(machines ...*kern.System) {
 	var live []*obs.Recorder
 	for _, sys := range machines {
 		if r := sys.K.Obs; r != nil {
@@ -489,8 +398,8 @@ func emitObservations(machines ...*kern.System) {
 	if len(live) == 0 {
 		return
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if o.trace != "" {
+		f, err := os.Create(o.trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -503,9 +412,9 @@ func emitObservations(machines ...*kern.System) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("\ntrace: wrote %s (%d machine(s))\n", *traceFile, len(live))
+		fmt.Printf("\ntrace: wrote %s (%d machine(s))\n", o.trace, len(live))
 	}
-	if *profile {
+	if o.profile {
 		for i, r := range live {
 			if len(live) > 1 {
 				fmt.Printf("\nmachine %d profile:\n", i)
@@ -517,161 +426,246 @@ func emitObservations(machines ...*kern.System) {
 	}
 }
 
-// runNetRPC drives the cross-machine echo workload and prints per-machine
-// block tables plus the device subsystem counters.
-func runNetRPC(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+// paperRun runs one of the paper's single-machine workloads and prints
+// its Table 1/2 block statistics.
+func paperRun(name string, flavor kern.Flavor, arch machine.Arch) func() {
+	spec := map[string]func() workload.Spec{
+		"compile": workload.CompileTest,
+		"build":   workload.KernelBuild,
+		"dos":     workload.DOSEmulation,
+	}[name]()
+	frac := scale.get()
+	wseed := seed.get()
+	debug := check.get()
+	faultSeed, faultSpec, faulted := readFaults()
+	out := readObserver()
+	detail := verbose.get()
+	return func() {
+		wspec := spec.Scale(frac)
+		sys := workload.NewSystem(flavor, arch, wspec)
+		sys.K.DebugChecks = debug
+		sys.InjectFaults(faultSeed, faultSpec)
+		if out.on() {
+			sys.EnableObservation(0)
+		}
+		inst := workload.Install(sys, wspec, wseed)
+		inst.Run()
+		st := sys.K.Stats
+		total := st.TotalBlocks()
+
+		fmt.Printf("%s on %v/%v — %.0f simulated seconds (scale %.2f), %d blocking operations\n\n",
+			spec.Name, flavor, arch, sys.K.Clock.Now().Seconds(), frac, total)
+
+		fmt.Printf("%-20s %12s %8s\n", "operation", "blocks", "%")
+		for _, r := range stats.DiscardReasons {
+			n := st.BlocksWithDiscard[r]
+			fmt.Printf("%-20s %12d %7.1f%%\n", r, n, stats.Percent(n, total))
+		}
+		fmt.Printf("%-20s %12d %7.1f%%\n", "total stack discards",
+			st.TotalDiscards(), stats.Percent(st.TotalDiscards(), total))
+		fmt.Printf("%-20s %12d %7.1f%%\n", "no stack discards",
+			st.TotalNoDiscards(), stats.Percent(st.TotalNoDiscards(), total))
+
+		fmt.Printf("\n%-20s %12d %7.1f%%\n", "stack handoff", st.Handoffs,
+			stats.Percent(st.Handoffs, total))
+		fmt.Printf("%-20s %12d %7.1f%%\n", "recognition", st.Recognitions,
+			stats.Percent(st.Recognitions, total))
+
+		fmt.Printf("\nkernel stacks: %.3f average in use, %d worst case, %d threads live\n",
+			sys.K.Stacks.AverageInUse(), sys.K.Stacks.MaxInUse(), sys.K.LiveThreads())
+		mc := sys.MemoryCensus()
+		fmt.Printf("memory census: %d stacks high-water vs %d blocked threads high-water\n",
+			mc.StackHighWater, mc.BlockedHighWater)
+		fmt.Printf("per-thread kernel memory now: %.0f bytes (static %v: %d bytes)\n",
+			sys.MeasuredPerThreadBytes(), flavor, flavor.StaticThreadSpace().Total())
+
+		workload.WriteFaultReport(os.Stdout, sys, workload.NetRPCReportOptions{Faults: faulted})
+
+		if detail {
+			fmt.Printf("\ndetail:\n")
+			fmt.Printf("  context switches      %12d\n", st.ContextSwitches)
+			fmt.Printf("  continuation calls    %12d\n", st.ContinuationCalls)
+			fmt.Printf("  stack attaches        %12d\n", st.StackAttaches)
+			fmt.Printf("  run-queue traffic     %12d enq / %d deq\n", sys.Sched.Enqueues, sys.Sched.Dequeues)
+			fmt.Printf("  run-queue high water  %12d\n", sys.Sched.HighWater)
+			fmt.Printf("  vm: disk faults       %12d\n", sys.VM.DiskFaults)
+			fmt.Printf("  vm: evictions         %12d\n", sys.VM.Evictions)
+			fmt.Printf("  ipc: fast RPCs        %12d\n", sys.IPC.FastRPCs)
+			fmt.Printf("  ipc: queued sends     %12d\n", sys.IPC.QueuedSends)
+			fmt.Printf("  exc: fast raises      %12d\n", sys.Exc.FastRaises)
+			var handled uint64
+			for _, s := range inst.Servers {
+				handled += s.Handled
+			}
+			fmt.Printf("  server requests       %12d\n", handled)
+			if inst.ExcServer != nil {
+				fmt.Printf("  exceptions handled    %12d\n", inst.ExcServer.Handled)
+			}
+			fmt.Printf("  user time             %12.0f ms\n", float64(sys.K.UserTime)/1e6)
+		}
+
+		out.emit(sys)
+	}
+}
+
+// netRPCRun drives the cross-machine echo workload and prints
+// per-machine block tables plus the device subsystem counters.
+func netRPCRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec := workload.DefaultNetRPC()
-	spec.FaultSeed = faultSeed
-	spec.FaultSpec = faultSpec
-	spec.Pairs = *pairs
-	spec.Clients = *clients
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.Observe = *traceFile != "" || *profile
-	spec.Failover = *failover || len(faultSpec.Crashes) > 0
-	res := workload.RunNetRPC(flavor, arch, spec)
-
-	workload.WriteNetRPCReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
-		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
-		Failover: spec.Failover,
-	})
-
-	emitObservations(res.Machines...)
+	var faulted bool
+	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("netrpc")
+	// A crash implies the HA topology, which has no client/server pairs.
+	spec.Failover = failover.get() || len(spec.FaultSpec.Crashes) > 0
+	if !spec.Failover {
+		spec.Pairs = pairs.get()
+	}
+	spec.Clients = clients.get()
+	spec.Parallel = parallel.get()
+	spec.DebugChecks = check.get()
+	out := readObserver()
+	spec.Observe = out.on()
+	return func() {
+		res := workload.RunNetRPC(flavor, arch, spec)
+		workload.WriteNetRPCReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{Faults: faulted})
+		out.emit(res.Machines...)
+	}
 }
 
-// runKV drives the replicated sharded KV workload and prints its
+// kvRun drives the replicated sharded KV workload and prints its
 // service-level report plus the per-machine block tables.
-func runKV(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+func kvRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec := workload.DefaultKV()
-	spec.FaultSeed = faultSeed
-	spec.FaultSpec = faultSpec
-	if flagWasSet("clients") {
-		spec.Clients = *clients
+	var faulted bool
+	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("kv")
+	if v, ok := clients.lookup(); ok {
+		spec.Clients = v
 	}
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	if v, ok := seed.lookup(); ok {
+		spec.Seed = v
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.Break = *breakKV
-	spec.SampleEvery = sampleEvery
-	spec.Overload = ovPolicy
-	spec.BreakOverload = *breakOv
-	res := workload.RunKV(flavor, arch, spec)
-
-	workload.WriteKVReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
-		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
-	})
-	emitObservations(res.Machines...)
+	spec.Parallel = parallel.get()
+	spec.DebugChecks = check.get()
+	spec.Break = breakKV.get()
+	spec.SampleEvery = readSample()
+	spec.Overload = readOverload()
+	spec.BreakOverload = breakOv.get()
+	out := readObserver()
+	return func() {
+		res := workload.RunKV(flavor, arch, spec)
+		workload.WriteKVReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{Faults: faulted})
+		out.emit(res.Machines...)
+	}
 }
 
-// runSvcGraph drives the multi-tier service-graph workload.
-func runSvcGraph(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+// svcGraphRun drives the multi-tier service-graph workload.
+func svcGraphRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec := workload.DefaultSvcGraph()
-	spec.FaultSeed = faultSeed
-	spec.FaultSpec = faultSpec
-	if flagWasSet("clients") {
-		spec.Frontends = *clients
+	var faulted bool
+	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("svcgraph")
+	if v, ok := clients.lookup(); ok {
+		spec.Frontends = v
 	}
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	if v, ok := seed.lookup(); ok {
+		spec.Seed = v
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.SampleEvery = sampleEvery
-	res := workload.RunSvcGraph(flavor, arch, spec)
-
-	workload.WriteSvcGraphReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{
-		Faults: *faultsFlag != "" || len(faultSpec.Crashes) > 0, Check: *check,
-	})
-	emitObservations(res.Machines...)
+	spec.Parallel = parallel.get()
+	spec.DebugChecks = check.get()
+	spec.SampleEvery = readSample()
+	out := readObserver()
+	return func() {
+		res := workload.RunSvcGraph(flavor, arch, spec)
+		workload.WriteSvcGraphReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{Faults: faulted})
+		out.emit(res.Machines...)
+	}
 }
 
-// runStorm drives the mtload overload scenario: the svcgraph-shaped
+// stormRun drives the mtload overload scenario: the svcgraph-shaped
 // chain under open-loop session load, with the canonical metastable
 // trigger unless -faults overrides it, and the -overload policy deciding
 // whether the cluster survives it.
-func runStorm(flavor kern.Flavor, arch machine.Arch, faultSeed uint64, faultSpec fault.Spec) {
+func stormRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec := workload.DefaultStorm()
-	spec.Overload = ovPolicy
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	spec.Overload = readOverload()
+	if v, ok := seed.lookup(); ok {
+		spec.Seed = v
 	}
-	if *sessions > 0 {
-		spec.Sessions = *sessions
+	if n, ok := readSessions(); ok {
+		spec.Sessions = n
 	}
-	if *faultsFlag != "" {
-		spec.FaultSeed = faultSeed
-		spec.FaultSpec = faultSpec
+	if faultSeed, faultSpec, ok := readFaults(); ok {
+		spec.FaultSeed, spec.FaultSpec = faultSeed, faultSpec
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	spec.BreakOverload = *breakOv
-	spec.SampleEvery = sampleEvery
-	res := workload.RunStorm(flavor, arch, spec)
-	workload.WriteStormReport(os.Stdout, flavor, arch, res)
-	emitObservations(res.Machines...)
+	spec.Parallel = parallel.get()
+	spec.DebugChecks = check.get()
+	spec.BreakOverload = breakOv.get()
+	spec.SampleEvery = readSample()
+	out := readObserver()
+	return func() {
+		res := workload.RunStorm(flavor, arch, spec)
+		workload.WriteStormReport(os.Stdout, flavor, arch, res)
+		out.emit(res.Machines...)
+	}
 }
 
-// runMTLoad drives the open-loop multi-tenant load generator and prints
+// mtLoadRun drives the open-loop multi-tenant load generator and prints
 // its aggregate report.
-func runMTLoad(flavor kern.Flavor, arch machine.Arch) {
+func mtLoadRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec := workload.DefaultMTLoad()
-	spec.Machines = *machines
-	spec.Tenants = *tenants
-	if *sessions > 0 {
-		spec.SessionsPerTenant = *sessions
+	spec.Machines = machines.get()
+	if spec.Machines < 2 || spec.Machines%2 != 0 {
+		exitIf(fmt.Errorf("-machines must be even and >= 2, got %d", spec.Machines))
 	}
-	if flagWasSet("seed") {
-		spec.Seed = *seed
+	spec.Tenants = tenants.get()
+	if spec.Tenants < 1 {
+		exitIf(fmt.Errorf("-tenants must be >= 1, got %d", spec.Tenants))
 	}
-	spec.Parallel = *parallel
-	spec.DebugChecks = *check
-	res := workload.RunMTLoad(flavor, arch, spec)
-	workload.WriteMTLoadReport(os.Stdout, res)
-	emitObservations(res.Machines...)
+	if n, ok := readSessions(); ok {
+		spec.SessionsPerTenant = n
+	}
+	if v, ok := seed.lookup(); ok {
+		spec.Seed = v
+	}
+	spec.Parallel = parallel.get()
+	spec.DebugChecks = check.get()
+	out := readObserver()
+	return func() {
+		res := workload.RunMTLoad(flavor, arch, spec)
+		workload.WriteMTLoadReport(os.Stdout, res)
+		out.emit(res.Machines...)
+	}
 }
 
-// runFuzz runs the kv nemesis fuzzing campaign named by -fuzz seed:count
+// fuzzRun runs the kv nemesis fuzzing campaign named by -fuzz seed:count
 // and exits nonzero when any schedule's history violates.
-func runFuzz(flavor kern.Flavor, arch machine.Arch) {
-	seedPart, countPart, ok := strings.Cut(*fuzzFlag, ":")
-	var seed uint64
+func fuzzRun(flavor kern.Flavor, arch machine.Arch) func() {
+	arg := fuzz.get()
+	seedPart, countPart, ok := strings.Cut(arg, ":")
+	var campaign uint64
 	var count int
 	if ok {
-		_, err1 := fmt.Sscanf(seedPart, "%d", &seed)
+		_, err1 := fmt.Sscanf(seedPart, "%d", &campaign)
 		_, err2 := fmt.Sscanf(countPart, "%d", &count)
 		ok = err1 == nil && err2 == nil && count > 0
 	}
 	if !ok {
-		fmt.Fprintf(os.Stderr, "-fuzz wants seed:count, got %q\n", *fuzzFlag)
-		os.Exit(2)
+		exitIf(fmt.Errorf("-fuzz wants seed:count, got %q", arg))
 	}
-	res, err := workload.FuzzKV(workload.FuzzKVOptions{
+	opt := workload.FuzzKVOptions{
 		Flavor: flavor, Arch: arch,
-		Seed: seed, Count: count,
-		Parallel: *parallel, Break: *breakKV,
-		Overload: ovPolicy, BreakOverload: *breakOv,
-		OutDir: *fuzzOut, Out: os.Stdout,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		Seed: campaign, Count: count,
+		Parallel: parallel.get(), Break: breakKV.get(),
+		Overload: readOverload(), BreakOverload: breakOv.get(),
+		OutDir: fuzzOut.get(), Out: os.Stdout,
 	}
-	fmt.Printf("fuzz: %d schedules checked, %d violations\n", res.Ran, res.Violations)
-	if res.Violations > 0 {
-		os.Exit(1)
-	}
-}
-
-// flagWasSet reports whether the named flag appeared on the command
-// line — spec defaults only yield to explicit overrides.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
+	return func() {
+		res, err := workload.FuzzKV(opt)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-	})
-	return set
+		fmt.Printf("fuzz: %d schedules checked, %d violations\n", res.Ran, res.Violations)
+		if res.Violations > 0 {
+			os.Exit(1)
+		}
+	}
 }

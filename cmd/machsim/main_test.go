@@ -9,155 +9,131 @@ import (
 	"testing"
 )
 
-// TestValidateWorkloadFlags covers the flag-combination matrix machsim
-// rejects with exit 2 before booting anything: mtload sizing flags on
-// other workloads, the pair/fault flags on mtload, and impossible mtload
-// cluster shapes.
+// TestValidateWorkloadFlags runs machsim on argument lists and pins the
+// flag rule: a flag the chosen run does not read, or a value no run can
+// use, exits 2 with a message naming it before anything boots, and every
+// other command line runs. Valid cases are sized small; their verdict
+// does not depend on the sizes.
 func TestValidateWorkloadFlags(t *testing.T) {
+	bin := buildMachsim(t)
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	fuzzOut := filepath.Join(dir, "fuzz")
 	tests := []struct {
-		name     string
-		workload string
-		machines int
-		tenants  int
-		sessions int
-		set      []string
-		wantErr  string // substring; empty means valid
+		name    string
+		args    string
+		wantErr string // stderr substring of an exit-2 rejection; empty means valid
 	}{
-		{name: "defaults compile", workload: "compile", machines: 8, tenants: 4},
-		{name: "defaults mtload", workload: "mtload", machines: 8, tenants: 4},
-		{name: "mtload explicit sizes", workload: "mtload", machines: 256, tenants: 8,
-			sessions: 500, set: []string{"machines", "tenants", "sessions"}},
-		{name: "mtload with parallel and check", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"parallel", "check", "trace"}},
+		{"defaults compile", "-workload compile", ""},
+		{"defaults mtload", "-workload mtload", ""},
+		{"mtload explicit sizes", "-workload mtload -machines 256 -tenants 8 -sessions 500", ""},
+		{"mtload with parallel and check", "-workload mtload -sessions 10 -parallel -check -trace " + trace, ""},
 
-		{name: "machines on netrpc", workload: "netrpc", machines: 8, tenants: 4,
-			set: []string{"machines"}, wantErr: "-machines only applies"},
-		{name: "tenants on kv", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"tenants"}, wantErr: "-tenants only applies"},
-		{name: "sessions on compile", workload: "compile", machines: 8, tenants: 4,
-			set: []string{"sessions"}, wantErr: "-sessions only applies"},
+		{"machines on netrpc", "-workload netrpc -machines 8", "-machines does not apply to -workload netrpc"},
+		{"tenants on kv", "-workload kv -tenants 4", "-tenants does not apply to -workload kv"},
+		{"sessions on compile", "-workload compile -sessions 5", "-sessions does not apply to -workload compile"},
 
-		{name: "pairs on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"pairs"}, wantErr: "-pairs does not apply"},
-		{name: "clients on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"clients"}, wantErr: "-clients does not apply"},
-		{name: "failover on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"failover"}, wantErr: "-failover does not apply"},
-		{name: "faults on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"faults"}, wantErr: "-faults does not apply"},
-		{name: "crash on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"crash"}, wantErr: "-crash does not apply"},
-		{name: "fuzz on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"fuzz"}, wantErr: "-fuzz does not apply"},
-		{name: "breakkv on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"breakkv"}, wantErr: "-breakkv does not apply"},
-		{name: "sample on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"sample"}, wantErr: "-sample does not apply"},
-		{name: "scale on mtload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"scale"}, wantErr: "-scale does not apply"},
+		{"pairs on mtload", "-workload mtload -pairs 2", "-pairs does not apply to -workload mtload"},
+		{"clients on mtload", "-workload mtload -clients 2", "-clients does not apply to -workload mtload"},
+		{"failover on mtload", "-workload mtload -failover", "-failover does not apply to -workload mtload"},
+		{"faults on mtload", "-workload mtload -faults 7:drop=0.1", "-faults does not apply to -workload mtload"},
+		{"crash on mtload", "-workload mtload -crash 1@40ms", "-crash does not apply to -workload mtload"},
+		{"fuzz on mtload", "-workload mtload -fuzz 7:2", "-fuzz does not apply to -workload mtload"},
+		{"breakkv on mtload", "-workload mtload -breakkv", "-breakkv does not apply to -workload mtload"},
+		{"sample on mtload", "-workload mtload -sample 1/2", "-sample does not apply to -workload mtload"},
+		{"scale on mtload", "-workload mtload -scale 0.5", "-scale does not apply to -workload mtload"},
 
-		{name: "overload on kv", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"overload"}},
-		{name: "overload off on kv with faults", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"overload", "faults", "check"}},
-		{name: "overload on netrpc", workload: "netrpc", machines: 8, tenants: 4,
-			set: []string{"overload"}, wantErr: "-overload only applies"},
-		{name: "overload on compile", workload: "compile", machines: 8, tenants: 4,
-			set: []string{"overload"}, wantErr: "-overload only applies"},
-		{name: "breakoverload without overload", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"breakoverload"}, wantErr: "-breakoverload requires -overload"},
-		{name: "breakoverload armed kv", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"overload", "breakoverload"}},
-		{name: "armed fuzz campaign", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"overload", "fuzz", "breakoverload"}},
+		{"overload on kv", "-workload kv -overload on", ""},
+		{"overload off on kv with faults", "-workload kv -overload off -faults 7:drop=0.05 -check", ""},
+		{"overload on netrpc", "-workload netrpc -overload on", "-overload does not apply to -workload netrpc"},
+		{"overload on compile", "-workload compile -overload on", "-overload does not apply to -workload compile"},
+		{"breakoverload without overload", "-workload kv -breakoverload", "-breakoverload requires -overload"},
+		{"breakoverload armed kv", "-workload kv -overload on -breakoverload", ""},
+		{"armed fuzz campaign", "-workload kv -overload on -fuzz 7:1 -breakoverload", ""},
 
-		{name: "storm mode plain", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"overload"}},
-		{name: "storm mode with trigger and sessions", workload: "mtload", machines: 8, tenants: 4,
-			sessions: 24, set: []string{"overload", "faults", "sessions", "check", "parallel", "sample"}},
-		{name: "storm mode breakoverload", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"overload", "breakoverload"}},
-		{name: "storm mode rejects machines", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"overload", "machines"}, wantErr: "-machines does not apply to the mtload storm scenario"},
-		{name: "storm mode rejects tenants", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"overload", "tenants"}, wantErr: "-tenants does not apply to the mtload storm scenario"},
-		{name: "storm mode rejects fuzz", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"overload", "fuzz"}, wantErr: "-fuzz does not apply to the mtload storm scenario"},
-		{name: "storm mode rejects breakkv", workload: "mtload", machines: 8, tenants: 4,
-			set: []string{"overload", "breakkv"}, wantErr: "-breakkv does not apply to the mtload storm scenario"},
-		{name: "storm mode zero sessions set", workload: "mtload", machines: 8, tenants: 4,
-			sessions: 0, set: []string{"overload", "sessions"}, wantErr: "-sessions must be >= 1"},
+		{"storm mode plain", "-workload mtload -overload on", ""},
+		{"storm mode with trigger and sessions",
+			"-workload mtload -overload on -faults 7:burst=2@60ms+20ms -sessions 24 -check -parallel -sample 1/2", ""},
+		{"storm mode breakoverload", "-workload mtload -overload on -breakoverload", ""},
+		{"storm mode rejects machines", "-workload mtload -overload on -machines 8",
+			"-machines does not apply to the mtload storm scenario"},
+		{"storm mode rejects tenants", "-workload mtload -overload on -tenants 4",
+			"-tenants does not apply to the mtload storm scenario"},
+		{"storm mode rejects fuzz", "-workload mtload -overload on -fuzz 7:2",
+			"-fuzz does not apply to the mtload storm scenario"},
+		{"storm mode rejects breakkv", "-workload mtload -overload on -breakkv",
+			"-breakkv does not apply to the mtload storm scenario"},
+		{"storm mode zero sessions set", "-workload mtload -overload on -sessions 0", "-sessions must be >= 1"},
 
-		{name: "odd machines", workload: "mtload", machines: 9, tenants: 4,
-			set: []string{"machines"}, wantErr: "must be even"},
-		{name: "too few machines", workload: "mtload", machines: 0, tenants: 4,
-			set: []string{"machines"}, wantErr: "must be even and >= 2"},
-		{name: "zero tenants", workload: "mtload", machines: 8, tenants: 0,
-			set: []string{"tenants"}, wantErr: "-tenants must be >= 1"},
-		{name: "zero sessions set", workload: "mtload", machines: 8, tenants: 4,
-			sessions: 0, set: []string{"sessions"}, wantErr: "-sessions must be >= 1"},
-		{name: "derived sessions ok", workload: "mtload", machines: 8, tenants: 4,
-			sessions: 0},
+		{"odd machines", "-workload mtload -machines 9", "must be even"},
+		{"too few machines", "-workload mtload -machines 0", "must be even and >= 2"},
+		{"zero tenants", "-workload mtload -tenants 0", "-tenants must be >= 1"},
+		{"zero sessions set", "-workload mtload -sessions 0", "-sessions must be >= 1"},
+		{"derived sessions ok", "-workload mtload -machines 4", ""},
 
-		{name: "fuzz campaign on kv", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"fuzz", "fuzzout", "breakkv", "parallel"}},
-		{name: "fuzz on svcgraph", workload: "svcgraph", machines: 8, tenants: 4,
-			set: []string{"fuzz"}, wantErr: "-fuzz does not apply to -workload svcgraph"},
-		{name: "fuzz on compile", workload: "compile", machines: 8, tenants: 4,
-			set: []string{"fuzz"}, wantErr: "-fuzz does not apply to -workload compile"},
-		{name: "fuzzout on netrpc", workload: "netrpc", machines: 8, tenants: 4,
-			set: []string{"fuzzout"}, wantErr: "-fuzzout does not apply"},
-		{name: "breakkv on svcgraph", workload: "svcgraph", machines: 8, tenants: 4,
-			set: []string{"breakkv"}, wantErr: "-breakkv does not apply"},
-		{name: "netrpc cluster flags", workload: "netrpc", machines: 8, tenants: 4,
-			set: []string{"pairs", "clients", "failover", "faults", "crash", "check"}},
-		{name: "pairs on svcgraph", workload: "svcgraph", machines: 8, tenants: 4,
-			set: []string{"pairs"}, wantErr: "-pairs does not apply to -workload svcgraph"},
-		{name: "failover on svcgraph", workload: "svcgraph", machines: 8, tenants: 4,
-			set: []string{"failover"}, wantErr: "-failover does not apply"},
-		{name: "pairs on kv", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"pairs"}, wantErr: "-pairs does not apply"},
-		{name: "sample on svcgraph", workload: "svcgraph", machines: 8, tenants: 4,
-			set: []string{"sample", "clients", "crash", "faults"}},
-		{name: "sample on netrpc", workload: "netrpc", machines: 8, tenants: 4,
-			set: []string{"sample"}, wantErr: "-sample does not apply to -workload netrpc"},
-		{name: "sample on build", workload: "build", machines: 8, tenants: 4,
-			set: []string{"sample"}, wantErr: "-sample does not apply"},
-		{name: "paper workload flags", workload: "dos", machines: 8, tenants: 4,
-			set: []string{"scale", "seed", "faults", "check", "v"}},
-		{name: "clients on compile", workload: "compile", machines: 8, tenants: 4,
-			set: []string{"clients"}, wantErr: "-clients does not apply to -workload compile"},
-		{name: "crash on compile", workload: "compile", machines: 8, tenants: 4,
-			set: []string{"crash"}, wantErr: "-crash does not apply"},
-		{name: "scale on kv", workload: "kv", machines: 8, tenants: 4,
-			set: []string{"scale"}, wantErr: "-scale does not apply to -workload kv"},
-		{name: "scale on netrpc", workload: "netrpc", machines: 8, tenants: 4,
-			set: []string{"scale"}, wantErr: "-scale does not apply"},
-		{name: "scale on svcgraph", workload: "svcgraph", machines: 8, tenants: 4,
-			set: []string{"scale"}, wantErr: "-scale does not apply"},
+		{"fuzz campaign on kv", "-workload kv -fuzz 7:1 -fuzzout " + fuzzOut + " -breakkv -parallel", ""},
+		{"fuzz on svcgraph", "-workload svcgraph -fuzz 7:2", "-fuzz does not apply to -workload svcgraph"},
+		{"fuzz on compile", "-workload compile -fuzz 7:2", "-fuzz does not apply to -workload compile"},
+		{"fuzzout on netrpc", "-workload netrpc -fuzzout " + fuzzOut, "-fuzzout does not apply to -workload netrpc"},
+		{"breakkv on svcgraph", "-workload svcgraph -breakkv", "-breakkv does not apply to -workload svcgraph"},
+		{"netrpc cluster flags", "-workload netrpc -pairs 2 -clients 2 -faults 7:drop=0.05 -check", ""},
+		{"netrpc failover flags", "-workload netrpc -clients 2 -failover -faults 7:drop=0.05 -crash 1@40ms:reboot+40ms -check", ""},
+		{"pairs under failover", "-workload netrpc -pairs 2 -failover", "-pairs does not apply to -workload netrpc"},
+		{"pairs under crash", "-workload netrpc -pairs 2 -crash 1@40ms:reboot+40ms", "-pairs does not apply to -workload netrpc"},
+		{"pairs on svcgraph", "-workload svcgraph -pairs 2", "-pairs does not apply to -workload svcgraph"},
+		{"failover on svcgraph", "-workload svcgraph -failover", "-failover does not apply to -workload svcgraph"},
+		{"pairs on kv", "-workload kv -pairs 2", "-pairs does not apply to -workload kv"},
+		{"sample on svcgraph", "-workload svcgraph -sample 1/2 -clients 2 -crash 2@40ms:reboot+40ms -faults 7:drop=0.05", ""},
+		{"sample on netrpc", "-workload netrpc -sample 1/2", "-sample does not apply to -workload netrpc"},
+		{"sample on build", "-workload build -sample 1/2", "-sample does not apply to -workload build"},
+		{"paper workload flags", "-workload dos -scale 0.05 -seed 7 -faults 7:devfail=0.05 -check -v", ""},
+		{"clients on compile", "-workload compile -clients 2", "-clients does not apply to -workload compile"},
+		{"crash on compile", "-workload compile -crash 0@1ms", "-crash does not apply to -workload compile"},
+		{"scale on kv", "-workload kv -scale 0.5", "-scale does not apply to -workload kv"},
+		{"scale on netrpc", "-workload netrpc -scale 0.5", "-scale does not apply to -workload netrpc"},
+		{"scale on svcgraph", "-workload svcgraph -scale 0.5", "-scale does not apply to -workload svcgraph"},
+
+		// The fuzz campaign reads none of the single run's settings.
+		{"fuzz with clients", "-fuzz 7:1 -clients 2", "-clients does not apply to the kv fuzz campaign"},
+		{"fuzz with seed", "-fuzz 7:1 -seed 3", "-seed does not apply to the kv fuzz campaign"},
+		{"fuzz with check", "-fuzz 7:1 -check", "-check does not apply to the kv fuzz campaign"},
+		{"fuzz with sample", "-fuzz 7:1 -sample 1/2", "-sample does not apply to the kv fuzz campaign"},
+		{"fuzz with faults", "-fuzz 7:1 -faults 7:drop=0.1", "-faults does not apply to the kv fuzz campaign"},
+		{"fuzz with crash", "-workload kv -fuzz 7:1 -crash primary@40ms", "-crash does not apply to the kv fuzz campaign"},
+		{"fuzz with trace", "-fuzz 7:1 -trace " + trace, "-trace does not apply to the kv fuzz campaign"},
+		{"fuzz with profile", "-fuzz 7:1 -profile", "-profile does not apply to the kv fuzz campaign"},
+		{"seed on netrpc", "-workload netrpc -seed 3", "-seed does not apply to -workload netrpc"},
+		{"v on netrpc", "-workload netrpc -v", "-v does not apply to -workload netrpc"},
+		{"v on kv", "-workload kv -v", "-v does not apply to -workload kv"},
+		{"v on svcgraph", "-workload svcgraph -v", "-v does not apply to -workload svcgraph"},
+		{"v on mtload", "-workload mtload -v", "-v does not apply to -workload mtload"},
+		{"v on storm", "-workload mtload -overload on -v", "-v does not apply to the mtload storm scenario"},
+		{"parallel on compile", "-workload compile -parallel", "-parallel does not apply to -workload compile"},
+		{"parallel on build", "-workload build -parallel", "-parallel does not apply to -workload build"},
+		{"parallel on dos", "-workload dos -parallel", "-parallel does not apply to -workload dos"},
+		{"fuzzout without fuzz", "-workload kv -fuzzout " + fuzzOut, "-fuzzout does not apply to -workload kv"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			set := func(name string) bool {
-				for _, f := range tc.set {
-					if f == name {
-						return true
-					}
-				}
-				return false
-			}
-			err := validateWorkloadFlags(tc.workload, tc.machines, tc.tenants, tc.sessions, set)
+			var stderr strings.Builder
+			cmd := exec.Command(bin, strings.Fields(tc.args)...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var ee *exec.ExitError
+			rejected := errors.As(err, &ee) && ee.ExitCode() == 2
 			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
+				// A fuzz campaign that finds a violation exits 1; only 2
+				// means the command line was refused.
+				if rejected || (err != nil && !errors.As(err, &ee)) {
+					t.Fatalf("want the run to start, got %v: %s", err, stderr.String())
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", tc.wantErr)
+			if !rejected {
+				t.Fatalf("want exit 2 naming %q, got %v", tc.wantErr, err)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
+			if !strings.Contains(stderr.String(), tc.wantErr) {
+				t.Fatalf("stderr %q does not contain %q", stderr.String(), tc.wantErr)
 			}
 		})
 	}

@@ -1151,11 +1151,11 @@ func (k *Kernel) HasPresentWork() bool {
 // at the present first, then clock advances to pending events strictly
 // before the horizon. Present work whose clock has already reached the
 // horizon waits for a later round, and a machine with only background
-// events pending never advances — the Step(false) quiescence rule. The
-// cluster drivers use this as one machine's share of a conservative
-// round: nothing another machine does before the horizon can affect this
-// machine's execution, so rounds may run concurrently. Returns dispatcher
-// steps taken.
+// events pending never advances — background timers alone never keep a
+// cluster running. The cluster driver uses this as one machine's share
+// of a conservative round: nothing another machine does before the
+// horizon can affect this machine's execution, so rounds may run
+// concurrently. Returns dispatcher steps taken.
 func (k *Kernel) RunHorizon(horizon machine.Time) uint64 {
 	var steps uint64
 	for {

@@ -200,8 +200,7 @@ func TestNICPairDelivery(t *testing.T) {
 		})
 	})
 	a.Start(task.NewThread("tx", prog, 10))
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 
 	if a.Net.NIC.TxPackets != 1 {
 		t.Fatalf("tx packets = %d, want 1", a.Net.NIC.TxPackets)

@@ -87,8 +87,7 @@ func TestReliableDeliveryUnderPacketLoss(t *testing.T) {
 	a, b, cluster := bootLossyPair(t, fault.New(42, fault.Spec{DropProb: 0.3}))
 	got := startSink(b, "svc")
 	startSpray(a, "svc", n)
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 	checkExactlyOnce(t, *got, n)
 	if a.Net.NIC.Dropped == 0 {
 		t.Fatal("fault plan injected no drops — test is vacuous")
@@ -116,8 +115,7 @@ func TestReliableDeliveryDropsDuplicates(t *testing.T) {
 	a, b, cluster := bootLossyPair(t, fault.New(5, fault.Spec{DupProb: 1}))
 	got := startSink(b, "svc")
 	startSpray(a, "svc", n)
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 	checkExactlyOnce(t, *got, n)
 	if b.Net.DupsDropped == 0 {
 		t.Fatal("no duplicates suppressed despite 100%% duplication")
@@ -138,8 +136,7 @@ func TestReliableDeliverySurvivesReorder(t *testing.T) {
 	}))
 	got := startSink(b, "svc")
 	startSpray(a, "svc", n)
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 	checkExactlyOnce(t, *got, n)
 	if a.Net.NIC.Delayed == 0 {
 		t.Fatal("fault plan injected no delays — test is vacuous")
@@ -156,8 +153,7 @@ func TestUnreliableTrafficStillLosesPackets(t *testing.T) {
 	cluster := kern.NewCluster(a, b)
 	got := startSink(b, "svc")
 	startSpray(a, "svc", n)
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 	if len(*got) >= n {
 		t.Fatalf("delivered %d of %d despite 30%% drop and no retransmission", len(*got), n)
 	}
@@ -174,8 +170,7 @@ func TestRetransmitGivesUpAfterMax(t *testing.T) {
 	a, b, cluster := bootLossyPair(t, fault.New(1, fault.Spec{DropProb: 1}))
 	got := startSink(b, "svc")
 	startSpray(a, "svc", n)
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 	if len(*got) != 0 {
 		t.Fatalf("delivered %d messages through a total blackout", len(*got))
 	}

@@ -13,16 +13,14 @@ import (
 // independent but whose NICs are cross-wired: a transmit on one machine
 // schedules an arrival on the peer's clock at an absolute time.
 //
-// Two drivers are available. Step interleaves the machines one dispatcher
-// action at a time (the legacy two-clock rule); Drive runs conservative
-// rounds against a safe horizon — the earliest instant any cross-machine
-// packet could arrive — letting every machine simulate independently up
-// to the horizon, then exchanging the buffered packets at a barrier. With
-// parallel=true the rounds run on a bounded worker pool; the results are
-// byte-identical either way, because a round's execution never lets one
-// machine observe another's state and the barrier merge is ordered by
-// machine index, NIC index and emission counter, never by goroutine
-// timing.
+// Drive runs conservative rounds against a safe horizon — the earliest
+// instant any cross-machine packet could arrive — letting every machine
+// simulate independently up to the horizon, then exchanging the buffered
+// packets at a barrier. With parallel=true the rounds run on a bounded
+// worker pool; the results are byte-identical either way, because a
+// round's execution never lets one machine observe another's state and
+// the barrier merge is ordered by machine index, NIC index and emission
+// counter, never by goroutine timing.
 //
 // Driving cost is O(active machines + log N) per round, not O(N): the
 // per-machine next-activity times live in an indexed min-heap repaired
@@ -42,12 +40,6 @@ type Cluster struct {
 	// incremental heap, wire cache, or dirty-flush list. Test-only
 	// oracle; costs O(N) per round.
 	CrossCheck bool
-
-	// order is Step's reusable machine-index view, kept sorted by
-	// (clock, systems index) incrementally: after a step only the
-	// machine that ran can be out of place, so each call re-settles one
-	// element instead of copying and insertion-sorting the whole slice.
-	order []int
 
 	// Activity heap: actKey[i] is machine i's cached next-activity time,
 	// meaningful while heapPos[i] >= 0; actHeap holds the indices of
@@ -118,108 +110,6 @@ func (c *Cluster) markDirty(i int) {
 	c.dirtyQ = append(c.dirtyQ, i)
 }
 
-// stepLess orders Step's view: earliest clock first, ties broken by
-// systems index — exactly the order the old per-call stable insertion
-// sort produced, so Step's interleaving is unchanged.
-func (c *Cluster) stepLess(a, b int) bool {
-	na, nb := c.Systems[a].K.Clock.Now(), c.Systems[b].K.Clock.Now()
-	return na < nb || (na == nb && a < b)
-}
-
-// ensureOrder (re)builds Step's sorted view when it is missing or stale.
-func (c *Cluster) ensureOrder() {
-	if len(c.order) == len(c.Systems) {
-		return
-	}
-	c.order = c.order[:0]
-	for i := range c.Systems {
-		c.order = append(c.order, i)
-	}
-	for i := 1; i < len(c.order); i++ {
-		for j := i; j > 0 && c.stepLess(c.order[j], c.order[j-1]); j-- {
-			c.order[j], c.order[j-1] = c.order[j-1], c.order[j]
-		}
-	}
-}
-
-// resettle restores order after the machine at position pos ran: its
-// clock only moves forward, so it can only drift toward the back.
-func (c *Cluster) resettle(pos int) {
-	o := c.order
-	for ; pos+1 < len(o) && c.stepLess(o[pos+1], o[pos]); pos++ {
-		o[pos], o[pos+1] = o[pos+1], o[pos]
-	}
-}
-
-// InvalidateOrder discards Step's sorted view; callers that advance a
-// machine's clock outside Step (direct Run calls between Steps) must
-// invalidate before stepping again. Drive invalidates automatically.
-func (c *Cluster) InvalidateOrder() { c.order = c.order[:0] }
-
-// Step makes progress on exactly one machine: first any machine with work
-// at its current time (earliest clock first, so the machine that is
-// "behind" catches up before peers run ahead), otherwise the machine with
-// the earliest pending event advances its clock and fires it. Returns
-// false when no machine can make progress.
-func (c *Cluster) Step(withBackground bool) bool {
-	c.ensureOrder()
-	for pos, idx := range c.order {
-		if c.Systems[idx].K.StepNoAdvance() {
-			c.resettle(pos)
-			return true
-		}
-	}
-	// Everyone is idle at the present: advance the earliest pending event.
-	bestPos := -1
-	var bestAt machine.Time
-	for pos, idx := range c.order {
-		s := c.Systems[idx]
-		if !withBackground && !s.K.Clock.HasForeground() {
-			continue
-		}
-		at, ok := s.K.Clock.NextEventTime()
-		if !ok {
-			continue
-		}
-		if bestPos < 0 || at < bestAt {
-			bestPos, bestAt = pos, at
-		}
-	}
-	if bestPos < 0 {
-		return false
-	}
-	s := c.Systems[c.order[bestPos]]
-	if ev := s.K.Clock.AdvanceToNextEvent(); ev != nil {
-		ev.Fire()
-		s.K.PostDispatchCheck()
-		c.resettle(bestPos)
-		return true
-	}
-	return false
-}
-
-// Run steps the cluster sequentially until no machine can progress or
-// every clock has reached the deadline. Returns total steps taken.
-func (c *Cluster) Run(deadline machine.Time) uint64 {
-	var steps uint64
-	for {
-		past := true
-		for _, s := range c.Systems {
-			if s.K.Clock.Now() < deadline {
-				past = false
-				break
-			}
-		}
-		if past {
-			return steps
-		}
-		if !c.Step(false) {
-			return steps
-		}
-		steps++
-	}
-}
-
 // maxTime is the horizon used when no wire couples the machines: each is
 // free to run to quiescence.
 const maxTime = ^machine.Time(0)
@@ -275,8 +165,8 @@ func (c *Cluster) SetLink(a, b *dev.NIC, wire machine.Duration) {
 // nextActivity returns the earliest simulated time at which the machine
 // could next execute anything (and therefore transmit): its own clock
 // when it has work at the present, otherwise its next pending event. A
-// machine with only background events reports false — the Step(false)
-// quiescence rule.
+// machine with only background events reports false: background timers
+// alone never keep a cluster running.
 func nextActivity(s *System) (machine.Time, bool) {
 	k := s.K
 	if k.HasPresentWork() {
@@ -582,10 +472,9 @@ func (c *Cluster) round(jobs chan<- int, results <-chan uint64) (uint64, bool) {
 func (c *Cluster) Drive(parallel bool) uint64 {
 	c.setDeferred(true)
 	defer c.setDeferred(false)
-	// Step's sorted view and the activity cache may both be stale if the
-	// caller mutated machines since the last drive; recompute everything
-	// once, then stay incremental.
-	c.InvalidateOrder()
+	// The activity cache may be stale if the caller mutated machines
+	// since the last drive; recompute everything once, then stay
+	// incremental.
 	for i := range c.Systems {
 		c.markDirty(i)
 	}
@@ -638,7 +527,3 @@ func (c *Cluster) HorizonFastForTest() (machine.Time, bool) { return c.horizonFa
 // incremental driver — the unit the scaling benchmark measures. The
 // caller is responsible for SetDeferredForTest(true) around a replay.
 func (c *Cluster) RoundForTest() (uint64, bool) { return c.round(nil, nil) }
-
-// OrderForTest returns a copy of Step's current sorted machine-index
-// view, for the incremental-sort cross-check test.
-func (c *Cluster) OrderForTest() []int { return append([]int(nil), c.order...) }

@@ -1,12 +1,10 @@
 package kern_test
 
 // Tests for the O(active)-cost cluster driver: the indexed activity heap
-// against the naive full-sweep horizon, the cached wire lookahead
-// against link changes, and Step's incrementally maintained order
-// against a from-scratch stable sort.
+// against the naive full-sweep horizon, and the cached wire lookahead
+// against link changes.
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/dev"
@@ -142,52 +140,5 @@ func TestCrashRebootRefreshesWireCache(t *testing.T) {
 	hn, okn := cluster.HorizonForTest()
 	if hf != hn || okf != okn {
 		t.Fatalf("post-reboot horizon (%v, %v) != naive sweep (%v, %v)", hf, okf, hn, okn)
-	}
-}
-
-// TestStepOrderIncremental cross-checks Step's incrementally sorted
-// machine order against a from-scratch stable sort by (clock, index)
-// after every single step.
-func TestStepOrderIncremental(t *testing.T) {
-	cluster, systems := bootCluster(t, 4, machine.Duration(500_000))
-	// Cross-machine traffic plus local timers keep the clocks drifting
-	// past each other so the order actually churns.
-	for _, s := range systems {
-		s := s
-		var tick func()
-		n := 0
-		tick = func() {
-			if n++; n < 50 {
-				s.K.Clock.After(machine.Duration(100_000+10_000*n), "tick", tick)
-			}
-		}
-		s.K.Clock.After(machine.Duration(100_000), "tick", tick)
-	}
-
-	naive := func() []int {
-		idx := make([]int, len(systems))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(x, y int) bool {
-			return systems[idx[x]].K.Clock.Now() < systems[idx[y]].K.Clock.Now()
-		})
-		return idx
-	}
-	steps := 0
-	for cluster.Step(false) {
-		steps++
-		got, want := cluster.OrderForTest(), naive()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("after step %d: incremental order %v != stable sort %v", steps, got, want)
-			}
-		}
-		if steps > 20_000 {
-			t.Fatalf("cluster did not quiesce")
-		}
-	}
-	if steps == 0 {
-		t.Fatalf("cluster took no steps")
 	}
 }

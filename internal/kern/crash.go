@@ -160,8 +160,8 @@ func (s *System) Crash(rebootAfter machine.Duration) {
 // adopting the NIC hardware that survived the crash. Each link keeps its
 // configured reliability parameters, stamps the new incarnation, and
 // announces it to the peer so stale-traffic rejection and failback start
-// immediately. Finally the machine's init script (OnReboot) runs so a
-// workload can re-create its servers.
+// immediately. Finally every registered service installer re-runs, in
+// registration order, so a workload can re-create its servers.
 func (s *System) Reboot() {
 	if !s.Down {
 		return
@@ -191,8 +191,5 @@ func (s *System) Reboot() {
 	}
 	for _, svc := range s.services {
 		svc.install(s)
-	}
-	if s.OnReboot != nil {
-		s.OnReboot(s)
 	}
 }

@@ -23,7 +23,7 @@ func bootNetPair(t *testing.T) (a, b *kern.System, cluster *kern.Cluster) {
 }
 
 // startSink installs a forever-receiver on an exported port and returns
-// the slice of received bodies. Reusable as an OnReboot script.
+// the slice of received bodies. Reusable as a service installer.
 func startSink(sys *kern.System, wireName string, got *[]int) {
 	port := sys.IPC.NewPort(wireName + "-local")
 	sys.Net.Export(wireName, port)
@@ -66,13 +66,11 @@ func startSpray(sys *kern.System, remote string, n int) {
 func TestCrashAndWarmReboot(t *testing.T) {
 	a, b, cluster := bootNetPair(t)
 	var got []int
-	startSink(b, "svc", &got)
-	b.OnReboot = func(s *kern.System) { startSink(s, "svc", &got) }
+	b.RegisterService("sink", func(s *kern.System) { startSink(s, "svc", &got) })
 	startSpray(a, "svc", 40)
 
 	b.ScheduleCrash(machine.Time(5*1e6), machine.Duration(10*1e6))
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 
 	if b.CrashCount != 1 || b.Reboots != 1 {
 		t.Fatalf("CrashCount=%d Reboots=%d, want 1/1", b.CrashCount, b.Reboots)
@@ -102,7 +100,7 @@ func TestCrashAndWarmReboot(t *testing.T) {
 		t.Fatalf("panic record string %q", rec.String())
 	}
 	// The rebooted incarnation received fresh messages: the sink was
-	// reinstalled by OnReboot and the sender's retransmits re-stamped
+	// reinstalled by its service and the sender's retransmits re-stamped
 	// nothing — only packets stamped for incarnation 1 are stale.
 	if len(got) == 0 {
 		t.Fatal("rebooted machine never received a message")
@@ -134,13 +132,11 @@ func TestStaleIncarnationPacketDropped(t *testing.T) {
 	// 100ms) and arrive at the new incarnation.
 	a.Net.NIC.Fault = fault.New(7, fault.Spec{DelayProb: 1.0, DelayExtra: machine.Duration(150 * 1e6)})
 	var got []int
-	startSink(b, "svc", &got)
-	b.OnReboot = func(s *kern.System) { startSink(s, "svc", &got) }
+	b.RegisterService("sink", func(s *kern.System) { startSink(s, "svc", &got) })
 	startSpray(a, "svc", 1)
 
 	b.ScheduleCrash(machine.Time(50*1e6), machine.Duration(50*1e6))
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 
 	if b.Incarnation != 2 {
 		t.Fatalf("Incarnation = %d, want 2", b.Incarnation)
@@ -164,8 +160,7 @@ func TestCrashDropsUnackedTowardDeadIncarnation(t *testing.T) {
 	startSink(b, "svc", &got)
 	startSpray(a, "svc", 1)
 	b.ScheduleCrash(machine.Time(50*1e6), machine.Duration(50*1e6))
-	for cluster.Step(false) {
-	}
+	cluster.Drive(false)
 	if a.Net.UnackedLen() != 0 {
 		t.Fatalf("%d packets still unacked at quiescence", a.Net.UnackedLen())
 	}

@@ -187,15 +187,10 @@ type System struct {
 	// the first one.
 	PanicRecord *PanicRecord
 
-	// OnReboot, when set, runs at the end of every warm reboot — the
-	// machine's init script, where a workload re-creates its servers and
-	// re-exports their ports.
-	OnReboot func(*System)
-
 	// services are the named installers RegisterService has recorded; a
-	// warm reboot re-runs them in registration order (before OnReboot),
-	// so several services on one machine all respawn without clobbering
-	// a single hook.
+	// warm reboot re-runs them in registration order — the machine's
+	// init script, where a workload re-creates its servers and
+	// re-exports their ports.
 	services []namedService
 
 	// Watchdog is the stall/deadlock watchdog, nil unless EnableWatchdog
@@ -279,16 +274,6 @@ type namedService struct {
 func (s *System) RegisterService(name string, install func(*System)) {
 	s.services = append(s.services, namedService{name: name, install: install})
 	install(s)
-}
-
-// Services returns the names of the registered service installers, in
-// registration order.
-func (s *System) Services() []string {
-	out := make([]string, len(s.services))
-	for i, svc := range s.services {
-		out[i] = svc.name
-	}
-	return out
 }
 
 // Task is an address space plus a name for its threads.

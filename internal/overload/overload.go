@@ -193,12 +193,12 @@ func fmtDur(d machine.Duration) string {
 // Stats is one tier's shedding scoreboard. Counters only ever
 // increment; reports subtract snapshots for windowed rates.
 type Stats struct {
-	Admitted    uint64 // ops that passed every control at this tier
-	Expired     uint64 // dequeued past their deadline, dropped
-	Rejected    uint64 // CoDel sojourn over target, fast-failed
-	BudgetDenied uint64 // retry wanted but token bucket empty
+	Admitted        uint64 // ops that passed every control at this tier
+	Expired         uint64 // dequeued past their deadline, dropped
+	Rejected        uint64 // CoDel sojourn over target, fast-failed
+	BudgetDenied    uint64 // retry wanted but token bucket empty
 	BreakerFastFail uint64 // op refused locally while breaker open
-	BreakerOpens uint64 // closed->open transitions
+	BreakerOpens    uint64 // closed->open transitions
 }
 
 // Shed is Expired+Rejected: work this tier refused to service.

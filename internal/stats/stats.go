@@ -1,14 +1,9 @@
 // Package stats collects the counters behind the paper's evaluation:
-// which block points fire (Table 1), how often stack discarding, stack
-// handoff and continuation recognition apply (Tables 1 and 2), and the
-// event trace used to reproduce Figure 2.
+// which block points fire (Table 1), and how often stack discarding,
+// stack handoff and continuation recognition apply (Tables 1 and 2).
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // BlockReason classifies a blocking operation by the paper's Table 1 rows.
 type BlockReason int
@@ -165,57 +160,4 @@ func Percent(part, whole uint64) float64 {
 		return 0
 	}
 	return 100 * float64(part) / float64(whole)
-}
-
-// Counter is a labelled monotonically increasing count, used by
-// workloads and servers for ad-hoc bookkeeping.
-type Counter struct {
-	name string
-	n    uint64
-}
-
-// NewCounter returns a named counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Inc adds one. Add adds n. Value reads the count.
-func (c *Counter) Inc()           { c.n++ }
-func (c *Counter) Add(n uint64)   { c.n += n }
-func (c *Counter) Value() uint64  { return c.n }
-func (c *Counter) Name() string   { return c.name }
-func (c *Counter) String() string { return fmt.Sprintf("%s=%d", c.name, c.n) }
-
-// Set is a bag of counters addressed by name, for workload-level stats.
-type Set struct {
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]*Counter)} }
-
-// Get returns the named counter, creating it on first use.
-func (s *Set) Get(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = NewCounter(name)
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Names returns the counter names in sorted order.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (s *Set) String() string {
-	parts := make([]string, 0, len(s.counters))
-	for _, n := range s.Names() {
-		parts = append(parts, s.counters[n].String())
-	}
-	return strings.Join(parts, " ")
 }

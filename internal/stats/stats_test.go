@@ -88,32 +88,3 @@ func TestDiscardReasonsMatchPaperRows(t *testing.T) {
 		}
 	}
 }
-
-func TestCounter(t *testing.T) {
-	c := NewCounter("rpcs")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 || c.Name() != "rpcs" {
-		t.Fatalf("counter = %v", c)
-	}
-	if c.String() != "rpcs=5" {
-		t.Fatalf("String = %q", c.String())
-	}
-}
-
-func TestCounterSet(t *testing.T) {
-	s := NewSet()
-	s.Get("b").Inc()
-	s.Get("a").Add(2)
-	s.Get("b").Inc()
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-	if s.Get("b").Value() != 2 {
-		t.Fatalf("b = %d", s.Get("b").Value())
-	}
-	if s.String() != "a=2 b=2" {
-		t.Fatalf("String = %q", s.String())
-	}
-}

@@ -37,13 +37,11 @@ type CacheConfig struct {
 	Capacity int
 	// Frontends is the number of frontend threads that will report done.
 	Frontends int
-	// FirstClientID is worker 0's global client id for the KV done
-	// protocol (worker i uses FirstClientID+i).
-	FirstClientID int
-	// Timeout overrides the workers' KV attempt timeout; Tick their idle
-	// receive period; IdleExit the no-traffic give-up horizon.
+	// Timeout is the workers' KV attempt timeout; IdleExit the
+	// no-traffic give-up horizon. Between requests a worker blocks on
+	// the port for DefaultRenewEvery. Worker i is client i of the KV
+	// done protocol.
 	Timeout  machine.Duration
-	Tick     machine.Duration
 	IdleExit machine.Duration
 	Stats    *CacheStats
 
@@ -60,20 +58,6 @@ type CacheConfig struct {
 	// an exited frontend never resends its done.
 	done     []bool
 	doneLeft int
-}
-
-func (c *CacheConfig) tick() machine.Duration {
-	if c.Tick > 0 {
-		return c.Tick
-	}
-	return DefaultRenewEvery
-}
-
-func (c *CacheConfig) idleExit() machine.Duration {
-	if c.IdleExit > 0 {
-		return c.IdleExit
-	}
-	return DefaultIdleExit
 }
 
 // cacheShared is the per-incarnation state the worker pool shares:
@@ -121,10 +105,6 @@ func InstallCache(s *kern.System, cfg *CacheConfig) {
 		cfg.done = make([]bool, cfg.Frontends)
 		cfg.doneLeft = cfg.Frontends
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
-	}
 	sh := &cacheShared{
 		entries:      make(map[uint64]uint64),
 		lastActivity: s.K.Clock.Now(),
@@ -132,14 +112,14 @@ func InstallCache(s *kern.System, cfg *CacheConfig) {
 	}
 	task := s.NewTask("cache")
 	port := s.IPC.NewPort(CachePortName)
-	port.QueueLimit = 64
+	port.QueueLimit = portQueueLimit
 	for _, n := range s.Links {
 		n.Export(CachePortName, port)
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < cfg.Workers; i++ {
 		name := fmt.Sprintf("cache-w%d", i)
 		kv := &Caller{
-			Sys: s, Name: name, ID: cfg.FirstClientID + i,
+			Sys: s, Name: name, ID: i,
 			Map: cfg.Map, Links: cfg.Links, Timeout: cfg.Timeout,
 			HistName: "cache.fetch", OneShot: true,
 		}
@@ -177,7 +157,7 @@ func (w *cacheWorker) Next(e *core.Env, t *core.Thread) core.Action {
 	if w.recvAct.Invoke == nil {
 		w.recvAct = core.Syscall("mach_msg(cache-recv)", func(e *core.Env) {
 			w.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				ReceiveFrom: w.port, RcvTimeout: w.cfg.tick(),
+				ReceiveFrom: w.port, RcvTimeout: DefaultRenewEvery,
 			})
 		})
 		w.replyAct = core.Syscall("mach_msg(cache-reply)", func(e *core.Env) {
@@ -197,7 +177,7 @@ func (w *cacheWorker) Next(e *core.Env, t *core.Thread) core.Action {
 			e.Cur().Trace = p.trace
 			w.sys.IPC.MachMsg(e, ipc.MsgOptions{
 				Send: msg, SendTo: p.to,
-				ReceiveFrom: w.port, RcvTimeout: w.cfg.tick(),
+				ReceiveFrom: w.port, RcvTimeout: DefaultRenewEvery,
 			})
 		})
 	}
@@ -232,7 +212,7 @@ func (w *cacheWorker) Next(e *core.Env, t *core.Thread) core.Action {
 		act, _ := w.kv.Step(e, t)
 		return act
 	}
-	if now-w.sh.lastActivity >= w.cfg.idleExit() {
+	if now-w.sh.lastActivity >= w.cfg.IdleExit {
 		return core.Exit()
 	}
 	return w.recvAct

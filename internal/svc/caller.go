@@ -70,7 +70,7 @@ type Caller struct {
 	Map ShardMap
 	// Links maps replica rank -> this machine's link index.
 	Links [NumRanks]int
-	// Timeout overrides the per-attempt receive timeout when nonzero.
+	// Timeout is the per-attempt receive timeout.
 	Timeout machine.Duration
 	// MaxAttempts overrides CallerMaxAttempts when nonzero — the storm
 	// sessions lower it so a collapsed run's abandoned backlog still
@@ -186,13 +186,6 @@ func (c *Caller) Reset(s *kern.System) {
 	c.attempts = 0
 }
 
-func (c *Caller) timeout() machine.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return DefaultCallTimeout
-}
-
 // group returns the shard group the current operation routes to.
 func (c *Caller) group() int { return c.Map.GroupOfKey(c.Ops[c.idx].Key) }
 
@@ -270,12 +263,12 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 			e.Cur().Trace = c.trace
 			c.Sys.IPC.MachMsg(e, ipc.MsgOptions{
 				Send: msg, SendTo: c.target(),
-				ReceiveFrom: c.reply, RcvTimeout: c.timeout(),
+				ReceiveFrom: c.reply, RcvTimeout: c.Timeout,
 			})
 		})
 		c.drainAct = core.Syscall("mach_msg(kv-drain)", func(e *core.Env) {
 			c.Sys.IPC.MachMsg(e, ipc.MsgOptions{
-				ReceiveFrom: c.reply, RcvTimeout: c.timeout(),
+				ReceiveFrom: c.reply, RcvTimeout: c.Timeout,
 			})
 		})
 	}

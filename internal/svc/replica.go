@@ -27,6 +27,10 @@ const ReplyOpBit = 0x8000
 // cheap).
 const DefaultRenewEvery = machine.Duration(4 * 1000 * 1000) // 4 ms
 
+// portQueueLimit sizes the replica and cache service ports' message
+// queues.
+const portQueueLimit = 64
+
 // drainTimeout is the receive bound used while more outbound messages
 // are queued: long enough to take any already-delivered message, short
 // enough that a burst (snapshot reply plus acks) drains promptly.
@@ -70,16 +74,14 @@ type ReplicaConfig struct {
 	PeerLink int
 	// Clients is the number of client threads that will each report done.
 	Clients int
-	// RenewEvery overrides the renewal/tick period when nonzero.
+	// RenewEvery is the lease renewal and tick period.
 	RenewEvery machine.Duration
 	// IdleExit bounds how long the replica keeps ticking with no real
-	// traffic before giving up and quiescing (DefaultIdleExit if zero) —
-	// the escape hatch that lets a cluster whose clients died without
-	// reboot still reach the drivers' quiescence condition.
+	// traffic before giving up and quiescing — the escape hatch that
+	// lets a cluster whose clients died without reboot still reach the
+	// drivers' quiescence condition.
 	IdleExit machine.Duration
-	// QueueLimit sizes the service port's message queue (default 64).
-	QueueLimit int
-	Stats      *ReplicaStats
+	Stats    *ReplicaStats
 
 	// Overload arms the replica-tier overload controls when Enabled:
 	// the deadline check and the CoDel admission controller run on
@@ -118,25 +120,10 @@ type ReplicaConfig struct {
 	boots    int
 }
 
-// renewEvery resolves the tick period.
-func (c *ReplicaConfig) renewEvery() machine.Duration {
-	if c.RenewEvery > 0 {
-		return c.RenewEvery
-	}
-	return DefaultRenewEvery
-}
-
 // DefaultIdleExit is the no-traffic give-up horizon: far beyond any gap
 // a crash/reboot/rejoin sequence produces in a healthy run, so it only
 // fires when the workload's clients are truly gone.
 const DefaultIdleExit = machine.Duration(250 * 1000 * 1000) // 250 ms
-
-func (c *ReplicaConfig) idleExit() machine.Duration {
-	if c.IdleExit > 0 {
-		return c.IdleExit
-	}
-	return DefaultIdleExit
-}
 
 // pendingRep is one client write applied locally and awaiting the
 // backup's acknowledgement before the client is answered.
@@ -238,10 +225,7 @@ func InstallReplica(s *kern.System, cfg *ReplicaConfig) {
 	}
 	task := s.NewTask("kv-replica")
 	r.port = s.IPC.NewPort(PortName)
-	r.port.QueueLimit = cfg.QueueLimit
-	if r.port.QueueLimit <= 0 {
-		r.port.QueueLimit = 64
-	}
+	r.port.QueueLimit = portQueueLimit
 	for _, n := range s.Links {
 		n.Export(PortName, r.port)
 	}
@@ -311,13 +295,13 @@ func (r *Replica) Next(e *core.Env, t *core.Thread) core.Action {
 	if r.recvAct.Invoke == nil {
 		r.recvAct = core.Syscall("mach_msg(svc-recv)", func(e *core.Env) {
 			r.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				ReceiveFrom: r.port, RcvTimeout: r.cfg.renewEvery(),
+				ReceiveFrom: r.port, RcvTimeout: r.cfg.RenewEvery,
 			})
 		})
 		r.sendAct = core.Syscall("mach_msg(svc-send)", func(e *core.Env) {
 			o := r.out[0]
 			r.out = r.out[:copy(r.out, r.out[1:])]
-			timeout := r.cfg.renewEvery()
+			timeout := r.cfg.RenewEvery
 			if len(r.out) > 0 {
 				timeout = drainTimeout
 			}
@@ -353,7 +337,7 @@ func (r *Replica) Next(e *core.Env, t *core.Thread) core.Action {
 			// to anyone: quiesce so the cluster run can end.
 			return core.Exit()
 		}
-		if r.sys.K.Clock.Now()-r.lastActivity >= r.cfg.idleExit() {
+		if r.sys.K.Clock.Now()-r.lastActivity >= r.cfg.IdleExit {
 			// No real traffic for the whole idle horizon: the remaining
 			// clients are gone for good. Give up rather than tick forever
 			// — the drivers' quiescence condition needs every thread to
@@ -398,7 +382,7 @@ func (r *Replica) tick(t *core.Thread) {
 		r.ackPendingSolo(now)
 	}
 
-	if !r.recovering && peerUp && r.cfg.doneLeft > 0 && now-r.lastRenew >= r.cfg.renewEvery() {
+	if !r.recovering && peerUp && r.cfg.doneLeft > 0 && now-r.lastRenew >= r.cfg.RenewEvery {
 		r.lastRenew = now
 		for g := range leases.L {
 			if leases.L[g].Leader != r.cfg.Rank {
@@ -416,7 +400,7 @@ func (r *Replica) tick(t *core.Thread) {
 	// carries this side's store so the peer can merge writes solo-acked
 	// under the old lease (empty on a fresh incarnation — crash recovery
 	// keeps its pure snapshot-pull shape).
-	if r.recovering && (r.lastRejoin == 0 || now-r.lastRejoin >= 2*r.cfg.renewEvery()) {
+	if r.recovering && (r.lastRejoin == 0 || now-r.lastRejoin >= 2*r.cfg.RenewEvery) {
 		r.lastRejoin = now
 		leaders := make([]int, len(leases.L))
 		for g := range leases.L {

@@ -121,7 +121,8 @@ func ResolveCrash(workloadName, val string) (fault.Crash, error) {
 type clusterSpec struct {
 	topo topology
 	cfg  kern.Config
-	// wire is the one-way NIC latency of every link.
+	// wire is the one-way NIC latency of every link
+	// (dev.DefaultWireLatency when zero).
 	wire machine.Duration
 	// faultSeed/faults seed machine i's fault plan at faultSeed+i; the
 	// topology rules and crashes in faults apply cluster-wide.

@@ -67,14 +67,14 @@ func (r *RecoveryStats) fill(machines []*kern.System) {
 // over to the replica (Links[1]); once the primary link records a
 // recovery — the rebooted peer was heard from again — it fails back.
 // All state is read through c.sys at action time, so the same program
-// object survives its own machine's crash: the reboot script gives it a
-// fresh reply port and thread and it resumes at the RPC it was on.
+// object survives its own machine's crash: its service, re-run on
+// reboot, gives it a fresh reply port and thread and it resumes at the
+// RPC it was on.
 type haClient struct {
-	sys     *kern.System
-	name    string
-	bytes   int
-	rpcs    int
-	timeout machine.Duration
+	sys   *kern.System
+	name  string
+	bytes int
+	rpcs  int
 
 	reply *ipc.Port
 
@@ -123,12 +123,12 @@ func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
 			req := c.sys.IPC.NewMessage(c.opid, c.bytes, nil, c.reply)
 			c.sys.IPC.MachMsg(e, ipc.MsgOptions{
 				Send: req, SendTo: c.target().ProxyFor("echo"),
-				ReceiveFrom: c.reply, RcvTimeout: c.timeout,
+				ReceiveFrom: c.reply, RcvTimeout: DefaultRPCTimeout,
 			})
 		})
 		c.recvAct = core.Syscall("mach_msg(ha-drain)", func(e *core.Env) {
 			c.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				ReceiveFrom: c.reply, RcvTimeout: c.timeout,
+				ReceiveFrom: c.reply, RcvTimeout: DefaultRPCTimeout,
 			})
 		})
 	}
@@ -189,17 +189,14 @@ func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
 // primary (machine 1) and replica (2), clients on machines 0 and 3.
 // Clients reach the primary on Links[0] and the replica on Links[1];
 // servers reach client 0 on Links[0] and client 1 on Links[1]. Each
-// machine's reboot script re-installs its threads.
+// machine registers its threads as a service, so a warm reboot
+// re-installs them.
 func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 	msgBytes := max(spec.MsgBytes, ipc.HeaderBytes)
-	timeout := spec.RPCTimeout
-	if timeout == 0 {
-		timeout = DefaultRPCTimeout
-	}
 	clientsPer := max(spec.Clients, 1)
 
-	// Echo servers, re-installed by the reboot script so a crashed server
-	// comes back serving.
+	// Echo servers, re-installed on reboot so a crashed server comes back
+	// serving.
 	installEcho := func(s *kern.System) {
 		st := s.NewTask("echo-server")
 		sport := s.IPC.NewPort("echo")
@@ -212,11 +209,10 @@ func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 		s.Start(st.NewThread("srv", &netEchoServer{sys: s, port: sport}, 20))
 	}
 	for _, s := range ms[1:3] {
-		installEcho(s)
-		s.OnReboot = installEcho
+		s.RegisterService("echo-server", installEcho)
 	}
 
-	// Clients, also re-started by the reboot script: the program object
+	// Clients, also re-started on reboot: the program object
 	// survives its machine's crash, so a rebooted client resumes at the
 	// RPC it was on (with a fresh reply port — the old one died with the
 	// old incarnation's IPC).
@@ -231,12 +227,11 @@ func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 			if j > 0 {
 				name = fmt.Sprintf("%s-%d", name, j)
 			}
-			cli := &haClient{sys: cm, name: name, bytes: msgBytes,
-				rpcs: spec.RPCs, timeout: timeout}
+			cli := &haClient{sys: cm, name: name, bytes: msgBytes, rpcs: spec.RPCs}
 			mine = append(mine, cli)
 			clis = append(clis, cli)
 		}
-		start := func(s *kern.System) {
+		cm.RegisterService("net-clients", func(s *kern.System) {
 			ct := s.NewTask("net-client")
 			for _, cli := range mine {
 				cli.reply = s.IPC.NewPort(cli.name + "-reply")
@@ -244,9 +239,7 @@ func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 				cli.attempts = 0
 				s.Start(ct.NewThread(cli.name, cli, 10))
 			}
-		}
-		start(cm)
-		cm.OnReboot = start
+		})
 	}
 	return clis
 }

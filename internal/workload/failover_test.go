@@ -114,8 +114,7 @@ func TestRecoveryReportSection(t *testing.T) {
 	spec := crashSpec()
 	res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
 	var buf bytes.Buffer
-	WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-		NetRPCReportOptions{Failover: true})
+	WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{})
 	out := buf.String()
 	for _, want := range []string{
 		"machine 1 (primary)",
@@ -139,8 +138,7 @@ func TestSameSeedRunsIdentical(t *testing.T) {
 	render := func() string {
 		res := RunNetRPC(kern.MK40, machine.ArchDS3100, crashSpec())
 		var buf bytes.Buffer
-		WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-			NetRPCReportOptions{Failover: true})
+		WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{})
 		return buf.String()
 	}
 	a, b := render(), render()

@@ -59,8 +59,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			spec.DebugChecks = true
 			res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
 			var buf bytes.Buffer
-			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-				NetRPCReportOptions{Faults: true, Check: true})
+			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{Faults: true})
 			return buf.String()
 		}},
 		goldenCase{"failover-crash-check-toshiba", func() string {
@@ -70,8 +69,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			spec.DebugChecks = true
 			res := RunNetRPC(kern.MK40, toshiba, spec)
 			var buf bytes.Buffer
-			WriteNetRPCReport(&buf, kern.MK40, toshiba, res,
-				NetRPCReportOptions{Faults: true, Check: true, Failover: true})
+			WriteNetRPCReport(&buf, kern.MK40, toshiba, res, NetRPCReportOptions{Faults: true})
 			return buf.String()
 		}},
 		goldenCase{"kv-overload-crash-toshiba", func() string {
@@ -93,7 +91,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			spec.DebugChecks = true
 			res := RunSvcGraph(kern.MK40, toshiba, spec)
 			var buf bytes.Buffer
-			WriteSvcGraphReport(&buf, kern.MK40, toshiba, res, NetRPCReportOptions{Check: true})
+			WriteSvcGraphReport(&buf, kern.MK40, toshiba, res, NetRPCReportOptions{})
 			return buf.String()
 		}},
 	)

@@ -30,32 +30,15 @@ type KVSpec struct {
 	// caller threads per client machine (two client machines total).
 	Ops     int
 	Clients int
-	// Shards and Groups shape the shard map (svc defaults if zero).
-	Shards int
-	Groups int
 	// Keyspan is each caller's private key range; PutPer10k the write mix.
 	Keyspan   uint64
 	PutPer10k int
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
 	// Seed drives the operation scripts (keys, values, read/write mix).
 	Seed uint64
 	// FaultSeed/FaultSpec are the per-machine fault plan; Crashes in the
 	// spec name machines 0..3 (client, primary, backup, client).
 	FaultSeed uint64
 	FaultSpec fault.Spec
-	// RPCTimeout overrides the callers' per-attempt receive timeout;
-	// RenewEvery the replicas' lease renewal period; IdleExit their
-	// no-traffic give-up horizon; DeadAfter the links' membership
-	// silence deadline. When zero each defaults to the svc/dev constant
-	// scaled by the architecture's speed relative to the DS3100 — a
-	// liveness deadline tuned on the baseline machine would misfire on
-	// one several times slower, where honest queueing delays under load
-	// routinely exceed it.
-	RPCTimeout machine.Duration
-	RenewEvery machine.Duration
-	IdleExit   machine.Duration
-	DeadAfter  machine.Duration
 	// SampleEvery is the head-sampling rate for causal tracing: keep the
 	// 1-in-N hash class of operation trace ids. 0 or 1 samples every op.
 	SampleEvery int
@@ -91,12 +74,14 @@ type svcTimeouts struct {
 	deadAfter  machine.Duration
 }
 
-// provisionTimeouts fills every unset timeout with its default scaled
-// by how much slower the target architecture runs a reference kernel
-// copy than the DS3100 baseline. The scale is a pure function of the
-// cost models, so every run (and every driver) computes the same
+// provisionTimeouts scales each svc/dev default timeout by how much
+// slower the target architecture runs a reference kernel copy than the
+// DS3100 baseline: a liveness deadline tuned on the baseline machine
+// would misfire on one several times slower, where honest queueing
+// delays under load routinely exceed it. The scale is a pure function of
+// the cost models, so every run (and every driver) computes the same
 // values.
-func provisionTimeouts(arch machine.Arch, rpc, renew, idle, dead machine.Duration) svcTimeouts {
+func provisionTimeouts(arch machine.Arch) svcTimeouts {
 	base := machine.NewCostModel(machine.ArchDS3100)
 	m := machine.NewCostModel(arch)
 	f := m.TimeMicros(machine.WordCopyCost) / base.TimeMicros(machine.WordCopyCost)
@@ -106,20 +91,12 @@ func provisionTimeouts(arch machine.Arch, rpc, renew, idle, dead machine.Duratio
 	scaled := func(d machine.Duration) machine.Duration {
 		return machine.Duration(float64(d) * f)
 	}
-	t := svcTimeouts{rpcTimeout: rpc, renewEvery: renew, idleExit: idle, deadAfter: dead}
-	if t.rpcTimeout == 0 {
-		t.rpcTimeout = scaled(svc.DefaultCallTimeout)
+	return svcTimeouts{
+		rpcTimeout: scaled(svc.DefaultCallTimeout),
+		renewEvery: scaled(svc.DefaultRenewEvery),
+		idleExit:   scaled(svc.DefaultIdleExit),
+		deadAfter:  scaled(dev.DefaultDeadAfter),
 	}
-	if t.renewEvery == 0 {
-		t.renewEvery = scaled(svc.DefaultRenewEvery)
-	}
-	if t.idleExit == 0 {
-		t.idleExit = scaled(svc.DefaultIdleExit)
-	}
-	if t.deadAfter == 0 {
-		t.deadAfter = scaled(dev.DefaultDeadAfter)
-	}
-	return t
 }
 
 // DefaultKV returns the standard replicated KV run: two client machines
@@ -230,9 +207,6 @@ func replicaTotals(replicas [svc.NumRanks]*svc.ReplicaConfig) svc.ReplicaStats {
 // consistency checking is sound, and the first reference to each key may
 // be a Get (a not-found read of an unwritten key is not a mismatch).
 func kvOps(seed uint64, clientID int, ops int, keyspan uint64, putPer10k int) []svc.KVOp {
-	if keyspan == 0 {
-		keyspan = 32
-	}
 	rng := NewRNG(seed + uint64(clientID)*0x9e3779b9)
 	out := make([]svc.KVOp, ops)
 	for i := range out {
@@ -254,22 +228,18 @@ func kvOps(seed uint64, clientID int, ops int, keyspan uint64, putPer10k int) []
 // its membership stamps.
 func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
 	clientsPer := max(spec.Clients, 1)
-	ops := spec.Ops
-	if ops <= 0 {
-		ops = 60
-	}
-	tmo := provisionTimeouts(arch, spec.RPCTimeout, spec.RenewEvery, spec.IdleExit, spec.DeadAfter)
+	tmo := provisionTimeouts(arch)
 	// The service histograms (kv.op, kv.replicate) live on the
 	// recorder, so observation is always on for this workload.
 	c := boot(clusterSpec{
 		topo: kvTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
-		wire: spec.Wire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
+		faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
 		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &KVResult{Machines: c.machines, Topo: c.topo}
 
-	smap := svc.NewShardMap(spec.Shards, spec.Groups)
+	smap := svc.NewShardMap(0, 0)
 	res.Replicas = installReplicas(c.machines[1:3], svc.ReplicaConfig{
 		Map: smap, PeerLink: 2, Clients: 2 * clientsPer,
 		RenewEvery: tmo.renewEvery, IdleExit: tmo.idleExit,
@@ -303,7 +273,7 @@ func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
 				Sys: s, Name: fmt.Sprintf("%s%d", tag, j), ID: id,
 				Map: smap, Links: [svc.NumRanks]int{0, 1},
 				Timeout: tmo.rpcTimeout, HistName: "kv.op",
-				Ops:      kvOps(spec.Seed, id, ops, spec.Keyspan, spec.PutPer10k),
+				Ops:      kvOps(spec.Seed, id, spec.Ops, spec.Keyspan, spec.PutPer10k),
 				Track:    true,
 				Record:   true,
 				Overload: &pol, Breaker: brk, OvStats: ov,
@@ -457,7 +427,7 @@ func WriteKVReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *KVRe
 	for i, sys := range res.Machines {
 		writeMachineSection(w, kvTopology.heading(i), sys, opt)
 	}
-	writeRecoveryReport(w, res.Recovery, res.Topo, res.Machines, opt.Failover)
+	writeRecoveryReport(w, res.Recovery, res.Topo, res.Machines, false)
 }
 
 // splitBrainStr renders the split-brain verdict for the report headline.

@@ -37,18 +37,8 @@ type MTLoadSpec struct {
 	SessionsPerTenant int
 	// Ops is how many RPCs each session completes.
 	Ops int
-	// ServerWorkers is the echo-service thread count per server machine.
-	ServerWorkers int
 	// Seed feeds every session's arrival-jitter RNG stream.
 	Seed uint64
-	// Warmup delays every session's first arrival so the whole
-	// population is booted — and parked as blocked continuations —
-	// before traffic starts. Defaults to a ramp sized to the largest
-	// pair's session count; this is also the instant the memory census
-	// reads the space claim at full scale.
-	Warmup machine.Duration
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
 	// Parallel drives the horizon rounds on the worker pool; results are
 	// byte-identical to the sequential rounds.
 	Parallel bool
@@ -61,6 +51,9 @@ type MTLoadSpec struct {
 // the cluster: at 256 machines and 4 tenants the default run holds
 // ~10^5 concurrently blocked sessions.
 const DefaultSessionsPerMachine = 100
+
+// mtServerWorkers is the echo-service thread count per server machine.
+const mtServerWorkers = 4
 
 // DefaultMTLoad returns the small smoke-test configuration.
 func DefaultMTLoad() MTLoadSpec {
@@ -199,31 +192,26 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 	if spec.SessionsPerTenant <= 0 {
 		spec.SessionsPerTenant = DefaultSessionsPerMachine * spec.Machines
 	}
-	if spec.Ops <= 0 {
-		spec.Ops = 2
-	}
-	if spec.ServerWorkers <= 0 {
-		spec.ServerWorkers = 4
-	}
 
 	pairs := spec.Machines / 2
 	tenants := MakeTenants(spec.Tenants, spec.SessionsPerTenant)
 	placement := placeSessions(tenants, pairs)
 	loads := pairLoads(placement)
-	if spec.Warmup <= 0 {
-		// Booting a session costs a dispatch plus a blocking syscall on
-		// the client machine's single processor; size the ramp so even
-		// the busiest pair finishes booting while everyone else sleeps.
-		spec.Warmup = machine.Duration(5_000_000 + 250_000*slices.Max(loads))
-	}
+	// The warmup delays every session's first arrival so the whole
+	// population is booted — and parked as blocked continuations — before
+	// traffic starts; it is also the instant the memory census reads the
+	// space claim at full scale. Booting a session costs a dispatch plus
+	// a blocking syscall on the client machine's single processor, so the
+	// ramp is sized for the busiest pair to finish booting while everyone
+	// else sleeps.
+	warmup := machine.Duration(5_000_000 + 250_000*slices.Max(loads))
 	res := &MTLoadResult{Spec: spec, Tenants: tenants, Placement: placement}
 
 	// A small ring keeps 256-machine traces affordable; histograms and
 	// the census are maintained online regardless.
 	c := boot(clusterSpec{
 		topo: pairTopology(pairs), cfg: kern.Config{Flavor: flavor, Arch: arch},
-		wire: spec.Wire, debug: spec.DebugChecks,
-		observe: true, ringCap: 512, parallel: spec.Parallel,
+		debug: spec.DebugChecks, observe: true, ringCap: 512, parallel: spec.Parallel,
 	})
 	res.Machines = c.machines
 	var sessions []*mtSession
@@ -235,7 +223,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		// wire-latency window.
 		sport.QueueLimit = 2 * (loads[p] + 1)
 		b.Net.Export("echo", sport)
-		for w := 0; w < spec.ServerWorkers; w++ {
+		for w := 0; w < mtServerWorkers; w++ {
 			name := "srv"
 			if w > 0 {
 				name = fmt.Sprintf("srv-%d", w)
@@ -257,7 +245,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 					hist:     a.K.Obs.Service("tenant " + tn.Name),
 					bytes:    bytes,
 					ops:      spec.Ops,
-					intended: a.K.Clock.Now() + machine.Time(spec.Warmup),
+					intended: a.K.Clock.Now() + machine.Time(warmup),
 				}
 				sessions = append(sessions, s)
 				a.Start(ct.NewThread(fmt.Sprintf("%s-%d", tn.Name, j), s, 10))
@@ -299,7 +287,7 @@ func WriteMTLoadReport(w io.Writer, res *MTLoadResult) {
 	fmt.Fprintf(w, "multi-tenant load report\n")
 	fmt.Fprintf(w, "========================\n")
 	fmt.Fprintf(w, "machines %d (%d pairs), tenants %d, sessions %d, ops/session %d, server workers %d\n",
-		spec.Machines, pairs, len(res.Tenants), totalSessions, spec.Ops, spec.ServerWorkers)
+		spec.Machines, pairs, len(res.Tenants), totalSessions, spec.Ops, mtServerWorkers)
 	fmt.Fprintf(w, "elapsed %s simulated, %d dispatcher steps\n\n",
 		obs.FmtNS(uint64(res.Elapsed)), res.Steps)
 

@@ -26,8 +26,6 @@ type NetRPCSpec struct {
 	RPCs int
 	// MsgBytes is the request/reply payload size.
 	MsgBytes int
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
 	// DiskReads is how many device_read calls each machine's disk reader
 	// issues (0 disables the readers); DiskReadBytes the transfer size.
 	DiskReads     int
@@ -62,10 +60,6 @@ type NetRPCSpec struct {
 	// (and fail back after its warm reboot). FaultSpec.Crashes machine
 	// indices name machines in that order.
 	Failover bool
-
-	// RPCTimeout is the per-attempt receive timeout of a failover client
-	// (DefaultRPCTimeout if zero).
-	RPCTimeout machine.Duration
 
 	// Parallel runs the cluster's horizon rounds with one goroutine per
 	// machine. Results are byte-identical to the sequential rounds.
@@ -289,7 +283,6 @@ func netRPCCluster(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) clust
 	return clusterSpec{
 		topo:      topo,
 		cfg:       kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency},
-		wire:      spec.Wire,
 		faultSeed: spec.FaultSeed,
 		faults:    spec.FaultSpec,
 		reliable:  spec.Failover,

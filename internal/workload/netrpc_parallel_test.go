@@ -25,7 +25,7 @@ func runNetRPCOnce(t *testing.T, spec NetRPCSpec, procs int) (report, trace, fau
 
 	var rep bytes.Buffer
 	WriteNetRPCReport(&rep, kern.MK40, machine.ArchDS3100, res,
-		NetRPCReportOptions{Faults: !spec.FaultSpec.Zero(), Check: spec.DebugChecks})
+		NetRPCReportOptions{Faults: !spec.FaultSpec.Zero()})
 
 	recs := make([]*obs.Recorder, len(res.Machines))
 	for i, sys := range res.Machines {

@@ -42,8 +42,7 @@ func Registry() []RegisteredWorkload {
 			spec.Parallel = parallel
 			res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
 			var buf bytes.Buffer
-			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-				NetRPCReportOptions{Faults: true, Check: true})
+			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{Faults: true})
 			return buf.String()
 		}},
 		{Name: "failover", Report: func(parallel bool) string {
@@ -53,8 +52,7 @@ func Registry() []RegisteredWorkload {
 			spec.Parallel = parallel
 			res := RunNetRPC(kern.MK40, machine.ArchDS3100, spec)
 			var buf bytes.Buffer
-			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res,
-				NetRPCReportOptions{Failover: true})
+			WriteNetRPCReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{})
 			return buf.String()
 		}},
 		{Name: "kv", Report: func(parallel bool) string {

@@ -11,15 +11,15 @@ import (
 	"repro/internal/stats"
 )
 
-// NetRPCReportOptions controls the optional sections of the netrpc
-// report. Faults mirrors machsim's -faults flag being present; Check its
-// -check flag (and additionally runs the final invariant sweep).
+// NetRPCReportOptions controls the optional sections of the cluster
+// reports. Every other section follows the run itself: the invariant
+// checker's block and final sweep follow each machine's DebugChecks, and
+// the recovery section follows the HA topology or a crash.
 type NetRPCReportOptions struct {
+	// Faults prints each machine's fault-injection block. machsim sets it
+	// for any -faults or -crash; the registry's recovery reports leave
+	// it out.
 	Faults bool
-	Check  bool
-	// Failover prints the recovery section even when nothing crashed
-	// (the HA topology's failover accounting).
-	Failover bool
 }
 
 // WriteNetRPCReport prints the per-machine block tables plus the device
@@ -34,7 +34,9 @@ func WriteNetRPCReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *
 	for i, sys := range res.Machines {
 		writeMachineSection(w, res.topo.heading(i), sys, opt)
 	}
-	writeRecoveryReport(w, res.Recovery, nil, res.Machines, opt.Failover)
+	// The HA topology (the only unpaired one) always reports its failover
+	// accounting.
+	writeRecoveryReport(w, res.Recovery, nil, res.Machines, !res.topo.paired)
 }
 
 // writeMachineSection prints one machine's block table, device counters
@@ -122,9 +124,10 @@ func writeRecoveryReport(w io.Writer, r RecoveryStats, topo *fault.Topology, mac
 
 // WriteFaultReport prints a machine's fault-injection and recovery
 // counters when a fault plan (opt.Faults) or the invariant checker
-// (opt.Check, which also runs the final sweep) is active.
+// (sys.K.DebugChecks, which also runs the final sweep) is active.
 func WriteFaultReport(w io.Writer, sys *kern.System, opt NetRPCReportOptions) {
-	if !opt.Check && !opt.Faults {
+	check := sys.K.DebugChecks
+	if !check && !opt.Faults {
 		return
 	}
 	fs := sys.FaultStats()
@@ -139,7 +142,7 @@ func WriteFaultReport(w io.Writer, sys *kern.System, opt NetRPCReportOptions) {
 	}
 	fmt.Fprintf(w, "  aborts: %d; invariant sweeps passed: %d\n",
 		sys.Aborted, sys.K.Stats.InvariantPasses)
-	if opt.Check {
+	if check {
 		sys.K.MustValidate()
 		fmt.Fprintf(w, "  final invariant check: clean\n")
 	}

@@ -32,33 +32,39 @@ import (
 	"repro/internal/svc"
 )
 
+// The storm's fixed shape.
+const (
+	// stormHorizon is when arrivals stop — sessions still drain their
+	// backlog past it.
+	stormHorizon = machine.Duration(190 * 1e6)
+	// stormWarmup delays the first arrivals so the cluster is booted
+	// before traffic starts; the goodput baseline is measured after it.
+	stormWarmup = machine.Duration(10 * 1e6)
+	// stormBucket is the goodput curve's bucket width.
+	stormBucket = machine.Duration(10 * 1e6)
+	// stormKeyspan is each session's private key range; stormPutPer10k
+	// the write mix.
+	stormKeyspan   = 6
+	stormPutPer10k = 3000
+	// stormWorkers/stormCapacity shape the cache tier as in the service
+	// graph.
+	stormWorkers  = 3
+	stormCapacity = 256
+	// stormTimeout is the frontend sessions' per-attempt receive timeout
+	// — deliberately tight, so a slow tier turns into retransmissions
+	// (the storm's fuel).
+	stormTimeout = machine.Duration(5 * 1e6)
+	// stormWire is the one-way NIC latency of every link.
+	stormWire = machine.Duration(100 * 1e3)
+)
+
 // StormSpec sizes the overload storm scenario.
 type StormSpec struct {
 	// Sessions is the open-loop session count on the frontend machine.
 	Sessions int
 	// Think is the mean inter-arrival gap per session (jittered to
-	// [Think/2, 3*Think/2) like the mtload generator); Horizon is when
-	// arrivals stop — sessions still drain their backlog past it.
-	Think   machine.Duration
-	Horizon machine.Duration
-	// Warmup delays the first arrivals so the cluster is booted before
-	// traffic starts; the goodput baseline is measured after it.
-	Warmup machine.Duration
-	// Bucket is the goodput curve's bucket width.
-	Bucket machine.Duration
-	// Keyspan is each session's private key range; PutPer10k the write
-	// mix.
-	Keyspan   uint64
-	PutPer10k int
-	// Workers/Capacity shape the cache tier as in SvcGraphSpec.
-	Workers  int
-	Capacity int
-	// Timeout is the frontend sessions' per-attempt receive timeout —
-	// deliberately tight, so a slow tier turns into retransmissions (the
-	// storm's fuel).
-	Timeout machine.Duration
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
+	// [Think/2, 3*Think/2) like the mtload generator).
+	Think machine.Duration
 	// Seed drives the arrival jitter and op scripts; FaultSeed/FaultSpec
 	// the trigger schedule (burst/gray/link windows).
 	Seed      uint64
@@ -94,15 +100,6 @@ func DefaultStorm() StormSpec {
 	return StormSpec{
 		Sessions:  24,
 		Think:     machine.Duration(12 * 1e6),
-		Horizon:   machine.Duration(190 * 1e6),
-		Warmup:    machine.Duration(10 * 1e6),
-		Bucket:    machine.Duration(10 * 1e6),
-		Keyspan:   6,
-		PutPer10k: 3000,
-		Workers:   3,
-		Capacity:  256,
-		Timeout:   machine.Duration(5 * 1e6),
-		Wire:      machine.Duration(100 * 1e3),
 		Seed:      1991,
 		FaultSeed: 7,
 		FaultSpec: fs,
@@ -168,7 +165,7 @@ func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
 			s.record()
 			s.advance()
 		}
-		if s.intended >= machine.Time(s.spec.Horizon) {
+		if s.intended >= machine.Time(stormHorizon) {
 			s.doneSent = true
 			s.cli.StartDone()
 			continue
@@ -186,9 +183,9 @@ func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
 // backlogged arrival that is already older than the deadline budget is
 // shed locally before a single byte hits the wire.
 func (s *stormSession) submit() {
-	key := uint64(s.cli.ID)<<32 | s.rng.Uint64n(s.spec.Keyspan)
+	key := uint64(s.cli.ID)<<32 | s.rng.Uint64n(stormKeyspan)
 	op := svc.KVOp{Op: svc.OpGet, Key: key}
-	if s.rng.Hit(s.spec.PutPer10k) {
+	if s.rng.Hit(stormPutPer10k) {
 		op = svc.KVOp{Op: svc.OpPut, Key: key, Val: s.rng.Next()}
 	}
 	s.cli.IntendedStart = s.intended
@@ -255,7 +252,7 @@ type StormResult struct {
 	Elapsed machine.Duration
 	Steps   uint64
 
-	// Curve covers [0, CurveEnd) in Spec.Bucket buckets; dispositions
+	// Curve covers [0, CurveEnd) in stormBucket buckets; dispositions
 	// past CurveEnd aggregate into Tail.
 	Curve    []StormBucket
 	CurveEnd machine.Time
@@ -287,42 +284,17 @@ type StormResult struct {
 // chain (0 frontend, 1 cache, 2/3 KV replicas) under open-loop session
 // load.
 func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResult {
-	if spec.Sessions <= 0 {
-		spec.Sessions = 24
-	}
-	if spec.Think <= 0 {
-		spec.Think = machine.Duration(12 * 1e6)
-	}
-	if spec.Horizon <= 0 {
-		spec.Horizon = machine.Duration(190 * 1e6)
-	}
-	if spec.Warmup <= 0 {
-		spec.Warmup = machine.Duration(10 * 1e6)
-	}
-	if spec.Bucket <= 0 {
-		spec.Bucket = machine.Duration(10 * 1e6)
-	}
-	if spec.Keyspan == 0 {
-		spec.Keyspan = 6
-	}
-	if spec.Workers <= 0 {
-		spec.Workers = 3
-	}
-	if spec.Timeout <= 0 {
-		spec.Timeout = machine.Duration(5 * 1e6)
-	}
-
-	tmo := provisionTimeouts(arch, 0, 0, 0, 0)
+	tmo := provisionTimeouts(arch)
 	c := boot(clusterSpec{
 		topo: chainTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
-		wire: spec.Wire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
+		wire: stormWire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
 		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &StormResult{Spec: spec, Machines: c.machines, Topo: c.topo}
 	smap := svc.NewShardMap(0, 0)
 	res.Cache, res.Replicas = installBackend(c.machines, smap, tmo, svc.CacheConfig{
-		Workers: spec.Workers, Capacity: spec.Capacity, Frontends: spec.Sessions,
+		Workers: stormWorkers, Capacity: stormCapacity, Frontends: spec.Sessions,
 		Overload: spec.Overload,
 	}, spec.BreakOverload)
 
@@ -344,7 +316,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		cli := &svc.Caller{
 			Sys: frontend, Name: fmt.Sprintf("storm%d", j), ID: j,
 			Map: smap, Links: [svc.NumRanks]int{0, 0},
-			Port: svc.CachePortName, Timeout: spec.Timeout,
+			Port: svc.CachePortName, Timeout: stormTimeout,
 			MaxAttempts: 16,
 			HistName:    "frontend", OneShot: true,
 			Track: true, Record: true,
@@ -357,7 +329,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		sessions[j] = &stormSession{
 			sys: frontend, cli: cli, rng: rng, topo: res.Topo,
 			spec: &spec, policy: &pol,
-			intended: frontend.K.Clock.Now() + machine.Time(spec.Warmup) +
+			intended: frontend.K.Clock.Now() + machine.Time(stormWarmup) +
 				machine.Time(rng.Burst(uint64(spec.Think))),
 		}
 		clis[j] = cli
@@ -412,7 +384,7 @@ func triggerWindow(spec fault.Spec) (at, end machine.Time) {
 // the session ledgers, so the verdict is as deterministic as the run.
 func analyzeStorm(res *StormResult, recs []stormRec) {
 	spec := res.Spec
-	bucket := machine.Time(spec.Bucket)
+	bucket := machine.Time(stormBucket)
 	res.TriggerAt, res.TriggerEnd = triggerWindow(spec.FaultSpec)
 	trigDur := res.TriggerEnd - res.TriggerAt
 
@@ -420,7 +392,7 @@ func analyzeStorm(res *StormResult, recs []stormRec) {
 	// trigger duration past its clearing (and at least the arrival
 	// horizon), rounded up to a whole bucket.
 	obsEnd := res.TriggerEnd + 5*trigDur
-	if h := machine.Time(spec.Horizon); obsEnd < h {
+	if h := machine.Time(stormHorizon); obsEnd < h {
 		obsEnd = h
 	}
 	nb := int((obsEnd + bucket - 1) / bucket)
@@ -450,7 +422,7 @@ func analyzeStorm(res *StormResult, recs []stormRec) {
 
 	// Baseline: mean goodput over the full buckets between warmup
 	// settling (one bucket past warmup + think) and the trigger.
-	warm := machine.Time(spec.Warmup) + 2*machine.Time(spec.Think)
+	warm := machine.Time(stormWarmup) + 2*machine.Time(spec.Think)
 	b0 := int((warm + bucket - 1) / bucket)
 	b1 := int(res.TriggerAt / bucket)
 	if b1 > nb {
@@ -513,19 +485,19 @@ func WriteStormReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *S
 	fmt.Fprintf(w, "overload storm report (controls %s)\n", onOff(spec.Overload.Enabled))
 	fmt.Fprintf(w, "====================================\n")
 	fmt.Fprintf(w, "%v/%v — frontend -> cache -> kv, %d open-loop sessions, think %s, arrivals until %s\n",
-		flavor, arch, spec.Sessions, obs.FmtNS(uint64(spec.Think)), obs.FmtNS(uint64(spec.Horizon)))
+		flavor, arch, spec.Sessions, obs.FmtNS(uint64(spec.Think)), obs.FmtNS(uint64(stormHorizon)))
 	fmt.Fprintf(w, "policy: %s\n", spec.Overload)
 	fmt.Fprintf(w, "trigger window: [%s, %s)\n",
 		obs.FmtNS(uint64(res.TriggerAt)), obs.FmtNS(uint64(res.TriggerEnd)))
 	fmt.Fprintf(w, "elapsed %.2f simulated ms (%d cluster steps); %d ops completed, %d failed, %d mismatches\n",
 		float64(res.Elapsed)/1e6, res.Steps, res.Completed, res.Failed, res.Mismatches)
 
-	fmt.Fprintf(w, "\noffered vs goodput (%s buckets):\n", obs.FmtNS(uint64(spec.Bucket)))
+	fmt.Fprintf(w, "\noffered vs goodput (%s buckets):\n", obs.FmtNS(uint64(stormBucket)))
 	fmt.Fprintf(w, "  %8s %8s %8s %8s %9s %10s\n",
 		"bucket", "offered", "good", "expired", "rejected", "abandoned")
 	for i, b := range res.Curve {
 		fmt.Fprintf(w, "  %8s %8d %8d %8d %9d %10d\n",
-			obs.FmtNS(uint64(machine.Time(i)*machine.Time(spec.Bucket))),
+			obs.FmtNS(uint64(machine.Time(i)*machine.Time(stormBucket))),
 			b.Offered, b.Good, b.Expired, b.Rejected, b.Abandoned)
 	}
 	if t := res.Tail; t.Offered+t.Good+t.Expired+t.Rejected+t.Abandoned > 0 {

@@ -18,38 +18,30 @@ import (
 	"repro/internal/svc"
 )
 
+// The service graph's fixed shape: each frontend thread issues
+// svcGraphOps operations over a private key range of svcGraphKeyspan keys
+// (small, so repeated Gets hit the cache) with a read-heavy
+// svcGraphPutPer10k write-through mix, against a cache tier of
+// svcGraphWorkers threads.
+const (
+	svcGraphOps       = 80
+	svcGraphKeyspan   = 12
+	svcGraphPutPer10k = 1500
+	svcGraphWorkers   = 2
+)
+
 // SvcGraphSpec sizes the service-graph workload.
 type SvcGraphSpec struct {
-	// Ops is how many operations each frontend thread issues; Frontends
-	// the frontend thread count.
-	Ops       int
+	// Frontends is the frontend thread count.
 	Frontends int
-	// Workers is the cache tier's thread-pool size; Capacity its entry
-	// bound (FIFO eviction beyond it).
-	Workers  int
+	// Capacity is the cache tier's entry bound (FIFO eviction beyond it).
 	Capacity int
-	// Shards/Groups shape the backend shard map; Keyspan each frontend's
-	// private key range (small, so repeated Gets hit the cache);
-	// PutPer10k the write-through mix.
-	Shards    int
-	Groups    int
-	Keyspan   uint64
-	PutPer10k int
-	// Wire is the one-way NIC latency (dev.DefaultWireLatency if 0).
-	Wire machine.Duration
 	// Seed drives the frontend scripts; FaultSeed/FaultSpec the fault
 	// plan (crash machine indices: 0 frontend, 1 cache, 2 kv primary,
 	// 3 kv backup).
 	Seed      uint64
 	FaultSeed uint64
 	FaultSpec fault.Spec
-	// RPCTimeout bounds each tier's per-attempt receive; RenewEvery,
-	// IdleExit and DeadAfter tune the replicas and links as in KVSpec
-	// (arch-scaled defaults when zero).
-	RPCTimeout machine.Duration
-	RenewEvery machine.Duration
-	IdleExit   machine.Duration
-	DeadAfter  machine.Duration
 	// SampleEvery is the causal-tracing head-sampling rate as in KVSpec:
 	// keep the 1-in-N hash class of trace ids; 0 or 1 samples every op.
 	SampleEvery int
@@ -59,16 +51,12 @@ type SvcGraphSpec struct {
 }
 
 // DefaultSvcGraph returns the standard three-tier run: three frontend
-// threads over a two-worker cache with a capacity squeeze, a read-heavy
-// mix so the cache actually absorbs traffic.
+// threads over the two-worker cache with a capacity squeeze, so the
+// cache both absorbs traffic and evicts.
 func DefaultSvcGraph() SvcGraphSpec {
 	return SvcGraphSpec{
-		Ops:       80,
 		Frontends: 3,
-		Workers:   2,
 		Capacity:  16,
-		Keyspan:   12,
-		PutPer10k: 1500,
 		Seed:      1991,
 	}
 }
@@ -100,26 +88,18 @@ func (r *SvcGraphResult) ReplicaTotals() svc.ReplicaStats { return replicaTotals
 // replicas.
 func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcGraphResult {
 	frontends := max(spec.Frontends, 1)
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = 2
-	}
-	ops := spec.Ops
-	if ops <= 0 {
-		ops = 80
-	}
-	tmo := provisionTimeouts(arch, spec.RPCTimeout, spec.RenewEvery, spec.IdleExit, spec.DeadAfter)
+	tmo := provisionTimeouts(arch)
 	c := boot(clusterSpec{
 		topo: chainTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
-		wire: spec.Wire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
+		faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
 		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &SvcGraphResult{Machines: c.machines, Topo: c.topo}
 
-	smap := svc.NewShardMap(spec.Shards, spec.Groups)
+	smap := svc.NewShardMap(0, 0)
 	res.Cache, res.Replicas = installBackend(c.machines, smap, tmo, svc.CacheConfig{
-		Workers: workers, Capacity: spec.Capacity, Frontends: frontends,
+		Workers: svcGraphWorkers, Capacity: spec.Capacity, Frontends: frontends,
 	}, false)
 
 	// Frontend threads: plain callers aimed at the cache port. Both rank
@@ -132,7 +112,7 @@ func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcG
 			Map: smap, Links: [svc.NumRanks]int{0, 0},
 			Port: svc.CachePortName, Timeout: tmo.rpcTimeout,
 			HistName: "frontend",
-			Ops:      kvOps(spec.Seed, j, ops, spec.Keyspan, spec.PutPer10k),
+			Ops:      kvOps(spec.Seed, j, svcGraphOps, svcGraphKeyspan, svcGraphPutPer10k),
 			Track:    true,
 		}
 	}
@@ -190,5 +170,5 @@ func WriteSvcGraphReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res
 	for i, sys := range res.Machines {
 		writeMachineSection(w, chainTopology.heading(i), sys, opt)
 	}
-	writeRecoveryReport(w, res.Recovery, res.Topo, res.Machines, opt.Failover)
+	writeRecoveryReport(w, res.Recovery, res.Topo, res.Machines, false)
 }

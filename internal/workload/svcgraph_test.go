@@ -17,7 +17,7 @@ func TestSvcGraphHealthy(t *testing.T) {
 	spec := DefaultSvcGraph()
 	res := RunSvcGraph(kern.MK40, machine.ArchDS3100, spec)
 
-	want := spec.Frontends * spec.Ops
+	want := spec.Frontends * svcGraphOps
 	if res.Completed != want || res.Failed != 0 {
 		t.Fatalf("completed %d failed %d, want %d/0", res.Completed, res.Failed, want)
 	}
@@ -47,7 +47,7 @@ func TestSvcGraphEviction(t *testing.T) {
 	spec.Capacity = 4
 	res := RunSvcGraph(kern.MK40, machine.ArchDS3100, spec)
 
-	if res.Completed != spec.Frontends*spec.Ops || res.Mismatches != 0 {
+	if res.Completed != spec.Frontends*svcGraphOps || res.Mismatches != 0 {
 		t.Fatalf("completed %d mismatches %d", res.Completed, res.Mismatches)
 	}
 	if res.Cache.Stats.Evictions == 0 {
@@ -67,7 +67,7 @@ func TestSvcGraphBackendCrash(t *testing.T) {
 	}}
 	res := RunSvcGraph(kern.MK40, machine.ArchDS3100, spec)
 
-	want := spec.Frontends * spec.Ops
+	want := spec.Frontends * svcGraphOps
 	if res.Completed != want || res.Failed != 0 {
 		t.Fatalf("completed %d failed %d, want %d/0", res.Completed, res.Failed, want)
 	}
