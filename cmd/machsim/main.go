@@ -288,29 +288,15 @@ func main() {
 }
 
 func readFlavor() kern.Flavor {
-	switch v := flavorName.get(); v {
-	case "mk40":
-		return kern.MK40
-	case "mk32":
-		return kern.MK32
-	case "mach25":
-		return kern.Mach25
-	default:
-		exitIf(fmt.Errorf("unknown flavor %q", v))
-		return 0
-	}
+	f, err := kern.ParseFlavor(flavorName.get())
+	exitIf(err)
+	return f
 }
 
 func readArch() machine.Arch {
-	switch v := archName.get(); v {
-	case "ds3100":
-		return machine.ArchDS3100
-	case "toshiba":
-		return machine.ArchToshiba5200
-	default:
-		exitIf(fmt.Errorf("unknown arch %q", v))
-		return 0
-	}
+	a, err := machine.ParseArch(archName.get())
+	exitIf(err)
+	return a
 }
 
 // readFaults reads the -faults plan (none when absent). faulted reports
@@ -438,6 +424,7 @@ func paperRun(name string, flavor kern.Flavor, arch machine.Arch) func() {
 	wseed := seed.get()
 	debug := check.get()
 	faultSeed, faultSpec, faulted := readFaults()
+	exitIf(faultSpec.CheckMachines(1))
 	out := readObserver()
 	detail := verbose.get()
 	return func() {
@@ -519,6 +506,7 @@ func netRPCRun(flavor kern.Flavor, arch machine.Arch) func() {
 	if !spec.Failover {
 		spec.Pairs = pairs.get()
 	}
+	exitIf(spec.FaultSpec.CheckMachines(spec.Machines()))
 	spec.Clients = clients.get()
 	spec.Parallel = parallel.get()
 	spec.DebugChecks = check.get()
@@ -537,6 +525,7 @@ func kvRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec := workload.DefaultKV()
 	var faulted bool
 	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("kv")
+	exitIf(spec.FaultSpec.CheckMachines(spec.Machines()))
 	if v, ok := clients.lookup(); ok {
 		spec.Clients = v
 	}
@@ -562,6 +551,7 @@ func svcGraphRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec := workload.DefaultSvcGraph()
 	var faulted bool
 	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("svcgraph")
+	exitIf(spec.FaultSpec.CheckMachines(spec.Machines()))
 	if v, ok := clients.lookup(); ok {
 		spec.Frontends = v
 	}
@@ -593,6 +583,7 @@ func stormRun(flavor kern.Flavor, arch machine.Arch) func() {
 		spec.Sessions = n
 	}
 	if faultSeed, faultSpec, ok := readFaults(); ok {
+		exitIf(faultSpec.CheckMachines(spec.Machines()))
 		spec.FaultSeed, spec.FaultSpec = faultSeed, faultSpec
 	}
 	spec.Parallel = parallel.get()

@@ -112,6 +112,24 @@ func TestValidateWorkloadFlags(t *testing.T) {
 		{"parallel on build", "-workload build -parallel", "-parallel does not apply to -workload build"},
 		{"parallel on dos", "-workload dos -parallel", "-parallel does not apply to -workload dos"},
 		{"fuzzout without fuzz", "-workload kv -fuzzout " + fuzzOut, "-fuzzout does not apply to -workload kv"},
+
+		// Fault rules must name machines the run boots.
+		{"kv crash flag past the cluster", "-workload kv -crash 9@1ms",
+			`rule "crash=9@1ms" names machine 9, but the run has 4 machines (0-3)`},
+		{"kv crash rule past the cluster", "-workload kv -faults 7:crash=9@1ms", `rule "crash=9@1ms" names machine 9`},
+		{"kv link past the cluster", "-workload kv -faults 7:link=0>9:drop@10ms+10ms",
+			`rule "link=0>9:drop@10ms+10ms" names machine 9`},
+		{"kv gray past the cluster", "-workload kv -faults 7:gray=9:2@10ms+10ms", `rule "gray=9:2@10ms+10ms" names machine 9`},
+		{"kv partition past the cluster", "-workload kv -faults 7:partition=1|0.2.9@10ms+10ms",
+			`rule "partition=1|0.2.9@10ms+10ms" names machine 9`},
+		{"netrpc crash past the HA cluster", "-workload netrpc -faults 7:crash=5@1ms", `rule "crash=5@1ms" names machine 5`},
+		{"netrpc gray past the pairs", "-workload netrpc -pairs 2 -faults 7:gray=4:2@1ms+2ms",
+			`rule "gray=4:2@1ms+2ms" names machine 4, but the run has 4 machines`},
+		{"svcgraph crash past the chain", "-workload svcgraph -faults 7:crash=9@1ms", `rule "crash=9@1ms" names machine 9`},
+		{"storm link past the chain", "-workload mtload -overload on -faults 7:link=0>4:drop@60ms+20ms",
+			`rule "link=0>4:drop@60ms+20ms" names machine 4`},
+		{"paper crash past the machine", "-workload dos -faults 7:crash=1@1ms", `the run has 1 machine (0)`},
+		{"kv rules on the last machine", "-workload kv -faults 7:gray=3:2@10ms+10ms,link=3>0:drop@10ms+5ms -crash 3@20ms", ""},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,5 +216,38 @@ func TestCrashAliases(t *testing.T) {
 				t.Fatalf("want one panic record, on %q; got %d:\n%s", want, got, out)
 			}
 		})
+	}
+}
+
+// TestFuzzReproRunsAsPrinted runs a ds3100 -breakkv campaign, takes the
+// minimal repro command it prints, and runs that command as printed: it
+// must carry the campaign's build flags (schedules are arch-dependent,
+// so a repro without -arch ds3100 replays on the default Toshiba and
+// can read clean) and must reproduce the violation.
+func TestFuzzReproRunsAsPrinted(t *testing.T) {
+	bin := buildMachsim(t)
+	out, err := exec.Command(bin, "-arch", "ds3100", "-fuzz", "7:4", "-breakkv").Output()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("broken campaign: want exit 1, got %v\n%s", err, out)
+	}
+	_, repro, ok := strings.Cut(string(out), "minimal repro")
+	if !ok {
+		t.Fatalf("no repro line:\n%s", out)
+	}
+	repro, _, _ = strings.Cut(repro, "\n")
+	_, cmdline, ok := strings.Cut(repro, ": machsim ")
+	if !ok {
+		t.Fatalf("repro line %q has no machsim command", repro)
+	}
+	if !strings.Contains(cmdline, "-flavor mk40 -arch ds3100 -breakkv") {
+		t.Fatalf("repro %q does not carry the campaign's build flags", cmdline)
+	}
+	rerun, err := exec.Command(bin, strings.Fields(cmdline)...).Output()
+	if err != nil {
+		t.Fatalf("repro %q: %v", cmdline, err)
+	}
+	if !strings.Contains(string(rerun), "NOT linearizable") {
+		t.Fatalf("repro %q does not re-violate:\n%s", cmdline, rerun)
 	}
 }

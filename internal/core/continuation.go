@@ -30,9 +30,10 @@ import "fmt"
 // close over per-thread state — any state a thread needs across the block
 // must travel through its 28-byte scratch area, exactly as in the paper.
 //
-// A continuation never returns to its caller; it must finish by invoking
-// a terminal control-transfer operation (ThreadSyscallReturn,
-// ThreadExceptionReturn, ThreadBlock, CallContinuation, Halt).
+// A continuation must transfer control before it returns: it ends in a
+// control-transfer operation (ThreadSyscallReturn, ThreadExceptionReturn,
+// Block, CallContinuation, Halt), after which it returns at once — the
+// code after the transfer is the paper's /*NOTREACHED*/.
 type Continuation struct {
 	name string
 	fn   func(*Env)

@@ -25,6 +25,7 @@ func (k *Kernel) CrashReset() int {
 		p.Cur = nil
 		p.Prev = nil
 		p.pending = nil
+		p.transferred = false
 		p.dispose = nil
 	}
 	for _, t := range k.Threads {

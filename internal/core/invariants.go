@@ -15,6 +15,10 @@ func (k *Kernel) Validate() error {
 	// not simultaneously queued.
 	running := make(map[*Thread]*Processor)
 	for _, p := range k.Procs {
+		// A transfer is consumed by the trampoline within its own step.
+		if p.transferred {
+			return fmt.Errorf("processor %d still marked transferred outside the trampoline", p.ID)
+		}
 		t := p.Cur
 		if t == nil {
 			continue

@@ -47,6 +47,10 @@ type Processor struct {
 	// pending is the next dispatcher action (the trampoline slot).
 	pending func(*Env)
 
+	// transferred marks that the running action has named pending and
+	// is returning to the trampoline; see transfer.
+	transferred bool
+
 	// dispose is a thread whose post-switch cleanup (thread_dispatch) is
 	// owed before the next pending action runs. Keeping it here instead of
 	// wrapping pending in a closure keeps the dispatch path allocation-free.
@@ -68,14 +72,47 @@ type Env struct {
 // Cur returns the thread currently running on this processor.
 func (e *Env) Cur() *Thread { return e.P.Cur }
 
+// transfer is where every terminal control-transfer operation ends. MK40
+// resets the stack pointer and jumps; the simulator names the processor's
+// next action and marks the transfer, and every caller then returns at
+// once, up to the trampoline (invoke) — the code after a terminal call is
+// the paper's /*NOTREACHED*/. act may be nil: the processor parks.
+func (p *Processor) transfer(act func(*Env)) {
+	p.pending = act
+	p.transferred = true
+}
+
+// Transferred reports whether a terminal operation has transferred
+// control during the current action. A caller of a function that
+// transfers on some paths only checks it and returns when it is set.
+func (e *Env) Transferred() bool { return e.P.transferred }
+
+// afterTransfer is the DebugChecks guard on work done between a transfer
+// and the trampoline: that work runs in no thread's context.
+func (k *Kernel) afterTransfer(op string) {
+	for _, p := range k.Procs {
+		if p.transferred {
+			panic(fmt.Sprintf("core: %s after a transfer on processor %d, before the trampoline", op, p.ID))
+		}
+	}
+}
+
 // Charge records simulated work against the kernel's cost accumulator.
-func (e *Env) Charge(c machine.Cost) { e.K.Acct.Charge(c) }
+func (e *Env) Charge(c machine.Cost) {
+	if e.P.transferred && e.K.DebugChecks {
+		e.K.afterTransfer("Charge")
+	}
+	e.K.Acct.Charge(c)
+}
 
 // Trace emits an observability event naming the current thread. A nil
 // recorder (the default) makes this a nil check and nothing more; call
 // sites that would pay formatting costs for the detail string guard on
 // e.K.Obs themselves.
 func (e *Env) Trace(kind obs.Kind, detail string) {
+	if e.P.transferred && e.K.DebugChecks {
+		e.K.afterTransfer("Trace")
+	}
 	r := e.K.Obs
 	if r == nil {
 		return
@@ -92,11 +129,6 @@ func (e *Env) Trace(kind obs.Kind, detail string) {
 // resumeStep is the payload stored in a preserved stack frame: the
 // suspended rest-of-function of a process-model block.
 type resumeStep func(*Env)
-
-// unwound is the sentinel used to enforce the paper's /*NOTREACHED*/
-// discipline: terminal control-transfer operations never return to their
-// caller; they unwind to the dispatch trampoline.
-type unwound struct{}
 
 // Config selects the kernel build being simulated.
 type Config struct {
@@ -154,7 +186,9 @@ type Kernel struct {
 
 	// DebugChecks, when set, runs the full invariant sweep (Validate plus
 	// every registered Invariants func) after each dispatcher step,
-	// panicking on the first violation. It may be toggled at any time.
+	// panicking on the first violation, and makes Charge, Trace, SetState
+	// and Setrun panic when called after a transfer, before the
+	// trampoline. It may be toggled at any time.
 	DebugChecks bool
 
 	// Invariants holds extra structural checks registered by substrates
@@ -184,11 +218,11 @@ type Kernel struct {
 
 	// HandleFault services a user-level page fault (set by the VM
 	// substrate). write distinguishes store faults, which must resolve
-	// copy-on-write sharing. It must end in a terminal operation.
+	// copy-on-write sharing. It must transfer control before returning.
 	HandleFault func(e *Env, addr uint64, write bool)
 
 	// HandleException services a user-level exception (set by the
-	// exception substrate). It must end in a terminal operation.
+	// exception substrate). It must transfer control before returning.
 	HandleException func(e *Env, code int)
 
 	// OnHalt, when set, is called from Halt after the current thread
@@ -322,6 +356,9 @@ func (k *Kernel) NewThread(spec ThreadSpec) *Thread {
 // what lets recordBlock sample the blocked-thread census without walking
 // the registry.
 func (k *Kernel) SetState(t *Thread, s ThreadState) {
+	if k.DebugChecks {
+		k.afterTransfer("SetState")
+	}
 	if t.state == StateWaiting {
 		k.waiting--
 	}
@@ -333,6 +370,9 @@ func (k *Kernel) SetState(t *Thread, s ThreadState) {
 
 // Setrun makes a blocked thread runnable and queues it.
 func (k *Kernel) Setrun(t *Thread) {
+	if k.DebugChecks {
+		k.afterTransfer("Setrun")
+	}
 	switch t.state {
 	case StateWaiting:
 		if r := k.Obs; r != nil {
@@ -455,8 +495,8 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 
 // CallContinuation calls the supplied continuation after resetting the
 // current kernel stack pointer to the stack base, preventing stack
-// overflow during a long sequence of continuation calls. It never
-// returns.
+// overflow during a long sequence of continuation calls. Transfers
+// control: the caller returns at once.
 func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
 	if c == nil {
 		panic("core: CallContinuation(nil)")
@@ -471,18 +511,17 @@ func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
 	if r := k.Obs; r != nil {
 		r.Emit(obs.ContinuationCall, t.ID, t.Name, c.Name(), c.Name())
 	}
-	e.P.pending = c.fn
-	panic(unwound{})
+	e.P.transfer(c.fn)
 }
 
 // SwitchContext resumes newt on its preserved kernel stack, changing
 // address spaces if necessary. If cont is non-nil the current thread
 // blocks with that continuation, no register state is saved, and the
-// call never logically returns (the new thread will dispose of the old
-// thread's stack). If cont is nil the current thread's register state and
-// call chain (resume, occupying frameBytes) are preserved on its stack
-// and the thread will continue at resume when rescheduled. In both cases
-// this function unwinds to the dispatcher.
+// old thread never resumes past this call (the new thread will dispose
+// of the old thread's stack). If cont is nil the current thread's register
+// state and call chain (resume, occupying frameBytes) are preserved on its
+// stack and the thread will continue at resume when rescheduled. In both
+// cases it transfers control: the caller returns at once.
 func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), frameBytes int, label string, newt *Thread) {
 	old := e.Cur()
 	if newt.Stack == nil {
@@ -518,12 +557,12 @@ func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), fr
 		})
 	}
 	k.resumeOn(e.P, newt, old)
-	panic(unwound{})
 }
 
 // ThreadSyscallReturn calls the current thread's user system-call
 // continuation: control transfers out of the kernel back to user space
-// with the given return value. Never returns.
+// with the given return value. Transfers control: the caller returns at
+// once.
 func (k *Kernel) ThreadSyscallReturn(e *Env, retval uint64) {
 	t := e.Cur()
 	if t.UserReturn != ReturnSyscall {
@@ -542,7 +581,7 @@ func (k *Kernel) ThreadSyscallReturn(e *Env, retval uint64) {
 // overriding user-level continuation (the §4 LRPC-style extension):
 // control leaves the kernel at the override entry instead of the trapped
 // context, so the machine-dependent exit skips the register restore
-// given by discount. Never returns.
+// given by discount. Transfers control: the caller returns at once.
 func (k *Kernel) ThreadSyscallReturnOverride(e *Env, retval uint64, discount machine.Cost) {
 	t := e.Cur()
 	if t.UserReturn != ReturnSyscall {
@@ -566,7 +605,8 @@ func (k *Kernel) ThreadSyscallReturnOverride(e *Env, retval uint64, discount mac
 
 // ThreadExceptionReturn calls the current thread's user exception
 // continuation: control transfers out of the kernel back to user space
-// after an exception, fault or interrupt. Never returns.
+// after an exception, fault or interrupt. Transfers control: the caller
+// returns at once.
 func (k *Kernel) ThreadExceptionReturn(e *Env) {
 	t := e.Cur()
 	if t.UserReturn != ReturnException {
@@ -578,13 +618,12 @@ func (k *Kernel) ThreadExceptionReturn(e *Env) {
 }
 
 // enterUser transfers the current thread to user mode and schedules its
-// next user action. Terminal.
+// next user action. Transfers control.
 func (k *Kernel) enterUser(e *Env) {
 	t := e.Cur()
 	t.Mode = ModeUser
 	t.UserReturn = ReturnNone
-	e.P.pending = k.userStepFn
-	panic(unwound{})
+	e.P.transfer(k.userStepFn)
 }
 
 // ---------------------------------------------------------------------
@@ -600,7 +639,8 @@ func (k *Kernel) CanHandoff() bool { return k.UseContinuations && !k.NoHandoff }
 // continuations and cont is non-nil, the thread blocks in the interrupt
 // style (stack discarded or handed off). Otherwise it blocks under the
 // process model, preserving its stack, and resumes at resume (which
-// occupies frameBytes of stack). Never returns.
+// occupies frameBytes of stack). Transfers control: the caller returns
+// at once.
 //
 // Callers set the thread's state before blocking: StateWaiting to sleep
 // on an event, StateRunnable to yield the processor but stay eligible.
@@ -623,9 +663,10 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 		k.SetState(old, StateRunning)
 		if cont != nil {
 			k.CallContinuation(e, cont)
+			return
 		}
-		e.P.pending = resume
-		panic(unwound{})
+		e.P.transfer(resume)
+		return
 	}
 
 	newt := k.Sched.SelectThread(e.P)
@@ -640,13 +681,15 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 		old.QuantumRemaining = k.Sched.Quantum()
 		if cont != nil {
 			k.CallContinuation(e, cont)
+			return
 		}
-		e.P.pending = resume
-		panic(unwound{})
+		e.P.transfer(resume)
+		return
 	}
 	if newt == nil {
 		// Processor goes idle: complete the block and park.
 		k.blockAndPark(e, reason, cont, resume, frameBytes, label)
+		return
 	}
 
 	if newt.Cont != nil {
@@ -663,6 +706,7 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 				e.Trace(obs.Block, old.Name+" blocked with "+cont.Name())
 			}
 			k.CallContinuation(e, newt.Cont)
+			return
 		}
 		// Old thread keeps its stack; the new thread needs one.
 		st := k.Stacks.Allocate()
@@ -678,7 +722,7 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 }
 
 // blockAndPark completes a block when no thread is runnable: the
-// processor parks until the run loop finds work. Terminal.
+// processor parks until the run loop finds work. Transfers control.
 func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuation, resume func(*Env), frameBytes int, label string) {
 	old := e.Cur()
 	if cont != nil {
@@ -704,8 +748,7 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 	}
 	e.P.Cur = nil
 	e.P.Prev = old
-	e.P.pending = nil
-	panic(unwound{})
+	e.P.transfer(nil)
 }
 
 // BlockDirected blocks the current thread under the process model and
@@ -713,8 +756,8 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 // RPC transfer of the MK32 kernel (§3.3: "it context-switches directly
 // from the sending thread to the receiving thread"). If newt is stackless
 // (possible when a continuation kernel takes this path), a stack is
-// attached first. Never returns. The caller must have set the current
-// thread's wait state.
+// attached first. Transfers control: the caller returns at once. The
+// caller must have set the current thread's wait state.
 func (k *Kernel) BlockDirected(e *Env, reason stats.BlockReason, resume func(*Env), frameBytes int, label string, newt *Thread) {
 	old := e.Cur()
 	if old.state == StateRunning {
@@ -818,8 +861,8 @@ func (k *Kernel) ThreadDispatch(e *Env, old *Thread) {
 	}
 }
 
-// resumeOn installs newt as the processor's current thread and queues its
-// preserved resume step, prefixed by disposal of the old thread.
+// resumeOn installs newt as the processor's current thread and transfers
+// to its preserved resume step, prefixed by disposal of the old thread.
 func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	if r := k.Obs; r != nil {
 		r.Emit(obs.Dispatch, newt.ID, newt.Name, "", "")
@@ -829,8 +872,8 @@ func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	k.SetState(newt, StateRunning)
 	newt.QuantumRemaining = k.Sched.Quantum()
 	f := newt.Stack.PopFrame()
-	p.pending = f.Resume.(resumeStep)
 	p.dispose = old
+	p.transfer(f.Resume.(resumeStep))
 }
 
 // recordBlock tallies a block unless the thread opted out of statistics,
@@ -862,8 +905,8 @@ func (k *Kernel) recordBlock(t *Thread, reason stats.BlockReason, discarded bool
 	k.Stats.RecordBlock(reason, discarded)
 }
 
-// Halt terminates the current thread and gives up the processor. Never
-// returns.
+// Halt terminates the current thread and gives up the processor.
+// Transfers control: the caller returns at once.
 func (k *Kernel) Halt(e *Env) {
 	t := e.Cur()
 	k.SetState(t, StateHalted)
@@ -883,18 +926,18 @@ func (k *Kernel) Halt(e *Env) {
 		}
 		e.P.Cur = nil
 		e.P.Prev = t
-		e.P.pending = nil
-		panic(unwound{})
+		e.P.transfer(nil)
+		return
 	}
 	if newt.Cont != nil {
 		// Hand the dying thread's stack straight to the next one.
 		cont := newt.Cont
 		k.StackHandoff(e, newt)
 		k.CallContinuation(e, cont)
+		return
 	}
 	t.disposalPending = true
 	k.resumeOn(e.P, newt, t)
-	panic(unwound{})
 }
 
 // ---------------------------------------------------------------------
@@ -932,6 +975,7 @@ func (k *Kernel) userStep(e *Env) {
 		d := t.PendingBurst
 		t.PendingBurst = 0
 		k.runUserDur(e, t, d)
+		return
 	}
 	act := t.Program.Next(e, t)
 	switch act.Kind {
@@ -940,21 +984,27 @@ func (k *Kernel) userStep(e *Env) {
 	case ActSyscall:
 		k.KernelEntry(e, ReturnSyscall, act.Name)
 		act.Invoke(e)
-		panic(fmt.Sprintf("core: syscall %q handler returned instead of transferring control", act.Name))
+		if !e.Transferred() {
+			panic(fmt.Sprintf("core: syscall %q handler returned instead of transferring control", act.Name))
+		}
 	case ActFault:
 		k.KernelEntry(e, ReturnException, fmt.Sprintf("page fault @%#x", act.Addr))
 		if k.HandleFault == nil {
 			panic("core: no fault handler installed")
 		}
 		k.HandleFault(e, act.Addr, act.Write)
-		panic("core: fault handler returned instead of transferring control")
+		if !e.Transferred() {
+			panic("core: fault handler returned instead of transferring control")
+		}
 	case ActException:
 		k.KernelEntry(e, ReturnException, fmt.Sprintf("exception %d", act.Code))
 		if k.HandleException == nil {
 			panic("core: no exception handler installed")
 		}
 		k.HandleException(e, act.Code)
-		panic("core: exception handler returned instead of transferring control")
+		if !e.Transferred() {
+			panic("core: exception handler returned instead of transferring control")
+		}
 	case ActYield:
 		// thread_switch: voluntary rescheduling from user level. There
 		// is no kernel state to save; block with the return-to-user
@@ -1000,7 +1050,7 @@ func (k *Kernel) runUser(e *Env, t *Thread, cycles uint64) {
 // what keeps woken daemons from starving behind an RPC ping-pong), and
 // quantum expiry when equal-priority work is waiting. An interrupted
 // burst's remainder is saved in PendingBurst and resumes after the
-// preemption. Terminal.
+// preemption. Transfers control.
 func (k *Kernel) runUserDur(e *Env, t *Thread, dur machine.Duration) {
 	if t.UntilTick <= 0 {
 		t.UntilTick = TickInterval
@@ -1010,6 +1060,7 @@ func (k *Kernel) runUserDur(e *Env, t *Thread, dur machine.Duration) {
 		k.burnUser(t, slice)
 		t.PendingBurst = dur - slice
 		k.preemptNow(e, t, "ast preempt")
+		return
 	}
 	if dur >= t.QuantumRemaining && k.Sched.HasWork() {
 		// Run out the quantum, then the clock interrupt preempts.
@@ -1018,6 +1069,7 @@ func (k *Kernel) runUserDur(e *Env, t *Thread, dur machine.Duration) {
 		t.PendingBurst = dur - slice
 		t.QuantumRemaining = 0
 		k.preemptNow(e, t, "clock interrupt")
+		return
 	}
 	if dur > t.QuantumRemaining {
 		t.QuantumRemaining = 0
@@ -1025,8 +1077,7 @@ func (k *Kernel) runUserDur(e *Env, t *Thread, dur machine.Duration) {
 		t.QuantumRemaining -= dur
 	}
 	k.burnUser(t, dur)
-	e.P.pending = k.userStepFn
-	panic(unwound{})
+	e.P.transfer(k.userStepFn)
 }
 
 // burnUser advances simulated time by a user-mode CPU slice, keeping the
@@ -1043,7 +1094,7 @@ func (k *Kernel) burnUser(t *Thread, d machine.Duration) {
 
 // preemptNow takes the preemption interrupt: the thread blocks with the
 // continuation that simply returns it to user space (§2.5), staying
-// runnable. Terminal.
+// runnable. Transfers control.
 func (k *Kernel) preemptNow(e *Env, t *Thread, label string) {
 	k.KernelEntry(e, ReturnException, label)
 	k.SetState(t, StateRunnable)
@@ -1055,32 +1106,30 @@ func (k *Kernel) preemptNow(e *Env, t *Thread, label string) {
 // The run loop.
 // ---------------------------------------------------------------------
 
-// invoke runs one dispatcher action, absorbing the terminal unwind. Any
-// owed thread_dispatch (latched by resumeOn) runs first, from the new
-// thread's context, exactly as the closure it replaces did.
+// invoke is the trampoline: it runs one dispatcher action, which must end
+// in a transfer naming the processor's next action. Any owed
+// thread_dispatch (latched by resumeOn) runs first, from the new thread's
+// context.
 func (k *Kernel) invoke(p *Processor, act func(*Env)) {
 	e := &p.env
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(unwound); !ok {
-				panic(r)
-			}
-		}
-	}()
 	if old := p.dispose; old != nil {
 		p.dispose = nil
 		k.ThreadDispatch(e, old)
 	}
 	act(e)
+	if !p.transferred {
+		panic(fmt.Sprintf("core: action on processor %d returned without transferring control (current %v)", p.ID, p.Cur))
+	}
+	p.transferred = false
 }
 
-// dispatchFresh starts work on a parked processor.
+// dispatchFresh starts work on a parked processor. Transfers control.
 func (k *Kernel) dispatchFresh(e *Env) {
 	p := e.P
 	newt := k.Sched.SelectThread(p)
 	if newt == nil {
-		p.pending = nil
-		panic(unwound{})
+		p.transfer(nil)
+		return
 	}
 	k.noteSelected(e, newt)
 	if newt.Cont != nil {
@@ -1089,7 +1138,6 @@ func (k *Kernel) dispatchFresh(e *Env) {
 		newt.Cont = nil
 	}
 	k.resumeOn(p, newt, nil)
-	panic(unwound{})
 }
 
 // Step runs one dispatcher action somewhere in the machine: due events
@@ -1235,7 +1283,8 @@ func (k *Kernel) LiveThreads() int {
 // interrupt never allocates a kernel stack, because the interrupted
 // thread's stack is, in effect, the processor's. The handler may wake
 // threads and queue work but must not block, transfer control, or touch
-// the stack pool; the zero-allocation invariant is asserted here.
+// the stack pool; both the zero-allocation invariant and the absence of a
+// transfer are asserted here.
 func (k *Kernel) TakeInterrupt(label string, handler func(*Env)) {
 	// Interrupts are delivered to the first busy processor (its current
 	// stack is borrowed); an idle machine takes them on processor 0.
@@ -1252,6 +1301,9 @@ func (k *Kernel) TakeInterrupt(label string, handler func(*Env)) {
 	e.Charge(k.Costs.InterruptEntry)
 	e.Trace(obs.Interrupt, label)
 	handler(e)
+	if p.transferred {
+		panic(fmt.Sprintf("core: interrupt handler %q transferred control", label))
+	}
 	if k.Stacks.InUse() != before {
 		panic(fmt.Sprintf("core: interrupt handler %q changed the stack census (%d -> %d)",
 			label, before, k.Stacks.InUse()))

@@ -89,12 +89,9 @@ func TestSyscallHandlerMustNotReturn(t *testing.T) {
 	}}
 	th := k.NewThread(core.ThreadSpec{Name: "user", SpaceID: 1, Program: prog})
 	start(k, th)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("returning syscall handler did not panic")
-		}
-	}()
-	k.Run(0)
+	mustPanic(t, `core: syscall "broken" handler returned instead of transferring control`, func() {
+		k.Run(0)
+	})
 }
 
 // sleepDone returns the sleeper to user space.
@@ -415,6 +412,7 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 			if e.K.Recognize(e, recvCont) {
 				recognized = true
 				e.K.ThreadSyscallReturn(e, 7)
+				return
 			}
 			e.K.CallContinuation(e, server.Cont)
 		}),

@@ -210,7 +210,7 @@ const (
 	// ActRun burns user CPU for Action.Cycles simulated cycles.
 	ActRun ActionKind = iota
 	// ActSyscall traps into the kernel and runs Action.Invoke, which must
-	// finish with a terminal control-transfer operation.
+	// transfer control before it returns.
 	ActSyscall
 	// ActFault takes a user-level page fault at Action.Addr.
 	ActFault
@@ -249,8 +249,8 @@ type Action struct {
 	Cycles uint64
 
 	// Invoke is the kernel-mode body of an ActSyscall. It runs after
-	// kernel entry and must end in a terminal operation such as
-	// ThreadSyscallReturn or ThreadBlock.
+	// kernel entry and must transfer control, through an operation such
+	// as ThreadSyscallReturn or Block, before it returns.
 	Invoke func(*Env)
 
 	// Name labels the syscall for traces.

@@ -62,8 +62,8 @@ type Request struct {
 
 	// Waiter, when non-nil, is a thread blocked on this request. If it is
 	// continuation-blocked with Expect, the io_done thread hands its stack
-	// over and, on recognition, runs Inline (terminal) as the waiter;
-	// otherwise the waiter is simply made runnable.
+	// over and, on recognition, runs Inline (which transfers control) as
+	// the waiter; otherwise the waiter is simply made runnable.
 	Waiter *core.Thread
 	Expect *core.Continuation
 	Inline func(e *core.Env)
@@ -288,7 +288,7 @@ func (s *Subsystem) AttachPorts(x *ipc.IPC) {
 
 // Open is device_open: look up a device by name in the current thread's
 // kernel context and return it (its Port is the device port the caller
-// holds). Non-terminal.
+// holds). Does not transfer control.
 func (s *Subsystem) Open(e *core.Env, name string) *Device {
 	e.Charge(devOpenCost)
 	d := s.byName[name]
@@ -320,7 +320,7 @@ func (s *Subsystem) PostCompletion(r *Request) {
 // completion's waiter is continuation-blocked the loop ends early in a
 // stack handoff — the io_done thread's stack becomes the waiter's, and
 // recognition of the device continuation finishes the request inline.
-// Terminal.
+// Transfers control.
 func (s *Subsystem) ioLoop(e *core.Env) {
 	k := s.K
 	for len(s.completions) > 0 {
@@ -357,9 +357,13 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 			if k.Recognize(e, r.Expect) {
 				k.Stats.IoDoneRecognitions++
 				r.Inline(e)
-				panic("dev: io_done inline completion returned")
+				if !e.Transferred() {
+					panic("dev: io_done inline completion returned")
+				}
+				return
 			}
 			k.CallContinuation(e, e.Cur().Cont)
+			return
 		}
 		if w.State() == core.StateWaiting {
 			k.Setrun(w)
@@ -375,7 +379,7 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 // DeviceRead is the device_read syscall body: submit a read request and
 // block with DeviceReadContinue until the transfer interrupt and the
 // io_done thread complete it. The continuation copies the data out and
-// returns the byte count. Terminal.
+// returns the byte count. Transfers control.
 func (s *Subsystem) DeviceRead(e *core.Env, d *Device, bytes int) {
 	s.Reads++
 	e.Charge(devCallCost)
@@ -393,12 +397,13 @@ func (s *Subsystem) DeviceRead(e *core.Env, d *Device, bytes int) {
 
 // deviceReadContinue resumes a device_read once its data is in: copy the
 // buffer out to the caller and return the count. On a posted failure or
-// timeout the retry path takes over instead. Terminal.
+// timeout the retry path takes over instead. Transfers control.
 func (s *Subsystem) deviceReadContinue(e *core.Env) {
 	t := e.Cur()
 	if code, ok := s.ioErr[t.ID]; ok {
 		delete(s.ioErr, t.ID)
 		s.retryOrFail(e, code, s.ContDeviceRead)
+		return
 	}
 	n := int(t.Scratch.Word(0))
 	e.Charge(machine.CopyBytes(n))
@@ -407,7 +412,7 @@ func (s *Subsystem) deviceReadContinue(e *core.Env) {
 
 // DeviceWrite is the device_write syscall body: copy the caller's buffer
 // in, submit the write, and block with DeviceWriteContinue until the
-// device has taken it. Terminal.
+// device has taken it. Transfers control.
 func (s *Subsystem) DeviceWrite(e *core.Env, d *Device, bytes int) {
 	s.Writes++
 	e.Charge(devCallCost.Plus(machine.CopyBytes(bytes)))
@@ -425,12 +430,13 @@ func (s *Subsystem) DeviceWrite(e *core.Env, d *Device, bytes int) {
 
 // deviceWriteContinue resumes a device_write: the data left with the
 // device, return the count — or, on a posted failure or timeout, hand
-// over to the retry path. Terminal.
+// over to the retry path. Transfers control.
 func (s *Subsystem) deviceWriteContinue(e *core.Env) {
 	t := e.Cur()
 	if code, ok := s.ioErr[t.ID]; ok {
 		delete(s.ioErr, t.ID)
 		s.retryOrFail(e, code, s.ContDeviceWrite)
+		return
 	}
 	s.K.ThreadSyscallReturn(e, uint64(t.Scratch.Word(0)))
 }

@@ -69,13 +69,14 @@ func (s *Subsystem) submitIO(t *core.Thread, d *Device, label string, bytes int,
 // the waiter's own context: return the error once the retry budget is
 // spent, otherwise park for an exponential backoff and resubmit the
 // request when the timer fires, re-blocking with the same device
-// continuation. Terminal.
+// continuation. Transfers control.
 func (s *Subsystem) retryOrFail(e *core.Env, code uint64, cont *core.Continuation) {
 	t := e.Cur()
 	d, _ := t.Scratch.Ref(2).(*Device)
 	attempt := int(t.Scratch.Word(1))
 	if code == DevAborted || d == nil || attempt >= s.IoMaxRetries {
 		s.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	attempt++
 	t.Scratch.PutWord(1, uint32(attempt))

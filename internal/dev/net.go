@@ -239,7 +239,7 @@ func (n *NIC) emitWireFault(e *core.Env, what string) {
 // Transmit puts a packet on the wire in the sender's kernel context.
 // Arrival is scheduled on the peer machine's clock at an absolute time,
 // so two machines with independent clocks agree on when the wire
-// delivers. Non-terminal.
+// delivers. Does not transfer control.
 func (n *NIC) Transmit(e *core.Env, pkt *Packet) {
 	if n.peer == nil {
 		panic(fmt.Sprintf("dev: Transmit on unconnected NIC %q", n.Name))
@@ -571,7 +571,7 @@ func (n *Netmsg) ProxyFor(remote string) *ipc.Port {
 
 // forwardSink processes a send to a proxy port in the sender's kernel
 // context: transmit the packet, then continue the sender's mach_msg.
-// Terminal.
+// Transfers control.
 func (n *Netmsg) forwardSink(e *core.Env, remote string, msg *ipc.Message, opts *ipc.MsgOptions) {
 	replyName := ""
 	if msg.Reply != nil {
@@ -604,6 +604,7 @@ func (n *Netmsg) forwardSink(e *core.Env, remote string, msg *ipc.Message, opts 
 	n.X.FreeMessage(msg)
 	if opts.ReceiveFrom != nil {
 		n.X.ReceiveTimeout(e, opts.ReceiveFrom, opts.MaxSize, opts.RcvTimeout)
+		return
 	}
 	n.Sub.K.ThreadSyscallReturn(e, ipc.MsgSuccess)
 }
@@ -762,7 +763,7 @@ func (n *Netmsg) takePacket(e *core.Env, pkt *Packet) {
 }
 
 // loop is the netmsg thread's work loop, §2.2 style: deliver every queued
-// packet, then block with this same continuation. Terminal.
+// packet, then block with this same continuation. Transfers control.
 func (n *Netmsg) loop(e *core.Env) {
 	k := n.Sub.K
 	for len(n.inbox) > 0 || len(n.outbox) > 0 {
@@ -800,6 +801,9 @@ func (n *Netmsg) loop(e *core.Env) {
 		n.inbox = n.inbox[1:]
 		e.Charge(netmsgDemuxCost)
 		n.deliver(e, pkt)
+		if e.Transferred() {
+			return
+		}
 	}
 	t := e.Cur()
 	e.K.SetState(t, core.StateWaiting)
@@ -812,7 +816,8 @@ func (n *Netmsg) loop(e *core.Env) {
 // already waiting with mach_msg_continue, the netmsg thread hands its
 // stack straight over and recognition completes the receive inline — the
 // §2.3 fast path driven by an internal thread instead of a local sender.
-// May be terminal (handoff) or return (queued delivery).
+// Transfers control on the handoff path only; the caller checks
+// e.Transferred.
 func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 	k := n.Sub.K
 	// Membership first: a stale packet — one that outlived a crash on
@@ -832,7 +837,7 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 	}
 	if n.Reliable && pkt.Seq != 0 {
 		// Acknowledge before anything else: the delivery below may end in
-		// a terminal stack handoff to the receiver, and a duplicate must
+		// a stack handoff to the receiver, and a duplicate must
 		// be re-acked (its first ack may have been the packet that was
 		// lost). The ack's DstInc is the arriving packet's incarnation, so
 		// an ack delayed across the sender's reboot cannot quiet a fresh
@@ -892,8 +897,10 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 				panic("dev: netmsg delivery lost its message")
 			}
 			n.X.CompleteReceive(e, m)
+			return
 		}
 		k.CallContinuation(e, e.Cur().Cont)
+		return
 	}
 	n.X.Enqueue(e, port, msg)
 	if recv != nil {

@@ -115,7 +115,7 @@ func (ex *Exc) replyPortFor(t *core.Thread) *ipc.Port {
 }
 
 // Handle services a user-level exception on the current thread. Installed
-// as the kernel's exception handler; terminal.
+// as the kernel's exception handler; transfers control.
 func (ex *Exc) Handle(e *core.Env, code int) {
 	k := ex.K
 	t := e.Cur()
@@ -151,8 +151,10 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 					panic("exc: fast raise lost its message")
 				}
 				ex.X.CompleteReceive(e, m)
+				return
 			}
 			k.CallContinuation(e, e.Cur().Cont)
+			return
 		}
 		// No waiting server: fall back to a real message.
 		ex.SlowRaises++
@@ -162,6 +164,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 		e.K.SetState(t, core.StateWaiting)
 		t.WaitLabel = "exception reply"
 		k.Block(e, stats.BlockException, ex.ContExcReturn, nil, 0, "")
+		return
 	}
 
 	// Process-model kernels: the unoptimized path in both directions.
@@ -188,7 +191,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 
 // replySink processes the server's reply send in the server's kernel
 // context: the kernel is the receiver, so no copyout or queueing happens;
-// the faulting thread is restarted. Terminal.
+// the faulting thread is restarted. Transfers control.
 func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, opts *ipc.MsgOptions) {
 	k := ex.K
 	e.Charge(replyCost)
@@ -211,8 +214,10 @@ func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, op
 		if k.Recognize(e, ex.ContExcReturn) {
 			e.Charge(restartCost)
 			k.ThreadExceptionReturn(e)
+			return
 		}
 		k.CallContinuation(e, e.Cur().Cont)
+		return
 	}
 
 	// Slow inbound: unpack the reply message, wake the faulter through
@@ -224,6 +229,7 @@ func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, op
 	}
 	if opts.ReceiveFrom != nil {
 		ex.X.Receive(e, opts.ReceiveFrom, opts.MaxSize)
+		return
 	}
 	k.ThreadSyscallReturn(e, ipc.MsgSuccess)
 }

@@ -380,6 +380,57 @@ func ParseCrash(val string) (Crash, error) {
 	return c, nil
 }
 
+// CheckMachines rejects a rule that names a machine the run does not
+// boot. The grammar cannot know the cluster size, so a run checks its
+// plan against its machine count before anything boots; the error names
+// the rule and the count.
+func (s Spec) CheckMachines(n int) error {
+	fail := func(rule string, m int) error {
+		have := fmt.Sprintf("%d machines (0-%d)", n, n-1)
+		if n == 1 {
+			have = "1 machine (0)"
+		}
+		return fmt.Errorf("fault: rule %q names machine %d, but the run has %s", rule, m, have)
+	}
+	for _, c := range s.Crashes {
+		if c.Machine >= n {
+			return fail(c.rule(), c.Machine)
+		}
+	}
+	for _, p := range s.Partitions {
+		for _, group := range [][]int{p.A, p.B} {
+			for _, m := range group {
+				if m >= n {
+					return fail(p.rule(), m)
+				}
+			}
+		}
+	}
+	for _, l := range s.Links {
+		if l.Src >= n {
+			return fail(l.rule(), l.Src)
+		}
+		if l.Dst >= n {
+			return fail(l.rule(), l.Dst)
+		}
+	}
+	for _, g := range s.Grays {
+		if g.Machine >= n {
+			return fail(g.rule(), g.Machine)
+		}
+	}
+	return nil
+}
+
+// rule renders the crash in the spec grammar.
+func (c Crash) rule() string {
+	r := fmt.Sprintf("crash=%d@%s", c.Machine, fmtDur(c.At))
+	if c.RebootAfter != 0 {
+		r += ":reboot+" + fmtDur(c.RebootAfter)
+	}
+	return r
+}
+
 // ParseFlag parses the machsim -faults argument "seed:spec", e.g.
 // "42:drop=0.1,dup=0.02". The seed is decimal; the spec follows the
 // first colon (durations inside the spec may themselves contain colons).

@@ -242,6 +242,25 @@ func (t *Topology) Windows() []string {
 	return out
 }
 
+// rule renders the partition in the spec grammar.
+func (p Partition) rule() string {
+	return fmt.Sprintf("partition=%s|%s@%s+%s", groupStr(p.A), groupStr(p.B), fmtDur(p.At), fmtDur(p.Dur))
+}
+
+// rule renders the link fault in the spec grammar.
+func (l LinkFault) rule() string {
+	mode := l.Mode.String()
+	if l.Mode == LinkDelay {
+		mode += ":" + fmtDur(l.Extra)
+	}
+	return fmt.Sprintf("link=%d>%d:%s@%s+%s", l.Src, l.Dst, mode, fmtDur(l.At), fmtDur(l.Dur))
+}
+
+// rule renders the gray window in the spec grammar.
+func (g Gray) rule() string {
+	return fmt.Sprintf("gray=%d:%g@%s+%s", g.Machine, g.Factor, fmtDur(g.At), fmtDur(g.Dur))
+}
+
 // groupStr renders a machine group as dot-separated indices in ascending
 // order (the spec grammar's own shape).
 func groupStr(g []int) string {

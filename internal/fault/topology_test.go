@@ -124,6 +124,41 @@ func TestParseSpecErrorsNameRule(t *testing.T) {
 	}
 }
 
+// TestCheckMachines pins the machine-count check: every crash, link,
+// gray and partition index must name a machine the run boots, and the
+// error renders the offending rule and the count.
+func TestCheckMachines(t *testing.T) {
+	bad := []struct{ spec, want string }{
+		{"crash=9@1ms", `rule "crash=9@1ms" names machine 9, but the run has 4 machines (0-3)`},
+		{"crash=4@1ms:reboot+10ms", `rule "crash=4@1ms:reboot+10ms" names machine 4`},
+		{"link=0>9:drop@10ms+10ms", `rule "link=0>9:drop@10ms+10ms" names machine 9`},
+		{"link=7>1:delay:3ms@30ms+40ms", `rule "link=7>1:delay:3ms@30ms+40ms" names machine 7`},
+		{"gray=9:2@10ms+10ms", `rule "gray=9:2@10ms+10ms" names machine 9`},
+		{"partition=1|0.2.9@10ms+10ms", `rule "partition=1|0.2.9@10ms+10ms" names machine 9`},
+		{"drop=0.1,crash=3@1ms,partition=4|0@1ms+1ms", `names machine 4`},
+	}
+	for _, tc := range bad {
+		s, err := fault.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		err = s.CheckMachines(4)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.spec, err, tc.want)
+		}
+	}
+	s, err := fault.ParseSpec("drop=0.1,crash=3@1ms,link=3>0:drop@1ms+1ms,gray=0:2@1ms+1ms,partition=0.1|2.3@1ms+1ms,burst=2@1ms+1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckMachines(4); err != nil {
+		t.Errorf("in-range plan rejected: %v", err)
+	}
+	if err := s.CheckMachines(1); err == nil || !strings.Contains(err.Error(), "the run has 1 machine (0)") {
+		t.Errorf("single machine: error %v", err)
+	}
+}
+
 // TestParseSpecDuplicateKeys pins the satellite fix: a repeated
 // probabilistic key is rejected instead of silently overwriting.
 func TestParseSpecDuplicateKeys(t *testing.T) {

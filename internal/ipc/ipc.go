@@ -153,7 +153,7 @@ type Port struct {
 	// KernelSink marks a port whose receiver is the kernel itself (the
 	// reply port of an exception RPC). A send to such a port invokes the
 	// sink in the sender's context instead of queueing; the sink must be
-	// terminal.
+	// transfer control before returning.
 	KernelSink func(e *core.Env, msg *Message, opts *MsgOptions)
 
 	// lastReceiver is the thread that most recently registered to receive
@@ -355,10 +355,10 @@ type IPC struct {
 
 	// UserReturnHook, when non-nil, is consulted as a receive completes,
 	// before control transfers back to user space. Returning true means
-	// the hook performed the user-level transfer itself (it must be
-	// terminal). This is the §4 extension point: a registered overriding
-	// user-level continuation for system call returns (the LRPC-style
-	// transfer protocol).
+	// the hook performed the user-level transfer itself (it must have
+	// transferred control). This is the §4 extension point: a registered
+	// overriding user-level continuation for system call returns (the
+	// LRPC-style transfer protocol).
 	UserReturnHook func(e *core.Env, t *core.Thread, m *Message) bool
 
 	// Counters.
@@ -488,7 +488,8 @@ func (x *IPC) RegisterReceiver(t *core.Thread, p *Port, maxSize int) (cont *core
 }
 
 // Receive runs the receive phase of mach_msg in the current thread's
-// context: consume a delivered or queued message, or block. Terminal.
+// context: consume a delivered or queued message, or block. Transfers
+// control.
 func (x *IPC) Receive(e *core.Env, p *Port, maxSize int) {
 	x.receive(e, p, maxSize, 0)
 }
@@ -497,18 +498,19 @@ func (x *IPC) Receive(e *core.Env, p *Port, maxSize int) {
 // RcvTimedOut after the given wait (zero means wait forever). The netmsg
 // proxy path uses it to carry a mach_msg RcvTimeout through a forwarded
 // send, which is what lets an RPC client survive a crashed server.
-// Terminal.
+// Transfers control.
 func (x *IPC) ReceiveTimeout(e *core.Env, p *Port, maxSize int, timeout machine.Duration) {
 	x.receive(e, p, maxSize, timeout)
 }
 
-// ReceiveSet is Receive over a port set. Terminal.
+// ReceiveSet is Receive over a port set. Transfers control.
 func (x *IPC) ReceiveSet(e *core.Env, ps *PortSet, maxSize int) {
 	x.receive(e, ps, maxSize, 0)
 }
 
 // CompleteReceive finishes the current thread's receive with m: copyout
-// and system-call return. Used by recognizing fast paths. Terminal.
+// and system-call return. Used by recognizing fast paths. Transfers
+// control.
 func (x *IPC) CompleteReceive(e *core.Env, m *Message) {
 	x.copyOutAndReturn(e, m)
 }
@@ -627,7 +629,7 @@ func (p *Port) push(x *IPC, t *core.Thread) *rcvWaiter {
 
 // MachMsg is the mach_msg system call: an optional send phase followed by
 // an optional receive phase. It must be invoked from a syscall handler
-// and is terminal.
+// and transfers control.
 func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 	e.Charge(validateCost)
 	src := opts.receiveSource()
@@ -644,6 +646,9 @@ func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 	}
 	if opts.Send != nil {
 		x.send(e, opts, src)
+		if e.Transferred() {
+			return
+		}
 	}
 	if src == nil {
 		panic("ipc: mach_msg with neither send nor receive")
@@ -651,9 +656,8 @@ func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 	x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
 }
 
-// send runs the send phase. It returns normally only when the transfer
-// continued into the receive phase of the same call; otherwise it is
-// terminal.
+// send runs the send phase. It transfers control unless the call goes on
+// into its receive phase, which the caller learns from e.Transferred.
 func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	k := x.K
 	t := e.Cur()
@@ -676,6 +680,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		// The destination was destroyed: the send fails immediately and
 		// the receive phase is not attempted.
 		k.ThreadSyscallReturn(e, SendInvalidDest)
+		return
 	}
 
 	if dest.KernelSink != nil {
@@ -683,7 +688,10 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		// allocate its options, sink or no sink.
 		o := opts
 		dest.KernelSink(e, msg, &o)
-		panic("ipc: kernel sink returned instead of transferring control")
+		if !e.Transferred() {
+			panic("ipc: kernel sink returned instead of transferring control")
+		}
+		return
 	}
 
 	e.Charge(findRecvCost)
@@ -698,7 +706,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	case StyleMK40:
 		if recv != nil && recv.Cont != nil && k.CanHandoff() {
 			x.sendHandoff(e, opts, src, recv)
-			return // unreachable; sendHandoff is terminal
+			return
 		}
 		if recv != nil {
 			// Receiver blocked under the process model (rare in MK40):
@@ -726,6 +734,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 				k.BlockDirected(e, stats.BlockReceive,
 					func(e2 *core.Env) { x.resumeReceive(e2, src, maxSize) },
 					192, "mach_msg", recv)
+				return
 			}
 			if src != nil {
 				// The sender's receive completes immediately; wake the
@@ -733,16 +742,19 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 				e.Charge(wakeupCost)
 				k.Setrun(recv)
 				x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
+				return
 			}
 			e.Charge(wakeupCost)
 			k.Setrun(recv)
 			k.ThreadSyscallReturn(e, MsgSuccess)
+			return
 		}
 	case StyleMach25:
 		// Always queue; the receiver (if any) is merely made runnable
 		// and the general scheduler arbitrates.
 		if len(dest.queue) >= dest.limit() {
 			x.blockFullQueue(e, dest, opts)
+			return
 		}
 		x.enqueue(e, dest, msg)
 		if recv != nil {
@@ -758,6 +770,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	// first if the queue is at its limit).
 	if len(dest.queue) >= dest.limit() {
 		x.blockFullQueue(e, dest, opts)
+		return
 	}
 	x.enqueue(e, dest, msg)
 	x.finishSendPhase(e, opts)
@@ -765,7 +778,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 
 // blockFullQueue parks the sender until the destination queue drains (or
 // the port dies). The whole mach_msg retries from the top when the
-// sender resumes. Terminal.
+// sender resumes. Transfers control.
 func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	t := e.Cur()
 	// Stash the entire call in the scratch area: destination, message,
@@ -799,12 +812,14 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 }
 
 // msgSendRetry resumes a sender that blocked on a full queue: rebuild the
-// call from scratch state and retry mach_msg from the top. Terminal.
+// call from scratch state and retry mach_msg from the top. Transfers
+// control.
 func (x *IPC) msgSendRetry(e *core.Env) {
 	t := e.Cur()
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	dest := t.Scratch.Ref(0).(*Port)
 	msg := t.Scratch.Ref(1).(*Message)
@@ -922,8 +937,8 @@ func (x *IPC) enqueue(e *core.Env, p *Port, msg *Message) {
 }
 
 // finishSendPhase either falls into the receive phase (returning to the
-// caller) or completes a send-only call. Terminal unless a receive phase
-// follows.
+// caller without a transfer) or completes a send-only call, transferring
+// control.
 func (x *IPC) finishSendPhase(e *core.Env, opts MsgOptions) {
 	if opts.receiveSource() != nil {
 		return
@@ -933,7 +948,8 @@ func (x *IPC) finishSendPhase(e *core.Env, opts MsgOptions) {
 
 // sendHandoff is the §2.4 fast path: the receiver is blocked with a
 // continuation, so the sender hands its stack (and, implicitly, the
-// message in its live call context) directly to the receiver. Terminal.
+// message in its live call context) directly to the receiver. Transfers
+// control.
 func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.Thread) {
 	k := x.K
 	t := e.Cur()
@@ -947,6 +963,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 		e.Charge(wakeupCost)
 		k.Setrun(recv)
 		k.ThreadSyscallReturn(e, MsgSuccess)
+		return
 	}
 
 	// The handoff requires that the sender's receive phase would
@@ -957,6 +974,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 		e.Charge(wakeupCost)
 		k.Setrun(recv)
 		x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
+		return
 	}
 
 	// Combined send/receive: the sender blocks waiting for its own
@@ -985,6 +1003,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 			panic("ipc: fast path lost its message")
 		}
 		x.copyOutAndReturn(e, m)
+		return
 	}
 	// Unusual receiver: give it its own continuation, which redoes the
 	// option processing.
@@ -999,23 +1018,27 @@ func (x *IPC) saveReceiveState(t *core.Thread, src source, maxSize int) {
 }
 
 // receive runs the receive phase in the receiving thread's own context,
-// from a port or a port set. Terminal.
+// from a port or a port set. Transfers control.
 func (x *IPC) receive(e *core.Env, src source, maxSize int, timeout machine.Duration) {
 	t := e.Cur()
 	// A pending receive error (timeout, port death) ends the call.
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	// A message may already have been handed to us.
 	if m := x.takeDelivered(t); m != nil {
 		x.finishReceiveChecked(e, m, maxSize)
+		return
 	}
 	if src.isDead() {
 		x.K.ThreadSyscallReturn(e, RcvPortDied)
+		return
 	}
 	if m := src.pull(x, e); m != nil {
 		x.finishReceiveChecked(e, m, maxSize)
+		return
 	}
 
 	// Nothing available: block. Nearly all receivers block on the common
@@ -1048,17 +1071,19 @@ func (x *IPC) resumeReceive(e *core.Env, src source, maxSize int) {
 
 // msgContinue is mach_msg_continue: the general continuation of a
 // receiver blocked on the common path. It runs when the transfer was not
-// completed inline by a recognizing sender. Terminal.
+// completed inline by a recognizing sender. Transfers control.
 func (x *IPC) msgContinue(e *core.Env) {
 	t := e.Cur()
 	src, maxSize := x.savedReceiveState(t)
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	if m := x.takeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.copyOutAndReturn(e, m)
+		return
 	}
 	// Woken to drain the queue.
 	x.receive(e, src, maxSize, 0)
@@ -1066,7 +1091,7 @@ func (x *IPC) msgContinue(e *core.Env) {
 
 // msgReceiveSlow is the continuation of a receiver with unusual options:
 // it re-checks the size constraint on every message, which is why the
-// fast path cannot recognize it away. Terminal.
+// fast path cannot recognize it away. Transfers control.
 func (x *IPC) msgReceiveSlow(e *core.Env) {
 	t := e.Cur()
 	src, maxSize := x.savedReceiveState(t)
@@ -1074,10 +1099,12 @@ func (x *IPC) msgReceiveSlow(e *core.Env) {
 	if code, ok := x.rcvError[t.ID]; ok {
 		delete(x.rcvError, t.ID)
 		x.K.ThreadSyscallReturn(e, code)
+		return
 	}
 	if m := x.takeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.finishReceiveChecked(e, m, maxSize)
+		return
 	}
 	x.receive(e, src, maxSize, 0)
 }
@@ -1092,19 +1119,20 @@ func (x *IPC) savedReceiveState(t *core.Thread) (source, int) {
 }
 
 // finishReceiveChecked applies the receiver's size constraint, then
-// copies out. Terminal.
+// copies out. Transfers control.
 func (x *IPC) finishReceiveChecked(e *core.Env, m *Message, maxSize int) {
 	if maxSize > 0 {
 		e.Charge(optionCheckCost)
 		if m.Size > maxSize {
 			x.K.ThreadSyscallReturn(e, RcvTooLarge)
+			return
 		}
 	}
 	x.copyOutAndReturn(e, m)
 }
 
 // copyOutAndReturn copies the message to user space and completes the
-// system call. Terminal.
+// system call. Transfers control.
 func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 	t := e.Cur()
 	e.Charge(transferCost(m))
@@ -1114,7 +1142,10 @@ func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 	}
 	x.received[t.ID] = m
 	if x.UserReturnHook != nil && x.UserReturnHook(e, t, m) {
-		panic("ipc: user return hook returned instead of transferring control")
+		if !e.Transferred() {
+			panic("ipc: user return hook returned instead of transferring control")
+		}
+		return
 	}
 	x.K.ThreadSyscallReturn(e, MsgSuccess)
 }

@@ -48,13 +48,14 @@ func (s *System) ThreadAbort(t *core.Thread) bool {
 
 // abortReturn is the abort continuation: running in the aborted thread's
 // own context at its next dispatch, it completes the cancelled operation
-// with the stashed interruption code. Terminal.
+// with the stashed interruption code. Transfers control.
 func (s *System) abortReturn(e *core.Env) {
 	t := e.Cur()
 	code := s.abortCode[t.ID]
 	delete(s.abortCode, t.ID)
 	if t.UserReturn == core.ReturnException {
 		s.K.ThreadExceptionReturn(e)
+		return
 	}
 	s.K.ThreadSyscallReturn(e, code)
 }

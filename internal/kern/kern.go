@@ -57,6 +57,22 @@ func (f Flavor) String() string {
 	}
 }
 
+// flavorFlags are the flavors' command-line spellings (machsim -flavor).
+var flavorFlags = [...]string{MK40: "mk40", MK32: "mk32", Mach25: "mach25"}
+
+// FlagName returns the flavor's command-line spelling.
+func (f Flavor) FlagName() string { return flavorFlags[f] }
+
+// ParseFlavor reads a command-line flavor spelling.
+func ParseFlavor(s string) (Flavor, error) {
+	for f, name := range flavorFlags {
+		if name == s {
+			return Flavor(f), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown flavor %q", s)
+}
+
 // UsesContinuations reports whether the flavor is the continuation
 // kernel.
 func (f Flavor) UsesContinuations() bool { return f == MK40 }
@@ -410,7 +426,7 @@ var reapCost = machine.Cost{Instrs: 220, Loads: 70, Stores: 45}
 // charged to the dead thread — pooled message buffers, saved errors,
 // waiter registrations with their callouts — and asserts the census
 // comes back clean, so a leak on an abnormal-termination path fails
-// loudly instead of stranding pool entries. Terminal.
+// loudly instead of stranding pool entries. Transfers control.
 func (s *System) reaperLoop(e *core.Env) {
 	for _, t := range s.K.ReapHalted() {
 		e.Charge(reapCost)
@@ -450,7 +466,7 @@ func (s *System) startCallout() {
 }
 
 // calloutLoop runs timed bookkeeping, then sleeps under the process
-// model. Terminal.
+// model. Transfers control.
 func (s *System) calloutLoop(e *core.Env) {
 	s.CalloutTicks++
 	e.Charge(machine.Cost{Instrs: 200, Loads: 60, Stores: 30})
@@ -527,7 +543,7 @@ func (s *System) Run(deadline machine.Time) uint64 { return s.K.Run(deadline) }
 // AllocWait makes the current kernel path wait for kernel memory: a
 // process-model block even in MK40, since the allocator's callers cannot
 // reasonably save their state (§3.2: "memory allocation"). resume
-// continues the interrupted path. Terminal.
+// continues the interrupted path. Transfers control.
 func (s *System) AllocWait(e *core.Env, frameBytes int, resume func(*core.Env)) {
 	s.AllocWaits++
 	t := e.Cur()
@@ -542,7 +558,8 @@ func (s *System) AllocWait(e *core.Env, frameBytes int, resume func(*core.Env)) 
 }
 
 // LockWait makes the current kernel path wait for a contended kernel
-// lock under the process model (§3.2: "lock acquisition"). Terminal.
+// lock under the process model (§3.2: "lock acquisition"). Transfers
+// control.
 func (s *System) LockWait(e *core.Env, frameBytes int, resume func(*core.Env)) {
 	s.LockWaits++
 	t := e.Cur()

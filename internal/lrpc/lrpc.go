@@ -90,8 +90,8 @@ func (l *LRPC) SavedPerReturn() float64 {
 }
 
 // hook implements ipc.UserReturnHook: transfer out of the kernel to the
-// registered entry rather than the trapped context. Terminal when the
-// thread has an override.
+// registered entry rather than the trapped context. When the thread has
+// an override it transfers control and returns true.
 func (l *LRPC) hook(e *core.Env, t *core.Thread, m *ipc.Message) bool {
 	entry, ok := l.entries[t.ID]
 	if !ok {

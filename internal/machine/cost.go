@@ -80,6 +80,22 @@ func (a Arch) String() string {
 	}
 }
 
+// archFlags are the architectures' command-line spellings (machsim -arch).
+var archFlags = [...]string{ArchDS3100: "ds3100", ArchToshiba5200: "toshiba"}
+
+// FlagName returns the architecture's command-line spelling.
+func (a Arch) FlagName() string { return archFlags[a] }
+
+// ParseArch reads a command-line architecture spelling.
+func ParseArch(s string) (Arch, error) {
+	for a, name := range archFlags {
+		if name == s {
+			return Arch(a), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown arch %q", s)
+}
+
 // CostModel converts Costs into simulated time for one architecture and
 // supplies the machine-dependent component costs of control transfer.
 // All times are derived, never measured from the host.

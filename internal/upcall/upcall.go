@@ -209,11 +209,12 @@ func (a *AsyncIO) complete(t *core.Thread, oncomplete *core.Continuation) {
 }
 
 // Wait blocks the current thread until an I/O completes, then transfers
-// to that I/O's continuation. Terminal.
+// to that I/O's continuation. Transfers control.
 func (a *AsyncIO) Wait(e *core.Env) {
 	t := e.Cur()
 	if len(a.ready[t.ID]) > 0 {
 		a.collect(e)
+		return
 	}
 	if a.inflight[t.ID] == 0 {
 		panic(fmt.Sprintf("upcall: %v waits with no I/O in flight", t))
@@ -225,13 +226,14 @@ func (a *AsyncIO) Wait(e *core.Env) {
 	}, 160, "aio-wait")
 }
 
-// collect transfers to the next ready completion. Terminal.
+// collect transfers control to the next ready completion.
 func (a *AsyncIO) collect(e *core.Env) {
 	t := e.Cur()
 	q := a.ready[t.ID]
 	if len(q) == 0 {
 		// Spurious wake: wait again.
 		a.Wait(e)
+		return
 	}
 	c := q[0]
 	a.ready[t.ID] = q[1:]

@@ -79,7 +79,8 @@ func (s *Space) SharedPages() int {
 
 // breakCow resolves a write fault on a shared page in the current
 // thread's space. It either privatizes in place (last reference) or
-// copies the page to a fresh frame, possibly blocking for one. Terminal.
+// copies the page to a fresh frame, possibly blocking for one. Transfers
+// control.
 func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 	t := e.Cur()
 	e.Charge(cowBreakCost)
@@ -88,6 +89,7 @@ func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 		entry.shared = nil
 		v.CowBreaks++
 		v.K.ThreadExceptionReturn(e)
+		return
 	}
 	if v.FreeFrames == 0 {
 		// Need a frame for the private copy: wait and retry the fault.
@@ -101,6 +103,7 @@ func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 		v.K.Block(e, blockReasonFault, v.ContFaultRetry,
 			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, true) },
 			160, "vm-cow-frame-wait")
+		return
 	}
 	// Copy the page into a private frame.
 	v.FreeFrames--

@@ -210,7 +210,7 @@ func (v *VM) SpaceOf(t *core.Thread) *Space {
 }
 
 // HandleFault services a user-level page fault on the current thread.
-// Installed as the kernel's fault handler; terminal.
+// Installed as the kernel's fault handler; transfers control.
 func (v *VM) HandleFault(e *core.Env, addr uint64, write bool) {
 	e.Charge(faultSoftCost)
 	t := e.Cur()
@@ -219,17 +219,19 @@ func (v *VM) HandleFault(e *core.Env, addr uint64, write bool) {
 		if write && entry.shared != nil {
 			// A store to a copy-on-write page: resolve the sharing.
 			v.breakCow(e, sp, addr>>PageShift, entry)
+			return
 		}
 		// The page arrived while we trapped (or the program re-touched a
 		// mapped page): nothing to wait for.
 		v.FastFaults++
 		v.K.ThreadExceptionReturn(e)
+		return
 	}
 	v.fault(e, addr, write)
 }
 
 // fault starts a page-in for addr, blocking the current thread. Also the
-// body of the retry continuation. Terminal.
+// body of the retry continuation. Transfers control.
 func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 	t := e.Cur()
 	page := addr >> PageShift
@@ -249,6 +251,7 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 		t.WaitLabel = "vm: frame wait"
 		v.K.Block(e, stats.BlockPageFault, v.ContFaultRetry,
 			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, write) }, 160, "vm-frame-wait")
+		return
 	}
 
 	// Claim a frame and start the disk read.
@@ -295,13 +298,13 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 }
 
 // faultContinue runs when the page-in completes: enter the page into the
-// pmap and resume the thread at user level. Terminal.
+// pmap and resume the thread at user level. Transfers control.
 func (v *VM) faultContinue(e *core.Env) {
 	e.Charge(faultMapCost)
 	v.K.ThreadExceptionReturn(e)
 }
 
-// faultRetry re-runs the fault after a frame wait. Terminal.
+// faultRetry re-runs the fault after a frame wait. Transfers control.
 func (v *VM) faultRetry(e *core.Env) {
 	t := e.Cur()
 	page := uint64(t.Scratch.Word(0))
@@ -311,7 +314,7 @@ func (v *VM) faultRetry(e *core.Env) {
 // KernelFault services a page fault taken in kernel mode: the thread's
 // kernel state and stack are preserved — the process model is the safety
 // net here even in the continuation kernel (§2.5). resume continues the
-// interrupted kernel path. Terminal.
+// interrupted kernel path. Transfers control.
 func (v *VM) KernelFault(e *core.Env, frameBytes int, resume func(*core.Env)) {
 	e.Charge(faultSoftCost)
 	v.KernelFaults++
@@ -342,7 +345,7 @@ func (v *VM) wakeDaemon() {
 
 // pageoutLoop is the daemon's work loop, §2.2 style: do work, then block
 // with this same continuation, achieving the infinite loop through tail
-// recursion. Terminal.
+// recursion. Transfers control.
 func (v *VM) pageoutLoop(e *core.Env) {
 	for v.FreeFrames < v.HighWater && len(v.fifo) > 0 {
 		ref := v.fifo[0]

@@ -163,6 +163,9 @@ type cluster struct {
 // invariant sweep (plus watchdog), and the recorder.
 func boot(spec clusterSpec) *cluster {
 	n := len(spec.topo.roles)
+	if err := spec.faults.CheckMachines(n); err != nil {
+		panic(err)
+	}
 	ms := make([]*kern.System, n)
 	for i := range ms {
 		ms[i] = kern.New(spec.cfg)
@@ -211,9 +214,7 @@ func boot(spec clusterSpec) *cluster {
 // simulated time.
 func (c *cluster) drive() (uint64, machine.Duration) {
 	for _, cr := range c.spec.faults.Crashes {
-		if cr.Machine >= 0 && cr.Machine < len(c.machines) {
-			c.machines[cr.Machine].ScheduleCrash(cr.At, cr.RebootAfter)
-		}
+		c.machines[cr.Machine].ScheduleCrash(cr.At, cr.RebootAfter)
 	}
 	kc := kern.NewCluster(c.machines...)
 	kc.CrossCheck = c.spec.debug

@@ -63,7 +63,7 @@ const itemGap = machine.Duration(30 * 1000) // 30 us
 // loop processes one work item per pass, then blocks again with itself
 // as the continuation (tail recursion, §2.2). Each item therefore costs
 // one internal-thread block with a stack discard — the behaviour Table
-// 1's "internal threads" row tallies. Terminal.
+// 1's "internal threads" row tallies. Transfers control.
 func (d *Daemon) loop(e *core.Env) {
 	t := e.Cur()
 	if d.pending > 0 {

@@ -226,10 +226,11 @@ func FuzzKV(opt FuzzKVOptions) (FuzzKVResult, error) {
 	return fz, nil
 }
 
-// fuzzFlagSuffix renders the campaign's build-variant flags so the
-// printed repro command really reproduces the run.
+// fuzzFlagSuffix renders the campaign's build flags (schedules are
+// flavor- and arch-dependent) and variant flags, so the printed repro
+// command really reproduces the run.
 func fuzzFlagSuffix(opt FuzzKVOptions) string {
-	var s string
+	s := " -flavor " + opt.Flavor.FlagName() + " -arch " + opt.Arch.FlagName()
 	if opt.Break {
 		s += " -breakkv"
 	}

@@ -220,6 +220,9 @@ func kvOps(seed uint64, clientID int, ops int, keyspan uint64, putPer10k int) []
 	return out
 }
 
+// Machines is the number of machines the spec boots.
+func (KVSpec) Machines() int { return len(kvTopology.roles) }
+
 // RunKV boots and drives the replicated KV cluster: machines 0 and 3
 // are clients, 1 and 2 the rank-0 and rank-1 replicas. Clients reach
 // rank 0 on Links[0] and rank 1 on Links[1]; the replicas reach each

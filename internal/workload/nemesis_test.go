@@ -239,4 +239,8 @@ func TestFuzzKV(t *testing.T) {
 	if !strings.Contains(out.String(), "minimal repro") {
 		t.Fatalf("fuzz output missing the repro line:\n%s", out.String())
 	}
+	// The repro names the build: schedules are flavor- and arch-dependent.
+	if !strings.Contains(out.String(), "-flavor mk40 -arch ds3100 -breakkv\n") {
+		t.Fatalf("repro line lacks the campaign's build flags:\n%s", out.String())
+	}
 }

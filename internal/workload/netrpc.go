@@ -276,12 +276,8 @@ func RunNetRPC(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) *NetRPCRe
 // stamps and retransmits. Pair links turn reliable only when the fault
 // plan makes the wire lossy.
 func netRPCCluster(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) clusterSpec {
-	topo := pairTopology(max(spec.Pairs, 1))
-	if spec.Failover {
-		topo = haTopology
-	}
 	return clusterSpec{
-		topo:      topo,
+		topo:      spec.topology(),
 		cfg:       kern.Config{Flavor: flavor, Arch: arch, DiskLatency: spec.DiskLatency},
 		faultSeed: spec.FaultSeed,
 		faults:    spec.FaultSpec,
@@ -291,6 +287,18 @@ func netRPCCluster(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) clust
 		parallel:  spec.Parallel,
 	}
 }
+
+// topology is the HA cluster under Failover, client/server pairs
+// otherwise.
+func (s NetRPCSpec) topology() topology {
+	if s.Failover {
+		return haTopology
+	}
+	return pairTopology(max(s.Pairs, 1))
+}
+
+// Machines is the number of machines the spec boots.
+func (s NetRPCSpec) Machines() int { return len(s.topology().roles) }
 
 // installPairs starts each pair's echo server on its server machine,
 // reachable from the wire as "echo", and the spec's clients on its

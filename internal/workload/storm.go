@@ -280,6 +280,9 @@ type StormResult struct {
 	Topo       *fault.Topology
 }
 
+// Machines is the number of machines the spec boots.
+func (StormSpec) Machines() int { return len(chainTopology.roles) }
+
 // RunStorm boots and drives the storm cluster: the svcgraph machine
 // chain (0 frontend, 1 cache, 2/3 KV replicas) under open-loop session
 // load.

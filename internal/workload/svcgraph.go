@@ -83,6 +83,9 @@ type SvcGraphResult struct {
 // ReplicaTotals sums the backend replicas' service counters.
 func (r *SvcGraphResult) ReplicaTotals() svc.ReplicaStats { return replicaTotals(r.Replicas) }
 
+// Machines is the number of machines the spec boots.
+func (SvcGraphSpec) Machines() int { return len(chainTopology.roles) }
+
 // RunSvcGraph boots and drives the three-tier chain: machine 0 runs the
 // frontend threads, machine 1 the cache tier, machines 2 and 3 the KV
 // replicas.

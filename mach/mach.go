@@ -98,8 +98,9 @@ type (
 var (
 	// RunFor burns user CPU cycles.
 	RunFor = core.RunFor
-	// Syscall traps into the kernel and runs the handler, which must end
-	// in a terminal control-transfer operation.
+	// Syscall traps into the kernel and runs the handler, which must
+	// transfer control (end in a control-transfer operation) before it
+	// returns.
 	Syscall = core.Syscall
 	// Exit terminates the thread.
 	Exit = core.Exit
@@ -218,7 +219,7 @@ func (s *System) NewMessage(op uint32, size int, body any, reply *Port) *Message
 }
 
 // MachMsg performs the combined send/receive system call from inside a
-// Syscall handler. Terminal.
+// Syscall handler. Transfers control: the handler returns at once.
 func (s *System) MachMsg(e *Env, opts MsgOptions) { s.sys.IPC.MachMsg(e, opts) }
 
 // Received returns (and clears) the message the thread's last receive
