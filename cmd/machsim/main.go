@@ -18,12 +18,15 @@
 // Workloads:
 //
 //   - compile, build, dos: the paper's single-machine workloads (Tables
-//     1 and 2); -scale and -seed apply.
+//     1 and 2); -scale and -seed apply. -scale is a finite factor > 0
+//     on the paper's duration that leaves a run of 1 ns to 2^64 ns
+//     (e.g. -scale 0 or -1 exits 2).
 //   - netrpc: two machines joined by a NIC pair running cross-machine
 //     echo RPCs through the in-kernel netmsg threads. -pairs n boots n
 //     client/server pairs (2n machines); -clients n runs n client
-//     threads per client machine; -failover boots the 4-machine HA
-//     topology (client, primary, replica, client) instead.
+//     threads per client machine (both counts are >= 1); -failover boots
+//     the 4-machine HA topology (client, primary, replica, client)
+//     instead.
 //   - kv: the replicated sharded key/value service — two client machines
 //     driving a primary/backup replica pair with epoch-numbered leases,
 //     fencing tokens and heartbeat-driven leader election. -clients sets
@@ -103,6 +106,13 @@
 //   - burst=F@T+D multiplies the open-loop offered load by F (demand-side:
 //     the storm and mtload sessions divide their think gaps by it).
 //
+// Every number in a spec must be finite: a NaN probability or an
+// infinite factor exits 2 naming its rule. Probabilities lie in [0,1];
+// gray and burst factors lie in (0,1000] (fault.MaxFactor), and so does
+// the product of the factors of overlapping windows (gray on one
+// machine, burst cluster-wide), because a larger stretch overflows the
+// simulated clock or floods memory.
+//
 // The kv workload records every client operation and checks the merged
 // history for per-key linearizability, plus a split-brain assertion over
 // the replicas' durable ack logs; the report prints the verdict and a
@@ -152,6 +162,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/fault"
@@ -349,11 +360,12 @@ func readOverload() overload.Policy {
 	return p
 }
 
-// readSessions reads -sessions, which must be >= 1 when given.
-func readSessions() (int, bool) {
-	n, ok := sessions.lookup()
+// readPositive reads a count flag, which must be >= 1 when given, and
+// whether the command line gave it.
+func readPositive(s setting[int]) (int, bool) {
+	n, ok := s.lookup()
 	if ok && n < 1 {
-		exitIf(fmt.Errorf("-sessions must be >= 1, got %d", n))
+		exitIf(fmt.Errorf("-%s must be >= 1, got %d", s.name, n))
 	}
 	return n, ok
 }
@@ -421,6 +433,9 @@ func paperRun(name string, flavor kern.Flavor, arch machine.Arch) func() {
 		"dos":     workload.DOSEmulation,
 	}[name]()
 	frac := scale.get()
+	if err := spec.CheckScale(frac); err != nil {
+		exitIf(fmt.Errorf("-scale %v: %w", frac, err))
+	}
 	wseed := seed.get()
 	debug := check.get()
 	faultSeed, faultSpec, faulted := readFaults()
@@ -504,10 +519,10 @@ func netRPCRun(flavor kern.Flavor, arch machine.Arch) func() {
 	// A crash implies the HA topology, which has no client/server pairs.
 	spec.Failover = failover.get() || len(spec.FaultSpec.Crashes) > 0
 	if !spec.Failover {
-		spec.Pairs = pairs.get()
+		spec.Pairs, _ = readPositive(pairs)
 	}
 	exitIf(spec.FaultSpec.CheckMachines(spec.Machines()))
-	spec.Clients = clients.get()
+	spec.Clients, _ = readPositive(clients)
 	spec.Parallel = parallel.get()
 	spec.DebugChecks = check.get()
 	out := readObserver()
@@ -526,7 +541,7 @@ func kvRun(flavor kern.Flavor, arch machine.Arch) func() {
 	var faulted bool
 	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("kv")
 	exitIf(spec.FaultSpec.CheckMachines(spec.Machines()))
-	if v, ok := clients.lookup(); ok {
+	if v, ok := readPositive(clients); ok {
 		spec.Clients = v
 	}
 	if v, ok := seed.lookup(); ok {
@@ -552,7 +567,7 @@ func svcGraphRun(flavor kern.Flavor, arch machine.Arch) func() {
 	var faulted bool
 	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("svcgraph")
 	exitIf(spec.FaultSpec.CheckMachines(spec.Machines()))
-	if v, ok := clients.lookup(); ok {
+	if v, ok := readPositive(clients); ok {
 		spec.Frontends = v
 	}
 	if v, ok := seed.lookup(); ok {
@@ -579,7 +594,7 @@ func stormRun(flavor kern.Flavor, arch machine.Arch) func() {
 	if v, ok := seed.lookup(); ok {
 		spec.Seed = v
 	}
-	if n, ok := readSessions(); ok {
+	if n, ok := readPositive(sessions); ok {
 		spec.Sessions = n
 	}
 	if faultSeed, faultSpec, ok := readFaults(); ok {
@@ -606,11 +621,8 @@ func mtLoadRun(flavor kern.Flavor, arch machine.Arch) func() {
 	if spec.Machines < 2 || spec.Machines%2 != 0 {
 		exitIf(fmt.Errorf("-machines must be even and >= 2, got %d", spec.Machines))
 	}
-	spec.Tenants = tenants.get()
-	if spec.Tenants < 1 {
-		exitIf(fmt.Errorf("-tenants must be >= 1, got %d", spec.Tenants))
-	}
-	if n, ok := readSessions(); ok {
+	spec.Tenants, _ = readPositive(tenants)
+	if n, ok := readPositive(sessions); ok {
 		spec.SessionsPerTenant = n
 	}
 	if v, ok := seed.lookup(); ok {
@@ -630,15 +642,10 @@ func mtLoadRun(flavor kern.Flavor, arch machine.Arch) func() {
 // and exits nonzero when any schedule's history violates.
 func fuzzRun(flavor kern.Flavor, arch machine.Arch) func() {
 	arg := fuzz.get()
-	seedPart, countPart, ok := strings.Cut(arg, ":")
-	var campaign uint64
-	var count int
-	if ok {
-		_, err1 := fmt.Sscanf(seedPart, "%d", &campaign)
-		_, err2 := fmt.Sscanf(countPart, "%d", &count)
-		ok = err1 == nil && err2 == nil && count > 0
-	}
-	if !ok {
+	seedPart, countPart, _ := strings.Cut(arg, ":")
+	campaign, err1 := strconv.ParseUint(seedPart, 10, 64)
+	count, err2 := strconv.Atoi(countPart)
+	if err1 != nil || err2 != nil || count < 1 {
 		exitIf(fmt.Errorf("-fuzz wants seed:count, got %q", arg))
 	}
 	opt := workload.FuzzKVOptions{

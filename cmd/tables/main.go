@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/threadmodel"
+	"repro/internal/workload"
 )
 
 var (
@@ -34,6 +35,12 @@ func main() {
 
 	var workloads []experiments.Table1Result
 	if want("1") || want("2") {
+		for _, spec := range workload.Specs() {
+			if err := spec.CheckScale(*scale); err != nil {
+				fmt.Fprintf(os.Stderr, "-scale %v: %v\n", *scale, err)
+				os.Exit(2)
+			}
+		}
 		workloads = experiments.Tables1And2(*scale, *seed)
 	}
 	if want("1") {

@@ -27,45 +27,6 @@ var Arches = []machine.Arch{machine.ArchDS3100, machine.ArchToshiba5200}
 // Table 3: null RPC and exception round-trip latency.
 // ---------------------------------------------------------------------
 
-// echoServer answers every request on its port forever. Its two syscall
-// actions are built once and reused — a fresh closure per action would
-// put an allocation on every step of the steady-state RPC path.
-type echoServer struct {
-	sys     *kern.System
-	port    *ipc.Port
-	pending *ipc.Message
-	Handled uint64
-
-	recvAct  core.Action
-	replyAct core.Action
-}
-
-func (s *echoServer) Next(e *core.Env, t *core.Thread) core.Action {
-	if s.recvAct.Invoke == nil {
-		s.recvAct = core.Syscall("mach_msg(receive)", func(e *core.Env) {
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
-		})
-		s.replyAct = core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
-			req := s.pending
-			s.pending = nil
-			op, size, body, to := req.OpID, req.Size, req.Body, req.Reply
-			s.sys.IPC.FreeMessage(req)
-			reply := s.sys.IPC.NewMessage(op|0x8000, size, body, nil)
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				Send: reply, SendTo: to, ReceiveFrom: s.port,
-			})
-		})
-	}
-	if m := s.sys.IPC.Received(t); m != nil {
-		s.pending = m
-	}
-	if s.pending == nil {
-		return s.recvAct
-	}
-	s.Handled++
-	return s.replyAct
-}
-
 // PingClient issues null RPCs, recording the simulated time spent
 // between warmup and completion.
 type PingClient struct {
@@ -132,7 +93,7 @@ func SetupNullRPC(sys *kern.System, iters int) *PingClient {
 	ct := sys.NewTask("client")
 	sp := sys.IPC.NewPort("service")
 	rp := sys.IPC.NewPort("reply")
-	srv := &echoServer{sys: sys, port: sp}
+	srv := workload.NewEchoServer(sys, sp)
 	warmup := 10
 	cli := &PingClient{sys: sys, server: sp, reply: rp, rpcs: iters + warmup, warmup: warmup}
 	sys.Start(st.NewThread("srv", srv, 20))
@@ -430,7 +391,7 @@ func Figure2Trace() []obs.Event {
 	ct := sys.NewTask("client")
 	sp := sys.IPC.NewPort("service")
 	rp := sys.IPC.NewPort("reply")
-	srv := &echoServer{sys: sys, port: sp}
+	srv := workload.NewEchoServer(sys, sp)
 	cli := &PingClient{sys: sys, server: sp, reply: rp, rpcs: 4, warmup: 0}
 	sys.Start(st.NewThread("server", srv, 20))
 	sys.Start(ct.NewThread("client", cli, 10))

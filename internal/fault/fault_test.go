@@ -28,11 +28,19 @@ func TestParseSpec(t *testing.T) {
 	if s, err := fault.ParseSpec(""); err != nil || !s.Zero() {
 		t.Fatalf("empty spec should parse to zero, got %+v err %v", s, err)
 	}
-	for _, bad := range []string{"drop", "drop=2", "drop=-1", "nope=0.5", "devslow=0.5:xyz"} {
+	for _, bad := range badSpecs {
 		if _, err := fault.ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}
 	}
+}
+
+// badSpecs are malformed probabilistic rules. NaN passes a plain range
+// comparison, and used to parse into a rule that injects nothing.
+var badSpecs = []string{
+	"drop", "drop=2", "drop=-1", "nope=0.5", "devslow=0.5:xyz",
+	"drop=NaN", "dup=NaN", "delay=NaN", "devfail=NaN", "devslow=NaN",
+	"drop=Inf", "drop=-Inf", "delay=nan:1ms",
 }
 
 func TestParseFlag(t *testing.T) {

@@ -261,6 +261,11 @@ func (g Gray) rule() string {
 	return fmt.Sprintf("gray=%d:%g@%s+%s", g.Machine, g.Factor, fmtDur(g.At), fmtDur(g.Dur))
 }
 
+// rule renders the burst window in the spec grammar.
+func (b Burst) rule() string {
+	return fmt.Sprintf("burst=%g@%s+%s", b.Factor, fmtDur(b.At), fmtDur(b.Dur))
+}
+
 // groupStr renders a machine group as dot-separated indices in ascending
 // order (the spec grammar's own shape).
 func groupStr(g []int) string {

@@ -37,19 +37,14 @@ func (c *Context) SaveArgs(args ...uint64) {
 // lives on the thread's dedicated kernel stack and costs no extra bytes.
 const MDStateBytes = 206
 
-// Accumulator gathers Costs charged by simulated kernel code, both a
-// running total and a resettable span, so paths can be measured
-// component-by-component (Table 4) and end-to-end (Table 3).
+// Accumulator gathers the Costs charged by simulated kernel code and
+// moves the simulated clock forward by their duration, so event timing
+// reflects kernel execution time.
 type Accumulator struct {
 	model *CostModel
 	clock *Clock
 
 	total Cost
-	span  Cost
-
-	// AdvanceClock, when true, moves the simulated clock forward as costs
-	// are charged so that event timing reflects kernel execution time.
-	AdvanceClock bool
 
 	// TimeScale, when non-nil, multiplies the simulated duration of every
 	// charge — the gray-failure hook: a slowdown factor > 1 makes the
@@ -58,22 +53,16 @@ type Accumulator struct {
 	TimeScale func() float64
 }
 
-// NewAccumulator returns an accumulator charging against model and,
-// optionally, advancing clock.
+// NewAccumulator returns an accumulator charging against model and
+// advancing clock.
 func NewAccumulator(model *CostModel, clock *Clock) *Accumulator {
-	return &Accumulator{model: model, clock: clock, AdvanceClock: true}
+	return &Accumulator{model: model, clock: clock}
 }
-
-// Model exposes the cost model used for time conversion.
-func (a *Accumulator) Model() *CostModel { return a.model }
 
 // Charge records that the named work was performed.
 func (a *Accumulator) Charge(c Cost) {
 	a.total.Add(c)
-	a.span.Add(c)
-	if a.AdvanceClock && a.clock != nil {
-		a.clock.AdvanceMicros(a.ScaleMicros(a.model.TimeMicros(c)))
-	}
+	a.clock.AdvanceMicros(a.ScaleMicros(a.model.TimeMicros(c)))
 }
 
 // ScaleMicros applies the gray-failure time scale to a simulated
@@ -87,27 +76,5 @@ func (a *Accumulator) ScaleMicros(us float64) float64 {
 	return us * a.TimeScale()
 }
 
-// ChargeInstrs charges n straight-line instructions with no data traffic.
-func (a *Accumulator) ChargeInstrs(n uint64) {
-	a.Charge(Cost{Instrs: n})
-}
-
 // Total returns the cumulative cost since creation.
 func (a *Accumulator) Total() Cost { return a.total }
-
-// BeginSpan resets the span counter and returns the value before reset,
-// letting callers bracket a path measurement.
-func (a *Accumulator) BeginSpan() Cost {
-	prev := a.span
-	a.span = Cost{}
-	return prev
-}
-
-// Span returns the cost charged since the last BeginSpan.
-func (a *Accumulator) Span() Cost { return a.span }
-
-// SpanMicros returns the simulated duration of the current span.
-func (a *Accumulator) SpanMicros() float64 { return a.model.TimeMicros(a.span) }
-
-// TotalMicros returns the simulated duration of all charged work.
-func (a *Accumulator) TotalMicros() float64 { return a.model.TimeMicros(a.total) }

@@ -206,7 +206,7 @@ func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 		for _, n := range s.Links {
 			n.Export("echo", sport)
 		}
-		s.Start(st.NewThread("srv", &netEchoServer{sys: s, port: sport}, 20))
+		s.Start(st.NewThread("srv", NewEchoServer(s, sport), 20))
 	}
 	for _, s := range ms[1:3] {
 		s.RegisterService("echo-server", installEcho)

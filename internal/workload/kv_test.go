@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -99,47 +97,5 @@ func TestKVStaggeredCrashes(t *testing.T) {
 	}
 	if res.Recovery.Crashes != 2 || res.Recovery.Reboots != 2 {
 		t.Fatalf("crashes %d reboots %d, want 2/2", res.Recovery.Crashes, res.Recovery.Reboots)
-	}
-}
-
-// kvReport renders the spec's run as the machsim-format report string.
-func kvReport(spec KVSpec, procs int) string {
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
-	res := RunKV(kern.MK40, machine.ArchDS3100, spec)
-	var buf bytes.Buffer
-	WriteKVReport(&buf, kern.MK40, machine.ArchDS3100, res,
-		NetRPCReportOptions{Faults: !spec.FaultSpec.Zero()})
-	return buf.String()
-}
-
-// TestKVParallelEquivalence checks the determinism contract for the KV
-// workload under its crash plan: the report is byte-identical across
-// sequential/parallel drivers and GOMAXPROCS settings.
-func TestKVParallelEquivalence(t *testing.T) {
-	spec := DefaultKV()
-	spec.FaultSpec.Crashes = []fault.Crash{{
-		Machine:     1,
-		At:          machine.Duration(40 * 1e6),
-		RebootAfter: machine.Duration(40 * 1e6),
-	}}
-	seq := spec
-	seq.Parallel = false
-	want := kvReport(seq, 1)
-	if want == "" {
-		t.Fatal("baseline run produced an empty report")
-	}
-	for _, procs := range []int{1, 4} {
-		for _, par := range []bool{false, true} {
-			if !par && procs == 1 {
-				continue
-			}
-			run := spec
-			run.Parallel = par
-			if got := kvReport(run, procs); got != want {
-				t.Fatalf("report diverged (parallel=%v procs=%d):\nwant:\n%s\ngot:\n%s",
-					par, procs, want, got)
-			}
-		}
 	}
 }

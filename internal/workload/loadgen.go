@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/ipc"
@@ -228,7 +227,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 			if w > 0 {
 				name = fmt.Sprintf("srv-%d", w)
 			}
-			b.Start(st.NewThread(name, &netEchoServer{sys: b, port: sport}, 20))
+			b.Start(st.NewThread(name, NewEchoServer(b, sport), 20))
 		}
 
 		ct := a.NewTask("tenants")
@@ -348,13 +347,4 @@ func writeClusterCensus(w io.Writer, machines []*kern.System) (maxStacks int) {
 	fmt.Fprintf(w, "memory census (cluster): %d stacks high-water vs %d blocked threads high-water (%d live threads)",
 		sum.StackHighWater, sum.BlockedHighWater, sum.LiveThreads)
 	return maxStacks
-}
-
-// MTLoadReport runs the workload and renders the report as a string —
-// the registry and machsim entry point.
-func MTLoadReport(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) string {
-	res := RunMTLoad(flavor, arch, spec)
-	var b strings.Builder
-	WriteMTLoadReport(&b, res)
-	return b.String()
 }

@@ -1,58 +1,13 @@
 package workload
 
 import (
-	"bytes"
-	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
-
-// runMTLoadReport executes spec under the given GOMAXPROCS and returns
-// the aggregate report — the workload's determinism artifact.
-func runMTLoadReport(t *testing.T, spec MTLoadSpec, procs int) string {
-	t.Helper()
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
-	return MTLoadReport(kern.MK40, machine.ArchDS3100, spec)
-}
-
-// TestMTLoadParallelEquivalence checks the determinism contract at a
-// 16-machine scale: the report is byte-identical across sequential and
-// parallel drivers, GOMAXPROCS values, and same-seed reruns, with the
-// driver's naive-sweep cross-check armed throughout.
-func TestMTLoadParallelEquivalence(t *testing.T) {
-	spec := DefaultMTLoad()
-	spec.Machines = 16
-	spec.SessionsPerTenant = 60
-	spec.DebugChecks = true
-
-	want := runMTLoadReport(t, spec, 1)
-	if want == "" {
-		t.Fatal("baseline produced an empty report")
-	}
-	for _, procs := range []int{1, 4} {
-		for _, par := range []bool{false, true} {
-			if !par && procs == 1 {
-				continue
-			}
-			s := spec
-			s.Parallel = par
-			if got := runMTLoadReport(t, s, procs); got != want {
-				t.Errorf("parallel=%v GOMAXPROCS=%d: report differs from sequential baseline",
-					par, procs)
-			}
-		}
-	}
-	// Same-seed rerun in the same process: no hidden global state.
-	if got := runMTLoadReport(t, spec, 1); got != want {
-		t.Error("same-seed rerun differs from first run")
-	}
-}
 
 // TestMTLoadSpaceClaim pins the paper's space claim at cluster scale:
 // blocked sessions scale with the load while every machine's kernel
@@ -127,49 +82,6 @@ func TestMTLoadBalancerSpread(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceManyMachines drives the netrpc workload at 64
-// machines — the shape where the sharded barrier and dirty-flush lists
-// matter — and requires byte-identical artifacts across drivers.
-func TestParallelEquivalenceManyMachines(t *testing.T) {
-	spec := DefaultNetRPC()
-	spec.Pairs = 32
-	spec.RPCs = 8
-	spec.DiskReads = 0
-	testParallelEquivalence(t, spec)
-}
-
-// TestLinkDelayFaultCrossCheck regresses the wire-cache contract under
-// the fault grammar's link=…:delay rule: a mid-run latency stretch adds
-// delay at transmit time, so the cached lookahead must stay a safe lower
-// bound — CrossCheck panics (failing the run) if the horizon ever
-// diverges from the full sweep, and the parallel driver must still match
-// the sequential one byte for byte.
-func TestLinkDelayFaultCrossCheck(t *testing.T) {
-	spec := DefaultNetRPC()
-	fs, err := fault.ParseSpec("link=0>1:delay:2ms@5ms+20ms")
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	spec.FaultSeed = 7
-	spec.FaultSpec = fs
-	spec.DebugChecks = true // arms Cluster.CrossCheck in RunNetRPC
-	testParallelEquivalence(t, spec)
-}
-
-// TestRegistryIncludesMTLoad keeps the workload discoverable by name:
-// machsim and the determinism CI iterate the registry.
-func TestRegistryIncludesMTLoad(t *testing.T) {
-	for _, w := range Registry() {
-		if w.Name == "mtload" {
-			if rep := w.Report(false); !bytes.Contains([]byte(rep), []byte("multi-tenant load report")) {
-				t.Fatal("mtload registry report missing headline")
-			}
-			return
-		}
-	}
-	t.Fatal("registry has no mtload entry")
-}
-
 // TestMTLoadCensusPinned pins the exact memory census of a small mtload
 // run — per machine and the cluster report line — at the values the
 // original registry scan produced, so the O(1) waiting count can never
@@ -190,9 +102,10 @@ func TestMTLoadCensusPinned(t *testing.T) {
 			t.Errorf("machine %d census = %+v, want %+v", i, got, want[i])
 		}
 	}
-	report := MTLoadReport(kern.MK40, machine.ArchDS3100, spec)
+	var report strings.Builder
+	WriteMTLoadReport(&report, res)
 	const line = "memory census (cluster): 8 stacks high-water vs 188 blocked threads high-water (28 live threads); max per-machine stacks 2\n"
-	if !strings.Contains(report, line) {
+	if !strings.Contains(report.String(), line) {
 		t.Errorf("report lacks %q", line)
 	}
 }

@@ -177,27 +177,6 @@ func TestKVBrokenBuildFlagged(t *testing.T) {
 	}
 }
 
-// TestKVNemesisParallelEquivalence: the full report of a partition run —
-// headline, checker verdict, nemesis timeline, per-machine sections —
-// must be byte-identical between the sequential and parallel drivers.
-func TestKVNemesisParallelEquivalence(t *testing.T) {
-	render := func(parallel bool) string {
-		spec := nemesisSpec(t, "partition=1|0.2.3@60ms+120ms,link=0>2:delay:3ms@30ms+40ms")
-		spec.Parallel = parallel
-		res := RunKV(kern.MK40, machine.ArchDS3100, spec)
-		var buf bytes.Buffer
-		WriteKVReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{Faults: true})
-		return buf.String()
-	}
-	seq, par := render(false), render(true)
-	if seq != par {
-		t.Fatalf("sequential and parallel nemesis reports differ:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "nemesis schedule:") || !strings.Contains(seq, "checker: ") {
-		t.Fatalf("report missing nemesis/checker sections:\n%s", seq)
-	}
-}
-
 // TestFuzzKV runs a tiny campaign on the real build (must be clean) and
 // on the broken build (must find and shrink a violation).
 func TestFuzzKV(t *testing.T) {

@@ -135,46 +135,6 @@ type NetRPCResult struct {
 	topo topology
 }
 
-// netEchoServer answers echo RPCs arriving through the netmsg thread. Its
-// syscall actions are built once; a closure per action would allocate on
-// every step of the cluster benchmarks.
-type netEchoServer struct {
-	sys     *kern.System
-	port    *ipc.Port
-	pending *ipc.Message
-	handled int
-
-	recvAct  core.Action
-	replyAct core.Action
-}
-
-func (s *netEchoServer) Next(e *core.Env, t *core.Thread) core.Action {
-	if s.recvAct.Invoke == nil {
-		s.recvAct = core.Syscall("mach_msg(receive)", func(e *core.Env) {
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
-		})
-		s.replyAct = core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
-			req := s.pending
-			s.pending = nil
-			op, size, body, to := req.OpID, req.Size, req.Body, req.Reply
-			s.sys.IPC.FreeMessage(req)
-			// to is a netmsg proxy: this send becomes a packet home.
-			reply := s.sys.IPC.NewMessage(op|0x8000, size, body, nil)
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				Send: reply, SendTo: to, ReceiveFrom: s.port,
-			})
-		})
-	}
-	if m := s.sys.IPC.Received(t); m != nil {
-		s.pending = m
-	}
-	if s.pending == nil {
-		return s.recvAct
-	}
-	s.handled++
-	return s.replyAct
-}
-
 // netClient issues echo RPCs to the remote machine via a proxy port.
 type netClient struct {
 	sys   *kern.System
@@ -318,7 +278,7 @@ func installPairs(ms []*kern.System, spec NetRPCSpec) []*netClient {
 			sport.QueueLimit = 2 * clients
 		}
 		b.Net.Export("echo", sport)
-		b.Start(st.NewThread("srv", &netEchoServer{sys: b, port: sport}, 20))
+		b.Start(st.NewThread("srv", NewEchoServer(b, sport), 20))
 
 		// Each client needs its own reply port (netmsg auto-export is
 		// name-keyed); client 0 keeps the historical names so

@@ -70,34 +70,3 @@ func TestNetRPCLossSweep(t *testing.T) {
 			float64(res.Completed)/res.Elapsed.Seconds(), rexmit)
 	}
 }
-
-// TestLossyNetRPCDeterminism runs the lossy workload twice with the same
-// seed and requires bit-identical outcomes — timing, fault history, and
-// recovery traffic all included.
-func TestLossyNetRPCDeterminism(t *testing.T) {
-	type trace struct {
-		completed  int
-		steps      uint64
-		elapsed    machine.Duration
-		faultsA    string
-		faultsB    string
-		rexmits    uint64
-		invariants uint64
-	}
-	run := func() trace {
-		res := workload.RunNetRPC(kern.MK40, machine.ArchDS3100, workload.LossyNetRPC())
-		return trace{
-			completed:  res.Completed,
-			steps:      res.Steps,
-			elapsed:    res.Elapsed,
-			faultsA:    res.Client.FaultStats().String(),
-			faultsB:    res.Server.FaultStats().String(),
-			rexmits:    res.Client.Net.Retransmits + res.Server.Net.Retransmits,
-			invariants: res.Client.K.Stats.InvariantPasses + res.Server.K.Stats.InvariantPasses,
-		}
-	}
-	t1, t2 := run(), run()
-	if t1 != t2 {
-		t.Fatalf("lossy runs diverged:\n  %+v\n  %+v", t1, t2)
-	}
-}

@@ -127,20 +127,3 @@ func TestFuzzKVOverload(t *testing.T) {
 		t.Fatalf("repro command missing arming flags:\n%s", out.String())
 	}
 }
-
-// TestKVOverloadDeterminism: the armed run is part of the same
-// byte-identical contract as everything else.
-func TestKVOverloadDeterminism(t *testing.T) {
-	report := func(parallel bool) string {
-		spec := kvOverloadSpec()
-		spec.Parallel = parallel
-		res := RunKV(kern.MK40, machine.ArchDS3100, spec)
-		var buf bytes.Buffer
-		WriteKVReport(&buf, kern.MK40, machine.ArchDS3100, res, NetRPCReportOptions{Faults: true})
-		return buf.String()
-	}
-	seq, par := report(false), report(true)
-	if seq != par {
-		t.Errorf("sequential and parallel armed reports differ:\nseq:\n%s\npar:\n%s", seq, par)
-	}
-}

@@ -17,8 +17,8 @@ import (
 // the recovery section follows the HA topology or a crash.
 type NetRPCReportOptions struct {
 	// Faults prints each machine's fault-injection block. machsim sets it
-	// for any -faults or -crash; the registry's recovery reports leave
-	// it out.
+	// for any -faults or -crash; left unset, a crash run reports only its
+	// recovery section.
 	Faults bool
 }
 

@@ -9,6 +9,53 @@ import (
 	"repro/internal/stats"
 )
 
+// EchoServer answers every request on its port forever, replying with
+// op|0x8000 and the request's size and body to the request's reply port:
+// the null RPC server of Table 3 and the echo server of the cluster
+// workloads, where the reply port is a netmsg proxy and the reply
+// becomes a packet home. Its two syscall actions are built once; a
+// fresh closure per action would allocate on every step of the RPC
+// path.
+type EchoServer struct {
+	sys     *kern.System
+	port    *ipc.Port
+	pending *ipc.Message
+
+	recvAct  core.Action
+	replyAct core.Action
+}
+
+// NewEchoServer returns an echo server receiving on port.
+func NewEchoServer(sys *kern.System, port *ipc.Port) *EchoServer {
+	return &EchoServer{sys: sys, port: port}
+}
+
+// Next implements core.UserProgram.
+func (s *EchoServer) Next(e *core.Env, t *core.Thread) core.Action {
+	if s.recvAct.Invoke == nil {
+		s.recvAct = core.Syscall("mach_msg(receive)", func(e *core.Env) {
+			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
+		})
+		s.replyAct = core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
+			req := s.pending
+			s.pending = nil
+			op, size, body, to := req.OpID, req.Size, req.Body, req.Reply
+			s.sys.IPC.FreeMessage(req)
+			reply := s.sys.IPC.NewMessage(op|0x8000, size, body, nil)
+			s.sys.IPC.MachMsg(e, ipc.MsgOptions{
+				Send: reply, SendTo: to, ReceiveFrom: s.port,
+			})
+		})
+	}
+	if m := s.sys.IPC.Received(t); m != nil {
+		s.pending = m
+	}
+	if s.pending == nil {
+		return s.recvAct
+	}
+	return s.replyAct
+}
+
 // Server is a user-level service task thread: the Unix server, the AFS
 // cache manager, or an MS-DOS emulator's exception handler. It receives
 // requests on a port, burns some user CPU handling each, optionally

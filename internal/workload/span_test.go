@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -11,83 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
-
-// runKVOnce executes a KV spec under the given GOMAXPROCS and returns
-// the two artifacts the tracing determinism contract covers: the full
-// report (attribution table included) and the exported Chrome trace
-// (spans, flow arrows and census metadata included).
-func runKVOnce(t *testing.T, spec KVSpec, procs int) (report, trace string) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
-
-	res := RunKV(kern.MK40, machine.ArchDS3100, spec)
-	var rep bytes.Buffer
-	WriteKVReport(&rep, kern.MK40, machine.ArchDS3100, res,
-		NetRPCReportOptions{Faults: !spec.FaultSpec.Zero()})
-	recs := make([]*obs.Recorder, len(res.Machines))
-	for i, sys := range res.Machines {
-		recs[i] = sys.K.Obs
-	}
-	var tr bytes.Buffer
-	if err := obs.WriteChrome(&tr, recs...); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
-	}
-	return rep.String(), tr.String()
-}
-
-// testSpanEquivalence checks that -parallel, GOMAXPROCS and plain
-// reruns have no observable effect on the span pipeline: the report and
-// the span-bearing trace export are byte-identical everywhere.
-func testSpanEquivalence(t *testing.T, spec KVSpec) {
-	seq := spec
-	seq.Parallel = false
-	wantRep, wantTr := runKVOnce(t, seq, 1)
-	if wantRep == "" || wantTr == "" {
-		t.Fatal("baseline run produced empty artifacts")
-	}
-	for _, procs := range []int{1, 4} {
-		for _, par := range []bool{false, true} {
-			if !par && procs == 1 {
-				continue // the baseline itself
-			}
-			s := spec
-			s.Parallel = par
-			rep, tr := runKVOnce(t, s, procs)
-			tag := fmt.Sprintf("parallel=%v GOMAXPROCS=%d", par, procs)
-			if rep != wantRep {
-				t.Errorf("%s: report differs from sequential baseline", tag)
-			}
-			if tr != wantTr {
-				t.Errorf("%s: span export differs from sequential baseline", tag)
-			}
-		}
-	}
-	// Same-seed rerun: the mint counters and span stores rebuild from
-	// scratch to the same bytes.
-	rep, tr := runKVOnce(t, seq, 1)
-	if rep != wantRep || tr != wantTr {
-		t.Error("same-seed rerun differs from first run")
-	}
-}
-
-func TestParallelEquivalenceSpans(t *testing.T) {
-	testSpanEquivalence(t, DefaultKV())
-}
-
-// TestParallelEquivalenceSpansCrash is the hard case: the primary
-// crashes mid-run and warm-reboots (the acceptance schedule
-// primary@40ms:reboot+160ms), so retransmit, retry and election-stall
-// spans all appear — and must still export byte-identically.
-func TestParallelEquivalenceSpansCrash(t *testing.T) {
-	spec := DefaultKV()
-	spec.FaultSpec.Crashes = []fault.Crash{{
-		Machine:     1,
-		At:          machine.Duration(40 * 1e6),
-		RebootAfter: machine.Duration(160 * 1e6),
-	}}
-	testSpanEquivalence(t, spec)
-}
 
 // collectSpans gathers every machine's recorded spans.
 func collectSpans(machines []*kern.System) []obs.Span {

@@ -20,7 +20,6 @@ package workload
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -547,13 +546,4 @@ func WriteStormReport(w io.Writer, flavor kern.Flavor, arch machine.Arch, res *S
 	fmt.Fprintf(w, "\n")
 	writeClusterCensus(w, res.Machines)
 	fmt.Fprintf(w, "\n")
-}
-
-// StormReport runs the storm and renders the report as a string — the
-// registry and machsim entry point.
-func StormReport(flavor kern.Flavor, arch machine.Arch, spec StormSpec) string {
-	res := RunStorm(flavor, arch, spec)
-	var b strings.Builder
-	WriteStormReport(&b, flavor, arch, res)
-	return b.String()
 }

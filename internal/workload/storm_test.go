@@ -44,6 +44,17 @@ func TestStormMetastableOff(t *testing.T) {
 		t.Fatalf("controls-off run shed work: front %+v cache %+v kv %+v",
 			res.FrontOv, res.Cache.Ov, kv)
 	}
+	// The report's verdict line says so; CI greps for it.
+	var report strings.Builder
+	WriteStormReport(&report, kern.MK40, machine.ArchDS3100, res)
+	for _, want := range []string{
+		"overload storm report (controls off)",
+		"verdict: METASTABLE",
+	} {
+		if !strings.Contains(report.String(), want) {
+			t.Errorf("controls-off report missing %q:\n%s", want, report.String())
+		}
+	}
 }
 
 // TestStormRecoveredOn pins the positive arm: the same trigger with the
@@ -93,10 +104,13 @@ func TestStormRecoveredOn(t *testing.T) {
 	}
 }
 
-// TestStormReport pins the report's machine-checkable lines — CI greps
-// for the verdicts.
+// TestStormReport pins the controls-on report's machine-checkable
+// lines — CI greps for the verdicts. TestStormMetastableOff checks the
+// controls-off arm's.
 func TestStormReport(t *testing.T) {
-	on := StormReport(kern.MK40, machine.ArchDS3100, DefaultStorm())
+	var b strings.Builder
+	WriteStormReport(&b, kern.MK40, machine.ArchDS3100, RunStorm(kern.MK40, machine.ArchDS3100, DefaultStorm()))
+	on := b.String()
 	for _, want := range []string{
 		"overload storm report (controls on)",
 		"verdict: RECOVERED",
@@ -108,36 +122,6 @@ func TestStormReport(t *testing.T) {
 	} {
 		if !strings.Contains(on, want) {
 			t.Errorf("controls-on report missing %q:\n%s", want, on)
-		}
-	}
-
-	offSpec := DefaultStorm()
-	offSpec.Overload.Enabled = false
-	off := StormReport(kern.MK40, machine.ArchDS3100, offSpec)
-	for _, want := range []string{
-		"overload storm report (controls off)",
-		"verdict: METASTABLE",
-	} {
-		if !strings.Contains(off, want) {
-			t.Errorf("controls-off report missing %q:\n%s", want, off)
-		}
-	}
-}
-
-// TestParallelEquivalenceStorm extends the determinism contract to the
-// storm: both arms produce byte-identical reports under the sequential
-// and parallel drivers. (The registry sweep also covers the on arm; the
-// off arm's collapsed drain runs only here.)
-func TestParallelEquivalenceStorm(t *testing.T) {
-	for _, arm := range []bool{true, false} {
-		spec := DefaultStorm()
-		spec.Overload.Enabled = arm
-		seq := StormReport(kern.MK40, machine.ArchDS3100, spec)
-		spec.Parallel = true
-		par := StormReport(kern.MK40, machine.ArchDS3100, spec)
-		if seq != par {
-			t.Errorf("controls=%v: sequential and parallel reports differ:\nseq:\n%s\npar:\n%s",
-				arm, seq, par)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -80,46 +78,5 @@ func TestSvcGraphBackendCrash(t *testing.T) {
 	}
 	if st.Syncs == 0 {
 		t.Fatal("the rebooted primary never resynced")
-	}
-}
-
-// svcGraphReport renders one run as the machsim-format report string.
-func svcGraphReport(spec SvcGraphSpec, procs int) string {
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
-	res := RunSvcGraph(kern.MK40, machine.ArchDS3100, spec)
-	var buf bytes.Buffer
-	WriteSvcGraphReport(&buf, kern.MK40, machine.ArchDS3100, res,
-		NetRPCReportOptions{Faults: !spec.FaultSpec.Zero()})
-	return buf.String()
-}
-
-// TestSvcGraphParallelEquivalence checks byte-identical reports across
-// sequential/parallel drivers and GOMAXPROCS under a backend crash.
-func TestSvcGraphParallelEquivalence(t *testing.T) {
-	spec := DefaultSvcGraph()
-	spec.FaultSpec.Crashes = []fault.Crash{{
-		Machine:     2,
-		At:          machine.Duration(40 * 1e6),
-		RebootAfter: machine.Duration(40 * 1e6),
-	}}
-	seq := spec
-	seq.Parallel = false
-	want := svcGraphReport(seq, 1)
-	if want == "" {
-		t.Fatal("baseline run produced an empty report")
-	}
-	for _, procs := range []int{1, 4} {
-		for _, par := range []bool{false, true} {
-			if !par && procs == 1 {
-				continue
-			}
-			run := spec
-			run.Parallel = par
-			if got := svcGraphReport(run, procs); got != want {
-				t.Fatalf("report diverged (parallel=%v procs=%d):\nwant:\n%s\ngot:\n%s",
-					par, procs, want, got)
-			}
-		}
 	}
 }

@@ -55,10 +55,22 @@ type Spec struct {
 }
 
 // Scale returns a copy of the spec with the duration multiplied by f
-// (e.g. 0.01 for a quick calibration run).
+// (e.g. 0.01 for a quick calibration run). CheckScale says whether f is
+// usable.
 func (s Spec) Scale(f float64) Spec {
 	s.Duration = machine.Duration(float64(s.Duration) * f)
 	return s
+}
+
+// CheckScale reports an error unless f is a finite factor > 0 that
+// scales the spec's duration to at least 1 ns and below 2^64 ns: a
+// zero-length run does nothing, and a negative, NaN or huge product
+// wraps machine.Duration.
+func (s Spec) CheckScale(f float64) error {
+	if d := float64(s.Duration) * f; !(f > 0 && d >= 1 && d < 1<<64) { // NaN fails every comparison
+		return fmt.Errorf("want a finite factor > 0 that gives %s a run of 1 ns to 2^64 ns, got %g ns", s.Name, d)
+	}
+	return nil
 }
 
 // CompileTest is the short C compilation benchmark: one compiler pipeline
@@ -256,10 +268,14 @@ func Install(sys *kern.System, spec Spec, seed uint64) *Instance {
 	return inst
 }
 
-// Run drives the installed workload for its duration.
+// Run drives the installed workload for its duration. A zero duration
+// runs nothing: at boot its deadline would be 0, which Kernel.Run reads
+// as no deadline at all.
 func (inst *Instance) Run() {
-	deadline := inst.Sys.K.Clock.Now() + inst.Spec.Duration
-	inst.Sys.Run(machine.Time(deadline))
+	if inst.Spec.Duration == 0 {
+		return
+	}
+	inst.Sys.Run(inst.Sys.K.Clock.Now() + inst.Spec.Duration)
 }
 
 // NewSystem boots a system sized for the spec.

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kern"
@@ -170,6 +171,27 @@ func TestScaleHalvesDuration(t *testing.T) {
 	half := spec.Scale(0.5)
 	if half.Duration != spec.Duration/2 {
 		t.Fatalf("Scale: %v -> %v", spec.Duration, half.Duration)
+	}
+}
+
+// TestZeroDurationRunsNothing: a run scaled to nothing ends at once. At
+// boot its deadline would be 0, which the kernel reads as no deadline.
+func TestZeroDurationRunsNothing(t *testing.T) {
+	spec := workload.CompileTest().Scale(0)
+	sys := workload.NewSystem(kern.MK40, machine.ArchToshiba5200, spec)
+	inst := workload.Install(sys, spec, 12345)
+	done := make(chan struct{})
+	go func() {
+		inst.Run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a zero-length run is still running after 10 s")
+	}
+	if now := sys.K.Clock.Now(); now != 0 {
+		t.Fatalf("a zero-length run advanced the clock to %v", now)
 	}
 }
 
