@@ -142,7 +142,9 @@
 // file (load it in Perfetto or chrome://tracing, or summarize it with
 // cmd/traceview). -profile prints the per-continuation profile and the
 // latency histograms after the run. Both are deterministic: the same
-// flags and seed produce byte-identical traces and reports.
+// flags and seed produce byte-identical traces and reports. Only -trace
+// retains kernel events; without it the recorders keep the statistics
+// alone.
 //
 // The kv and svcgraph workloads additionally run causal tracing: every
 // client operation mints a deterministic trace context that rides the
@@ -382,6 +384,10 @@ func readObserver() observer { return observer{traceFile.get(), profile.get()} }
 // on reports whether the run must install recorders at all.
 func (o observer) on() bool { return o.trace != "" || o.profile }
 
+// keep reports whether the recorders must retain kernel events: only
+// the trace export reads them.
+func (o observer) keep() bool { return o.trace != "" }
+
 // emit stamps every installed recorder with its machine's memory census,
 // then writes the Chrome trace and/or prints the profile report for them
 // (machines without a recorder are skipped).
@@ -448,7 +454,11 @@ func paperRun(name string, flavor kern.Flavor, arch machine.Arch) func() {
 		sys.K.DebugChecks = debug
 		sys.InjectFaults(faultSeed, faultSpec)
 		if out.on() {
-			sys.EnableObservation(0)
+			capacity := 0
+			if out.keep() {
+				capacity = obs.DefaultCapacity
+			}
+			sys.EnableObservation(capacity)
 		}
 		inst := workload.Install(sys, wspec, wseed)
 		inst.Run()
@@ -554,6 +564,7 @@ func kvRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.Overload = readOverload()
 	spec.BreakOverload = breakOv.get()
 	out := readObserver()
+	spec.KeepEvents = out.keep()
 	return func() {
 		res := workload.RunKV(flavor, arch, spec)
 		workload.WriteKVReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{Faults: faulted})
@@ -577,6 +588,7 @@ func svcGraphRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.DebugChecks = check.get()
 	spec.SampleEvery = readSample()
 	out := readObserver()
+	spec.KeepEvents = out.keep()
 	return func() {
 		res := workload.RunSvcGraph(flavor, arch, spec)
 		workload.WriteSvcGraphReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{Faults: faulted})
@@ -606,6 +618,7 @@ func stormRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.BreakOverload = breakOv.get()
 	spec.SampleEvery = readSample()
 	out := readObserver()
+	spec.KeepEvents = out.keep()
 	return func() {
 		res := workload.RunStorm(flavor, arch, spec)
 		workload.WriteStormReport(os.Stdout, flavor, arch, res)
@@ -631,6 +644,7 @@ func mtLoadRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.Parallel = parallel.get()
 	spec.DebugChecks = check.get()
 	out := readObserver()
+	spec.KeepEvents = out.keep()
 	return func() {
 		res := workload.RunMTLoad(flavor, arch, spec)
 		workload.WriteMTLoadReport(os.Stdout, res)

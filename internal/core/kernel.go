@@ -107,8 +107,8 @@ func (e *Env) Charge(c machine.Cost) {
 
 // Trace emits an observability event naming the current thread. A nil
 // recorder (the default) makes this a nil check and nothing more; call
-// sites that would pay formatting costs for the detail string guard on
-// e.K.Obs themselves.
+// sites that would pay formatting costs for the detail string build it
+// only when e.K.Obs retains events, and pass "" otherwise.
 func (e *Env) Trace(kind obs.Kind, detail string) {
 	if e.P.transferred && e.K.DebugChecks {
 		e.K.afterTransfer("Trace")
@@ -485,11 +485,14 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 	newt.QuantumRemaining = k.Sched.Quantum()
 	k.Stats.Handoffs++
 	if r := k.Obs; r != nil {
-		cn := ""
+		cn, detail := "", ""
 		if newt.Cont != nil {
 			cn = newt.Cont.Name()
 		}
-		r.EmitArg(obs.StackHandoff, newt.ID, newt.Name, cn, "from "+old.Name, old.ID)
+		if r.Retains() {
+			detail = "from " + old.Name
+		}
+		r.EmitArg(obs.StackHandoff, newt.ID, newt.Name, cn, detail, old.ID)
 	}
 }
 
@@ -533,8 +536,12 @@ func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), fr
 	}
 	e.Charge(cost)
 	k.Stats.ContextSwitches++
-	if k.Obs != nil {
-		e.Trace(obs.ContextSwitch, "to "+newt.Name)
+	if r := k.Obs; r != nil {
+		detail := ""
+		if r.Retains() {
+			detail = "to " + newt.Name
+		}
+		e.Trace(obs.ContextSwitch, detail)
 	}
 	if cont != nil {
 		old.Cont = cont
@@ -570,9 +577,13 @@ func (k *Kernel) ThreadSyscallReturn(e *Env, retval uint64) {
 	}
 	t.MD.RetVal = retval
 	e.Charge(k.Costs.SyscallExit)
-	if k.Obs != nil {
-		// strconv, not Sprintf: this runs once per syscall when traced.
-		e.Trace(obs.KernelExit, "syscall return "+strconv.FormatUint(retval, 10))
+	if r := k.Obs; r != nil {
+		detail := ""
+		if r.Retains() {
+			// strconv, not Sprintf: this runs once per syscall when traced.
+			detail = "syscall return " + strconv.FormatUint(retval, 10)
+		}
+		e.Trace(obs.KernelExit, detail)
 	}
 	k.enterUser(e)
 }
@@ -703,7 +714,7 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 				k.queueRunnable(old)
 			}
 			if k.Obs != nil {
-				e.Trace(obs.Block, old.Name+" blocked with "+cont.Name())
+				k.traceBlock(e, old, cont)
 			}
 			k.CallContinuation(e, newt.Cont)
 			return
@@ -743,8 +754,12 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 		// the run loop picks the thread right back up.
 		k.queueRunnable(old)
 	}
-	if k.Obs != nil {
-		e.Trace(obs.Block, fmt.Sprintf("%s blocked; processor %d parks", old.Name, e.P.ID))
+	if r := k.Obs; r != nil {
+		detail := ""
+		if r.Retains() {
+			detail = fmt.Sprintf("%s blocked; processor %d parks", old.Name, e.P.ID)
+		}
+		e.Trace(obs.Block, detail)
 	}
 	e.P.Cur = nil
 	e.P.Prev = old
@@ -796,8 +811,18 @@ func (k *Kernel) ThreadHandoff(e *Env, reason stats.BlockReason, cont *Continuat
 		k.queueRunnable(old)
 	}
 	if k.Obs != nil {
-		e.Trace(obs.Block, old.Name+" blocked with "+cont.Name())
+		k.traceBlock(e, old, cont)
 	}
+}
+
+// traceBlock emits the Block step of a handoff: old gave its stack away
+// and blocked with cont. The caller checks that k.Obs is set.
+func (k *Kernel) traceBlock(e *Env, old *Thread, cont *Continuation) {
+	detail := ""
+	if k.Obs.Retains() {
+		detail = old.Name + " blocked with " + cont.Name()
+	}
+	e.Trace(obs.Block, detail)
 }
 
 // Recognize performs continuation recognition: if the current thread

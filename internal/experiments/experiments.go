@@ -401,7 +401,7 @@ func Figure2Trace() []obs.Event {
 	// window and keeping its control-transfer steps.
 	for cli.done < 3 && sys.K.Step() {
 	}
-	rec := sys.EnableObservation(0)
+	rec := sys.EnableObservation(obs.DefaultCapacity)
 	for cli.done < 4 && sys.K.Step() {
 	}
 	sys.K.Obs = nil
@@ -441,7 +441,7 @@ func DeviceReadTrace() []obs.Event {
 	// io_done_continue, then trace a second reader end to end.
 	sys.Start(oneRead("warm"))
 	sys.Run(0)
-	rec := sys.EnableObservation(0)
+	rec := sys.EnableObservation(obs.DefaultCapacity)
 	sys.Start(oneRead("rd"))
 	sys.Run(0)
 	sys.K.Obs = nil

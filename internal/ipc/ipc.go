@@ -671,8 +671,12 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		msg.Trace = t.Trace
 	}
 	e.Charge(transferCost(msg)) // copyin or out-of-line map
-	if k.Obs != nil {
-		e.Trace(obs.CopyIn, strconv.Itoa(msg.Size)+" bytes")
+	if r := k.Obs; r != nil {
+		detail := ""
+		if r.Retains() {
+			detail = strconv.Itoa(msg.Size) + " bytes"
+		}
+		e.Trace(obs.CopyIn, detail)
 	}
 	e.Charge(portLookupCost)
 	e.Charge(rightsCost)
@@ -1137,7 +1141,11 @@ func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 	t := e.Cur()
 	e.Charge(transferCost(m))
 	if r := x.K.Obs; r != nil {
-		e.Trace(obs.CopyOut, strconv.Itoa(m.Size)+" bytes")
+		detail := ""
+		if r.Retains() {
+			detail = strconv.Itoa(m.Size) + " bytes"
+		}
+		e.Trace(obs.CopyOut, detail)
 		r.Emit(obs.RPCEnd, t.ID, t.Name, "", "")
 	}
 	x.received[t.ID] = m

@@ -515,10 +515,12 @@ func (t *Task) NewThread(name string, prog core.UserProgram, priority int) *core
 func (s *System) Start(t *core.Thread) { s.K.Setrun(t) }
 
 // EnableObservation installs an event recorder on this machine's kernel
-// (capacity events retained; obs.DefaultCapacity if <= 0) and returns
-// it. Tracing covers everything emitted from this point on; histograms
-// and the continuation profiler are maintained online, so they see the
-// whole observed window even if the ring evicts early events.
+// and returns it. Retention is opt-in: the recorder keeps the newest
+// capacity events for Events and the trace export, and capacity 0 keeps
+// none (pass obs.DefaultCapacity to read a trace back). Histograms, the
+// continuation profiler, spans and the census are maintained online from
+// this point on at any capacity, so they see the whole observed window
+// even when the ring keeps nothing or evicts early events.
 func (s *System) EnableObservation(capacity int) *obs.Recorder {
 	r := obs.NewRecorder(s.K.Clock, capacity)
 	s.K.Obs = r

@@ -15,7 +15,9 @@
 // A kernel with a nil Recorder pays only a nil check per would-be event;
 // histograms and the profiler are updated online at emit time, so they
 // cover the whole run even after the ring has started evicting old
-// events.
+// events. Retention is opt-in: a recorder of capacity 0 keeps no events
+// and runs only the statistics, and emit sites format a detail string
+// only when Retains says the ring will keep it.
 package obs
 
 import (
@@ -312,13 +314,15 @@ func (c *ContProfile) HitRate() float64 {
 	return stats.Percent(c.RecognitionHits, c.RecognitionHits+c.RecognitionMisses)
 }
 
-// DefaultCapacity is the standard event ring size.
+// DefaultCapacity is the standard event ring size, for callers that
+// read the events back (trace export, Figure 2-style traces).
 const DefaultCapacity = 1 << 16
 
-// Recorder is one kernel's event sink: a drop-oldest ring of events plus
-// online histograms and the continuation profiler. The zero recorder is
-// not usable; a nil *Recorder is the disabled state and every kernel
-// emit site nil-checks before paying any formatting cost.
+// Recorder is one kernel's event sink: online histograms and the
+// continuation profiler, plus a drop-oldest ring of events when asked
+// to retain any. The zero recorder is not usable; a nil *Recorder is the
+// disabled state and every kernel emit site nil-checks before paying any
+// formatting cost.
 type Recorder struct {
 	clock *machine.Clock
 	seq   uint64
@@ -406,13 +410,12 @@ func (tt *tidTimes) del(tid int) {
 	}
 }
 
-// NewRecorder returns a recorder stamping events from clock, retaining at
-// most capacity events (DefaultCapacity if <= 0).
+// NewRecorder returns a recorder stamping events from clock and
+// retaining the newest capacity of them. A capacity of 0 (or less)
+// retains none: histograms, profiles, spans and the census still cover
+// every event, but Events and the trace export are empty.
 func NewRecorder(clock *machine.Clock, capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	r := newRecorder(capacity)
+	r := newRecorder(max(capacity, 0))
 	r.clock = clock
 	return r
 }
@@ -444,6 +447,11 @@ func (r *Recorder) Emit(kind Kind, tid int, thread, cont, detail string) {
 	r.EmitArg(kind, tid, thread, cont, detail, 0)
 }
 
+// Retains reports whether the recorder keeps events for Events and the
+// trace export. Emit sites build detail strings only the ring reads when
+// it does, and pass "" otherwise.
+func (r *Recorder) Retains() bool { return r.capacity > 0 }
+
 // EmitArg is Emit with the kind-specific Arg field.
 func (r *Recorder) EmitArg(kind Kind, tid int, thread, cont, detail string, arg int) {
 	ev := Event{
@@ -459,18 +467,19 @@ func (r *Recorder) EmitArg(kind Kind, tid int, thread, cont, detail string, arg 
 		ev.When = r.clock.Now()
 	}
 	r.seq++
-	r.store(ev)
-	r.process(ev)
+	if r.Retains() {
+		r.store(&ev)
+	}
+	r.process(&ev)
 }
 
 // Ingest feeds an already-stamped event through the statistics pipeline
 // without storing it (replay mode).
-func (r *Recorder) Ingest(ev Event) { r.process(ev) }
+func (r *Recorder) Ingest(ev Event) { r.process(&ev) }
 
-func (r *Recorder) store(ev Event) {
-	if r.capacity == 0 {
-		return
-	}
+// store appends ev to the ring, evicting the oldest event once the ring
+// holds capacity; the caller checks Retains.
+func (r *Recorder) store(ev *Event) {
 	if n := len(r.ring); n < r.capacity {
 		if n == cap(r.ring) {
 			// Grow by doubling, clamped so a full ring holds exactly
@@ -479,17 +488,17 @@ func (r *Recorder) store(ev Event) {
 			copy(grown, r.ring)
 			r.ring = grown
 		}
-		r.ring = append(r.ring, ev)
+		r.ring = append(r.ring, *ev)
 		return
 	}
-	r.ring[r.head] = ev
+	r.ring[r.head] = *ev
 	r.head = (r.head + 1) % r.capacity
 	r.Dropped++
 }
 
 // process updates the online statistics. Every rule here is also applied
 // by replay, so traceview recomputes the same tables from an export.
-func (r *Recorder) process(ev Event) {
+func (r *Recorder) process(ev *Event) {
 	r.KindCounts[ev.Kind]++
 	switch ev.Kind {
 	case ThreadBlocked:

@@ -110,18 +110,33 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
+// TestDefaultCapacity: retention is opt-in. A capacity-0 recorder keeps
+// no events, evicts none and says so through Retains, while its
+// statistics still count every emit.
 func TestDefaultCapacity(t *testing.T) {
 	r := NewRecorder(machine.NewClock(), 0)
-	if r.capacity != DefaultCapacity {
-		t.Fatalf("capacity = %d, want %d", r.capacity, DefaultCapacity)
+	for i := 0; i < 3; i++ {
+		r.Emit(Note, 1, "t", "", "n")
+	}
+	if evs := r.Events(); len(evs) != 0 || r.Len() != 0 || r.Dropped != 0 || r.Retains() {
+		t.Fatalf("capacity 0: %d events, Len %d, Dropped %d, Retains %v; want none, 0, 0, false",
+			len(evs), r.Len(), r.Dropped, r.Retains())
+	}
+	if r.KindCounts[Note] != 3 {
+		t.Fatalf("KindCounts[Note] = %d, want 3", r.KindCounts[Note])
+	}
+	if !NewRecorder(machine.NewClock(), DefaultCapacity).Retains() {
+		t.Fatal("a DefaultCapacity recorder does not retain")
 	}
 }
 
-// TestLazyRingMatchesPreallocated drives a lazily grown ring and one
-// preallocated at full capacity through the same emits, well past
-// capacity and across several doublings: both must retain and export the
-// same events in the same order, and the grown ring must stop at exactly
-// capacity.
+// TestLazyRingMatchesPreallocated drives a lazily grown ring, one
+// preallocated at full capacity and a ring-free recorder through the
+// same emits and spans, well past capacity and across several
+// doublings. Both rings must retain and export the same events in the
+// same order, and the grown ring must stop at exactly capacity; all
+// three must agree on histograms, profiles and spans, which never read
+// the ring.
 func TestLazyRingMatchesPreallocated(t *testing.T) {
 	const capacity = 3*initialRing + 17 // not a power-of-two multiple
 	for _, emits := range []int{1, initialRing, initialRing + 1, capacity, 4*capacity + 5} {
@@ -129,12 +144,19 @@ func TestLazyRingMatchesPreallocated(t *testing.T) {
 		lazy := NewRecorder(clock, capacity)
 		pre := NewRecorder(clock, capacity)
 		pre.ring = make([]Event, 0, capacity)
+		free := NewRecorder(clock, 0)
+		recs := []*Recorder{lazy, pre, free}
 		for i := 0; i < emits; i++ {
 			clock.Advance(machine.Duration(i%7 + 1))
 			kind := Kind(i % NumKinds)
 			name := fmt.Sprintf("t%d", i%5)
-			lazy.EmitArg(kind, i%5+1, name, "c", fmt.Sprint(i), i)
-			pre.EmitArg(kind, i%5+1, name, "c", fmt.Sprint(i), i)
+			for _, r := range recs {
+				r.EmitArg(kind, i%5+1, name, "c", fmt.Sprint(i), i)
+				if i%11 == 0 {
+					r.RecordSpan(Span{Trace: uint64(i + 1), ID: r.NextSpanID(uint64(i + 1)), Name: name,
+						Start: clock.Now() - 3, End: clock.Now()})
+				}
+			}
 		}
 		if !reflect.DeepEqual(lazy.Events(), pre.Events()) || lazy.Dropped != pre.Dropped {
 			t.Fatalf("%d emits: lazy ring retains %d events (dropped %d), preallocated %d (dropped %d)",
@@ -142,6 +164,15 @@ func TestLazyRingMatchesPreallocated(t *testing.T) {
 		}
 		if c := cap(lazy.ring); c > capacity || (emits >= capacity && c != capacity) {
 			t.Fatalf("%d emits: lazy ring capacity %d, want at most (and when full exactly) %d", emits, c, capacity)
+		}
+		if free.Len() != 0 || free.Dropped != 0 {
+			t.Fatalf("%d emits: ring-free recorder retains %d events (dropped %d)", emits, free.Len(), free.Dropped)
+		}
+		for _, r := range recs[1:] {
+			if !reflect.DeepEqual(r.Hist, lazy.Hist) || !reflect.DeepEqual(r.Profiles(), lazy.Profiles()) ||
+				!reflect.DeepEqual(r.Spans(), lazy.Spans()) || r.KindCounts != lazy.KindCounts {
+				t.Fatalf("%d emits: capacity-%d recorder's statistics differ from the lazy ring's", emits, r.capacity)
+			}
 		}
 		var a, b bytes.Buffer
 		if err := WriteChrome(&a, lazy); err != nil {

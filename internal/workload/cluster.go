@@ -138,15 +138,26 @@ type clusterSpec struct {
 	// debug arms each kernel's invariant sweep and the driver's
 	// naive-sweep cross-check.
 	debug bool
-	// observe installs a recorder of ringCap events (obs's default when
-	// zero) head-sampling 1 in sample traces. Its host index is the
-	// machine index, which salts span ids so they never collide across
-	// machines.
+	// observe installs a recorder retaining ringCap events (none when
+	// zero; see retained) and head-sampling 1 in sample traces. Its host
+	// index is the machine index, which salts span ids so they never
+	// collide across machines.
 	observe bool
 	ringCap int
 	sample  int
 	// parallel drives the horizon rounds on goroutines.
 	parallel bool
+}
+
+// retained is the event ring a run's recorders keep: capacity events
+// when the run asks for its trace (a spec's KeepEvents, set by machsim
+// -trace), none otherwise. Histograms, profiles, spans and the census
+// come from every event either way.
+func retained(keep bool, capacity int) int {
+	if keep {
+		return capacity
+	}
+	return 0
 }
 
 // cluster is a booted, armed set of machines.

@@ -42,6 +42,10 @@ type KVSpec struct {
 	// SampleEvery is the head-sampling rate for causal tracing: keep the
 	// 1-in-N hash class of operation trace ids. 0 or 1 samples every op.
 	SampleEvery int
+	// KeepEvents retains each machine's newest obs.DefaultCapacity
+	// kernel events for the trace export (machsim -trace). Reports,
+	// histograms, spans and the census do not read them.
+	KeepEvents bool
 	// Parallel runs the cluster's horizon rounds with one goroutine per
 	// machine; results are byte-identical to the sequential rounds.
 	Parallel bool
@@ -238,7 +242,8 @@ func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
 		topo: kvTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
 		faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
-		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
+		observe: true, ringCap: retained(spec.KeepEvents, obs.DefaultCapacity),
+		sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &KVResult{Machines: c.machines, Topo: c.topo}
 

@@ -44,7 +44,14 @@ type MTLoadSpec struct {
 	// DebugChecks arms the kernel invariant sweep on every machine and
 	// the cluster driver's naive-sweep cross-check on every round.
 	DebugChecks bool
+	// KeepEvents retains each machine's newest mtRing kernel events for
+	// the trace export (machsim -trace).
+	KeepEvents bool
 }
+
+// mtRing is a traced run's per-machine event ring: small, so
+// 256-machine traces stay affordable.
+const mtRing = 512
 
 // DefaultSessionsPerMachine scales the blocked-thread population with
 // the cluster: at 256 machines and 4 tenants the default run holds
@@ -206,11 +213,10 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 	warmup := machine.Duration(5_000_000 + 250_000*slices.Max(loads))
 	res := &MTLoadResult{Spec: spec, Tenants: tenants, Placement: placement}
 
-	// A small ring keeps 256-machine traces affordable; histograms and
-	// the census are maintained online regardless.
 	c := boot(clusterSpec{
 		topo: pairTopology(pairs), cfg: kern.Config{Flavor: flavor, Arch: arch},
-		debug: spec.DebugChecks, observe: true, ringCap: 512, parallel: spec.Parallel,
+		debug: spec.DebugChecks, observe: true, ringCap: retained(spec.KeepEvents, mtRing),
+		parallel: spec.Parallel,
 	})
 	res.Machines = c.machines
 	var sessions []*mtSession

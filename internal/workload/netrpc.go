@@ -18,6 +18,7 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // NetRPCSpec sizes the cross-machine workload.
@@ -69,9 +70,10 @@ type NetRPCSpec struct {
 	// on both machines.
 	DebugChecks bool
 
-	// Observe installs an obs.Recorder on each machine before any thread
-	// starts, so the whole run is traced and profiled. The recorders are
-	// reachable afterwards as Client.K.Obs and Server.K.Obs.
+	// Observe installs an obs.Recorder retaining obs.DefaultCapacity
+	// events on each machine before any thread starts, so the whole run
+	// is traced and profiled. The recorders are reachable afterwards as
+	// Client.K.Obs and Server.K.Obs.
 	Observe bool
 }
 
@@ -244,6 +246,7 @@ func netRPCCluster(flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec) clust
 		reliable:  spec.Failover,
 		debug:     spec.DebugChecks,
 		observe:   spec.Observe,
+		ringCap:   obs.DefaultCapacity,
 		parallel:  spec.Parallel,
 	}
 }

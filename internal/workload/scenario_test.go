@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -43,9 +44,11 @@ func mustCrash(t *testing.T, s string) []fault.Crash {
 
 // scenario is one cluster run under the determinism contract. run boots
 // it on the sequential or the parallel driver and returns its
-// machsim-format report and its machines. observe asks for a recorder on
-// every machine, so the run's trace export has something to compare;
-// only netrpc reads it, since every other workload always records.
+// machsim-format report and its machines. observe asks for the run's
+// kernel events, so its trace export has something to compare: a netrpc
+// row installs retaining recorders only then, and every other row, whose
+// recorders always keep the statistics, retains events only then
+// (KeepEvents), as machsim does under -trace.
 type scenario struct {
 	name string
 	run  func(parallel, observe bool) (report string, machines []*kern.System)
@@ -65,9 +68,9 @@ func netRPCRow(name string, arch machine.Arch, spec NetRPCSpec, faults bool) sce
 }
 
 func kvRow(name string, arch machine.Arch, spec KVSpec, faults bool) scenario {
-	return scenario{name, func(parallel, _ bool) (string, []*kern.System) {
+	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
-		s.Parallel = parallel
+		s.Parallel, s.KeepEvents = parallel, observe
 		res := RunKV(kern.MK40, arch, s)
 		var buf bytes.Buffer
 		WriteKVReport(&buf, kern.MK40, arch, res, NetRPCReportOptions{Faults: faults})
@@ -76,9 +79,9 @@ func kvRow(name string, arch machine.Arch, spec KVSpec, faults bool) scenario {
 }
 
 func svcGraphRow(name string, arch machine.Arch, spec SvcGraphSpec) scenario {
-	return scenario{name, func(parallel, _ bool) (string, []*kern.System) {
+	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
-		s.Parallel = parallel
+		s.Parallel, s.KeepEvents = parallel, observe
 		res := RunSvcGraph(kern.MK40, arch, s)
 		var buf bytes.Buffer
 		WriteSvcGraphReport(&buf, kern.MK40, arch, res, NetRPCReportOptions{})
@@ -87,9 +90,9 @@ func svcGraphRow(name string, arch machine.Arch, spec SvcGraphSpec) scenario {
 }
 
 func stormRow(name string, spec StormSpec) scenario {
-	return scenario{name, func(parallel, _ bool) (string, []*kern.System) {
+	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
-		s.Parallel = parallel
+		s.Parallel, s.KeepEvents = parallel, observe
 		res := RunStorm(kern.MK40, machine.ArchDS3100, s)
 		var buf bytes.Buffer
 		WriteStormReport(&buf, kern.MK40, machine.ArchDS3100, res)
@@ -105,9 +108,9 @@ func mtLoadRow(name string, machines, sessionsPerTenant int) scenario {
 	spec.Machines = machines
 	spec.SessionsPerTenant = sessionsPerTenant
 	spec.DebugChecks = true
-	return scenario{name, func(parallel, _ bool) (string, []*kern.System) {
+	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
-		s.Parallel = parallel
+		s.Parallel, s.KeepEvents = parallel, observe
 		res := RunMTLoad(kern.MK40, machine.ArchDS3100, s)
 		var buf bytes.Buffer
 		WriteMTLoadReport(&buf, res)
@@ -198,12 +201,26 @@ type artifacts struct {
 	report, counters, export string
 }
 
-// runScenario runs sc under GOMAXPROCS procs on the chosen driver.
+// runScenario runs sc under GOMAXPROCS procs on the chosen driver. An
+// exporting run must have retained kernel events, or its export would
+// compare equal to any other empty one; any other run must have
+// retained none.
 func runScenario(t *testing.T, sc scenario, procs int, parallel, export bool) artifacts {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	report, machines := sc.run(parallel, export)
 	a := artifacts{report: report}
+	retained := 0
+	for _, sys := range machines {
+		if r := sys.K.Obs; r != nil {
+			retained += r.Len()
+		}
+	}
+	if export && retained == 0 {
+		t.Errorf("parallel=%v: exporting run retained no kernel events", parallel)
+	} else if !export && retained != 0 {
+		t.Errorf("parallel=%v: untraced run retained %d kernel events", parallel, retained)
+	}
 	var c strings.Builder
 	for i, sys := range machines {
 		fmt.Fprintf(&c, "machine %d: clock %d; %+v; injected %s; dev timeouts=%d retries=%d failures=%d; net rtx=%d acks=%d dups=%d lost=%d unacked=%d; aborts=%d\n",
@@ -245,8 +262,9 @@ func firstDiff(want, got string) string {
 // contract is the runs a row's sequential GOMAXPROCS=1 run is compared
 // with: the parallel driver at GOMAXPROCS 1 and 4 (the second also
 // exporting its trace) and a sequential rerun at GOMAXPROCS 4. Only
-// exporting runs record a netrpc row, so the other two hold its
-// unrecorded run, machsim's without -trace, to the same golden.
+// exporting runs retain kernel events, so the other two hold the
+// untraced run, machsim's without -trace, to the same golden and
+// counters: retention changes nothing but the trace.
 var contract = []struct {
 	procs            int
 	parallel, export bool
@@ -272,11 +290,57 @@ func runRow(t *testing.T, sc scenario) *rowRuns {
 // again.
 var booked = map[string]*rowRuns{}
 
+// exportsPath pins every row's Chrome export: one "row digest" line per
+// row, the SHA-256 of the sequential run's export.
+var exportsPath = filepath.Join("testdata", "golden", "exports.sha256")
+
+// readExports returns the pinned export digests by row name (none when
+// the file is missing).
+func readExports(t *testing.T) map[string]string {
+	t.Helper()
+	pins := map[string]string{}
+	data, err := os.ReadFile(exportsPath)
+	if os.IsNotExist(err) {
+		return pins
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", exportsPath, line)
+		}
+		pins[name] = digest
+	}
+	return pins
+}
+
+// pinExport rewrites row's line of the pinned export digests, keeping
+// every other row's.
+func pinExport(t *testing.T, row, digest string) {
+	t.Helper()
+	pins := readExports(t)
+	pins[row] = digest
+	names := make([]string, 0, len(pins))
+	for name := range pins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s %s\n", name, pins[name])
+	}
+	if err := os.WriteFile(exportsPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // checkScenario holds r, the runs of sc, to the determinism contract.
 // The sequential run at GOMAXPROCS=1 must render the report committed
-// under testdata/golden; every contract run must reproduce that report
-// and every machine's clock, kernel, fault, device and netmsg counters
-// byte for byte; and the parallel run at GOMAXPROCS 4 must export the same
+// under testdata/golden and export the Chrome trace pinned in
+// exports.sha256; every contract run must reproduce that report and
+// every machine's clock, kernel, fault, device and netmsg counters byte
+// for byte; and the parallel run at GOMAXPROCS 4 must export the same
 // Chrome trace of every recorder.
 func checkScenario(t *testing.T, sc scenario, r *rowRuns) {
 	t.Helper()
@@ -290,10 +354,18 @@ func checkScenario(t *testing.T, sc scenario, r *rowRuns) {
 		if err := os.WriteFile(path, []byte(want.report), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	} else if golden, err := os.ReadFile(path); err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
-	} else if want.report != string(golden) {
-		t.Errorf("report differs from golden %s at %s", path, firstDiff(string(golden), want.report))
+		pinExport(t, sc.name, want.export)
+	} else {
+		if golden, err := os.ReadFile(path); err != nil {
+			t.Fatalf("%v (regenerate with -update-golden)", err)
+		} else if want.report != string(golden) {
+			t.Errorf("report differs from golden %s at %s", path, firstDiff(string(golden), want.report))
+		}
+		if pin, ok := readExports(t)[sc.name]; !ok {
+			t.Errorf("%s pins no export for %s (regenerate with -update-golden)", exportsPath, sc.name)
+		} else if want.export != pin {
+			t.Errorf("trace export differs from %s (sha256 %s, want %s)", exportsPath, want.export, pin)
+		}
 	}
 	for i, run := range contract {
 		got := r.got[i]

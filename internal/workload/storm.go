@@ -77,8 +77,10 @@ type StormSpec struct {
 	// write the linearizability checker must flag. Never set outside
 	// tests and machsim's -breakoverload flag.
 	BreakOverload bool
-	// SampleEvery, Parallel, DebugChecks as in the other cluster specs.
+	// SampleEvery, KeepEvents, Parallel, DebugChecks as in the other
+	// cluster specs.
 	SampleEvery int
+	KeepEvents  bool
 	Parallel    bool
 	DebugChecks bool
 }
@@ -291,7 +293,8 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		topo: chainTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
 		wire: stormWire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
-		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
+		observe: true, ringCap: retained(spec.KeepEvents, obs.DefaultCapacity),
+		sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &StormResult{Spec: spec, Machines: c.machines, Topo: c.topo}
 	smap := svc.NewShardMap(0, 0)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/svc"
 )
 
@@ -45,6 +46,8 @@ type SvcGraphSpec struct {
 	// SampleEvery is the causal-tracing head-sampling rate as in KVSpec:
 	// keep the 1-in-N hash class of trace ids; 0 or 1 samples every op.
 	SampleEvery int
+	// KeepEvents retains kernel events for the trace export as in KVSpec.
+	KeepEvents bool
 	// Parallel / DebugChecks as in the other workload specs.
 	Parallel    bool
 	DebugChecks bool
@@ -96,7 +99,8 @@ func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcG
 		topo: chainTopology, cfg: kern.Config{Flavor: flavor, Arch: arch},
 		faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
-		observe: true, sample: spec.SampleEvery, parallel: spec.Parallel,
+		observe: true, ringCap: retained(spec.KeepEvents, obs.DefaultCapacity),
+		sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &SvcGraphResult{Machines: c.machines, Topo: c.topo}
 

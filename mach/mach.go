@@ -316,7 +316,7 @@ func (s *System) BlockBreakdown() (rows map[string]uint64, noDiscard uint64) {
 // the paper).
 func (s *System) EnableTrace() {
 	if s.rec == nil {
-		s.rec = s.sys.EnableObservation(0)
+		s.rec = s.sys.EnableObservation(obs.DefaultCapacity)
 	}
 }
 
