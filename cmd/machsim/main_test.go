@@ -3,13 +3,17 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // TestValidateWorkloadFlags runs machsim on argument lists and pins the
 // flag rule: a flag the chosen run does not read, or a value no run can
@@ -303,5 +307,70 @@ func TestFuzzReproRunsAsPrinted(t *testing.T) {
 	}
 	if !strings.Contains(string(rerun), "NOT linearizable") {
 		t.Fatalf("repro %q does not re-violate:\n%s", cmdline, rerun)
+	}
+}
+
+// TestPaperReportGolden pins the paper report of every single-machine
+// workload under every kernel flavor, with -v's per-component detail.
+// The three flavors share the receive, exception and abort paths, so a
+// refactor of those paths must leave all nine reports byte-identical.
+// Six runs also arm the invariant sweep (-check), whose DebugChecks
+// guards panic on a broken kernel rule, and one carries a device fault
+// plan. Regenerate, only for an intended output change, with:
+// go test ./cmd/machsim -run TestPaperReportGolden -update-golden
+func TestPaperReportGolden(t *testing.T) {
+	bin := buildMachsim(t)
+	runs := []struct{ name, args string }{
+		{"compile-mk40", "-workload compile -flavor mk40 -v"},
+		{"build-mk40", "-workload build -flavor mk40 -v -check"},
+		{"dos-mk40", "-workload dos -flavor mk40 -v -check"},
+		{"compile-mk32", "-workload compile -flavor mk32 -v -check"},
+		{"build-mk32", "-workload build -flavor mk32 -v"},
+		{"dos-mk32-devfaults", "-workload dos -flavor mk32 -v -check -faults 42:devfail=0.05,devslow=0.1:2ms"},
+		{"compile-mach25", "-workload compile -flavor mach25 -v -check"},
+		{"build-mach25", "-workload build -flavor mach25 -v -check"},
+		{"dos-mach25", "-workload dos -flavor mach25 -v"},
+	}
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			out, err := exec.Command(bin, strings.Fields(run.args)...).Output()
+			if err != nil {
+				t.Fatalf("machsim %s: %v", run.args, err)
+			}
+			checkGolden(t, filepath.Join("testdata", "golden", "paper-"+run.name+".txt"), out)
+		})
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites
+// the file under -update-golden.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	if string(got) != string(want) {
+		w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+		i := 0
+		for i < len(w) && i < len(g) && w[i] == g[i] {
+			i++
+		}
+		at := func(lines []string) string {
+			if i < len(lines) {
+				return lines[i]
+			}
+			return "(end)"
+		}
+		t.Errorf("output differs from golden %s at line %d:\n  want %q\n  got  %q", path, i+1, at(w), at(g))
 	}
 }

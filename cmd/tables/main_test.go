@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,16 +12,25 @@ import (
 	"time"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+
+// buildTables compiles this command into a temporary directory.
+func buildTables(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "tables")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestRejectsBadArguments runs tables on argument lists: a -scale that
 // is not a finite factor > 0 giving every paper workload a run of at
 // least 1 ns exits 2 naming the flag, before any table runs, and so
 // does an unknown table. Each command gets a timeout, because the bad
 // scales used to run forever.
 func TestRejectsBadArguments(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "tables")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildTables(t)
 	tests := []struct {
 		args    string
 		wantErr string // stderr substring of an exit-2 rejection; empty means valid
@@ -62,6 +73,42 @@ func TestRejectsBadArguments(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.wantErr) {
 				t.Fatalf("stderr %q does not contain %q", stderr.String(), tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestTablesGolden pins every simulated table at the default flags: the
+// paper's numbers are the fixed reference and must not drift, so a
+// refactor of a path the paper runs leaves them byte-identical.
+// gonative measures the host, and the figure2 and device traces have
+// their own golden (internal/experiments TestTransferTraceGolden).
+// Regenerate, only for an intended output change, with:
+// go test ./cmd/tables -run TestTablesGolden -update-golden
+func TestTablesGolden(t *testing.T) {
+	bin := buildTables(t)
+	for _, table := range []string{"1", "2", "3", "4", "5", "firefly"} {
+		t.Run(table, func(t *testing.T) {
+			got, err := exec.Command(bin, "-table", table).Output()
+			if err != nil {
+				t.Fatalf("tables -table %s: %v", table, err)
+			}
+			path := filepath.Join("testdata", "golden", "table-"+table+".txt")
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update-golden)", err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("tables -table %s differs from golden %s:\n--- want\n%s--- got\n%s", table, path, want, got)
 			}
 		})
 	}

@@ -629,9 +629,14 @@ func (k *Kernel) ThreadExceptionReturn(e *Env) {
 }
 
 // enterUser transfers the current thread to user mode and schedules its
-// next user action. Transfers control.
+// next user action. Under DebugChecks a thread still holding a wait
+// result panics: the kernel operation it returns from ignored how its
+// wait ended. Transfers control.
 func (k *Kernel) enterUser(e *Env) {
 	t := e.Cur()
+	if k.DebugChecks && t.waitResult != 0 {
+		panic(fmt.Sprintf("core: %v returns to user space holding wait result %#x", t, t.waitResult))
+	}
 	t.Mode = ModeUser
 	t.UserReturn = ReturnNone
 	e.P.transfer(k.userStepFn)

@@ -146,6 +146,13 @@ type Thread struct {
 	// WaitLabel describes what the thread is blocked on, for diagnostics.
 	WaitLabel string
 
+	// waitResult is how the thread's last wait ended when it did not end
+	// in the awaited event (Mach's wait_result): a timeout, a dead port,
+	// a device error, an abort. Subsystem codes are nonzero, so zero
+	// means none. The waker posts it through Kernel.PostWaitResult and
+	// the resuming continuation consumes it through TakeWaitResult.
+	waitResult uint64
+
 	// Trace is the causal-trace context the thread currently acts under:
 	// stamped onto messages it sends (when they carry none) and adopted
 	// from messages it receives, so one operation's context follows the
@@ -169,6 +176,25 @@ type Thread struct {
 
 // State returns the thread's scheduling state.
 func (t *Thread) State() ThreadState { return t.state }
+
+// PostWaitResult records how waiting thread t's wait ended: the nonzero
+// code its resuming continuation completes the operation with. The
+// waker still makes t runnable. Under DebugChecks, posting onto a thread
+// that still holds a result panics: a wait ends once, and a result left
+// over would end the thread's next wait in another subsystem.
+func (k *Kernel) PostWaitResult(t *Thread, code uint64) {
+	if k.DebugChecks && t.waitResult != 0 {
+		panic(fmt.Sprintf("core: wait result %#x posted onto %v, which still holds %#x", code, t, t.waitResult))
+	}
+	t.waitResult = code
+}
+
+// TakeWaitResult consumes the result posted for the thread's last wait;
+// ok is false when the wait ended in the awaited event.
+func (t *Thread) TakeWaitResult() (code uint64, ok bool) {
+	code, t.waitResult = t.waitResult, 0
+	return code, code != 0
+}
 
 // Queued reports whether the thread is currently on a run queue.
 func (t *Thread) Queued() bool { return t.queued }

@@ -218,10 +218,6 @@ type Subsystem struct {
 	IoMaxRetries   int
 	IoRetryBackoff machine.Duration
 
-	// ioErr posts a request's completion error to its waiter, keyed by
-	// thread ID, consumed by the device continuations.
-	ioErr map[int]uint64
-
 	// pendingRetry tracks each thread's armed backoff callout so abort
 	// can cancel it.
 	pendingRetry map[int]*machine.Event
@@ -238,7 +234,6 @@ func NewSubsystem(k *core.Kernel) *Subsystem {
 	s := &Subsystem{
 		K:              k,
 		byName:         make(map[string]*Device),
-		ioErr:          make(map[int]uint64),
 		pendingRetry:   make(map[int]*machine.Event),
 		IoMaxRetries:   3,
 		IoRetryBackoff: machine.Duration(500 * 1000), // 500 µs
@@ -339,7 +334,7 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 		if r.Err != 0 {
 			// Post the failure; the waiter's device continuation sees it
 			// and retries or returns the error.
-			s.ioErr[w.ID] = r.Err
+			k.PostWaitResult(w, r.Err)
 		}
 		if k.CanHandoff() && r.Expect != nil && w.BlockedWith(r.Expect) && !w.HasStack() {
 			t := e.Cur()
@@ -400,8 +395,7 @@ func (s *Subsystem) DeviceRead(e *core.Env, d *Device, bytes int) {
 // timeout the retry path takes over instead. Transfers control.
 func (s *Subsystem) deviceReadContinue(e *core.Env) {
 	t := e.Cur()
-	if code, ok := s.ioErr[t.ID]; ok {
-		delete(s.ioErr, t.ID)
+	if code, ok := t.TakeWaitResult(); ok {
 		s.retryOrFail(e, code, s.ContDeviceRead)
 		return
 	}
@@ -433,8 +427,7 @@ func (s *Subsystem) DeviceWrite(e *core.Env, d *Device, bytes int) {
 // over to the retry path. Transfers control.
 func (s *Subsystem) deviceWriteContinue(e *core.Env) {
 	t := e.Cur()
-	if code, ok := s.ioErr[t.ID]; ok {
-		delete(s.ioErr, t.ID)
+	if code, ok := t.TakeWaitResult(); ok {
 		s.retryOrFail(e, code, s.ContDeviceWrite)
 		return
 	}

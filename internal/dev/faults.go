@@ -58,7 +58,7 @@ func (s *Subsystem) submitIO(t *core.Thread, d *Device, label string, bytes int,
 			// thread discards the orphaned completion.
 			r.Waiter = nil
 			s.IoTimeouts++
-			s.ioErr[w.ID] = DevTimedOut
+			s.K.PostWaitResult(w, DevTimedOut)
 			s.K.Setrun(w)
 		})
 	}
@@ -110,89 +110,57 @@ func (s *Subsystem) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
 		delete(s.pendingRetry, t.ID)
 		return DevAborted, true
 	}
-	detach := func(r *Request) bool {
-		if r == nil || r.Waiter != t {
-			return false
-		}
-		r.Waiter = nil
-		if r.timeout != nil {
-			s.K.Clock.Cancel(r.timeout)
-		}
-		return true
+	r := s.waitedOn(t)
+	if r == nil {
+		return 0, false
 	}
+	r.Waiter = nil
+	if r.timeout != nil {
+		s.K.Clock.Cancel(r.timeout)
+	}
+	return DevAborted, true
+}
+
+// waitedOn returns the request t is the waiter of — queued, in service,
+// or completed and awaiting io_done — or nil. A thread waits on at most
+// one request, and on none while its retry backoff is armed
+// (checkInvariants).
+func (s *Subsystem) waitedOn(t *core.Thread) *Request {
 	for _, d := range s.devices {
-		if detach(d.inflight) {
-			return DevAborted, true
+		if d.inflight != nil && d.inflight.Waiter == t {
+			return d.inflight
 		}
 		for _, r := range d.queue {
-			if detach(r) {
-				return DevAborted, true
+			if r.Waiter == t {
+				return r
 			}
 		}
 	}
 	for _, r := range s.completions {
-		if detach(r) {
-			return DevAborted, true
+		if r.Waiter == t {
+			return r
 		}
 	}
-	return 0, false
+	return nil
 }
 
 // ReleaseThread drops the device-layer state still charged to a thread
-// that will never run again: a posted-but-unconsumed I/O error and any
-// armed retry backoff. Requests naming the thread as waiter are
-// detached so a completion landing after the reap is discarded as an
-// orphan. The kern reaper calls this (with ipc.ReleaseThread) on every
+// that will never run again: an armed retry backoff, or the request it
+// waits on, which is detached so a completion landing after the reap is
+// discarded as an orphan. That is exactly an abort whose code is
+// dropped. The kern reaper calls this (with ipc.ReleaseThread) on every
 // reap and asserts the census is clean afterwards.
-func (s *Subsystem) ReleaseThread(t *core.Thread) {
-	delete(s.ioErr, t.ID)
-	if ev := s.pendingRetry[t.ID]; ev != nil {
-		s.K.Clock.Cancel(ev)
-		delete(s.pendingRetry, t.ID)
-	}
-	detach := func(r *Request) {
-		if r == nil || r.Waiter != t {
-			return
-		}
-		r.Waiter = nil
-		if r.timeout != nil {
-			s.K.Clock.Cancel(r.timeout)
-		}
-	}
-	for _, d := range s.devices {
-		detach(d.inflight)
-		for _, r := range d.queue {
-			detach(r)
-		}
-	}
-	for _, r := range s.completions {
-		detach(r)
-	}
-}
+func (s *Subsystem) ReleaseThread(t *core.Thread) { s.AbortWaiter(t) }
 
 // Residue counts device-layer state still attached to a thread — zero
 // after ReleaseThread.
 func (s *Subsystem) Residue(t *core.Thread) int {
 	n := 0
-	if _, ok := s.ioErr[t.ID]; ok {
-		n++
-	}
 	if s.pendingRetry[t.ID] != nil {
 		n++
 	}
-	count := func(r *Request) {
-		if r != nil && r.Waiter == t {
-			n++
-		}
-	}
-	for _, d := range s.devices {
-		count(d.inflight)
-		for _, r := range d.queue {
-			count(r)
-		}
-	}
-	for _, r := range s.completions {
-		count(r)
+	if s.waitedOn(t) != nil {
+		n++
 	}
 	return n
 }
@@ -213,17 +181,27 @@ func (s *Subsystem) PendingIO() int {
 
 // checkInvariants is the dev contribution to the kernel invariant sweep
 // (registered by NewSubsystem, run by core.Kernel.Validate): every
-// request waiter is actually waiting, and no detached request still
-// holds an armed I/O timeout.
+// request waiter is actually waiting, a thread is the waiter of at most
+// one request and of none while its retry backoff is armed (waitedOn
+// relies on both), and no detached request still holds an armed I/O
+// timeout.
 func (s *Subsystem) checkInvariants() error {
+	waiters := make(map[int]string) // thread ID -> where its request is
 	check := func(r *Request, where string) error {
-		if r.Waiter != nil && r.Waiter.State() != core.StateWaiting {
+		if r.Waiter == nil {
+			if r.timeout.Pending() {
+				return fmt.Errorf("dev: detached %s request %q holds a live timeout", where, r.Label)
+			}
+			return nil
+		}
+		if r.Waiter.State() != core.StateWaiting {
 			return fmt.Errorf("dev: %s request %q waiter %v is %v, not waiting",
 				where, r.Label, r.Waiter, r.Waiter.State())
 		}
-		if r.Waiter == nil && r.timeout.Pending() {
-			return fmt.Errorf("dev: detached %s request %q holds a live timeout", where, r.Label)
+		if prev, dup := waiters[r.Waiter.ID]; dup {
+			return fmt.Errorf("dev: %v waits on requests in both %s and %s", r.Waiter, prev, where)
 		}
+		waiters[r.Waiter.ID] = where
 		return nil
 	}
 	for _, d := range s.devices {
@@ -246,6 +224,9 @@ func (s *Subsystem) checkInvariants() error {
 	for id, ev := range s.pendingRetry {
 		if !ev.Pending() {
 			return fmt.Errorf("dev: retry entry for thread %d holds a dead callout", id)
+		}
+		if where, ok := waiters[id]; ok {
+			return fmt.Errorf("dev: thread %d waits on a request in %s while its retry backoff is armed", id, where)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package dev_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -181,5 +182,36 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	r2, s2, t2 := run()
 	if r1 != r2 || s1 != s2 || t1 != t2 {
 		t.Fatalf("runs diverged: %d/%+v/%v vs %d/%+v/%v", r1, s1, t1, r2, s2, t2)
+	}
+}
+
+// TestInvariantOneRequestPerWaiter: AbortWaiter, ReleaseThread and
+// Residue find a thread's request with one lookup that stops at the
+// first match, which is right only while a thread waits on at most one
+// request, and on none while its retry backoff is armed. The invariant
+// sweep flags a second request naming the waiter in either state.
+func TestInvariantOneRequestPerWaiter(t *testing.T) {
+	sys := bootMK40(t)
+	sys.Dev.SetFaultPlan(fault.New(7, fault.Spec{DeviceFailProb: 1}))
+	th, _ := readerWithResult(sys, 4096)
+	sys.Start(th)
+	for sys.K.StepNoAdvance() {
+	}
+	sys.K.MustValidate() // th waits on its in-flight read
+	stray := &dev.Request{Label: "stray", Bytes: 512, Waiter: th}
+	sys.Disk.Submit(stray)
+	if err := sys.K.Validate(); err == nil || !strings.Contains(err.Error(), "waits on requests in both disk inflight and disk queue") {
+		t.Fatalf("second request of one waiter: Validate = %v", err)
+	}
+	stray.Waiter = nil
+	for !strings.HasPrefix(th.WaitLabel, "device retry") {
+		if !sys.K.Step() {
+			t.Fatal("the failing read never parked on its retry backoff")
+		}
+	}
+	sys.K.MustValidate()
+	sys.Disk.Submit(&dev.Request{Label: "stray", Bytes: 512, Waiter: th})
+	if err := sys.K.Validate(); err == nil || !strings.Contains(err.Error(), "while its retry backoff is armed") {
+		t.Fatalf("request of a thread in retry backoff: Validate = %v", err)
 	}
 }

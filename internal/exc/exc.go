@@ -64,11 +64,8 @@ type Exc struct {
 	// user space. The inbound fast path recognizes it.
 	ContExcReturn *core.Continuation
 
-	// excPorts maps thread ID to the thread's exception port.
-	excPorts map[int]*ipc.Port
-
-	// replyPorts maps thread ID to the thread's kernel reply port.
-	replyPorts map[int]*ipc.Port
+	// threads holds each thread's exception ports, by thread ID.
+	threads map[int]threadPorts
 
 	// Counters.
 	FastRaises  uint64 // outbound handoffs to a waiting server
@@ -77,15 +74,17 @@ type Exc struct {
 	SlowReplies uint64
 }
 
+// threadPorts is one thread's exception state: the port its exceptions
+// are serviced on, and the kernel reply port its exception server
+// answers on (created at the thread's first exception).
+type threadPorts struct {
+	exc, reply *ipc.Port
+}
+
 // New creates the exception subsystem and installs its handler on the
 // kernel.
 func New(k *core.Kernel, x *ipc.IPC) *Exc {
-	ex := &Exc{
-		K:          k,
-		X:          x,
-		excPorts:   make(map[int]*ipc.Port),
-		replyPorts: make(map[int]*ipc.Port),
-	}
+	ex := &Exc{K: k, X: x, threads: make(map[int]threadPorts)}
 	ex.ContExcReturn = core.NewContinuation("exception_return", func(e *core.Env) {
 		e.Charge(restartCost)
 		k.ThreadExceptionReturn(e)
@@ -97,21 +96,9 @@ func New(k *core.Kernel, x *ipc.IPC) *Exc {
 // SetExceptionPort registers the port on which a thread's exceptions are
 // serviced (thread_set_exception_port).
 func (ex *Exc) SetExceptionPort(t *core.Thread, p *ipc.Port) {
-	ex.excPorts[t.ID] = p
-}
-
-// replyPortFor lazily creates the kernel-endpoint reply port for a
-// faulting thread.
-func (ex *Exc) replyPortFor(t *core.Thread) *ipc.Port {
-	p := ex.replyPorts[t.ID]
-	if p == nil {
-		p = ex.X.NewPort(fmt.Sprintf("exc-reply-%d", t.ID))
-		p.KernelSink = func(e *core.Env, msg *ipc.Message, opts *ipc.MsgOptions) {
-			ex.replySink(e, t, msg, opts)
-		}
-		ex.replyPorts[t.ID] = p
-	}
-	return p
+	ports := ex.threads[t.ID]
+	ports.exc = p
+	ex.threads[t.ID] = ports
 }
 
 // Handle services a user-level exception on the current thread. Installed
@@ -120,12 +107,20 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 	k := ex.K
 	t := e.Cur()
 	e.Charge(portLookupCost)
-	port := ex.excPorts[t.ID]
-	if port == nil {
+	ports := ex.threads[t.ID]
+	if ports.exc == nil {
 		panic(fmt.Sprintf("exc: %v raised exception %d with no exception port", t, code))
 	}
+	if ports.reply == nil {
+		// The kernel is the reply port's receiver: its sink restarts t.
+		ports.reply = ex.X.NewPort(fmt.Sprintf("exc-reply-%d", t.ID))
+		ports.reply.KernelSink = func(e *core.Env, msg *ipc.Message, opts *ipc.MsgOptions) {
+			ex.replySink(e, t, msg, opts)
+		}
+		ex.threads[t.ID] = ports
+	}
+	port, reply := ports.exc, ports.reply
 	info := ExcInfo{Thread: t, Code: code}
-	reply := ex.replyPortFor(t)
 
 	if k.UseContinuations {
 		// Before entering the normal send path, look for a server thread

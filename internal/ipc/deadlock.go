@@ -80,10 +80,10 @@ func (x *IPC) FindDeadlock() []string {
 		}
 	}
 	// Rule 2, delivered variant: a request handed directly to a blocked
-	// receiver obligates that receiver to reply. Iterate the thread table
-	// (not the map) so the graph construction is deterministic.
+	// receiver obligates that receiver to reply. Iterate the kernel's
+	// thread table so the graph construction follows thread order.
 	for _, holder := range x.K.Threads {
-		m := x.delivered[holder.ID]
+		m := x.record(holder).delivered
 		if m == nil || m.Reply == nil || holder.State() == core.StateHalted {
 			continue
 		}

@@ -209,9 +209,9 @@ func (p *Port) limit() int {
 // expiry of a receive timeout, and port destruction.
 //
 // While a registration sits on a list it is also on its thread's index:
-// an intrusive doubly linked list (prev/next) headed in IPC.regs, so the
-// reaper and thread_abort touch only the dying thread's registrations
-// instead of sweeping every port.
+// an intrusive doubly linked list (prev/next) headed in the thread's
+// record (threadIPC.regs), so the reaper and thread_abort touch only the
+// dying thread's registrations instead of sweeping every port.
 type rcvWaiter struct {
 	t          *core.Thread
 	cancelled  bool
@@ -313,32 +313,16 @@ type IPC struct {
 	// queue.
 	ContMsgSendRetry *core.Continuation
 
-	// rcvError holds a pending receive error (timeout, port death) for a
-	// woken receiver, keyed by thread ID.
-	rcvError map[int]uint64
-
-	// delivered holds a message handed directly to a blocked receiver,
-	// keyed by thread ID, until the receiver's resumption consumes it.
-	// It models the message travelling on the shared stack (fast path)
-	// or in the receiver's pre-posted buffer (MK32 path).
-	delivered map[int]*Message
-
-	// received exposes the outcome of the last receive to the receiving
-	// thread's user program (the copied-out user buffer).
-	received map[int]*Message
+	// threads holds each thread's IPC record, by thread ID. Thread IDs
+	// are small and dense per kernel, so a slice beats a map on the
+	// per-message path. Take a record through thread and drop the
+	// pointer before any call that can grow the table.
+	threads []threadIPC
 
 	// ports and sets register every allocation, for the port census and
 	// the invariant checker's consistency sweep.
 	ports []*Port
 	sets  []*PortSet
-
-	// regs heads each thread's registration index, by thread ID: every
-	// registration naming the thread that is still on some waiter list,
-	// live or cancelled. newWaiter links a registration in; freeWaiter,
-	// which every removal from a list goes through, unlinks it. Thread
-	// IDs are small and dense per kernel, so a slice beats a map on the
-	// per-message path.
-	regs []*rcvWaiter
 
 	// waiterFree and msgFree recycle waiter registrations and message
 	// buffers so the steady-state RPC path allocates nothing; see
@@ -368,6 +352,44 @@ type IPC struct {
 	DirectSwitches uint64 // MK32-style directed transfers
 }
 
+// threadIPC is one thread's receive state (Mach keeps it in the thread
+// too, as ith_kmsg and the receive's user buffer); how a wait ended is
+// the thread's own wait result (core.Thread.TakeWaitResult).
+type threadIPC struct {
+	// regs heads the thread's registration index: every registration
+	// naming the thread that is still on some waiter list, live or
+	// cancelled. newWaiter links a registration in; freeWaiter, which
+	// every removal from a list goes through, unlinks it.
+	regs *rcvWaiter
+
+	// delivered is a message handed directly to the blocked receiver,
+	// until its resumption consumes it. It models the message travelling
+	// on the shared stack (fast path) or in the receiver's pre-posted
+	// buffer (MK32 path).
+	delivered *Message
+
+	// received is the message the thread's last receive copied out (its
+	// user buffer), until the user program reads it through Received.
+	received *Message
+}
+
+// thread returns t's record, growing the table to hold it.
+func (x *IPC) thread(t *core.Thread) *threadIPC {
+	for t.ID >= len(x.threads) {
+		x.threads = append(x.threads, threadIPC{})
+	}
+	return &x.threads[t.ID]
+}
+
+// record returns a copy of t's record without growing the table: the
+// zero record for a thread that never had one.
+func (x *IPC) record(t *core.Thread) threadIPC {
+	if t.ID < len(x.threads) {
+		return x.threads[t.ID]
+	}
+	return threadIPC{}
+}
+
 // New creates the IPC subsystem for a kernel with the given style.
 // StyleMK40 requires a continuation kernel; the process-model styles
 // require a process-model kernel.
@@ -375,13 +397,7 @@ func New(k *core.Kernel, style Style) *IPC {
 	if (style == StyleMK40) != k.UseContinuations {
 		panic(fmt.Sprintf("ipc: style %v mismatches kernel continuations=%v", style, k.UseContinuations))
 	}
-	x := &IPC{
-		K:         k,
-		Style:     style,
-		delivered: make(map[int]*Message),
-		received:  make(map[int]*Message),
-		rcvError:  make(map[int]uint64),
-	}
+	x := &IPC{K: k, Style: style}
 	x.ContMsgContinue = core.NewContinuation("mach_msg_continue", x.msgContinue)
 	x.ContMsgRcvSlow = core.NewContinuation("mach_msg_receive_slow", x.msgReceiveSlow)
 	x.ContMsgSendRetry = core.NewContinuation("mach_msg_send_retry", x.msgSendRetry)
@@ -431,21 +447,13 @@ func (x *IPC) FreeMessage(m *Message) {
 // Received returns (and clears) the message the thread's last successful
 // receive copied out — how the simulated user program reads its buffer.
 func (x *IPC) Received(t *core.Thread) *Message {
-	m := x.received[t.ID]
-	delete(x.received, t.ID)
+	r := x.thread(t)
+	m := r.received
+	r.received = nil
 	if m != nil {
 		// The receiver acts on the message's behalf from here on: adopt
 		// its trace context (zero clears any stale one).
 		t.Trace = m.Trace
-	}
-	return m
-}
-
-// takeDelivered consumes a directly-delivered message.
-func (x *IPC) takeDelivered(t *core.Thread) *Message {
-	m := x.delivered[t.ID]
-	if m != nil {
-		delete(x.delivered, t.ID)
 	}
 	return m
 }
@@ -455,7 +463,7 @@ func (x *IPC) takeDelivered(t *core.Thread) *Message {
 // resumption will consume it.
 func (x *IPC) DeliverTo(e *core.Env, recv *core.Thread, m *Message) {
 	e.Charge(deliverCost)
-	x.delivered[recv.ID] = m
+	x.thread(recv).delivered = m
 }
 
 // Enqueue places a message on a port's queue, charging allocation and
@@ -518,13 +526,16 @@ func (x *IPC) CompleteReceive(e *core.Env, m *Message) {
 // TakeDelivered consumes a message that was directly delivered to t, if
 // any.
 func (x *IPC) TakeDelivered(t *core.Thread) *Message {
-	return x.takeDelivered(t)
+	r := x.thread(t)
+	m := r.delivered
+	r.delivered = nil
+	return m
 }
 
 // TakeDeliveredPeek reports a pending direct delivery without consuming
 // it, used by fast paths to decide whether a receive would block.
 func (x *IPC) TakeDeliveredPeek(t *core.Thread) *Message {
-	return x.delivered[t.ID]
+	return x.record(t).delivered
 }
 
 // popWaiter consumes the first live waiter registration on the port,
@@ -578,23 +589,13 @@ func (x *IPC) newWaiter(t *core.Thread) *rcvWaiter {
 	} else {
 		w = &rcvWaiter{t: t}
 	}
-	for t.ID >= len(x.regs) {
-		x.regs = append(x.regs, nil)
+	r := x.thread(t)
+	if r.regs != nil {
+		r.regs.prev = w
+		w.next = r.regs
 	}
-	if head := x.regs[t.ID]; head != nil {
-		head.prev = w
-		w.next = head
-	}
-	x.regs[t.ID] = w
+	r.regs = w
 	return w
-}
-
-// registrations returns the head of t's registration index.
-func (x *IPC) registrations(t *core.Thread) *rcvWaiter {
-	if t.ID < len(x.regs) {
-		return x.regs[t.ID]
-	}
-	return nil
 }
 
 // freeWaiter unlinks a registration that has left its waiter list from
@@ -606,7 +607,7 @@ func (x *IPC) freeWaiter(w *rcvWaiter) {
 	if w.prev != nil {
 		w.prev.next = w.next
 	} else {
-		x.regs[w.t.ID] = w.next
+		x.threads[w.t.ID].regs = w.next
 	}
 	if w.next != nil {
 		w.next.prev = w.prev
@@ -715,8 +716,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		if recv != nil {
 			// Receiver blocked under the process model (rare in MK40):
 			// deliver and wake it through the general path.
-			e.Charge(deliverCost)
-			x.delivered[recv.ID] = msg
+			x.DeliverTo(e, recv, msg)
 			e.Charge(wakeupCost)
 			k.Setrun(recv)
 			x.finishSendPhase(e, opts)
@@ -726,10 +726,9 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		if recv != nil {
 			// Deliver into the receiver's buffer and context-switch
 			// directly to it, bypassing the scheduler and the queue.
-			e.Charge(deliverCost)
-			x.delivered[recv.ID] = msg
+			x.DeliverTo(e, recv, msg)
 			x.DirectSwitches++
-			if src != nil && !src.hasPending() && x.delivered[t.ID] == nil {
+			if src != nil && !src.hasPending() && x.record(t).delivered == nil {
 				maxSize := opts.MaxSize
 				e.K.SetState(t, core.StateWaiting)
 				t.WaitLabel = "mach_msg receive"
@@ -805,7 +804,7 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 				return
 			}
 			w.cancelled = true
-			x.rcvError[w.t.ID] = SendTimedOut
+			x.K.PostWaitResult(w.t, SendTimedOut)
 			x.K.Setrun(w.t)
 		})
 	}
@@ -820,8 +819,7 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 // control.
 func (x *IPC) msgSendRetry(e *core.Env) {
 	t := e.Cur()
-	if code, ok := x.rcvError[t.ID]; ok {
-		delete(x.rcvError, t.ID)
+	if code, ok := t.TakeWaitResult(); ok {
 		x.K.ThreadSyscallReturn(e, code)
 		return
 	}
@@ -883,7 +881,7 @@ func (x *IPC) armTimeout(w *rcvWaiter, d machine.Duration) {
 			return
 		}
 		w.cancelled = true
-		x.rcvError[w.t.ID] = RcvTimedOut
+		x.K.PostWaitResult(w.t, RcvTimedOut)
 		x.K.Setrun(w.t)
 	})
 }
@@ -906,7 +904,7 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 		}
-		x.rcvError[w.t.ID] = RcvPortDied
+		x.K.PostWaitResult(w.t, RcvPortDied)
 		x.K.Setrun(w.t)
 	}
 	for _, w := range p.waiters {
@@ -921,7 +919,7 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 		}
-		x.rcvError[w.t.ID] = SendInvalidDest
+		x.K.PostWaitResult(w.t, SendInvalidDest)
 		x.K.Setrun(w.t)
 	}
 	for _, w := range p.sendWaiters {
@@ -958,8 +956,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 	k := x.K
 	t := e.Cur()
 	msg := opts.Send
-	e.Charge(deliverCost)
-	x.delivered[recv.ID] = msg
+	x.DeliverTo(e, recv, msg)
 
 	if src == nil {
 		// Send-only to a waiting receiver: wake it and return; no
@@ -974,7 +971,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 	// genuinely block; if a message already awaits the sender, wake the
 	// receiver through the queue-less general path and take the receive
 	// immediately.
-	if src.hasPending() || x.delivered[t.ID] != nil {
+	if src.hasPending() || x.record(t).delivered != nil {
 		e.Charge(wakeupCost)
 		k.Setrun(recv)
 		x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
@@ -1002,7 +999,7 @@ func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.T
 		// inline. The message was passed on the shared stack; only the
 		// sender checked it for exceptional conditions.
 		x.FastRPCs++
-		m := x.takeDelivered(e.Cur())
+		m := x.TakeDelivered(e.Cur())
 		if m == nil {
 			panic("ipc: fast path lost its message")
 		}
@@ -1025,14 +1022,13 @@ func (x *IPC) saveReceiveState(t *core.Thread, src source, maxSize int) {
 // from a port or a port set. Transfers control.
 func (x *IPC) receive(e *core.Env, src source, maxSize int, timeout machine.Duration) {
 	t := e.Cur()
-	// A pending receive error (timeout, port death) ends the call.
-	if code, ok := x.rcvError[t.ID]; ok {
-		delete(x.rcvError, t.ID)
+	// A wait that ended in a timeout or a port death ends the call.
+	if code, ok := t.TakeWaitResult(); ok {
 		x.K.ThreadSyscallReturn(e, code)
 		return
 	}
 	// A message may already have been handed to us.
-	if m := x.takeDelivered(t); m != nil {
+	if m := x.TakeDelivered(t); m != nil {
 		x.finishReceiveChecked(e, m, maxSize)
 		return
 	}
@@ -1079,12 +1075,11 @@ func (x *IPC) resumeReceive(e *core.Env, src source, maxSize int) {
 func (x *IPC) msgContinue(e *core.Env) {
 	t := e.Cur()
 	src, maxSize := x.savedReceiveState(t)
-	if code, ok := x.rcvError[t.ID]; ok {
-		delete(x.rcvError, t.ID)
+	if code, ok := t.TakeWaitResult(); ok {
 		x.K.ThreadSyscallReturn(e, code)
 		return
 	}
-	if m := x.takeDelivered(t); m != nil {
+	if m := x.TakeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.copyOutAndReturn(e, m)
 		return
@@ -1100,12 +1095,11 @@ func (x *IPC) msgReceiveSlow(e *core.Env) {
 	t := e.Cur()
 	src, maxSize := x.savedReceiveState(t)
 	e.Charge(optionCheckCost)
-	if code, ok := x.rcvError[t.ID]; ok {
-		delete(x.rcvError, t.ID)
+	if code, ok := t.TakeWaitResult(); ok {
 		x.K.ThreadSyscallReturn(e, code)
 		return
 	}
-	if m := x.takeDelivered(t); m != nil {
+	if m := x.TakeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.finishReceiveChecked(e, m, maxSize)
 		return
@@ -1148,7 +1142,7 @@ func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 		e.Trace(obs.CopyOut, detail)
 		r.Emit(obs.RPCEnd, t.ID, t.Name, "", "")
 	}
-	x.received[t.ID] = m
+	x.thread(t).received = m
 	if x.UserReturnHook != nil && x.UserReturnHook(e, t, m) {
 		if !e.Transferred() {
 			panic("ipc: user return hook returned instead of transferring control")

@@ -15,7 +15,7 @@ import (
 // waiting thread holds at most one live registration (checkInvariants),
 // so the first one on its index is the one to cancel.
 func (x *IPC) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
-	for w := x.registrations(t); w != nil; w = w.next {
+	for w := x.record(t).regs; w != nil; w = w.next {
 		if w.cancelled {
 			continue
 		}
@@ -80,7 +80,8 @@ func (x *IPC) checkInvariants() error {
 		}
 	}
 	indexed := 0
-	for id, head := range x.regs {
+	for id, r := range x.threads {
+		head := r.regs
 		if head != nil && head.prev != nil {
 			return fmt.Errorf("ipc: registration index of thread %d has a bad head", id)
 		}

@@ -35,7 +35,7 @@ func (s *System) ThreadAbort(t *core.Thread) bool {
 	if !ok {
 		return false
 	}
-	s.abortCode[t.ID] = code
+	s.K.PostWaitResult(t, code)
 	if r := s.K.Obs; r != nil {
 		r.Emit(obs.Abort, t.ID, t.Name, "", t.WaitLabel)
 	}
@@ -48,11 +48,11 @@ func (s *System) ThreadAbort(t *core.Thread) bool {
 
 // abortReturn is the abort continuation: running in the aborted thread's
 // own context at its next dispatch, it completes the cancelled operation
-// with the stashed interruption code. Transfers control.
+// with the interruption code posted as the thread's wait result.
+// Transfers control.
 func (s *System) abortReturn(e *core.Env) {
 	t := e.Cur()
-	code := s.abortCode[t.ID]
-	delete(s.abortCode, t.ID)
+	code, _ := t.TakeWaitResult()
 	if t.UserReturn == core.ReturnException {
 		s.K.ThreadExceptionReturn(e)
 		return

@@ -230,10 +230,8 @@ type System struct {
 	contReaper *core.Continuation
 
 	// contAborted is the continuation an aborted thread resumes at; the
-	// pending Mach code for each aborted thread sits in abortCode until
-	// the thread runs it back to user space.
+	// Mach code it returns is the thread's wait result.
 	contAborted *core.Continuation
-	abortCode   map[int]uint64
 
 	tasks     []*Task
 	nextSpace int
@@ -366,7 +364,6 @@ func (s *System) bootSubstrates(adopt []*dev.NIC) {
 			}
 		}
 	}
-	s.abortCode = make(map[int]uint64)
 	s.contAborted = core.NewContinuation("thread_abort_continue", s.abortReturn)
 	if !cfg.DisableCallout {
 		s.startCallout()
@@ -423,8 +420,8 @@ var reapCost = machine.Cost{Instrs: 220, Loads: 70, Stores: 45}
 
 // reaperLoop drains dead threads, then blocks with its own continuation
 // (§2.2 style). Each reap releases the IPC and device state still
-// charged to the dead thread — pooled message buffers, saved errors,
-// waiter registrations with their callouts — and asserts the census
+// charged to the dead thread — pooled message buffers, waiter
+// registrations and requests with their callouts — and asserts the census
 // comes back clean, so a leak on an abnormal-termination path fails
 // loudly instead of stranding pool entries. Transfers control.
 func (s *System) reaperLoop(e *core.Env) {
@@ -436,7 +433,6 @@ func (s *System) reaperLoop(e *core.Env) {
 			s.Dev.ReleaseThread(t)
 			residue += s.Dev.Residue(t)
 		}
-		delete(s.abortCode, t.ID)
 		if residue != 0 {
 			panic(fmt.Sprintf("kern: reaper leak — thread %s still owns %d resources after release",
 				t.Name, residue))

@@ -136,8 +136,9 @@ func (s *Stack) Reset() {
 type StackPool struct {
 	clock *Clock
 
-	free   []*Stack
-	live   map[int]*Stack
+	free []*Stack
+	// nextID numbers stacks from 1; the pool never destroys one, so it
+	// is also how many exist.
 	nextID int
 
 	// VMMetadataBytes is the per-stack virtual-memory bookkeeping cost
@@ -160,7 +161,6 @@ type StackPool struct {
 func NewStackPool(clock *Clock, vmMetadataBytes int) *StackPool {
 	return &StackPool{
 		clock:           clock,
-		live:            make(map[int]*Stack),
 		VMMetadataBytes: vmMetadataBytes,
 		lastCensusTime:  clock.Now(),
 	}
@@ -187,7 +187,6 @@ func (p *StackPool) Allocate() *Stack {
 	} else {
 		p.nextID++
 		s = &Stack{ID: p.nextID}
-		p.live[s.ID] = s
 	}
 	s.owner = OwnerTransit
 	s.Reset()
@@ -226,7 +225,7 @@ func (p *StackPool) MaxInUse() int { return p.maxInUse }
 
 // TotalStacks reports how many distinct stacks were ever created (the
 // pool never returns memory to the system, like the kernel's zone).
-func (p *StackPool) TotalStacks() int { return len(p.live) }
+func (p *StackPool) TotalStacks() int { return p.nextID }
 
 // Allocs and Frees report cumulative operation counts.
 func (p *StackPool) Allocs() uint64 { return p.allocs }

@@ -220,13 +220,17 @@ func TestStackPoolAccountingProperty(t *testing.T) {
 		if uint64(p.InUse()) != p.Allocs()-p.Frees() {
 			return false
 		}
-		free := 0
-		for _, s := range p.live {
+		for _, s := range held {
 			if s.Owner() == OwnerFree {
-				free++
+				return false
 			}
 		}
-		return free == p.TotalStacks()-p.InUse()
+		for _, s := range p.free {
+			if s.Owner() != OwnerFree {
+				return false
+			}
+		}
+		return len(p.free) == p.TotalStacks()-p.InUse()
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(42))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -55,47 +55,47 @@ type scenario struct {
 }
 
 // netRPCRow is a netrpc scenario; faults prints each machine's fault
-// block.
-func netRPCRow(name string, arch machine.Arch, spec NetRPCSpec, faults bool) scenario {
+// block. Every row constructor takes the kernel flavor the row boots.
+func netRPCRow(name string, flavor kern.Flavor, arch machine.Arch, spec NetRPCSpec, faults bool) scenario {
 	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
 		s.Parallel, s.Observe = parallel, observe
-		res := RunNetRPC(kern.MK40, arch, s)
+		res := RunNetRPC(flavor, arch, s)
 		var buf bytes.Buffer
-		WriteNetRPCReport(&buf, kern.MK40, arch, res, NetRPCReportOptions{Faults: faults})
+		WriteNetRPCReport(&buf, flavor, arch, res, NetRPCReportOptions{Faults: faults})
 		return buf.String(), res.Machines
 	}}
 }
 
-func kvRow(name string, arch machine.Arch, spec KVSpec, faults bool) scenario {
+func kvRow(name string, flavor kern.Flavor, arch machine.Arch, spec KVSpec, faults bool) scenario {
 	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
 		s.Parallel, s.KeepEvents = parallel, observe
-		res := RunKV(kern.MK40, arch, s)
+		res := RunKV(flavor, arch, s)
 		var buf bytes.Buffer
-		WriteKVReport(&buf, kern.MK40, arch, res, NetRPCReportOptions{Faults: faults})
+		WriteKVReport(&buf, flavor, arch, res, NetRPCReportOptions{Faults: faults})
 		return buf.String(), res.Machines
 	}}
 }
 
-func svcGraphRow(name string, arch machine.Arch, spec SvcGraphSpec) scenario {
+func svcGraphRow(name string, flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) scenario {
 	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
 		s.Parallel, s.KeepEvents = parallel, observe
-		res := RunSvcGraph(kern.MK40, arch, s)
+		res := RunSvcGraph(flavor, arch, s)
 		var buf bytes.Buffer
-		WriteSvcGraphReport(&buf, kern.MK40, arch, res, NetRPCReportOptions{})
+		WriteSvcGraphReport(&buf, flavor, arch, res, NetRPCReportOptions{})
 		return buf.String(), res.Machines
 	}}
 }
 
-func stormRow(name string, spec StormSpec) scenario {
+func stormRow(name string, flavor kern.Flavor, spec StormSpec) scenario {
 	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
 		s.Parallel, s.KeepEvents = parallel, observe
-		res := RunStorm(kern.MK40, machine.ArchDS3100, s)
+		res := RunStorm(flavor, machine.ArchDS3100, s)
 		var buf bytes.Buffer
-		WriteStormReport(&buf, kern.MK40, machine.ArchDS3100, res)
+		WriteStormReport(&buf, flavor, machine.ArchDS3100, res)
 		return buf.String(), res.Machines
 	}}
 }
@@ -103,7 +103,7 @@ func stormRow(name string, spec StormSpec) scenario {
 // mtLoadRow runs a small mtload cluster with the driver's naive-sweep
 // cross-check armed, so every driver also exercises the
 // incremental-horizon oracle.
-func mtLoadRow(name string, machines, sessionsPerTenant int) scenario {
+func mtLoadRow(name string, flavor kern.Flavor, machines, sessionsPerTenant int) scenario {
 	spec := DefaultMTLoad()
 	spec.Machines = machines
 	spec.SessionsPerTenant = sessionsPerTenant
@@ -111,7 +111,7 @@ func mtLoadRow(name string, machines, sessionsPerTenant int) scenario {
 	return scenario{name, func(parallel, observe bool) (string, []*kern.System) {
 		s := spec
 		s.Parallel, s.KeepEvents = parallel, observe
-		res := RunMTLoad(kern.MK40, machine.ArchDS3100, s)
+		res := RunMTLoad(flavor, machine.ArchDS3100, s)
 		var buf bytes.Buffer
 		WriteMTLoadReport(&buf, res)
 		return buf.String(), res.Machines
@@ -122,9 +122,11 @@ func mtLoadRow(name string, machines, sessionsPerTenant int) scenario {
 // workload's canonical run, and variants reaching the boot branches
 // those miss (pairs and clients, many machines, DebugChecks and the
 // cross-check, Toshiba, fault plans, crashes, nemesis schedules, armed
-// overload, the storm's negative arm). Names are golden file names.
+// overload, the storm's negative arm, the process-model kernel). Names
+// are golden file names.
 func scenarios(t *testing.T) []scenario {
 	ds, toshiba := machine.ArchDS3100, machine.ArchToshiba5200
+	mk40, mk32 := kern.MK40, kern.MK32
 	crash := mustCrash(t, "1@40ms:reboot+40ms")
 
 	pairs := DefaultNetRPC()
@@ -158,6 +160,8 @@ func scenarios(t *testing.T) []scenario {
 	kvOutage.FaultSpec.Crashes = mustCrash(t, "1@40ms:reboot+160ms")
 	kvOverloadCrash := kvOutage
 	kvOverloadCrash.Overload = overload.DefaultPolicy()
+	kvOutageCheck := kvOutage
+	kvOutageCheck.DebugChecks = true
 
 	svcGraph := DefaultSvcGraph()
 	svcGraph.FaultSpec.Crashes = mustCrash(t, "2@40ms:reboot+40ms")
@@ -168,28 +172,30 @@ func scenarios(t *testing.T) []scenario {
 	stormOff.Overload.Enabled = false
 
 	return []scenario{
-		netRPCRow("netrpc", ds, DefaultNetRPC(), false),
-		netRPCRow("netrpc-pairs", ds, pairs, false),
-		netRPCRow("netrpc-pairs-faults", ds, pairsFaults, true),
-		netRPCRow("netrpc-wide", ds, wide, false),
-		netRPCRow("netrpc-link-delay", ds, linkDelay, true),
-		netRPCRow("lossy-netrpc", ds, LossyNetRPC(), true),
-		netRPCRow("lossy-netrpc-pairs", ds, lossyPairs, true),
-		netRPCRow("failover", ds, failover, false),
-		netRPCRow("failover-crash-check-toshiba", toshiba, failoverCheck, true),
-		kvRow("kv", ds, kv, false),
-		kvRow("kv-healthy", ds, DefaultKV(), false),
-		kvRow("kv-outage", ds, kvOutage, true),
-		kvRow("kv-nemesis", ds, kvNemesis, false),
-		kvRow("kv-nemesis-delay", ds, kvNemesisDelay, true),
-		kvRow("kv-overload-gray", ds, kvOverloadSpec(), true),
-		kvRow("kv-overload-crash-toshiba", toshiba, kvOverloadCrash, true),
-		svcGraphRow("svcgraph", ds, svcGraph),
-		svcGraphRow("svcgraph-check-toshiba", toshiba, svcGraphCheck),
-		stormRow("storm", DefaultStorm()),
-		stormRow("storm-off", stormOff),
-		mtLoadRow("mtload", 8, 20),
-		mtLoadRow("mtload-16", 16, 60),
+		netRPCRow("netrpc", mk40, ds, DefaultNetRPC(), false),
+		netRPCRow("netrpc-pairs", mk40, ds, pairs, false),
+		netRPCRow("netrpc-pairs-faults", mk40, ds, pairsFaults, true),
+		netRPCRow("netrpc-wide", mk40, ds, wide, false),
+		netRPCRow("netrpc-link-delay", mk40, ds, linkDelay, true),
+		netRPCRow("lossy-netrpc", mk40, ds, LossyNetRPC(), true),
+		netRPCRow("lossy-netrpc-mk32", mk32, ds, LossyNetRPC(), true),
+		netRPCRow("lossy-netrpc-pairs", mk40, ds, lossyPairs, true),
+		netRPCRow("failover", mk40, ds, failover, false),
+		netRPCRow("failover-crash-check-toshiba", mk40, toshiba, failoverCheck, true),
+		kvRow("kv", mk40, ds, kv, false),
+		kvRow("kv-healthy", mk40, ds, DefaultKV(), false),
+		kvRow("kv-outage", mk40, ds, kvOutage, true),
+		kvRow("kv-outage-check-mk32", mk32, ds, kvOutageCheck, true),
+		kvRow("kv-nemesis", mk40, ds, kvNemesis, false),
+		kvRow("kv-nemesis-delay", mk40, ds, kvNemesisDelay, true),
+		kvRow("kv-overload-gray", mk40, ds, kvOverloadSpec(), true),
+		kvRow("kv-overload-crash-toshiba", mk40, toshiba, kvOverloadCrash, true),
+		svcGraphRow("svcgraph", mk40, ds, svcGraph),
+		svcGraphRow("svcgraph-check-toshiba", mk40, toshiba, svcGraphCheck),
+		stormRow("storm", mk40, DefaultStorm()),
+		stormRow("storm-off", mk40, stormOff),
+		mtLoadRow("mtload", mk40, 8, 20),
+		mtLoadRow("mtload-16", mk40, 16, 60),
 	}
 }
 
