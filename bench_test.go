@@ -512,6 +512,29 @@ func BenchmarkKVSpanOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) { run(b, 1) })
 }
 
+// BenchmarkKVCritPath times the report-side critical-path analyzer on
+// the spans of one fully sampled DefaultKV run, recorded before the
+// timer starts. CI bounds it at 0.15x BenchmarkKVSpanOverhead/on, the
+// run that records those spans (benchjson -max-ratio): the analyzer
+// once took ~18% of that run, most of it in map building, slice growth
+// and sorting copied spans.
+func BenchmarkKVCritPath(b *testing.B) {
+	spec := workload.DefaultKV()
+	spec.SampleEvery = 1
+	res := workload.RunKV(kern.MK40, machine.ArchDS3100, spec)
+	var spans []obs.Span
+	for _, sys := range res.Machines {
+		spans = append(spans, sys.K.Obs.Spans()...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cp *obs.CritPath
+	for i := 0; i < b.N; i++ {
+		cp = obs.AnalyzeCritPath(spans)
+	}
+	b.ReportMetric(float64(len(cp.Ops)), "ops")
+}
+
 // BenchmarkKVOverloadOverhead measures the overload-control tax on a
 // healthy KV run — no faults, so nothing is actually shed and the cost
 // is pure bookkeeping: the deadline stamp in every message header, the

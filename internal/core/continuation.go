@@ -22,7 +22,12 @@
 // faster inline sequence instead of calling it.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/obs"
+)
 
 // Continuation is a resumption point: a function a thread should execute
 // when it next runs. Continuations must be declared at package level with
@@ -37,6 +42,12 @@ import "fmt"
 type Continuation struct {
 	name string
 	fn   func(*Env)
+	// id is the name's obs.ContID, interned at the first emit that
+	// names the continuation (0 until then), so a continuation never
+	// emitted costs nothing and booting a kernel interns nothing. It is
+	// atomic because package-level continuations are shared by machines
+	// running in parallel.
+	id atomic.Uint32
 }
 
 // NewContinuation registers a continuation point. The name appears in
@@ -46,6 +57,21 @@ func NewContinuation(name string, fn func(*Env)) *Continuation {
 		panic("core: continuation needs a name and a body")
 	}
 	return &Continuation{name: name, fn: fn}
+}
+
+// obsID returns the continuation's interned observability id, obs.NoCont
+// for nil. Racing first calls intern the same name and store the same
+// id.
+func (c *Continuation) obsID() obs.ContID {
+	if c == nil {
+		return obs.NoCont
+	}
+	if id := c.id.Load(); id != 0 {
+		return obs.ContID(id)
+	}
+	id := obs.Intern(c.name)
+	c.id.Store(uint32(id))
+	return id
 }
 
 // Name returns the continuation's diagnostic name.

@@ -123,7 +123,7 @@ func (e *Env) Trace(kind obs.Kind, detail string) {
 		name = e.P.Cur.Name
 		tid = e.P.Cur.ID
 	}
-	r.Emit(kind, tid, name, "", detail)
+	r.Emit(kind, tid, name, detail)
 }
 
 // resumeStep is the payload stored in a preserved stack frame: the
@@ -376,7 +376,7 @@ func (k *Kernel) Setrun(t *Thread) {
 	switch t.state {
 	case StateWaiting:
 		if r := k.Obs; r != nil {
-			r.Emit(obs.Wakeup, t.ID, t.Name, "", t.WaitLabel)
+			r.Emit(obs.Wakeup, t.ID, t.Name, t.WaitLabel)
 		}
 		k.SetState(t, StateRunnable)
 		t.WaitLabel = ""
@@ -431,7 +431,7 @@ func (k *Kernel) StackAttach(e *Env, t *Thread, s *machine.Stack, cont *Continua
 	e.Charge(k.Costs.StackAttach)
 	k.Stats.StackAttaches++
 	if r := k.Obs; r != nil {
-		r.Emit(obs.StackAttach, t.ID, t.Name, cont.Name(), "")
+		r.EmitCont(obs.StackAttach, t.ID, t.Name, cont.obsID(), "", 0)
 	}
 	s.SetOwner(machine.OwnerThread)
 	t.Stack = s
@@ -450,7 +450,7 @@ func (k *Kernel) StackDetach(e *Env, t *Thread) *machine.Stack {
 	}
 	e.Charge(k.Costs.StackDetach)
 	if r := k.Obs; r != nil {
-		r.Emit(obs.StackDetach, t.ID, t.Name, "", "")
+		r.Emit(obs.StackDetach, t.ID, t.Name, "")
 	}
 	t.Stack = nil
 	s.SetOwner(machine.OwnerTransit)
@@ -485,14 +485,11 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 	newt.QuantumRemaining = k.Sched.Quantum()
 	k.Stats.Handoffs++
 	if r := k.Obs; r != nil {
-		cn, detail := "", ""
-		if newt.Cont != nil {
-			cn = newt.Cont.Name()
-		}
+		detail := ""
 		if r.Retains() {
 			detail = "from " + old.Name
 		}
-		r.EmitArg(obs.StackHandoff, newt.ID, newt.Name, cn, detail, old.ID)
+		r.EmitCont(obs.StackHandoff, newt.ID, newt.Name, newt.Cont.obsID(), detail, old.ID)
 	}
 }
 
@@ -512,7 +509,7 @@ func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
 	}
 	t.Stack.Reset()
 	if r := k.Obs; r != nil {
-		r.Emit(obs.ContinuationCall, t.ID, t.Name, c.Name(), c.Name())
+		r.EmitCont(obs.ContinuationCall, t.ID, t.Name, c.obsID(), c.name, 0)
 	}
 	e.P.transfer(c.fn)
 }
@@ -845,14 +842,14 @@ func (k *Kernel) Recognize(e *Env, expect *Continuation) bool {
 			if t.Cont != nil {
 				actual = t.Cont.Name()
 			}
-			r.Emit(obs.RecognitionMiss, t.ID, t.Name, expect.Name(), actual)
+			r.EmitCont(obs.RecognitionMiss, t.ID, t.Name, expect.obsID(), actual, 0)
 		}
 		return false
 	}
 	t.Cont = nil
 	k.Stats.Recognitions++
 	if r := k.Obs; r != nil {
-		r.Emit(obs.Recognition, t.ID, t.Name, expect.Name(), expect.Name())
+		r.EmitCont(obs.Recognition, t.ID, t.Name, expect.obsID(), expect.Name(), 0)
 	}
 	return true
 }
@@ -866,7 +863,7 @@ func (k *Kernel) threadContinue(e *Env, cont *Continuation) {
 	k.Stats.ContinuationCalls++
 	if r := k.Obs; r != nil {
 		t := e.Cur()
-		r.Emit(obs.ContinuationCall, t.ID, t.Name, cont.Name(), cont.Name())
+		r.EmitCont(obs.ContinuationCall, t.ID, t.Name, cont.obsID(), cont.name, 0)
 	}
 	cont.fn(e)
 }
@@ -895,7 +892,7 @@ func (k *Kernel) ThreadDispatch(e *Env, old *Thread) {
 // to its preserved resume step, prefixed by disposal of the old thread.
 func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	if r := k.Obs; r != nil {
-		r.Emit(obs.Dispatch, newt.ID, newt.Name, "", "")
+		r.Emit(obs.Dispatch, newt.ID, newt.Name, "")
 	}
 	p.Prev = old
 	p.Cur = newt
@@ -914,15 +911,11 @@ func (k *Kernel) recordBlock(t *Thread, reason stats.BlockReason, discarded bool
 		reason = stats.BlockInternal
 	}
 	if r := k.Obs; r != nil {
-		cn := ""
-		if cont != nil {
-			cn = cont.Name()
-		}
 		yield := 0
 		if t.state == StateRunnable {
 			yield = 1
 		}
-		r.EmitArg(obs.ThreadBlocked, t.ID, t.Name, cn, reason.String(), yield)
+		r.EmitCont(obs.ThreadBlocked, t.ID, t.Name, cont.obsID(), reason.String(), yield)
 	}
 	// Sample the blocked-thread census at its only growth point: the
 	// count can rise exactly when a block completes.

@@ -253,7 +253,7 @@ func (s *Subsystem) emitFault(t *core.Thread, detail string) {
 	if t != nil {
 		tid, name = t.ID, t.Name
 	}
-	rec.Emit(obs.FaultInject, tid, name, "", detail)
+	rec.Emit(obs.FaultInject, tid, name, detail)
 }
 
 // injectLatency applies the fault plan's latency spike to a request

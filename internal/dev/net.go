@@ -233,7 +233,7 @@ func (n *NIC) emitWireFault(e *core.Env, what string) {
 	if t := e.Cur(); t != nil {
 		tid, name = t.ID, t.Name
 	}
-	r.Emit(obs.FaultInject, tid, name, "", n.Name+" "+what)
+	r.Emit(obs.FaultInject, tid, name, n.Name+" "+what)
 }
 
 // Transmit puts a packet on the wire in the sender's kernel context.
@@ -636,7 +636,7 @@ func (n *Netmsg) PeerAlive() bool {
 		n.declaredDead = true
 		n.DeathsDetected++
 		if r := n.Sub.K.Obs; r != nil {
-			r.Emit(obs.PeerDeath, 0, "", "", n.NIC.Name)
+			r.Emit(obs.PeerDeath, 0, "", n.NIC.Name)
 		}
 		return false
 	}
@@ -681,7 +681,7 @@ func (n *Netmsg) noteIncarnation(pkt *Packet) (stale bool) {
 		n.declaredDead = false
 		n.Recoveries++
 		if r := n.Sub.K.Obs; r != nil {
-			r.EmitArg(obs.PeerDeath, 0, "", "", n.NIC.Name, 1)
+			r.EmitArg(obs.PeerDeath, 0, "", n.NIC.Name, 1)
 		}
 	}
 	if pkt.SrcInc > n.peerInc {
@@ -776,7 +776,7 @@ func (n *Netmsg) loop(e *core.Env) {
 				n.HeartbeatsTx++
 				if r := n.Sub.K.Obs; r != nil {
 					t := e.Cur()
-					r.EmitArg(obs.Heartbeat, t.ID, t.Name, "", n.NIC.Name, int(n.Inc))
+					r.EmitArg(obs.Heartbeat, t.ID, t.Name, n.NIC.Name, int(n.Inc))
 				}
 			} else {
 				n.Retransmits++

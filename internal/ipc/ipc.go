@@ -643,7 +643,7 @@ func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 		if opts.SendTo != nil {
 			dest = opts.SendTo.Name
 		}
-		r.Emit(obs.RPCStart, t.ID, t.Name, "", dest)
+		r.Emit(obs.RPCStart, t.ID, t.Name, dest)
 	}
 	if opts.Send != nil {
 		x.send(e, opts, src)
@@ -1140,7 +1140,7 @@ func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 			detail = strconv.Itoa(m.Size) + " bytes"
 		}
 		e.Trace(obs.CopyOut, detail)
-		r.Emit(obs.RPCEnd, t.ID, t.Name, "", "")
+		r.Emit(obs.RPCEnd, t.ID, t.Name, "")
 	}
 	x.thread(t).received = m
 	if x.UserReturnHook != nil && x.UserReturnHook(e, t, m) {

@@ -127,7 +127,7 @@ func (s *System) Crash(rebootAfter machine.Duration) {
 	}
 	s.PanicRecord = rec
 	if r := s.K.Obs; r != nil {
-		r.EmitArg(obs.MachineCrash, 0, "", "",
+		r.EmitArg(obs.MachineCrash, 0, "",
 			fmt.Sprintf("%d threads, %d ports, %d pending I/O, %d unacked",
 				len(rec.Threads), rec.Ports, rec.PendingIO, rec.Unacked),
 			int(s.Incarnation))
@@ -187,7 +187,7 @@ func (s *System) Reboot() {
 	}
 	s.Reboots++
 	if r := s.K.Obs; r != nil {
-		r.EmitArg(obs.MachineReboot, 0, "", "", "", int(s.Incarnation))
+		r.EmitArg(obs.MachineReboot, 0, "", "", int(s.Incarnation))
 	}
 	for _, svc := range s.services {
 		svc.install(s)

@@ -16,9 +16,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/machine"
 )
@@ -61,147 +62,201 @@ func AnalyzeCritPath(spans []Span) *CritPath {
 	for i := range cp.PerSeg {
 		cp.PerSeg[i] = &Histogram{Name: Seg(i).String()}
 	}
-	byTrace := make(map[uint64][]Span)
-	for _, sp := range spans {
-		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
+	// Group by trace with one sort of (trace, index) keys. Within a
+	// trace, indices stay in input order, which decides between
+	// duplicate span ids and between otherwise tied roots.
+	keys := make([]spanKey, len(spans))
+	for i := range spans {
+		keys[i] = spanKey{spans[i].Trace, i}
 	}
-	traces := make([]uint64, 0, len(byTrace))
-	for tr := range byTrace {
-		traces = append(traces, tr)
-	}
-	sort.Slice(traces, func(i, j int) bool { return traces[i] < traces[j] })
-	for _, tr := range traces {
-		if op, ok := decompose(byTrace[tr]); ok {
+	slices.SortFunc(keys, func(a, b spanKey) int {
+		if c := cmp.Compare(a.trace, b.trace); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	var sc critScratch
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].trace == keys[lo].trace {
+			hi++
+		}
+		sc.tr = sc.tr[:0]
+		for _, k := range keys[lo:hi] {
+			sc.tr = append(sc.tr, k.i)
+		}
+		if op, ok := sc.decompose(spans); ok {
 			cp.Ops = append(cp.Ops, op)
 		}
+		lo = hi
 	}
-	sort.Slice(cp.Ops, func(i, j int) bool {
-		a, b := cp.Ops[i], cp.Ops[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortFunc(cp.Ops, func(a, b OpPath) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return a.Trace < b.Trace
+		return cmp.Compare(a.Trace, b.Trace)
 	})
-	for _, op := range cp.Ops {
-		for s := range op.Seg {
-			cp.PerSeg[s].Observe(uint64(op.Seg[s]))
+	for i := range cp.Ops {
+		op := &cp.Ops[i]
+		for s, d := range op.Seg {
+			cp.PerSeg[s].Observe(uint64(d))
 		}
-	}
-	cp.Slowest = append([]OpPath(nil), cp.Ops...)
-	sort.Slice(cp.Slowest, func(i, j int) bool {
-		a, b := cp.Slowest[i], cp.Slowest[j]
-		if a.Total != b.Total {
-			return a.Total > b.Total
+		// Keep the SlowestN slowest, worst first: insert op in place.
+		w := len(cp.Slowest)
+		for w > 0 && slower(op, &cp.Slowest[w-1]) {
+			w--
 		}
-		return a.Trace < b.Trace
-	})
-	if len(cp.Slowest) > SlowestN {
-		cp.Slowest = cp.Slowest[:SlowestN]
+		if w < SlowestN {
+			if len(cp.Slowest) < SlowestN {
+				cp.Slowest = append(cp.Slowest, OpPath{})
+			}
+			copy(cp.Slowest[w+1:], cp.Slowest[w:])
+			cp.Slowest[w] = *op
+		}
 	}
 	return cp
 }
 
-// decompose runs the deepest-cover sweep over one trace's spans.
-func decompose(spans []Span) (OpPath, bool) {
+// spanKey places span i in the trace grouping sort.
+type spanKey struct {
+	trace uint64
+	i     int
+}
+
+// slower orders the slowest-ops listing: larger total first, then
+// smaller trace id.
+func slower(a, b *OpPath) bool {
+	if a.Total != b.Total {
+		return a.Total > b.Total
+	}
+	return a.Trace < b.Trace
+}
+
+// critScratch holds decompose's per-trace buffers, reused across the
+// traces of one AnalyzeCritPath call. A span is addressed by its
+// position in tr, the trace's span indices in input order.
+type critScratch struct {
+	tr     []int
+	parent []int // position of each span's parent, -1 if not recorded
+	depth  []int // depth in the causal tree; 0 until computed
+	bounds []machine.Time
+}
+
+// decompose runs the deepest-cover sweep over the trace in sc.tr.
+func (sc *critScratch) decompose(spans []Span) (OpPath, bool) {
+	tr := sc.tr
 	// Root: the span with no parent; if a trace somehow has several
 	// (it should not), the earliest-starting smallest-id one wins.
-	rootIdx := -1
-	for i, sp := range spans {
+	root := -1
+	for k, i := range tr {
+		sp := &spans[i]
 		if sp.Parent != 0 {
 			continue
 		}
-		if rootIdx < 0 || sp.Start < spans[rootIdx].Start ||
-			(sp.Start == spans[rootIdx].Start && sp.ID < spans[rootIdx].ID) {
-			rootIdx = i
+		if root < 0 || sp.Start < spans[tr[root]].Start ||
+			(sp.Start == spans[tr[root]].Start && sp.ID < spans[tr[root]].ID) {
+			root = k
 		}
 	}
-	if rootIdx < 0 {
+	if root < 0 {
 		return OpPath{}, false
 	}
-	root := spans[rootIdx]
+	rs := &spans[tr[root]]
 	op := OpPath{
-		Trace:  root.Trace,
-		Name:   root.Name,
-		Detail: root.Detail,
-		Start:  root.Start,
-		End:    root.End,
-		Total:  root.Duration(),
-		Spans:  len(spans),
+		Trace:  rs.Trace,
+		Name:   rs.Name,
+		Detail: rs.Detail,
+		Start:  rs.Start,
+		End:    rs.End,
+		Total:  rs.Duration(),
+		Spans:  len(tr),
 	}
 	if op.Total == 0 {
 		return op, true
 	}
 
+	// Parent links: the first span in input order carrying the parent
+	// id. A trace holds a handful of spans, and the sweep below is
+	// quadratic in them anyway.
+	n := len(tr)
+	parent := sc.parent[:0]
+	for _, i := range tr {
+		p := -1
+		for j, o := range tr {
+			if spans[o].ID == spans[i].Parent {
+				p = j
+				break
+			}
+		}
+		parent = append(parent, p)
+	}
+	sc.parent = parent
+
 	// Depth of each span in the causal tree. Spans whose parent was not
 	// recorded (sampling or a crashed recorder) hang off the root.
-	byID := make(map[uint64]int, len(spans))
-	for i, sp := range spans {
-		if _, dup := byID[sp.ID]; !dup {
-			byID[sp.ID] = i
-		}
+	sc.depth = append(sc.depth[:0], make([]int, n)...)
+	for k := range n {
+		sc.depthOf(k, 0, root)
 	}
-	depth := make([]int, len(spans))
-	var depthOf func(i int, hops int) int
-	depthOf = func(i, hops int) int {
-		if depth[i] != 0 || i == rootIdx {
-			return depth[i]
-		}
-		if hops > len(spans) { // parent cycle; treat as root child
-			return 1
-		}
-		p, ok := byID[spans[i].Parent]
-		if !ok || p == i {
-			depth[i] = 1
-		} else {
-			depth[i] = depthOf(p, hops+1) + 1
-		}
-		return depth[i]
-	}
-	for i := range spans {
-		depthOf(i, 0)
-	}
+	depth := sc.depth
 
 	// Elementary intervals: every clamped span boundary inside the root.
-	bounds := make([]machine.Time, 0, 2*len(spans))
-	bounds = append(bounds, root.Start, root.End)
-	for _, sp := range spans {
-		if sp.Start > root.Start && sp.Start < root.End {
+	bounds := append(sc.bounds[:0], rs.Start, rs.End)
+	for _, i := range tr {
+		sp := &spans[i]
+		if sp.Start > rs.Start && sp.Start < rs.End {
 			bounds = append(bounds, sp.Start)
 		}
-		if sp.End > root.Start && sp.End < root.End {
+		if sp.End > rs.Start && sp.End < rs.End {
 			bounds = append(bounds, sp.End)
 		}
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	slices.Sort(bounds)
+	sc.bounds = bounds
 
 	for b := 0; b+1 < len(bounds); b++ {
 		lo, hi := bounds[b], bounds[b+1]
 		if hi <= lo {
 			continue
 		}
-		best := rootIdx
-		for i, sp := range spans {
-			if i == rootIdx || sp.Start > lo || sp.End < hi {
+		best := root
+		for k, i := range tr {
+			sp := &spans[i]
+			if k == root || sp.Start > lo || sp.End < hi {
 				continue
 			}
-			if better(spans, depth, i, best, rootIdx) {
-				best = i
+			if best == root || better(sp, &spans[tr[best]], depth[k], depth[best]) {
+				best = k
 			}
 		}
-		op.Seg[spans[best].Seg] += machine.Duration(hi - lo)
+		op.Seg[spans[tr[best]].Seg] += machine.Duration(hi - lo)
 	}
 	return op, true
 }
 
-// better reports whether covering span i beats the incumbent: deeper
-// wins, then higher segment priority, then later start, then larger id.
-func better(spans []Span, depth []int, i, best, rootIdx int) bool {
-	if best == rootIdx {
-		return true
+// depthOf returns span k's depth in the causal tree, memoized in
+// sc.depth; the root's is 0.
+func (sc *critScratch) depthOf(k, hops, root int) int {
+	if sc.depth[k] != 0 || k == root {
+		return sc.depth[k]
 	}
-	a, b := spans[i], spans[best]
-	if depth[i] != depth[best] {
-		return depth[i] > depth[best]
+	if hops > len(sc.depth) { // parent cycle; treat as root child
+		return 1
+	}
+	if p := sc.parent[k]; p < 0 || p == k {
+		sc.depth[k] = 1
+	} else {
+		sc.depth[k] = sc.depthOf(p, hops+1, root) + 1
+	}
+	return sc.depth[k]
+}
+
+// better reports whether covering span a, at depth da, beats the
+// incumbent b, at depth db: deeper wins, then higher segment priority,
+// then later start, then larger id.
+func better(a, b *Span, da, db int) bool {
+	if da != db {
+		return da > db
 	}
 	if a.Seg != b.Seg {
 		return a.Seg > b.Seg

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,6 +162,265 @@ func TestWriteCritPath(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// refAnalyzeCritPath is the analyzer as first written — a map of
+// per-trace span copies, a per-trace id map and a recursive depth walk
+// — kept as the reference AnalyzeCritPath must match exactly.
+func refAnalyzeCritPath(spans []Span) *CritPath {
+	cp := &CritPath{}
+	for i := range cp.PerSeg {
+		cp.PerSeg[i] = &Histogram{Name: Seg(i).String()}
+	}
+	byTrace := make(map[uint64][]Span)
+	for _, sp := range spans {
+		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
+	}
+	traces := make([]uint64, 0, len(byTrace))
+	for tr := range byTrace {
+		traces = append(traces, tr)
+	}
+	sort.Slice(traces, func(i, j int) bool { return traces[i] < traces[j] })
+	for _, tr := range traces {
+		if op, ok := refDecompose(byTrace[tr]); ok {
+			cp.Ops = append(cp.Ops, op)
+		}
+	}
+	sort.Slice(cp.Ops, func(i, j int) bool {
+		a, b := cp.Ops[i], cp.Ops[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.Trace < b.Trace
+	})
+	for _, op := range cp.Ops {
+		for s := range op.Seg {
+			cp.PerSeg[s].Observe(uint64(op.Seg[s]))
+		}
+	}
+	cp.Slowest = append([]OpPath(nil), cp.Ops...)
+	sort.Slice(cp.Slowest, func(i, j int) bool {
+		a, b := cp.Slowest[i], cp.Slowest[j]
+		if a.Total != b.Total {
+			return a.Total > b.Total
+		}
+		return a.Trace < b.Trace
+	})
+	if len(cp.Slowest) > SlowestN {
+		cp.Slowest = cp.Slowest[:SlowestN]
+	}
+	return cp
+}
+
+// refDecompose is the reference deepest-cover sweep over one trace's
+// spans, in input order.
+func refDecompose(spans []Span) (OpPath, bool) {
+	rootIdx := -1
+	for i, sp := range spans {
+		if sp.Parent != 0 {
+			continue
+		}
+		if rootIdx < 0 || sp.Start < spans[rootIdx].Start ||
+			(sp.Start == spans[rootIdx].Start && sp.ID < spans[rootIdx].ID) {
+			rootIdx = i
+		}
+	}
+	if rootIdx < 0 {
+		return OpPath{}, false
+	}
+	root := spans[rootIdx]
+	op := OpPath{
+		Trace:  root.Trace,
+		Name:   root.Name,
+		Detail: root.Detail,
+		Start:  root.Start,
+		End:    root.End,
+		Total:  root.Duration(),
+		Spans:  len(spans),
+	}
+	if op.Total == 0 {
+		return op, true
+	}
+	byID := make(map[uint64]int, len(spans))
+	for i, sp := range spans {
+		if _, dup := byID[sp.ID]; !dup {
+			byID[sp.ID] = i
+		}
+	}
+	depth := make([]int, len(spans))
+	var depthOf func(i int, hops int) int
+	depthOf = func(i, hops int) int {
+		if depth[i] != 0 || i == rootIdx {
+			return depth[i]
+		}
+		if hops > len(spans) { // parent cycle; treat as root child
+			return 1
+		}
+		p, ok := byID[spans[i].Parent]
+		if !ok || p == i {
+			depth[i] = 1
+		} else {
+			depth[i] = depthOf(p, hops+1) + 1
+		}
+		return depth[i]
+	}
+	for i := range spans {
+		depthOf(i, 0)
+	}
+	bounds := make([]machine.Time, 0, 2*len(spans))
+	bounds = append(bounds, root.Start, root.End)
+	for _, sp := range spans {
+		if sp.Start > root.Start && sp.Start < root.End {
+			bounds = append(bounds, sp.Start)
+		}
+		if sp.End > root.Start && sp.End < root.End {
+			bounds = append(bounds, sp.End)
+		}
+	}
+	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	for b := 0; b+1 < len(bounds); b++ {
+		lo, hi := bounds[b], bounds[b+1]
+		if hi <= lo {
+			continue
+		}
+		best := rootIdx
+		for i, sp := range spans {
+			if i == rootIdx || sp.Start > lo || sp.End < hi {
+				continue
+			}
+			if refBetter(spans, depth, i, best, rootIdx) {
+				best = i
+			}
+		}
+		op.Seg[spans[best].Seg] += machine.Duration(hi - lo)
+	}
+	return op, true
+}
+
+func refBetter(spans []Span, depth []int, i, best, rootIdx int) bool {
+	if best == rootIdx {
+		return true
+	}
+	a, b := spans[i], spans[best]
+	if depth[i] != depth[best] {
+		return depth[i] > depth[best]
+	}
+	if a.Seg != b.Seg {
+		return a.Seg > b.Seg
+	}
+	if a.Start != b.Start {
+		return a.Start > b.Start
+	}
+	return a.ID > b.ID
+}
+
+// randomSpanSet builds one span set for TestCritPathMatchesReference.
+// Trace and span ids come from small pools, so sets often hold
+// duplicate span ids, self-parents, parent cycles, missing parents,
+// several or zero-length roots, and spans straddling the root's bounds;
+// span id 0 occurs too, which a non-chosen root's parent id of 0 then
+// resolves to.
+func randomSpanSet(rng *rand.Rand) []Span {
+	var spans []Span
+	for range 1 + rng.Intn(6) {
+		trace := uint64(1 + rng.Intn(8))
+		for range 1 + rng.Intn(12) {
+			sp := Span{
+				Trace:  trace,
+				ID:     uint64(rng.Intn(9)),
+				Name:   []string{"kv.op", "kv.serve", "net.wire"}[rng.Intn(3)],
+				Detail: []string{"", "get", "shed:deadline"}[rng.Intn(3)],
+				Seg:    Seg(rng.Intn(int(NumSegs))),
+				TID:    rng.Intn(4),
+				Start:  machine.Time(rng.Intn(60)),
+			}
+			if rng.Intn(3) > 0 {
+				sp.Parent = uint64(rng.Intn(10))
+			}
+			switch rng.Intn(6) {
+			case 0:
+				sp.End = sp.Start // zero length
+			case 1:
+				sp.End = sp.Start - machine.Time(rng.Intn(int(sp.Start)+1)) // reversed
+			default:
+				sp.End = sp.Start + machine.Time(1+rng.Intn(50))
+			}
+			spans = append(spans, sp)
+		}
+	}
+	rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
+	return spans
+}
+
+// TestCritPathMatchesReference holds AnalyzeCritPath to the reference
+// analyzer on 1 000 seeded random span sets: the CritPath must be deep
+// equal, op by op and histogram by histogram. It also counts the sets
+// that exercise each hard case, so a generator change cannot quietly
+// stop covering one.
+func TestCritPathMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var dupIDs, selfParents, cycles, multiRoots, zeroRoots, straddles int
+	for set := range 1000 {
+		spans := randomSpanSet(rng)
+		got, want := AnalyzeCritPath(spans), refAnalyzeCritPath(spans)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d: analyzer diverges from the reference\nspans: %+v\ngot:  %+v\nwant: %+v",
+				set, spans, got.Ops, want.Ops)
+		}
+		byTrace := map[uint64][]Span{}
+		for _, sp := range spans {
+			byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
+		}
+		var dup, self, cyc, multi, zero, strad bool
+		for _, tr := range byTrace {
+			first := map[uint64]Span{}
+			roots := 0
+			for _, sp := range tr {
+				if _, ok := first[sp.ID]; ok {
+					dup = true
+				} else {
+					first[sp.ID] = sp
+				}
+				if sp.Parent == 0 {
+					roots++
+					zero = zero || sp.End == sp.Start
+				} else if sp.Parent == sp.ID {
+					self = true
+				}
+			}
+			multi = multi || roots > 1
+			for _, sp := range tr {
+				// A two-span cycle: sp's parent names a span whose parent
+				// names sp.
+				if p, ok := first[sp.Parent]; ok && sp.Parent != 0 && p.ID != sp.ID && p.Parent == sp.ID {
+					cyc = true
+				}
+			}
+		}
+		for _, op := range want.Ops {
+			for _, sp := range byTrace[op.Trace] {
+				if (sp.Start < op.Start && sp.End > op.Start) || (sp.Start < op.End && sp.End > op.End) {
+					strad = true
+				}
+			}
+		}
+		for _, c := range []struct {
+			hit bool
+			n   *int
+		}{{dup, &dupIDs}, {self, &selfParents}, {cyc, &cycles}, {multi, &multiRoots}, {zero, &zeroRoots}, {strad, &straddles}} {
+			if c.hit {
+				*c.n++
+			}
+		}
+	}
+	t.Logf("sets with duplicate ids %d, self-parents %d, cycles %d, several roots %d, zero-length roots %d, straddling spans %d",
+		dupIDs, selfParents, cycles, multiRoots, zeroRoots, straddles)
+	for name, n := range map[string]int{"duplicate ids": dupIDs, "self-parents": selfParents, "cycles": cycles,
+		"several roots": multiRoots, "zero-length roots": zeroRoots, "straddling spans": straddles} {
+		if n < 50 {
+			t.Errorf("only %d of 1000 sets have %s", n, name)
 		}
 	}
 }

@@ -274,8 +274,17 @@ type chromeDoc struct {
 	TraceEvents []chromeEvent `json:"traceEvents"`
 }
 
+// MaxTID bounds the thread ids ReadChrome accepts. A kernel mints
+// thread ids sequentially from 1, and simulated runs stay far below it
+// (the densest mtload puts about 8 000 threads on a machine, the
+// million-session run about 4 000). Replay grows a per-thread latency
+// table up to the largest id it sees, so the bound also caps what a
+// trace file can make it allocate.
+const MaxTID = 1 << 22
+
 // ReadChrome parses a trace written by WriteChrome back into per-machine
-// event streams, ordered by pid.
+// event streams, ordered by pid. It rejects an event whose tid is
+// negative or above MaxTID.
 func ReadChrome(data []byte) ([]*MachineEvents, error) {
 	var doc chromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -292,7 +301,10 @@ func ReadChrome(data []byte) ([]*MachineEvents, error) {
 		}
 		return m
 	}
-	for _, ce := range doc.TraceEvents {
+	for i, ce := range doc.TraceEvents {
+		if ce.TID < 0 || ce.TID > MaxTID {
+			return nil, fmt.Errorf("obs: trace event %d (%q): tid %d outside [0, %d]", i, ce.Name, ce.TID, MaxTID)
+		}
 		m := machineFor(ce.PID)
 		if ce.Ph == "M" {
 			if ce.Name == "thread_name" {
@@ -484,7 +496,7 @@ func Summarize(data []byte) (string, error) {
 		writeRecoverySection(&b, m)
 		rep := NewReplay()
 		for _, ev := range m.Events {
-			rep.Ingest(ev)
+			rep.Ingest(ev.Kind, ev.TID, ev.Arg, ev.When, rep.Intern(ev.Cont))
 		}
 		b.WriteString("\n")
 		rep.WriteReport(&b)

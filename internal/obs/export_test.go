@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -14,18 +16,18 @@ import (
 func fillRecorder() *Recorder {
 	clock := machine.NewClock()
 	r := NewRecorder(clock, 128)
-	r.Emit(KernelEntry, 1, "task/cli", "", "mach_msg(rpc)")
-	r.Emit(RPCStart, 1, "task/cli", "", "echo")
+	r.Emit(KernelEntry, 1, "task/cli", "mach_msg(rpc)")
+	r.Emit(RPCStart, 1, "task/cli", "echo")
 	clock.Advance(100)
-	r.Emit(ThreadBlocked, 1, "task/cli", "mach_msg_continue", "message receive")
+	r.EmitCont(ThreadBlocked, 1, "task/cli", Intern("mach_msg_continue"), "message receive", 0)
 	clock.Advance(50)
-	r.EmitArg(StackHandoff, 2, "task/srv", "mach_msg_continue", "from task/cli", 1)
-	r.Emit(Recognition, 2, "task/srv", "mach_msg_continue", "mach_msg_continue")
+	r.EmitCont(StackHandoff, 2, "task/srv", Intern("mach_msg_continue"), "from task/cli", 1)
+	r.EmitCont(Recognition, 2, "task/srv", Intern("mach_msg_continue"), "mach_msg_continue", 0)
 	clock.Advance(25)
-	r.Emit(Interrupt, 0, "", "", "disk read")
+	r.Emit(Interrupt, 0, "", "disk read")
 	clock.Advance(825)
-	r.Emit(RPCEnd, 1, "task/cli", "", "")
-	r.Emit(KernelExit, 1, "task/cli", "", "syscall return 0")
+	r.Emit(RPCEnd, 1, "task/cli", "")
+	r.Emit(KernelExit, 1, "task/cli", "syscall return 0")
 	return r
 }
 
@@ -167,17 +169,17 @@ func fillRecoveryRecorder() *Recorder {
 	clock := machine.NewClock()
 	r := NewRecorder(clock, 128)
 	clock.Advance(40_000_000)
-	r.EmitArg(MachineCrash, 0, "", "", "3 threads, 2 ports, 1 pending I/O, 0 unacked", 1)
+	r.EmitArg(MachineCrash, 0, "", "3 threads, 2 ports, 1 pending I/O, 0 unacked", 1)
 	clock.Advance(20_000_000)
-	r.EmitArg(PeerDeath, 0, "", "", "ne0", 0)
-	r.EmitArg(Failover, 7, "net-client/cli", "", "primary -> replica", 1)
+	r.EmitArg(PeerDeath, 0, "", "ne0", 0)
+	r.EmitArg(Failover, 7, "net-client/cli", "primary -> replica", 1)
 	clock.Advance(60_000_000)
-	r.EmitArg(MachineReboot, 0, "", "", "", 2)
-	r.EmitArg(Heartbeat, 3, "netmsg", "", "ne0", 2)
-	r.EmitArg(Heartbeat, 6, "netmsg1", "", "ne1", 2)
+	r.EmitArg(MachineReboot, 0, "", "", 2)
+	r.EmitArg(Heartbeat, 3, "netmsg", "ne0", 2)
+	r.EmitArg(Heartbeat, 6, "netmsg1", "ne1", 2)
 	clock.Advance(1_000_000)
-	r.EmitArg(PeerDeath, 0, "", "", "ne0", 1)
-	r.EmitArg(Failover, 7, "net-client/cli", "", "replica -> primary", 0)
+	r.EmitArg(PeerDeath, 0, "", "ne0", 1)
+	r.EmitArg(Failover, 7, "net-client/cli", "replica -> primary", 0)
 	return r
 }
 
@@ -261,5 +263,41 @@ func TestSummarizeSpansShedSection(t *testing.T) {
 	}
 	if strings.Contains(out, "shed ops:") {
 		t.Fatalf("clean trace grew a shed section:\n%s", out)
+	}
+}
+
+// TestReadChromeRejectsOutOfRangeTID pins testdata/huge_tid.json, one
+// wakeup event on tid 400000000000: replay once grew its per-thread
+// latency table up to that id and died out of memory. Summarize and
+// SummarizeSpans must now refuse it, and a negative tid, with an error
+// naming the event; tids 0 and MaxTID still read.
+func TestReadChromeRejectsOutOfRangeTID(t *testing.T) {
+	huge, err := os.ReadFile("testdata/huge_tid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTID := func(tid int) []byte {
+		return bytes.Replace(huge, []byte(`"tid":400000000000`), []byte(fmt.Sprintf(`"tid":%d`, tid)), 1)
+	}
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{
+		{huge, `trace event 0 ("wakeup"): tid 400000000000 outside [0, 4194304]`},
+		{withTID(-1), `trace event 0 ("wakeup"): tid -1 outside`},
+		{withTID(MaxTID + 1), `tid 4194305 outside`},
+	} {
+		for name, summarize := range map[string]func([]byte) (string, error){
+			"Summarize": Summarize, "SummarizeSpans": SummarizeSpans,
+		} {
+			if _, err := summarize(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
+			}
+		}
+	}
+	for _, tid := range []int{0, MaxTID} {
+		if _, err := Summarize(withTID(tid)); err != nil {
+			t.Errorf("tid %d: %v", tid, err)
+		}
 	}
 }

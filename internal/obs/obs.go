@@ -7,7 +7,7 @@
 // continuations rests on *measured* control-transfer behavior (Tables
 // 1–5 count stack usage, handoff frequency and recognition hits), so the
 // simulator records those transfers as typed events stamped with the
-// machine clock, the thread id, and the continuation name. Everything is
+// machine clock, the thread id, and the continuation. Everything is
 // deterministic for a fixed seed — event order is the dispatch order and
 // timestamps come from the simulated clock — so two identical runs export
 // byte-identical traces (the CI diff relies on this).
@@ -17,7 +17,10 @@
 // cover the whole run even after the ring has started evicting old
 // events. Retention is opt-in: a recorder of capacity 0 keeps no events
 // and runs only the statistics, and emit sites format a detail string
-// only when Retains says the ring will keep it.
+// only when Retains says the ring will keep it. The statistics take the
+// event's fields as values — kind, thread id, argument, time and an
+// interned continuation id — so an event that is not retained is never
+// built.
 package obs
 
 import (
@@ -25,6 +28,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -58,7 +62,7 @@ const (
 
 	// ThreadBlocked is the histogram-driving block record: every
 	// completed blocking operation emits exactly one, carrying the
-	// block reason (Detail), the continuation blocked with (Cont, empty
+	// block reason (Detail), the continuation blocked with (Cont, none
 	// for process-model blocks), and Arg=1 when the thread yielded but
 	// stayed runnable.
 	ThreadBlocked
@@ -291,6 +295,65 @@ func (l Latency) String() string {
 	}
 }
 
+// ContID is an interned continuation name: a small dense integer that
+// indexes a recorder's continuation profiles, so folding an event into
+// its profile is a slice index, not a string hash. Same-named
+// continuations share one id, and so one profile row. NoCont marks an
+// event that involves no continuation.
+type ContID uint32
+
+// NoCont is the ContID of an event without a continuation.
+const NoCont ContID = 0
+
+// Intern returns name's id in the process-wide table that every live
+// recorder shares; "" is NoCont. core.Continuation calls it once, at the
+// continuation's first emit, and caches the result. Ids are never
+// reused or removed, so the table holds one entry per distinct
+// continuation name the program emits.
+func Intern(name string) ContID { return liveNames.intern(name) }
+
+// liveNames is the process-wide continuation name table (see Intern).
+var liveNames nameTable
+
+// nameTable interns continuation names as ContIDs 1, 2, .... The lock
+// is taken only when a name is interned (once per continuation, at its
+// first emit) and when a name is read back (once per profile row, and
+// for a retained event whose continuation has no row yet), never on the
+// statistics path.
+type nameTable struct {
+	mu    sync.Mutex
+	ids   map[string]ContID
+	names []string // names[id-1] is id's name
+}
+
+func (nt *nameTable) intern(name string) ContID {
+	if name == "" {
+		return NoCont
+	}
+	nt.mu.Lock()
+	defer nt.mu.Unlock()
+	if id, ok := nt.ids[name]; ok {
+		return id
+	}
+	if nt.ids == nil {
+		nt.ids = make(map[string]ContID)
+	}
+	nt.names = append(nt.names, name)
+	id := ContID(len(nt.names))
+	nt.ids[name] = id
+	return id
+}
+
+// name returns id's name, "" for NoCont; id must come from this table.
+func (nt *nameTable) name(id ContID) string {
+	if id == NoCont {
+		return ""
+	}
+	nt.mu.Lock()
+	defer nt.mu.Unlock()
+	return nt.names[id-1]
+}
+
 // ContProfile aggregates per-continuation behavior, the paper's §2.4
 // recognition argument as a measurable table.
 type ContProfile struct {
@@ -341,20 +404,22 @@ type Recorder struct {
 	// Hist holds the four online latency histograms.
 	Hist [NumLatencies]*Histogram
 
-	conts map[string]*ContProfile
+	// conts holds the continuation profiles, indexed by ContID (nil for
+	// continuations this recorder never saw); names resolves the ids —
+	// liveNames for a live recorder, a table of its own for a replay.
+	conts []*ContProfile
+	names *nameTable
 
 	// svc holds the named service-level histograms (per-tier request
 	// latencies maintained by workload code via Service, not by kernel
 	// events).
 	svc map[string]*Histogram
 
-	// Online latency state, keyed by thread id. Thread ids are small
-	// sequential ints and these are touched on every event, so dense
-	// slices beat maps on the hot emit path.
-	blockedAt  tidTimes
-	runnableAt tidTimes
-	stackSince tidTimes
-	rpcStart   tidTimes
+	// lat holds each thread's open latency intervals, indexed by thread
+	// id. Thread ids are small sequential ints and one record is touched
+	// on almost every event, so a dense slice beats a map on the hot
+	// emit path.
+	lat []threadLat
 
 	// Span store (span.go): completed causal-trace spans, the machine
 	// index salting span ids, the span-id mint serial, and the 1-in-N
@@ -383,31 +448,46 @@ type Census struct {
 // Zero reports whether the census was never stamped.
 func (c Census) Zero() bool { return c == Census{} }
 
-// tidTimes maps a small thread id to the opening timestamp of a latency
-// interval. Values are stored as time+1 so the zero value means absent.
-type tidTimes []uint64
-
-func (tt *tidTimes) get(tid int) (machine.Time, bool) {
-	if tid < 0 || tid >= len(*tt) || (*tt)[tid] == 0 {
-		return 0, false
-	}
-	return machine.Time((*tt)[tid] - 1), true
+// threadLat is one thread's open latency intervals: when the thread
+// blocked, became runnable, got its current stack, and started its RPC.
+// Each is stored as time+1, so zero means no interval is open.
+type threadLat struct {
+	blockedAt, runnableAt, stackSince, rpcStart uint64
 }
 
-func (tt *tidTimes) set(tid int, v machine.Time) {
+// opened stamps an interval opening at when.
+func opened(when machine.Time) uint64 { return uint64(when) + 1 }
+
+// latFor returns tid's record, growing the table to reach it; nil for a
+// negative tid.
+func (r *Recorder) latFor(tid int) *threadLat {
 	if tid < 0 {
-		return
+		return nil
 	}
-	for tid >= len(*tt) {
-		*tt = append(*tt, 0)
+	if n := tid + 1 - len(r.lat); n > 0 {
+		r.lat = append(r.lat, make([]threadLat, n)...)
 	}
-	(*tt)[tid] = uint64(v) + 1
+	return &r.lat[tid]
 }
 
-func (tt *tidTimes) del(tid int) {
-	if tid >= 0 && tid < len(*tt) {
-		(*tt)[tid] = 0
+// latAt returns tid's record without growing the table; nil when tid
+// has none.
+func (r *Recorder) latAt(tid int) *threadLat {
+	if tid < 0 || tid >= len(r.lat) {
+		return nil
 	}
+	return &r.lat[tid]
+}
+
+// closeLat observes the interval open at *at, if any, as ending at when
+// into histogram l, and closes it.
+func (r *Recorder) closeLat(l Latency, at *uint64, when machine.Time) bool {
+	if *at == 0 {
+		return false
+	}
+	r.Hist[l].Observe(uint64(when - machine.Time(*at-1)))
+	*at = 0
+	return true
 }
 
 // NewRecorder returns a recorder stamping events from clock and
@@ -415,26 +495,28 @@ func (tt *tidTimes) del(tid int) {
 // retains none: histograms, profiles, spans and the census still cover
 // every event, but Events and the trace export are empty.
 func NewRecorder(clock *machine.Clock, capacity int) *Recorder {
-	r := newRecorder(max(capacity, 0))
+	r := newRecorder(max(capacity, 0), &liveNames)
 	r.clock = clock
 	return r
 }
 
 // NewReplay returns a recorder that recomputes histograms and profiles
 // from already-stamped events via Ingest — the consumer side used by
-// traceview to rebuild statistics from an exported file.
-func NewReplay() *Recorder { return newRecorder(0) }
+// traceview to rebuild statistics from an exported file. It interns
+// continuation names in a table of its own (Recorder.Intern), so
+// replaying a file never grows the process-wide one.
+func NewReplay() *Recorder { return newRecorder(0, new(nameTable)) }
 
 // initialRing is the ring's starting allocation; store doubles it up to
 // the recorder's capacity, so short traced runs never pay for a full
 // DefaultCapacity ring.
 const initialRing = 256
 
-func newRecorder(capacity int) *Recorder {
+func newRecorder(capacity int, names *nameTable) *Recorder {
 	r := &Recorder{
 		capacity: capacity,
 		ring:     make([]Event, 0, min(initialRing, capacity)),
-		conts:    make(map[string]*ContProfile),
+		names:    names,
 	}
 	for i := range r.Hist {
 		r.Hist[i] = &Histogram{Name: Latency(i).String()}
@@ -443,8 +525,8 @@ func newRecorder(capacity int) *Recorder {
 }
 
 // Emit records one event stamped with the current clock.
-func (r *Recorder) Emit(kind Kind, tid int, thread, cont, detail string) {
-	r.EmitArg(kind, tid, thread, cont, detail, 0)
+func (r *Recorder) Emit(kind Kind, tid int, thread, detail string) {
+	r.emit(kind, tid, thread, NoCont, detail, 0)
 }
 
 // Retains reports whether the recorder keeps events for Events and the
@@ -453,29 +535,48 @@ func (r *Recorder) Emit(kind Kind, tid int, thread, cont, detail string) {
 func (r *Recorder) Retains() bool { return r.capacity > 0 }
 
 // EmitArg is Emit with the kind-specific Arg field.
-func (r *Recorder) EmitArg(kind Kind, tid int, thread, cont, detail string, arg int) {
-	ev := Event{
-		Seq:    r.seq,
-		Kind:   kind,
-		TID:    tid,
-		Arg:    arg,
-		Thread: thread,
-		Cont:   cont,
-		Detail: detail,
-	}
-	if r.clock != nil {
-		ev.When = r.clock.Now()
-	}
-	r.seq++
-	if r.Retains() {
-		r.store(&ev)
-	}
-	r.process(&ev)
+func (r *Recorder) EmitArg(kind Kind, tid int, thread, detail string, arg int) {
+	r.emit(kind, tid, thread, NoCont, detail, arg)
 }
 
-// Ingest feeds an already-stamped event through the statistics pipeline
-// without storing it (replay mode).
-func (r *Recorder) Ingest(ev Event) { r.process(&ev) }
+// EmitCont is EmitArg for an event involving continuation cont, an id
+// from Intern.
+func (r *Recorder) EmitCont(kind Kind, tid int, thread string, cont ContID, detail string, arg int) {
+	r.emit(kind, tid, thread, cont, detail, arg)
+}
+
+func (r *Recorder) emit(kind Kind, tid int, thread string, cont ContID, detail string, arg int) {
+	var when machine.Time
+	if r.clock != nil {
+		when = r.clock.Now()
+	}
+	if r.Retains() {
+		r.store(&Event{Seq: r.seq, When: when, Kind: kind, TID: tid, Arg: arg,
+			Thread: thread, Cont: r.contName(cont), Detail: detail})
+	}
+	r.seq++
+	r.process(kind, tid, arg, when, cont)
+}
+
+// contName returns cont's name for a retained event: from its profile
+// row when the recorder has one, which spares the name table's lock.
+func (r *Recorder) contName(cont ContID) string {
+	if int(cont) < len(r.conts) && r.conts[cont] != nil {
+		return r.conts[cont].Name
+	}
+	return r.names.name(cont)
+}
+
+// Intern returns name's id in the recorder's continuation name table:
+// the process-wide one (see the package-level Intern) for a live
+// recorder, its own for a replay.
+func (r *Recorder) Intern(name string) ContID { return r.names.intern(name) }
+
+// Ingest feeds one already-stamped event through the statistics
+// pipeline without storing it (replay mode); cont comes from r.Intern.
+func (r *Recorder) Ingest(kind Kind, tid, arg int, when machine.Time, cont ContID) {
+	r.process(kind, tid, arg, when, cont)
+}
 
 // store appends ev to the ring, evicting the oldest event once the ring
 // holds capacity; the caller checks Retains.
@@ -498,65 +599,67 @@ func (r *Recorder) store(ev *Event) {
 
 // process updates the online statistics. Every rule here is also applied
 // by replay, so traceview recomputes the same tables from an export.
-func (r *Recorder) process(ev *Event) {
-	r.KindCounts[ev.Kind]++
-	switch ev.Kind {
+func (r *Recorder) process(kind Kind, tid, arg int, when machine.Time, cont ContID) {
+	r.KindCounts[kind]++
+	switch kind {
 	case ThreadBlocked:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).Blocks++
+		if cont != NoCont {
+			r.prof(cont).Blocks++
 		}
-		if ev.Arg == 1 {
-			// Yield: the thread never left the runnable state.
-			r.runnableAt.set(ev.TID, ev.When)
-			r.blockedAt.del(ev.TID)
-		} else {
-			r.blockedAt.set(ev.TID, ev.When)
-			r.runnableAt.del(ev.TID)
+		if l := r.latFor(tid); l != nil {
+			if arg == 1 {
+				// Yield: the thread never left the runnable state.
+				l.runnableAt, l.blockedAt = opened(when), 0
+			} else {
+				l.blockedAt, l.runnableAt = opened(when), 0
+			}
 		}
 	case Wakeup:
-		if t0, ok := r.blockedAt.get(ev.TID); ok {
-			r.Hist[LatBlockToWakeup].Observe(uint64(ev.When - t0))
-			r.blockedAt.del(ev.TID)
+		if l := r.latFor(tid); l != nil {
+			r.closeLat(LatBlockToWakeup, &l.blockedAt, when)
+			l.runnableAt = opened(when)
 		}
-		r.runnableAt.set(ev.TID, ev.When)
 	case Dispatch:
-		r.noteRunning(ev.TID, ev.When)
+		r.noteRunning(tid, when)
 	case StackHandoff:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).Handoffs++
+		if cont != NoCont {
+			r.prof(cont).Handoffs++
 		}
 		// The stack's tenure on the old thread ends; a new one starts.
-		if t0, ok := r.stackSince.get(ev.Arg); ok {
-			r.Hist[LatStackLifetime].Observe(uint64(ev.When - t0))
-			r.stackSince.del(ev.Arg)
+		if l := r.latAt(arg); l != nil {
+			r.closeLat(LatStackLifetime, &l.stackSince, when)
 		}
-		r.stackSince.set(ev.TID, ev.When)
-		r.noteRunning(ev.TID, ev.When)
+		if l := r.latFor(tid); l != nil {
+			l.stackSince = opened(when)
+		}
+		r.noteRunning(tid, when)
 	case StackAttach:
-		r.stackSince.set(ev.TID, ev.When)
+		if l := r.latFor(tid); l != nil {
+			l.stackSince = opened(when)
+		}
 	case StackDetach:
-		if t0, ok := r.stackSince.get(ev.TID); ok {
-			r.Hist[LatStackLifetime].Observe(uint64(ev.When - t0))
-			r.stackSince.del(ev.TID)
+		if l := r.latAt(tid); l != nil {
+			r.closeLat(LatStackLifetime, &l.stackSince, when)
 		}
 	case Recognition:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).RecognitionHits++
+		if cont != NoCont {
+			r.prof(cont).RecognitionHits++
 		}
 	case RecognitionMiss:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).RecognitionMisses++
+		if cont != NoCont {
+			r.prof(cont).RecognitionMisses++
 		}
 	case ContinuationCall:
-		if ev.Cont != "" {
-			r.prof(ev.Cont).Calls++
+		if cont != NoCont {
+			r.prof(cont).Calls++
 		}
 	case RPCStart:
-		r.rpcStart.set(ev.TID, ev.When)
+		if l := r.latFor(tid); l != nil {
+			l.rpcStart = opened(when)
+		}
 	case RPCEnd:
-		if t0, ok := r.rpcStart.get(ev.TID); ok {
-			r.Hist[LatRPCRoundTrip].Observe(uint64(ev.When - t0))
-			r.rpcStart.del(ev.TID)
+		if l := r.latAt(tid); l != nil {
+			r.closeLat(LatRPCRoundTrip, &l.rpcStart, when)
 		}
 	}
 }
@@ -565,23 +668,25 @@ func (r *Recorder) process(ev *Event) {
 // latency interval was open. A handoff target goes straight from blocked
 // to running: its wait ends here and its dispatch latency is zero.
 func (r *Recorder) noteRunning(tid int, when machine.Time) {
-	if t0, ok := r.runnableAt.get(tid); ok {
-		r.Hist[LatDispatch].Observe(uint64(when - t0))
-		r.runnableAt.del(tid)
+	l := r.latAt(tid)
+	if l == nil || r.closeLat(LatDispatch, &l.runnableAt, when) {
 		return
 	}
-	if t0, ok := r.blockedAt.get(tid); ok {
-		r.Hist[LatBlockToWakeup].Observe(uint64(when - t0))
+	if r.closeLat(LatBlockToWakeup, &l.blockedAt, when) {
 		r.Hist[LatDispatch].Observe(0)
-		r.blockedAt.del(tid)
 	}
 }
 
-func (r *Recorder) prof(name string) *ContProfile {
-	c, ok := r.conts[name]
-	if !ok {
-		c = &ContProfile{Name: name}
-		r.conts[name] = c
+// prof returns continuation cont's profile row, creating it on first
+// use.
+func (r *Recorder) prof(cont ContID) *ContProfile {
+	if n := int(cont) + 1 - len(r.conts); n > 0 {
+		r.conts = append(r.conts, make([]*ContProfile, n)...)
+	}
+	c := r.conts[cont]
+	if c == nil {
+		c = &ContProfile{Name: r.names.name(cont)}
+		r.conts[cont] = c
 	}
 	return c
 }
@@ -605,7 +710,9 @@ func (r *Recorder) Len() int { return len(r.ring) }
 func (r *Recorder) Profiles() []*ContProfile {
 	out := make([]*ContProfile, 0, len(r.conts))
 	for _, c := range r.conts {
-		out = append(out, c)
+		if c != nil {
+			out = append(out, c)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -613,7 +720,14 @@ func (r *Recorder) Profiles() []*ContProfile {
 
 // Profile returns the profile for one continuation name, nil if never
 // seen.
-func (r *Recorder) Profile(name string) *ContProfile { return r.conts[name] }
+func (r *Recorder) Profile(name string) *ContProfile {
+	for _, c := range r.conts {
+		if c != nil && c.Name == name {
+			return c
+		}
+	}
+	return nil
+}
 
 // Service returns (creating on first use) the named service-level
 // histogram. Distributed-service workloads observe per-tier request
@@ -657,12 +771,9 @@ func (r *Recorder) Reset() {
 	for i := range r.Hist {
 		r.Hist[i] = &Histogram{Name: Latency(i).String()}
 	}
-	r.conts = make(map[string]*ContProfile)
+	r.conts = nil
 	r.svc = nil
-	r.blockedAt = nil
-	r.runnableAt = nil
-	r.stackSince = nil
-	r.rpcStart = nil
+	r.lat = nil
 	r.spans = nil
 	r.spanSalt = 0
 	r.Census = Census{}

@@ -214,16 +214,12 @@ func TestSampleTraceRate(t *testing.T) {
 	}
 }
 
-// TestParseSample covers the 1/N grammar and its rejections.
-func TestParseSample(t *testing.T) {
-	good := map[string]int{"1/1": 1, "1/2": 2, "1/1000": 1000}
-	for in, want := range good {
-		n, err := ParseSample(in)
-		if err != nil || n != want {
-			t.Fatalf("ParseSample(%q) = %d, %v; want %d", in, n, err, want)
-		}
-	}
-	bad := map[string]string{
+// goodSamples and badSamples are ParseSample's table: accepted specs
+// with their rates, and rejected ones with a fragment of the error.
+// FuzzParseSample seeds its corpus from both.
+var (
+	goodSamples = map[string]int{"1/1": 1, "1/2": 2, "1/1000": 1000}
+	badSamples  = map[string]string{
 		"":       "want 1/N",
 		"4":      "want 1/N",
 		"2/4":    "numerator must be 1",
@@ -233,7 +229,17 @@ func TestParseSample(t *testing.T) {
 		"1/2/3":  "bad denominator",
 		"one/10": "numerator must be 1",
 	}
-	for in, frag := range bad {
+)
+
+// TestParseSample covers the 1/N grammar and its rejections.
+func TestParseSample(t *testing.T) {
+	for in, want := range goodSamples {
+		n, err := ParseSample(in)
+		if err != nil || n != want {
+			t.Fatalf("ParseSample(%q) = %d, %v; want %d", in, n, err, want)
+		}
+	}
+	for in, frag := range badSamples {
 		_, err := ParseSample(in)
 		if err == nil {
 			t.Fatalf("ParseSample(%q) accepted", in)

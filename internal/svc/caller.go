@@ -330,7 +330,7 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 					c.believed[g] = NumRanks - 1 - c.believed[g]
 					c.Stats.Failovers++
 					if r := c.Sys.K.Obs; r != nil {
-						r.EmitArg(obs.Failover, t.ID, t.Name, "",
+						r.EmitArg(obs.Failover, t.ID, t.Name,
 							fmt.Sprintf("group %d -> rank %d", g, c.believed[g]), 1)
 					}
 				}

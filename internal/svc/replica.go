@@ -370,7 +370,7 @@ func (r *Replica) tick(t *core.Thread) {
 			ep := leases.Promote(g, r.cfg.Rank)
 			stats.Elections++
 			if rec := r.sys.K.Obs; rec != nil {
-				rec.EmitArg(obs.Election, t.ID, t.Name, "",
+				rec.EmitArg(obs.Election, t.ID, t.Name,
 					fmt.Sprintf("group %d", g), int(ep))
 			}
 		}
@@ -486,7 +486,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			// sender the current lease.
 			stats.FencingRejections++
 			if rec := r.sys.K.Obs; rec != nil {
-				rec.EmitArg(obs.Fencing, t.ID, t.Name, "",
+				rec.EmitArg(obs.Fencing, t.ID, t.Name,
 					fmt.Sprintf("group %d replicate", g), int(w.Epoch))
 			}
 			r.pushPeer(&Wire{Kind: MsgRepReject, Group: g,
@@ -546,7 +546,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 		if leases.Stale(g, w.Epoch) {
 			stats.FencingRejections++
 			if rec := r.sys.K.Obs; rec != nil {
-				rec.EmitArg(obs.Fencing, t.ID, t.Name, "",
+				rec.EmitArg(obs.Fencing, t.ID, t.Name,
 					fmt.Sprintf("group %d renew", g), int(w.Epoch))
 			}
 			r.pushPeer(&Wire{Kind: MsgRepReject, Group: g,
@@ -574,7 +574,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 				if gr.Group < len(w.Epochs) {
 					presented = w.Epochs[gr.Group]
 				}
-				rec.EmitArg(obs.Fencing, t.ID, t.Name, "",
+				rec.EmitArg(obs.Fencing, t.ID, t.Name,
 					fmt.Sprintf("group %d rejoin", gr.Group), int(presented))
 			}
 		}

@@ -114,7 +114,7 @@ func (c *haClient) emitSwitch(t *core.Thread, toReplica bool) {
 	if toReplica {
 		detail, arg = "primary -> replica", 1
 	}
-	r.EmitArg(obs.Failover, t.ID, t.Name, "", detail, arg)
+	r.EmitArg(obs.Failover, t.ID, t.Name, detail, arg)
 }
 
 func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
