@@ -54,10 +54,7 @@ type CacheConfig struct {
 	Overload overload.Policy
 	Ov       *overload.Stats
 
-	// Durable done bits, for the same reason the replica's are durable:
-	// an exited frontend never resends its done.
-	done     []bool
-	doneLeft int
+	ledger doneLedger
 }
 
 // cacheShared is the per-incarnation state the worker pool shares:
@@ -101,10 +98,7 @@ func InstallCache(s *kern.System, cfg *CacheConfig) {
 	if cfg.Ov == nil {
 		cfg.Ov = &overload.Stats{}
 	}
-	if cfg.done == nil {
-		cfg.done = make([]bool, cfg.Frontends)
-		cfg.doneLeft = cfg.Frontends
-	}
+	cfg.ledger.init(cfg.Frontends)
 	sh := &cacheShared{
 		entries:      make(map[uint64]uint64),
 		lastActivity: s.K.Clock.Now(),
@@ -163,22 +157,7 @@ func (w *cacheWorker) Next(e *core.Env, t *core.Thread) core.Action {
 		w.replyAct = core.Syscall("mach_msg(cache-reply)", func(e *core.Env) {
 			p := w.pend
 			w.pend = nil
-			if rec := w.sys.K.Obs; rec != nil && p.trace.Sampled() {
-				// This tier's dwell on the request, hit or post-fetch.
-				rec.RecordSpan(obs.Span{
-					Trace: p.trace.Trace, ID: rec.NextSpanID(p.trace.Trace),
-					Parent: p.trace.Span, Name: "cache.serve",
-					Seg: obs.SegService, TID: e.Cur().ID,
-					Start: p.at, End: w.sys.K.Clock.Now(),
-				})
-			}
-			msg := w.sys.IPC.NewMessage(p.opid, wireBytes(p.w), p.w, nil)
-			msg.Trace = p.trace
-			e.Cur().Trace = p.trace
-			w.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				Send: msg, SendTo: p.to,
-				ReceiveFrom: w.port, RcvTimeout: DefaultRenewEvery,
-			})
+			send(e, w.sys, *p, "cache.serve", w.port, DefaultRenewEvery)
 		})
 	}
 	if w.inKV {
@@ -203,7 +182,7 @@ func (w *cacheWorker) Next(e *core.Env, t *core.Thread) core.Action {
 		return w.replyAct
 	}
 	now := w.sys.K.Clock.Now()
-	if w.cfg.doneLeft == 0 {
+	if w.cfg.ledger.left == 0 {
 		// Every frontend is done: report this worker's own completion to
 		// the KV replicas, then exit.
 		w.finished = true
@@ -232,14 +211,8 @@ func (w *cacheWorker) handle(m *ipc.Message) {
 	w.sh.lastActivity = now
 	switch req.Kind {
 	case MsgDone:
-		idx := req.From
-		if idx >= 0 && idx < len(w.cfg.done) && !w.cfg.done[idx] {
-			w.cfg.done[idx] = true
-			w.cfg.doneLeft--
-		}
-		if reply != nil {
-			w.pend = &outbound{to: reply, opid: req.OpID | ReplyOpBit,
-				w: &Wire{Kind: MsgReply, OpID: req.OpID, Found: true}}
+		if ack, ok := w.cfg.ledger.handle(req, reply); ok {
+			w.pend = &ack
 		}
 
 	case MsgCacheReq, MsgClientOp:
@@ -247,33 +220,20 @@ func (w *cacheWorker) handle(m *ipc.Message) {
 			return
 		}
 		if w.cfg.Overload.Enabled {
-			// The dequeue gates: dead work is shed even when it would
-			// hit (the client is long gone), and admission is refused
-			// while the shared queue's sojourn stays over target — a
-			// cheap typed reply instead of a backend fetch.
-			if deadline != 0 && now >= deadline {
-				w.cfg.Ov.Expired++
-				w.pend = &outbound{to: reply, opid: req.OpID | ReplyOpBit,
-					w:     &Wire{Kind: MsgCacheReply, OpID: req.OpID, Expired: true},
-					trace: ctx, at: now}
+			// Dead work is shed even when it would hit (the client is
+			// long gone), and admission is refused while the shared
+			// queue's sojourn stays over target — a cheap typed reply
+			// instead of a backend fetch.
+			if o := shed(&w.sh.codel, w.cfg.Ov, now, deadline, enq); o != OK {
+				w.reply(reply, req.OpID, refusal(MsgCacheReply, o), ctx, now)
 				return
 			}
-			if !w.sh.codel.Admit(now, enq) {
-				w.cfg.Ov.Rejected++
-				w.pend = &outbound{to: reply, opid: req.OpID | ReplyOpBit,
-					w:     &Wire{Kind: MsgCacheReply, OpID: req.OpID, Rejected: true},
-					trace: ctx, at: now}
-				return
-			}
-			w.cfg.Ov.Admitted++
 		}
 		if req.Op == OpGet {
 			if val, ok := w.sh.entries[req.Key]; ok {
 				w.cfg.Stats.Hits++
-				w.pend = &outbound{to: reply, opid: req.OpID | ReplyOpBit,
-					w: &Wire{Kind: MsgCacheReply, OpID: req.OpID,
-						Key: req.Key, Val: val, Found: true},
-					trace: ctx, at: now}
+				w.reply(reply, req.OpID, &Wire{Kind: MsgCacheReply, Key: req.Key, Val: val, Found: true},
+					ctx, now)
 				return
 			}
 			w.cfg.Stats.Misses++
@@ -297,31 +257,35 @@ func (w *cacheWorker) handle(m *ipc.Message) {
 	}
 }
 
+// reply makes the answer to request opid on port to the worker's next
+// send (see answer).
+func (w *cacheWorker) reply(to *ipc.Port, opid uint32, wire *Wire, ctx obs.TraceContext, at machine.Time) {
+	o := answer(to, opid, wire, ctx, at)
+	w.pend = &o
+}
+
 // finishKV answers the frontend once the backend operation resolved.
 func (w *cacheWorker) finishKV() {
 	req, reply, ctx := w.cur, w.curReply, w.curCtx
 	w.cur, w.curReply, w.curCtx = nil, nil, obs.TraceContext{}
 	w.kv.Ctx = obs.TraceContext{}
-	out := &Wire{Kind: MsgCacheReply, OpID: req.OpID, Key: req.Key}
-	if !w.kv.LastOK && (w.kv.LastExpired || w.kv.LastRejected) {
+	kv := w.kv
+	out := &Wire{Kind: MsgCacheReply, Key: req.Key}
+	switch {
+	case kv.Last == Expired || kv.Last == Rejected:
 		// Relay the backend's typed refusal upstream: the frontend
 		// learns its op was a definite no-op, not a mystery timeout.
-		out.Expired, out.Rejected = w.kv.LastExpired, w.kv.LastRejected
-		w.pend = &outbound{to: reply, opid: req.OpID | ReplyOpBit, w: out,
-			trace: ctx, at: w.sys.K.Clock.Now()}
-		return
-	}
-	if req.Op == OpGet {
-		if w.kv.LastOK && w.kv.LastFound {
-			w.sh.install(w.cfg, req.Key, w.kv.LastVal)
-			out.Found, out.Val = true, w.kv.LastVal
+		out = refusal(MsgCacheReply, kv.Last)
+	case req.Op == OpGet:
+		if kv.Last == OK && kv.LastFound {
+			w.sh.install(w.cfg, req.Key, kv.LastVal)
+			out.Found, out.Val = true, kv.LastVal
 		}
-	} else {
-		out.Found = w.kv.LastOK
-		if w.kv.LastOK {
+	default:
+		out.Found = kv.Last == OK
+		if out.Found {
 			w.sh.install(w.cfg, req.Key, req.Val)
 		}
 	}
-	w.pend = &outbound{to: reply, opid: req.OpID | ReplyOpBit, w: out,
-		trace: ctx, at: w.sys.K.Clock.Now()}
+	w.reply(reply, req.OpID, out, ctx, w.sys.K.Clock.Now())
 }

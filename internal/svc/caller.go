@@ -37,6 +37,21 @@ type CallerStats struct {
 	Mismatches uint64 // Gets that contradicted this caller's acked Puts
 }
 
+// Outcome is how an operation ended: acknowledged (OK), shed as Expired
+// (its deadline passed) or Rejected (admission refused, retry budget
+// empty or breaker open) by a tier or the caller's own gates, or
+// Abandoned at the attempt cap with its fate unknown. A tier relays an
+// Expired or Rejected outcome upstream as a typed reply; an armed
+// tier's dequeue gate reports OK for a request it admits.
+type Outcome uint8
+
+const (
+	OK Outcome = iota
+	Expired
+	Rejected
+	Abandoned
+)
+
 // caller phases: run the op script, then report done to each replica,
 // then exit. A one-shot caller (the cache tier's embedded client) parks
 // between operations instead, and its host drives the done protocol
@@ -85,7 +100,7 @@ type Caller struct {
 	Ops      []KVOp
 	// OneShot parks the caller after each completed operation instead of
 	// moving on to the done protocol; the host (a cache worker) submits
-	// operations with StartOp and reads Last* for the outcome.
+	// operations with StartOp and reads Last for the outcome.
 	OneShot bool
 	// Track enables the acked-Put/Get consistency bookkeeping; only valid
 	// when this caller's keys are written by nobody else.
@@ -135,14 +150,11 @@ type Caller struct {
 	// start.
 	NextDeadline machine.Time
 
-	// Last* report the most recently completed one-shot operation.
-	// LastExpired/LastRejected type a failed one so the host tier can
-	// relay the refusal upstream.
-	LastOK       bool
-	LastFound    bool
-	LastVal      uint64
-	LastExpired  bool
-	LastRejected bool
+	// Last is how the most recently finished operation ended; LastFound
+	// and LastVal are what it read when it ended OK.
+	Last      Outcome
+	LastFound bool
+	LastVal   uint64
 
 	reply    *ipc.Port
 	believed []int
@@ -274,7 +286,7 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 	}
 	if c.waiting {
 		if m := c.Sys.IPC.Received(t); m != nil {
-			if m.OpID != c.opid|ReplyOpBit {
+			if m.OpID != c.opid|ipc.ReplyBit {
 				// A late reply to an already-retried attempt; keep draining
 				// for the current one.
 				c.Sys.IPC.FreeMessage(m)
@@ -301,12 +313,12 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 					if c.OvStats != nil {
 						c.OvStats.Expired++
 					}
-					c.shed(t, "expired")
+					c.fail(t, Expired, "shed:expired")
 				} else if c.Budget == nil {
 					if c.OvStats != nil {
 						c.OvStats.Rejected++
 					}
-					c.shed(t, "rejected")
+					c.fail(t, Rejected, "shed:rejected")
 				}
 			case w.NotLeader && c.phase == phaseOps:
 				g := c.group()
@@ -361,7 +373,7 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 				max = c.MaxAttempts
 			}
 			if c.attempts >= max {
-				c.abandon(t)
+				c.fail(t, Abandoned, "abandoned")
 			}
 			c.waiting = false
 		}
@@ -397,21 +409,21 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 			if c.OvStats != nil {
 				c.OvStats.Expired++
 			}
-			c.shed(t, "deadline")
+			c.fail(t, Expired, "shed:deadline")
 			continue
 		}
 		if c.attempts > 0 && c.Budget != nil && !c.Budget.Take(now) {
 			if c.OvStats != nil {
 				c.OvStats.BudgetDenied++
 			}
-			c.shed(t, "retry-budget")
+			c.fail(t, Rejected, "shed:retry-budget")
 			continue
 		}
 		if c.Breaker != nil && !c.Breaker.Allow(now) {
 			if c.OvStats != nil {
 				c.OvStats.BreakerFastFail++
 			}
-			c.shed(t, "breaker")
+			c.fail(t, Rejected, "shed:breaker")
 			continue
 		}
 		break
@@ -419,10 +431,7 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 	c.attemptAt = c.Sys.K.Clock.Now()
 	c.attempts++
 	c.waiting = true
-	c.opid = (c.opid + 1) & (ReplyOpBit - 1)
-	if c.opid == 0 {
-		c.opid = 1
-	}
+	c.opid = ipc.NextOpID(c.opid)
 	return c.sendAct, false
 }
 
@@ -507,11 +516,7 @@ func (c *Caller) finishSpan(t *core.Thread, end machine.Time, detail string) {
 // complete finishes the current operation on a matching acknowledgement.
 func (c *Caller) complete(w *Wire, t *core.Thread) {
 	if c.phase == phaseDone {
-		c.doneRank++
-		c.attempts = 0
-		if c.doneRank >= NumRanks {
-			c.phase = phaseExit
-		}
+		c.nextDone()
 		return
 	}
 	op := c.Ops[c.idx]
@@ -535,8 +540,7 @@ func (c *Caller) complete(w *Wire, t *core.Thread) {
 			Invoke: c.started, Return: now, Ok: true,
 		})
 	}
-	c.LastOK, c.LastFound, c.LastVal = true, w.Found, w.Val
-	c.LastExpired, c.LastRejected = false, false
+	c.Last, c.LastFound, c.LastVal = OK, w.Found, w.Val
 	if c.Track {
 		if op.Op == OpGet {
 			if want, ok := c.acked[op.Key]; ok && (!w.Found || w.Val != want) {
@@ -549,64 +553,48 @@ func (c *Caller) complete(w *Wire, t *core.Thread) {
 	c.advance()
 }
 
-// abandon gives up on the current operation after the attempt cap.
-func (c *Caller) abandon(t *core.Thread) {
+// fail ends the current operation unacknowledged with outcome o;
+// detail labels its span. An Abandoned op hit the attempt cap and its
+// fate is unknown, so a put's key proves nothing about later reads
+// anymore. An Expired or Rejected op was shed — deadline dead, retry
+// budget empty, breaker open, or a tier's typed refusal — and when
+// every finished attempt was definitively refused (opRefused) it is a
+// definite no-op: the history marks it Rejected so the checker may
+// exclude it, and an acked-put key stays trusted because the refused
+// write cannot have landed. In the done protocol, failing gives up on
+// the current rank.
+func (c *Caller) fail(t *core.Thread, o Outcome, detail string) {
 	if c.phase == phaseDone {
-		c.doneRank++
-		c.attempts = 0
-		if c.doneRank >= NumRanks {
-			c.phase = phaseExit
-		}
+		c.nextDone()
 		return
 	}
+	op := c.Ops[c.idx]
+	now := c.Sys.K.Clock.Now()
+	refused := o != Abandoned && c.opRefused
 	c.Stats.Failed++
 	c.observeFail()
-	c.finishSpan(t, c.Sys.K.Clock.Now(), "abandoned")
+	c.finishSpan(t, now, detail)
 	if c.Record {
-		op := c.Ops[c.idx]
 		c.History = append(c.History, check.Op{
 			Client: c.ID, Kind: histKind(op.Op), Key: op.Key, Val: op.Val,
-			Invoke: c.started, Return: c.Sys.K.Clock.Now(), Ok: false,
+			Invoke: c.started, Return: now, Ok: false, Rejected: refused,
 		})
 	}
-	c.LastOK, c.LastFound = false, false
-	c.LastExpired, c.LastRejected = false, false
-	if c.Track && c.Ops[c.idx].Op == OpPut {
-		// The write may or may not have landed; the key proves nothing
-		// about later reads anymore.
-		delete(c.acked, c.Ops[c.idx].Key)
+	c.Last, c.LastFound = o, false
+	if c.Track && !refused && op.Op == OpPut {
+		delete(c.acked, op.Key)
 	}
 	c.advance()
 }
 
-// shed fails the current operation fast with a typed overload outcome —
-// deadline dead, retry budget empty, breaker open, or a tier's typed
-// refusal. Unlike abandon, a shed op whose every finished attempt was
-// definitively refused (opRefused) is recorded as a definite no-op: the
-// checker may exclude it from the history outright, and an acked-put
-// key stays trusted because the refused write cannot have landed.
-func (c *Caller) shed(t *core.Thread, why string) {
-	if c.phase != phaseOps {
-		return
+// nextDone moves the done protocol on to the next replica rank, and to
+// exit after the last.
+func (c *Caller) nextDone() {
+	c.doneRank++
+	c.attempts = 0
+	if c.doneRank >= NumRanks {
+		c.phase = phaseExit
 	}
-	c.Stats.Failed++
-	c.observeFail()
-	c.finishSpan(t, c.Sys.K.Clock.Now(), "shed:"+why)
-	if c.Record {
-		op := c.Ops[c.idx]
-		c.History = append(c.History, check.Op{
-			Client: c.ID, Kind: histKind(op.Op), Key: op.Key, Val: op.Val,
-			Invoke: c.started, Return: c.Sys.K.Clock.Now(), Ok: false,
-			Rejected: c.opRefused,
-		})
-	}
-	c.LastOK, c.LastFound = false, false
-	c.LastExpired = why == "deadline" || why == "expired"
-	c.LastRejected = !c.LastExpired
-	if c.Track && !c.opRefused && c.Ops[c.idx].Op == OpPut {
-		delete(c.acked, c.Ops[c.idx].Key)
-	}
-	c.advance()
 }
 
 // chargeFrom is the instant latency accounting charges an operation

@@ -17,10 +17,6 @@ import (
 // under, on every link.
 const PortName = "kv"
 
-// ReplyOpBit marks a reply's OpID (the server sets opid|ReplyOpBit), the
-// same convention the echo workloads use.
-const ReplyOpBit = 0x8000
-
 // DefaultRenewEvery is the lease renewal period and the replica's idle
 // tick: comfortably under the membership deadline (so a live leader is
 // never spuriously deposed) and above the wire RTT (so renewals are
@@ -112,12 +108,8 @@ type ReplicaConfig struct {
 	// flagged. Never set outside tests and machsim -breakkv.
 	Break bool
 
-	// done/doneLeft track which client threads have reported completion.
-	// Durable: a replica that crashes after acknowledging a done must
-	// still count it, because the exited client will never resend.
-	done     []bool
-	doneLeft int
-	boots    int
+	ledger doneLedger
+	boots  int
 }
 
 // DefaultIdleExit is the no-traffic give-up horizon: far beyond any gap
@@ -139,20 +131,6 @@ type pendingRep struct {
 	// accepting the write and hearing the ack, so the thread-level
 	// context is long gone by then.
 	trace obs.TraceContext
-}
-
-// outbound is one queued protocol message; the replica drains the queue
-// one send per dispatch, each combined with a receive so the thread
-// keeps servicing its port.
-type outbound struct {
-	to   *ipc.Port
-	opid uint32
-	w    *Wire
-	// trace stamps the send (zero for untraced control traffic); at is
-	// when the work this message answers arrived, so the dwell between
-	// handling and transmission is recorded as a service span.
-	trace obs.TraceContext
-	at    machine.Time
 }
 
 // Replica is the per-incarnation server program: one thread per server
@@ -207,10 +185,7 @@ func InstallReplica(s *kern.System, cfg *ReplicaConfig) {
 	if cfg.Ov == nil {
 		cfg.Ov = &overload.Stats{}
 	}
-	if cfg.done == nil {
-		cfg.done = make([]bool, cfg.Clients)
-		cfg.doneLeft = cfg.Clients
-	}
+	cfg.ledger.init(cfg.Clients)
 	r := &Replica{
 		sys:          s,
 		cfg:          cfg,
@@ -241,18 +216,14 @@ type lnk interface {
 	ProxyFor(string) *ipc.Port
 }
 
-// push queues one outbound message.
-func (r *Replica) push(to *ipc.Port, opid uint32, w *Wire) {
-	r.out = append(r.out, outbound{to: to, opid: opid, w: w})
+// reply queues the answer to request opid on port to (see answer).
+func (r *Replica) reply(to *ipc.Port, opid uint32, w *Wire, ctx obs.TraceContext, at machine.Time) {
+	r.out = append(r.out, answer(to, opid, w, ctx, at))
 }
 
-// pushT is push carrying a causal-trace context: the send is stamped
-// with ctx and the dwell since at becomes a service span.
-func (r *Replica) pushT(to *ipc.Port, opid uint32, w *Wire, ctx obs.TraceContext, at machine.Time) {
-	r.out = append(r.out, outbound{to: to, opid: opid, w: w, trace: ctx, at: at})
-}
-
-// pushPeer queues a message to the other replica. Liveness-bearing
+// pushPeer queues a message to the other replica, traced like an
+// answer: replicates and their acks carry the client op's context,
+// control traffic the zero one. Liveness-bearing
 // control traffic (renewals and rejoin probes) jumps to the front of
 // the out queue: the peer's membership layer reads any arrival as a
 // heartbeat, so a renewal parked behind a long data backlog on a slow
@@ -260,9 +231,9 @@ func (r *Replica) pushT(to *ipc.Port, opid uint32, w *Wire, ctx obs.TraceContext
 // election. Reordering control ahead of data is safe — renewals carry
 // only the current lease, rejoins only the durable view, and data
 // messages keep FIFO order among themselves.
-func (r *Replica) pushPeer(w *Wire) {
+func (r *Replica) pushPeer(w *Wire, ctx obs.TraceContext, at machine.Time) {
 	w.From = r.cfg.Rank
-	o := outbound{to: r.peerLink().ProxyFor(PortName), w: w}
+	o := outbound{to: r.peerLink().ProxyFor(PortName), w: w, trace: ctx, at: at}
 	if w.Kind == MsgRenew || w.Kind == MsgRejoin {
 		r.out = append(r.out, outbound{})
 		copy(r.out[1:], r.out)
@@ -270,15 +241,6 @@ func (r *Replica) pushPeer(w *Wire) {
 		return
 	}
 	r.out = append(r.out, o)
-}
-
-// pushPeerT is pushPeer for traced data messages (replicates and their
-// acks); control traffic never carries a context, so the jump-the-queue
-// path stays in pushPeer.
-func (r *Replica) pushPeerT(w *Wire, ctx obs.TraceContext, at machine.Time) {
-	w.From = r.cfg.Rank
-	r.out = append(r.out, outbound{to: r.peerLink().ProxyFor(PortName), w: w,
-		trace: ctx, at: at})
 }
 
 // wireBytes prices a Wire for the simulated copy/transfer costs.
@@ -305,26 +267,7 @@ func (r *Replica) Next(e *core.Env, t *core.Thread) core.Action {
 			if len(r.out) > 0 {
 				timeout = drainTimeout
 			}
-			if rec := r.sys.K.Obs; rec != nil && o.trace.Sampled() {
-				// Dwell between handling the triggering message and this
-				// transmission: the replica's service time for it.
-				rec.RecordSpan(obs.Span{
-					Trace: o.trace.Trace, ID: rec.NextSpanID(o.trace.Trace),
-					Parent: o.trace.Span, Name: "kv.serve",
-					Seg: obs.SegService, TID: e.Cur().ID,
-					Start: o.at, End: r.sys.K.Clock.Now(),
-				})
-			}
-			msg := r.sys.IPC.NewMessage(o.opid, wireBytes(o.w), o.w, nil)
-			// Stamp message and thread both ways: a traced send carries
-			// its context, an untraced one must not inherit whatever the
-			// thread last received.
-			msg.Trace = o.trace
-			e.Cur().Trace = o.trace
-			r.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				Send: msg, SendTo: o.to,
-				ReceiveFrom: r.port, RcvTimeout: timeout,
-			})
+			send(e, r.sys, o, "kv.serve", r.port, timeout)
 		})
 	}
 	if m := r.sys.IPC.Received(t); m != nil {
@@ -332,7 +275,7 @@ func (r *Replica) Next(e *core.Env, t *core.Thread) core.Action {
 	}
 	r.tick(t)
 	if len(r.pending) == 0 && len(r.out) == 0 {
-		if r.cfg.doneLeft == 0 {
+		if r.cfg.ledger.left == 0 {
 			// Every client thread reported completion and nothing is owed
 			// to anyone: quiesce so the cluster run can end.
 			return core.Exit()
@@ -359,7 +302,7 @@ func (r *Replica) tick(t *core.Thread) {
 	leases, stats := r.cfg.Leases, r.cfg.Stats
 	peerUp := r.peerLink().PeerAlive()
 
-	if !peerUp && !r.recovering && r.cfg.doneLeft > 0 {
+	if !peerUp && !r.recovering && r.cfg.ledger.left > 0 {
 		// Election: promote myself over every group the silent peer led.
 		// The membership layer's deadline (DeadAfter of silence) is the
 		// lease expiry; the epoch bump is the new fencing token.
@@ -382,14 +325,14 @@ func (r *Replica) tick(t *core.Thread) {
 		r.ackPendingSolo(now)
 	}
 
-	if !r.recovering && peerUp && r.cfg.doneLeft > 0 && now-r.lastRenew >= r.cfg.RenewEvery {
+	if !r.recovering && peerUp && r.cfg.ledger.left > 0 && now-r.lastRenew >= r.cfg.RenewEvery {
 		r.lastRenew = now
 		for g := range leases.L {
 			if leases.L[g].Leader != r.cfg.Rank {
 				continue
 			}
 			r.pushPeer(&Wire{Kind: MsgRenew, Group: g,
-				Epoch: leases.L[g].Epoch, Leader: r.cfg.Rank})
+				Epoch: leases.L[g].Epoch, Leader: r.cfg.Rank}, obs.TraceContext{}, 0)
 		}
 	}
 
@@ -407,7 +350,7 @@ func (r *Replica) tick(t *core.Thread) {
 			leaders[g] = leases.L[g].Leader
 		}
 		r.pushPeer(&Wire{Kind: MsgRejoin, Epochs: leases.Epochs(), Leaders: leaders,
-			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)})
+			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)}, obs.TraceContext{}, 0)
 	}
 }
 
@@ -417,19 +360,20 @@ func (r *Replica) recordAck(g int, epoch uint64) {
 	r.cfg.AckLog[AckKey{Group: g, Epoch: epoch}]++
 }
 
-// bouncePending answers every pending write of group g with a redirect —
-// used when leadership of g was adopted away without an explicit fencing
-// reject (a renewal or rejoin grant taught us a newer lease), where the
+// bouncePending answers every pending write of group g (of every group
+// when g < 0) with a redirect to leader — used when I was fenced, and
+// when leadership of g was adopted away without an explicit fencing
+// reject (a renewal or rejoin grant taught us a newer lease): the
 // backup's MsgRepOK will never come and the clients would hang forever.
 func (r *Replica) bouncePending(g, leader int) {
 	kept := r.pending[:0]
 	for _, p := range r.pending {
-		if p.group != g {
+		if g >= 0 && p.group != g {
 			kept = append(kept, p)
 			continue
 		}
-		r.push(p.reply, p.opid|ReplyOpBit, &Wire{Kind: MsgReply, OpID: p.opid,
-			NotLeader: true, Leader: leader})
+		r.reply(p.reply, p.opid, &Wire{Kind: MsgReply, NotLeader: true, Leader: leader},
+			obs.TraceContext{}, 0)
 	}
 	r.pending = kept
 }
@@ -442,7 +386,7 @@ func (r *Replica) ackPendingSolo(now machine.Time) {
 		r.cfg.Stats.SoloAcks++
 		r.recordAck(p.group, p.epoch)
 		r.observeRep(now, p.at)
-		r.push(p.reply, p.opid|ReplyOpBit, &Wire{Kind: MsgReply, OpID: p.opid, Found: true})
+		r.reply(p.reply, p.opid, &Wire{Kind: MsgReply, Found: true}, obs.TraceContext{}, 0)
 	}
 	r.pending = r.pending[:0]
 }
@@ -474,23 +418,12 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 	}
 	switch w.Kind {
 	case MsgClientOp:
-		if r.shedClientOp(w, reply, now, deadline, enq, ctx) {
-			return
-		}
-		r.clientOp(w, reply, now, ctx)
+		r.clientOp(w, reply, now, deadline, enq, ctx)
 
 	case MsgReplicate:
 		g := w.Group
 		if leases.Stale(g, w.Epoch) {
-			// Fencing: a deposed leader's write. Refuse it and teach the
-			// sender the current lease.
-			stats.FencingRejections++
-			if rec := r.sys.K.Obs; rec != nil {
-				rec.EmitArg(obs.Fencing, t.ID, t.Name,
-					fmt.Sprintf("group %d replicate", g), int(w.Epoch))
-			}
-			r.pushPeer(&Wire{Kind: MsgRepReject, Group: g,
-				Epoch: leases.L[g].Epoch, Leader: leases.L[g].Leader})
+			r.refuse(t, g, "replicate", w.Epoch)
 			return
 		}
 		leases.Adopt(g, w.Epoch, w.From)
@@ -499,7 +432,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			r.seq[g] = w.Seq
 		}
 		stats.Replicated++
-		r.pushPeerT(&Wire{Kind: MsgRepOK, Group: g, Seq: w.Seq}, ctx, now)
+		r.pushPeer(&Wire{Kind: MsgRepOK, Group: g, Seq: w.Seq}, ctx, now)
 
 	case MsgRepOK:
 		for i, p := range r.pending {
@@ -509,17 +442,10 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
 			r.recordAck(p.group, p.epoch)
 			r.observeRep(now, p.at)
-			if rec := r.sys.K.Obs; rec != nil && p.trace.Sampled() {
-				// The replication round: accept to backup ack, the same
-				// interval the kv.replicate histogram observed.
-				rec.RecordSpan(obs.Span{
-					Trace: p.trace.Trace, ID: rec.NextSpanID(p.trace.Trace),
-					Parent: p.trace.Span, Name: "kv.replicate",
-					Seg: obs.SegService, TID: t.ID,
-					Start: p.at, End: now,
-				})
-			}
-			r.pushT(p.reply, p.opid|ReplyOpBit, &Wire{Kind: MsgReply, OpID: p.opid, Found: true}, p.trace, now)
+			// The replication round: accept to backup ack, the same
+			// interval the kv.replicate histogram observed.
+			serviceSpan(r.sys, p.trace, "kv.replicate", t.ID, p.at)
+			r.reply(p.reply, p.opid, &Wire{Kind: MsgReply, Found: true}, p.trace, now)
 			break
 		}
 
@@ -530,11 +456,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 		// leader, client ops stall rather than redirect (deposedDirty).
 		stats.Deposed++
 		leases.Adopt(w.Group, w.Epoch, w.Leader)
-		for _, p := range r.pending {
-			r.push(p.reply, p.opid|ReplyOpBit, &Wire{Kind: MsgReply, OpID: p.opid,
-				NotLeader: true, Leader: w.Leader})
-		}
-		r.pending = r.pending[:0]
+		r.bouncePending(-1, w.Leader)
 		r.recovering = true
 		if !r.cfg.Break {
 			r.deposedDirty = true
@@ -544,13 +466,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 	case MsgRenew:
 		g := w.Group
 		if leases.Stale(g, w.Epoch) {
-			stats.FencingRejections++
-			if rec := r.sys.K.Obs; rec != nil {
-				rec.EmitArg(obs.Fencing, t.ID, t.Name,
-					fmt.Sprintf("group %d renew", g), int(w.Epoch))
-			}
-			r.pushPeer(&Wire{Kind: MsgRepReject, Group: g,
-				Epoch: leases.L[g].Epoch, Leader: leases.L[g].Leader})
+			r.refuse(t, g, "renew", w.Epoch)
 			return
 		}
 		leases.Adopt(g, w.Epoch, w.Leader)
@@ -568,15 +484,11 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			if !gr.Rejected {
 				continue
 			}
-			stats.FencingRejections++
-			if rec := r.sys.K.Obs; rec != nil {
-				var presented uint64
-				if gr.Group < len(w.Epochs) {
-					presented = w.Epochs[gr.Group]
-				}
-				rec.EmitArg(obs.Fencing, t.ID, t.Name,
-					fmt.Sprintf("group %d rejoin", gr.Group), int(presented))
+			var presented uint64
+			if gr.Group < len(w.Epochs) {
+				presented = w.Epochs[gr.Group]
 			}
+			r.fence(t, gr.Group, "rejoin", presented)
 		}
 		stats.RejoinsServed++
 		if !r.cfg.Break {
@@ -584,18 +496,11 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			// lease that I never saw. The version-checked apply keeps my
 			// newer writes; Break skips this, which is the deliberate
 			// acked-write-loss the linearizability checker must flag.
-			for g, s := range w.Seqs {
-				if g < len(r.seq) && s > r.seq[g] {
-					r.seq[g] = s
-				}
-			}
-			for _, ent := range w.Snap {
-				stats.Merged++
-				r.apply(r.cfg.Map.ShardOf(ent.Key), ent.Key, ent.Val, ent.Ver)
-			}
+			r.merge(w.Seqs, w.Snap)
+			stats.Merged += uint64(len(w.Snap))
 		}
 		r.pushPeer(&Wire{Kind: MsgRejoinOK, Grants: grants,
-			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)})
+			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)}, obs.TraceContext{}, 0)
 
 	case MsgRejoinOK:
 		for _, gr := range w.Grants {
@@ -609,14 +514,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			// direction too: in a symmetric depose each side's RejoinOK
 			// would otherwise carry the other's solo-acked writes and
 			// quietly repair the loss the knob exists to demonstrate.
-			for g, s := range w.Seqs {
-				if g < len(r.seq) && s > r.seq[g] {
-					r.seq[g] = s
-				}
-			}
-			for _, ent := range w.Snap {
-				r.apply(r.cfg.Map.ShardOf(ent.Key), ent.Key, ent.Val, ent.Ver)
-			}
+			r.merge(w.Seqs, w.Snap)
 		}
 		if r.recovering {
 			r.recovering = false
@@ -628,61 +526,68 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 
 	case MsgDone:
 		// From carries the reporting client thread's global index here.
-		idx := w.From
-		if idx >= 0 && idx < len(r.cfg.done) && !r.cfg.done[idx] {
-			r.cfg.done[idx] = true
-			r.cfg.doneLeft--
-		}
-		if reply != nil {
-			r.push(reply, w.OpID|ReplyOpBit, &Wire{Kind: MsgReply, OpID: w.OpID, Found: true})
+		if ack, ok := r.cfg.ledger.handle(w, reply); ok {
+			r.out = append(r.out, ack)
 		}
 	}
 }
 
-// shedClientOp runs the overload gates on a dequeued client op:
-// already-dead work is dropped as Expired (the client timed out long
-// ago; servicing it is pure waste), and the CoDel controller rejects
-// admissions whose queue sojourn stayed over target for a full
-// interval. Reports true when the op was shed — a typed reply is
-// queued, nothing was applied, nothing replicated.
-func (r *Replica) shedClientOp(w *Wire, reply *ipc.Port, now machine.Time, deadline, enq machine.Time, ctx obs.TraceContext) bool {
-	if !r.cfg.Overload.Enabled {
-		return false
+// fence counts one fencing rejection: a replicate, renew or rejoin
+// (what) presented a stale epoch for group g.
+func (r *Replica) fence(t *core.Thread, g int, what string, presented uint64) {
+	r.cfg.Stats.FencingRejections++
+	if rec := r.sys.K.Obs; rec != nil {
+		rec.EmitArg(obs.Fencing, t.ID, t.Name, fmt.Sprintf("group %d %s", g, what), int(presented))
 	}
-	if deadline != 0 && now >= deadline {
-		if r.cfg.BreakOverload && w.Op == OpPut {
-			// The deliberate bug: apply the write anyway, then claim it
-			// was shed. A later get observes a value whose put the
-			// history excludes — the phantom the checker must flag.
-			shard := r.cfg.Map.ShardOf(w.Key)
-			g := r.cfg.Map.GroupOf(shard)
-			r.seq[g]++
-			r.apply(shard, w.Key, w.Val, Version{Epoch: r.cfg.Leases.L[g].Epoch, Seq: r.seq[g]})
-		}
-		r.cfg.Ov.Expired++
-		if reply != nil {
-			r.pushT(reply, w.OpID|ReplyOpBit, &Wire{Kind: MsgReply, OpID: w.OpID, Expired: true}, ctx, now)
-		}
-		return true
-	}
-	if !r.codel.Admit(now, enq) {
-		r.cfg.Ov.Rejected++
-		if reply != nil {
-			r.pushT(reply, w.OpID|ReplyOpBit, &Wire{Kind: MsgReply, OpID: w.OpID, Rejected: true}, ctx, now)
-		}
-		return true
-	}
-	r.cfg.Ov.Admitted++
-	return false
 }
 
-// clientOp serves one Get/Put as leader, or redirects the client. ctx is
-// the request's causal-trace context, threaded through the replication
-// round and onto the reply.
-func (r *Replica) clientOp(w *Wire, reply *ipc.Port, now machine.Time, ctx obs.TraceContext) {
+// refuse fences a deposed leader's replicate or renew and teaches the
+// sender the current lease.
+func (r *Replica) refuse(t *core.Thread, g int, what string, presented uint64) {
+	r.fence(t, g, what, presented)
+	l := r.cfg.Leases.L[g]
+	r.pushPeer(&Wire{Kind: MsgRepReject, Group: g, Epoch: l.Epoch, Leader: l.Leader},
+		obs.TraceContext{}, 0)
+}
+
+// merge installs a peer's store snapshot through the version-checked
+// apply, and raises each group's replication high-water to the peer's.
+func (r *Replica) merge(seqs []uint64, snap []Entry) {
+	for g, s := range seqs {
+		if g < len(r.seq) && s > r.seq[g] {
+			r.seq[g] = s
+		}
+	}
+	for _, ent := range snap {
+		r.apply(r.cfg.Map.ShardOf(ent.Key), ent.Key, ent.Val, ent.Ver)
+	}
+}
+
+// clientOp serves one Get/Put as leader, or redirects the client. An
+// armed replica first runs the dequeue gate: a shed op gets its typed
+// reply and nothing is applied or replicated (replication traffic is
+// never shed, so an accepted write always finishes replicating). ctx
+// is the request's causal-trace context, threaded through the
+// replication round and onto the reply.
+func (r *Replica) clientOp(w *Wire, reply *ipc.Port, now, deadline, enq machine.Time, ctx obs.TraceContext) {
 	leases, stats := r.cfg.Leases, r.cfg.Stats
 	shard := r.cfg.Map.ShardOf(w.Key)
 	g := r.cfg.Map.GroupOf(shard)
+	if r.cfg.Overload.Enabled {
+		if o := shed(&r.codel, r.cfg.Ov, now, deadline, enq); o != OK {
+			if o == Expired && r.cfg.BreakOverload && w.Op == OpPut {
+				// The deliberate bug: apply the write anyway, then claim it
+				// was shed. A later get observes a value whose put the
+				// history excludes — the phantom the checker must flag.
+				r.seq[g]++
+				r.apply(shard, w.Key, w.Val, Version{Epoch: leases.L[g].Epoch, Seq: r.seq[g]})
+			}
+			if reply != nil {
+				r.reply(reply, w.OpID, refusal(MsgReply, o), ctx, now)
+			}
+			return
+		}
+	}
 	if reply == nil {
 		return
 	}
@@ -702,15 +607,13 @@ func (r *Replica) clientOp(w *Wire, reply *ipc.Port, now machine.Time, ctx obs.T
 			// yet; the peer is the better guess while I resync.
 			hint = r.cfg.PeerRank
 		}
-		r.pushT(reply, w.OpID|ReplyOpBit, &Wire{Kind: MsgReply, OpID: w.OpID,
-			NotLeader: true, Leader: hint}, ctx, now)
+		r.reply(reply, w.OpID, &Wire{Kind: MsgReply, NotLeader: true, Leader: hint}, ctx, now)
 		return
 	}
 	if w.Op == OpGet {
 		stats.Gets++
 		ent, ok := r.store[shard][w.Key]
-		r.pushT(reply, w.OpID|ReplyOpBit, &Wire{Kind: MsgReply, OpID: w.OpID,
-			Key: w.Key, Val: ent.Val, Found: ok}, ctx, now)
+		r.reply(reply, w.OpID, &Wire{Kind: MsgReply, Key: w.Key, Val: ent.Val, Found: ok}, ctx, now)
 		return
 	}
 	stats.Puts++
@@ -718,7 +621,7 @@ func (r *Replica) clientOp(w *Wire, reply *ipc.Port, now machine.Time, ctx obs.T
 	ver := Version{Epoch: leases.L[g].Epoch, Seq: r.seq[g]}
 	r.apply(shard, w.Key, w.Val, ver)
 	if r.peerLink().PeerAlive() {
-		r.pushPeerT(&Wire{Kind: MsgReplicate, Group: g, Shard: shard,
+		r.pushPeer(&Wire{Kind: MsgReplicate, Group: g, Shard: shard,
 			Key: w.Key, Val: w.Val, Epoch: ver.Epoch, Seq: ver.Seq}, ctx, now)
 		r.pending = append(r.pending, pendingRep{group: g, seq: ver.Seq,
 			epoch: ver.Epoch, opid: w.OpID, reply: reply, at: now, trace: ctx})
@@ -727,7 +630,7 @@ func (r *Replica) clientOp(w *Wire, reply *ipc.Port, now machine.Time, ctx obs.T
 	stats.SoloAcks++
 	r.recordAck(g, ver.Epoch)
 	r.observeRep(now, now)
-	r.pushT(reply, w.OpID|ReplyOpBit, &Wire{Kind: MsgReply, OpID: w.OpID, Found: true}, ctx, now)
+	r.reply(reply, w.OpID, &Wire{Kind: MsgReply, Found: true}, ctx, now)
 }
 
 // apply installs a write if its version is newer than what the store

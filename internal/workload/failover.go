@@ -29,9 +29,6 @@ const DefaultRPCTimeout = machine.Duration(10 * 1000 * 1000) // 10 ms
 // die without reboot still quiesces instead of retrying forever.
 const haMaxAttempts = 64
 
-// replyOpBit marks an echo reply's OpID (the server sets op|0x8000).
-const replyOpBit = 0x8000
-
 // RecoveryStats is the crash/failover accounting of one run, summed over
 // all machines and clients.
 type RecoveryStats struct {
@@ -136,7 +133,7 @@ func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
 		if m := c.sys.IPC.Received(t); m != nil {
 			op := m.OpID
 			c.sys.IPC.FreeMessage(m)
-			if op != c.opid|replyOpBit {
+			if op != c.opid|ipc.ReplyBit {
 				// A late reply to an attempt already retried; the reply to
 				// the current attempt is still due. Keep draining.
 				return c.recvAct
@@ -178,10 +175,7 @@ func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
 	}
 	c.attempts++
 	c.waiting = true
-	c.opid = (c.opid + 1) & (replyOpBit - 1)
-	if c.opid == 0 {
-		c.opid = 1
-	}
+	c.opid = ipc.NextOpID(c.opid)
 	return c.sendAct
 }
 

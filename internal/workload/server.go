@@ -10,7 +10,7 @@ import (
 )
 
 // EchoServer answers every request on its port forever, replying with
-// op|0x8000 and the request's size and body to the request's reply port:
+// op|ipc.ReplyBit and the request's size and body to the request's reply port:
 // the null RPC server of Table 3 and the echo server of the cluster
 // workloads, where the reply port is a netmsg proxy and the reply
 // becomes a packet home. Its two syscall actions are built once; a
@@ -41,7 +41,7 @@ func (s *EchoServer) Next(e *core.Env, t *core.Thread) core.Action {
 			s.pending = nil
 			op, size, body, to := req.OpID, req.Size, req.Body, req.Reply
 			s.sys.IPC.FreeMessage(req)
-			reply := s.sys.IPC.NewMessage(op|0x8000, size, body, nil)
+			reply := s.sys.IPC.NewMessage(op|ipc.ReplyBit, size, body, nil)
 			s.sys.IPC.MachMsg(e, ipc.MsgOptions{
 				Send: reply, SendTo: to, ReceiveFrom: s.port,
 			})
@@ -156,7 +156,7 @@ func (s *Server) Next(e *core.Env, t *core.Thread) core.Action {
 		}
 	}
 	return core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
-		reply := s.sys.IPC.NewMessage(req.OpID|0x8000, req.Size, req.Body, nil)
+		reply := s.sys.IPC.NewMessage(req.OpID|ipc.ReplyBit, req.Size, req.Body, nil)
 		s.sys.IPC.MachMsg(e, ipc.MsgOptions{
 			Send:        reply,
 			SendTo:      req.Reply,

@@ -108,22 +108,12 @@ func DefaultStorm() StormSpec {
 	}
 }
 
-// stormOutcome classifies one arrival's disposition.
-type stormOutcome uint8
-
-const (
-	stormOK stormOutcome = iota
-	stormExpired
-	stormRejected
-	stormAbandoned
-)
-
 // stormRec is one arrival's ledger entry: when it was meant to arrive,
 // when it was finally disposed of, and how.
 type stormRec struct {
 	intended machine.Time
 	finished machine.Time
-	outcome  stormOutcome
+	outcome  svc.Outcome
 }
 
 // stormSession is one open-loop session: it generates arrivals on its
@@ -198,19 +188,10 @@ func (s *stormSession) submit() {
 
 // record writes the finished op's ledger entry.
 func (s *stormSession) record() {
-	out := stormAbandoned
-	switch {
-	case s.cli.LastOK:
-		out = stormOK
-	case s.cli.LastExpired:
-		out = stormExpired
-	case s.cli.LastRejected:
-		out = stormRejected
-	}
 	s.recs = append(s.recs, stormRec{
 		intended: s.intended,
 		finished: s.sys.K.Clock.Now(),
-		outcome:  out,
+		outcome:  s.cli.Last,
 	})
 }
 
@@ -414,11 +395,11 @@ func analyzeStorm(res *StormResult, recs []stormRec) {
 		slot(r.intended).Offered++
 		b := slot(r.finished)
 		switch r.outcome {
-		case stormOK:
+		case svc.OK:
 			b.Good++
-		case stormExpired:
+		case svc.Expired:
 			b.Expired++
-		case stormRejected:
+		case svc.Rejected:
 			b.Rejected++
 		default:
 			b.Abandoned++

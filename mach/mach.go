@@ -367,7 +367,7 @@ func EchoServer(s *System, port *Port) Program {
 		req := pending
 		pending = nil
 		return Syscall("mach_msg(reply+receive)", func(e *Env) {
-			reply := s.NewMessage(req.OpID|0x8000, req.Size, req.Body, nil)
+			reply := s.NewMessage(req.OpID|ipc.ReplyBit, req.Size, req.Body, nil)
 			s.MachMsg(e, MsgOptions{Send: reply, SendTo: req.Reply, ReceiveFrom: port})
 		})
 	})
