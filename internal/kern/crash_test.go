@@ -543,3 +543,28 @@ func TestWatchdogNoSpuriousStallAfterCrashReboot(t *testing.T) {
 		t.Fatalf("Stalls = %d across crash/reboot, want 0", w.Stalls)
 	}
 }
+
+// TestNetTotalsCountEachIncarnationOnce: a crashed machine's link
+// counters enter its totals once — while it stays down, and after a
+// warm reboot replaces its links.
+func TestNetTotalsCountEachIncarnationOnce(t *testing.T) {
+	a, b, cluster := bootNetPair(t)
+	var got []int
+	b.RegisterService("sink", func(s *kern.System) { startSink(s, "svc", &got) })
+	startSpray(a, "svc", 20)
+	b.ScheduleCrash(machine.Time(50*1e6), 0)
+	cluster.Drive(false)
+	if !b.Down || len(got) == 0 {
+		t.Fatalf("down %v after receiving %d messages; want a crashed receiver", b.Down, len(got))
+	}
+	down := b.NetTotals()
+	if down.Delivered != b.Net.Delivered || down.AcksTx != b.Net.AcksTx {
+		t.Fatalf("down machine totals %d delivered, %d acks sent; its one link %d and %d",
+			down.Delivered, down.AcksTx, b.Net.Delivered, b.Net.AcksTx)
+	}
+	b.Reboot()
+	if up := b.NetTotals(); up.Delivered != down.Delivered || up.AcksTx != down.AcksTx {
+		t.Fatalf("after reboot totals %d delivered, %d acks sent; before %d and %d",
+			up.Delivered, up.AcksTx, down.Delivered, down.AcksTx)
+	}
+}
