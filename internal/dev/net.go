@@ -199,9 +199,6 @@ func (s *Subsystem) AdoptNIC(n *NIC) {
 	}
 }
 
-// Index reports the NIC's creation order on its machine.
-func (n *NIC) Index() int { return n.index }
-
 // SetDown marks the NIC's machine as crashed (true) or rebooted (false).
 // While down, packets already on the wire still arrive — a crash cannot
 // recall them — but are discarded at the interrupt boundary.
@@ -619,9 +616,6 @@ func (n *Netmsg) UnackedLen() int { return len(n.unacked) }
 // SetIncarnation stamps the machine's boot incarnation into this link's
 // outbound packets; the warm-reboot path calls it before announcing.
 func (n *Netmsg) SetIncarnation(inc uint32) { n.Inc = inc }
-
-// PeerIncarnation reports the highest incarnation heard from the peer.
-func (n *Netmsg) PeerIncarnation() uint32 { return n.peerInc }
 
 // PeerAlive reports whether the peer machine is presumed up: alive until
 // the link has been silent past DeadAfter, dead from then until the peer

@@ -42,7 +42,6 @@ func (s *System) ThreadAbort(t *core.Thread) bool {
 	t.Scratch.Reset()
 	s.K.AbortToContinuation(t, s.contAborted)
 	s.K.Setrun(t)
-	s.Aborted++
 	return true
 }
 

@@ -86,8 +86,8 @@ func TestAbortBlockedReceive(t *testing.T) {
 			if prog.ret != ipc.RcvInterrupted {
 				t.Fatalf("retval = %#x, want RcvInterrupted", prog.ret)
 			}
-			if sys.Aborted != 1 || sys.K.Stats.Aborts != 1 {
-				t.Fatalf("abort counters = %d/%d", sys.Aborted, sys.K.Stats.Aborts)
+			if sys.K.Stats.Aborts != 1 {
+				t.Fatalf("abort counter = %d", sys.K.Stats.Aborts)
 			}
 			checkClean(t, sys, flavor)
 		})
@@ -226,7 +226,7 @@ func TestAbortRefusesUnabortableThreads(t *testing.T) {
 	if sys.ThreadAbort(th) {
 		t.Fatal("ThreadAbort aborted a halted thread")
 	}
-	if sys.Aborted != 0 {
-		t.Fatalf("Aborted = %d, want 0", sys.Aborted)
+	if sys.K.Stats.Aborts != 0 {
+		t.Fatalf("Aborts = %d, want 0", sys.K.Stats.Aborts)
 	}
 }

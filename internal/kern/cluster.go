@@ -151,10 +151,6 @@ func (c *Cluster) minWireCached() (machine.Duration, bool) {
 	return c.wire, c.haveWire
 }
 
-// InvalidateWire forces the next horizon to rescan the NIC pairs. Needed
-// only after rewiring links outside SetLink.
-func (c *Cluster) InvalidateWire() { c.wireOK = false }
-
 // SetLink joins (or re-times) a NIC pair mid-run and invalidates the
 // cached wire lookahead — the explicit hook for link-setting changes.
 func (c *Cluster) SetLink(a, b *dev.NIC, wire machine.Duration) {
@@ -507,9 +503,6 @@ func (c *Cluster) Drive(parallel bool) uint64 {
 		}
 	}
 }
-
-// MinWireForTest exposes the lookahead rescan for tests.
-func (c *Cluster) MinWireForTest() (machine.Duration, bool) { return c.minWire() }
 
 // HorizonForTest, FlushForTest and SetDeferredForTest expose the naive
 // round primitives so driver-level tests can replay Drive's loop by hand

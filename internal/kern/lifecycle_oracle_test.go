@@ -189,12 +189,12 @@ func TestLifecycleOracles(t *testing.T) {
 					}
 				}
 			}
-			if steps == 0 || destroys == 0 || sys.Reaped == 0 || sys.Aborted == 0 {
+			if steps == 0 || destroys == 0 || sys.Reaped == 0 || sys.K.Stats.Aborts == 0 {
 				t.Fatalf("sequence too tame: %d steps, %d port destructions, %d reaped, %d aborted",
-					steps, destroys, sys.Reaped, sys.Aborted)
+					steps, destroys, sys.Reaped, sys.K.Stats.Aborts)
 			}
 			t.Logf("%d steps, %d crashes, %d port destructions, %d reaped, %d aborted, %d blocked high-water",
-				steps, crashes, destroys, sys.Reaped, sys.Aborted, sys.K.BlockedHighWater)
+				steps, crashes, destroys, sys.Reaped, sys.K.Stats.Aborts, sys.K.BlockedHighWater)
 		})
 	}
 }

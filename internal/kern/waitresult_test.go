@@ -112,8 +112,8 @@ func TestWaitResultAcrossSubsystems(t *testing.T) {
 			if client.State() != core.StateHalted || server.State() != core.StateHalted {
 				t.Fatalf("client %v, server %v; want both halted", client.State(), server.State())
 			}
-			if sys.Dev.IoRetries != uint64(sys.Dev.IoMaxRetries) || sys.Aborted != 1 {
-				t.Fatalf("retries %d, aborts %d; want %d and 1", sys.Dev.IoRetries, sys.Aborted, sys.Dev.IoMaxRetries)
+			if sys.Dev.IoRetries != uint64(sys.Dev.IoMaxRetries) || sys.K.Stats.Aborts != 1 {
+				t.Fatalf("retries %d, aborts %d; want %d and 1", sys.Dev.IoRetries, sys.K.Stats.Aborts, sys.Dev.IoMaxRetries)
 			}
 			checkClean(t, sys, flavor)
 		})
