@@ -10,49 +10,58 @@ import (
 
 func ms(n uint64) machine.Time { return machine.Time(n) * machine.Time(time.Millisecond) }
 
+// policyCases is ParsePolicy's table: accepted specs with a check of
+// the parsed policy, and rejected ones with a fragment of the error.
+// FuzzParsePolicy seeds its corpus from it.
+var policyCases = []struct {
+	in      string
+	wantErr string // substring, "" = ok
+	check   func(t *testing.T, p Policy)
+}{
+	{in: "off", check: func(t *testing.T, p Policy) {
+		if p.Enabled {
+			t.Fatalf("off parsed as enabled")
+		}
+	}},
+	{in: "on", check: func(t *testing.T, p Policy) {
+		if !p.Enabled || p != DefaultPolicy() {
+			t.Fatalf("on != DefaultPolicy: %+v", p)
+		}
+	}},
+	{in: "on:deadline=10ms,budget=3", check: func(t *testing.T, p Policy) {
+		if p.Deadline != ms(10) || p.Budget != 3 {
+			t.Fatalf("params not applied: %+v", p)
+		}
+		if p.Target != DefaultPolicy().Target {
+			t.Fatalf("unset param lost default: %+v", p)
+		}
+	}},
+	{in: "on:target=250us,interval=1ms,refill=3ms,breaker=4,cooldown=8ms", check: func(t *testing.T, p Policy) {
+		if p.Target != machine.Time(250*time.Microsecond) || p.Interval != ms(1) ||
+			p.Refill != ms(3) || p.Breaker != 4 || p.Cooldown != ms(8) {
+			t.Fatalf("params not applied: %+v", p)
+		}
+	}},
+	{in: "on:deadline=1500ns,refill=2500us,budget=4294967295", check: func(t *testing.T, p Policy) {
+		if p.Deadline != 1500 || p.Refill != machine.Time(2500*time.Microsecond) || p.Budget != 1<<32-1 {
+			t.Fatalf("sub-millisecond params or the widest budget not applied: %+v", p)
+		}
+	}},
+	{in: "", wantErr: "empty spec"},
+	{in: "maybe", wantErr: `unknown mode "maybe"`},
+	{in: "off:target=1ms", wantErr: "off takes no parameters"},
+	{in: "on:target", wantErr: `rule 0 ("target"): want key=value`},
+	{in: "on:deadline=1ms,zeal=9", wantErr: `rule 1 ("zeal=9"): unknown key "zeal"`},
+	{in: "on:budget=0", wantErr: "bad budget"},
+	{in: "on:budget=-2", wantErr: "bad budget"},
+	{in: "on:breaker=0", wantErr: "bad breaker"},
+	{in: "on:target=fast", wantErr: "bad target"},
+	{in: "on:cooldown=-4ms", wantErr: "bad cooldown"},
+	{in: "on:deadline=1ms,interval=soon", wantErr: `rule 1 ("interval=soon")`},
+}
+
 func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		in      string
-		wantErr string // substring, "" = ok
-		check   func(t *testing.T, p Policy)
-	}{
-		{in: "off", check: func(t *testing.T, p Policy) {
-			if p.Enabled {
-				t.Fatalf("off parsed as enabled")
-			}
-		}},
-		{in: "on", check: func(t *testing.T, p Policy) {
-			if !p.Enabled || p != DefaultPolicy() {
-				t.Fatalf("on != DefaultPolicy: %+v", p)
-			}
-		}},
-		{in: "on:deadline=10ms,budget=3", check: func(t *testing.T, p Policy) {
-			if p.Deadline != ms(10) || p.Budget != 3 {
-				t.Fatalf("params not applied: %+v", p)
-			}
-			if p.Target != DefaultPolicy().Target {
-				t.Fatalf("unset param lost default: %+v", p)
-			}
-		}},
-		{in: "on:target=250us,interval=1ms,refill=3ms,breaker=4,cooldown=8ms", check: func(t *testing.T, p Policy) {
-			if p.Target != machine.Time(250*time.Microsecond) || p.Interval != ms(1) ||
-				p.Refill != ms(3) || p.Breaker != 4 || p.Cooldown != ms(8) {
-				t.Fatalf("params not applied: %+v", p)
-			}
-		}},
-		{in: "", wantErr: "empty spec"},
-		{in: "maybe", wantErr: `unknown mode "maybe"`},
-		{in: "off:target=1ms", wantErr: "off takes no parameters"},
-		{in: "on:target", wantErr: `rule 0 ("target"): want key=value`},
-		{in: "on:deadline=1ms,zeal=9", wantErr: `rule 1 ("zeal=9"): unknown key "zeal"`},
-		{in: "on:budget=0", wantErr: "bad budget"},
-		{in: "on:budget=-2", wantErr: "bad budget"},
-		{in: "on:breaker=0", wantErr: "bad breaker"},
-		{in: "on:target=fast", wantErr: "bad target"},
-		{in: "on:cooldown=-4ms", wantErr: "bad cooldown"},
-		{in: "on:deadline=1ms,interval=soon", wantErr: `rule 1 ("interval=soon")`},
-	}
-	for _, tc := range cases {
+	for _, tc := range policyCases {
 		p, err := ParsePolicy(tc.in)
 		if tc.wantErr != "" {
 			if err == nil {
