@@ -264,12 +264,18 @@ func (w *cacheWorker) reply(to *ipc.Port, opid uint32, wire *Wire, ctx obs.Trace
 	w.pend = &o
 }
 
-// finishKV answers the frontend once the backend operation resolved.
+// finishKV answers the frontend once the backend operation resolved. An
+// abandoned backend op gets no answer: its fate is unknown, and any
+// reply would be completed as acknowledged. The frontend's own attempt
+// timeout handles the silence as the unknown it is.
 func (w *cacheWorker) finishKV() {
 	req, reply, ctx := w.cur, w.curReply, w.curCtx
 	w.cur, w.curReply, w.curCtx = nil, nil, obs.TraceContext{}
 	w.kv.Ctx = obs.TraceContext{}
 	kv := w.kv
+	if kv.Last == Abandoned {
+		return
+	}
 	out := &Wire{Kind: MsgCacheReply, Key: req.Key}
 	switch {
 	case kv.Last == Expired || kv.Last == Rejected:

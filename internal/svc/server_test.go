@@ -680,3 +680,50 @@ func TestCallerOutcomes(t *testing.T) {
 		}},
 	)
 }
+
+// TestCacheSilentOnAbandonedFetch pins that the cache answers nothing
+// for a backend op its embedded caller abandoned. The op's fate is
+// unknown, so any reply would be a claim: the frontend completes every
+// untyped reply as acknowledged, and would record an unknown put as Ok
+// and a get as a miss it never saw. Left unanswered, the frontend's own
+// attempt timeout decides. A fetch that resolves still answers.
+func TestCacheSilentOnAbandonedFetch(t *testing.T) {
+	cfg := &CacheConfig{Frontends: 1}
+	sys, w := bootCache(t, cfg)
+	reply := sys.IPC.NewPort("frontend-reply")
+	// fetch hands the worker a miss or write-through and resolves its
+	// backend op with the given outcome.
+	fetch := func(op Op, key uint64, opid uint32, how Outcome) {
+		w.handle(request(sys, &Wire{Kind: MsgCacheReq, OpID: opid, Op: op, Key: key, Val: 7}, reply))
+		if !w.inKV {
+			t.Fatalf("op %d did not reach the backend", opid)
+		}
+		w.inKV = false
+		w.kv.Last, w.kv.LastFound, w.kv.LastVal = how, how == OK, 7
+		w.finishKV()
+	}
+	sequence(t,
+		step{"abandoned put", func(t *testing.T) {
+			fetch(OpPut, 1, 1, Abandoned)
+			if out := takePend(w); len(out) != 0 {
+				t.Fatalf("abandoned put answered: %+v", out[0].w)
+			}
+			if _, ok := w.sh.entries[1]; ok {
+				t.Fatal("abandoned put installed its value")
+			}
+		}},
+		step{"abandoned get", func(t *testing.T) {
+			fetch(OpGet, 2, 2, Abandoned)
+			if out := takePend(w); len(out) != 0 {
+				t.Fatalf("abandoned get answered: %+v", out[0].w)
+			}
+		}},
+		step{"resolved put still answers", func(t *testing.T) {
+			fetch(OpPut, 3, 3, OK)
+			got := wantAnswer(t, wantOne(t, takePend(w)), reply, 3, MsgCacheReply)
+			if !got.Found || got.Expired || got.Rejected {
+				t.Fatalf("resolved put answered %+v", got)
+			}
+		}},
+	)
+}
