@@ -349,6 +349,69 @@ func BenchmarkClusterRound(b *testing.B) {
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/round")
 }
 
+// crossClient is BenchmarkClusterCrossRPC's client: one RPC after another
+// through a netmsg proxy, counting the replies.
+type crossClient struct {
+	sys    *kern.System
+	server *ipc.Port
+	reply  *ipc.Port
+	done   int
+	rpc    core.Action
+}
+
+func (c *crossClient) Next(e *core.Env, t *core.Thread) core.Action {
+	if c.rpc.Invoke == nil {
+		c.rpc = core.Syscall("mach_msg(rpc)", func(e *core.Env) {
+			req := c.sys.IPC.NewMessage(1, ipc.HeaderBytes, nil, c.reply)
+			c.sys.IPC.MachMsg(e, ipc.MsgOptions{
+				Send: req, SendTo: c.server, ReceiveFrom: c.reply,
+			})
+		})
+	}
+	if m := c.sys.IPC.Received(t); m != nil {
+		c.sys.IPC.FreeMessage(m)
+		c.done++
+	}
+	return c.rpc
+}
+
+// BenchmarkClusterCrossRPC measures what one cross-machine round trip
+// allocates. Two machines are joined by a wire: a client on one sends
+// through a netmsg proxy to an echo server exported on the other, and
+// each op runs horizon rounds until one more reply is in. Every hop
+// reuses its storage (the arrival event, the rx completion, the queues,
+// the resume steps), so the op's only allocations are its two wire
+// packets, which forwardSink builds and a retransmit may share between
+// machines. CI gates it at 2 allocs/op (benchjson -max-allocs).
+func BenchmarkClusterCrossRPC(b *testing.B) {
+	cfg := kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true}
+	cli, srv := kern.New(cfg), kern.New(cfg)
+	dev.Connect(cli.Net.NIC, srv.Net.NIC, 0)
+	port := srv.IPC.NewPort("echo")
+	srv.Net.Export("echo", port)
+	srv.Start(srv.NewTask("server").NewThread("srv", workload.NewEchoServer(srv, port), 20))
+	c := &crossClient{sys: cli, server: cli.Net.ProxyFor("echo"), reply: cli.IPC.NewPort("reply")}
+	cli.Start(cli.NewTask("client").NewThread("cli", c, 10))
+	cluster := kern.NewCluster(cli, srv)
+	cluster.SetDeferredForTest(true)
+	defer cluster.SetDeferredForTest(false)
+	roundTrip := func() {
+		for want := c.done + 1; c.done < want; {
+			if _, ok := cluster.RoundForTest(); !ok {
+				b.Fatal("cluster quiesced")
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		roundTrip()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
+
 // BenchmarkClusterNetRPC compares sequential and parallel execution of
 // the same 4-machine cross-machine workload (2 pairs, 32 clients per
 // pair). The outputs are byte-identical (TestParallelEquivalence*); this

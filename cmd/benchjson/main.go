@@ -4,13 +4,15 @@
 // Usage:
 //
 //	go test -bench ... -benchmem | benchjson [-o out.json] [-zero-allocs name,name]
-//	        [-max-ratio slow,fast,limit]
+//	        [-max-allocs name,N] [-max-ratio slow,fast,limit]
 //
 // Each benchmark line becomes an object with its name, iteration count
 // and every reported metric (ns/op, B/op, allocs/op, and any custom
 // b.ReportMetric units). -zero-allocs names benchmarks (prefix match, so
-// sub-benchmarks count) that must report 0 allocs/op; a violation fails
-// the run after the JSON is written. -max-ratio (repeatable) names two
+// sub-benchmarks count) that must report 0 allocs/op, and -max-allocs
+// (repeatable) one benchmark prefix and the most allocs/op it may
+// report; a violation fails the run after the JSON is written.
+// -max-ratio (repeatable) names two
 // benchmarks (prefix match) and a limit: the first's ns/op must stay
 // within limit times the second's — the relative-overhead gate for
 // feature-on vs feature-off benchmark pairs.
@@ -21,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -30,6 +33,13 @@ type benchResult struct {
 	Name    string             `json:"name"`
 	Iters   int64              `json:"iters"`
 	Metrics map[string]float64 `json:"metrics"`
+}
+
+// allocGate is one allocation budget: every benchmark whose name starts
+// with prefix must report at most max allocs/op.
+type allocGate struct {
+	prefix string
+	max    float64
 }
 
 // ratioGate is one parsed -max-ratio rule: slow's ns/op must stay
@@ -42,6 +52,17 @@ type ratioGate struct {
 func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	zero := flag.String("zero-allocs", "", "comma-separated benchmark name prefixes that must report 0 allocs/op")
+	var allocs []allocGate
+	flag.Func("max-allocs", "name,N: benchmarks named name (prefix match) may report at most N allocs/op (repeatable)",
+		func(val string) error {
+			name, n, ok := strings.Cut(val, ",")
+			limit, err := strconv.ParseFloat(n, 64)
+			if !ok || name == "" || err != nil || !(limit >= 0) || math.IsInf(limit, 0) {
+				return fmt.Errorf("max-allocs %q: want name,N with finite N >= 0", val)
+			}
+			allocs = append(allocs, allocGate{prefix: name, max: limit})
+			return nil
+		})
 	var ratios []ratioGate
 	flag.Func("max-ratio", "slow,fast,limit: benchmark slow's ns/op must stay within limit times fast's (prefix match, repeatable)",
 		func(val string) error {
@@ -57,6 +78,11 @@ func main() {
 			return nil
 		})
 	flag.Parse()
+	if *zero != "" {
+		for _, prefix := range strings.Split(*zero, ",") {
+			allocs = append(allocs, allocGate{prefix: prefix})
+		}
+	}
 
 	var results []benchResult
 	sc := bufio.NewScanner(os.Stdin)
@@ -103,31 +129,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *zero != "" {
-		failed := false
-		for _, prefix := range strings.Split(*zero, ",") {
-			matched := false
-			for _, r := range results {
-				if !strings.HasPrefix(r.Name, prefix) {
-					continue
-				}
-				matched = true
-				if allocs, ok := r.Metrics["allocs/op"]; !ok {
-					fmt.Fprintf(os.Stderr, "benchjson: %s has no allocs/op metric (missing -benchmem?)\n", r.Name)
-					failed = true
-				} else if allocs != 0 {
-					fmt.Fprintf(os.Stderr, "benchjson: %s allocates: %v allocs/op (budget 0)\n", r.Name, allocs)
-					failed = true
-				}
-			}
-			if !matched {
-				fmt.Fprintf(os.Stderr, "benchjson: no benchmark matches %q\n", prefix)
-				failed = true
-			}
+	if v := allocViolations(results, allocs); len(v) > 0 {
+		for _, msg := range v {
+			fmt.Fprintln(os.Stderr, "benchjson: "+msg)
 		}
-		if failed {
-			os.Exit(1)
-		}
+		os.Exit(1)
 	}
 
 	if len(ratios) > 0 {
@@ -160,4 +166,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// allocViolations checks every allocation gate against the results and
+// returns one message per violation: a matching benchmark over its
+// budget or without an allocs/op metric, or a gate nothing matches.
+func allocViolations(results []benchResult, gates []allocGate) []string {
+	var v []string
+	for _, g := range gates {
+		matched := false
+		for _, r := range results {
+			if !strings.HasPrefix(r.Name, g.prefix) {
+				continue
+			}
+			matched = true
+			if n, ok := r.Metrics["allocs/op"]; !ok {
+				v = append(v, fmt.Sprintf("%s has no allocs/op metric (missing -benchmem?)", r.Name))
+			} else if n > g.max {
+				v = append(v, fmt.Sprintf("%s allocates: %v allocs/op (budget %v)", r.Name, n, g.max))
+			}
+		}
+		if !matched {
+			v = append(v, fmt.Sprintf("no benchmark matches %q", g.prefix))
+		}
+	}
+	return v
 }

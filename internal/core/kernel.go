@@ -56,6 +56,11 @@ type Processor struct {
 	// wrapping pending in a closure keeps the dispatch path allocation-free.
 	dispose *Thread
 
+	// attached is the continuation of a stack StackAttach initialized,
+	// handed from resumeOn to threadContinueStep the same way: the frame
+	// carries the continuation, not a closure over it.
+	attached *Continuation
+
 	// env is the processor's reusable execution environment. Env is
 	// immutable, so every dispatch and interrupt on this processor can
 	// share one value instead of allocating per step.
@@ -127,7 +132,8 @@ func (e *Env) Trace(kind obs.Kind, detail string) {
 }
 
 // resumeStep is the payload stored in a preserved stack frame: the
-// suspended rest-of-function of a process-model block.
+// suspended rest-of-function of a process-model block. The frame
+// StackAttach pushes carries its *Continuation instead (resumeOn).
 type resumeStep func(*Env)
 
 // Config selects the kernel build being simulated.
@@ -436,7 +442,7 @@ func (k *Kernel) StackAttach(e *Env, t *Thread, s *machine.Stack, cont *Continua
 	s.SetOwner(machine.OwnerThread)
 	t.Stack = s
 	s.PushFrame(machine.Frame{
-		Resume: resumeStep(func(e *Env) { k.threadContinue(e, cont) }),
+		Resume: cont,
 		Bytes:  32,
 		Label:  "thread_continue",
 	})
@@ -854,6 +860,14 @@ func (k *Kernel) Recognize(e *Env, expect *Continuation) bool {
 	return true
 }
 
+// threadContinueStep is the resume step of a frame StackAttach pushed:
+// thread_continue with the continuation resumeOn left on the processor.
+func threadContinueStep(e *Env) {
+	c := e.P.attached
+	e.P.attached = nil
+	e.K.threadContinue(e, c)
+}
+
 // threadContinue is Figure 4's thread_continue: dispose of the previous
 // thread, then call the new thread's own continuation. It runs as the
 // first step on a freshly attached stack.
@@ -900,6 +914,11 @@ func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	newt.QuantumRemaining = k.Sched.Quantum()
 	f := newt.Stack.PopFrame()
 	p.dispose = old
+	if c, ok := f.Resume.(*Continuation); ok {
+		p.attached = c
+		p.transfer(threadContinueStep)
+		return
+	}
 	p.transfer(f.Resume.(resumeStep))
 }
 
@@ -1178,7 +1197,7 @@ func (k *Kernel) Step() bool { return k.step(false) }
 // at the present.
 func (k *Kernel) StepNoAdvance() bool {
 	if ev := k.Clock.PopDue(); ev != nil {
-		ev.Fire()
+		k.Clock.Fire(ev, k.DebugChecks)
 		k.PostDispatchCheck()
 		return true
 	}
@@ -1242,7 +1261,7 @@ func (k *Kernel) RunHorizon(horizon machine.Time) uint64 {
 			return steps
 		}
 		if ev := k.Clock.AdvanceToNextEvent(); ev != nil {
-			ev.Fire()
+			k.Clock.Fire(ev, k.DebugChecks)
 			k.PostDispatchCheck()
 			steps++
 		}
@@ -1258,7 +1277,7 @@ func (k *Kernel) step(withBackground bool) bool {
 	// unless the caller is running to a deadline.
 	if withBackground || k.Clock.HasForeground() {
 		if ev := k.Clock.AdvanceToNextEvent(); ev != nil {
-			ev.Fire()
+			k.Clock.Fire(ev, k.DebugChecks)
 			k.PostDispatchCheck()
 			return true
 		}

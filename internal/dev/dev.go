@@ -81,6 +81,14 @@ type Request struct {
 	// timeout is the armed I/O timeout (user I/O only); the completion
 	// interrupt cancels it.
 	timeout *machine.Event
+
+	// deliver and pkt make this an rx completion (NIC.receive): io_done
+	// hands pkt to deliver, the netmsg thread's packet handler, and
+	// returns the completion to its subsystem's free list. recycled
+	// marks a completion on that list; the DebugChecks guards read it.
+	deliver  func(e *core.Env, pkt *Packet)
+	pkt      *Packet
+	recycled bool
 }
 
 // Device is one device: a request queue in front of a single server with
@@ -96,7 +104,7 @@ type Device struct {
 	// substrate is attached).
 	Port *ipc.Port
 
-	queue    []*Request
+	queue    fifo[*Request]
 	inflight *Request
 
 	// Counters.
@@ -107,7 +115,7 @@ type Device struct {
 
 // QueueDepth reports the requests queued or in service right now.
 func (d *Device) QueueDepth() int {
-	n := len(d.queue)
+	n := d.queue.size()
 	if d.inflight != nil {
 		n++
 	}
@@ -121,7 +129,7 @@ func (d *Device) Submit(r *Request) {
 		r.Latency = d.ServiceTime
 	}
 	d.Requests++
-	d.queue = append(d.queue, r)
+	d.queue.push(r)
 	if depth := d.QueueDepth(); depth > d.QueueHighWater {
 		d.QueueHighWater = depth
 	}
@@ -134,8 +142,7 @@ func (d *Device) Submit(r *Request) {
 // as a clock event that takes an interrupt. The fault plan may stretch
 // the service time (a latency spike).
 func (d *Device) start() {
-	r := d.queue[0]
-	d.queue = d.queue[1:]
+	r := d.queue.pop()
 	d.inflight = r
 	latency := r.Latency + d.Sub.injectLatency(d, r)
 	d.Sub.K.Clock.After(latency, d.Name+"-io", func() { d.complete(r) })
@@ -159,7 +166,7 @@ func (d *Device) complete(r *Request) {
 			s.K.Clock.Cancel(r.timeout)
 		}
 		s.injectCompletion(d, r)
-		if len(d.queue) > 0 {
+		if d.queue.size() > 0 {
 			d.start()
 		}
 		s.PostCompletion(r)
@@ -175,6 +182,10 @@ type Subsystem struct {
 	// continuation ("io_done_continue").
 	IoThread   *core.Thread
 	ContIoDone *core.Continuation
+
+	// ioLoopPM is the work loop as a process-model resume step, nil in a
+	// continuation kernel, whose Block never reads one.
+	ioLoopPM func(*core.Env)
 
 	// ContDeviceRead and ContDeviceWrite are what device_read/device_write
 	// callers block with; the io_done thread recognizes them.
@@ -193,7 +204,11 @@ type Subsystem struct {
 	// parallel driver.
 	dirtyNICs []*NIC
 
-	completions []*Request
+	completions fifo[*Request]
+
+	// rxFree holds rx completions io_done has processed, for the NICs'
+	// next arrivals to reuse.
+	rxFree []*Request
 
 	// HandlerCost accumulates all work charged in interrupt context
 	// (entry + handler body + exit), the "handler cycles" counter.
@@ -242,9 +257,8 @@ func NewSubsystem(k *core.Kernel) *Subsystem {
 	s.ContIoDone = core.NewContinuation("io_done_continue", s.ioLoop)
 	s.ContDeviceRead = core.NewContinuation("device_read_continue", s.deviceReadContinue)
 	s.ContDeviceWrite = core.NewContinuation("device_write_continue", s.deviceWriteContinue)
-	var pm func(*core.Env)
 	if !k.UseContinuations {
-		pm = s.ioLoop
+		s.ioLoopPM = s.ioLoop
 	}
 	s.IoThread = k.NewThread(core.ThreadSpec{
 		Name:     "io-done",
@@ -252,7 +266,7 @@ func NewSubsystem(k *core.Kernel) *Subsystem {
 		Internal: true,
 		Priority: 29,
 		Start:    s.ContIoDone,
-		StartPM:  pm,
+		StartPM:  s.ioLoopPM,
 	})
 	return s
 }
@@ -304,10 +318,28 @@ func (s *Subsystem) noteHandlerWork(body machine.Cost) {
 // PostCompletion queues a finished request for the io_done thread and
 // wakes it. Called from interrupt context.
 func (s *Subsystem) PostCompletion(r *Request) {
-	s.completions = append(s.completions, r)
+	if s.K.DebugChecks && r.recycled {
+		panic("dev: rx completion posted after it was recycled")
+	}
+	s.completions.push(r)
 	if s.IoThread.State() == core.StateWaiting {
 		s.K.Setrun(s.IoThread)
 	}
+}
+
+// rxCompletion returns an rx completion handing pkt to deliver, reused
+// from the free list that io_done refills once a completion's packet is
+// handed over.
+func (s *Subsystem) rxCompletion(deliver func(*core.Env, *Packet), pkt *Packet) *Request {
+	var r *Request
+	if k := len(s.rxFree); k > 0 {
+		r = s.rxFree[k-1]
+		s.rxFree = s.rxFree[:k-1]
+	} else {
+		r = new(Request)
+	}
+	*r = Request{Label: "nic-rx", Bytes: pkt.Size, deliver: deliver, pkt: pkt}
+	return r
 }
 
 // ioLoop is the io_done thread's work loop, §2.2 style: drain the
@@ -318,10 +350,20 @@ func (s *Subsystem) PostCompletion(r *Request) {
 // Transfers control.
 func (s *Subsystem) ioLoop(e *core.Env) {
 	k := s.K
-	for len(s.completions) > 0 {
-		r := s.completions[0]
-		s.completions = s.completions[1:]
+	for s.completions.size() > 0 {
+		r := s.completions.pop()
+		if k.DebugChecks && r.recycled {
+			panic("dev: rx completion processed after it was recycled")
+		}
 		e.Charge(ioDoneCost)
+		if r.deliver != nil {
+			// An rx completion has no waiter: hand the packet over and
+			// recycle the completion.
+			r.deliver(e, r.pkt)
+			*r = Request{recycled: true}
+			s.rxFree = append(s.rxFree, r)
+			continue
+		}
 		if r.Complete != nil {
 			r.Complete(e)
 		}
@@ -338,7 +380,7 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 		}
 		if k.CanHandoff() && r.Expect != nil && w.BlockedWith(r.Expect) && !w.HasStack() {
 			t := e.Cur()
-			if len(s.completions) > 0 {
+			if s.completions.size() > 0 {
 				// More completions pending: stay runnable and continue the
 				// loop when rescheduled.
 				e.K.SetState(t, core.StateRunnable)
@@ -367,8 +409,7 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 	t := e.Cur()
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "io_done: idle"
-	k.Block(e, stats.BlockInternal, s.ContIoDone,
-		func(e2 *core.Env) { s.ioLoop(e2) }, 256, "io-done-wait")
+	k.Block(e, stats.BlockInternal, s.ContIoDone, s.ioLoopPM, 256, "io-done-wait")
 }
 
 // DeviceRead is the device_read syscall body: submit a read request and

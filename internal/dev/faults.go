@@ -130,13 +130,13 @@ func (s *Subsystem) waitedOn(t *core.Thread) *Request {
 		if d.inflight != nil && d.inflight.Waiter == t {
 			return d.inflight
 		}
-		for _, r := range d.queue {
+		for _, r := range d.queue.live() {
 			if r.Waiter == t {
 				return r
 			}
 		}
 	}
-	for _, r := range s.completions {
+	for _, r := range s.completions.live() {
 		if r.Waiter == t {
 			return r
 		}
@@ -169,9 +169,9 @@ func (s *Subsystem) Residue(t *core.Thread) int {
 // service, or completed but not yet processed by the io_done thread.
 // The crash panic record captures it.
 func (s *Subsystem) PendingIO() int {
-	n := len(s.completions)
+	n := s.completions.size()
 	for _, d := range s.devices {
-		n += len(d.queue)
+		n += d.queue.size()
 		if d.inflight != nil {
 			n++
 		}
@@ -210,13 +210,13 @@ func (s *Subsystem) checkInvariants() error {
 				return err
 			}
 		}
-		for _, r := range d.queue {
+		for _, r := range d.queue.live() {
 			if err := check(r, d.Name+" queue"); err != nil {
 				return err
 			}
 		}
 	}
-	for _, r := range s.completions {
+	for _, r := range s.completions.live() {
 		if err := check(r, "completion"); err != nil {
 			return err
 		}

@@ -125,6 +125,14 @@ type NIC struct {
 	rxLabel    string
 	rxDupLabel string
 
+	// onArrive (the arrival events' action), rxIntr (the rx interrupt
+	// handler) and its label are bound at this NIC's first arrival
+	// instead of at boot. rxPkt hands the arriving packet to rxIntr.
+	onArrive    func(any)
+	rxIntr      func(*core.Env)
+	rxIntrLabel string
+	rxPkt       *Packet
+
 	// handler consumes received packets in io_done context; the netmsg
 	// thread installs itself here.
 	handler func(e *core.Env, pkt *Packet)
@@ -301,8 +309,20 @@ func (n *NIC) deliverAt(at machine.Time, label string, pkt *Packet) {
 		n.pending = append(n.pending, wireDelivery{at: at, key: key, label: label, pkt: pkt})
 		return
 	}
-	peer.Sub.K.Clock.ScheduleRemote(at, key, label, func() { peer.receive(pkt) })
+	peer.Sub.K.Clock.ScheduleRemote(at, key, label, peer.arrival(), pkt)
 }
+
+// arrival returns the action of an arrival event on this NIC, bound at
+// the first packet sent to it.
+func (n *NIC) arrival() func(any) {
+	if n.onArrive == nil {
+		n.onArrive = n.arrive
+	}
+	return n.onArrive
+}
+
+// arrive is an arrival event firing on this NIC's machine.
+func (n *NIC) arrive(pkt any) { n.receive(pkt.(*Packet)) }
 
 // SetDeferred switches the NIC between immediate delivery (scheduling on
 // the peer's clock from the sender's context) and deferred delivery
@@ -314,10 +334,10 @@ func (n *NIC) SetDeferred(on bool) { n.deferOn = on }
 // round's barrier.
 func (n *NIC) FlushDeferred() int {
 	cnt := len(n.pending)
+	peer := n.peer
 	for i := range n.pending {
 		d := n.pending[i]
-		peer, pkt := n.peer, d.pkt
-		peer.Sub.K.Clock.ScheduleRemote(d.at, d.key, d.label, func() { peer.receive(pkt) })
+		peer.Sub.K.Clock.ScheduleRemote(d.at, d.key, d.label, peer.arrival(), d.pkt)
 		n.pending[i] = wireDelivery{}
 	}
 	n.pending = n.pending[:0]
@@ -377,22 +397,29 @@ func (n *NIC) receive(pkt *Packet) {
 		n.RxWhileDown++
 		return
 	}
+	if n.rxIntr == nil {
+		n.rxIntr = n.rxInterrupt
+		n.rxIntrLabel = n.Name + " rx"
+	}
+	n.rxPkt = pkt
+	n.Sub.K.TakeInterrupt(n.rxIntrLabel, n.rxIntr)
+}
+
+// rxInterrupt is the rx interrupt handler: acknowledge the controller,
+// take the packet receive left in rxPkt, and post it to io_done in a
+// recycled rx completion.
+func (n *NIC) rxInterrupt(e *core.Env) {
+	pkt := n.rxPkt
+	n.rxPkt = nil
 	s := n.Sub
-	s.K.TakeInterrupt(n.Name+" rx", func(e *core.Env) {
-		e.Charge(nicRxHandlerCost)
-		s.noteHandlerWork(nicRxHandlerCost)
-		n.Interrupts++
-		n.RxPackets++
-		h := n.handler
-		if h == nil {
-			return // no netmsg thread: drop
-		}
-		s.PostCompletion(&Request{
-			Label:    "nic-rx",
-			Bytes:    pkt.Size,
-			Complete: func(e2 *core.Env) { h(e2, pkt) },
-		})
-	})
+	e.Charge(nicRxHandlerCost)
+	s.noteHandlerWork(nicRxHandlerCost)
+	n.Interrupts++
+	n.RxPackets++
+	if n.handler == nil {
+		return // no netmsg thread: drop
+	}
+	s.PostCompletion(s.rxCompletion(n.handler, pkt))
 }
 
 // Netmsg is the in-kernel network message server: a per-machine internal
@@ -404,9 +431,11 @@ type Netmsg struct {
 	NIC *NIC
 
 	// Thread is the forwarding thread; cont is its work-loop continuation
-	// ("netmsg_continue").
+	// ("netmsg_continue"), and loopPM the loop as a process-model resume
+	// step (nil in a continuation kernel, whose Block never reads one).
 	Thread *core.Thread
 	cont   *core.Continuation
+	loopPM func(*core.Env)
 
 	// exported maps wire names to local ports that remote machines may
 	// send to; exportedBy is the reverse map for reply-port auto-export.
@@ -417,7 +446,7 @@ type Netmsg struct {
 	// transmits a packet.
 	proxies map[string]*ipc.Port
 
-	inbox    []*Packet
+	inbox    fifo[*Packet]
 	replySeq int
 
 	// Reliable enables the seq/ack protocol: every forwarded data packet
@@ -435,7 +464,7 @@ type Netmsg struct {
 	seq     uint64                 // last data sequence number assigned
 	unacked map[uint64]*unackedPkt // awaiting acknowledgement, by seq
 	seen    map[uint64]bool        // peer data seqs already delivered
-	outbox  []*Packet              // retransmissions queued by timers
+	outbox  fifo[*Packet]          // retransmissions queued by timers
 
 	// Membership state (crash recovery). Inc is this machine's boot
 	// incarnation, stamped into every transmitted packet; peerInc is the
@@ -508,9 +537,8 @@ func NewNetmsg(s *Subsystem, x *ipc.IPC, nic *NIC) *Netmsg {
 	n.unacked = make(map[uint64]*unackedPkt)
 	n.seen = make(map[uint64]bool)
 	n.cont = core.NewContinuation("netmsg_continue", n.loop)
-	var pm func(*core.Env)
 	if !s.K.UseContinuations {
-		pm = n.loop
+		n.loopPM = n.loop
 	}
 	name := "netmsg"
 	if nic.index > 0 {
@@ -522,7 +550,7 @@ func NewNetmsg(s *Subsystem, x *ipc.IPC, nic *NIC) *Netmsg {
 		Internal: true,
 		Priority: 29,
 		Start:    n.cont,
-		StartPM:  pm,
+		StartPM:  n.loopPM,
 	})
 	nic.handler = n.takePacket
 	return n
@@ -558,7 +586,7 @@ func (n *Netmsg) ProxyFor(remote string) *ipc.Port {
 	p := n.proxies[remote]
 	if p == nil {
 		p = n.X.NewPort("proxy:" + remote)
-		p.KernelSink = func(e *core.Env, msg *ipc.Message, opts *ipc.MsgOptions) {
+		p.KernelSink = func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {
 			n.forwardSink(e, remote, msg, opts)
 		}
 		n.proxies[remote] = p
@@ -569,7 +597,7 @@ func (n *Netmsg) ProxyFor(remote string) *ipc.Port {
 // forwardSink processes a send to a proxy port in the sender's kernel
 // context: transmit the packet, then continue the sender's mach_msg.
 // Transfers control.
-func (n *Netmsg) forwardSink(e *core.Env, remote string, msg *ipc.Message, opts *ipc.MsgOptions) {
+func (n *Netmsg) forwardSink(e *core.Env, remote string, msg *ipc.Message, opts ipc.MsgOptions) {
 	replyName := ""
 	if msg.Reply != nil {
 		replyName = n.exportName(msg.Reply)
@@ -657,7 +685,7 @@ func (n *Netmsg) AnnounceIncarnation() {
 		pkt.Seq = n.seq
 		n.track(pkt)
 	}
-	n.outbox = append(n.outbox, pkt)
+	n.outbox.push(pkt)
 	if n.Thread.State() == core.StateWaiting {
 		n.Sub.K.Setrun(n.Thread)
 	}
@@ -734,7 +762,7 @@ func (n *Netmsg) armRexmit(u *unackedPkt) {
 			n.Lost++
 			return
 		}
-		n.outbox = append(n.outbox, u.pkt)
+		n.outbox.push(u.pkt)
 		if n.Thread.State() == core.StateWaiting {
 			n.Sub.K.Setrun(n.Thread)
 		}
@@ -743,13 +771,13 @@ func (n *Netmsg) armRexmit(u *unackedPkt) {
 }
 
 // takePacket runs in io_done context when an rx completion is processed:
-// queue the packet and wake the netmsg thread. The completion carries the
-// netmsg thread as its waiter, so in the continuation kernel the io_done
-// thread's stack is handed straight here and loop runs by recognition.
+// queue the packet and wake the netmsg thread. When io_done then blocks,
+// the continuation kernel hands its stack straight to the netmsg thread,
+// which runs loop as its continuation.
 func (n *Netmsg) takePacket(e *core.Env, pkt *Packet) {
-	n.inbox = append(n.inbox, pkt)
-	if len(n.inbox) > n.InboxHighWater {
-		n.InboxHighWater = len(n.inbox)
+	n.inbox.push(pkt)
+	if n.inbox.size() > n.InboxHighWater {
+		n.InboxHighWater = n.inbox.size()
 	}
 	if n.Thread.State() == core.StateWaiting {
 		n.Sub.K.Setrun(n.Thread)
@@ -760,12 +788,11 @@ func (n *Netmsg) takePacket(e *core.Env, pkt *Packet) {
 // packet, then block with this same continuation. Transfers control.
 func (n *Netmsg) loop(e *core.Env) {
 	k := n.Sub.K
-	for len(n.inbox) > 0 || len(n.outbox) > 0 {
+	for n.inbox.size() > 0 || n.outbox.size() > 0 {
 		// Retransmissions and heartbeats queued by timers and the reboot
 		// path go out first.
-		for len(n.outbox) > 0 {
-			pkt := n.outbox[0]
-			n.outbox = n.outbox[1:]
+		for n.outbox.size() > 0 {
+			pkt := n.outbox.pop()
 			if pkt.Heartbeat {
 				n.HeartbeatsTx++
 				if r := n.Sub.K.Obs; r != nil {
@@ -788,11 +815,10 @@ func (n *Netmsg) loop(e *core.Env) {
 			}
 			n.NIC.Transmit(e, pkt)
 		}
-		if len(n.inbox) == 0 {
+		if n.inbox.size() == 0 {
 			break
 		}
-		pkt := n.inbox[0]
-		n.inbox = n.inbox[1:]
+		pkt := n.inbox.pop()
 		e.Charge(netmsgDemuxCost)
 		n.deliver(e, pkt)
 		if e.Transferred() {
@@ -802,8 +828,7 @@ func (n *Netmsg) loop(e *core.Env) {
 	t := e.Cur()
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "netmsg: idle"
-	k.Block(e, stats.BlockInternal, n.cont,
-		func(e2 *core.Env) { n.loop(e2) }, 256, "netmsg-wait")
+	k.Block(e, stats.BlockInternal, n.cont, n.loopPM, 256, "netmsg-wait")
 }
 
 // deliver hands an arriving packet to its local port. When a receiver is
@@ -877,7 +902,7 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 	if recv != nil && recv.Cont != nil && !recv.HasStack() && k.CanHandoff() {
 		n.X.DeliverTo(e, recv, msg)
 		t := e.Cur()
-		if len(n.inbox) > 0 || len(n.outbox) > 0 {
+		if n.inbox.size() > 0 || n.outbox.size() > 0 {
 			e.K.SetState(t, core.StateRunnable)
 		} else {
 			e.K.SetState(t, core.StateWaiting)

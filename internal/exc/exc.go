@@ -114,7 +114,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 	if ports.reply == nil {
 		// The kernel is the reply port's receiver: its sink restarts t.
 		ports.reply = ex.X.NewPort(fmt.Sprintf("exc-reply-%d", t.ID))
-		ports.reply.KernelSink = func(e *core.Env, msg *ipc.Message, opts *ipc.MsgOptions) {
+		ports.reply.KernelSink = func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {
 			ex.replySink(e, t, msg, opts)
 		}
 		ex.threads[t.ID] = ports
@@ -187,7 +187,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 // replySink processes the server's reply send in the server's kernel
 // context: the kernel is the receiver, so no copyout or queueing happens;
 // the faulting thread is restarted. Transfers control.
-func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, opts *ipc.MsgOptions) {
+func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, opts ipc.MsgOptions) {
 	k := ex.K
 	e.Charge(replyCost)
 	server := e.Cur()

@@ -167,10 +167,11 @@ type Port struct {
 	set *PortSet
 
 	// KernelSink marks a port whose receiver is the kernel itself (the
-	// reply port of an exception RPC). A send to such a port invokes the
-	// sink in the sender's context instead of queueing; the sink must be
-	// transfer control before returning.
-	KernelSink func(e *core.Env, msg *Message, opts *MsgOptions)
+	// reply port of an exception RPC, a netmsg proxy). A send to such a
+	// port invokes the sink in the sender's context instead of queueing,
+	// with the sender's options by value; the sink must transfer control
+	// before returning.
+	KernelSink func(e *core.Env, msg *Message, opts MsgOptions)
 
 	// lastReceiver is the thread that most recently registered to receive
 	// on (or pulled a message from) this port — the port's presumed owner.
@@ -700,10 +701,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	}
 
 	if dest.KernelSink != nil {
-		// Copy before taking the address: &opts would make every send heap-
-		// allocate its options, sink or no sink.
-		o := opts
-		dest.KernelSink(e, msg, &o)
+		dest.KernelSink(e, msg, opts)
 		if !e.Transferred() {
 			panic("ipc: kernel sink returned instead of transferring control")
 		}

@@ -29,7 +29,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 func TestKernelSinkMustTransfer(t *testing.T) {
 	k, x := newIPCKernel(t, ipc.StyleMK40)
 	sink := x.NewPort("sink")
-	sink.KernelSink = func(e *core.Env, msg *ipc.Message, opts *ipc.MsgOptions) {}
+	sink.KernelSink = func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {}
 	prog := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
 		return core.Syscall("send", func(e *core.Env) {
 			x.MachMsg(e, ipc.MsgOptions{Send: x.NewMessage(1, ipc.HeaderBytes, nil, nil), SendTo: sink})

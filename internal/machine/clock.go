@@ -26,7 +26,8 @@ type Duration = Time
 type Event struct {
 	When Time
 	// Fire runs when the clock reaches When. It executes in dispatcher
-	// context (not on any thread's stack).
+	// context (not on any thread's stack). A wire arrival has none; it
+	// runs arrive instead.
 	Fire func()
 	// Label describes the event for traces.
 	Label string
@@ -35,12 +36,24 @@ type Event struct {
 	// alive.
 	Background bool
 
+	// arrive and arg are a wire arrival's action (ScheduleRemote).
+	arrive func(any)
+	arg    any
+
 	seq   uint64 // tiebreaker for determinism
-	index int    // heap bookkeeping; -1 once fired or cancelled
+	index int    // heap bookkeeping; negative once out of the heap
 }
 
+// Negative Event.index values: popped (fired or about to be), cancelled,
+// and an arrival back on its clock's free list.
+const (
+	indexPopped    = -1
+	indexCancelled = -2
+	indexRecycled  = -3
+)
+
 // Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
+func (e *Event) Cancelled() bool { return e.index == indexCancelled }
 
 // Pending reports whether the event is still queued (neither fired nor
 // cancelled). The invariant checker uses it to prove that cancelled
@@ -71,7 +84,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
+	e.index = indexPopped
 	*h = old[:n-1]
 	return e
 }
@@ -91,6 +104,11 @@ type Clock struct {
 	// idempotent; it is not called for plain time advances, which only
 	// ever lower-bound activity conservatively.
 	watcher func()
+
+	// free holds fired wire arrivals for ScheduleRemote to reuse. Only
+	// this machine's own context touches it: the barrier flush schedules
+	// single-threaded, and the machine's own round fires and frees.
+	free []*Event
 }
 
 // NewClock returns a clock at time zero.
@@ -148,16 +166,43 @@ func (c *Clock) Schedule(when Time, label string, fn func()) *Event {
 // out about the arrival first.
 const remoteBand = uint64(1) << 63
 
-// ScheduleRemote registers an event originating on another machine. key
-// must be unique among pending remote events and deterministic for the
-// packet it represents (the cluster drivers build it from the receiving
-// NIC's index and the sender's emission counter).
-func (c *Clock) ScheduleRemote(when Time, key uint64, label string, fn func()) *Event {
-	e := &Event{When: when, Fire: fn, Label: label, seq: remoteBand | key}
+// ScheduleRemote registers a wire arrival from another machine: fn runs
+// with arg when it fires. key must be unique among pending remote events
+// and deterministic for the packet it represents (the cluster drivers
+// build it from the receiving NIC's index and the sender's emission
+// counter). The event comes from the clock's free list and goes back to
+// it once Fire has run it, so no handle is returned: nothing may cancel
+// an arrival or keep it past its firing. A crash cannot recall one
+// either (PurgeLocal keeps them).
+func (c *Clock) ScheduleRemote(when Time, key uint64, label string, fn func(any), arg any) {
+	var e *Event
+	if n := len(c.free); n > 0 {
+		e = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		e = new(Event)
+	}
+	*e = Event{When: when, Label: label, arrive: fn, arg: arg, seq: remoteBand | key}
 	heap.Push(&c.events, e)
 	c.foreground++
 	c.notify()
-	return e
+}
+
+// Fire runs an event the caller popped (PopDue, AdvanceToNextEvent). A
+// wire arrival returns to the clock's free list once it has run. With
+// checks set (the kernel's DebugChecks), firing an event that is already
+// back on the free list panics.
+func (c *Clock) Fire(e *Event, checks bool) {
+	if checks && e.index == indexRecycled {
+		panic("machine: wire arrival fired after it was recycled")
+	}
+	if e.arrive == nil {
+		e.Fire()
+		return
+	}
+	e.arrive(e.arg)
+	*e = Event{index: indexRecycled}
+	c.free = append(c.free, e)
 }
 
 // After registers fn to fire d nanoseconds from now.
@@ -186,7 +231,7 @@ func (c *Clock) Cancel(e *Event) bool {
 		return false
 	}
 	heap.Remove(&c.events, e.index)
-	e.index = -2
+	e.index = indexCancelled
 	if !e.Background {
 		c.foreground--
 	}
@@ -252,7 +297,7 @@ func (c *Clock) PurgeLocal() int {
 			kept = append(kept, e)
 			continue
 		}
-		e.index = -2
+		e.index = indexCancelled
 		if !e.Background {
 			c.foreground--
 		}

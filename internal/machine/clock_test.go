@@ -209,8 +209,9 @@ func TestPurgeLocalKeepsWireEvents(t *testing.T) {
 	var fired []string
 	c.Schedule(10, "local-a", func() { fired = append(fired, "local-a") })
 	c.AfterBackground(20, "tick", func() { fired = append(fired, "tick") })
-	c.ScheduleRemote(15, 1, "wire-1", func() { fired = append(fired, "wire-1") })
-	c.ScheduleRemote(15, 2, "wire-2", func() { fired = append(fired, "wire-2") })
+	arrive := func(label any) { fired = append(fired, label.(string)) }
+	c.ScheduleRemote(15, 1, "wire-1", arrive, "wire-1")
+	c.ScheduleRemote(15, 2, "wire-2", arrive, "wire-2")
 	c.Schedule(30, "local-b", func() { fired = append(fired, "local-b") })
 
 	if purged := c.PurgeLocal(); purged != 3 {
@@ -223,7 +224,7 @@ func TestPurgeLocalKeepsWireEvents(t *testing.T) {
 		t.Fatal("wire arrivals must remain foreground")
 	}
 	for ev := c.AdvanceToNextEvent(); ev != nil; ev = c.AdvanceToNextEvent() {
-		ev.Fire()
+		c.Fire(ev, true)
 	}
 	if len(fired) != 2 || fired[0] != "wire-1" || fired[1] != "wire-2" {
 		t.Fatalf("fired %v, want the wire events in key order", fired)
@@ -255,4 +256,182 @@ func TestPurgeLocalCancelledEventsStayDead(t *testing.T) {
 	if ran {
 		t.Fatal("purged event fired")
 	}
+}
+
+// refEvent is one pending event of refClock.
+type refEvent struct {
+	when  Time
+	seq   uint64
+	label string
+	local *Event // the real clock's handle, for Cancel
+}
+
+// refClock is the reference the recycling clock is checked against: a
+// plain list of pending events that never reuses one, popped in (when,
+// tie-break) order with the real clock's tie-break rule.
+type refClock struct {
+	pending []refEvent
+	seq     uint64
+}
+
+func (r *refClock) schedule(when Time, label string, local *Event) {
+	r.pending = append(r.pending, refEvent{when: when, seq: r.seq, label: label, local: local})
+	r.seq++
+}
+
+func (r *refClock) remote(when Time, key uint64, label string) {
+	r.pending = append(r.pending, refEvent{when: when, seq: remoteBand | key, label: label})
+}
+
+func (r *refClock) cancel(e *Event) bool {
+	for i, p := range r.pending {
+		if p.local == e {
+			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refClock) purgeLocal() int {
+	kept := r.pending[:0]
+	for _, p := range r.pending {
+		if p.seq&remoteBand != 0 {
+			kept = append(kept, p)
+		}
+	}
+	n := len(r.pending) - len(kept)
+	r.pending = kept
+	return n
+}
+
+func (r *refClock) pop() (refEvent, bool) {
+	if len(r.pending) == 0 {
+		return refEvent{}, false
+	}
+	min := 0
+	for i, p := range r.pending {
+		q := r.pending[min]
+		if p.when < q.when || (p.when == q.when && p.seq < q.seq) {
+			min = i
+		}
+	}
+	p := r.pending[min]
+	r.pending = append(r.pending[:min], r.pending[min+1:]...)
+	return p, true
+}
+
+// TestRecycledArrivalsFireInReferenceOrder mixes wire arrivals, which
+// the clock recycles, with local Schedule, Cancel and PurgeLocal over
+// seeded random sequences, and requires every event to fire in the
+// order of a reference clock that never recycles. Some arrivals schedule
+// another while they fire, before their own event is freed.
+func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
+	reused := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewClock()
+		ref := &refClock{}
+		var fired []string
+		var handles []*Event
+		seen := make(map[*Event]bool)
+		key := uint64(0)
+		var remote func(label string)
+		arrive := func(arg any) {
+			label := arg.(string)
+			fired = append(fired, label)
+			if rng.Intn(4) == 0 {
+				remote(label + "+")
+			}
+		}
+		remote = func(label string) {
+			key++
+			k := uint64(rng.Intn(8))<<32 | key
+			when := c.Now() + Time(rng.Intn(50))
+			c.ScheduleRemote(when, k, label, arrive, label)
+			ref.remote(when, k, label)
+		}
+		for op := 0; op < 400; op++ {
+			label := string(rune('a'+op%26)) + "." + string(rune('0'+op/26%10)) + "." + string(rune('0'+op/260))
+			switch x := rng.Intn(10); {
+			case x < 3:
+				when := c.Now() + Time(rng.Intn(50))
+				e := c.Schedule(when, label, func() { fired = append(fired, label) })
+				ref.schedule(when, label, e)
+				handles = append(handles, e)
+			case x < 6:
+				remote(label)
+			case x < 7 && len(handles) > 0:
+				e := handles[rng.Intn(len(handles))]
+				if got, want := c.Cancel(e), ref.cancel(e); got != want {
+					t.Fatalf("seed %d: Cancel(%s) = %v, reference %v", seed, e.Label, got, want)
+				}
+			case x < 8 && rng.Intn(4) == 0:
+				if got, want := c.PurgeLocal(), ref.purgeLocal(); got != want {
+					t.Fatalf("seed %d: PurgeLocal removed %d, reference %d", seed, got, want)
+				}
+			default:
+				for n := rng.Intn(4); n >= 0; n-- {
+					ev := c.AdvanceToNextEvent()
+					want, ok := ref.pop()
+					if (ev != nil) != ok {
+						t.Fatalf("seed %d: clock popped %v, reference has an event: %v", seed, ev != nil, ok)
+					}
+					if ev == nil {
+						break
+					}
+					if ev.When != want.when || ev.Label != want.label {
+						t.Fatalf("seed %d: popped %s@%d, reference %s@%d", seed, ev.Label, ev.When, want.label, want.when)
+					}
+					if ev.Fire == nil {
+						if seen[ev] {
+							reused++
+						}
+						seen[ev] = true
+					}
+					c.Fire(ev, true)
+					if got := fired[len(fired)-1]; got != want.label {
+						t.Fatalf("seed %d: fired %s, reference %s", seed, got, want.label)
+					}
+				}
+			}
+		}
+		for ev := c.AdvanceToNextEvent(); ev != nil; ev = c.AdvanceToNextEvent() {
+			want, _ := ref.pop()
+			if ev.Label != want.label {
+				t.Fatalf("seed %d: drained %s, reference %s", seed, ev.Label, want.label)
+			}
+			c.Fire(ev, true)
+		}
+		if len(ref.pending) != 0 || c.HasForeground() {
+			t.Fatalf("seed %d: %d reference events left, clock foreground %v", seed, len(ref.pending), c.HasForeground())
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no arrival event was ever reused")
+	}
+}
+
+// TestArrivalFiredAfterRecyclingPanics pins the checked clock's guard: an
+// arrival event fired a second time, after Fire returned it to the free
+// list, panics by name. Unchecked, Fire does not look.
+func TestArrivalFiredAfterRecyclingPanics(t *testing.T) {
+	c := NewClock()
+	n := 0
+	c.ScheduleRemote(5, 1, "wire", func(any) { n++ }, nil)
+	ev := c.AdvanceToNextEvent()
+	c.Fire(ev, true)
+	if n != 1 {
+		t.Fatalf("arrival ran %d times, want 1", n)
+	}
+	defer func() {
+		const want = "machine: wire arrival fired after it was recycled"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+		if n != 1 {
+			t.Fatalf("recycled arrival ran again (%d runs)", n)
+		}
+	}()
+	c.Fire(ev, true)
 }
