@@ -317,6 +317,31 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperRPCSteadyState measures the paper workloads' own message
+// path: one dispatcher step of a warmed-up MK40 workload.Client ↔
+// workload.Server pair issuing only RPCs between CPU bursts. Both
+// programs build their syscalls once and recycle every message, so
+// steady state must report 0 allocs/op — CI fails if an allocation
+// creeps back in.
+func BenchmarkPaperRPCSteadyState(b *testing.B) {
+	sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true})
+	svc := sys.IPC.NewPort("service")
+	sys.Start(sys.NewTask("server").NewThread("svc", workload.NewServer(sys, svc, 2_000), 20))
+	spec := workload.ClientSpec{Name: "cli", MeanBurstCycles: 5_000, Weights: workload.OpWeights{RPC: 1}}
+	cli := workload.NewClient(sys, spec, svc, sys.IPC.NewPort("reply"), workload.NewRNG(1))
+	sys.Start(sys.NewTask("client").NewThread("cli", cli, 10))
+	for i := 0; i < 2000; i++ {
+		if !sys.K.Step() {
+			b.Fatal("paper RPC pair quiesced during warmup")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.K.Step()
+	}
+}
+
 // BenchmarkClusterRound measures the allocation behavior of the cluster
 // driver itself: two connected machines, each running a warmed-up local
 // fast-RPC ping-pong, one horizon round per op. The activity heap, wire

@@ -298,10 +298,12 @@ type ThreadSpec struct {
 	// Start is the continuation a continuation-kernel thread begins
 	// with; defaults to thread_start (enter user mode and run Program).
 	// Kernel service threads supply their work-loop continuation here.
+	// A process-model kernel runs its body from the thread's start frame.
 	Start *Continuation
 
-	// StartPM is the process-model start step, used when the kernel does
-	// not use continuations (or the thread cannot start via one).
+	// StartPM, when set, gives the thread a dedicated stack holding this
+	// start step in every kernel: the thread cannot start via a
+	// continuation. Its one user is the callout thread (§3.4).
 	StartPM func(*Env)
 }
 
@@ -658,14 +660,20 @@ func (k *Kernel) CanHandoff() bool { return k.UseContinuations && !k.NoHandoff }
 // continuations and cont is non-nil, the thread blocks in the interrupt
 // style (stack discarded or handed off). Otherwise it blocks under the
 // process model, preserving its stack, and resumes at resume (which
-// occupies frameBytes of stack). Transfers control: the caller returns
-// at once.
+// occupies frameBytes of stack). A nil resume means the rest of the
+// blocking path is cont's own body, the rule NewThread applies to a
+// thread's Start: MK32 and Mach 2.5 run on the retained stack the code
+// MK40 calls on a fresh or handed-off one. Transfers control: the caller
+// returns at once.
 //
 // Callers set the thread's state before blocking: StateWaiting to sleep
 // on an event, StateRunnable to yield the processor but stay eligible.
 func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, resume func(*Env), frameBytes int, label string) {
 	old := e.Cur()
 	if !k.UseContinuations {
+		if resume == nil && cont != nil {
+			resume = cont.fn
+		}
 		cont = nil
 	}
 	if cont == nil && resume == nil {
@@ -1030,7 +1038,11 @@ func (k *Kernel) userStep(e *Env) {
 			panic(fmt.Sprintf("core: syscall %q handler returned instead of transferring control", act.Name))
 		}
 	case ActFault:
-		k.KernelEntry(e, ReturnException, fmt.Sprintf("page fault @%#x", act.Addr))
+		label := ""
+		if r := k.Obs; r != nil && r.Retains() {
+			label = fmt.Sprintf("page fault @%#x", act.Addr)
+		}
+		k.KernelEntry(e, ReturnException, label)
 		if k.HandleFault == nil {
 			panic("core: no fault handler installed")
 		}
@@ -1039,7 +1051,11 @@ func (k *Kernel) userStep(e *Env) {
 			panic("core: fault handler returned instead of transferring control")
 		}
 	case ActException:
-		k.KernelEntry(e, ReturnException, fmt.Sprintf("exception %d", act.Code))
+		label := ""
+		if r := k.Obs; r != nil && r.Retains() {
+			label = "exception " + strconv.Itoa(act.Code)
+		}
+		k.KernelEntry(e, ReturnException, label)
 		if k.HandleException == nil {
 			panic("core: no exception handler installed")
 		}
@@ -1053,8 +1069,7 @@ func (k *Kernel) userStep(e *Env) {
 		// continuation.
 		k.KernelEntry(e, ReturnException, "thread_switch")
 		k.SetState(t, StateRunnable)
-		k.Block(e, stats.BlockThreadSwitch, ContThreadExceptionReturn,
-			resumeExceptionReturn, 96, "thread_switch")
+		k.Block(e, stats.BlockThreadSwitch, ContThreadExceptionReturn, nil, 96, "thread_switch")
 	case ActExit:
 		k.KernelEntry(e, ReturnSyscall, "thread_exit")
 		k.Halt(e)
@@ -1062,11 +1077,6 @@ func (k *Kernel) userStep(e *Env) {
 		panic(fmt.Sprintf("core: unknown action kind %v", act.Kind))
 	}
 }
-
-// resumeExceptionReturn is the process-model counterpart of
-// ContThreadExceptionReturn. It captures nothing, so passing it to Block
-// does not allocate the way an inline closure over k would.
-func resumeExceptionReturn(e *Env) { e.K.ThreadExceptionReturn(e) }
 
 // ContThreadExceptionReturn resumes a thread straight out to user space;
 // it is the continuation preempted and yielding threads block with. It is
@@ -1140,8 +1150,7 @@ func (k *Kernel) burnUser(t *Thread, d machine.Duration) {
 func (k *Kernel) preemptNow(e *Env, t *Thread, label string) {
 	k.KernelEntry(e, ReturnException, label)
 	k.SetState(t, StateRunnable)
-	k.Block(e, stats.BlockPreempt, ContThreadExceptionReturn,
-		resumeExceptionReturn, 96, "preempt")
+	k.Block(e, stats.BlockPreempt, ContThreadExceptionReturn, nil, 96, "preempt")
 }
 
 // ---------------------------------------------------------------------

@@ -566,9 +566,9 @@ func TestBlockNeitherStylePanics(t *testing.T) {
 		core.Syscall("bad", func(e *core.Env) {
 			th := e.Cur()
 			e.K.SetState(th, core.StateWaiting)
-			// No continuation is honoured in a process-model kernel and
-			// no resume step is given: impossible block.
-			e.K.Block(e, stats.BlockInternal, sleepDone, nil, 0, "")
+			// Neither a continuation nor a resume step: nowhere to
+			// resume, the one impossible block.
+			e.K.Block(e, stats.BlockInternal, nil, nil, 0, "")
 		}),
 	}}
 	th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
@@ -579,6 +579,66 @@ func TestBlockNeitherStylePanics(t *testing.T) {
 		}
 	}()
 	k.Run(0)
+}
+
+// TestProcessModelBlockResumesAtContinuationBody pins Block's nil-resume
+// rule: on a process-model kernel a block with a continuation and no
+// resume step keeps the thread's stack, preserves one frame on it,
+// counts a no-discard block and a context switch, and resumes at the
+// continuation's own body on that same stack.
+func TestProcessModelBlockResumesAtContinuationBody(t *testing.T) {
+	k := newKernel(t, false, 1)
+	var held, ranOn *machine.Stack
+	body := core.NewContinuation("probe_done", func(e *core.Env) {
+		ranOn = e.Cur().Stack
+		e.K.ThreadSyscallReturn(e, 7)
+	})
+	prog := &script{actions: []core.Action{
+		core.Syscall("probe", func(e *core.Env) {
+			th := e.Cur()
+			e.K.SetState(th, core.StateWaiting)
+			e.K.Clock.After(10*1000*1000, "probe-wakeup", func() { e.K.Setrun(th) })
+			held = th.Stack
+			e.K.Block(e, stats.BlockInternal, body, nil, 80, "probe-wait")
+		}),
+	}}
+	sleeper := k.NewThread(core.ThreadSpec{Name: "sleeper", SpaceID: 1, Program: prog})
+	other := k.NewThread(core.ThreadSpec{Name: "other", SpaceID: 2,
+		Program: &script{actions: []core.Action{core.RunFor(1000)}}})
+	k.Setrun(sleeper)
+	k.Setrun(other)
+
+	for i := 0; i < 100 && sleeper.State() != core.StateWaiting; i++ {
+		if !k.Step() {
+			break
+		}
+	}
+	if sleeper.State() != core.StateWaiting {
+		t.Fatalf("sleeper state = %v", sleeper.State())
+	}
+	if sleeper.Stack == nil || sleeper.Stack != held || sleeper.Cont != nil {
+		t.Fatalf("sleeper blocked with stack %v (held %v), continuation %v", sleeper.Stack, held, sleeper.Cont)
+	}
+	if n, used := sleeper.Stack.FrameCount(), sleeper.Stack.Used(); n != 1 || used != 80 {
+		t.Fatalf("retained stack holds %d frame(s), %d bytes; want 1 frame of 80 bytes", n, used)
+	}
+	if nd, d, cs := k.Stats.TotalNoDiscards(), k.Stats.TotalDiscards(), k.Stats.ContextSwitches; nd != 1 || d != 0 || cs != 1 {
+		t.Fatalf("no-discard blocks %d, discards %d, context switches %d; want 1, 0, 1", nd, d, cs)
+	}
+
+	k.Run(0)
+	if sleeper.State() != core.StateHalted {
+		t.Fatalf("sleeper did not finish: %v", sleeper.State())
+	}
+	if ranOn != held {
+		t.Fatalf("continuation body ran on stack %v, want the retained %v", ranOn, held)
+	}
+	if len(prog.retvals) != 1 || prog.retvals[0] != 7 {
+		t.Fatalf("retvals = %v, want [7] from the continuation body", prog.retvals)
+	}
+	if k.Stats.ContinuationCalls != 0 {
+		t.Fatalf("process-model resume made %d continuation calls", k.Stats.ContinuationCalls)
+	}
 }
 
 func TestRunDeadline(t *testing.T) {

@@ -183,10 +183,6 @@ type Subsystem struct {
 	IoThread   *core.Thread
 	ContIoDone *core.Continuation
 
-	// ioLoopPM is the work loop as a process-model resume step, nil in a
-	// continuation kernel, whose Block never reads one.
-	ioLoopPM func(*core.Env)
-
 	// ContDeviceRead and ContDeviceWrite are what device_read/device_write
 	// callers block with; the io_done thread recognizes them.
 	ContDeviceRead  *core.Continuation
@@ -257,16 +253,12 @@ func NewSubsystem(k *core.Kernel) *Subsystem {
 	s.ContIoDone = core.NewContinuation("io_done_continue", s.ioLoop)
 	s.ContDeviceRead = core.NewContinuation("device_read_continue", s.deviceReadContinue)
 	s.ContDeviceWrite = core.NewContinuation("device_write_continue", s.deviceWriteContinue)
-	if !k.UseContinuations {
-		s.ioLoopPM = s.ioLoop
-	}
 	s.IoThread = k.NewThread(core.ThreadSpec{
 		Name:     "io-done",
 		SpaceID:  0,
 		Internal: true,
 		Priority: 29,
 		Start:    s.ContIoDone,
-		StartPM:  s.ioLoopPM,
 	})
 	return s
 }
@@ -409,7 +401,7 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 	t := e.Cur()
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "io_done: idle"
-	k.Block(e, stats.BlockInternal, s.ContIoDone, s.ioLoopPM, 256, "io-done-wait")
+	k.Block(e, stats.BlockInternal, s.ContIoDone, nil, 256, "io-done-wait")
 }
 
 // DeviceRead is the device_read syscall body: submit a read request and
@@ -427,8 +419,7 @@ func (s *Subsystem) DeviceRead(e *core.Env, d *Device, bytes int) {
 		func(e2 *core.Env) { s.deviceReadContinue(e2) })
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device_read: " + d.Name
-	s.K.Block(e, stats.BlockDeviceIO, s.ContDeviceRead,
-		func(e2 *core.Env) { s.deviceReadContinue(e2) }, 192, "device-read")
+	s.K.Block(e, stats.BlockDeviceIO, s.ContDeviceRead, nil, 192, "device-read")
 }
 
 // deviceReadContinue resumes a device_read once its data is in: copy the
@@ -459,8 +450,7 @@ func (s *Subsystem) DeviceWrite(e *core.Env, d *Device, bytes int) {
 		func(e2 *core.Env) { s.deviceWriteContinue(e2) })
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device_write: " + d.Name
-	s.K.Block(e, stats.BlockDeviceIO, s.ContDeviceWrite,
-		func(e2 *core.Env) { s.deviceWriteContinue(e2) }, 192, "device-write")
+	s.K.Block(e, stats.BlockDeviceIO, s.ContDeviceWrite, nil, 192, "device-write")
 }
 
 // deviceWriteContinue resumes a device_write: the data left with the

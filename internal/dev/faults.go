@@ -83,20 +83,20 @@ func (s *Subsystem) retryOrFail(e *core.Env, code uint64, cont *core.Continuatio
 	s.IoRetries++
 	backoff := s.IoRetryBackoff << uint(attempt-1)
 	label := "read"
-	resume := s.deviceReadContinue
+	inline := s.deviceReadContinue
 	if cont == s.ContDeviceWrite {
 		label = "write"
-		resume = s.deviceWriteContinue
+		inline = s.deviceWriteContinue
 	}
 	bytes := int(t.Scratch.Word(0))
 	ev := s.K.Clock.After(backoff, d.Name+"-io-retry", func() {
 		delete(s.pendingRetry, t.ID)
-		s.submitIO(t, d, label+"-retry", bytes, cont, resume)
+		s.submitIO(t, d, label+"-retry", bytes, cont, inline)
 	})
 	s.pendingRetry[t.ID] = ev
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device retry: " + d.Name
-	s.K.Block(e, stats.BlockDeviceIO, cont, resume, 192, "device-retry")
+	s.K.Block(e, stats.BlockDeviceIO, cont, nil, 192, "device-retry")
 }
 
 // AbortWaiter cancels t's pending device operation — whether the request

@@ -431,11 +431,9 @@ type Netmsg struct {
 	NIC *NIC
 
 	// Thread is the forwarding thread; cont is its work-loop continuation
-	// ("netmsg_continue"), and loopPM the loop as a process-model resume
-	// step (nil in a continuation kernel, whose Block never reads one).
+	// ("netmsg_continue").
 	Thread *core.Thread
 	cont   *core.Continuation
-	loopPM func(*core.Env)
 
 	// exported maps wire names to local ports that remote machines may
 	// send to; exportedBy is the reverse map for reply-port auto-export.
@@ -537,9 +535,6 @@ func NewNetmsg(s *Subsystem, x *ipc.IPC, nic *NIC) *Netmsg {
 	n.unacked = make(map[uint64]*unackedPkt)
 	n.seen = make(map[uint64]bool)
 	n.cont = core.NewContinuation("netmsg_continue", n.loop)
-	if !s.K.UseContinuations {
-		n.loopPM = n.loop
-	}
 	name := "netmsg"
 	if nic.index > 0 {
 		name = fmt.Sprintf("netmsg%d", nic.index)
@@ -550,7 +545,6 @@ func NewNetmsg(s *Subsystem, x *ipc.IPC, nic *NIC) *Netmsg {
 		Internal: true,
 		Priority: 29,
 		Start:    n.cont,
-		StartPM:  n.loopPM,
 	})
 	nic.handler = n.takePacket
 	return n
@@ -828,7 +822,7 @@ func (n *Netmsg) loop(e *core.Env) {
 	t := e.Cur()
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "netmsg: idle"
-	k.Block(e, stats.BlockInternal, n.cont, n.loopPM, 256, "netmsg-wait")
+	k.Block(e, stats.BlockInternal, n.cont, nil, 256, "netmsg-wait")
 }
 
 // deliver hands an arriving packet to its local port. When a receiver is

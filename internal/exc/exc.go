@@ -178,18 +178,17 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "exception reply"
-	k.Block(e, stats.BlockException, nil, func(e2 *core.Env) {
-		e2.Charge(restartCost)
-		k.ThreadExceptionReturn(e2)
-	}, 256, "exception-wait")
+	k.Block(e, stats.BlockException, ex.ContExcReturn, nil, 256, "exception-wait")
 }
 
 // replySink processes the server's reply send in the server's kernel
 // context: the kernel is the receiver, so no copyout or queueing happens;
-// the faulting thread is restarted. Transfers control.
+// the reply is recycled unread and the faulting thread is restarted.
+// Transfers control.
 func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, opts ipc.MsgOptions) {
 	k := ex.K
 	e.Charge(replyCost)
+	ex.X.FreeMessage(msg)
 	server := e.Cur()
 
 	// The handoff-back shortcut requires that the server's next receive

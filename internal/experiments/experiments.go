@@ -27,12 +27,15 @@ var Arches = []machine.Arch{machine.ArchDS3100, machine.ArchToshiba5200}
 // Table 3: null RPC and exception round-trip latency.
 // ---------------------------------------------------------------------
 
-// PingClient issues null RPCs, recording the simulated time spent
-// between warmup and completion.
+// PingClient issues RPCs, recording the simulated time spent between
+// warmup and completion. Each request carries size bytes (0 sends a
+// header-only null RPC), out of line when ool is set.
 type PingClient struct {
 	sys    *kern.System
 	server *ipc.Port
 	reply  *ipc.Port
+	size   int
+	ool    bool
 	rpcs   int
 	warmup int
 
@@ -47,7 +50,8 @@ type PingClient struct {
 func (c *PingClient) Next(e *core.Env, t *core.Thread) core.Action {
 	if c.rpcAct.Invoke == nil {
 		c.rpcAct = core.Syscall("mach_msg(rpc)", func(e *core.Env) {
-			req := c.sys.IPC.NewMessage(1, ipc.HeaderBytes, nil, c.reply)
+			req := c.sys.IPC.NewMessage(1, c.size, nil, c.reply)
+			req.OOL = c.ool
 			c.sys.IPC.MachMsg(e, ipc.MsgOptions{
 				Send: req, SendTo: c.server, ReceiveFrom: c.reply,
 			})
@@ -124,35 +128,6 @@ func (c *excClient) Next(e *core.Env, t *core.Thread) core.Action {
 	return core.Action{Kind: core.ActException, Code: c.done}
 }
 
-// excEcho is the minimal exception server: it does not examine or change
-// the faulting thread's state, exactly as in the paper's benchmark.
-type excEcho struct {
-	sys     *kern.System
-	port    *ipc.Port
-	pending *ipc.Message
-	Handled uint64
-}
-
-func (s *excEcho) Next(e *core.Env, t *core.Thread) core.Action {
-	if m := s.sys.IPC.Received(t); m != nil {
-		s.pending = m
-	}
-	if s.pending == nil {
-		return core.Syscall("mach_msg(receive)", func(e *core.Env) {
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
-		})
-	}
-	req := s.pending
-	s.pending = nil
-	s.Handled++
-	return core.Syscall("mach_msg(exc-reply)", func(e *core.Env) {
-		reply := s.sys.IPC.NewMessage(ipc.ExcOpRaise+100, ipc.HeaderBytes, nil, nil)
-		s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-			Send: reply, SendTo: req.Reply, ReceiveFrom: s.port,
-		})
-	})
-}
-
 // ExceptionRTT measures the time for a user-level server thread to
 // handle a faulting thread's exception, in simulated microseconds. The
 // server runs in the same address space as the faulting thread (§3.3).
@@ -163,7 +138,10 @@ func ExceptionRTT(flavor kern.Flavor, arch machine.Arch, iters int) float64 {
 	sys := kern.New(kern.Config{Flavor: flavor, Arch: arch, DisableCallout: true})
 	task := sys.NewTask("emulated")
 	port := sys.IPC.NewPort("exc")
-	srv := &excEcho{sys: sys, port: port}
+	// The minimal exception server: it does no work and neither examines
+	// nor changes the faulting thread's state, as in the paper's
+	// benchmark.
+	srv := workload.NewExcServer(sys, port, 0)
 	warmup := 10
 	cli := &excClient{sys: sys, n: iters + warmup, warmup: warmup}
 	sys.Start(task.NewThread("handler", srv, 20))
@@ -511,8 +489,7 @@ func Firefly886(flavor kern.Flavor) FireflyResult {
 					sys.K.Setrun(t)
 				})
 				e.K.SetState(t, core.StateWaiting)
-				sys.K.Block(e, stats.BlockInternal, contSleepForever,
-					func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 128, "sleep")
+				sys.K.Block(e, stats.BlockInternal, contSleepForever, nil, 128, "sleep")
 			})
 		})
 		th := task.NewThread(fmt.Sprintf("timer-%d", i), prog, 10)

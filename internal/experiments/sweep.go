@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"repro/internal/core"
-	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // SweepRow is one point of the message-size sweep: round-trip RPC
@@ -16,67 +15,6 @@ type SweepRow struct {
 	OOLUs     float64
 }
 
-// sizedClient issues RPCs with a fixed body size and transfer mode.
-type sizedClient struct {
-	sys    *kern.System
-	server *ipc.Port
-	reply  *ipc.Port
-	size   int
-	ool    bool
-	rpcs   int
-	warmup int
-
-	done      int
-	MarkStart machine.Time
-	MarkEnd   machine.Time
-}
-
-func (c *sizedClient) Next(e *core.Env, t *core.Thread) core.Action {
-	c.sys.IPC.Received(t)
-	if c.done == c.warmup {
-		c.MarkStart = c.sys.K.Clock.Now()
-	}
-	if c.done >= c.rpcs {
-		c.MarkEnd = c.sys.K.Clock.Now()
-		return core.Exit()
-	}
-	c.done++
-	return core.Syscall("mach_msg(rpc)", func(e *core.Env) {
-		req := c.sys.IPC.NewMessage(1, c.size, nil, c.reply)
-		req.OOL = c.ool
-		c.sys.IPC.MachMsg(e, ipc.MsgOptions{
-			Send: req, SendTo: c.server, ReceiveFrom: c.reply,
-		})
-	})
-}
-
-// sizedEcho replies preserving size and transfer mode.
-type sizedEcho struct {
-	sys     *kern.System
-	port    *ipc.Port
-	pending *ipc.Message
-}
-
-func (s *sizedEcho) Next(e *core.Env, t *core.Thread) core.Action {
-	if m := s.sys.IPC.Received(t); m != nil {
-		s.pending = m
-	}
-	if s.pending == nil {
-		return core.Syscall("mach_msg(receive)", func(e *core.Env) {
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
-		})
-	}
-	req := s.pending
-	s.pending = nil
-	return core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
-		reply := s.sys.IPC.NewMessage(2, req.Size, nil, nil)
-		reply.OOL = req.OOL
-		s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-			Send: reply, SendTo: req.Reply, ReceiveFrom: s.port,
-		})
-	})
-}
-
 // rpcWithSize measures the round trip for one (size, mode) point.
 func rpcWithSize(flavor kern.Flavor, arch machine.Arch, size int, ool bool, iters int) float64 {
 	sys := kern.New(kern.Config{Flavor: flavor, Arch: arch, DisableCallout: true})
@@ -85,8 +23,8 @@ func rpcWithSize(flavor kern.Flavor, arch machine.Arch, size int, ool bool, iter
 	sp := sys.IPC.NewPort("service")
 	rp := sys.IPC.NewPort("reply")
 	warmup := 5
-	srv := &sizedEcho{sys: sys, port: sp}
-	cli := &sizedClient{
+	srv := workload.NewEchoServer(sys, sp)
+	cli := &PingClient{
 		sys: sys, server: sp, reply: rp,
 		size: size, ool: ool, rpcs: iters + warmup, warmup: warmup,
 	}

@@ -347,10 +347,6 @@ type IPC struct {
 	waiterFree []*rcvWaiter
 	msgFree    []*Message
 
-	// msgSendRetryFn is the bound method value of msgSendRetry, built once
-	// so blockFullQueue does not allocate a closure per full-queue park.
-	msgSendRetryFn func(*core.Env)
-
 	nextPortID int
 	nextMsgID  int
 
@@ -418,7 +414,6 @@ func New(k *core.Kernel, style Style) *IPC {
 	x.ContMsgContinue = core.NewContinuation("mach_msg_continue", x.msgContinue)
 	x.ContMsgRcvSlow = core.NewContinuation("mach_msg_receive_slow", x.msgReceiveSlow)
 	x.ContMsgSendRetry = core.NewContinuation("mach_msg_send_retry", x.msgSendRetry)
-	x.msgSendRetryFn = x.msgSendRetry
 	k.Invariants = append(k.Invariants, x.checkInvariants)
 	return x
 }
@@ -819,8 +814,7 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "mach_msg send (queue full)"
-	x.K.Block(e, stats.BlockReceive, x.ContMsgSendRetry,
-		x.msgSendRetryFn, 224, "send-queue-full")
+	x.K.Block(e, stats.BlockReceive, x.ContMsgSendRetry, nil, 224, "send-queue-full")
 }
 
 // msgSendRetry resumes a sender that blocked on a full queue: rebuild the

@@ -391,17 +391,12 @@ func (s *System) AddLink() *dev.Netmsg {
 // the kernel's OnHalt hook.
 func (s *System) startReaper() {
 	s.contReaper = core.NewContinuation("reaper_continue", s.reaperLoop)
-	var pm func(*core.Env)
-	if !s.K.UseContinuations {
-		pm = s.reaperLoop
-	}
 	s.Reaper = s.K.NewThread(core.ThreadSpec{
 		Name:     "reaper",
 		SpaceID:  0,
 		Internal: true,
 		Priority: 28,
 		Start:    s.contReaper,
-		StartPM:  pm,
 	})
 	s.K.OnHalt = func(t *core.Thread) {
 		if s.Reaper.State() == core.StateWaiting {
@@ -438,8 +433,7 @@ func (s *System) reaperLoop(e *core.Env) {
 	t := e.Cur()
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "reaper: idle"
-	s.K.Block(e, stats.BlockInternal, s.contReaper,
-		func(e2 *core.Env) { s.reaperLoop(e2) }, 256, "reaper-wait")
+	s.K.Block(e, stats.BlockInternal, s.contReaper, nil, 256, "reaper-wait")
 }
 
 // startCallout creates the kernel thread whose flow of control makes a

@@ -91,9 +91,7 @@ func (p *Pool) program() core.UserProgram {
 			e.K.SetState(th, core.StateWaiting)
 			th.WaitLabel = "upcall: parked"
 			p.idle = append(p.idle, th)
-			p.sys.K.Block(e, stats.BlockInternal, p.contWait, func(e2 *core.Env) {
-				e2.K.ThreadSyscallReturn(e2, 0)
-			}, 128, "upcall-wait")
+			p.sys.K.Block(e, stats.BlockInternal, p.contWait, nil, 128, "upcall-wait")
 		})
 	})
 }
@@ -221,9 +219,7 @@ func (a *AsyncIO) Wait(e *core.Env) {
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "aio: wait"
-	a.sys.K.Block(e, stats.BlockReceive, a.contWait, func(e2 *core.Env) {
-		a.collect(e2)
-	}, 160, "aio-wait")
+	a.sys.K.Block(e, stats.BlockReceive, a.contWait, nil, 160, "aio-wait")
 }
 
 // collect transfers control to the next ready completion.

@@ -100,9 +100,7 @@ func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 		t.Scratch.PutWord(1, 1) // write fault
 		e.K.SetState(t, core.StateWaiting)
 		t.WaitLabel = "vm: cow frame wait"
-		v.K.Block(e, blockReasonFault, v.ContFaultRetry,
-			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, true) },
-			160, "vm-cow-frame-wait")
+		v.K.Block(e, blockReasonFault, v.ContFaultRetry, nil, 160, "vm-cow-frame-wait")
 		return
 	}
 	// Copy the page into a private frame.

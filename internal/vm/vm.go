@@ -176,18 +176,8 @@ func New(k *core.Kernel, cfg Config) *VM {
 		Internal: true,
 		Priority: 30,
 		Start:    v.contPageout,
-		StartPM:  v.pageoutStepPM(k),
 	})
 	return v
-}
-
-// pageoutStepPM is the process-model start step of the daemon, used when
-// the kernel does not support continuations.
-func (v *VM) pageoutStepPM(k *core.Kernel) func(*core.Env) {
-	if k.UseContinuations {
-		return nil
-	}
-	return func(e *core.Env) { v.pageoutLoop(e) }
 }
 
 // NewSpace registers an address space for a task.
@@ -249,8 +239,7 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 		t.Scratch.PutWord(1, wflag)
 		e.K.SetState(t, core.StateWaiting)
 		t.WaitLabel = "vm: frame wait"
-		v.K.Block(e, stats.BlockPageFault, v.ContFaultRetry,
-			func(e2 *core.Env) { v.HandleFault(e2, page<<PageShift, write) }, 160, "vm-frame-wait")
+		v.K.Block(e, stats.BlockPageFault, v.ContFaultRetry, nil, 160, "vm-frame-wait")
 		return
 	}
 
@@ -293,8 +282,7 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 	t.Scratch.PutWord(1, wflag)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "vm: page-in"
-	v.K.Block(e, stats.BlockPageFault, v.ContFaultContinue,
-		func(e2 *core.Env) { v.faultContinue(e2) }, 160, "vm-page-in")
+	v.K.Block(e, stats.BlockPageFault, v.ContFaultContinue, nil, 160, "vm-page-in")
 }
 
 // faultContinue runs when the page-in completes: enter the page into the
@@ -391,8 +379,7 @@ func (v *VM) pageoutLoop(e *core.Env) {
 	d := e.Cur()
 	e.K.SetState(d, core.StateWaiting)
 	d.WaitLabel = "pageout: idle"
-	v.K.Block(e, stats.BlockInternal, v.contPageout,
-		func(e2 *core.Env) { v.pageoutLoop(e2) }, 256, "pageout-wait")
+	v.K.Block(e, stats.BlockInternal, v.contPageout, nil, 256, "pageout-wait")
 }
 
 // Touch marks a page resident without a fault, for tests and workload

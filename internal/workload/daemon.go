@@ -31,17 +31,12 @@ type Daemon struct {
 func NewDaemon(sys *kern.System, name string, workCost machine.Cost) *Daemon {
 	d := &Daemon{sys: sys, workCost: workCost}
 	d.cont = core.NewContinuation(name+"_continue", d.loop)
-	var startPM func(*core.Env)
-	if !sys.K.UseContinuations {
-		startPM = d.loop
-	}
 	d.Thread = sys.K.NewThread(core.ThreadSpec{
 		Name:     name,
 		SpaceID:  0,
 		Internal: true,
 		Priority: 28,
 		Start:    d.cont,
-		StartPM:  startPM,
 	})
 	// The daemon starts blocked; its first kick wakes it.
 	return d
@@ -81,7 +76,7 @@ func (d *Daemon) loop(e *core.Env) {
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "daemon: idle"
-	d.sys.K.Block(e, stats.BlockInternal, d.cont, d.loop, 256, "daemon-wait")
+	d.sys.K.Block(e, stats.BlockInternal, d.cont, nil, 256, "daemon-wait")
 }
 
 // Pending reports queued work items not yet processed.

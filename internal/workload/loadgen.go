@@ -118,7 +118,7 @@ func thinkSleep(sys *kern.System, until *machine.Time, k *thinker) core.Action {
 			}
 		})
 		e.K.SetState(th, core.StateWaiting)
-		sys.K.Block(e, stats.BlockInternal, k.done, resumeThink, 96, k.name)
+		sys.K.Block(e, stats.BlockInternal, k.done, nil, 96, k.name)
 	})
 }
 

@@ -10,43 +10,29 @@ import (
 )
 
 // EchoServer answers every request on its port forever, replying with
-// op|ipc.ReplyBit and the request's size and body to the request's reply port:
-// the null RPC server of Table 3 and the echo server of the cluster
-// workloads, where the reply port is a netmsg proxy and the reply
-// becomes a packet home. Its two syscall actions are built once; a
-// fresh closure per action would allocate on every step of the RPC
-// path.
+// op|ipc.ReplyBit and the request's size, body and OOL flag to the
+// request's reply port: the null RPC server of Table 3, the echo server
+// of the message-size sweep and the cluster workloads, where the reply
+// port is a netmsg proxy and the reply becomes a packet home. Its two
+// syscall actions are built once; a fresh closure per action would
+// allocate on every step of the RPC path.
 type EchoServer struct {
 	sys     *kern.System
-	port    *ipc.Port
 	pending *ipc.Message
 
-	recvAct  core.Action
-	replyAct core.Action
+	recvAct, replyAct core.Action
 }
 
 // NewEchoServer returns an echo server receiving on port.
 func NewEchoServer(sys *kern.System, port *ipc.Port) *EchoServer {
-	return &EchoServer{sys: sys, port: port}
+	s := &EchoServer{sys: sys}
+	s.recvAct = receiveAction(sys, port)
+	s.replyAct = echoReplyAction(sys, port, &s.pending)
+	return s
 }
 
 // Next implements core.UserProgram.
 func (s *EchoServer) Next(e *core.Env, t *core.Thread) core.Action {
-	if s.recvAct.Invoke == nil {
-		s.recvAct = core.Syscall("mach_msg(receive)", func(e *core.Env) {
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
-		})
-		s.replyAct = core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
-			req := s.pending
-			s.pending = nil
-			op, size, body, to := req.OpID, req.Size, req.Body, req.Reply
-			s.sys.IPC.FreeMessage(req)
-			reply := s.sys.IPC.NewMessage(op|ipc.ReplyBit, size, body, nil)
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				Send: reply, SendTo: to, ReceiveFrom: s.port,
-			})
-		})
-	}
 	if m := s.sys.IPC.Received(t); m != nil {
 		s.pending = m
 	}
@@ -56,6 +42,28 @@ func (s *EchoServer) Next(e *core.Env, t *core.Thread) core.Action {
 	return s.replyAct
 }
 
+// receiveAction is a server's plain mach_msg receive on port.
+func receiveAction(sys *kern.System, port *ipc.Port) core.Action {
+	return core.Syscall("mach_msg(receive)", func(e *core.Env) {
+		sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
+	})
+}
+
+// echoReplyAction answers the request a server holds in *pending with
+// op|ipc.ReplyBit and the request's size, body and OOL flag, recycles the
+// request, and receives on port again.
+func echoReplyAction(sys *kern.System, port *ipc.Port, pending **ipc.Message) core.Action {
+	return core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
+		req := *pending
+		*pending = nil
+		op, size, body, ool, to := req.OpID, req.Size, req.Body, req.OOL, req.Reply
+		sys.IPC.FreeMessage(req)
+		reply := sys.IPC.NewMessage(op|ipc.ReplyBit, size, body, nil)
+		reply.OOL = ool
+		sys.IPC.MachMsg(e, ipc.MsgOptions{Send: reply, SendTo: to, ReceiveFrom: port})
+	})
+}
+
 // Server is a user-level service task thread: the Unix server, the AFS
 // cache manager, or an MS-DOS emulator's exception handler. It receives
 // requests on a port, burns some user CPU handling each, optionally
@@ -63,9 +71,8 @@ func (s *EchoServer) Next(e *core.Env, t *core.Thread) core.Action {
 // internal network daemon — optionally kicks a device daemon directly,
 // and replies.
 type Server struct {
-	sys  *kern.System
-	port *ipc.Port
-	rng  *RNG
+	sys *kern.System
+	rng *RNG
 
 	// WorkCycles is the user CPU burned per request.
 	WorkCycles uint64
@@ -94,14 +101,36 @@ type Server struct {
 	worked  bool
 	waited  bool
 	sinceK  int
+
+	// The server's three syscalls, built once (see EchoServer).
+	recvAct, netWaitAct, replyAct core.Action
 }
 
 // NewServer creates a server program; the caller wraps it in a thread.
 func NewServer(sys *kern.System, port *ipc.Port, workCycles uint64) *Server {
-	s := &Server{sys: sys, port: port, WorkCycles: workCycles, rng: NewRNG(0x5e1f)}
+	s := &Server{sys: sys, WorkCycles: workCycles, rng: NewRNG(0x5e1f)}
 	s.contNetWait = core.NewContinuation("afs_net_wait_continue", func(e *core.Env) {
 		sys.K.ThreadSyscallReturn(e, 0)
 	})
+	s.recvAct = receiveAction(sys, port)
+	// A cache miss: ask the file server over the network and wait for
+	// the reply packet. The wait is a message receive from the network
+	// service; the packet arrival runs the network daemon.
+	s.netWaitAct = core.Syscall("mach_msg(net-receive)", func(e *core.Env) {
+		th := e.Cur()
+		sys.K.Clock.After(s.RemoteLatency, "afs-packet", func() {
+			if s.RemoteKick != nil {
+				s.RemoteKick.Kick()
+			}
+			if th.State() == core.StateWaiting {
+				sys.K.Setrun(th)
+			}
+		})
+		e.K.SetState(th, core.StateWaiting)
+		th.WaitLabel = "afs: network wait"
+		sys.K.Block(e, stats.BlockReceive, s.contNetWait, nil, 192, "afs-net-wait")
+	})
+	s.replyAct = echoReplyAction(sys, port, &s.pending)
 	return s
 }
 
@@ -114,39 +143,17 @@ func (s *Server) Next(e *core.Env, t *core.Thread) core.Action {
 		s.waited = false
 	}
 	if s.pending == nil {
-		return core.Syscall("mach_msg(receive)", func(e *core.Env) {
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
-		})
+		return s.recvAct
 	}
 	if !s.worked && s.WorkCycles > 0 {
 		s.worked = true
 		return core.RunFor(s.WorkCycles)
 	}
 	if !s.waited && s.rng.Hit(s.RemotePer10k) {
-		// A cache miss: ask the file server over the network and wait
-		// for the reply packet. The wait is a message receive from the
-		// network service; the packet arrival runs the network daemon.
 		s.waited = true
 		s.Remotes++
-		return core.Syscall("mach_msg(net-receive)", func(e *core.Env) {
-			th := e.Cur()
-			s.sys.K.Clock.After(s.RemoteLatency, "afs-packet", func() {
-				if s.RemoteKick != nil {
-					s.RemoteKick.Kick()
-				}
-				if th.State() == core.StateWaiting {
-					s.sys.K.Setrun(th)
-				}
-			})
-			e.K.SetState(th, core.StateWaiting)
-			th.WaitLabel = "afs: network wait"
-			s.sys.K.Block(e, stats.BlockReceive, s.contNetWait,
-				func(e2 *core.Env) { s.sys.K.ThreadSyscallReturn(e2, 0) },
-				192, "afs-net-wait")
-		})
+		return s.netWaitAct
 	}
-	req := s.pending
-	s.pending = nil
 	s.Handled++
 	if s.KickDaemon != nil {
 		s.sinceK++
@@ -155,33 +162,38 @@ func (s *Server) Next(e *core.Env, t *core.Thread) core.Action {
 			s.KickDaemon.Kick()
 		}
 	}
-	return core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {
-		reply := s.sys.IPC.NewMessage(req.OpID|ipc.ReplyBit, req.Size, req.Body, nil)
-		s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-			Send:        reply,
-			SendTo:      req.Reply,
-			ReceiveFrom: s.port,
-		})
-	})
+	return s.replyAct
 }
 
 // ExcServer is the user-level exception handler of the MS-DOS emulation:
 // it receives exception RPCs from the kernel, emulates the privileged
 // instruction with some user work, and replies so the kernel restarts the
-// faulting thread.
+// faulting thread. With no work it is Table 3's minimal exception server,
+// which neither examines nor changes the faulting thread's state.
 type ExcServer struct {
 	sys        *kern.System
-	port       *ipc.Port
 	WorkCycles uint64
 
 	Handled uint64
 	pending *ipc.Message
 	worked  bool
+
+	recvAct, replyAct core.Action
 }
 
 // NewExcServer creates the exception-server program.
 func NewExcServer(sys *kern.System, port *ipc.Port, workCycles uint64) *ExcServer {
-	return &ExcServer{sys: sys, port: port, WorkCycles: workCycles}
+	s := &ExcServer{sys: sys, WorkCycles: workCycles}
+	s.recvAct = receiveAction(sys, port)
+	s.replyAct = core.Syscall("mach_msg(exc-reply+receive)", func(e *core.Env) {
+		req := s.pending
+		s.pending = nil
+		to := req.Reply
+		sys.IPC.FreeMessage(req)
+		reply := sys.IPC.NewMessage(ipc.ExcOpRaise+100, ipc.HeaderBytes, nil, nil)
+		sys.IPC.MachMsg(e, ipc.MsgOptions{Send: reply, SendTo: to, ReceiveFrom: port})
+	})
+	return s
 }
 
 // Next implements core.UserProgram.
@@ -191,26 +203,15 @@ func (s *ExcServer) Next(e *core.Env, t *core.Thread) core.Action {
 		s.worked = false
 	}
 	if s.pending == nil {
-		return core.Syscall("mach_msg(receive)", func(e *core.Env) {
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{ReceiveFrom: s.port})
-		})
+		return s.recvAct
 	}
 	if !s.worked && s.WorkCycles > 0 {
 		s.worked = true
 		return core.RunFor(s.WorkCycles)
 	}
-	req := s.pending
-	s.pending = nil
-	if _, ok := req.Body.(exc.ExcInfo); !ok {
+	if _, ok := s.pending.Body.(exc.ExcInfo); !ok {
 		panic("workload: exception server received a non-exception message")
 	}
 	s.Handled++
-	return core.Syscall("mach_msg(exc-reply+receive)", func(e *core.Env) {
-		reply := s.sys.IPC.NewMessage(ipc.ExcOpRaise+100, ipc.HeaderBytes, nil, nil)
-		s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-			Send:        reply,
-			SendTo:      req.Reply,
-			ReceiveFrom: s.port,
-		})
-	})
+	return s.replyAct
 }

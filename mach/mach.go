@@ -42,6 +42,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Kernel selects the kernel build.
@@ -353,25 +354,7 @@ func (s *System) ResetTrace() {
 
 // EchoServer returns a Program that receives on port forever and answers
 // every message with its own body — the canonical RPC server.
-func EchoServer(s *System, port *Port) Program {
-	var pending *Message
-	return ProgramFunc(func(e *Env, t *Thread) Action {
-		if m := s.Received(t); m != nil {
-			pending = m
-		}
-		if pending == nil {
-			return Syscall("mach_msg(receive)", func(e *Env) {
-				s.MachMsg(e, MsgOptions{ReceiveFrom: port})
-			})
-		}
-		req := pending
-		pending = nil
-		return Syscall("mach_msg(reply+receive)", func(e *Env) {
-			reply := s.NewMessage(req.OpID|ipc.ReplyBit, req.Size, req.Body, nil)
-			s.MachMsg(e, MsgOptions{Send: reply, SendTo: req.Reply, ReceiveFrom: port})
-		})
-	})
-}
+func EchoServer(s *System, port *Port) Program { return workload.NewEchoServer(s.sys, port) }
 
 // RPC returns the Action that sends body to service and waits for the
 // reply on replyPort — one half of a ping-pong.
