@@ -38,17 +38,21 @@ type Record struct {
 	ID int
 }
 
-// stackGrower forces a goroutine's stack to grow to roughly depth frames
-// before parking, imitating a thread that blocked deep in a call chain.
-func stackGrower(depth int, ch <-chan struct{}) {
+// stackGrower grows a goroutine's stack by depth frames of at least 256
+// bytes each, signals parked from the deepest one and blocks there,
+// imitating a thread that blocked deep in a call chain. Each frame reads
+// its pad after the call returns, which keeps the pad on the stack; a pad
+// that is never read is a dead store the compiler drops, and the frames
+// shrink to a few dozen bytes.
+func stackGrower(depth int, parked chan<- struct{}, ch <-chan struct{}) byte {
 	if depth <= 0 {
+		parked <- struct{}{}
 		<-ch
-		return
+		return 0
 	}
 	var pad [256]byte
-	pad[0] = byte(depth)
-	stackGrower(depth-1, ch)
-	_ = pad
+	pad[depth%len(pad)] = byte(depth)
+	return stackGrower(depth-1, parked, ch) + pad[depth%len(pad)]
 }
 
 // memUsed collects garbage and returns the heap and goroutine-stack
@@ -75,17 +79,16 @@ func GoroutinePark(n, depth int) (bytesPer float64, release func()) {
 	heap0, stack0 := memUsed()
 	ch := make(chan struct{})
 	var wg sync.WaitGroup
-	started := make(chan struct{}, n)
+	parked := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started <- struct{}{}
-			stackGrower(depth, ch)
+			stackGrower(depth, parked, ch)
 		}()
 	}
 	for i := 0; i < n; i++ {
-		<-started
+		<-parked
 	}
 	// Give the parked goroutines a moment to settle at their block.
 	time.Sleep(10 * time.Millisecond)
