@@ -195,24 +195,27 @@ func BenchmarkFirefly886Threads(b *testing.B) {
 // Ablations: which optimization buys what (§2.3's three techniques).
 // ---------------------------------------------------------------------
 
-// ablationRPC measures null RPC with individual optimizations disabled.
+// ablationRPC measures null RPC and exception round trips with
+// individual optimizations disabled.
 func ablationRPC(b *testing.B, noHandoff, noRecognition bool) {
-	var us float64
+	var rpc, exc float64
 	for i := 0; i < b.N; i++ {
-		us = ablationNullRPC(noHandoff, noRecognition)
+		rpc = experiments.NullRPCOn(ablationSystem(noHandoff, noRecognition), 200)
+		exc = experiments.ExceptionRTTOn(ablationSystem(noHandoff, noRecognition), 200)
 	}
-	b.ReportMetric(us, "sim-us/rpc")
+	b.ReportMetric(rpc, "sim-us/rpc")
+	b.ReportMetric(exc, "sim-us/exc")
 }
 
-func ablationNullRPC(noHandoff, noRecognition bool) float64 {
-	sys := kern.New(kern.Config{
+// ablationSystem boots a DS3100 MK40 with the given optimizations off.
+func ablationSystem(noHandoff, noRecognition bool) *kern.System {
+	return kern.New(kern.Config{
 		Flavor:         kern.MK40,
 		Arch:           machine.ArchDS3100,
 		DisableCallout: true,
 		NoHandoff:      noHandoff,
 		NoRecognition:  noRecognition,
 	})
-	return experiments.NullRPCOn(sys, 200)
 }
 
 // BenchmarkAblation_Full is the complete MK40 (baseline for the family).
@@ -339,6 +342,51 @@ func BenchmarkPaperRPCSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.K.Step()
+	}
+}
+
+// BenchmarkExcSteadyState measures the allocation behavior of the
+// exception path under each kernel setting: MK40 with and without each
+// continuation optimization, MK32 and Mach 2.5. An op is one warmed
+// exception round trip (raise, the server's receive and reply, the
+// restart), not one dispatcher step, so an allocation made once per
+// raise shows as one alloc/op. The one left is the ExcInfo each raise
+// boxes into its request message's body; CI gates the family at
+// 1 alloc/op (benchjson -max-allocs).
+func BenchmarkExcSteadyState(b *testing.B) {
+	for _, set := range []struct {
+		name string
+		cfg  kern.Config
+	}{
+		{"MK40", kern.Config{Flavor: kern.MK40}},
+		{"MK40-NoHandoff", kern.Config{Flavor: kern.MK40, NoHandoff: true}},
+		{"MK40-NoRecognition", kern.Config{Flavor: kern.MK40, NoRecognition: true}},
+		{"MK40-NoHandoff-NoRecognition", kern.Config{Flavor: kern.MK40, NoHandoff: true, NoRecognition: true}},
+		{"MK32", kern.Config{Flavor: kern.MK32}},
+		{"Mach25", kern.Config{Flavor: kern.Mach25}},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			cfg := set.cfg
+			cfg.Arch = machine.ArchDS3100
+			cfg.DisableCallout = true
+			sys := kern.New(cfg)
+			cli := experiments.SetupException(sys, 1<<30)
+			roundTrip := func() {
+				for want := cli.Raised + 1; cli.Raised < want; {
+					if !sys.K.Step() {
+						b.Fatal("exception pair quiesced")
+					}
+				}
+			}
+			for i := 0; i < 2000; i++ {
+				roundTrip()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+		})
 	}
 }
 

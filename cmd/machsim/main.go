@@ -489,7 +489,7 @@ func paperRun(name string, flavor kern.Flavor, arch machine.Arch) func() {
 		fmt.Printf("memory census: %d stacks high-water vs %d blocked threads high-water\n",
 			mc.StackHighWater, mc.BlockedHighWater)
 		fmt.Printf("per-thread kernel memory now: %.0f bytes (static %v: %d bytes)\n",
-			sys.MeasuredPerThreadBytes(), flavor, flavor.StaticThreadSpace().Total())
+			sys.MeasuredPerThreadBytes(), flavor, kern.StaticThreadSpace(flavor).Total())
 
 		workload.WriteFaultReport(os.Stdout, sys, workload.NetRPCReportOptions{Faults: faulted})
 

@@ -136,23 +136,66 @@ func (e *Env) Trace(kind obs.Kind, detail string) {
 // StackAttach pushes carries its *Continuation instead (resumeOn).
 type resumeStep func(*Env)
 
+// Flavor identifies one of the paper's three measured kernels. It is the
+// kernel's one identity: core derives from it the transfer costs, the
+// per-stack VM charge and whether threads block with continuations, and
+// the substrates read it where their message paths differ.
+type Flavor int
+
+const (
+	// MK40 is the continuation kernel (§2): stack discard, stack handoff
+	// and continuation recognition, with wired kernel stacks.
+	MK40 Flavor = iota
+	// MK32 is the optimized process-model kernel: one pageable stack per
+	// thread and a hand-optimized RPC path that switches directly from
+	// sender to receiver.
+	MK32
+	// Mach25 is the hybrid kernel: process model, queued messages and the
+	// general scheduler on every transfer.
+	Mach25
+)
+
+func (f Flavor) String() string {
+	switch f {
+	case MK40:
+		return "MK40"
+	case MK32:
+		return "MK32"
+	case Mach25:
+		return "Mach 2.5"
+	default:
+		return fmt.Sprintf("Flavor(%d)", int(f))
+	}
+}
+
+// flavorFlags are the flavors' command-line spellings (machsim -flavor).
+var flavorFlags = [...]string{MK40: "mk40", MK32: "mk32", Mach25: "mach25"}
+
+// FlagName returns the flavor's command-line spelling.
+func (f Flavor) FlagName() string { return flavorFlags[f] }
+
+// stackVMBytes is the per-stack VM bookkeeping charge: the process-model
+// kernels page their stacks (116 bytes of VM structures per stack, Table
+// 5); MK40 wires its few stacks and pays nothing.
+func (f Flavor) stackVMBytes() int {
+	if f == MK40 {
+		return 0
+	}
+	return 116
+}
+
 // Config selects the kernel build being simulated.
 type Config struct {
 	// Model is the machine being simulated.
 	Model *machine.CostModel
 
-	// UseContinuations enables the MK40 mechanism. When false the kernel
-	// behaves like MK32/Mach 2.5: every thread owns a dedicated kernel
-	// stack and all blocks use the process model.
-	UseContinuations bool
+	// Flavor is the kernel being simulated. Only MK40 blocks threads with
+	// continuations; under MK32 and Mach 2.5 every thread owns a
+	// dedicated kernel stack and all blocks use the process model.
+	Flavor Flavor
 
 	// Processors is the CPU count (default 1).
 	Processors int
-
-	// StackVMMetadataBytes is the per-stack VM bookkeeping charge
-	// (116 bytes when stacks are pageable as in MK32, 0 when wired as in
-	// MK40 — Table 5).
-	StackVMMetadataBytes int
 
 	// NoHandoff disables the stack-handoff optimization: blocks with
 	// continuations still discard stacks, but control transfers always
@@ -182,9 +225,8 @@ type Kernel struct {
 	// tracing, leaving only a nil check on every emit path.
 	Obs *obs.Recorder
 
-	// UseContinuations distinguishes the MK40 kernel from the
-	// process-model kernels.
-	UseContinuations bool
+	// Flavor is the kernel being simulated (see Config).
+	Flavor Flavor
 
 	// NoHandoff and NoRecognition are the ablation switches (see Config).
 	NoHandoff     bool
@@ -263,15 +305,15 @@ func NewKernel(cfg Config) *Kernel {
 	}
 	clock := machine.NewClock()
 	k := &Kernel{
-		Clock:            clock,
-		Model:            cfg.Model,
-		Costs:            machine.TransferCostsFor(cfg.Model, cfg.UseContinuations),
-		Acct:             machine.NewAccumulator(cfg.Model, clock),
-		Stacks:           machine.NewStackPool(clock, cfg.StackVMMetadataBytes),
-		Stats:            &stats.Kernel{},
-		UseContinuations: cfg.UseContinuations,
-		NoHandoff:        cfg.NoHandoff,
-		NoRecognition:    cfg.NoRecognition,
+		Clock:         clock,
+		Model:         cfg.Model,
+		Costs:         machine.TransferCostsFor(cfg.Model, cfg.Flavor == MK40),
+		Acct:          machine.NewAccumulator(cfg.Model, clock),
+		Stacks:        machine.NewStackPool(clock, cfg.Flavor.stackVMBytes()),
+		Stats:         &stats.Kernel{},
+		Flavor:        cfg.Flavor,
+		NoHandoff:     cfg.NoHandoff,
+		NoRecognition: cfg.NoRecognition,
 	}
 	k.userStepFn = k.userStep
 	k.dispatchFreshFn = k.dispatchFresh
@@ -337,7 +379,7 @@ func (k *Kernel) NewThread(spec ThreadSpec) *Thread {
 	if start == nil {
 		start = ContThreadStart
 	}
-	if k.UseContinuations && spec.StartPM == nil {
+	if k.Flavor == MK40 && spec.StartPM == nil {
 		t.Cont = start
 	} else {
 		// Dedicated stack with a start frame, the process-model birth.
@@ -652,8 +694,14 @@ func (k *Kernel) enterUser(e *Env) {
 // thread_dispatch.
 // ---------------------------------------------------------------------
 
-// CanHandoff reports whether the stack-handoff fast path is available.
-func (k *Kernel) CanHandoff() bool { return k.UseContinuations && !k.NoHandoff }
+// CanHandoffTo is the one handoff rule: it reports whether the current
+// thread may hand its kernel stack straight to t, the thread waiting for
+// what it produced. The kernel must hand stacks off (MK40 without the
+// NoHandoff ablation) and t must be blocked with a continuation, holding
+// no stack.
+func (k *Kernel) CanHandoffTo(t *Thread) bool {
+	return k.Flavor == MK40 && !k.NoHandoff && t.Cont != nil && t.Stack == nil
+}
 
 // Block is the kernel's blocking primitive. The current thread stops
 // running; reason classifies the block for Table 1. If the kernel uses
@@ -670,7 +718,7 @@ func (k *Kernel) CanHandoff() bool { return k.UseContinuations && !k.NoHandoff }
 // on an event, StateRunnable to yield the processor but stay eligible.
 func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, resume func(*Env), frameBytes int, label string) {
 	old := e.Cur()
-	if !k.UseContinuations {
+	if k.Flavor != MK40 {
 		if resume == nil && cont != nil {
 			resume = cont.fn
 		}
@@ -719,33 +767,32 @@ func (k *Kernel) Block(e *Env, reason stats.BlockReason, cont *Continuation, res
 		return
 	}
 
-	if newt.Cont != nil {
-		if cont != nil && !k.NoHandoff {
-			// Both sides are continuation-style: hand the stack over
-			// and run the new thread's continuation on it.
-			k.recordBlock(old, reason, true, cont)
-			k.StackHandoff(e, newt)
-			old.Cont = cont
-			if old.state == StateRunnable {
-				k.queueRunnable(old)
-			}
-			if k.Obs != nil {
-				k.traceBlock(e, old, cont)
-			}
-			k.CallContinuation(e, newt.Cont)
-			return
-		}
-		// Old thread keeps its stack; the new thread needs one.
-		st := k.Stacks.Allocate()
-		k.StackAttach(e, newt, st, newt.Cont)
-		newt.Cont = nil
+	if cont != nil && k.CanHandoffTo(newt) {
+		// Both sides are continuation-style: hand the stack over and run
+		// the new thread's continuation on it.
+		k.ThreadHandoff(e, reason, cont, newt)
+		k.CallContinuation(e, newt.Cont)
+		return
 	}
-	if cont != nil {
-		k.recordBlock(old, reason, true, cont)
-	} else {
-		k.recordBlock(old, reason, false, nil)
-	}
+	k.switchTo(e, reason, cont, resume, frameBytes, label, newt)
+}
+
+// switchTo completes a block with a full context switch to newt, first
+// giving newt a stack if it is continuation-blocked. It is the tail Block
+// and BlockDirected share. Transfers control.
+func (k *Kernel) switchTo(e *Env, reason stats.BlockReason, cont *Continuation, resume func(*Env), frameBytes int, label string, newt *Thread) {
+	k.attachStack(e, newt)
+	k.recordBlock(e.Cur(), reason, cont != nil, cont)
 	k.SwitchContext(e, cont, resume, frameBytes, label, newt)
+}
+
+// attachStack gives a continuation-blocked thread a fresh stack that
+// resumes it at its continuation; a thread holding a stack keeps it.
+func (k *Kernel) attachStack(e *Env, t *Thread) {
+	if t.Cont != nil {
+		k.StackAttach(e, t, k.Stacks.Allocate(), t.Cont)
+		t.Cont = nil
+	}
 }
 
 // blockAndPark completes a block when no thread is runnable: the
@@ -790,32 +837,42 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 // attached first. Transfers control: the caller returns at once. The
 // caller must have set the current thread's wait state.
 func (k *Kernel) BlockDirected(e *Env, reason stats.BlockReason, resume func(*Env), frameBytes int, label string, newt *Thread) {
-	old := e.Cur()
-	if old.state == StateRunning {
+	if old := e.Cur(); old.state == StateRunning {
 		panic(fmt.Sprintf("core: BlockDirected: caller must set wait state of %v first", old))
 	}
-	if newt.Cont != nil {
-		st := k.Stacks.Allocate()
-		k.StackAttach(e, newt, st, newt.Cont)
-		newt.Cont = nil
-	}
-	k.recordBlock(old, reason, false, nil)
-	k.SwitchContext(e, nil, resume, frameBytes, label, newt)
+	k.switchTo(e, reason, nil, resume, frameBytes, label, newt)
 }
 
-// ThreadHandoff gives control directly to newt (which must be blocked
-// with a continuation), blocking the current thread with cont. Unlike
-// Block it RETURNS to the caller, now running as newt but still inside
-// the old thread's live call context, so the caller can perform
-// continuation recognition before deciding how to finish the transfer
-// (§2.4). The caller must have set the old thread's wait state.
+// HandoffTo passes control to newt, a thread waiting for what the caller
+// produced, when CanHandoffTo allows it. The current thread blocks with
+// cont and hands its stack to newt (ThreadHandoff); then, running as newt
+// inside the caller's still-live call context, it recognizes expect
+// (§2.4). On a match it runs inline, the caller's faster sequence, or
+// expect's own body when inline is nil; otherwise it calls newt's saved
+// continuation. The caller sets the current thread's wait state first.
+// Transfers control.
+func (k *Kernel) HandoffTo(e *Env, reason stats.BlockReason, cont *Continuation, newt *Thread, expect *Continuation, inline func(*Env)) {
+	k.ThreadHandoff(e, reason, cont, newt)
+	if !k.Recognize(e, expect) {
+		k.CallContinuation(e, e.Cur().Cont)
+		return
+	}
+	if inline == nil {
+		inline = expect.fn
+	}
+	inline(e)
+}
+
+// ThreadHandoff gives control directly to newt (CanHandoffTo must hold),
+// blocking the current thread with cont. Unlike Block it RETURNS to the
+// caller, now running as newt but still inside the old thread's live
+// call context, so the caller can perform continuation recognition
+// before deciding how to finish the transfer (§2.4; HandoffTo). The
+// caller must have set the old thread's wait state.
 func (k *Kernel) ThreadHandoff(e *Env, reason stats.BlockReason, cont *Continuation, newt *Thread) {
 	old := e.Cur()
-	if !k.CanHandoff() || cont == nil {
-		panic("core: ThreadHandoff requires a continuation kernel with handoff enabled")
-	}
-	if newt.Cont == nil || newt.Stack != nil {
-		panic(fmt.Sprintf("core: ThreadHandoff target %v is not continuation-blocked", newt))
+	if cont == nil || !k.CanHandoffTo(newt) {
+		panic(fmt.Sprintf("core: ThreadHandoff to %v without a continuation, a handoff kernel or a continuation-blocked target", newt))
 	}
 	if old.state == StateRunning {
 		panic(fmt.Sprintf("core: ThreadHandoff: caller must set wait state of %v first", old))
@@ -1183,11 +1240,7 @@ func (k *Kernel) dispatchFresh(e *Env) {
 		return
 	}
 	k.noteSelected(e, newt)
-	if newt.Cont != nil {
-		st := k.Stacks.Allocate()
-		k.StackAttach(e, newt, st, newt.Cont)
-		newt.Cont = nil
-	}
+	k.attachStack(e, newt)
 	k.resumeOn(p, newt, nil)
 }
 

@@ -33,10 +33,14 @@ func (s *script) Next(e *core.Env, t *core.Thread) core.Action {
 
 func newKernel(t *testing.T, useCont bool, procs int) *core.Kernel {
 	t.Helper()
+	flavor := core.MK32
+	if useCont {
+		flavor = core.MK40
+	}
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: useCont,
-		Processors:       procs,
+		Model:      machine.NewCostModel(machine.ArchDS3100),
+		Flavor:     flavor,
+		Processors: procs,
 	})
 	k.Sched = sched.New(0)
 	return k
@@ -244,7 +248,7 @@ func TestProcessModelUsesContextSwitches(t *testing.T) {
 }
 
 func TestPreemptionRoundRobin(t *testing.T) {
-	k := core.NewKernel(core.Config{UseContinuations: true})
+	k := core.NewKernel(core.Config{Flavor: core.MK40})
 	k.Sched = sched.New(machine.Duration(1000 * 1000)) // 1 ms quantum
 	mk := func(name string) *core.Thread {
 		p := &script{actions: []core.Action{core.RunFor(16670 * 10)}} // 10 ms

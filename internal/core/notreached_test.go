@@ -57,13 +57,13 @@ func TestNotReached(t *testing.T) {
 	// The fixpoint must find the terminal operations, and only them:
 	// a set that is empty or that swallowed the non-terminal parts of
 	// the interface would make every later check vacuous or wrong.
-	for _, name := range []string{"Block", "BlockDirected", "CallContinuation", "SwitchContext",
+	for _, name := range []string{"Block", "BlockDirected", "HandoffTo", "CallContinuation", "SwitchContext",
 		"ThreadSyscallReturn", "ThreadSyscallReturnOverride", "ThreadExceptionReturn", "Halt"} {
 		if !r.funcs[r.method("repro/internal/core", "Kernel", name)] {
 			t.Errorf("(*Kernel).%s is not in the may-transfer set", name)
 		}
 	}
-	for _, name := range []string{"ThreadHandoff", "Recognize", "StackHandoff", "Setrun", "SetState", "TakeInterrupt", "Run"} {
+	for _, name := range []string{"CanHandoffTo", "ThreadHandoff", "Recognize", "StackHandoff", "Setrun", "SetState", "TakeInterrupt", "Run"} {
 		if r.funcs[r.method("repro/internal/core", "Kernel", name)] {
 			t.Errorf("(*Kernel).%s does not transfer control but is in the may-transfer set", name)
 		}

@@ -370,7 +370,7 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 			// and retries or returns the error.
 			k.PostWaitResult(w, r.Err)
 		}
-		if k.CanHandoff() && r.Expect != nil && w.BlockedWith(r.Expect) && !w.HasStack() {
+		if r.Expect != nil && w.BlockedWith(r.Expect) && k.CanHandoffTo(w) {
 			t := e.Cur()
 			if s.completions.size() > 0 {
 				// More completions pending: stay runnable and continue the
@@ -381,17 +381,13 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 				t.WaitLabel = "io_done: idle"
 			}
 			s.IoDoneHandoffs++
-			k.ThreadHandoff(e, stats.BlockInternal, s.ContIoDone, w)
-			// Running as the waiter, in the io_done thread's call context.
-			if k.Recognize(e, r.Expect) {
+			k.HandoffTo(e, stats.BlockInternal, s.ContIoDone, w, r.Expect, func(e *core.Env) {
 				k.Stats.IoDoneRecognitions++
 				r.Inline(e)
 				if !e.Transferred() {
 					panic("dev: io_done inline completion returned")
 				}
-				return
-			}
-			k.CallContinuation(e, e.Cur().Cont)
+			})
 			return
 		}
 		if w.State() == core.StateWaiting {

@@ -893,8 +893,7 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 	}
 	n.Delivered++
 	recv := n.X.PopWaiter(e, port)
-	if recv != nil && recv.Cont != nil && !recv.HasStack() && k.CanHandoff() {
-		n.X.DeliverTo(e, recv, msg)
+	if recv != nil && k.CanHandoffTo(recv) {
 		t := e.Cur()
 		if n.inbox.size() > 0 || n.outbox.size() > 0 {
 			e.K.SetState(t, core.StateRunnable)
@@ -902,17 +901,7 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 			e.K.SetState(t, core.StateWaiting)
 			t.WaitLabel = "netmsg: idle"
 		}
-		k.ThreadHandoff(e, stats.BlockInternal, n.cont, recv)
-		// Running as the receiver, in the netmsg thread's call context.
-		if k.Recognize(e, n.X.ContMsgContinue) {
-			m := n.X.TakeDelivered(e.Cur())
-			if m == nil {
-				panic("dev: netmsg delivery lost its message")
-			}
-			n.X.CompleteReceive(e, m)
-			return
-		}
-		k.CallContinuation(e, e.Cur().Cont)
+		n.X.HandOff(e, stats.BlockInternal, n.cont, recv, msg)
 		return
 	}
 	n.X.Enqueue(e, port, msg)

@@ -16,9 +16,14 @@
 //     stack straight back to the faulting thread and recognizes its
 //     "return from exception" continuation.
 //
-// The process-model kernels take the unoptimized path the paper measured
-// in MK32 and Mach 2.5: a full request message is built, queued and
-// re-parsed in each direction, with the general scheduler in between.
+// Both directions ask core's one handoff rule (Kernel.CanHandoffTo), so
+// the kernel's flavor and the NoHandoff ablation decide them the same
+// way they decide a user RPC. When the rule says no — always in MK32 and
+// Mach 2.5 — the exchange takes the unoptimized path the paper measured
+// there: a full request message is built, queued and re-parsed in each
+// direction, the waiting server is made runnable, and the general
+// scheduler runs in between. The flavor only sets that path's extra
+// packaging cost.
 package exc
 
 import (
@@ -122,62 +127,35 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 	port, reply := ports.exc, ports.reply
 	info := ExcInfo{Thread: t, Code: code}
 
-	if k.UseContinuations {
-		// Before entering the normal send path, look for a server thread
-		// already waiting with mach_msg_continue (§2.5).
-		var server *core.Thread
-		if k.CanHandoff() {
-			server = ex.X.PopWaiter(e, port)
-		}
-		if server != nil && server.Cont != nil {
-			// Defer the request message: the fault information travels
-			// in the shared stack context.
-			e.Charge(deferCost)
-			ex.FastRaises++
-			msg := ex.X.NewMessage(ipc.ExcOpRaise, ipc.HeaderBytes, info, reply)
-			ex.X.DeliverTo(e, server, msg)
-			e.K.SetState(t, core.StateWaiting)
-			t.WaitLabel = "exception reply"
-			k.ThreadHandoff(e, stats.BlockException, ex.ContExcReturn, server)
-			// Running as the server, in the faulter's call context.
-			if k.Recognize(e, ex.X.ContMsgContinue) {
-				m := ex.X.TakeDelivered(e.Cur())
-				if m == nil {
-					panic("exc: fast raise lost its message")
-				}
-				ex.X.CompleteReceive(e, m)
-				return
-			}
-			k.CallContinuation(e, e.Cur().Cont)
-			return
-		}
-		// No waiting server: fall back to a real message.
-		ex.SlowRaises++
-		e.Charge(buildMsgCost)
-		msg := ex.X.NewMessage(ipc.ExcOpRaise, ExcMsgBytes, info, reply)
-		ex.X.Enqueue(e, port, msg)
-		e.K.SetState(t, core.StateWaiting)
-		t.WaitLabel = "exception reply"
-		k.Block(e, stats.BlockException, ex.ContExcReturn, nil, 0, "")
+	// One raise sequence for every kernel: take a server thread already
+	// waiting on the port, then either hand it the stack (§2.5) or queue
+	// the request and wake it.
+	server := ex.X.PopWaiter(e, port)
+	e.K.SetState(t, core.StateWaiting)
+	t.WaitLabel = "exception reply"
+	if server != nil && k.CanHandoffTo(server) {
+		// Defer the request message: the fault information travels in
+		// the shared stack context.
+		e.Charge(deferCost)
+		ex.FastRaises++
+		msg := ex.X.NewMessage(ipc.ExcOpRaise, ipc.HeaderBytes, info, reply)
+		ex.X.HandOff(e, stats.BlockException, ex.ContExcReturn, server, msg)
 		return
 	}
-
-	// Process-model kernels: the unoptimized path in both directions.
+	// The unoptimized path: build a real message and queue it.
 	ex.SlowRaises++
 	e.Charge(buildMsgCost)
-	if ex.X.Style == ipc.StyleMK32 {
+	switch k.Flavor {
+	case core.MK32:
 		e.Charge(mk32ExtraCost)
-	} else {
+	case core.Mach25:
 		e.Charge(mach25ExtraCost)
 	}
 	msg := ex.X.NewMessage(ipc.ExcOpRaise, ExcMsgBytes, info, reply)
-	server := ex.X.PopWaiter(e, port)
 	ex.X.Enqueue(e, port, msg)
 	if server != nil {
-		ex.K.Setrun(server)
+		k.Setrun(server)
 	}
-	e.K.SetState(t, core.StateWaiting)
-	t.WaitLabel = "exception reply"
 	k.Block(e, stats.BlockException, ex.ContExcReturn, nil, 256, "exception-wait")
 }
 
@@ -195,22 +173,15 @@ func (ex *Exc) replySink(e *core.Env, faulter *core.Thread, msg *ipc.Message, op
 	// would genuinely block: if messages are already queued on its port
 	// the server must drain them instead (or it would sleep on a
 	// non-empty queue and strand the messages).
-	if k.CanHandoff() && opts.ReceiveFrom != nil &&
-		opts.ReceiveFrom.QueueLen() == 0 && ex.X.TakeDeliveredPeek(server) == nil &&
-		faulter.BlockedWith(ex.ContExcReturn) {
+	if opts.ReceiveFrom != nil && opts.ReceiveFrom.QueueLen() == 0 &&
+		ex.X.TakeDeliveredPeek(server) == nil &&
+		faulter.BlockedWith(ex.ContExcReturn) && k.CanHandoffTo(faulter) {
 		// Fast inbound path: block the server on its next receive and
-		// hand the stack straight back to the faulting thread.
+		// hand the stack straight back to the faulting thread, whose
+		// recognized "return from exception" runs in place.
 		ex.FastReplies++
-		cont := ex.X.RegisterReceiver(server, opts.ReceiveFrom, opts.MaxSize)
-		e.K.SetState(server, core.StateWaiting)
-		k.ThreadHandoff(e, stats.BlockReceive, cont, faulter)
-		// Running as the faulter, in the server's call context.
-		if k.Recognize(e, ex.ContExcReturn) {
-			e.Charge(restartCost)
-			k.ThreadExceptionReturn(e)
-			return
-		}
-		k.CallContinuation(e, e.Cur().Cont)
+		cont := ex.X.RegisterReceiver(server, opts.ReceiveFrom, opts.MaxSize, 0)
+		k.HandoffTo(e, stats.BlockReceive, cont, faulter, ex.ContExcReturn, nil)
 		return
 	}
 

@@ -11,14 +11,14 @@ import (
 	"repro/internal/stats"
 )
 
-func newExcKernel(t *testing.T, style ipc.Style) (*core.Kernel, *ipc.IPC, *exc.Exc) {
+func newExcKernel(t *testing.T, flavor core.Flavor) (*core.Kernel, *ipc.IPC, *exc.Exc) {
 	t.Helper()
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: style == ipc.StyleMK40,
+		Model:  machine.NewCostModel(machine.ArchDS3100),
+		Flavor: flavor,
 	})
 	k.Sched = sched.New(0)
-	x := ipc.New(k, style)
+	x := ipc.New(k)
 	ex := exc.New(k, x)
 	return k, x, ex
 }
@@ -70,9 +70,9 @@ func (p *faulterProg) Next(e *core.Env, t *core.Thread) core.Action {
 	return core.Action{Kind: core.ActException, Code: p.done}
 }
 
-func runExc(t *testing.T, style ipc.Style, raises int) (*core.Kernel, *ipc.IPC, *exc.Exc, *excServer, *core.Thread) {
+func runExc(t *testing.T, flavor core.Flavor, raises int) (*core.Kernel, *ipc.IPC, *exc.Exc, *excServer, *core.Thread) {
 	t.Helper()
-	k, x, ex := newExcKernel(t, style)
+	k, x, ex := newExcKernel(t, flavor)
 	port := x.NewPort("exc-server")
 	srv := &excServer{x: x, port: port}
 	// The exception server runs in the same address space as the
@@ -91,7 +91,7 @@ func runExc(t *testing.T, style ipc.Style, raises int) (*core.Kernel, *ipc.IPC, 
 }
 
 func TestExceptionRoundTripMK40(t *testing.T) {
-	k, _, ex, srv, _ := runExc(t, ipc.StyleMK40, 10)
+	k, _, ex, srv, _ := runExc(t, core.MK40, 10)
 	if srv.handled != 10 {
 		t.Fatalf("handled = %d", srv.handled)
 	}
@@ -114,19 +114,19 @@ func TestExceptionRoundTripMK40(t *testing.T) {
 }
 
 func TestExceptionSlowPathProcessModel(t *testing.T) {
-	for _, style := range []ipc.Style{ipc.StyleMK32, ipc.StyleMach25} {
-		k, _, ex, srv, _ := runExc(t, style, 5)
+	for _, flavor := range []core.Flavor{core.MK32, core.Mach25} {
+		k, _, ex, srv, _ := runExc(t, flavor, 5)
 		if srv.handled != 5 {
-			t.Fatalf("%v: handled = %d", style, srv.handled)
+			t.Fatalf("%v: handled = %d", flavor, srv.handled)
 		}
 		if ex.FastRaises != 0 || ex.FastReplies != 0 {
-			t.Fatalf("%v took the fast path", style)
+			t.Fatalf("%v took the fast path", flavor)
 		}
 		if ex.SlowRaises != 5 {
-			t.Fatalf("%v: SlowRaises = %d", style, ex.SlowRaises)
+			t.Fatalf("%v: SlowRaises = %d", flavor, ex.SlowRaises)
 		}
 		if k.Stats.BlocksWithoutDiscard[stats.BlockException] != 5 {
-			t.Fatalf("%v: exception PM blocks = %d", style,
+			t.Fatalf("%v: exception PM blocks = %d", flavor,
 				k.Stats.BlocksWithoutDiscard[stats.BlockException])
 		}
 	}
@@ -135,13 +135,13 @@ func TestExceptionSlowPathProcessModel(t *testing.T) {
 func TestExceptionLatencyShape(t *testing.T) {
 	// Table 3's exception row: MK40 is 2-3x faster than both
 	// process-model kernels, and MK32 is the slowest.
-	perExc := func(style ipc.Style) float64 {
-		k, _, _, _, _ := runExc(t, style, 50)
+	perExc := func(flavor core.Flavor) float64 {
+		k, _, _, _, _ := runExc(t, flavor, 50)
 		return k.Clock.Now().Micros() / 50
 	}
-	mk40 := perExc(ipc.StyleMK40)
-	mk32 := perExc(ipc.StyleMK32)
-	m25 := perExc(ipc.StyleMach25)
+	mk40 := perExc(core.MK40)
+	mk32 := perExc(core.MK32)
+	m25 := perExc(core.Mach25)
 	if !(mk40 < m25 && m25 < mk32) {
 		t.Fatalf("exception ordering violated: MK40=%.1f Mach2.5=%.1f MK32=%.1f", mk40, m25, mk32)
 	}
@@ -153,7 +153,7 @@ func TestExceptionLatencyShape(t *testing.T) {
 func TestExceptionFaulterStacklessWhileServerWorks(t *testing.T) {
 	// Freeze the run at the moment the server is handling: the faulting
 	// thread must be blocked with exception_return and no stack.
-	k, x, ex := newExcKernel(t, ipc.StyleMK40)
+	k, x, ex := newExcKernel(t, core.MK40)
 	port := x.NewPort("exc-server")
 	srv := &excServer{x: x, port: port}
 	st := k.NewThread(core.ThreadSpec{Name: "exc-server", SpaceID: 1, Program: srv})
@@ -183,7 +183,7 @@ func TestExceptionFaulterStacklessWhileServerWorks(t *testing.T) {
 }
 
 func TestExceptionWithoutPortPanics(t *testing.T) {
-	k, _, _ := newExcKernel(t, ipc.StyleMK40)
+	k, _, _ := newExcKernel(t, core.MK40)
 	ft := k.NewThread(core.ThreadSpec{Name: "orphan", SpaceID: 1, Program: &faulterProg{count: 1}})
 	k.Setrun(ft)
 	defer func() {
@@ -199,12 +199,12 @@ func TestSlowRaiseWhenServerBusy(t *testing.T) {
 	// the first exception, the second faulter (running concurrently)
 	// finds no waiter and takes the message path even in MK40.
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: true,
-		Processors:       2,
+		Model:      machine.NewCostModel(machine.ArchDS3100),
+		Flavor:     core.MK40,
+		Processors: 2,
 	})
 	k.Sched = sched.New(0)
-	x := ipc.New(k, ipc.StyleMK40)
+	x := ipc.New(k)
 	ex := exc.New(k, x)
 	port := x.NewPort("exc-server")
 	srv := &excServer{x: x, port: port}

@@ -105,37 +105,56 @@ func SetupNullRPC(sys *kern.System, iters int) *PingClient {
 	return cli
 }
 
-// excClient raises n exceptions.
-type excClient struct {
+// ExcClient raises exceptions, recording the simulated time spent
+// between warmup and completion.
+type ExcClient struct {
 	sys    *kern.System
 	n      int
 	warmup int
 
-	done      int
+	// Raised counts the exceptions raised so far: each one after the
+	// first means the one before it was handled.
+	Raised    int
 	MarkStart machine.Time
 	MarkEnd   machine.Time
 }
 
-func (c *excClient) Next(e *core.Env, t *core.Thread) core.Action {
-	if c.done == c.warmup {
+// Next implements core.UserProgram.
+func (c *ExcClient) Next(e *core.Env, t *core.Thread) core.Action {
+	if c.Raised == c.warmup {
 		c.MarkStart = c.sys.K.Clock.Now()
 	}
-	if c.done >= c.n {
+	if c.Raised >= c.n {
 		c.MarkEnd = c.sys.K.Clock.Now()
 		return core.Exit()
 	}
-	c.done++
-	return core.Action{Kind: core.ActException, Code: c.done}
+	c.Raised++
+	return core.Action{Kind: core.ActException, Code: c.Raised}
 }
 
 // ExceptionRTT measures the time for a user-level server thread to
 // handle a faulting thread's exception, in simulated microseconds. The
 // server runs in the same address space as the faulting thread (§3.3).
 func ExceptionRTT(flavor kern.Flavor, arch machine.Arch, iters int) float64 {
+	sys := kern.New(kern.Config{Flavor: flavor, Arch: arch, DisableCallout: true})
+	return ExceptionRTTOn(sys, iters)
+}
+
+// ExceptionRTTOn runs the exception microbenchmark on a pre-built
+// system, letting callers configure ablations or machine variants.
+func ExceptionRTTOn(sys *kern.System, iters int) float64 {
 	if iters <= 0 {
 		iters = 1000
 	}
-	sys := kern.New(kern.Config{Flavor: flavor, Arch: arch, DisableCallout: true})
+	cli := SetupException(sys, iters)
+	sys.Run(0)
+	return (cli.MarkEnd - cli.MarkStart).Micros() / float64(iters)
+}
+
+// SetupException installs a faulting thread and its exception server
+// that will run iters timed exception round trips (after a small
+// warmup) when the system runs.
+func SetupException(sys *kern.System, iters int) *ExcClient {
 	task := sys.NewTask("emulated")
 	port := sys.IPC.NewPort("exc")
 	// The minimal exception server: it does no work and neither examines
@@ -143,13 +162,12 @@ func ExceptionRTT(flavor kern.Flavor, arch machine.Arch, iters int) float64 {
 	// benchmark.
 	srv := workload.NewExcServer(sys, port, 0)
 	warmup := 10
-	cli := &excClient{sys: sys, n: iters + warmup, warmup: warmup}
+	cli := &ExcClient{sys: sys, n: iters + warmup, warmup: warmup}
 	sys.Start(task.NewThread("handler", srv, 20))
 	faulter := task.NewThread("faulter", cli, 10)
 	sys.Exc.SetExceptionPort(faulter, port)
 	sys.Start(faulter)
-	sys.Run(0)
-	return (cli.MarkEnd - cli.MarkStart).Micros() / float64(iters)
+	return cli
 }
 
 // Table3Row is one cell group of Table 3.
@@ -348,7 +366,7 @@ func Table5(n int) []Table5Result {
 		sys.Run(0)
 		out = append(out, Table5Result{
 			Flavor:            flavor,
-			Static:            flavor.StaticThreadSpace(),
+			Static:            kern.StaticThreadSpace(flavor),
 			MeasuredPerThread: sys.MeasuredPerThreadBytes(),
 			Threads:           sys.LiveUserThreads(),
 			StacksInUse:       sys.K.Stacks.InUse(),

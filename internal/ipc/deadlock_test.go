@@ -63,7 +63,7 @@ func primeSend(k *core.Kernel, x *ipc.IPC, to *ipc.Port) {
 // thread waiting for a reply that only it could send — must be reported
 // as a one-entry cycle naming that thread and its continuation.
 func TestFindDeadlockSelfWait(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("self")
 	reply := x.NewPort("self-reply")
 	sw := &selfWaiter{x: x, port: port, reply: reply}
@@ -131,7 +131,7 @@ func (s *fullPortSender) Next(e *core.Env, t *core.Thread) core.Action {
 // genuinely blocked.
 func buildFullPortSelfBlock(t *testing.T, sndTimeout machine.Duration) (*ipc.IPC, *core.Thread) {
 	t.Helper()
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("narrow")
 	port.QueueLimit = 1
 	fp := &fullPortSender{x: x, port: port, sndTimeout: sndTimeout}

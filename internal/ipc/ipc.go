@@ -2,24 +2,35 @@
 // ports, messages, and the combined send/receive system call mach_msg,
 // including the continuation-based fast RPC path of §2.4 (Figure 2).
 //
-// Three transfer styles reproduce the three measured kernels:
+// The kernel's flavor (core.Flavor, which core owns) decides how a send
+// reaches a receiver already waiting on the port:
 //
-//   - StyleMK40: when the sender finds a receiver blocked with a
-//     continuation, it delivers the message, performs a stack handoff,
-//     and — still inside its own live call context — recognizes the
-//     receiver's continuation. If it is mach_msg_continue the transfer
-//     completes inline: no queueing, no scheduler, no repeated parsing,
-//     one stack shared between caller and callee.
+//   - MK40: when core's one handoff rule (Kernel.CanHandoffTo) allows
+//     it, the sender delivers the message, hands its stack to the
+//     receiver and — still inside its own live call context — recognizes
+//     the receiver's continuation (Kernel.HandoffTo). If it is
+//     mach_msg_continue the transfer completes inline: no queueing, no
+//     scheduler, no repeated parsing, one stack shared between caller and
+//     callee.
 //
-//   - StyleMK32: the process-model kernel with the hand-optimized RPC
-//     path: the sender delivers directly to a waiting receiver and
+//   - MK32: the process-model kernel with the hand-optimized RPC path:
+//     the sender delivers directly to the waiting receiver and
 //     context-switches straight to it, bypassing the scheduler and the
 //     message queue, but paying a full register save/restore.
 //
-//   - StyleMach25: the unoptimized hybrid kernel: messages are always
-//     queued, the receiver is merely made runnable, and the general
-//     scheduler decides who runs next; the receiver re-parses the message
-//     after dequeueing it.
+//   - Mach25: the unoptimized hybrid kernel: messages are always queued,
+//     the receiver is merely made runnable, and the general scheduler
+//     decides who runs next; the receiver re-parses the message after
+//     dequeueing it.
+//
+// MK40 and MK32 transfer only when the sender's own receive phase would
+// block; otherwise, and in MK40 whenever the handoff rule says no (a
+// NoHandoff ablation, a receiver blocked without a continuation), the
+// sender delivers, wakes the receiver through the run queue and goes on.
+// With no receiver waiting, every kernel queues the message. The
+// kernel's own senders (an exception raise, a netmsg delivery) pass a
+// message to a waiting receiver through the same core primitive
+// (HandOff).
 package ipc
 
 import (
@@ -31,28 +42,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
-
-// Style selects the transfer discipline (see the package comment).
-type Style int
-
-const (
-	StyleMK40 Style = iota
-	StyleMK32
-	StyleMach25
-)
-
-func (s Style) String() string {
-	switch s {
-	case StyleMK40:
-		return "MK40"
-	case StyleMK32:
-		return "MK32"
-	case StyleMach25:
-		return "Mach2.5"
-	default:
-		return fmt.Sprintf("Style(%d)", int(s))
-	}
-}
 
 // Return codes, after Mach's.
 const (
@@ -313,8 +302,7 @@ func transferCost(m *Message) machine.Cost {
 
 // IPC is the interprocess-communication subsystem of one kernel.
 type IPC struct {
-	K     *core.Kernel
-	Style Style
+	K *core.Kernel
 
 	// ContMsgContinue is mach_msg_continue: the continuation nearly all
 	// receivers block with, and the value the fast path recognizes.
@@ -329,6 +317,10 @@ type IPC struct {
 	// ContMsgSendRetry resumes a sender that blocked on a full message
 	// queue.
 	ContMsgSendRetry *core.Continuation
+
+	// resumeReceiveFn is resumeReceive's method value, bound once: the
+	// process-model receive blocks with it on every call.
+	resumeReceiveFn func(*core.Env)
 
 	// threads holds each thread's IPC record, by thread ID. Thread IDs
 	// are small and dense per kernel, so a slice beats a map on the
@@ -403,17 +395,14 @@ func (x *IPC) record(t *core.Thread) threadIPC {
 	return threadIPC{}
 }
 
-// New creates the IPC subsystem for a kernel with the given style.
-// StyleMK40 requires a continuation kernel; the process-model styles
-// require a process-model kernel.
-func New(k *core.Kernel, style Style) *IPC {
-	if (style == StyleMK40) != k.UseContinuations {
-		panic(fmt.Sprintf("ipc: style %v mismatches kernel continuations=%v", style, k.UseContinuations))
-	}
-	x := &IPC{K: k, Style: style}
+// New creates the IPC subsystem for a kernel; the kernel's flavor picks
+// the transfer discipline (see the package comment).
+func New(k *core.Kernel) *IPC {
+	x := &IPC{K: k}
 	x.ContMsgContinue = core.NewContinuation("mach_msg_continue", x.msgContinue)
 	x.ContMsgRcvSlow = core.NewContinuation("mach_msg_receive_slow", x.msgReceiveSlow)
 	x.ContMsgSendRetry = core.NewContinuation("mach_msg_send_retry", x.msgSendRetry)
+	x.resumeReceiveFn = x.resumeReceive
 	k.Invariants = append(k.Invariants, x.checkInvariants)
 	return x
 }
@@ -479,8 +468,8 @@ func (x *IPC) DeliverTo(e *core.Env, recv *core.Thread, m *Message) {
 }
 
 // Enqueue places a message on a port's queue, charging allocation and
-// queueing: the slow-path delivery used when no receiver waits (and
-// always used by the Mach 2.5 style).
+// queueing: the slow-path delivery used when no receiver can be handed
+// the message directly (always, in Mach 2.5).
 func (x *IPC) Enqueue(e *core.Env, p *Port, m *Message) {
 	x.enqueue(e, p, m)
 }
@@ -492,14 +481,16 @@ func (x *IPC) PopWaiter(e *core.Env, p *Port) *core.Thread {
 	return x.popWaiter(p)
 }
 
-// RegisterReceiver records that t is about to block receiving on p: its
-// receive parameters go to the scratch area and it joins the waiter list.
-// The caller sets the wait state and blocks. cont reports the
-// continuation the thread should block with (the slow variant when a
-// size constraint is present).
-func (x *IPC) RegisterReceiver(t *core.Thread, p *Port, maxSize int) (cont *core.Continuation) {
-	x.saveReceiveState(t, p, maxSize)
-	p.push(x, t)
+// RegisterReceiver prepares t to block receiving on src: its receive
+// parameters go to the scratch area, it joins the waiter list with the
+// timeout armed (zero waits forever) and it enters the wait state. The
+// caller then blocks it with the returned continuation: nearly all
+// receivers block on the common path with mach_msg_continue, a
+// size-constrained receive with the slow continuation.
+func (x *IPC) RegisterReceiver(t *core.Thread, src source, maxSize int, timeout machine.Duration) *core.Continuation {
+	x.saveReceiveState(t, src, maxSize)
+	x.armTimeout(src.push(x, t), timeout)
+	x.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "mach_msg receive"
 	if maxSize > 0 {
 		return x.ContMsgRcvSlow
@@ -523,16 +514,9 @@ func (x *IPC) ReceiveTimeout(e *core.Env, p *Port, maxSize int, timeout machine.
 	x.receive(e, p, maxSize, timeout)
 }
 
-// CompleteReceive finishes the current thread's receive with m: copyout
-// and system-call return. Used by recognizing fast paths. Transfers
-// control.
-func (x *IPC) CompleteReceive(e *core.Env, m *Message) {
-	x.copyOutAndReturn(e, m)
-}
-
-// TakeDelivered consumes a message that was directly delivered to t, if
+// takeDelivered consumes a message that was directly delivered to t, if
 // any.
-func (x *IPC) TakeDelivered(t *core.Thread) *Message {
+func (x *IPC) takeDelivered(t *core.Thread) *Message {
 	r := x.thread(t)
 	m := r.delivered
 	r.delivered = nil
@@ -711,75 +695,41 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		recv = x.findSetReceiver(dest)
 	}
 
-	switch x.Style {
-	case StyleMK40:
-		if recv != nil && recv.Cont != nil && k.CanHandoff() {
-			x.sendHandoff(e, opts, src, recv)
-			return
-		}
-		if recv != nil {
-			// Receiver blocked under the process model (rare in MK40):
-			// deliver and wake it through the general path.
-			x.DeliverTo(e, recv, msg)
-			e.Charge(wakeupCost)
-			k.Setrun(recv)
-			x.finishSendPhase(e, opts)
-			return
-		}
-	case StyleMK32:
-		if recv != nil {
-			// Deliver into the receiver's buffer and context-switch
-			// directly to it, bypassing the scheduler and the queue.
-			x.DeliverTo(e, recv, msg)
+	if recv != nil && k.Flavor != core.Mach25 {
+		// A receiver waits: the message goes straight to it. If the
+		// sender's receive phase would block, block it there and
+		// transfer to the receiver (MK40 when the handoff rule allows
+		// it, MK32 always); otherwise wake the receiver through the run
+		// queue and let the sender go on.
+		x.DeliverTo(e, recv, msg)
+		if k.Flavor == core.MK32 {
 			x.DirectSwitches++
-			if src != nil && !src.hasPending() && x.record(t).delivered == nil {
-				maxSize := opts.MaxSize
-				e.K.SetState(t, core.StateWaiting)
-				t.WaitLabel = "mach_msg receive"
-				w := src.push(x, t)
-				x.armTimeout(w, opts.RcvTimeout)
-				k.BlockDirected(e, stats.BlockReceive,
-					func(e2 *core.Env) { x.resumeReceive(e2, src, maxSize) },
-					192, "mach_msg", recv)
-				return
-			}
-			if src != nil {
-				// The sender's receive completes immediately; wake the
-				// receiver through the run queue instead.
-				e.Charge(wakeupCost)
-				k.Setrun(recv)
-				x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
-				return
-			}
-			e.Charge(wakeupCost)
-			k.Setrun(recv)
-			k.ThreadSyscallReturn(e, MsgSuccess)
+		}
+		if src != nil && !src.hasPending() && x.record(t).delivered == nil &&
+			(k.Flavor == core.MK32 || k.CanHandoffTo(recv)) {
+			x.transferTo(e, src, opts.MaxSize, opts.RcvTimeout, recv)
 			return
 		}
-	case StyleMach25:
-		// Always queue; the receiver (if any) is merely made runnable
-		// and the general scheduler arbitrates.
-		if len(dest.queue) >= dest.limit() {
-			x.blockFullQueue(e, dest, opts)
-			return
-		}
-		x.enqueue(e, dest, msg)
-		if recv != nil {
-			e.Charge(wakeupCost)
-			e.Charge(selectCost)
-			k.Setrun(recv)
-		}
+		e.Charge(wakeupCost)
+		k.Setrun(recv)
 		x.finishSendPhase(e, opts)
 		return
 	}
 
-	// No receiver waiting: queue the message and continue (blocking
-	// first if the queue is at its limit).
+	// Queue the message and continue (blocking first if the queue is at
+	// its limit): always in Mach 2.5, whose waiting receiver is merely
+	// made runnable for the general scheduler to arbitrate, and in every
+	// kernel when no receiver waits.
 	if len(dest.queue) >= dest.limit() {
 		x.blockFullQueue(e, dest, opts)
 		return
 	}
 	x.enqueue(e, dest, msg)
+	if recv != nil {
+		e.Charge(wakeupCost)
+		e.Charge(selectCost)
+		k.Setrun(recv)
+	}
 	x.finishSendPhase(e, opts)
 }
 
@@ -951,67 +901,48 @@ func (x *IPC) finishSendPhase(e *core.Env, opts MsgOptions) {
 	x.K.ThreadSyscallReturn(e, MsgSuccess)
 }
 
-// sendHandoff is the §2.4 fast path: the receiver is blocked with a
-// continuation, so the sender hands its stack (and, implicitly, the
-// message in its live call context) directly to the receiver. Transfers
-// control.
-func (x *IPC) sendHandoff(e *core.Env, opts MsgOptions, src source, recv *core.Thread) {
+// transferTo blocks the sender in its receive phase on src and passes
+// control straight to recv, which holds the message: MK40 hands it the
+// stack (the §2.4 fast path: recognizing mach_msg_continue completes its
+// receive inline, the message passed on the shared stack and checked for
+// exceptional conditions by the sender alone), MK32 context-switches
+// directly to it. Transfers control.
+func (x *IPC) transferTo(e *core.Env, src source, maxSize int, timeout machine.Duration, recv *core.Thread) {
 	k := x.K
-	t := e.Cur()
-	msg := opts.Send
+	cont := x.RegisterReceiver(e.Cur(), src, maxSize, timeout)
+	if k.Flavor == core.MK32 {
+		k.BlockDirected(e, stats.BlockReceive, x.resumeReceiveFn, 192, "mach_msg", recv)
+		return
+	}
+	k.HandoffTo(e, stats.BlockReceive, cont, recv, x.ContMsgContinue, x.fastRPC)
+}
+
+// fastRPC completes a recognized receiver's receive for a user send.
+// Transfers control.
+func (x *IPC) fastRPC(e *core.Env) {
+	x.FastRPCs++
+	x.completeDelivered(e)
+}
+
+// HandOff is transferTo for the kernel's own senders (an exception
+// raise, a netmsg delivery): it delivers msg to recv, a waiting receiver
+// the handoff rule approved, and hands it the current thread's stack,
+// blocking the current thread with cont. Transfers control.
+func (x *IPC) HandOff(e *core.Env, reason stats.BlockReason, cont *core.Continuation, recv *core.Thread, msg *Message) {
 	x.DeliverTo(e, recv, msg)
+	x.K.HandoffTo(e, reason, cont, recv, x.ContMsgContinue, x.completeDelivered)
+}
 
-	if src == nil {
-		// Send-only to a waiting receiver: wake it and return; no
-		// handoff is needed because the sender keeps running.
-		e.Charge(wakeupCost)
-		k.Setrun(recv)
-		k.ThreadSyscallReturn(e, MsgSuccess)
-		return
+// completeDelivered finishes the current thread's receive with the
+// message handed to it directly: copyout and system-call return, the
+// inline sequence of a resumer that recognized mach_msg_continue.
+// Transfers control.
+func (x *IPC) completeDelivered(e *core.Env) {
+	m := x.takeDelivered(e.Cur())
+	if m == nil {
+		panic("ipc: a recognized receiver lost its delivered message")
 	}
-
-	// The handoff requires that the sender's receive phase would
-	// genuinely block; if a message already awaits the sender, wake the
-	// receiver through the queue-less general path and take the receive
-	// immediately.
-	if src.hasPending() || x.record(t).delivered != nil {
-		e.Charge(wakeupCost)
-		k.Setrun(recv)
-		x.receive(e, src, opts.MaxSize, opts.RcvTimeout)
-		return
-	}
-
-	// Combined send/receive: the sender blocks waiting for its own
-	// message. Stash the receive parameters in the 28-byte scratch area
-	// and hand the stack to the receiver.
-	x.saveReceiveState(t, src, opts.MaxSize)
-	w := src.push(x, t)
-	x.armTimeout(w, opts.RcvTimeout)
-	e.K.SetState(t, core.StateWaiting)
-	t.WaitLabel = "mach_msg receive"
-	cont := x.ContMsgContinue
-	if opts.MaxSize > 0 {
-		cont = x.ContMsgRcvSlow
-	}
-	k.ThreadHandoff(e, stats.BlockReceive, cont, recv)
-
-	// Running as the receiver now, inside the sender's still-live
-	// mach_msg activation. Examine the continuation before using it.
-	if k.Recognize(e, x.ContMsgContinue) {
-		// The receiver blocked on the common path: complete its receive
-		// inline. The message was passed on the shared stack; only the
-		// sender checked it for exceptional conditions.
-		x.FastRPCs++
-		m := x.TakeDelivered(e.Cur())
-		if m == nil {
-			panic("ipc: fast path lost its message")
-		}
-		x.copyOutAndReturn(e, m)
-		return
-	}
-	// Unusual receiver: give it its own continuation, which redoes the
-	// option processing.
-	k.CallContinuation(e, e.Cur().Cont)
+	x.copyOutAndReturn(e, m)
 }
 
 // saveReceiveState records a blocked receiver's parameters in its scratch
@@ -1031,7 +962,7 @@ func (x *IPC) receive(e *core.Env, src source, maxSize int, timeout machine.Dura
 		return
 	}
 	// A message may already have been handed to us.
-	if m := x.TakeDelivered(t); m != nil {
+	if m := x.takeDelivered(t); m != nil {
 		x.finishReceiveChecked(e, m, maxSize)
 		return
 	}
@@ -1044,31 +975,16 @@ func (x *IPC) receive(e *core.Env, src source, maxSize int, timeout machine.Dura
 		return
 	}
 
-	// Nothing available: block. Nearly all receivers block on the common
-	// path with mach_msg_continue; a size-constrained receive blocks with
-	// the slow continuation.
-	x.saveReceiveState(t, src, maxSize)
-	w := src.push(x, t)
-	x.armTimeout(w, timeout)
-	e.K.SetState(t, core.StateWaiting)
-	t.WaitLabel = "mach_msg receive"
-	cont := x.ContMsgContinue
-	if maxSize > 0 {
-		cont = x.ContMsgRcvSlow
-	}
-	// A continuation kernel blocks with cont and never runs the resume
-	// step; building the closure only when it can be used keeps the MK40
-	// receive path allocation-free.
-	var resume func(*core.Env)
-	if !x.K.UseContinuations {
-		resume = func(e2 *core.Env) { x.resumeReceive(e2, src, maxSize) }
-	}
-	x.K.Block(e, stats.BlockReceive, cont, resume, 192, "mach_msg")
+	// Nothing available: block.
+	cont := x.RegisterReceiver(t, src, maxSize, timeout)
+	x.K.Block(e, stats.BlockReceive, cont, x.resumeReceiveFn, 192, "mach_msg")
 }
 
-// resumeReceive is the process-model resumption of a blocked receive.
-// Re-parsing costs are charged where a message is actually dequeued.
-func (x *IPC) resumeReceive(e *core.Env, src source, maxSize int) {
+// resumeReceive is the process-model resumption of a blocked receive,
+// from the parameters RegisterReceiver saved. Re-parsing costs are
+// charged where a message is actually dequeued. Transfers control.
+func (x *IPC) resumeReceive(e *core.Env) {
+	src, maxSize := x.savedReceiveState(e.Cur())
 	x.receive(e, src, maxSize, 0)
 }
 
@@ -1082,7 +998,7 @@ func (x *IPC) msgContinue(e *core.Env) {
 		x.K.ThreadSyscallReturn(e, code)
 		return
 	}
-	if m := x.TakeDelivered(t); m != nil {
+	if m := x.takeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.copyOutAndReturn(e, m)
 		return
@@ -1102,7 +1018,7 @@ func (x *IPC) msgReceiveSlow(e *core.Env) {
 		x.K.ThreadSyscallReturn(e, code)
 		return
 	}
-	if m := x.TakeDelivered(t); m != nil {
+	if m := x.takeDelivered(t); m != nil {
 		x.SlowReceives++
 		x.finishReceiveChecked(e, m, maxSize)
 		return

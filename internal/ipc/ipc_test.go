@@ -11,14 +11,14 @@ import (
 	"repro/internal/sched"
 )
 
-func newIPCKernel(t *testing.T, style ipc.Style) (*core.Kernel, *ipc.IPC) {
+func newIPCKernel(t *testing.T, flavor core.Flavor) (*core.Kernel, *ipc.IPC) {
 	t.Helper()
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: style == ipc.StyleMK40,
+		Model:  machine.NewCostModel(machine.ArchDS3100),
+		Flavor: flavor,
 	})
 	k.Sched = sched.New(0)
-	return k, ipc.New(k, style)
+	return k, ipc.New(k)
 }
 
 // rpcClient issues count null RPCs to server, then exits.
@@ -86,9 +86,9 @@ func (s *rpcServer) Next(e *core.Env, t *core.Thread) core.Action {
 }
 
 // runRPC wires a client/server pair and runs to quiescence.
-func runRPC(t *testing.T, style ipc.Style, rpcs, maxSize int) (*core.Kernel, *ipc.IPC, *rpcClient, *rpcServer) {
+func runRPC(t *testing.T, flavor core.Flavor, rpcs, maxSize int) (*core.Kernel, *ipc.IPC, *rpcClient, *rpcServer) {
 	t.Helper()
-	k, x := newIPCKernel(t, style)
+	k, x := newIPCKernel(t, flavor)
 	serverPort := x.NewPort("server")
 	replyPort := x.NewPort("reply")
 	srv := &rpcServer{x: x, port: serverPort, maxSize: maxSize}
@@ -105,7 +105,7 @@ func runRPC(t *testing.T, style ipc.Style, rpcs, maxSize int) (*core.Kernel, *ip
 }
 
 func TestNullRPCMK40FastPath(t *testing.T) {
-	k, x, cli, srv := runRPC(t, ipc.StyleMK40, 10, 0)
+	k, x, cli, srv := runRPC(t, core.MK40, 10, 0)
 	if srv.handled != 10 || len(cli.replies) != 10 {
 		t.Fatalf("handled=%d replies=%d", srv.handled, len(cli.replies))
 	}
@@ -129,7 +129,7 @@ func TestNullRPCMK40FastPath(t *testing.T) {
 }
 
 func TestNullRPCMK40BypassesQueue(t *testing.T) {
-	k, x, _, _ := runRPC(t, ipc.StyleMK40, 20, 0)
+	k, x, _, _ := runRPC(t, core.MK40, 20, 0)
 	_ = k
 	if x.QueuedSends > 2 {
 		t.Fatalf("fast path queued %d messages", x.QueuedSends)
@@ -137,7 +137,7 @@ func TestNullRPCMK40BypassesQueue(t *testing.T) {
 }
 
 func TestNullRPCMK40SteadyStateStacks(t *testing.T) {
-	k, _, _, _ := runRPC(t, ipc.StyleMK40, 50, 0)
+	k, _, _, _ := runRPC(t, core.MK40, 50, 0)
 	// Client and server share one stack via handoff; the high-water mark
 	// stays tiny.
 	if k.Stacks.MaxInUse() > 2 {
@@ -146,7 +146,7 @@ func TestNullRPCMK40SteadyStateStacks(t *testing.T) {
 }
 
 func TestNullRPCMK32DirectSwitch(t *testing.T) {
-	k, x, cli, srv := runRPC(t, ipc.StyleMK32, 10, 0)
+	k, x, cli, srv := runRPC(t, core.MK32, 10, 0)
 	if srv.handled != 10 || len(cli.replies) != 10 {
 		t.Fatalf("handled=%d replies=%d", srv.handled, len(cli.replies))
 	}
@@ -165,7 +165,7 @@ func TestNullRPCMK32DirectSwitch(t *testing.T) {
 }
 
 func TestNullRPCMach25Queues(t *testing.T) {
-	k, x, cli, srv := runRPC(t, ipc.StyleMach25, 10, 0)
+	k, x, cli, srv := runRPC(t, core.Mach25, 10, 0)
 	if srv.handled != 10 || len(cli.replies) != 10 {
 		t.Fatalf("handled=%d replies=%d", srv.handled, len(cli.replies))
 	}
@@ -181,13 +181,13 @@ func TestNullRPCMach25Queues(t *testing.T) {
 
 func TestRPCLatencyOrdering(t *testing.T) {
 	// The paper's Table 3 shape: MK40 < MK32 < Mach 2.5 for null RPC.
-	perRPC := func(style ipc.Style) float64 {
-		k, _, _, _ := runRPC(t, style, 100, 0)
+	perRPC := func(flavor core.Flavor) float64 {
+		k, _, _, _ := runRPC(t, flavor, 100, 0)
 		return k.Clock.Now().Micros() / 100
 	}
-	mk40 := perRPC(ipc.StyleMK40)
-	mk32 := perRPC(ipc.StyleMK32)
-	m25 := perRPC(ipc.StyleMach25)
+	mk40 := perRPC(core.MK40)
+	mk32 := perRPC(core.MK32)
+	m25 := perRPC(core.Mach25)
 	if !(mk40 < mk32 && mk32 < m25) {
 		t.Fatalf("latency ordering violated: MK40=%.1fus MK32=%.1fus Mach2.5=%.1fus", mk40, mk32, m25)
 	}
@@ -197,7 +197,7 @@ func TestSlowReceiveDefeatsRecognition(t *testing.T) {
 	// A server with a size constraint blocks with the slow continuation;
 	// the sender hands off but cannot recognize, so the receiver's own
 	// continuation completes the transfer.
-	k, x, cli, srv := runRPC(t, ipc.StyleMK40, 10, 4096)
+	k, x, cli, srv := runRPC(t, core.MK40, 10, 4096)
 	if srv.handled != 10 || len(cli.replies) != 10 {
 		t.Fatalf("handled=%d replies=%d", srv.handled, len(cli.replies))
 	}
@@ -214,7 +214,7 @@ func TestSlowReceiveDefeatsRecognition(t *testing.T) {
 }
 
 func TestRcvTooLarge(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("p")
 	var code uint64
 	recvProg := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
@@ -246,7 +246,7 @@ func TestRcvTooLarge(t *testing.T) {
 }
 
 func TestSendOnlyQueuesWithoutReceiver(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("mbox")
 	prog := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
 		if th.KernelEntries >= 3 {
@@ -269,7 +269,7 @@ func TestSendOnlyQueuesWithoutReceiver(t *testing.T) {
 }
 
 func TestQueuedMessagesDrainFIFO(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("mbox")
 	const n = 5
 	prodProg := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
@@ -310,7 +310,7 @@ func TestQueuedMessagesDrainFIFO(t *testing.T) {
 }
 
 func TestReceiversAreStacklessWhileBlocked(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("idle")
 	var servers []*core.Thread
 	for i := 0; i < 20; i++ {
@@ -343,19 +343,8 @@ func TestReceiversAreStacklessWhileBlocked(t *testing.T) {
 	}
 }
 
-func TestStyleKernelMismatchPanics(t *testing.T) {
-	k := core.NewKernel(core.Config{UseContinuations: false})
-	k.Sched = sched.New(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("style mismatch did not panic")
-		}
-	}()
-	ipc.New(k, ipc.StyleMK40)
-}
-
 func TestMessageSizeFloor(t *testing.T) {
-	_, x := newIPCKernel(t, ipc.StyleMK40)
+	_, x := newIPCKernel(t, core.MK40)
 	m := x.NewMessage(1, 3, nil, nil)
 	if m.Size != ipc.HeaderBytes {
 		t.Fatalf("Size = %d, want header floor", m.Size)
@@ -365,7 +354,7 @@ func TestMessageSizeFloor(t *testing.T) {
 func TestFastPathSharedStackCount(t *testing.T) {
 	// Figure 2's essence: during a fast RPC the sender's stack becomes
 	// the receiver's; there is no moment with two stacks for the pair.
-	k, _, _, _ := runRPC(t, ipc.StyleMK40, 30, 0)
+	k, _, _, _ := runRPC(t, core.MK40, 30, 0)
 	if k.Stacks.TotalStacks() > 2 {
 		t.Fatalf("created %d stacks for a 2-thread RPC pair", k.Stacks.TotalStacks())
 	}
@@ -378,7 +367,7 @@ func TestPerSenderFIFOProperty(t *testing.T) {
 	f := func(seed uint32, senderCount uint8) bool {
 		nSenders := int(senderCount%3) + 2
 		perSender := 6
-		k, x := newIPCKernel(t, ipc.StyleMK40)
+		k, x := newIPCKernel(t, core.MK40)
 		port := x.NewPort("mbox")
 		port.QueueLimit = 3 // exercise sender blocking too
 

@@ -28,7 +28,7 @@ func (p *retvalProg) Next(e *core.Env, t *core.Thread) core.Action {
 }
 
 func TestReceiveTimeout(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("empty")
 	prog := &retvalProg{acts: []core.Action{
 		core.Syscall("recv", func(e *core.Env) {
@@ -56,8 +56,8 @@ func TestReceiveTimeout(t *testing.T) {
 }
 
 func TestReceiveTimeoutCancelledByDelivery(t *testing.T) {
-	for _, style := range []ipc.Style{ipc.StyleMK40, ipc.StyleMK32} {
-		k, x := newIPCKernel(t, style)
+	for _, flavor := range []core.Flavor{core.MK40, core.MK32} {
+		k, x := newIPCKernel(t, flavor)
 		port := x.NewPort("p")
 		recvProg := &retvalProg{acts: []core.Action{
 			core.Syscall("recv", func(e *core.Env) {
@@ -80,17 +80,17 @@ func TestReceiveTimeoutCancelledByDelivery(t *testing.T) {
 		k.Setrun(st)
 		k.Run(0)
 		if len(recvProg.rets) == 0 || recvProg.rets[0] != ipc.MsgSuccess {
-			t.Fatalf("%v: rets = %#x", style, recvProg.rets)
+			t.Fatalf("%v: rets = %#x", flavor, recvProg.rets)
 		}
 		// The timeout must not fire later (the clock drained fully).
 		if k.Clock.Pending() != 0 {
-			t.Fatalf("%v: timeout event still pending", style)
+			t.Fatalf("%v: timeout event still pending", flavor)
 		}
 	}
 }
 
 func TestDestroyPortWakesReceivers(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("victim")
 	var rets []uint64
 	for i := 0; i < 3; i++ {
@@ -127,7 +127,7 @@ func TestDestroyPortWakesReceivers(t *testing.T) {
 }
 
 func TestDestroyedPortReceiversGetPortDied(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("victim")
 	prog := &retvalProg{acts: []core.Action{
 		core.Syscall("recv", func(e *core.Env) {
@@ -148,7 +148,7 @@ func TestDestroyedPortReceiversGetPortDied(t *testing.T) {
 }
 
 func TestSendToDeadPortFails(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("dead")
 	prog := &retvalProg{acts: []core.Action{
 		core.Syscall("kill", func(e *core.Env) {
@@ -169,7 +169,7 @@ func TestSendToDeadPortFails(t *testing.T) {
 }
 
 func TestQueueLimitBlocksSender(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("narrow")
 	port.QueueLimit = 2
 
@@ -239,7 +239,7 @@ func TestQueueLimitBlocksSender(t *testing.T) {
 
 func TestQueueLimitProcessModel(t *testing.T) {
 	// Same scenario under Mach 2.5 (always-queue style).
-	k, x := newIPCKernel(t, ipc.StyleMach25)
+	k, x := newIPCKernel(t, core.Mach25)
 	port := x.NewPort("narrow")
 	port.QueueLimit = 1
 	sent := 0
@@ -277,7 +277,7 @@ func TestQueueLimitProcessModel(t *testing.T) {
 }
 
 func TestDestroyPortWakesBlockedSender(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	port := x.NewPort("narrow")
 	port.QueueLimit = 1
 	prog := &retvalProg{acts: []core.Action{
@@ -314,7 +314,7 @@ func TestTimeoutRaceWithSender(t *testing.T) {
 	// Sender and timeout land close together: exactly one of them wins,
 	// the receiver never double-completes, and invariants hold.
 	for delay := machine.Duration(900); delay <= 1100; delay += 50 {
-		k, x := newIPCKernel(t, ipc.StyleMK40)
+		k, x := newIPCKernel(t, core.MK40)
 		port := x.NewPort("race")
 		recvProg := &retvalProg{acts: []core.Action{
 			core.Syscall("recv", func(e *core.Env) {

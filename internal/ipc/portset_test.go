@@ -8,7 +8,7 @@ import (
 )
 
 func TestPortSetMembership(t *testing.T) {
-	_, x := newIPCKernel(t, ipc.StyleMK40)
+	_, x := newIPCKernel(t, core.MK40)
 	ps := x.NewPortSet("objects")
 	a := x.NewPort("a")
 	b := x.NewPort("b")
@@ -26,7 +26,7 @@ func TestPortSetMembership(t *testing.T) {
 }
 
 func TestPortInTwoSetsPanics(t *testing.T) {
-	_, x := newIPCKernel(t, ipc.StyleMK40)
+	_, x := newIPCKernel(t, core.MK40)
 	p := x.NewPort("p")
 	x.AddToSet(p, x.NewPortSet("s1"))
 	defer func() {
@@ -38,7 +38,7 @@ func TestPortInTwoSetsPanics(t *testing.T) {
 }
 
 func TestReceiveFromSetDrainsAllMembers(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	ps := x.NewPortSet("objects")
 	ports := []*ipc.Port{x.NewPort("a"), x.NewPort("b"), x.NewPort("c")}
 	for _, p := range ports {
@@ -99,7 +99,7 @@ func TestReceiveFromSetDrainsAllMembers(t *testing.T) {
 func TestSetWaiterGetsFastHandoff(t *testing.T) {
 	// A server blocked on a SET still takes the §2.4 fast path when a
 	// sender targets any member port.
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	ps := x.NewPortSet("objects")
 	port := x.NewPort("member")
 	x.AddToSet(port, ps)
@@ -165,7 +165,7 @@ func TestSetWaiterGetsFastHandoff(t *testing.T) {
 }
 
 func TestSetRoundRobinAcrossMembers(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	ps := x.NewPortSet("objects")
 	a, b := x.NewPort("a"), x.NewPort("b")
 	x.AddToSet(a, ps)
@@ -209,7 +209,7 @@ func TestSetRoundRobinAcrossMembers(t *testing.T) {
 }
 
 func TestBothReceiveFieldsPanics(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	ps := x.NewPortSet("s")
 	p := x.NewPort("p")
 	prog := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {

@@ -19,12 +19,12 @@ import (
 func runSendRace(t *testing.T, skew int64) uint64 {
 	t.Helper()
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: true,
+		Model:  machine.NewCostModel(machine.ArchDS3100),
+		Flavor: core.MK40,
 	})
 	k.Sched = sched.New(0)
 	k.DebugChecks = true
-	x := New(k, StyleMK40)
+	x := New(k)
 	port := x.NewPort("narrow")
 	port.QueueLimit = 1
 
@@ -91,12 +91,12 @@ func runSendRace(t *testing.T, skew int64) uint64 {
 func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 	t.Helper()
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: true,
+		Model:  machine.NewCostModel(machine.ArchDS3100),
+		Flavor: core.MK40,
 	})
 	k.Sched = sched.New(0)
 	k.DebugChecks = true
-	x := New(k, StyleMK40)
+	x := New(k)
 	port := x.NewPort("raced")
 
 	prog := &oneRecv{x: x, port: port, timeout: machine.Duration(1_000_000)}

@@ -11,8 +11,8 @@ import (
 func TestSendTimeout(t *testing.T) {
 	// A sender parked on a full queue with SndTimeout set gives up with
 	// SendTimedOut when nobody drains the port.
-	for _, style := range []ipc.Style{ipc.StyleMK40, ipc.StyleMK32} {
-		k, x := newIPCKernel(t, style)
+	for _, flavor := range []core.Flavor{core.MK40, core.MK32} {
+		k, x := newIPCKernel(t, flavor)
 		k.DebugChecks = true
 		port := x.NewPort("stuffed")
 		port.QueueLimit = 1
@@ -33,19 +33,19 @@ func TestSendTimeout(t *testing.T) {
 		k.Setrun(th)
 		k.Run(0)
 		if th.State() != core.StateHalted {
-			t.Fatalf("%v: sender hung: %v (%q)", style, th.State(), th.WaitLabel)
+			t.Fatalf("%v: sender hung: %v (%q)", flavor, th.State(), th.WaitLabel)
 		}
 		if len(prog.rets) != 2 || prog.rets[0] != ipc.MsgSuccess || prog.rets[1] != ipc.SendTimedOut {
-			t.Fatalf("%v: rets = %#x, want [MsgSuccess SendTimedOut]", style, prog.rets)
+			t.Fatalf("%v: rets = %#x, want [MsgSuccess SendTimedOut]", flavor, prog.rets)
 		}
 		if got := k.Clock.Now(); got < 2_000_000 {
-			t.Fatalf("%v: returned before the timeout: %v", style, got)
+			t.Fatalf("%v: returned before the timeout: %v", flavor, got)
 		}
 		if port.SendWaiters() != 0 {
-			t.Fatalf("%v: stale send-waiter registration", style)
+			t.Fatalf("%v: stale send-waiter registration", flavor)
 		}
 		if k.Clock.Pending() != 0 {
-			t.Fatalf("%v: timeout event leaked", style)
+			t.Fatalf("%v: timeout event leaked", flavor)
 		}
 		k.MustValidate()
 	}
@@ -55,7 +55,7 @@ func TestSendTimeoutCancelledByDrain(t *testing.T) {
 	// The queue drains before the timeout: the retried send succeeds and
 	// the armed callout is cancelled, not left to fire into a completed
 	// call.
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	k.DebugChecks = true
 	port := x.NewPort("narrow")
 	port.QueueLimit = 1
@@ -115,7 +115,7 @@ func TestDestroyPortUnderLoad(t *testing.T) {
 	// port) receivers blocked with receive timeouts. Everyone completes
 	// with the right code, every armed callout is cancelled, and the
 	// invariant sweep stays clean throughout.
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	k.DebugChecks = true
 	full := x.NewPort("full")
 	full.QueueLimit = 2

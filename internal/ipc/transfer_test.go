@@ -27,7 +27,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 // TestKernelSinkMustTransfer pins send's check on a kernel-received
 // port: the sink runs in the sender's context and must transfer control.
 func TestKernelSinkMustTransfer(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	sink := x.NewPort("sink")
 	sink.KernelSink = func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {}
 	prog := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
@@ -43,7 +43,7 @@ func TestKernelSinkMustTransfer(t *testing.T) {
 // override hook: a hook that claims the return (true) must have
 // transferred control.
 func TestUserReturnHookMustTransfer(t *testing.T) {
-	k, x := newIPCKernel(t, ipc.StyleMK40)
+	k, x := newIPCKernel(t, core.MK40)
 	x.UserReturnHook = func(e *core.Env, th *core.Thread, m *ipc.Message) bool { return true }
 	server, reply := x.NewPort("server"), x.NewPort("reply")
 	srv := &rpcServer{x: x, port: server}

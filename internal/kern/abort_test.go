@@ -50,7 +50,7 @@ func checkClean(t *testing.T, sys *kern.System, flavor kern.Flavor) {
 		t.Fatalf("leaked callouts: %d clock events still armed", got)
 	}
 	want := 0
-	if !flavor.UsesContinuations() {
+	if flavor != kern.MK40 {
 		want = 4
 	}
 	if got := sys.K.Stacks.InUse(); got != want {

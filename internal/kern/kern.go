@@ -35,68 +35,25 @@ import (
 	"repro/internal/vm"
 )
 
-// Flavor identifies one of the three measured kernels.
-type Flavor int
+// Flavor identifies one of the three measured kernels. The kernel's
+// identity lives in core, which boots from it; kern names it for the
+// configurations it assembles.
+type Flavor = core.Flavor
 
 const (
-	MK40 Flavor = iota
-	MK32
-	Mach25
+	MK40   = core.MK40
+	MK32   = core.MK32
+	Mach25 = core.Mach25
 )
-
-func (f Flavor) String() string {
-	switch f {
-	case MK40:
-		return "MK40"
-	case MK32:
-		return "MK32"
-	case Mach25:
-		return "Mach 2.5"
-	default:
-		return fmt.Sprintf("Flavor(%d)", int(f))
-	}
-}
-
-// flavorFlags are the flavors' command-line spellings (machsim -flavor).
-var flavorFlags = [...]string{MK40: "mk40", MK32: "mk32", Mach25: "mach25"}
-
-// FlagName returns the flavor's command-line spelling.
-func (f Flavor) FlagName() string { return flavorFlags[f] }
 
 // ParseFlavor reads a command-line flavor spelling.
 func ParseFlavor(s string) (Flavor, error) {
-	for f, name := range flavorFlags {
-		if name == s {
-			return Flavor(f), nil
+	for f := MK40; f <= Mach25; f++ {
+		if f.FlagName() == s {
+			return f, nil
 		}
 	}
 	return 0, fmt.Errorf("unknown flavor %q", s)
-}
-
-// UsesContinuations reports whether the flavor is the continuation
-// kernel.
-func (f Flavor) UsesContinuations() bool { return f == MK40 }
-
-// IPCStyle maps the flavor to its transfer discipline.
-func (f Flavor) IPCStyle() ipc.Style {
-	switch f {
-	case MK40:
-		return ipc.StyleMK40
-	case MK32:
-		return ipc.StyleMK32
-	default:
-		return ipc.StyleMach25
-	}
-}
-
-// StackVMMetadataBytes is the per-stack VM bookkeeping charge: process-
-// model kernels page their stacks (116 bytes of VM structures per stack,
-// Table 5); MK40 wires its few stacks and pays nothing.
-func (f Flavor) StackVMMetadataBytes() int {
-	if f == MK40 {
-		return 0
-	}
-	return 116
 }
 
 // ThreadSpace is the Table 5 decomposition of per-thread kernel memory.
@@ -112,12 +69,12 @@ func (s ThreadSpace) Total() int {
 	return s.MIState + s.MDState + s.StackBytes + s.VMState
 }
 
-// StaticThreadSpace returns the flavor's nominal per-thread overhead on
+// StaticThreadSpace returns a flavor's nominal per-thread overhead on
 // the DS3100 (the paper's Table 5). In MK40 the thread structure grew by
 // 32 bytes (4-byte continuation pointer + 28-byte scratch area) and the
 // machine-dependent state moved off the (now absent) stack into a 206
 // byte save area.
-func (f Flavor) StaticThreadSpace() ThreadSpace {
+func StaticThreadSpace(f Flavor) ThreadSpace {
 	if f == MK40 {
 		return ThreadSpace{
 			MIState:    484, // 452 + 4 (continuation) + 28 (scratch)
@@ -299,12 +256,11 @@ type Task struct {
 // New boots a system.
 func New(cfg Config) *System {
 	k := core.NewKernel(core.Config{
-		Model:                machine.NewCostModel(cfg.Arch),
-		UseContinuations:     cfg.Flavor.UsesContinuations(),
-		Processors:           cfg.Processors,
-		StackVMMetadataBytes: cfg.Flavor.StackVMMetadataBytes(),
-		NoHandoff:            cfg.NoHandoff,
-		NoRecognition:        cfg.NoRecognition,
+		Model:         machine.NewCostModel(cfg.Arch),
+		Flavor:        cfg.Flavor,
+		Processors:    cfg.Processors,
+		NoHandoff:     cfg.NoHandoff,
+		NoRecognition: cfg.NoRecognition,
 	})
 	s := &System{
 		Flavor:      cfg.Flavor,
@@ -342,7 +298,7 @@ func (s *System) bootSubstrates(adopt []*dev.NIC) {
 		vmDisk = nil
 	}
 	s.VM = vm.New(s.K, vm.Config{Frames: cfg.Frames, DiskLatency: cfg.DiskLatency, Disk: vmDisk})
-	s.IPC = ipc.New(s.K, cfg.Flavor.IPCStyle())
+	s.IPC = ipc.New(s.K)
 	s.Exc = exc.New(s.K, s.IPC)
 	if s.Dev != nil {
 		s.Dev.AttachPorts(s.IPC)
@@ -592,7 +548,7 @@ func (s *System) MeasuredPerThreadBytes() float64 {
 	if threads == 0 {
 		return 0
 	}
-	sp := s.Flavor.StaticThreadSpace()
+	sp := StaticThreadSpace(s.Flavor)
 	fixed := float64(sp.MIState + sp.MDState)
 	stackBytes := float64(s.K.Stacks.InUse()) *
 		float64(machine.KernelStackSize+s.K.Stacks.VMMetadataBytes)

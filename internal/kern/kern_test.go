@@ -11,32 +11,43 @@ import (
 	"repro/internal/stats"
 )
 
+// TestFlavorProperties checks what a kernel derives from its flavor, the
+// one place its identity is kept: only MK40 starts threads stackless
+// (they block with continuations), and only the process-model kernels
+// charge VM bookkeeping per pageable stack.
 func TestFlavorProperties(t *testing.T) {
-	if !kern.MK40.UsesContinuations() || kern.MK32.UsesContinuations() || kern.Mach25.UsesContinuations() {
-		t.Fatal("UsesContinuations wrong")
-	}
-	if kern.MK40.IPCStyle() != ipc.StyleMK40 ||
-		kern.MK32.IPCStyle() != ipc.StyleMK32 ||
-		kern.Mach25.IPCStyle() != ipc.StyleMach25 {
-		t.Fatal("IPCStyle mapping wrong")
-	}
-	if kern.MK40.StackVMMetadataBytes() != 0 || kern.MK32.StackVMMetadataBytes() != 116 {
-		t.Fatal("stack VM metadata wrong")
-	}
-	if kern.MK40.String() != "MK40" || kern.Mach25.String() != "Mach 2.5" {
-		t.Fatal("flavor strings")
+	for _, tc := range []struct {
+		flavor          kern.Flavor
+		name, flag      string
+		stackless       bool
+		stackVMMetadata int
+	}{
+		{kern.MK40, "MK40", "mk40", true, 0},
+		{kern.MK32, "MK32", "mk32", false, 116},
+		{kern.Mach25, "Mach 2.5", "mach25", false, 116},
+	} {
+		sys := kern.New(kern.Config{Flavor: tc.flavor, Arch: machine.ArchDS3100, DisableCallout: true, DisableDaemons: true})
+		th := sys.NewTask("t").NewThread("u", nil, 10)
+		if sys.K.Flavor != tc.flavor || th.HasStack() == tc.stackless ||
+			sys.K.Stacks.VMMetadataBytes != tc.stackVMMetadata {
+			t.Errorf("%v: kernel flavor %v, new thread stack %v, stack VM metadata %d",
+				tc.flavor, sys.K.Flavor, th.HasStack(), sys.K.Stacks.VMMetadataBytes)
+		}
+		if f, err := kern.ParseFlavor(tc.flag); tc.flavor.String() != tc.name || err != nil || f != tc.flavor {
+			t.Errorf("%v: string %q, flag %q parses to %v (%v)", tc.flavor, tc.flavor.String(), tc.flag, f, err)
+		}
 	}
 }
 
 func TestStaticThreadSpaceMatchesTable5(t *testing.T) {
-	mk40 := kern.MK40.StaticThreadSpace()
+	mk40 := kern.StaticThreadSpace(kern.MK40)
 	if mk40.MIState != 484 || mk40.MDState != 206 || mk40.StackBytes != 0 || mk40.VMState != 0 {
 		t.Fatalf("MK40 space = %+v", mk40)
 	}
 	if mk40.Total() != 690 {
 		t.Fatalf("MK40 total = %d, want 690", mk40.Total())
 	}
-	mk32 := kern.MK32.StaticThreadSpace()
+	mk32 := kern.StaticThreadSpace(kern.MK32)
 	if mk32.Total() != 4664 {
 		t.Fatalf("MK32 total = %d, want 4664", mk32.Total())
 	}

@@ -232,6 +232,9 @@ func TestChaosMach25(t *testing.T) {
 	}
 }
 
+// TestChaosAblations runs the chaos mix, exception raises included,
+// under each continuation ablation of MK40: the ablations change only
+// how control reaches a waiting thread, so every client must finish.
 func TestChaosAblations(t *testing.T) {
 	for _, cfg := range []struct{ noHandoff, noRecognition bool }{
 		{true, false}, {false, true}, {true, true},
@@ -248,13 +251,16 @@ func TestChaosAblations(t *testing.T) {
 		service := sys.IPC.NewPort("service")
 		srv := &chaosServer{sys: sys, port: service, rng: workload.NewRNG(rng.Next())}
 		sys.Start(serverTask.NewThread("srv", srv, 20))
+		excPort := sys.IPC.NewPort("exc")
+		sys.Start(sys.NewTask("exc").NewThread("exc-handler", newChaosExcHandler(sys, excPort), 21))
 		task := sys.NewTask("client")
 		reply := sys.IPC.NewPort("reply")
 		prog := &chaosProgram{
 			sys: sys, rng: workload.NewRNG(rng.Next()),
-			service: service, reply: reply, limit: 80,
+			service: service, reply: reply, excPort: excPort, limit: 80,
 		}
 		th := task.NewThread("main", prog, 10)
+		sys.Exc.SetExceptionPort(th, excPort)
 		sys.Start(th)
 		for steps := 0; steps < 2_000_000; steps++ {
 			if !sys.K.Step() {
@@ -265,7 +271,10 @@ func TestChaosAblations(t *testing.T) {
 			}
 		}
 		if th.State() != core.StateHalted {
-			t.Fatalf("ablation %+v: client stuck in %v", cfg, th.State())
+			t.Fatalf("ablation %+v: client stuck in %v (%q)", cfg, th.State(), th.WaitLabel)
+		}
+		if raised := sys.Exc.FastRaises + sys.Exc.SlowRaises; raised == 0 {
+			t.Fatalf("ablation %+v: the chaos mix raised no exception", cfg)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // threads is the kernel the test threads are created on; a continuation
 // kernel, so creating one attaches no stack.
-var threads = core.NewKernel(core.Config{UseContinuations: true})
+var threads = core.NewKernel(core.Config{Flavor: core.MK40})
 
 func runnable(pri int) *core.Thread {
 	t := threads.NewThread(core.ThreadSpec{Priority: pri})

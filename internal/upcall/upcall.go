@@ -113,7 +113,7 @@ func (p *Pool) Upcall(h Handler) bool {
 		p.handlers[th.ID] = h
 		// The continuation replacement: the thread will resume at the
 		// upcall entry, not its generic wait return.
-		if p.sys.K.UseContinuations {
+		if p.sys.K.Flavor == core.MK40 {
 			th.Cont = p.contEntry
 		}
 		p.Upcalls++

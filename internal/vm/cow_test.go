@@ -12,8 +12,8 @@ import (
 func newCowKernel(t *testing.T, frames int) (*core.Kernel, *vm.VM) {
 	t.Helper()
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: true,
+		Model:  machine.NewCostModel(machine.ArchDS3100),
+		Flavor: core.MK40,
 	})
 	k.Sched = sched.New(0)
 	v := vm.New(k, vm.Config{Frames: frames, DiskLatency: 1000 * 1000})

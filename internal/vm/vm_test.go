@@ -31,9 +31,13 @@ func (p *faultProg) Next(e *core.Env, t *core.Thread) core.Action {
 
 func newVMKernel(t *testing.T, useCont bool, frames int) (*core.Kernel, *vm.VM) {
 	t.Helper()
+	flavor := core.MK32
+	if useCont {
+		flavor = core.MK40
+	}
 	k := core.NewKernel(core.Config{
-		Model:            machine.NewCostModel(machine.ArchDS3100),
-		UseContinuations: useCont,
+		Model:  machine.NewCostModel(machine.ArchDS3100),
+		Flavor: flavor,
 	})
 	k.Sched = sched.New(0)
 	v := vm.New(k, vm.Config{Frames: frames, DiskLatency: 1000 * 1000})

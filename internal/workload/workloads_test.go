@@ -166,6 +166,43 @@ func TestWorkloadRunsOnAllFlavors(t *testing.T) {
 	}
 }
 
+// TestDOSEmulationAblations runs the exception-heavy workload under
+// MK40's four NoHandoff × NoRecognition settings. The ablations change
+// only how control reaches the waiting exception server, never whether
+// it does: every raise but one still in flight at the deadline is
+// handled, and no other thread is left waiting on its exception reply.
+func TestDOSEmulationAblations(t *testing.T) {
+	spec := workload.DOSEmulation().Scale(0.05)
+	for _, ab := range []struct{ noHandoff, noRecognition bool }{
+		{false, false}, {true, false}, {false, true}, {true, true},
+	} {
+		sys := kern.New(kern.Config{
+			Flavor: kern.MK40, Arch: machine.ArchToshiba5200,
+			Quantum: spec.Quantum, Frames: spec.Frames,
+			NoHandoff: ab.noHandoff, NoRecognition: ab.noRecognition,
+		})
+		inst := workload.Install(sys, spec, 12345)
+		inst.Run()
+		var raised uint64
+		for _, c := range inst.Clients {
+			raised += c.Exceptions
+		}
+		waiting := 0
+		for _, th := range sys.K.Threads {
+			if th.State() == core.StateWaiting && th.WaitLabel == "exception reply" {
+				waiting++
+			}
+		}
+		if handled := inst.ExcServer.Handled; raised < 1000 || handled+uint64(waiting) != raised || waiting > 1 {
+			t.Errorf("%+v: %d exceptions raised, %d handled, %d threads waiting on an exception reply",
+				ab, raised, handled, waiting)
+		}
+		if err := sys.K.Validate(); err != nil {
+			t.Errorf("%+v: %v", ab, err)
+		}
+	}
+}
+
 func TestScaleHalvesDuration(t *testing.T) {
 	spec := workload.CompileTest()
 	half := spec.Scale(0.5)
