@@ -11,6 +11,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -350,9 +351,9 @@ func BenchmarkPaperRPCSteadyState(b *testing.B) {
 // continuation optimization, MK32 and Mach 2.5. An op is one warmed
 // exception round trip (raise, the server's receive and reply, the
 // restart), not one dispatcher step, so an allocation made once per
-// raise shows as one alloc/op. The one left is the ExcInfo each raise
-// boxes into its request message's body; CI gates the family at
-// 1 alloc/op (benchjson -max-allocs).
+// raise shows as one alloc/op. There is none: each raising thread keeps
+// one ExcInfo, which its raises rewrite, so CI gates the family at
+// 0 allocs/op (benchjson -zero-allocs).
 func BenchmarkExcSteadyState(b *testing.B) {
 	for _, set := range []struct {
 		name string
@@ -454,7 +455,7 @@ func (c *crossClient) Next(e *core.Env, t *core.Thread) core.Action {
 // each op runs horizon rounds until one more reply is in. Every hop
 // reuses its storage (the arrival event, the rx completion, the queues,
 // the resume steps), so the op's only allocations are its two wire
-// packets, which forwardSink builds and a retransmit may share between
+// packets, which forward builds and a retransmit may share between
 // machines. CI gates it at 2 allocs/op (benchjson -max-allocs).
 func BenchmarkClusterCrossRPC(b *testing.B) {
 	cfg := kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true}
@@ -600,6 +601,128 @@ func BenchmarkBlockedPopulation(b *testing.B) {
 	}
 	b.Run("p100", func(b *testing.B) { run(b, 100) })
 	b.Run("p10000", func(b *testing.B) { run(b, 10000) })
+}
+
+// BenchmarkBlockedSessionBytes measures what a blocked session costs the
+// host, the simulator's side of the paper's Table 5: kernel memory per
+// blocked thread (690 bytes on MK40). Two MK40 DS3100 machines share one
+// link, observed as cluster runs are, with four echo workers on the
+// server. 8 000 client sessions each complete one echo RPC through
+// netmsg and then park in a receive on their reply port. Once the
+// cluster quiesces, the live heap (after two collections) less an empty
+// boot's, per session, is host-B/session: the session's thread, ports,
+// program, observability and netmsg records on both machines. The same
+// count of bare threads blocked receiving on their own ports, on one
+// machine, gives host-B/thread. CI gates host-B/session at 1 024
+// (benchjson -max-metric).
+func BenchmarkBlockedSessionBytes(b *testing.B) {
+	const n = 8000
+	var perSession, perThread float64
+	for i := 0; i < b.N; i++ {
+		perSession = hostBytesPer(n, bootSessionPair)
+		perThread = hostBytesPer(n, bootParkedThreads)
+	}
+	b.ReportMetric(perSession, "host-B/session")
+	b.ReportMetric(perThread, "host-B/thread")
+}
+
+// hostBytesPer returns the live heap that boot(n) holds beyond boot(0),
+// per unit of n.
+func hostBytesPer(n int, boot func(int) []*kern.System) float64 {
+	empty := boot(0)
+	base := liveHeap()
+	runtime.KeepAlive(empty)
+	full := boot(n)
+	held := liveHeap()
+	runtime.KeepAlive(full)
+	return float64(int64(held)-int64(base)) / float64(n)
+}
+
+// liveHeap returns the heap bytes still in use after two collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// bootSessionPair boots BenchmarkBlockedSessionBytes's two machines with
+// n sessions on the client and drives them until every session is
+// parked.
+func bootSessionPair(n int) []*kern.System {
+	cfg := kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100}
+	cli, srv := kern.New(cfg), kern.New(cfg)
+	dev.Connect(cli.Net.NIC, srv.Net.NIC, 0)
+	for i, s := range []*kern.System{cli, srv} {
+		s.EnableObservation(0).SetHost(i)
+	}
+	port := srv.IPC.NewPort("echo")
+	port.QueueLimit = 2 * (n + 1)
+	srv.Net.Export("echo", port)
+	st := srv.NewTask("echo-server")
+	for w := 0; w < 4; w++ {
+		srv.Start(st.NewThread(fmt.Sprintf("srv-%d", w), workload.NewEchoServer(srv, port), 20))
+	}
+	ct := cli.NewTask("sessions")
+	proxy := cli.Net.ProxyFor("echo")
+	sessions := make([]*parkedSession, n)
+	for j := range sessions {
+		s := &parkedSession{sys: cli, proxy: proxy, reply: cli.IPC.NewPort(fmt.Sprintf("rp-%d", j))}
+		sessions[j] = s
+		cli.Start(ct.NewThread(fmt.Sprintf("session-%d", j), s, 10))
+	}
+	kern.NewCluster(cli, srv).Drive(false)
+	for _, s := range sessions {
+		if s.replies != 1 {
+			panic(fmt.Sprintf("session finished %d RPCs before parking, want 1", s.replies))
+		}
+	}
+	return []*kern.System{cli, srv}
+}
+
+// bootParkedThreads boots one observed MK40 DS3100 machine whose n
+// threads each block receiving on their own port.
+func bootParkedThreads(n int) []*kern.System {
+	sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100})
+	sys.EnableObservation(0).SetHost(0)
+	task := sys.NewTask("parked")
+	for j := 0; j < n; j++ {
+		s := &parkedSession{sys: sys, reply: sys.IPC.NewPort(fmt.Sprintf("parked-%d", j)), called: true}
+		sys.Start(task.NewThread(fmt.Sprintf("parked-%d", j), s, 10))
+	}
+	sys.Run(0)
+	return []*kern.System{sys}
+}
+
+// parkedSession is BenchmarkBlockedSessionBytes's client: one echo RPC
+// through the proxy (unless called starts true), then a receive on its
+// reply port that nothing answers.
+type parkedSession struct {
+	sys          *kern.System
+	proxy, reply *ipc.Port
+	called       bool
+	replies      int
+}
+
+func (s *parkedSession) Next(e *core.Env, t *core.Thread) core.Action {
+	if m := s.sys.IPC.Received(t); m != nil {
+		s.sys.IPC.FreeMessage(m)
+		s.replies++
+	}
+	return core.Syscall("mach_msg(session)", s.call)
+}
+
+// call is the session's syscall body: the RPC the first time, a bare
+// receive after.
+func (s *parkedSession) call(e *core.Env) {
+	opts := ipc.MsgOptions{ReceiveFrom: s.reply}
+	if !s.called {
+		s.called = true
+		opts.Send = s.sys.IPC.NewMessage(1, ipc.HeaderBytes, nil, s.reply)
+		opts.SendTo = s.proxy
+	}
+	s.sys.IPC.MachMsg(e, opts)
 }
 
 // BenchmarkDispatchTracedVsUntraced measures the observability tax on

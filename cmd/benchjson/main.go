@@ -1,21 +1,25 @@
 // benchjson converts `go test -bench` output into a JSON report and
-// enforces allocation budgets, for the CI benchmark smoke.
+// enforces allocation, metric and ratio budgets, for the CI benchmark
+// smoke.
 //
 // Usage:
 //
 //	go test -bench ... -benchmem | benchjson [-o out.json] [-zero-allocs name,name]
-//	        [-max-allocs name,N] [-max-ratio slow,fast,limit]
+//	        [-max-allocs name,N] [-max-metric name,unit,N] [-max-ratio slow,fast,limit]
 //
 // Each benchmark line becomes an object with its name, iteration count
 // and every reported metric (ns/op, B/op, allocs/op, and any custom
 // b.ReportMetric units). -zero-allocs names benchmarks (prefix match, so
 // sub-benchmarks count) that must report 0 allocs/op, and -max-allocs
 // (repeatable) one benchmark prefix and the most allocs/op it may
-// report; a violation fails the run after the JSON is written.
-// -max-ratio (repeatable) names two
-// benchmarks (prefix match) and a limit: the first's ns/op must stay
-// within limit times the second's — the relative-overhead gate for
-// feature-on vs feature-off benchmark pairs.
+// report. -max-metric (repeatable) does the same for any unit, such as
+// a b.ReportMetric one. A violation fails the run after the JSON is
+// written. -max-ratio (repeatable) names two benchmarks (prefix match)
+// and a limit: the first's ns/op must stay within limit times the
+// second's — the relative-overhead gate for feature-on vs feature-off
+// benchmark pairs. Each side reads the median ns/op over every line of
+// the first benchmark its prefix matches, so a pair run with -count N
+// is judged on N samples, not on its first.
 package main
 
 import (
@@ -25,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -35,12 +40,16 @@ type benchResult struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// allocGate is one allocation budget: every benchmark whose name starts
-// with prefix must report at most max allocs/op.
-type allocGate struct {
+// metricGate is one budget: every benchmark whose name starts with
+// prefix must report at most max of unit.
+type metricGate struct {
 	prefix string
+	unit   string
 	max    float64
 }
+
+// allocsUnit is the unit -zero-allocs and -max-allocs gate.
+const allocsUnit = "allocs/op"
 
 // ratioGate is one parsed -max-ratio rule: slow's ns/op must stay
 // within limit times fast's.
@@ -52,15 +61,28 @@ type ratioGate struct {
 func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	zero := flag.String("zero-allocs", "", "comma-separated benchmark name prefixes that must report 0 allocs/op")
-	var allocs []allocGate
+	var gates []metricGate
 	flag.Func("max-allocs", "name,N: benchmarks named name (prefix match) may report at most N allocs/op (repeatable)",
 		func(val string) error {
 			name, n, ok := strings.Cut(val, ",")
-			limit, err := strconv.ParseFloat(n, 64)
-			if !ok || name == "" || err != nil || !(limit >= 0) || math.IsInf(limit, 0) {
+			limit, err := parseLimit(n)
+			if !ok || name == "" || err != nil {
 				return fmt.Errorf("max-allocs %q: want name,N with finite N >= 0", val)
 			}
-			allocs = append(allocs, allocGate{prefix: name, max: limit})
+			gates = append(gates, metricGate{prefix: name, unit: allocsUnit, max: limit})
+			return nil
+		})
+	flag.Func("max-metric", "name,unit,N: benchmarks named name (prefix match) may report at most N of unit (repeatable)",
+		func(val string) error {
+			parts := strings.Split(val, ",")
+			if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
+				return fmt.Errorf("max-metric %q: want name,unit,N", val)
+			}
+			limit, err := parseLimit(parts[2])
+			if err != nil {
+				return fmt.Errorf("max-metric %q: want a finite N >= 0", val)
+			}
+			gates = append(gates, metricGate{prefix: parts[0], unit: parts[1], max: limit})
 			return nil
 		})
 	var ratios []ratioGate
@@ -80,7 +102,7 @@ func main() {
 	flag.Parse()
 	if *zero != "" {
 		for _, prefix := range strings.Split(*zero, ",") {
-			allocs = append(allocs, allocGate{prefix: prefix})
+			gates = append(gates, metricGate{prefix: prefix, unit: allocsUnit})
 		}
 	}
 
@@ -129,49 +151,29 @@ func main() {
 		os.Exit(1)
 	}
 
-	if v := allocViolations(results, allocs); len(v) > 0 {
+	v := metricViolations(results, gates)
+	v = append(v, ratioViolations(results, ratios)...)
+	if len(v) > 0 {
 		for _, msg := range v {
 			fmt.Fprintln(os.Stderr, "benchjson: "+msg)
 		}
 		os.Exit(1)
 	}
-
-	if len(ratios) > 0 {
-		// nsOp finds the first matching benchmark's ns/op by prefix.
-		nsOp := func(prefix string) (float64, bool) {
-			for _, r := range results {
-				if strings.HasPrefix(r.Name, prefix) {
-					v, ok := r.Metrics["ns/op"]
-					return v, ok
-				}
-			}
-			return 0, false
-		}
-		failed := false
-		for _, g := range ratios {
-			slow, okS := nsOp(g.slow)
-			fast, okF := nsOp(g.fast)
-			if !okS || !okF {
-				fmt.Fprintf(os.Stderr, "benchjson: max-ratio %s,%s: benchmark missing\n", g.slow, g.fast)
-				failed = true
-				continue
-			}
-			if fast > 0 && slow > g.limit*fast {
-				fmt.Fprintf(os.Stderr, "benchjson: %s is %.2fx %s (budget %.2fx)\n",
-					g.slow, slow/fast, g.fast, g.limit)
-				failed = true
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-	}
 }
 
-// allocViolations checks every allocation gate against the results and
+// parseLimit parses a gate's budget: a finite number >= 0.
+func parseLimit(s string) (float64, error) {
+	limit, err := strconv.ParseFloat(s, 64)
+	if err == nil && (!(limit >= 0) || math.IsInf(limit, 0)) {
+		err = fmt.Errorf("limit %q out of range", s)
+	}
+	return limit, err
+}
+
+// metricViolations checks every metric gate against the results and
 // returns one message per violation: a matching benchmark over its
-// budget or without an allocs/op metric, or a gate nothing matches.
-func allocViolations(results []benchResult, gates []allocGate) []string {
+// budget or without the gated metric, or a gate nothing matches.
+func metricViolations(results []benchResult, gates []metricGate) []string {
 	var v []string
 	for _, g := range gates {
 		matched := false
@@ -180,14 +182,64 @@ func allocViolations(results []benchResult, gates []allocGate) []string {
 				continue
 			}
 			matched = true
-			if n, ok := r.Metrics["allocs/op"]; !ok {
-				v = append(v, fmt.Sprintf("%s has no allocs/op metric (missing -benchmem?)", r.Name))
-			} else if n > g.max {
-				v = append(v, fmt.Sprintf("%s allocates: %v allocs/op (budget %v)", r.Name, n, g.max))
+			n, ok := r.Metrics[g.unit]
+			switch {
+			case !ok && g.unit == allocsUnit:
+				v = append(v, fmt.Sprintf("%s has no %s metric (missing -benchmem?)", r.Name, g.unit))
+			case !ok:
+				v = append(v, fmt.Sprintf("%s has no %s metric", r.Name, g.unit))
+			case n > g.max && g.unit == allocsUnit:
+				v = append(v, fmt.Sprintf("%s allocates: %v %s (budget %v)", r.Name, n, g.unit, g.max))
+			case n > g.max:
+				v = append(v, fmt.Sprintf("%s reports %v %s (budget %v)", r.Name, n, g.unit, g.max))
 			}
 		}
 		if !matched {
 			v = append(v, fmt.Sprintf("no benchmark matches %q", g.prefix))
+		}
+	}
+	return v
+}
+
+// medianNsOp returns the median ns/op over every line of the first
+// benchmark whose name starts with prefix. A -count N run prints N
+// lines per benchmark; later benchmarks that share the prefix (p10000
+// after p100) are not that benchmark.
+func medianNsOp(results []benchResult, prefix string) (float64, bool) {
+	name := ""
+	var ns []float64
+	for _, r := range results {
+		if name == "" && strings.HasPrefix(r.Name, prefix) {
+			name = r.Name
+		}
+		if v, ok := r.Metrics["ns/op"]; ok && name != "" && r.Name == name {
+			ns = append(ns, v)
+		}
+	}
+	if len(ns) == 0 {
+		return 0, false
+	}
+	slices.Sort(ns)
+	mid := len(ns) / 2
+	if len(ns)%2 == 0 {
+		return (ns[mid-1] + ns[mid]) / 2, true
+	}
+	return ns[mid], true
+}
+
+// ratioViolations checks every ratio gate on the two sides' median
+// ns/op and returns one message per violation or missing side.
+func ratioViolations(results []benchResult, gates []ratioGate) []string {
+	var v []string
+	for _, g := range gates {
+		slow, okS := medianNsOp(results, g.slow)
+		fast, okF := medianNsOp(results, g.fast)
+		if !okS || !okF {
+			v = append(v, fmt.Sprintf("max-ratio %s,%s: benchmark missing", g.slow, g.fast))
+			continue
+		}
+		if fast > 0 && slow > g.limit*fast {
+			v = append(v, fmt.Sprintf("%s is %.2fx %s (budget %.2fx)", g.slow, slow/fast, g.fast, g.limit))
 		}
 	}
 	return v

@@ -37,7 +37,7 @@ func main() {
 		}
 		req := pending
 		pending = nil
-		info := req.Body.(mach.ExcInfo)
+		info := req.Body.(*mach.ExcInfo)
 		handled++
 		if handled <= 3 {
 			fmt.Printf("  handler: emulating privileged instruction (code %d) for %s\n",

@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -84,26 +85,35 @@ func (c *Continuation) Name() string {
 
 func (c *Continuation) String() string { return c.Name() }
 
-// ScratchSlots is the number of 32-bit slots in a thread's scratch area.
-// The paper gives threads 28 bytes of scratch; with 1991-era 4-byte
-// pointers that is seven words, each of which may hold either a small
-// integer or one object reference.
+// ScratchSlots is the number of 32-bit words in a thread's scratch area.
+// The paper gives threads 28 bytes of scratch: with 1991-era 4-byte
+// pointers, seven words, any of which may hold a small integer or an
+// object reference.
 const ScratchSlots = 7
 
 // ScratchBytes is the scratch area capacity in bytes.
 const ScratchBytes = ScratchSlots * 4
 
 // Scratch is the fixed-size per-thread save area for state preserved
-// across a continuation block. If a thread needs more than seven words it
-// must allocate an auxiliary structure and keep a single reference to it
-// here — the same discipline the paper imposes.
+// across a continuation block: seven 32-bit words plus one object
+// reference. A thread that needs more must allocate an auxiliary
+// structure and keep its one reference here — the discipline the paper
+// imposes. The host keeps the reference beside the words (a Go reference
+// is wider than a 1991 pointer), but in the paper's accounting it fills
+// one of the seven words, so Used counts it and may not exceed
+// ScratchSlots.
 type Scratch struct {
 	words [ScratchSlots]uint32
-	refs  [ScratchSlots]any
-	inUse [ScratchSlots]bool
+	// used has bit i set while word i holds saved state; refBit marks
+	// the reference.
+	used uint8
+	ref  any
 }
 
-// Reset clears the scratch area, dropping any references.
+// refBit is Scratch.used's bit for the reference.
+const refBit = 1 << ScratchSlots
+
+// Reset clears the scratch area, dropping its reference.
 func (s *Scratch) Reset() {
 	*s = Scratch{}
 }
@@ -119,44 +129,35 @@ func (s *Scratch) check(slot int) {
 func (s *Scratch) PutWord(slot int, v uint32) {
 	s.check(slot)
 	s.words[slot] = v
-	s.refs[slot] = nil
-	s.inUse[slot] = true
+	s.used |= 1 << slot
 }
 
 // Word reads a 32-bit value previously stored with PutWord.
 func (s *Scratch) Word(slot int) uint32 {
 	s.check(slot)
-	if !s.inUse[slot] {
+	if s.used&(1<<slot) == 0 {
 		panic(fmt.Sprintf("core: scratch slot %d read before write", slot))
 	}
 	return s.words[slot]
 }
 
-// PutRef stores one object reference (a 1991 pointer: four bytes) in the
-// given slot.
-func (s *Scratch) PutRef(slot int, v any) {
-	s.check(slot)
-	s.refs[slot] = v
-	s.words[slot] = 0
-	s.inUse[slot] = true
+// SetRef stores the area's one object reference (a 1991 pointer: four
+// bytes), replacing any previous one.
+func (s *Scratch) SetRef(v any) {
+	s.ref = v
+	s.used |= refBit
 }
 
-// Ref reads an object reference previously stored with PutRef.
-func (s *Scratch) Ref(slot int) any {
-	s.check(slot)
-	if !s.inUse[slot] {
-		panic(fmt.Sprintf("core: scratch slot %d read before write", slot))
+// Ref reads the reference previously stored with SetRef.
+func (s *Scratch) Ref() any {
+	if s.used&refBit == 0 {
+		panic("core: scratch reference read before write")
 	}
-	return s.refs[slot]
+	return s.ref
 }
 
-// Used reports how many slots currently hold saved state.
+// Used reports how many of the seven words hold saved state, counting
+// the reference as one.
 func (s *Scratch) Used() int {
-	n := 0
-	for _, u := range s.inUse {
-		if u {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount8(s.used)
 }

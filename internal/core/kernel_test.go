@@ -736,3 +736,22 @@ func TestValidateCleanAfterEveryScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValidateFlagsScratchOverflow pins the paper's 28-byte accounting
+// in the invariant sweep: a thread holding all seven scratch words and
+// the reference, which fills one of them, has overflowed its area.
+func TestValidateFlagsScratchOverflow(t *testing.T) {
+	k := newKernel(t, true, 1)
+	th := k.NewThread(core.ThreadSpec{Name: "full", SpaceID: 1, Program: &script{}})
+	for i := 0; i < core.ScratchSlots; i++ {
+		th.Scratch.PutWord(i, 1)
+	}
+	if err := k.Validate(); err != nil {
+		t.Fatalf("Validate with seven words = %v", err)
+	}
+	th.Scratch.SetRef(th)
+	want := th.String() + " scratch overflow"
+	if err := k.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("Validate = %v; want %q", err, want)
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // ThreadState is the scheduling state of a kernel thread.
-type ThreadState int
+type ThreadState uint8
 
 const (
 	// StateRunning means the thread is executing on some processor.
@@ -39,7 +39,7 @@ func (s ThreadState) String() string {
 
 // Mode says whether a thread is conceptually executing user code or
 // kernel code.
-type Mode int
+type Mode uint8
 
 const (
 	// ModeUser means the thread's next step is a user action.
@@ -51,7 +51,7 @@ const (
 // UserReturnKind distinguishes the two return-to-user continuations the
 // trap machinery creates at kernel entry (§2.1): system calls return a
 // value; exceptions and interrupts return none.
-type UserReturnKind int
+type UserReturnKind uint8
 
 const (
 	// ReturnNone means the thread holds no user context (a pure kernel
@@ -68,6 +68,11 @@ const (
 // scheduling state it carries the two fields the paper adds for
 // continuation support: the continuation slot (a 4-byte function pointer)
 // and the 28-byte scratch area (§3.4, Table 5).
+//
+// A blocked thread's host cost is this record, so its layout is kept
+// tight: the one-byte states and flags sit together, and larger saved
+// state lives behind Scratch's one reference. TestThreadLayout pins the
+// size.
 type Thread struct {
 	ID   int
 	Name string
@@ -79,6 +84,37 @@ type Thread struct {
 
 	// Mode records whether the thread is in user or kernel space.
 	Mode Mode
+
+	// UserReturn records which return-to-user continuation kernel entry
+	// created for the current trap.
+	UserReturn UserReturnKind
+
+	// Internal marks kernel-internal service threads (pageout daemon,
+	// net handler); their blocks are tallied under Table 1's "internal
+	// threads" row.
+	Internal bool
+
+	// NoStats excludes a thread (e.g. the idle thread) from block
+	// statistics so that idling does not pollute Table 1.
+	NoStats bool
+
+	// WakeupPending absorbs a wakeup that races with the block (the
+	// classic lost-wakeup guard: wakeups latch, blocks consume).
+	WakeupPending bool
+
+	// queued tracks run-queue membership so that a thread woken by an
+	// event while its post-block disposal is still pending is not queued
+	// a second time by thread_dispatch.
+	queued bool
+
+	// disposalPending marks the window between a context switch away
+	// from this thread and the thread_dispatch that frees its stack.
+	disposalPending bool
+
+	// reaped marks a thread ReapHalted has handed out. It stays in the
+	// registry until the next compaction; every registry walker already
+	// skips halted threads.
+	reaped bool
 
 	// Cont is the thread's continuation while blocked in the interrupt
 	// style; nil for a thread blocked under the process model or running.
@@ -97,10 +133,6 @@ type Thread struct {
 	// here in both cases and lets the space model charge it per flavor.
 	MD machine.Context
 
-	// UserReturn records which return-to-user continuation kernel entry
-	// created for the current trap.
-	UserReturn UserReturnKind
-
 	// SpaceID identifies the address space (task) the thread belongs to;
 	// control transfers between different spaces charge the address-space
 	// switch cost. Space 0 is the kernel.
@@ -109,15 +141,6 @@ type Thread struct {
 	// Program supplies user-mode actions for user threads; nil for
 	// threads that live entirely in the kernel.
 	Program UserProgram
-
-	// Internal marks kernel-internal service threads (pageout daemon,
-	// net handler); their blocks are tallied under Table 1's "internal
-	// threads" row.
-	Internal bool
-
-	// NoStats excludes a thread (e.g. the idle thread) from block
-	// statistics so that idling does not pollute Table 1.
-	NoStats bool
 
 	// Priority orders run queues; larger is more urgent.
 	Priority int
@@ -139,10 +162,6 @@ type Thread struct {
 	UserTime      machine.Duration
 	KernelEntries uint64
 
-	// WakeupPending absorbs a wakeup that races with the block (the
-	// classic lost-wakeup guard: wakeups latch, blocks consume).
-	WakeupPending bool
-
 	// WaitLabel describes what the thread is blocked on, for diagnostics.
 	WaitLabel string
 
@@ -158,20 +177,6 @@ type Thread struct {
 	// from messages it receives, so one operation's context follows the
 	// control transfers that serve it. The zero context means untraced.
 	Trace obs.TraceContext
-
-	// queued tracks run-queue membership so that a thread woken by an
-	// event while its post-block disposal is still pending is not queued
-	// a second time by thread_dispatch.
-	queued bool
-
-	// disposalPending marks the window between a context switch away
-	// from this thread and the thread_dispatch that frees its stack.
-	disposalPending bool
-
-	// reaped marks a thread ReapHalted has handed out. It stays in the
-	// registry until the next compaction; every registry walker already
-	// skips halted threads.
-	reaped bool
 }
 
 // State returns the thread's scheduling state.

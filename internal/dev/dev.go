@@ -410,7 +410,7 @@ func (s *Subsystem) DeviceRead(e *core.Env, d *Device, bytes int) {
 	t := e.Cur()
 	t.Scratch.PutWord(0, uint32(bytes))
 	t.Scratch.PutWord(1, 0) // attempt count, for the retry path
-	t.Scratch.PutRef(2, d)
+	t.Scratch.SetRef(d)
 	s.submitIO(t, d, "read", bytes, s.ContDeviceRead,
 		func(e2 *core.Env) { s.deviceReadContinue(e2) })
 	e.K.SetState(t, core.StateWaiting)
@@ -441,7 +441,7 @@ func (s *Subsystem) DeviceWrite(e *core.Env, d *Device, bytes int) {
 	t := e.Cur()
 	t.Scratch.PutWord(0, uint32(bytes))
 	t.Scratch.PutWord(1, 0) // attempt count, for the retry path
-	t.Scratch.PutRef(2, d)
+	t.Scratch.SetRef(d)
 	s.submitIO(t, d, "write", bytes, s.ContDeviceWrite,
 		func(e2 *core.Env) { s.deviceWriteContinue(e2) })
 	e.K.SetState(t, core.StateWaiting)

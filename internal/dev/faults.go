@@ -72,7 +72,7 @@ func (s *Subsystem) submitIO(t *core.Thread, d *Device, label string, bytes int,
 // continuation. Transfers control.
 func (s *Subsystem) retryOrFail(e *core.Env, code uint64, cont *core.Continuation) {
 	t := e.Cur()
-	d, _ := t.Scratch.Ref(2).(*Device)
+	d, _ := t.Scratch.Ref().(*Device)
 	attempt := int(t.Scratch.Word(1))
 	if code == DevAborted || d == nil || attempt >= s.IoMaxRetries {
 		s.K.ThreadSyscallReturn(e, code)

@@ -36,12 +36,15 @@ var (
 
 // Packet is one message on the wire between two machines.
 type Packet struct {
-	// DstPort names the destination port in the receiving machine's
-	// netmsg registry.
-	DstPort string
-	// ReplyPort, when nonempty, names the port (in the sending machine's
-	// registry) that the receiver's reply should be forwarded to.
-	ReplyPort string
+	// DstPort names the destination port among the receiving machine's
+	// named exports (a request to a service). A reply instead carries
+	// DstRoute: the reply route the request named, an index into the
+	// receiving link's route table. Route 0 is none.
+	DstPort  string
+	DstRoute uint32
+	// ReplyRoute, when nonzero, is the reply route (on the sending
+	// link) that the receiver's reply should be addressed to.
+	ReplyRoute uint32
 
 	OpID uint32
 	Size int
@@ -435,17 +438,26 @@ type Netmsg struct {
 	Thread *core.Thread
 	cont   *core.Continuation
 
-	// exported maps wire names to local ports that remote machines may
-	// send to; exportedBy is the reverse map for reply-port auto-export.
-	exported   map[string]*ipc.Port
-	exportedBy map[*ipc.Port]string
+	// exported maps wire names to the local ports that remote machines
+	// may send to by name: the named services.
+	exported map[string]*ipc.Port
 
-	// proxies are local stand-ins for remote ports: sending to one
-	// transmits a packet.
-	proxies map[string]*ipc.Port
+	// routes holds the local ports that travelled over this link as a
+	// request's reply port, indexed by their reply route: the port's
+	// ipc ID, which is dense and never 0 on its machine, so a port needs
+	// no name or map entry to be routed to.
+	routes []*ipc.Port
 
-	inbox    fifo[*Packet]
-	replySeq int
+	// proxies are local stand-ins for the peer's named ports, and
+	// replyProxies for its reply routes, indexed by route: sending to
+	// one transmits a packet. Every reply proxy shares one sink,
+	// replySinkFn (replySink, bound once), which reads the route from
+	// the port.
+	proxies      map[string]*ipc.Port
+	replyProxies []*ipc.Port
+	replySinkFn  func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions)
+
+	inbox fifo[*Packet]
 
 	// Reliable enables the seq/ack protocol: every forwarded data packet
 	// carries a sequence number, is retransmitted until acknowledged, and
@@ -519,13 +531,13 @@ const DefaultDeadAfter = 4 * DefaultRexmitTimeout
 // thread, most often by stack handoff).
 func NewNetmsg(s *Subsystem, x *ipc.IPC, nic *NIC) *Netmsg {
 	n := &Netmsg{
-		Sub:        s,
-		X:          x,
-		NIC:        nic,
-		exported:   make(map[string]*ipc.Port),
-		exportedBy: make(map[*ipc.Port]string),
-		proxies:    make(map[string]*ipc.Port),
+		Sub:      s,
+		X:        x,
+		NIC:      nic,
+		exported: make(map[string]*ipc.Port),
+		proxies:  make(map[string]*ipc.Port),
 	}
+	n.replySinkFn = n.replySink
 	n.RexmitTimeout = DefaultRexmitTimeout
 	n.RexmitMax = DefaultRexmitMax
 	n.DeadAfter = DefaultDeadAfter
@@ -557,19 +569,26 @@ func (n *Netmsg) Cont() *core.Continuation { return n.cont }
 // send to it.
 func (n *Netmsg) Export(name string, p *ipc.Port) {
 	n.exported[name] = p
-	n.exportedBy[p] = name
 }
 
-// exportName returns (registering if needed) the wire name of a local
-// port, used to route replies back across the wire.
-func (n *Netmsg) exportName(p *ipc.Port) string {
-	if name, ok := n.exportedBy[p]; ok {
-		return name
+// replyProxyName names every reply proxy: a route is an integer, so the
+// proxies share one name instead of each building its own.
+const replyProxyName = "proxy:reply"
+
+// exportRoute returns the reply route of a local port, registering the
+// port under it on this link: the route a reply from the peer addresses.
+func (n *Netmsg) exportRoute(p *ipc.Port) uint32 {
+	n.routes = growTo(n.routes, p.ID)
+	n.routes[p.ID] = p
+	return uint32(p.ID)
+}
+
+// growTo returns s extended with nils so that index i is valid.
+func growTo(s []*ipc.Port, i int) []*ipc.Port {
+	if i < len(s) {
+		return s
 	}
-	n.replySeq++
-	name := fmt.Sprintf("reply-%d", n.replySeq)
-	n.Export(name, p)
-	return name
+	return append(s, make([]*ipc.Port, i+1-len(s))...)
 }
 
 // ProxyFor returns a local port standing in for the named port on the
@@ -581,33 +600,55 @@ func (n *Netmsg) ProxyFor(remote string) *ipc.Port {
 	if p == nil {
 		p = n.X.NewPort("proxy:" + remote)
 		p.KernelSink = func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {
-			n.forwardSink(e, remote, msg, opts)
+			n.forward(e, remote, 0, msg, opts)
 		}
 		n.proxies[remote] = p
 	}
 	return p
 }
 
-// forwardSink processes a send to a proxy port in the sender's kernel
-// context: transmit the packet, then continue the sender's mach_msg.
-// Transfers control.
-func (n *Netmsg) forwardSink(e *core.Env, remote string, msg *ipc.Message, opts ipc.MsgOptions) {
-	replyName := ""
+// replyProxy returns the local port standing in for the peer's reply
+// route: the reply port of a request that arrived naming it.
+func (n *Netmsg) replyProxy(route uint32) *ipc.Port {
+	n.replyProxies = growTo(n.replyProxies, int(route))
+	p := n.replyProxies[route]
+	if p == nil {
+		p = n.X.NewPort(replyProxyName)
+		p.Route = route
+		p.KernelSink = n.replySinkFn
+		n.replyProxies[route] = p
+	}
+	return p
+}
+
+// replySink is every reply proxy's kernel sink: forward the reply to the
+// route the proxy stands for. Transfers control.
+func (n *Netmsg) replySink(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {
+	n.forward(e, "", opts.SendTo.Route, msg, opts)
+}
+
+// forward processes a send to a proxy port in the sender's kernel
+// context: transmit the packet to the peer's named port dst or, when
+// route is nonzero, to its reply route, then continue the sender's
+// mach_msg. Transfers control.
+func (n *Netmsg) forward(e *core.Env, dst string, route uint32, msg *ipc.Message, opts ipc.MsgOptions) {
+	var reply uint32
 	if msg.Reply != nil {
-		replyName = n.exportName(msg.Reply)
+		reply = n.exportRoute(msg.Reply)
 	}
 	n.Forwarded++
 	pkt := &Packet{
-		DstPort:   remote,
-		ReplyPort: replyName,
-		OpID:      msg.OpID,
-		Size:      msg.Size,
-		Body:      msg.Body,
-		SrcInc:    n.Inc,
-		DstInc:    n.peerInc,
-		Trace:     msg.Trace,
-		SentAt:    n.Sub.K.Clock.Now(),
-		Deadline:  msg.Deadline,
+		DstPort:    dst,
+		DstRoute:   route,
+		ReplyRoute: reply,
+		OpID:       msg.OpID,
+		Size:       msg.Size,
+		Body:       msg.Body,
+		SrcInc:     n.Inc,
+		DstInc:     n.peerInc,
+		Trace:      msg.Trace,
+		SentAt:     n.Sub.K.Clock.Now(),
+		Deadline:   msg.Deadline,
 	}
 	// DstInc is stamped once, here: if the peer crashes and reboots while
 	// this packet is retransmitting, every retransmission still targets
@@ -868,14 +909,21 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 		n.HeartbeatsRx++
 		return
 	}
-	port := n.exported[pkt.DstPort]
+	var port *ipc.Port
+	if pkt.DstRoute != 0 {
+		if int(pkt.DstRoute) < len(n.routes) {
+			port = n.routes[pkt.DstRoute]
+		}
+	} else {
+		port = n.exported[pkt.DstPort]
+	}
 	if port == nil || port.Dead() {
 		n.Dropped++
 		return
 	}
 	var reply *ipc.Port
-	if pkt.ReplyPort != "" {
-		reply = n.ProxyFor(pkt.ReplyPort)
+	if pkt.ReplyRoute != 0 {
+		reply = n.replyProxy(pkt.ReplyRoute)
 	}
 	msg := n.X.NewMessage(pkt.OpID, pkt.Size, pkt.Body, reply)
 	msg.Trace = pkt.Trace

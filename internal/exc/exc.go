@@ -36,7 +36,9 @@ import (
 )
 
 // ExcInfo is the body of an exception request message: what the server
-// learns about the fault.
+// learns about the fault. The request carries a *ExcInfo that the kernel
+// keeps per raising thread and rewrites on each raise, so a raise
+// allocates nothing: the record is valid until that thread's next raise.
 type ExcInfo struct {
 	Thread *core.Thread
 	Code   int
@@ -81,9 +83,11 @@ type Exc struct {
 
 // threadPorts is one thread's exception state: the port its exceptions
 // are serviced on, and the kernel reply port its exception server
-// answers on (created at the thread's first exception).
+// answers on and the request body it is sent, both created at the
+// thread's first exception.
 type threadPorts struct {
 	exc, reply *ipc.Port
+	info       *ExcInfo
 }
 
 // New creates the exception subsystem and installs its handler on the
@@ -122,10 +126,11 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 		ports.reply.KernelSink = func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {
 			ex.replySink(e, t, msg, opts)
 		}
+		ports.info = &ExcInfo{Thread: t}
 		ex.threads[t.ID] = ports
 	}
-	port, reply := ports.exc, ports.reply
-	info := ExcInfo{Thread: t, Code: code}
+	port, reply, info := ports.exc, ports.reply, ports.info
+	info.Code = code
 
 	// One raise sequence for every kernel: take a server thread already
 	// waiting on the port, then either hand it the stack (§2.5) or queue

@@ -43,7 +43,7 @@ func (s *excServer) Next(e *core.Env, t *core.Thread) core.Action {
 	}
 	req := s.pending
 	s.pending = nil
-	info := req.Body.(exc.ExcInfo)
+	info := req.Body.(*exc.ExcInfo)
 	s.handled++
 	s.codes = append(s.codes, info.Code)
 	return core.Syscall("mach_msg(reply+receive)", func(e *core.Env) {

@@ -152,6 +152,11 @@ type Port struct {
 	// receives with RcvPortDied.
 	dead bool
 
+	// Route is an integer the owner of KernelSink keeps with the port,
+	// so one sink can serve many ports: on a netmsg reply proxy, the
+	// peer's reply route it forwards to. Zero elsewhere.
+	Route uint32
+
 	// set is the port set this port belongs to, if any.
 	set *PortSet
 
@@ -738,17 +743,12 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 // sender resumes. Transfers control.
 func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	t := e.Cur()
-	// Stash the entire call in the scratch area: destination, message,
-	// receive port and size bound (four of the seven words).
-	t.Scratch.PutRef(0, dest)
-	t.Scratch.PutRef(1, opts.Send)
-	if opts.ReceiveFromSet != nil {
-		t.Scratch.PutRef(2, opts.ReceiveFromSet)
-	} else {
-		t.Scratch.PutRef(2, opts.ReceiveFrom)
-	}
-	t.Scratch.PutWord(3, uint32(opts.MaxSize))
-	t.Scratch.PutRef(4, opts.SndTimeout)
+	// The call does not fit in the scratch area's seven words, so it
+	// travels in an auxiliary record: a copy of the options, named by
+	// the area's one reference.
+	saved := new(MsgOptions)
+	*saved = opts
+	t.Scratch.SetRef(saved)
 	w := x.newWaiter(t)
 	w.send = true
 	dest.sendWaiters = append(dest.sendWaiters, w)
@@ -767,8 +767,8 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	x.K.Block(e, stats.BlockReceive, x.ContMsgSendRetry, nil, 224, "send-queue-full")
 }
 
-// msgSendRetry resumes a sender that blocked on a full queue: rebuild the
-// call from scratch state and retry mach_msg from the top. Transfers
+// msgSendRetry resumes a sender that blocked on a full queue: retry
+// mach_msg from the top with the options blockFullQueue saved. Transfers
 // control.
 func (x *IPC) msgSendRetry(e *core.Env) {
 	t := e.Cur()
@@ -776,23 +776,7 @@ func (x *IPC) msgSendRetry(e *core.Env) {
 		x.K.ThreadSyscallReturn(e, code)
 		return
 	}
-	dest := t.Scratch.Ref(0).(*Port)
-	msg := t.Scratch.Ref(1).(*Message)
-	opts := MsgOptions{
-		Send:    msg,
-		SendTo:  dest,
-		MaxSize: int(t.Scratch.Word(3)),
-	}
-	if d, ok := t.Scratch.Ref(4).(machine.Duration); ok {
-		opts.SndTimeout = d
-	}
-	switch r := t.Scratch.Ref(2).(type) {
-	case *Port:
-		opts.ReceiveFrom = r
-	case *PortSet:
-		opts.ReceiveFromSet = r
-	}
-	x.MachMsg(e, opts)
+	x.MachMsg(e, *t.Scratch.Ref().(*MsgOptions))
 }
 
 // wakeSender releases one blocked sender now that the queue has room.
@@ -946,10 +930,11 @@ func (x *IPC) completeDelivered(e *core.Env) {
 }
 
 // saveReceiveState records a blocked receiver's parameters in its scratch
-// area: the receive source (port or port set) and the size constraint.
+// area: the receive source (port or port set) as its reference and the
+// size constraint in word 0.
 func (x *IPC) saveReceiveState(t *core.Thread, src source, maxSize int) {
-	t.Scratch.PutRef(0, src)
-	t.Scratch.PutWord(1, uint32(maxSize))
+	t.Scratch.SetRef(src)
+	t.Scratch.PutWord(0, uint32(maxSize))
 }
 
 // receive runs the receive phase in the receiving thread's own context,
@@ -1028,11 +1013,11 @@ func (x *IPC) msgReceiveSlow(e *core.Env) {
 
 // savedReceiveState recovers the parameters stashed by saveReceiveState.
 func (x *IPC) savedReceiveState(t *core.Thread) (source, int) {
-	src, ok := t.Scratch.Ref(0).(source)
+	src, ok := t.Scratch.Ref().(source)
 	if !ok {
 		panic(fmt.Sprintf("ipc: %v resumed a receive without saved state", t))
 	}
-	return src, int(t.Scratch.Word(1))
+	return src, int(t.Scratch.Word(0))
 }
 
 // finishReceiveChecked applies the receiver's size constraint, then

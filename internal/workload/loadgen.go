@@ -106,11 +106,12 @@ var (
 // resumeThink returns 0 from a think sleep.
 func resumeThink(e *core.Env) { e.K.ThreadSyscallReturn(e, 0) }
 
-// thinkSleep builds an open-loop session's think-time syscall: it parks
-// the calling thread as a blocked continuation until *until, the
-// session's next intended arrival, then resumes it through k.done.
-func thinkSleep(sys *kern.System, until *machine.Time, k *thinker) core.Action {
-	return core.Syscall(k.name, func(e *core.Env) {
+// thinkSleep builds the body of an open-loop session's think-time
+// syscall (k.name): it parks the calling thread as a blocked
+// continuation until *until, the session's next intended arrival, then
+// resumes it through k.done.
+func thinkSleep(sys *kern.System, until *machine.Time, k *thinker) func(*core.Env) {
+	return func(e *core.Env) {
 		th := e.Cur()
 		sys.K.Clock.Schedule(*until, k.wake, func() {
 			if th.State() == core.StateWaiting {
@@ -119,7 +120,7 @@ func thinkSleep(sys *kern.System, until *machine.Time, k *thinker) core.Action {
 		})
 		e.K.SetState(th, core.StateWaiting)
 		sys.K.Block(e, stats.BlockInternal, k.done, nil, 96, k.name)
-	})
+	}
 }
 
 // mtSession is one tenant session: an open-loop arrival generator that
@@ -144,19 +145,21 @@ type mtSession struct {
 	intended machine.Time
 	arriving bool
 
-	sleepAct core.Action
-	rpcAct   core.Action
+	// sleep and rpc are the session's two syscall bodies, built once.
+	// Next wraps one in a core.Action on each return, so a parked
+	// session keeps two func values instead of two whole Actions.
+	sleep, rpc func(*core.Env)
 }
 
 func (s *mtSession) Next(e *core.Env, t *core.Thread) core.Action {
-	if s.rpcAct.Invoke == nil {
-		s.rpcAct = core.Syscall("mach_msg(tenant-rpc)", func(e *core.Env) {
+	if s.rpc == nil {
+		s.rpc = func(e *core.Env) {
 			req := s.sys.IPC.NewMessage(1, s.bytes, nil, s.reply)
 			s.sys.IPC.MachMsg(e, ipc.MsgOptions{
 				Send: req, SendTo: s.proxy, ReceiveFrom: s.reply,
 			})
-		})
-		s.sleepAct = thinkSleep(s.sys, &s.intended, tenantThink)
+		}
+		s.sleep = thinkSleep(s.sys, &s.intended, tenantThink)
 	}
 	if m := s.sys.IPC.Received(t); m != nil {
 		s.sys.IPC.FreeMessage(m)
@@ -174,11 +177,11 @@ func (s *mtSession) Next(e *core.Env, t *core.Thread) core.Action {
 		s.intended += machine.Time(s.rng.Burst(uint64(s.tenant.Think)))
 		s.arriving = true
 		if s.intended > s.sys.K.Clock.Now() {
-			return s.sleepAct
+			return core.Syscall(tenantThink.name, s.sleep)
 		}
 	}
 	s.arriving = false
-	return s.rpcAct
+	return core.Syscall("mach_msg(tenant-rpc)", s.rpc)
 }
 
 // RunMTLoad boots the cluster, places every tenant session, and drives

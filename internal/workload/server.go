@@ -209,7 +209,7 @@ func (s *ExcServer) Next(e *core.Env, t *core.Thread) core.Action {
 		s.worked = true
 		return core.RunFor(s.WorkCycles)
 	}
-	if _, ok := s.pending.Body.(exc.ExcInfo); !ok {
+	if _, ok := s.pending.Body.(*exc.ExcInfo); !ok {
 		panic("workload: exception server received a non-exception message")
 	}
 	s.Handled++

@@ -136,12 +136,12 @@ type stormSession struct {
 	doneSent bool
 	recs     []stormRec
 
-	sleepAct core.Action
+	sleep func(*core.Env) // the think syscall's body, built once
 }
 
 func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
-	if s.sleepAct.Invoke == nil {
-		s.sleepAct = thinkSleep(s.sys, &s.intended, stormThink)
+	if s.sleep == nil {
+		s.sleep = thinkSleep(s.sys, &s.intended, stormThink)
 	}
 	for {
 		if s.inOp || s.doneSent {
@@ -162,7 +162,7 @@ func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
 			continue
 		}
 		if s.intended > s.sys.K.Clock.Now() {
-			return s.sleepAct
+			return core.Syscall(stormThink.name, s.sleep)
 		}
 		s.submit()
 		s.inOp = true

@@ -91,7 +91,10 @@ type (
 	Time = machine.Time
 	// Cost counts simulated work (instructions, loads, stores).
 	Cost = machine.Cost
-	// ExcInfo is the body of an exception request message.
+	// ExcInfo is the body of an exception request message, which
+	// carries a *ExcInfo. The kernel keeps one record per raising thread
+	// and rewrites it on each raise, so it is valid until that thread's
+	// next raise.
 	ExcInfo = exc.ExcInfo
 )
 

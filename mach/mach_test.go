@@ -111,7 +111,7 @@ func TestExceptionRouting(t *testing.T) {
 		}
 		req := pending
 		pending = nil
-		if _, ok := req.Body.(mach.ExcInfo); !ok {
+		if _, ok := req.Body.(*mach.ExcInfo); !ok {
 			t.Errorf("body = %T", req.Body)
 		}
 		handled++
