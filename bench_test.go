@@ -613,8 +613,8 @@ func BenchmarkBlockedPopulation(b *testing.B) {
 // boot's, per session, is host-B/session: the session's thread, ports,
 // program, observability and netmsg records on both machines. The same
 // count of bare threads blocked receiving on their own ports, on one
-// machine, gives host-B/thread. CI gates host-B/session at 1 024
-// (benchjson -max-metric).
+// machine, gives host-B/thread. CI gates host-B/session at 800 and
+// host-B/thread at 660 (benchjson -max-metric).
 func BenchmarkBlockedSessionBytes(b *testing.B) {
 	const n = 8000
 	var perSession, perThread float64

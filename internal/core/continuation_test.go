@@ -168,12 +168,13 @@ func TestScratchReset(t *testing.T) {
 
 // TestThreadLayout pins the host record a blocked thread costs: Scratch
 // is seven words and one reference (at most 48 bytes), and Thread, with
-// its one-byte states and flags packed together, at most 288 bytes.
+// its one-byte states and flags packed together and a register save area
+// of the one register programs read, at most 232 bytes.
 func TestThreadLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Scratch{}); n > 48 {
 		t.Errorf("Scratch is %d bytes, want at most 48", n)
 	}
-	if n := unsafe.Sizeof(Thread{}); n > 288 {
-		t.Errorf("Thread is %d bytes, want at most 288", n)
+	if n := unsafe.Sizeof(Thread{}); n > 232 {
+		t.Errorf("Thread is %d bytes, want at most 232", n)
 	}
 }

@@ -291,6 +291,9 @@ type Kernel struct {
 	// these two assignments sit on the per-dispatch hot path.
 	userStepFn      func(*Env)
 	dispatchFreshFn func(*Env)
+
+	// wakeFn is wake's method value, bound once: WakeAt's timer action.
+	wakeFn func(any)
 }
 
 // NewKernel builds a kernel for the given configuration. The caller must
@@ -317,6 +320,7 @@ func NewKernel(cfg Config) *Kernel {
 	}
 	k.userStepFn = k.userStep
 	k.dispatchFreshFn = k.dispatchFresh
+	k.wakeFn = k.wake
 	for i := 0; i < cfg.Processors; i++ {
 		p := &Processor{ID: i}
 		p.env = Env{K: k, P: p}
@@ -1362,6 +1366,33 @@ func (k *Kernel) Run(deadline machine.Time) uint64 {
 		}
 		steps++
 	}
+}
+
+// WakeAt makes t runnable at absolute time when, if it is still waiting
+// then: a sleep's wake-up. The timer is an event from the clock's free
+// list carrying t, with the action bound once per kernel, so a sleeping
+// thread costs the host no closure and no event of its own.
+func (k *Kernel) WakeAt(when machine.Time, label string, t *Thread) {
+	k.Clock.ScheduleArg(when, label, k.wakeFn, t)
+}
+
+// wake is WakeAt's timer action.
+func (k *Kernel) wake(arg any) {
+	if t := arg.(*Thread); t.state == StateWaiting {
+		k.Setrun(t)
+	}
+}
+
+// ThreadByID returns the registry's thread with the given ID, or nil once
+// the reaper has compacted it away (or for an ID never issued). The
+// registry is in ID order, so the lookup is a binary search: a record
+// that names a thread by ID does not keep a dead one reachable.
+func (k *Kernel) ThreadByID(id int) *Thread {
+	i, ok := slices.BinarySearchFunc(k.Threads, id, func(t *Thread, id int) int { return t.ID - id })
+	if !ok {
+		return nil
+	}
+	return k.Threads[i]
 }
 
 // LiveThreads counts threads that have not halted.

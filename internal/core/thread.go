@@ -201,6 +201,11 @@ func (t *Thread) TakeWaitResult() (code uint64, ok bool) {
 	return code, code != 0
 }
 
+// Reaped reports whether the reaper has taken the thread (see
+// Kernel.ReapHalted): its kernel state is gone, and records that still
+// list it should drop it.
+func (t *Thread) Reaped() bool { return t.reaped }
+
 // Queued reports whether the thread is currently on a run queue.
 func (t *Thread) Queued() bool { return t.queued }
 

@@ -21,3 +21,7 @@ func (s *Subsystem) QueuedRxForTest() (reqs []*Request, pkts []*Packet) {
 
 // RxFreeForTest returns the rx completions on the free list.
 func (s *Subsystem) RxFreeForTest() []*Request { return s.rxFree }
+
+// DedupForTest returns the link's dedup watermark and how many delivered
+// sequence numbers wait above it.
+func (n *Netmsg) DedupForTest() (low uint64, above int) { return n.seen.low, len(n.seen.above) }

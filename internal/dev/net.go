@@ -473,7 +473,7 @@ type Netmsg struct {
 
 	seq     uint64                 // last data sequence number assigned
 	unacked map[uint64]*unackedPkt // awaiting acknowledgement, by seq
-	seen    map[uint64]bool        // peer data seqs already delivered
+	seen    dedup                  // peer data seqs already delivered
 	outbox  fifo[*Packet]          // retransmissions queued by timers
 
 	// Membership state (crash recovery). Inc is this machine's boot
@@ -506,6 +506,50 @@ type Netmsg struct {
 	HeartbeatsRx   uint64 // explicit announcements consumed
 	DeathsDetected uint64 // times the peer was declared dead
 	Recoveries     uint64 // times a dead peer was heard from again
+}
+
+// dedup is the set of peer data sequence numbers already delivered, kept
+// as a watermark below which every number has been delivered plus the
+// delivered numbers above it. The peer numbers its packets 1, 2, ... per
+// incarnation, so in-order traffic leaves the set empty and only packets
+// that overtook a lost or delayed one wait in it. (A link rebuilt by this
+// machine's reboot hears the peer's numbering mid-stream, so its
+// watermark stays at 0 and every number it delivers waits in the set.)
+type dedup struct {
+	low   uint64
+	above map[uint64]struct{}
+}
+
+// first records seq as delivered and reports whether it was not already.
+func (d *dedup) first(seq uint64) bool {
+	if seq <= d.low {
+		return false
+	}
+	if _, dup := d.above[seq]; dup {
+		return false
+	}
+	if seq != d.low+1 {
+		if d.above == nil {
+			d.above = make(map[uint64]struct{})
+		}
+		d.above[seq] = struct{}{}
+		return true
+	}
+	d.low = seq
+	for {
+		if _, ok := d.above[d.low+1]; !ok {
+			return true
+		}
+		delete(d.above, d.low+1)
+		d.low++
+	}
+}
+
+// reset forgets every delivered number: the peer's new incarnation
+// numbers its packets from 1 again.
+func (d *dedup) reset() {
+	d.low = 0
+	clear(d.above)
 }
 
 // unackedPkt tracks one transmitted-but-unacknowledged data packet.
@@ -545,7 +589,6 @@ func NewNetmsg(s *Subsystem, x *ipc.IPC, nic *NIC) *Netmsg {
 	n.peerInc = 1
 	n.lastHeard = s.K.Clock.Now()
 	n.unacked = make(map[uint64]*unackedPkt)
-	n.seen = make(map[uint64]bool)
 	n.cont = core.NewContinuation("netmsg_continue", n.loop)
 	name := "netmsg"
 	if nic.index > 0 {
@@ -750,9 +793,7 @@ func (n *Netmsg) noteIncarnation(pkt *Packet) (stale bool) {
 		// retransmit backoff (cancel order does not matter: the event
 		// heap breaks ties by sequence number, not layout).
 		n.peerInc = pkt.SrcInc
-		for s := range n.seen {
-			delete(n.seen, s)
-		}
+		n.seen.reset()
 		for seq, u := range n.unacked {
 			if u.pkt.DstInc != 0 && u.pkt.DstInc < n.peerInc {
 				n.Sub.K.Clock.Cancel(u.timer)
@@ -899,11 +940,10 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 		n.AcksTx++
 		n.NIC.Transmit(e, &Packet{Ack: true, Seq: pkt.Seq, Size: ackBytes,
 			SrcInc: n.Inc, DstInc: pkt.SrcInc})
-		if n.seen[pkt.Seq] {
+		if !n.seen.first(pkt.Seq) {
 			n.DupsDropped++
 			return
 		}
-		n.seen[pkt.Seq] = true
 	}
 	if pkt.Heartbeat {
 		n.HeartbeatsRx++

@@ -141,6 +141,26 @@ func TestReliableDeliverySurvivesReorder(t *testing.T) {
 	if a.Net.NIC.Delayed == 0 {
 		t.Fatal("fault plan injected no delays — test is vacuous")
 	}
+	// Once the overtaken packets arrive, the watermark absorbs the ones
+	// that overtook them.
+	if low, above := b.Net.DedupForTest(); low != n || above != 0 {
+		t.Fatalf("dedup watermark %d with %d above it, want %d with 0", low, above, n)
+	}
+}
+
+func TestReliableInOrderLeavesDedupSetEmpty(t *testing.T) {
+	// A clean wire delivers the peer's packets in order, so the dedup
+	// watermark follows them and nothing waits in the set above it.
+	const n = 10000
+	a, b, cluster := bootLossyPair(t, nil)
+	a.K.DebugChecks, b.K.DebugChecks = false, false // 10 000 packets: skip the per-step sweep
+	got := startSink(b, "svc")
+	startSpray(a, "svc", n)
+	cluster.Drive(false)
+	checkExactlyOnce(t, *got, n)
+	if low, above := b.Net.DedupForTest(); low != n || above != 0 {
+		t.Fatalf("dedup watermark %d with %d above it, want %d with 0", low, above, n)
+	}
 }
 
 func TestUnreliableTrafficStillLosesPackets(t *testing.T) {

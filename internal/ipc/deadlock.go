@@ -47,12 +47,12 @@ func (x *IPC) FindDeadlock() []string {
 		return !w.cancelled && w.t.State() == core.StateWaiting && !w.timeout.Pending()
 	}
 	owner := func(p *Port) *core.Thread {
-		for _, w := range p.waiters {
+		for _, w := range p.rcvWaiters() {
 			if !w.cancelled && w.t.State() == core.StateWaiting {
 				return w.t
 			}
 		}
-		if lr := p.lastReceiver; lr != nil && lr.State() != core.StateHalted {
+		if lr := x.K.ThreadByID(int(p.lastReceiver)); lr != nil && lr.State() != core.StateHalted {
 			return lr
 		}
 		return nil
@@ -60,19 +60,19 @@ func (x *IPC) FindDeadlock() []string {
 
 	for _, p := range x.ports {
 		// Rule 1: blocked senders wait for the port's owner.
-		for _, w := range p.sendWaiters {
+		for _, w := range p.sndWaiters() {
 			if stuck(w) {
 				addEdge(w.t, owner(p))
 			}
 		}
 		// Rule 2: a queued request's reply-waiters wait for this port's
 		// owner to drain it.
-		for _, m := range p.queue {
+		for _, m := range p.queued() {
 			if m == nil || m.Reply == nil {
 				continue
 			}
 			to := owner(p)
-			for _, w := range m.Reply.waiters {
+			for _, w := range m.Reply.rcvWaiters() {
 				if stuck(w) {
 					addEdge(w.t, to)
 				}
@@ -87,7 +87,7 @@ func (x *IPC) FindDeadlock() []string {
 		if m == nil || m.Reply == nil || holder.State() == core.StateHalted {
 			continue
 		}
-		for _, w := range m.Reply.waiters {
+		for _, w := range m.Reply.rcvWaiters() {
 			if stuck(w) {
 				addEdge(w.t, holder)
 			}

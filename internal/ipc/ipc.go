@@ -134,28 +134,19 @@ type Message struct {
 // Port is a Mach port: a protected message queue with at most one
 // receiver task (rights are simplified away; the control-transfer paths
 // are what the paper measures).
+//
+// A port keeps only its identity, routing, limit and counters. Its
+// receive side (the message queue, the receive waiters and the blocked
+// senders) is a separate record that ipc lends the port while any of the
+// three is nonempty (see portRecv), so an idle port, or a netmsg proxy
+// whose receiver is the kernel, costs the host no receive machinery.
+// TestPortLayout pins the size.
 type Port struct {
 	ID   int
 	Name string
 
-	queue   []*Message
-	waiters []*rcvWaiter
-
-	// sendWaiters are senders blocked on a full queue.
-	sendWaiters []*rcvWaiter
-
-	// QueueLimit bounds the message queue; senders block when it is
-	// full. Zero means DefaultQueueLimit.
-	QueueLimit int
-
-	// dead marks a destroyed port: sends fail with SendInvalidDest and
-	// receives with RcvPortDied.
-	dead bool
-
-	// Route is an integer the owner of KernelSink keeps with the port,
-	// so one sink can serve many ports: on a netmsg reply proxy, the
-	// peer's reply route it forwards to. Zero elsewhere.
-	Route uint32
+	// rcv is the port's receive side while it has one.
+	rcv *portRecv
 
 	// set is the port set this port belongs to, if any.
 	set *PortSet
@@ -167,39 +158,115 @@ type Port struct {
 	// before returning.
 	KernelSink func(e *core.Env, msg *Message, opts MsgOptions)
 
-	// lastReceiver is the thread that most recently registered to receive
-	// on (or pulled a message from) this port — the port's presumed owner.
-	// The deadlock detector uses it to answer "who is expected to drain
-	// this queue" when no receiver is currently registered.
-	lastReceiver *core.Thread
+	// QueueLimit bounds the message queue; senders block when it is
+	// full. Zero means DefaultQueueLimit.
+	QueueLimit int
+
+	// Route is an integer the owner of KernelSink keeps with the port,
+	// so one sink can serve many ports: on a netmsg reply proxy, the
+	// peer's reply route it forwards to. Zero elsewhere.
+	Route uint32
+
+	// lastReceiver is the ID of the thread that most recently registered
+	// to receive on (or pulled a message from) this port — the port's
+	// presumed owner, zero for none. The deadlock detector uses it to
+	// answer "who is expected to drain this queue" when no receiver is
+	// currently registered. It is an ID, looked up in the kernel's
+	// registry, so a port that outlives its receiver does not keep the
+	// dead thread reachable.
+	lastReceiver int32
 
 	// Enqueued and Dequeued count queue traffic through this port,
 	// letting tests verify the fast path bypasses the queue.
-	Enqueued uint64
-	Dequeued uint64
+	Enqueued uint32
+	Dequeued uint32
+
+	// dead marks a destroyed port: sends fail with SendInvalidDest and
+	// receives with RcvPortDied.
+	dead bool
+}
+
+// portRecv is a port's receive side: its queued messages, the threads
+// blocked receiving on it and the senders blocked on its full queue.
+// IPC.recv lends one from the subsystem's free list when a receiver
+// registers, a message is queued or a sender blocks, and IPC.settle
+// takes it back once all three are empty, backing arrays and all, so the
+// message path allocates nothing in steady state.
+type portRecv struct {
+	queue   []*Message
+	waiters []*rcvWaiter
+
+	// sendWaiters are senders blocked on a full queue.
+	sendWaiters []*rcvWaiter
+}
+
+// recv returns p's receive side, lending it one if it has none.
+func (x *IPC) recv(p *Port) *portRecv {
+	if p.rcv != nil {
+		return p.rcv
+	}
+	if n := len(x.recvFree); n > 0 {
+		p.rcv = x.recvFree[n-1]
+		x.recvFree[n-1] = nil
+		x.recvFree = x.recvFree[:n-1]
+	} else {
+		p.rcv = new(portRecv)
+	}
+	return p.rcv
+}
+
+// settle takes p's receive side back once its queue and both waiter
+// lists are empty.
+func (x *IPC) settle(p *Port) {
+	r := p.rcv
+	if r == nil || len(r.queue) > 0 || len(r.waiters) > 0 || len(r.sendWaiters) > 0 {
+		return
+	}
+	p.rcv = nil
+	x.recvFree = append(x.recvFree, r)
+}
+
+// queued returns the port's message queue; nil without a receive side.
+func (p *Port) queued() []*Message {
+	if p.rcv == nil {
+		return nil
+	}
+	return p.rcv.queue
+}
+
+// rcvWaiters returns the port's receive waiter list, and sndWaiters its
+// send-waiter list; nil without a receive side.
+func (p *Port) rcvWaiters() []*rcvWaiter {
+	if p.rcv == nil {
+		return nil
+	}
+	return p.rcv.waiters
+}
+
+func (p *Port) sndWaiters() []*rcvWaiter {
+	if p.rcv == nil {
+		return nil
+	}
+	return p.rcv.sendWaiters
 }
 
 // QueueLen reports how many messages are waiting on the port.
-func (p *Port) QueueLen() int { return len(p.queue) }
+func (p *Port) QueueLen() int { return len(p.queued()) }
 
 // Dead reports whether the port has been destroyed.
 func (p *Port) Dead() bool { return p.dead }
 
 // Waiters reports how many threads are blocked receiving on the port.
-func (p *Port) Waiters() int {
-	n := 0
-	for _, w := range p.waiters {
-		if !w.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (p *Port) Waiters() int { return liveWaiters(p.rcvWaiters()) }
 
 // SendWaiters reports how many senders are blocked on the full queue.
-func (p *Port) SendWaiters() int {
+func (p *Port) SendWaiters() int { return liveWaiters(p.sndWaiters()) }
+
+// liveWaiters counts a waiter list's registrations that are not
+// cancelled.
+func liveWaiters(list []*rcvWaiter) int {
 	n := 0
-	for _, w := range p.sendWaiters {
+	for _, w := range list {
 		if !w.cancelled {
 			n++
 		}
@@ -338,11 +405,12 @@ type IPC struct {
 	ports []*Port
 	sets  []*PortSet
 
-	// waiterFree and msgFree recycle waiter registrations and message
-	// buffers so the steady-state RPC path allocates nothing; see
-	// freeWaiter for the timeout caveat.
+	// waiterFree, msgFree and recvFree recycle waiter registrations,
+	// message buffers and port receive sides so the steady-state RPC path
+	// allocates nothing; see freeWaiter for the timeout caveat.
 	waiterFree []*rcvWaiter
 	msgFree    []*Message
+	recvFree   []*portRecv
 
 	nextPortID int
 	nextMsgID  int
@@ -537,12 +605,19 @@ func (x *IPC) TakeDeliveredPeek(t *core.Thread) *Message {
 // popWaiter consumes the first live waiter registration on the port,
 // cancelling its timeout.
 func (x *IPC) popWaiter(p *Port) *core.Thread {
-	return x.popWaiterList(&p.waiters)
+	r := p.rcv
+	if r == nil {
+		return nil
+	}
+	t := x.popWaiterList(&r.waiters)
+	x.settle(p)
+	return t
 }
 
-// popWaiterList consumes the first live registration on any waiter list.
-// The consumed prefix is shifted out in place (the backing array is
-// reused by later pushes) and its registrations go back to the free list.
+// popWaiterList consumes the first live registration on any waiter list
+// (a port's receive or send waiters, a set's receive waiters). The
+// consumed prefix is shifted out in place (the backing array is reused
+// by later pushes) and its registrations go back to the free list.
 func (x *IPC) popWaiterList(list *[]*rcvWaiter) *core.Thread {
 	q := *list
 	n := 0
@@ -598,7 +673,7 @@ func (x *IPC) newWaiter(t *core.Thread) *rcvWaiter {
 // its thread's index and recycles it. A registration whose timeout is
 // still armed is left to the garbage collector: the timeout closure holds
 // a reference, and recycling it would let a stale timer cancel an
-// unrelated waiter.
+// unrelated waiter. One whose timeout fired or was cancelled is safe.
 func (x *IPC) freeWaiter(w *rcvWaiter) {
 	if w.prev != nil {
 		w.prev.next = w.next
@@ -609,7 +684,7 @@ func (x *IPC) freeWaiter(w *rcvWaiter) {
 		w.next.prev = w.prev
 	}
 	w.prev, w.next = nil, nil
-	if w.timeout != nil {
+	if w.timeout.Pending() {
 		return
 	}
 	*w = rcvWaiter{}
@@ -619,9 +694,32 @@ func (x *IPC) freeWaiter(w *rcvWaiter) {
 // push registers t as a receive waiter on p (the source interface).
 func (p *Port) push(x *IPC, t *core.Thread) *rcvWaiter {
 	w := x.newWaiter(t)
-	p.waiters = append(p.waiters, w)
-	p.lastReceiver = t
+	r := x.recv(p)
+	r.waiters = x.pushWaiter(r.waiters, w)
+	p.lastReceiver = int32(t.ID)
 	return w
+}
+
+// pushWaiter appends w to a waiter list. When the list stands at a
+// power-of-two length it first drops the cancelled registrations (timed
+// out, aborted, or left by a dead thread), so a port nobody sends to does
+// not keep every timed-out receive. Every pop skips cancelled entries
+// anyway, so the live ones keep their order, and the sweep costs
+// amortized O(1) per push.
+func (x *IPC) pushWaiter(list []*rcvWaiter, w *rcvWaiter) []*rcvWaiter {
+	if n := len(list); n > 0 && n&(n-1) == 0 {
+		kept := list[:0]
+		for _, v := range list {
+			if v.cancelled {
+				x.freeWaiter(v)
+			} else {
+				kept = append(kept, v)
+			}
+		}
+		clear(list[len(kept):])
+		list = kept
+	}
+	return append(list, w)
 }
 
 // MachMsg is the mach_msg system call: an optional send phase followed by
@@ -725,7 +823,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	// its limit): always in Mach 2.5, whose waiting receiver is merely
 	// made runnable for the general scheduler to arbitrate, and in every
 	// kernel when no receiver waits.
-	if len(dest.queue) >= dest.limit() {
+	if dest.QueueLen() >= dest.limit() {
 		x.blockFullQueue(e, dest, opts)
 		return
 	}
@@ -751,7 +849,8 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	t.Scratch.SetRef(saved)
 	w := x.newWaiter(t)
 	w.send = true
-	dest.sendWaiters = append(dest.sendWaiters, w)
+	r := x.recv(dest)
+	r.sendWaiters = x.pushWaiter(r.sendWaiters, w)
 	if d := opts.SndTimeout; d != 0 {
 		w.timeout = x.K.Clock.After(d, "mach_msg-snd-timeout", func() {
 			if w.cancelled || w.t.State() != core.StateWaiting {
@@ -781,30 +880,8 @@ func (x *IPC) msgSendRetry(e *core.Env) {
 
 // wakeSender releases one blocked sender now that the queue has room.
 func (x *IPC) wakeSender(p *Port) {
-	q := p.sendWaiters
-	n := 0
-	for n < len(q) {
-		w := q[n]
-		n++
-		if w.cancelled || w.t.State() != core.StateWaiting {
-			x.freeWaiter(w)
-			continue
-		}
-		w.cancelled = true
-		if w.timeout != nil {
-			x.K.Clock.Cancel(w.timeout)
-			w.timeout = nil
-		}
-		x.K.Setrun(w.t)
-		x.freeWaiter(w)
-		break
-	}
-	if n > 0 {
-		m := copy(q, q[n:])
-		for i := m; i < len(q); i++ {
-			q[i] = nil
-		}
-		p.sendWaiters = q[:m]
+	if t := x.popWaiterList(&p.rcv.sendWaiters); t != nil {
+		x.K.Setrun(t)
 	}
 }
 
@@ -832,8 +909,22 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 	}
 	e.Charge(machine.Cost{Instrs: 90, Loads: 25, Stores: 20})
 	p.dead = true
-	p.queue = nil
-	for _, w := range p.waiters {
+	r := p.rcv
+	if r == nil {
+		return
+	}
+	clear(r.queue)
+	r.queue = r.queue[:0]
+	r.waiters = x.failWaiters(r.waiters, RcvPortDied)
+	r.sendWaiters = x.failWaiters(r.sendWaiters, SendInvalidDest)
+	x.settle(p)
+}
+
+// failWaiters ends the wait of every live registration on a dying port's
+// list with code, recycles every registration, and returns the emptied
+// list.
+func (x *IPC) failWaiters(list []*rcvWaiter, code uint64) []*rcvWaiter {
+	for _, w := range list {
 		if w.cancelled || w.t.State() != core.StateWaiting {
 			continue
 		}
@@ -841,35 +932,22 @@ func (x *IPC) DestroyPort(e *core.Env, p *Port) {
 		if w.timeout != nil {
 			x.K.Clock.Cancel(w.timeout)
 		}
-		x.K.PostWaitResult(w.t, RcvPortDied)
+		x.K.PostWaitResult(w.t, code)
 		x.K.Setrun(w.t)
 	}
-	for _, w := range p.waiters {
+	for _, w := range list {
 		x.freeWaiter(w)
 	}
-	p.waiters = nil
-	for _, w := range p.sendWaiters {
-		if w.cancelled || w.t.State() != core.StateWaiting {
-			continue
-		}
-		w.cancelled = true
-		if w.timeout != nil {
-			x.K.Clock.Cancel(w.timeout)
-		}
-		x.K.PostWaitResult(w.t, SendInvalidDest)
-		x.K.Setrun(w.t)
-	}
-	for _, w := range p.sendWaiters {
-		x.freeWaiter(w)
-	}
-	p.sendWaiters = nil
+	clear(list)
+	return list[:0]
 }
 
 // enqueue places a message on a port's queue.
 func (x *IPC) enqueue(e *core.Env, p *Port, msg *Message) {
 	e.Charge(msgAllocCost)
 	e.Charge(enqueueCost)
-	p.queue = append(p.queue, msg)
+	r := x.recv(p)
+	r.queue = append(r.queue, msg)
 	p.Enqueued++
 	x.QueuedSends++
 	e.Trace(obs.QueueMessage, p.Name)

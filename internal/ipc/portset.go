@@ -76,21 +76,13 @@ func (x *IPC) RemoveFromSet(p *Port) {
 func (ps *PortSet) Members() int { return len(ps.members) }
 
 // Waiters reports threads blocked receiving on the set.
-func (ps *PortSet) Waiters() int {
-	n := 0
-	for _, w := range ps.waiters {
-		if !w.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (ps *PortSet) Waiters() int { return liveWaiters(ps.waiters) }
 
 func (ps *PortSet) isDead() bool { return false }
 
 func (ps *PortSet) hasPending() bool {
 	for _, p := range ps.members {
-		if !p.dead && len(p.queue) > 0 {
+		if p.hasPending() {
 			return true
 		}
 	}
@@ -101,7 +93,7 @@ func (ps *PortSet) pull(x *IPC, e *core.Env) *Message {
 	n := len(ps.members)
 	for i := 0; i < n; i++ {
 		p := ps.members[(ps.rr+i)%n]
-		if p.dead || len(p.queue) == 0 {
+		if !p.hasPending() {
 			continue
 		}
 		ps.rr = (ps.rr + i + 1) % n
@@ -112,7 +104,7 @@ func (ps *PortSet) pull(x *IPC, e *core.Env) *Message {
 
 func (ps *PortSet) push(x *IPC, t *core.Thread) *rcvWaiter {
 	w := x.newWaiter(t)
-	ps.waiters = append(ps.waiters, w)
+	ps.waiters = x.pushWaiter(ps.waiters, w)
 	return w
 }
 
@@ -124,25 +116,27 @@ func (ps *PortSet) srcName() string { return ps.Name }
 
 func (p *Port) isDead() bool { return p.dead }
 
-func (p *Port) hasPending() bool { return !p.dead && len(p.queue) > 0 }
+func (p *Port) hasPending() bool { return !p.dead && p.QueueLen() > 0 }
 
 func (p *Port) pull(x *IPC, e *core.Env) *Message {
-	if len(p.queue) == 0 {
+	if p.QueueLen() == 0 {
 		return nil
 	}
 	if t := e.Cur(); t != nil {
-		p.lastReceiver = t
+		p.lastReceiver = int32(t.ID)
 	}
-	m := p.queue[0]
-	n := copy(p.queue, p.queue[1:])
-	p.queue[n] = nil
-	p.queue = p.queue[:n]
+	r := p.rcv
+	m := r.queue[0]
+	n := copy(r.queue, r.queue[1:])
+	r.queue[n] = nil
+	r.queue = r.queue[:n]
 	p.Dequeued++
 	e.Charge(dequeueCost)
 	e.Charge(reparseCost)
 	e.Trace(obs.DequeueMessage, p.Name)
 	// Room opened up: release a sender blocked on the full queue.
 	x.wakeSender(p)
+	x.settle(p)
 	return m
 }
 

@@ -37,7 +37,9 @@ func (x *IPC) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
 // is live on two lists at once, and no cancelled registration still
 // holds an armed callout. It is also the oracle for the per-thread
 // registration index: the registrations on every port, send-waiter and
-// port-set list are exactly the ones on their threads' indexes.
+// port-set list are exactly the ones on their threads' indexes. And it
+// checks the receive-side pool: a port holds a receive record only while
+// the record is nonempty, and every record on the free list is empty.
 func (x *IPC) checkInvariants() error {
 	where := make(map[*core.Thread]string)
 	listed := make(map[*rcvWaiter]string)
@@ -67,11 +69,24 @@ func (x *IPC) checkInvariants() error {
 		return nil
 	}
 	for _, p := range x.ports {
-		if err := check(p.waiters, "port "+p.Name, false); err != nil {
+		r := p.rcv
+		if r == nil {
+			continue
+		}
+		if len(r.queue)+len(r.waiters)+len(r.sendWaiters) == 0 {
+			return fmt.Errorf("ipc: port %s holds an empty receive record", p.Name)
+		}
+		if err := check(r.waiters, "port "+p.Name, false); err != nil {
 			return err
 		}
-		if err := check(p.sendWaiters, "send-waiters of "+p.Name, true); err != nil {
+		if err := check(r.sendWaiters, "send-waiters of "+p.Name, true); err != nil {
 			return err
+		}
+	}
+	for _, r := range x.recvFree {
+		if len(r.queue)+len(r.waiters)+len(r.sendWaiters) != 0 {
+			return fmt.Errorf("ipc: a free receive record holds %d messages and %d registrations",
+				len(r.queue), len(r.waiters)+len(r.sendWaiters))
 		}
 	}
 	for _, ps := range x.sets {

@@ -1,0 +1,143 @@
+// White-box tests of the port layout and the receive-side pool: they read
+// whether a port holds a receive record and how long its waiter list is,
+// so they live inside package ipc.
+package ipc
+
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/sched"
+)
+
+// TestPortLayout pins what a port costs the host: identity, routing,
+// limit and counters, at most 80 bytes, with the receive side lent
+// separately.
+func TestPortLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Port{}); n > 80 {
+		t.Errorf("Port is %d bytes, want at most 80", n)
+	}
+}
+
+var poolFlavors = []core.Flavor{core.MK40, core.MK32, core.Mach25}
+
+// newPoolKernel boots a bare kernel of the given flavor with the
+// invariant sweep (which checks the receive-side pool) after every step.
+func newPoolKernel(f core.Flavor) (*core.Kernel, *IPC) {
+	k := core.NewKernel(core.Config{
+		Model:  machine.NewCostModel(machine.ArchDS3100),
+		Flavor: f,
+	})
+	k.Sched = sched.New(0)
+	k.DebugChecks = true
+	return k, New(k)
+}
+
+// TestRPCLeavesReplyPortIdle runs null RPCs between a client and a server
+// under every kernel: once the reply has been taken, the reply port holds
+// no receive record, and the records the two ports were lent circulate
+// through the free list instead of piling up.
+func TestRPCLeavesReplyPortIdle(t *testing.T) {
+	for _, f := range poolFlavors {
+		t.Run(f.FlagName(), func(t *testing.T) {
+			k, x := newPoolKernel(f)
+			srv, reply := x.NewPort("server"), x.NewPort("reply")
+			const rpcs = 3
+			done := 0
+			client := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
+				if m := x.Received(th); m != nil {
+					x.FreeMessage(m)
+					done++
+				}
+				if done == rpcs {
+					return core.Exit()
+				}
+				return core.Syscall("rpc", func(e *core.Env) {
+					x.MachMsg(e, MsgOptions{
+						Send: x.NewMessage(1, HeaderBytes, nil, reply), SendTo: srv, ReceiveFrom: reply,
+					})
+				})
+			})
+			var pending *Message
+			server := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
+				if m := x.Received(th); m != nil {
+					pending = m
+				}
+				if pending == nil {
+					return core.Syscall("recv", func(e *core.Env) { x.MachMsg(e, MsgOptions{ReceiveFrom: srv}) })
+				}
+				return core.Syscall("reply+recv", func(e *core.Env) {
+					to := pending.Reply
+					x.FreeMessage(pending)
+					pending = nil
+					x.MachMsg(e, MsgOptions{
+						Send: x.NewMessage(1|ReplyBit, HeaderBytes, nil, nil), SendTo: to, ReceiveFrom: srv,
+					})
+				})
+			})
+			k.Setrun(k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: server}))
+			cli := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: client})
+			k.Setrun(cli)
+			k.Run(0)
+			if cli.State() != core.StateHalted || done != rpcs {
+				t.Fatalf("client %v after %d of %d RPCs", cli.State(), done, rpcs)
+			}
+			if reply.rcv != nil {
+				t.Errorf("reply port holds a receive record: %d queued, %d waiters, %d send waiters",
+					len(reply.rcv.queue), len(reply.rcv.waiters), len(reply.rcv.sendWaiters))
+			}
+			if srv.rcv == nil || srv.Waiters() != 1 {
+				t.Errorf("server port should hold one parked receiver, has %d", srv.Waiters())
+			}
+			// The records circulate: the run needed at most one per port.
+			made := len(x.recvFree)
+			for _, p := range x.ports {
+				if p.rcv != nil {
+					made++
+				}
+			}
+			if made > 2 {
+				t.Errorf("the run made %d receive records, want at most 2", made)
+			}
+		})
+	}
+}
+
+// TestTimedOutReceivesDoNotPile times out 5 000 receives on a port that
+// nobody sends to, under every kernel. A timed-out registration stays on
+// the waiter list until something sweeps it; the sweep on push keeps the
+// list short.
+func TestTimedOutReceivesDoNotPile(t *testing.T) {
+	const receives = 5000
+	for _, f := range poolFlavors {
+		t.Run(f.FlagName(), func(t *testing.T) {
+			k, x := newPoolKernel(f)
+			port := x.NewPort("idle")
+			n, timedOut, longest := 0, 0, 0
+			prog := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
+				if n > 0 && th.MD.RetVal == RcvTimedOut {
+					timedOut++
+				}
+				longest = max(longest, len(port.rcvWaiters()))
+				if n == receives {
+					return core.Exit()
+				}
+				n++
+				return core.Syscall("recv", func(e *core.Env) {
+					x.MachMsg(e, MsgOptions{ReceiveFrom: port, RcvTimeout: machine.Duration(1000)})
+				})
+			})
+			th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: prog})
+			k.Setrun(th)
+			k.Run(0)
+			if th.State() != core.StateHalted || timedOut != receives {
+				t.Fatalf("receiver %v after %d timed-out receives, want %d", th.State(), timedOut, receives)
+			}
+			if longest > 8 {
+				t.Errorf("waiter list reached %d registrations, want at most 8", longest)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 // White-box test of the same-tick race between a send timeout and a
-// queue drain: it reaches into the port's send-waiter list to read the
-// armed callout's exact expiry, so it lives inside package ipc.
+// queue drain: it reaches into the port's receive side (its send-waiter
+// and waiter lists) to read the armed callout's exact expiry, so it
+// lives inside package ipc.
 package ipc
 
 import (
@@ -53,17 +54,17 @@ func runSendRace(t *testing.T, skew int64) uint64 {
 	// Park the sender without letting any timer fire.
 	for k.StepNoAdvance() {
 	}
-	if th.State() != core.StateWaiting || len(port.sendWaiters) != 1 {
-		t.Fatalf("sender not parked: %v, %d waiters", th.State(), len(port.sendWaiters))
+	if th.State() != core.StateWaiting || len(port.sndWaiters()) != 1 {
+		t.Fatalf("sender not parked: %v, %d waiters", th.State(), len(port.sndWaiters()))
 	}
-	w := port.sendWaiters[0]
+	w := port.sndWaiters()[0]
 	if w.timeout == nil || !w.timeout.Pending() {
 		t.Fatal("send timeout not armed")
 	}
 	delay := int64(w.timeout.When) + skew - int64(k.Clock.Now())
 	k.Clock.After(machine.Duration(delay), "drain", func() {
 		e := &core.Env{K: k, P: k.Procs[0]}
-		if len(port.queue) > 0 {
+		if port.QueueLen() > 0 {
 			port.pull(x, e)
 		}
 	})
@@ -104,10 +105,10 @@ func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 	k.Setrun(th)
 	for k.StepNoAdvance() {
 	}
-	if th.State() != core.StateWaiting || len(port.waiters) != 1 {
-		t.Fatalf("receiver not parked: %v, %d waiters", th.State(), len(port.waiters))
+	if th.State() != core.StateWaiting || len(port.rcvWaiters()) != 1 {
+		t.Fatalf("receiver not parked: %v, %d waiters", th.State(), len(port.rcvWaiters()))
 	}
-	w := port.waiters[0]
+	w := port.rcvWaiters()[0]
 	if w.timeout == nil || !w.timeout.Pending() {
 		t.Fatal("receive timeout not armed")
 	}

@@ -97,7 +97,7 @@ func TestSendRetryKeepsOptions(t *testing.T) {
 			if client.State() != core.StateWaiting || srv.SendWaiters() != 1 {
 				t.Fatalf("client not parked: %v, %d send waiters", client.State(), srv.SendWaiters())
 			}
-			first := srv.sendWaiters[0].timeout
+			first := srv.sndWaiters()[0].timeout
 			if first == nil || !first.Pending() {
 				t.Fatal("first park armed no send timeout")
 			}
@@ -114,7 +114,7 @@ func TestSendRetryKeepsOptions(t *testing.T) {
 			// At 2.5 ms, past the first park's expiry and before the
 			// second's, the server starts draining.
 			k.Clock.After(2_500_000, "serve", func() {
-				for _, w := range srv.sendWaiters {
+				for _, w := range srv.sndWaiters() {
 					if !w.cancelled && w.timeout != nil && w.timeout.Pending() {
 						second = w.timeout.When
 					}

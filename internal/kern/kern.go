@@ -23,6 +23,7 @@ package kern
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dev"
@@ -250,7 +251,11 @@ type Task struct {
 	Space *vm.Space
 	sys   *System
 
+	// Threads lists the task's threads in creation order, less the
+	// reaped ones the reaper has compacted away; reaped counts those it
+	// has not yet (see unlinkFromTask).
 	Threads []*core.Thread
+	reaped  int
 }
 
 // New boots a system.
@@ -384,12 +389,40 @@ func (s *System) reaperLoop(e *core.Env) {
 			panic(fmt.Sprintf("kern: reaper leak — thread %s still owns %d resources after release",
 				t.Name, residue))
 		}
+		s.unlinkFromTask(t)
 		s.Reaped++
 	}
 	t := e.Cur()
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "reaper: idle"
 	s.K.Block(e, stats.BlockInternal, s.contReaper, nil, 256, "reaper-wait")
+}
+
+// unlinkFromTask drops a reaped thread from its task's thread list, so
+// nothing keeps a dead session's thread reachable. As in the kernel's
+// registry (core.Kernel.ReapHalted), reaped threads leave by
+// order-preserving compaction once they fill half of the list, so the
+// upkeep is amortized O(1) per reaped thread. Kernel threads belong to
+// no task.
+func (s *System) unlinkFromTask(th *core.Thread) {
+	i, ok := slices.BinarySearchFunc(s.tasks, th.SpaceID, func(t *Task, id int) int { return t.ID - id })
+	if !ok {
+		return
+	}
+	task := s.tasks[i]
+	task.reaped++
+	if 2*task.reaped < len(task.Threads) {
+		return
+	}
+	live := task.Threads[:0]
+	for _, t := range task.Threads {
+		if !t.Reaped() {
+			live = append(live, t)
+		}
+	}
+	clear(task.Threads[len(live):])
+	task.Threads = live
+	task.reaped = 0
 }
 
 // startCallout creates the kernel thread whose flow of control makes a

@@ -26,8 +26,8 @@ type Duration = Time
 type Event struct {
 	When Time
 	// Fire runs when the clock reaches When. It executes in dispatcher
-	// context (not on any thread's stack). A wire arrival has none; it
-	// runs arrive instead.
+	// context (not on any thread's stack). An event from the clock's free
+	// list has none; it runs arrive instead.
 	Fire func()
 	// Label describes the event for traces.
 	Label string
@@ -36,7 +36,9 @@ type Event struct {
 	// alive.
 	Background bool
 
-	// arrive and arg are a wire arrival's action (ScheduleRemote).
+	// arrive and arg are the action of an event from the clock's free
+	// list: a wire arrival (ScheduleRemote) or a local timer with no
+	// closure (ScheduleArg).
 	arrive func(any)
 	arg    any
 
@@ -45,7 +47,7 @@ type Event struct {
 }
 
 // Negative Event.index values: popped (fired or about to be), cancelled,
-// and an arrival back on its clock's free list.
+// and an event back on its clock's free list.
 const (
 	indexPopped    = -1
 	indexCancelled = -2
@@ -105,9 +107,10 @@ type Clock struct {
 	// ever lower-bound activity conservatively.
 	watcher func()
 
-	// free holds fired wire arrivals for ScheduleRemote to reuse. Only
-	// this machine's own context touches it: the barrier flush schedules
-	// single-threaded, and the machine's own round fires and frees.
+	// free holds fired events for ScheduleRemote and ScheduleArg to
+	// reuse. Only this machine's own context touches it: the barrier
+	// flush schedules single-threaded, and the machine's own round
+	// schedules, fires and frees.
 	free []*Event
 }
 
@@ -175,6 +178,23 @@ const remoteBand = uint64(1) << 63
 // an arrival or keep it past its firing. A crash cannot recall one
 // either (PurgeLocal keeps them).
 func (c *Clock) ScheduleRemote(when Time, key uint64, label string, fn func(any), arg any) {
+	c.schedulePooled(when, remoteBand|key, label, fn, arg)
+}
+
+// ScheduleArg registers fn(arg) to fire at absolute time when, ordered
+// like Schedule. fn is meant to be bound once and arg to carry what it
+// acts on, so the timer needs no closure; its event comes from the
+// clock's free list and goes back to it once Fire has run it. Like
+// ScheduleRemote it returns no handle: nothing may cancel the event or
+// keep it past its firing.
+func (c *Clock) ScheduleArg(when Time, label string, fn func(any), arg any) {
+	seq := c.seq
+	c.seq++
+	c.schedulePooled(when, seq, label, fn, arg)
+}
+
+// schedulePooled queues fn(arg) at when on an event from the free list.
+func (c *Clock) schedulePooled(when Time, seq uint64, label string, fn func(any), arg any) {
 	var e *Event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
@@ -182,25 +202,31 @@ func (c *Clock) ScheduleRemote(when Time, key uint64, label string, fn func(any)
 	} else {
 		e = new(Event)
 	}
-	*e = Event{When: when, Label: label, arrive: fn, arg: arg, seq: remoteBand | key}
+	*e = Event{When: when, Label: label, arrive: fn, arg: arg, seq: seq}
 	heap.Push(&c.events, e)
 	c.foreground++
 	c.notify()
 }
 
-// Fire runs an event the caller popped (PopDue, AdvanceToNextEvent). A
-// wire arrival returns to the clock's free list once it has run. With
-// checks set (the kernel's DebugChecks), firing an event that is already
-// back on the free list panics.
+// Fire runs an event the caller popped (PopDue, AdvanceToNextEvent). An
+// event from the free list (ScheduleRemote, ScheduleArg) returns to it
+// once it has run. With checks set (the kernel's DebugChecks), firing an
+// event that is already back on the free list panics.
 func (c *Clock) Fire(e *Event, checks bool) {
 	if checks && e.index == indexRecycled {
-		panic("machine: wire arrival fired after it was recycled")
+		panic("machine: pooled event fired after it was recycled")
 	}
 	if e.arrive == nil {
 		e.Fire()
 		return
 	}
 	e.arrive(e.arg)
+	c.recycle(e)
+}
+
+// recycle puts a pooled event that has left the heap back on the free
+// list.
+func (c *Clock) recycle(e *Event) {
 	*e = Event{index: indexRecycled}
 	c.free = append(c.free, e)
 }
@@ -288,7 +314,8 @@ func (c *Clock) Pending() int { return len(c.events) }
 // and returns how many it removed. Events scheduled by a remote machine
 // (ScheduleRemote's band) survive: they model packets already on the
 // wire, which a machine crash cannot recall. The crashed machine's
-// receive path is responsible for dropping them on arrival.
+// receive path is responsible for dropping them on arrival. A purged
+// ScheduleArg timer goes back to the free list.
 func (c *Clock) PurgeLocal() int {
 	kept := c.events[:0]
 	purged := 0
@@ -300,6 +327,9 @@ func (c *Clock) PurgeLocal() int {
 		e.index = indexCancelled
 		if !e.Background {
 			c.foreground--
+		}
+		if e.arrive != nil {
+			c.recycle(e)
 		}
 		purged++
 	}

@@ -321,11 +321,12 @@ func (r *refClock) pop() (refEvent, bool) {
 	return p, true
 }
 
-// TestRecycledArrivalsFireInReferenceOrder mixes wire arrivals, which
-// the clock recycles, with local Schedule, Cancel and PurgeLocal over
-// seeded random sequences, and requires every event to fire in the
-// order of a reference clock that never recycles. Some arrivals schedule
-// another while they fire, before their own event is freed.
+// TestRecycledArrivalsFireInReferenceOrder mixes wire arrivals and
+// ScheduleArg timers, whose events the clock recycles, with local
+// Schedule, Cancel and PurgeLocal over seeded random sequences, and
+// requires every event to fire in the order of a reference clock that
+// never recycles. Some pooled events schedule an arrival while they
+// fire, before their own event is freed.
 func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 	reused := 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -359,6 +360,10 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 				e := c.Schedule(when, label, func() { fired = append(fired, label) })
 				ref.schedule(when, label, e)
 				handles = append(handles, e)
+			case x < 4:
+				when := c.Now() + Time(rng.Intn(50))
+				c.ScheduleArg(when, label, arrive, label)
+				ref.schedule(when, label, nil)
 			case x < 6:
 				remote(label)
 			case x < 7 && len(handles) > 0:
@@ -408,7 +413,7 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 		}
 	}
 	if reused == 0 {
-		t.Fatal("no arrival event was ever reused")
+		t.Fatal("no pooled event was ever reused")
 	}
 }
 
@@ -425,7 +430,7 @@ func TestArrivalFiredAfterRecyclingPanics(t *testing.T) {
 		t.Fatalf("arrival ran %d times, want 1", n)
 	}
 	defer func() {
-		const want = "machine: wire arrival fired after it was recycled"
+		const want = "machine: pooled event fired after it was recycled"
 		if r := recover(); r != want {
 			t.Fatalf("panic %v, want %q", r, want)
 		}

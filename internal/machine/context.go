@@ -3,32 +3,14 @@ package machine
 // Context is the machine-dependent register save area for a thread: the
 // state the trap handler preserves at kernel entry and the state
 // switch_context saves and restores. The simulator gives registers
-// symbolic roles rather than modelling a full ISA; what matters to the
-// paper is where this state lives (a separate save area in MK40, the
-// kernel stack in MK32/Toshiba) and what saving it costs.
+// symbolic roles rather than modelling a full ISA, and keeps only the
+// one register a simulated program reads back: what matters to the paper
+// is where this state lives (a separate save area in MK40, the kernel
+// stack in MK32/Toshiba) and what saving it costs, which the cost model
+// charges by MDStateBytes, not by this record's size.
 type Context struct {
-	// PC is the user program counter to resume at.
-	PC uint64
-	// SP is the user stack pointer.
-	SP uint64
 	// RetVal carries a system call's return code back to user space.
 	RetVal uint64
-	// Args carries system call arguments (a0-a3 style).
-	Args [4]uint64
-	// Valid records whether the context holds live user state.
-	Valid bool
-}
-
-// SaveArgs records syscall arguments into the context.
-func (c *Context) SaveArgs(args ...uint64) {
-	for i := range c.Args {
-		c.Args[i] = 0
-	}
-	n := len(args)
-	if n > len(c.Args) {
-		n = len(c.Args)
-	}
-	copy(c.Args[:], args[:n])
 }
 
 // MDStateBytes is the size of the separate machine-dependent thread save

@@ -2,18 +2,6 @@ package machine
 
 import "testing"
 
-func TestContextSaveArgs(t *testing.T) {
-	var c Context
-	c.SaveArgs(1, 2, 3, 4, 5, 6) // extras dropped, like real trap frames
-	if c.Args != [4]uint64{1, 2, 3, 4} {
-		t.Fatalf("Args = %v", c.Args)
-	}
-	c.SaveArgs(9)
-	if c.Args != [4]uint64{9, 0, 0, 0} {
-		t.Fatalf("Args after re-save = %v", c.Args)
-	}
-}
-
 func TestAccumulatorTotal(t *testing.T) {
 	a := NewAccumulator(NewCostModel(ArchDS3100), NewClock())
 	a.Charge(Cost{Instrs: 100, Loads: 10, Stores: 5})

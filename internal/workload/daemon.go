@@ -68,11 +68,7 @@ func (d *Daemon) loop(e *core.Env) {
 	}
 	if d.pending > 0 {
 		// More device work queued: wait for the next interrupt.
-		d.sys.K.Clock.After(itemGap, "dev-intr", func() {
-			if t.State() == core.StateWaiting {
-				d.sys.K.Setrun(t)
-			}
-		})
+		e.K.WakeAt(e.K.Clock.Now()+itemGap, "dev-intr", t)
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "daemon: idle"

@@ -106,21 +106,16 @@ var (
 // resumeThink returns 0 from a think sleep.
 func resumeThink(e *core.Env) { e.K.ThreadSyscallReturn(e, 0) }
 
-// thinkSleep builds the body of an open-loop session's think-time
-// syscall (k.name): it parks the calling thread as a blocked
-// continuation until *until, the session's next intended arrival, then
-// resumes it through k.done.
-func thinkSleep(sys *kern.System, until *machine.Time, k *thinker) func(*core.Env) {
-	return func(e *core.Env) {
-		th := e.Cur()
-		sys.K.Clock.Schedule(*until, k.wake, func() {
-			if th.State() == core.StateWaiting {
-				sys.K.Setrun(th)
-			}
-		})
-		e.K.SetState(th, core.StateWaiting)
-		sys.K.Block(e, stats.BlockInternal, k.done, nil, 96, k.name)
-	}
+// thinkSleep is the body of an open-loop session's think-time syscall
+// (k.name): it parks the calling thread as a blocked continuation until
+// until, the session's next intended arrival, then resumes it through
+// k.done. The wake-up is the kernel's closure-free timer (WakeAt).
+// Transfers control.
+func thinkSleep(e *core.Env, until machine.Time, k *thinker) {
+	th := e.Cur()
+	e.K.WakeAt(until, k.wake, th)
+	e.K.SetState(th, core.StateWaiting)
+	e.K.Block(e, stats.BlockInternal, k.done, nil, 96, k.name)
 }
 
 // mtSession is one tenant session: an open-loop arrival generator that
@@ -129,38 +124,40 @@ func thinkSleep(sys *kern.System, until *machine.Time, k *thinker) func(*core.En
 // independently of completions: when a reply is late the next intended
 // arrival is already in the past, the session skips the sleep, and the
 // lateness lands in the latency histogram.
+//
+// A parked session is this record, its thread and its reply port, so
+// the record keeps its generator by value and its per-session counts in
+// 32 bits.
 type mtSession struct {
-	sys      *kern.System
-	tenant   *TenantSpec
-	tenantIx int
-	proxy    *ipc.Port
-	reply    *ipc.Port
-	rng      *RNG
-	hist     *obs.Histogram
-	bytes    int
-	ops      int
+	sys    *kern.System
+	tenant *TenantSpec
+	proxy  *ipc.Port
+	reply  *ipc.Port
+	hist   *obs.Histogram
+	rng    RNG
 
-	done     int
-	attained int
 	intended machine.Time
+	tenantIx int32
+	ops      int32
+	done     int32
+	attained int32
 	arriving bool
+}
 
-	// sleep and rpc are the session's two syscall bodies, built once.
-	// Next wraps one in a core.Action on each return, so a parked
-	// session keeps two func values instead of two whole Actions.
-	sleep, rpc func(*core.Env)
+// mtSleep and mtRPC are a session's two syscall bodies. They reach the
+// session through the calling thread's program, so a parked session
+// holds no closure. Both transfer control.
+func mtSleep(e *core.Env) {
+	thinkSleep(e, e.Cur().Program.(*mtSession).intended, tenantThink)
+}
+
+func mtRPC(e *core.Env) {
+	s := e.Cur().Program.(*mtSession)
+	req := s.sys.IPC.NewMessage(1, s.tenant.MsgBytes, nil, s.reply)
+	s.sys.IPC.MachMsg(e, ipc.MsgOptions{Send: req, SendTo: s.proxy, ReceiveFrom: s.reply})
 }
 
 func (s *mtSession) Next(e *core.Env, t *core.Thread) core.Action {
-	if s.rpc == nil {
-		s.rpc = func(e *core.Env) {
-			req := s.sys.IPC.NewMessage(1, s.bytes, nil, s.reply)
-			s.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				Send: req, SendTo: s.proxy, ReceiveFrom: s.reply,
-			})
-		}
-		s.sleep = thinkSleep(s.sys, &s.intended, tenantThink)
-	}
 	if m := s.sys.IPC.Received(t); m != nil {
 		s.sys.IPC.FreeMessage(m)
 		lat := uint64(s.sys.K.Clock.Now() - s.intended)
@@ -177,11 +174,11 @@ func (s *mtSession) Next(e *core.Env, t *core.Thread) core.Action {
 		s.intended += machine.Time(s.rng.Burst(uint64(s.tenant.Think)))
 		s.arriving = true
 		if s.intended > s.sys.K.Clock.Now() {
-			return core.Syscall(tenantThink.name, s.sleep)
+			return core.Syscall(tenantThink.name, mtSleep)
 		}
 	}
 	s.arriving = false
-	return core.Syscall("mach_msg(tenant-rpc)", s.rpc)
+	return core.Syscall("mach_msg(tenant-rpc)", mtRPC)
 }
 
 // RunMTLoad boots the cluster, places every tenant session, and drives
@@ -242,17 +239,15 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		ct := a.NewTask("tenants")
 		for ti := range tenants {
 			tn := &tenants[ti]
-			bytes := max(tn.MsgBytes, ipc.HeaderBytes)
 			for j := 0; j < placement[p][ti]; j++ {
 				s := &mtSession{
-					sys: a, tenant: tn, tenantIx: ti,
+					sys: a, tenant: tn, tenantIx: int32(ti),
 					proxy: a.Net.ProxyFor("echo"),
 					reply: a.IPC.NewPort(fmt.Sprintf("rp-%d-%d", ti, j)),
-					rng: NewRNG(spec.Seed ^ uint64(p)<<40 ^
-						uint64(ti)<<20 ^ uint64(j)),
+					rng: RNG{state: spec.Seed ^ uint64(p)<<40 ^
+						uint64(ti)<<20 ^ uint64(j)},
 					hist:     a.K.Obs.Service("tenant " + tn.Name),
-					bytes:    bytes,
-					ops:      spec.Ops,
+					ops:      int32(spec.Ops),
 					intended: a.K.Clock.Now() + machine.Time(warmup),
 				}
 				sessions = append(sessions, s)

@@ -116,22 +116,28 @@ func NewServer(sys *kern.System, port *ipc.Port, workCycles uint64) *Server {
 	// A cache miss: ask the file server over the network and wait for
 	// the reply packet. The wait is a message receive from the network
 	// service; the packet arrival runs the network daemon.
+	packet := s.packetArrived // the wait's timer action, bound once
 	s.netWaitAct = core.Syscall("mach_msg(net-receive)", func(e *core.Env) {
 		th := e.Cur()
-		sys.K.Clock.After(s.RemoteLatency, "afs-packet", func() {
-			if s.RemoteKick != nil {
-				s.RemoteKick.Kick()
-			}
-			if th.State() == core.StateWaiting {
-				sys.K.Setrun(th)
-			}
-		})
+		sys.K.Clock.ScheduleArg(sys.K.Clock.Now()+s.RemoteLatency, "afs-packet", packet, th)
 		e.K.SetState(th, core.StateWaiting)
 		th.WaitLabel = "afs: network wait"
 		sys.K.Block(e, stats.BlockReceive, s.contNetWait, nil, 192, "afs-net-wait")
 	})
 	s.replyAct = echoReplyAction(sys, port, &s.pending)
 	return s
+}
+
+// packetArrived is the network wait's timer action, on a pooled event
+// carrying the waiting thread: the reply packet kicks the network daemon
+// and wakes the server.
+func (s *Server) packetArrived(arg any) {
+	if s.RemoteKick != nil {
+		s.RemoteKick.Kick()
+	}
+	if th := arg.(*core.Thread); th.State() == core.StateWaiting {
+		s.sys.K.Setrun(th)
+	}
 }
 
 // Next implements core.UserProgram: receive, work, (remote wait,) reply,

@@ -135,14 +135,16 @@ type stormSession struct {
 	inOp     bool
 	doneSent bool
 	recs     []stormRec
+}
 
-	sleep func(*core.Env) // the think syscall's body, built once
+// stormSleep is a session's think syscall body. It reaches the session
+// through the calling thread's program, so a parked session holds no
+// closure. Transfers control.
+func stormSleep(e *core.Env) {
+	thinkSleep(e, e.Cur().Program.(*stormSession).intended, stormThink)
 }
 
 func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
-	if s.sleep == nil {
-		s.sleep = thinkSleep(s.sys, &s.intended, stormThink)
-	}
 	for {
 		if s.inOp || s.doneSent {
 			act, fin := s.cli.Step(e, t)
@@ -162,7 +164,7 @@ func (s *stormSession) Next(e *core.Env, t *core.Thread) core.Action {
 			continue
 		}
 		if s.intended > s.sys.K.Clock.Now() {
-			return core.Syscall(stormThink.name, s.sleep)
+			return core.Syscall(stormThink.name, stormSleep)
 		}
 		s.submit()
 		s.inOp = true
