@@ -423,14 +423,16 @@ func BenchmarkClusterRound(b *testing.B) {
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/round")
 }
 
-// crossClient is BenchmarkClusterCrossRPC's client: one RPC after another
-// through a netmsg proxy, counting the replies.
+// crossClient is the cross-machine RPC benchmarks' client: one RPC after
+// another through a netmsg proxy, each receive bounded by timeout (zero
+// waits forever), counting the replies.
 type crossClient struct {
-	sys    *kern.System
-	server *ipc.Port
-	reply  *ipc.Port
-	done   int
-	rpc    core.Action
+	sys     *kern.System
+	server  *ipc.Port
+	reply   *ipc.Port
+	timeout machine.Duration
+	done    int
+	rpc     core.Action
 }
 
 func (c *crossClient) Next(e *core.Env, t *core.Thread) core.Action {
@@ -438,7 +440,7 @@ func (c *crossClient) Next(e *core.Env, t *core.Thread) core.Action {
 		c.rpc = core.Syscall("mach_msg(rpc)", func(e *core.Env) {
 			req := c.sys.IPC.NewMessage(1, ipc.HeaderBytes, nil, c.reply)
 			c.sys.IPC.MachMsg(e, ipc.MsgOptions{
-				Send: req, SendTo: c.server, ReceiveFrom: c.reply,
+				Send: req, SendTo: c.server, ReceiveFrom: c.reply, RcvTimeout: c.timeout,
 			})
 		})
 	}
@@ -453,11 +455,27 @@ func (c *crossClient) Next(e *core.Env, t *core.Thread) core.Action {
 // allocates. Two machines are joined by a wire: a client on one sends
 // through a netmsg proxy to an echo server exported on the other, and
 // each op runs horizon rounds until one more reply is in. Every hop
-// reuses its storage (the arrival event, the rx completion, the queues,
-// the resume steps), so the op's only allocations are its two wire
-// packets, which forward builds and a retransmit may share between
-// machines. CI gates it at 2 allocs/op (benchjson -max-allocs).
+// reuses its storage: the wire packets come from the sending machine's
+// free list and go back to the receiver's, and the arrival event, the rx
+// completion, the queues and the resume steps are recycled too. CI gates
+// it at 0 allocs/op (benchjson -zero-allocs).
 func BenchmarkClusterCrossRPC(b *testing.B) {
+	benchCrossRPC(b, false)
+}
+
+// BenchmarkClusterCrossRPCReliable is BenchmarkClusterCrossRPC as svc's
+// callers run it: both links run seq/ack, so every data packet arms a
+// retransmit timer that its ack cancels, and every call bounds its
+// receive with a timeout that the reply cancels. The timers are pooled
+// clock events and the unacked records are recycled, so CI gates it at
+// 0 allocs/op too.
+func BenchmarkClusterCrossRPCReliable(b *testing.B) {
+	benchCrossRPC(b, true)
+}
+
+// benchCrossRPC runs the cross-machine round-trip benchmark, with the
+// reliability protocol and a receive timeout when reliable is set.
+func benchCrossRPC(b *testing.B, reliable bool) {
 	cfg := kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true}
 	cli, srv := kern.New(cfg), kern.New(cfg)
 	dev.Connect(cli.Net.NIC, srv.Net.NIC, 0)
@@ -465,6 +483,11 @@ func BenchmarkClusterCrossRPC(b *testing.B) {
 	srv.Net.Export("echo", port)
 	srv.Start(srv.NewTask("server").NewThread("srv", workload.NewEchoServer(srv, port), 20))
 	c := &crossClient{sys: cli, server: cli.Net.ProxyFor("echo"), reply: cli.IPC.NewPort("reply")}
+	if reliable {
+		cli.Net.EnableReliable()
+		srv.Net.EnableReliable()
+		c.timeout = 50 * dev.DefaultWireLatency
+	}
 	cli.Start(cli.NewTask("client").NewThread("cli", c, 10))
 	cluster := kern.NewCluster(cli, srv)
 	cluster.SetDeferredForTest(true)
@@ -483,6 +506,11 @@ func BenchmarkClusterCrossRPC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip()
+	}
+	b.StopTimer()
+	if reliable && (srv.Net.AcksRx == 0 || cli.Net.AcksRx == 0 || cli.Net.Retransmits+srv.Net.Retransmits != 0) {
+		b.Fatalf("acks received %d and %d, retransmits %d and %d; want acks both ways and no retransmit",
+			cli.Net.AcksRx, srv.Net.AcksRx, cli.Net.Retransmits, srv.Net.Retransmits)
 	}
 }
 

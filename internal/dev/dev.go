@@ -78,8 +78,10 @@ type Request struct {
 	// false — injecting there would be silently treated as success.
 	CanFail bool
 
-	// timeout is the armed I/O timeout (user I/O only); the completion
-	// interrupt cancels it.
+	// timeout is the armed I/O timeout (user I/O only), a pooled clock
+	// event whose one holder is this request: ioTimedOut clears it as it
+	// fires, and the completion interrupt or an abort cancels and clears
+	// it.
 	timeout *machine.Event
 
 	// deliver and pkt make this an rx completion (NIC.receive): io_done
@@ -162,9 +164,7 @@ func (d *Device) complete(r *Request) {
 		// Completion beat the I/O timeout: disarm it here, in the
 		// interrupt handler, so a timeout scheduled for this same tick
 		// (but sequenced later) is cleanly cancelled.
-		if r.timeout != nil {
-			s.K.Clock.Cancel(r.timeout)
-		}
+		s.disarmTimeout(r)
 		s.injectCompletion(d, r)
 		if d.queue.size() > 0 {
 			d.start()
@@ -206,6 +206,15 @@ type Subsystem struct {
 	// next arrivals to reuse.
 	rxFree []*Request
 
+	// pktFree holds wire packets for this machine's NICs and netmsg links
+	// to send (newPacket): the ones it received and dropped or delivered,
+	// and the ones its own wire lost (freePacket). Packets move between
+	// machines, so a machine that receives more than it sends would keep
+	// the surplus; the list holds at most maxFreePackets. pktMade counts
+	// the packets newPacket had to allocate.
+	pktFree []*Packet
+	pktMade int
+
 	// HandlerCost accumulates all work charged in interrupt context
 	// (entry + handler body + exit), the "handler cycles" counter.
 	HandlerCost machine.Cost
@@ -229,9 +238,15 @@ type Subsystem struct {
 	IoMaxRetries   int
 	IoRetryBackoff machine.Duration
 
-	// pendingRetry tracks each thread's armed backoff callout so abort
-	// can cancel it.
+	// pendingRetry holds each thread's armed backoff timer, a pooled
+	// clock event, so abort can cancel it. retry deletes the entry as it
+	// fires, and an abort right after its Cancel.
 	pendingRetry map[int]*machine.Event
+
+	// ioTimedOutFn and retryFn are the I/O timeout's and the retry
+	// backoff's actions, bound at the first timer armed instead of at
+	// boot.
+	ioTimedOutFn, retryFn func(any)
 
 	// Recovery counters.
 	IoTimeouts uint64 // I/O timeouts expired
@@ -334,6 +349,40 @@ func (s *Subsystem) rxCompletion(deliver func(*core.Env, *Packet), pkt *Packet) 
 	return r
 }
 
+// maxFreePackets bounds a machine's packet free list. A steady exchange
+// frees about as many packets on each machine as it takes, so the list
+// stays near the number in flight; a free past the bound leaves the
+// packet to the garbage collector.
+const maxFreePackets = 256
+
+// newPacket returns a packet holding v, taken from the free list when it
+// has one.
+func (s *Subsystem) newPacket(v Packet) *Packet {
+	var p *Packet
+	if k := len(s.pktFree); k > 0 {
+		p = s.pktFree[k-1]
+		s.pktFree[k-1] = nil
+		s.pktFree = s.pktFree[:k-1]
+	} else {
+		s.pktMade++
+		p = new(Packet)
+	}
+	*p = v
+	return p
+}
+
+// freePacket returns a packet to the free list; its owner drops every
+// reference. Under DebugChecks freeing a packet twice panics.
+func (s *Subsystem) freePacket(p *Packet) {
+	if s.K.DebugChecks && p.free {
+		panic("dev: packet freed twice")
+	}
+	*p = Packet{free: true}
+	if len(s.pktFree) < maxFreePackets {
+		s.pktFree = append(s.pktFree, p)
+	}
+}
+
 // ioLoop is the io_done thread's work loop, §2.2 style: drain the
 // completion queue, then block with this same continuation. When a
 // completion's waiter is continuation-blocked the loop ends early in a
@@ -349,6 +398,9 @@ func (s *Subsystem) ioLoop(e *core.Env) {
 		}
 		e.Charge(ioDoneCost)
 		if r.deliver != nil {
+			if k.DebugChecks && r.pkt.free {
+				panic("dev: rx completion carries a packet already on a free list")
+			}
 			// An rx completion has no waiter: hand the packet over and
 			// recycle the completion.
 			r.deliver(e, r.pkt)

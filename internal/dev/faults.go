@@ -37,7 +37,8 @@ func (s *Subsystem) SetFaultPlan(p *fault.Plan) { s.Fault = p }
 // submitIO builds and submits a user I/O request for the current thread,
 // arming the I/O timeout when one is configured. The caller then blocks
 // with expect. Scratch layout for the retry path: word 0 = bytes,
-// word 1 = attempt count, ref 2 = the device.
+// word 1 = attempt count, word 2 = 1 for a write (set by retryOrFail),
+// ref = the device.
 func (s *Subsystem) submitIO(t *core.Thread, d *Device, label string, bytes int,
 	expect *core.Continuation, inline func(e *core.Env)) {
 	r := &Request{
@@ -49,20 +50,42 @@ func (s *Subsystem) submitIO(t *core.Thread, d *Device, label string, bytes int,
 		Inline:  inline,
 	}
 	if s.IoTimeout > 0 {
-		r.timeout = s.K.Clock.After(s.IoTimeout, d.Name+"-io-timeout", func() {
-			w := r.Waiter
-			if w == nil || w.State() != core.StateWaiting {
-				return
-			}
-			// Detach the waiter; if the transfer lands later the io_done
-			// thread discards the orphaned completion.
-			r.Waiter = nil
-			s.IoTimeouts++
-			s.K.PostWaitResult(w, DevTimedOut)
-			s.K.Setrun(w)
-		})
+		s.bindTimers()
+		r.timeout = s.K.Clock.ScheduleArg(s.K.Clock.Now()+s.IoTimeout, d.Name+"-io-timeout", s.ioTimedOutFn, r)
 	}
 	d.Submit(r)
+}
+
+// bindTimers binds the I/O timeout's and the retry backoff's actions.
+func (s *Subsystem) bindTimers() {
+	if s.retryFn == nil {
+		s.ioTimedOutFn, s.retryFn = s.ioTimedOut, s.retry
+	}
+}
+
+// ioTimedOut is the I/O timeout's action: detach the request's waiter and
+// wake it with DevTimedOut. If the transfer lands later the io_done
+// thread discards the orphaned completion.
+func (s *Subsystem) ioTimedOut(arg any) {
+	r := arg.(*Request)
+	r.timeout = nil
+	w := r.Waiter
+	if w == nil || w.State() != core.StateWaiting {
+		return
+	}
+	r.Waiter = nil
+	s.IoTimeouts++
+	s.K.PostWaitResult(w, DevTimedOut)
+	s.K.Setrun(w)
+}
+
+// disarmTimeout cancels a request's armed I/O timeout, if any, and drops
+// the handle: the event is back on the clock's free list.
+func (s *Subsystem) disarmTimeout(r *Request) {
+	if r.timeout != nil {
+		s.K.Clock.Cancel(r.timeout)
+		r.timeout = nil
+	}
 }
 
 // retryOrFail handles a failed or timed-out device_read/device_write in
@@ -80,23 +103,32 @@ func (s *Subsystem) retryOrFail(e *core.Env, code uint64, cont *core.Continuatio
 	}
 	attempt++
 	t.Scratch.PutWord(1, uint32(attempt))
+	write := uint32(0)
+	if cont == s.ContDeviceWrite {
+		write = 1
+	}
+	t.Scratch.PutWord(2, write)
 	s.IoRetries++
 	backoff := s.IoRetryBackoff << uint(attempt-1)
-	label := "read"
-	inline := s.deviceReadContinue
-	if cont == s.ContDeviceWrite {
-		label = "write"
-		inline = s.deviceWriteContinue
-	}
-	bytes := int(t.Scratch.Word(0))
-	ev := s.K.Clock.After(backoff, d.Name+"-io-retry", func() {
-		delete(s.pendingRetry, t.ID)
-		s.submitIO(t, d, label+"-retry", bytes, cont, inline)
-	})
-	s.pendingRetry[t.ID] = ev
+	s.bindTimers()
+	s.pendingRetry[t.ID] = s.K.Clock.ScheduleArg(s.K.Clock.Now()+backoff, d.Name+"-io-retry", s.retryFn, t)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device retry: " + d.Name
 	s.K.Block(e, stats.BlockDeviceIO, cont, nil, 192, "device-retry")
+}
+
+// retry is the retry backoff's action: resubmit the request that thread
+// arg parked on, as its scratch area describes it.
+func (s *Subsystem) retry(arg any) {
+	t := arg.(*core.Thread)
+	delete(s.pendingRetry, t.ID)
+	d := t.Scratch.Ref().(*Device)
+	bytes := int(t.Scratch.Word(0))
+	if t.Scratch.Word(2) == 1 {
+		s.submitIO(t, d, "write-retry", bytes, s.ContDeviceWrite, s.deviceWriteContinue)
+		return
+	}
+	s.submitIO(t, d, "read-retry", bytes, s.ContDeviceRead, s.deviceReadContinue)
 }
 
 // AbortWaiter cancels t's pending device operation — whether the request
@@ -115,9 +147,7 @@ func (s *Subsystem) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
 		return 0, false
 	}
 	r.Waiter = nil
-	if r.timeout != nil {
-		s.K.Clock.Cancel(r.timeout)
-	}
+	s.disarmTimeout(r)
 	return DevAborted, true
 }
 

@@ -9,6 +9,7 @@ package dev
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -34,7 +35,13 @@ var (
 	netmsgDemuxCost = machine.Cost{Instrs: 150, Loads: 60, Stores: 30}
 )
 
-// Packet is one message on the wire between two machines.
+// Packet is one message on the wire between two machines. A packet has
+// one owner at a time. The sending machine takes it from its device
+// subsystem's free list, and Transmit hands it to exactly one scheduled
+// arrival (a reliable link keeps its own copy, and an injected duplicate
+// is a second copy). The receiving machine returns it to its own free
+// list once netmsg has copied it into an ipc message, or at whichever
+// point drops it.
 type Packet struct {
 	// DstPort names the destination port among the receiving machine's
 	// named exports (a request to a service). A reply instead carries
@@ -72,14 +79,16 @@ type Packet struct {
 	// bookkeeping instead of being delivered to a port.
 	Heartbeat bool
 
+	// free marks a packet on a free list; the DebugChecks guards read it.
+	free bool
+
 	// Trace is the forwarded message's causal-trace context, part of the
 	// netmsg framing: the receiver re-stamps it onto the reconstructed
 	// message and records the flight as a wire span. SentAt is the
 	// sender's transmit time (cluster clocks share one timeline), set
 	// once at first transmission so a retransmitted packet's wire span
-	// covers the whole loss-and-backoff window. Both are immutable after
-	// first transmit — a retransmitted *Packet is shared with the
-	// receiving machine.
+	// covers the whole loss-and-backoff window. Both are copied unchanged
+	// from the link's unacked record into every retransmission.
 	Trace  obs.TraceContext
 	SentAt machine.Time
 
@@ -231,8 +240,9 @@ func Connect(a, b *NIC, wire machine.Duration) {
 func (n *NIC) Peer() *NIC { return n.peer }
 
 // emitWireFault records a wire fault-plan firing in the transmitting
-// kernel's event stream.
-func (n *NIC) emitWireFault(e *core.Env, what string) {
+// kernel's event stream; extra, when nonzero, is the delay it adds. The
+// detail is built only when the ring keeps it.
+func (n *NIC) emitWireFault(e *core.Env, what string, extra machine.Duration) {
 	r := n.Sub.K.Obs
 	if r == nil {
 		return
@@ -241,13 +251,21 @@ func (n *NIC) emitWireFault(e *core.Env, what string) {
 	if t := e.Cur(); t != nil {
 		tid, name = t.ID, t.Name
 	}
-	r.Emit(obs.FaultInject, tid, name, n.Name+" "+what)
+	detail := ""
+	if r.Retains() {
+		detail = n.Name + " " + what
+		if extra > 0 {
+			detail += " +" + strconv.FormatUint(uint64(extra)/1000, 10) + "us"
+		}
+	}
+	r.Emit(obs.FaultInject, tid, name, detail)
 }
 
-// Transmit puts a packet on the wire in the sender's kernel context.
-// Arrival is scheduled on the peer machine's clock at an absolute time,
-// so two machines with independent clocks agree on when the wire
-// delivers. Does not transfer control.
+// Transmit puts a packet on the wire in the sender's kernel context and
+// takes ownership of it: it goes to one arrival, or back to the sender's
+// free list if the wire loses it. Arrival is scheduled on the peer
+// machine's clock at an absolute time, so two machines with independent
+// clocks agree on when the wire delivers. Does not transfer control.
 func (n *NIC) Transmit(e *core.Env, pkt *Packet) {
 	if n.peer == nil {
 		panic(fmt.Sprintf("dev: Transmit on unconnected NIC %q", n.Name))
@@ -260,14 +278,16 @@ func (n *NIC) Transmit(e *core.Env, pkt *Packet) {
 	// spec without topology rules keeps its exact fault stream.
 	if n.Topo.CutAt(n.Machine, n.peer.Machine, now) {
 		n.Severed++
-		n.emitWireFault(e, "cut")
+		n.emitWireFault(e, "cut", 0)
+		n.Sub.freePacket(pkt)
 		return
 	}
 	if n.Fault.DropPacket() {
 		// Lost on the wire: the sender already paid the tx cost and, if
 		// running the reliability protocol, will retransmit.
 		n.Dropped++
-		n.emitWireFault(e, "drop")
+		n.emitWireFault(e, "drop", 0)
+		n.Sub.freePacket(pkt)
 		return
 	}
 	wire := n.Wire
@@ -275,22 +295,27 @@ func (n *NIC) Transmit(e *core.Env, pkt *Packet) {
 		// Degraded link: every packet in the window is late by the same
 		// amount, unlike the probabilistic reordering delay below.
 		n.LinkDelayed++
-		n.emitWireFault(e, fmt.Sprintf("link delay +%dus", uint64(extra)/1000))
+		n.emitWireFault(e, "link delay", extra)
 		wire += extra
 	}
 	if extra := n.Fault.DelayPacket(); extra > 0 {
 		// Held back: a later transmission can overtake this one.
 		n.Delayed++
-		n.emitWireFault(e, fmt.Sprintf("delay +%dus", uint64(extra)/1000))
+		n.emitWireFault(e, "delay", extra)
 		wire += extra
+	}
+	var dup *Packet
+	if n.Fault.DupPacket() {
+		// The duplicate is a second copy with an arrival of its own.
+		n.Duplicated++
+		n.emitWireFault(e, "duplicate", 0)
+		dup = n.Sub.newPacket(*pkt)
 	}
 	peer := n.peer
 	arrival := now + wire
 	n.deliverAt(arrival, peer.rxLabel, pkt)
-	if n.Fault.DupPacket() {
-		n.Duplicated++
-		n.emitWireFault(e, "duplicate")
-		n.deliverAt(arrival+n.Wire/2, peer.rxDupLabel, pkt)
+	if dup != nil {
+		n.deliverAt(arrival+n.Wire/2, peer.rxDupLabel, dup)
 	}
 }
 
@@ -396,8 +421,12 @@ func (s *Subsystem) FlushAllDeferred() int {
 // the io_done thread (which will usually hand its stack straight to the
 // netmsg thread).
 func (n *NIC) receive(pkt *Packet) {
+	if n.Sub.K.DebugChecks && pkt.free {
+		panic("dev: arrival of a packet already on a free list")
+	}
 	if n.down {
 		n.RxWhileDown++
+		n.Sub.freePacket(pkt)
 		return
 	}
 	if n.rxIntr == nil {
@@ -420,7 +449,8 @@ func (n *NIC) rxInterrupt(e *core.Env) {
 	n.Interrupts++
 	n.RxPackets++
 	if n.handler == nil {
-		return // no netmsg thread: drop
+		s.freePacket(pkt) // no netmsg thread: drop
+		return
 	}
 	s.PostCompletion(s.rxCompletion(n.handler, pkt))
 }
@@ -475,6 +505,12 @@ type Netmsg struct {
 	unacked map[uint64]*unackedPkt // awaiting acknowledgement, by seq
 	seen    dedup                  // peer data seqs already delivered
 	outbox  fifo[*Packet]          // retransmissions queued by timers
+
+	// unackedFree recycles retired unacked records; rexmitFn is the
+	// retransmit timer's action, bound at the first timer armed instead
+	// of at boot.
+	unackedFree []*unackedPkt
+	rexmitFn    func(any)
 
 	// Membership state (crash recovery). Inc is this machine's boot
 	// incarnation, stamped into every transmitted packet; peerInc is the
@@ -552,9 +588,15 @@ func (d *dedup) reset() {
 	clear(d.above)
 }
 
-// unackedPkt tracks one transmitted-but-unacknowledged data packet.
+// unackedPkt tracks one transmitted-but-unacknowledged data packet. It
+// keeps the link's own copy of the packet, and every transmission puts
+// a fresh copy on the wire, so the record can be recycled while a copy
+// still waits in the outbox or flies. timer is the armed retransmit
+// timer, a pooled clock event whose one holder is this record: rexmit
+// clears it as it fires, and retire cancels it and clears the record
+// before recycling it, so a stale timer never lands on a reused record.
 type unackedPkt struct {
-	pkt      *Packet
+	pkt      Packet
 	timer    *machine.Event
 	attempts int
 }
@@ -680,7 +722,7 @@ func (n *Netmsg) forward(e *core.Env, dst string, route uint32, msg *ipc.Message
 		reply = n.exportRoute(msg.Reply)
 	}
 	n.Forwarded++
-	pkt := &Packet{
+	pkt := n.Sub.newPacket(Packet{
 		DstPort:    dst,
 		DstRoute:   route,
 		ReplyRoute: reply,
@@ -692,7 +734,7 @@ func (n *Netmsg) forward(e *core.Env, dst string, route uint32, msg *ipc.Message
 		Trace:      msg.Trace,
 		SentAt:     n.Sub.K.Clock.Now(),
 		Deadline:   msg.Deadline,
-	}
+	})
 	// DstInc is stamped once, here: if the peer crashes and reboots while
 	// this packet is retransmitting, every retransmission still targets
 	// the dead incarnation and the new one discards them — a request from
@@ -757,7 +799,7 @@ func (n *Netmsg) deadAfter() machine.Duration {
 // in the netmsg thread's context (timers and boot code have no kernel
 // Env to charge the tx cost against).
 func (n *Netmsg) AnnounceIncarnation() {
-	pkt := &Packet{Heartbeat: true, Size: ackBytes, SrcInc: n.Inc}
+	pkt := n.Sub.newPacket(Packet{Heartbeat: true, Size: ackBytes, SrcInc: n.Inc})
 	if n.Reliable {
 		n.seq++
 		pkt.Seq = n.seq
@@ -794,10 +836,9 @@ func (n *Netmsg) noteIncarnation(pkt *Packet) (stale bool) {
 		// heap breaks ties by sequence number, not layout).
 		n.peerInc = pkt.SrcInc
 		n.seen.reset()
-		for seq, u := range n.unacked {
+		for _, u := range n.unacked {
 			if u.pkt.DstInc != 0 && u.pkt.DstInc < n.peerInc {
-				n.Sub.K.Clock.Cancel(u.timer)
-				delete(n.unacked, seq)
+				n.retire(u)
 				n.Lost++
 			}
 		}
@@ -813,37 +854,62 @@ func (n *Netmsg) noteIncarnation(pkt *Packet) (stale bool) {
 	return false
 }
 
-// track registers a data packet as awaiting acknowledgement and arms its
-// retransmit timer.
+// track registers a data packet as awaiting acknowledgement, keeping a
+// copy of it in a pooled record, and arms its retransmit timer.
 func (n *Netmsg) track(pkt *Packet) {
-	u := &unackedPkt{pkt: pkt}
+	var u *unackedPkt
+	if k := len(n.unackedFree); k > 0 {
+		u = n.unackedFree[k-1]
+		n.unackedFree[k-1] = nil
+		n.unackedFree = n.unackedFree[:k-1]
+	} else {
+		u = new(unackedPkt)
+	}
+	u.pkt = *pkt
 	n.unacked[pkt.Seq] = u
 	n.armRexmit(u)
 }
 
+// retire removes an acknowledged or abandoned packet's record from the
+// unacked table, cancelling its timer if it is armed, and recycles it.
+func (n *Netmsg) retire(u *unackedPkt) {
+	if u.timer != nil {
+		n.Sub.K.Clock.Cancel(u.timer)
+	}
+	delete(n.unacked, u.pkt.Seq)
+	*u = unackedPkt{}
+	n.unackedFree = append(n.unackedFree, u)
+}
+
 // armRexmit schedules the next ack timeout for an unacknowledged packet,
-// doubling the wait per attempt. The timer cannot transmit itself —
-// clock events run in dispatcher context with no kernel Env to charge
-// the tx cost against — so it queues the packet on the outbox and wakes
-// the netmsg thread, which retransmits in thread context.
+// doubling the wait per attempt.
 func (n *Netmsg) armRexmit(u *unackedPkt) {
+	if n.rexmitFn == nil {
+		n.rexmitFn = n.rexmit
+	}
 	d := n.RexmitTimeout << uint(u.attempts)
-	u.timer = n.Sub.K.Clock.After(d, "netmsg-rexmit", func() {
-		if n.unacked[u.pkt.Seq] != u {
-			return
-		}
-		u.attempts++
-		if u.attempts > n.RexmitMax {
-			delete(n.unacked, u.pkt.Seq)
-			n.Lost++
-			return
-		}
-		n.outbox.push(u.pkt)
-		if n.Thread.State() == core.StateWaiting {
-			n.Sub.K.Setrun(n.Thread)
-		}
-		n.armRexmit(u)
-	})
+	u.timer = n.Sub.K.Clock.ScheduleArg(n.Sub.K.Clock.Now()+d, "netmsg-rexmit", n.rexmitFn, u)
+}
+
+// rexmit is the retransmit timer's action. The timer cannot transmit
+// itself — clock events run in dispatcher context with no kernel Env to
+// charge the tx cost against — so it queues a copy of the packet on the
+// outbox and wakes the netmsg thread, which retransmits in thread
+// context. After RexmitMax attempts the packet is declared lost.
+func (n *Netmsg) rexmit(arg any) {
+	u := arg.(*unackedPkt)
+	u.timer = nil
+	u.attempts++
+	if u.attempts > n.RexmitMax {
+		n.retire(u)
+		n.Lost++
+		return
+	}
+	n.outbox.push(n.Sub.newPacket(u.pkt))
+	if n.Thread.State() == core.StateWaiting {
+		n.Sub.K.Setrun(n.Thread)
+	}
+	n.armRexmit(u)
 }
 
 // takePacket runs in io_done context when an rx completion is processed:
@@ -879,8 +945,7 @@ func (n *Netmsg) loop(e *core.Env) {
 				n.Retransmits++
 				if r := n.Sub.K.Obs; r != nil && pkt.Trace.Sampled() {
 					// The backoff window up to this retransmission is
-					// recovery overhead, annotated on the sender (the
-					// shared packet is not touched).
+					// recovery overhead, annotated on the sender.
 					r.RecordSpan(obs.Span{
 						Trace: pkt.Trace.Trace, ID: r.NextSpanID(pkt.Trace.Trace),
 						Parent: pkt.Trace.Span, Name: "net.rexmit",
@@ -895,6 +960,9 @@ func (n *Netmsg) loop(e *core.Env) {
 			break
 		}
 		pkt := n.inbox.pop()
+		if k.DebugChecks && pkt.free {
+			panic("dev: netmsg inbox holds a packet already on a free list")
+		}
 		e.Charge(netmsgDemuxCost)
 		n.deliver(e, pkt)
 		if e.Transferred() {
@@ -915,6 +983,9 @@ func (n *Netmsg) loop(e *core.Env) {
 // e.Transferred.
 func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 	k := n.Sub.K
+	// Every path below drops the packet or copies it into an ipc message;
+	// either way it goes back on this machine's free list.
+	defer n.Sub.freePacket(pkt)
 	// Membership first: a stale packet — one that outlived a crash on
 	// either end — is discarded before the protocol sees it, and in
 	// particular is never acknowledged (an ack would quiet the sender's
@@ -924,8 +995,7 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 	}
 	if pkt.Ack {
 		if u := n.unacked[pkt.Seq]; u != nil {
-			k.Clock.Cancel(u.timer)
-			delete(n.unacked, pkt.Seq)
+			n.retire(u)
 		}
 		n.AcksRx++
 		return
@@ -938,8 +1008,8 @@ func (n *Netmsg) deliver(e *core.Env, pkt *Packet) {
 		// an ack delayed across the sender's reboot cannot quiet a fresh
 		// transmission that happens to reuse the sequence number.
 		n.AcksTx++
-		n.NIC.Transmit(e, &Packet{Ack: true, Seq: pkt.Seq, Size: ackBytes,
-			SrcInc: n.Inc, DstInc: pkt.SrcInc})
+		n.NIC.Transmit(e, n.Sub.newPacket(Packet{Ack: true, Seq: pkt.Seq, Size: ackBytes,
+			SrcInc: n.Inc, DstInc: pkt.SrcInc}))
 		if !n.seen.first(pkt.Seq) {
 			n.DupsDropped++
 			return

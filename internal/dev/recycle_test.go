@@ -2,6 +2,7 @@ package dev_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,8 +13,10 @@ import (
 )
 
 // The tests in this file pin the storage the wire path recycles: the
-// completion FIFO, and the rx completions NIC.receive takes from its
-// subsystem's free list and io_done returns there.
+// completion FIFO, the rx completions NIC.receive takes from its
+// subsystem's free list and io_done returns there, and the wire packets
+// a machine takes from its free list to send and returns there once it
+// has received or dropped them.
 
 // wantPanic runs f and requires it to panic with exactly msg.
 func wantPanic(t *testing.T, msg string, f func()) {
@@ -99,12 +102,16 @@ func TestPartlyDrainedCompletionQueue(t *testing.T) {
 	sys.K.MustValidate()
 }
 
-// TestDuplicateSharesPacketAcrossRecycledCompletions sends one message
-// over a wire that duplicates every packet: the one *Packet arrives
-// twice, and the second arrival's rx completion is the first's, back
-// from the free list after io_done handed the packet over.
-func TestDuplicateSharesPacketAcrossRecycledCompletions(t *testing.T) {
+// TestDuplicateCopiesPacketAcrossRecycledCompletions sends one message
+// over a wire that duplicates every packet. The duplicate is a second
+// copy with an owner of its own: the two arrivals carry different
+// packets with the same contents, the second arrival's rx completion is
+// the first's, back from the free list after io_done handed the packet
+// over, and once netmsg has delivered both, both packets are on the
+// receiver's free list.
+func TestDuplicateCopiesPacketAcrossRecycledCompletions(t *testing.T) {
 	a, b := bootPair(t)
+	a.K.DebugChecks, b.K.DebugChecks = true, true
 	a.Net.NIC.Fault = fault.New(5, fault.Spec{DupProb: 1})
 	got := startSink(b, "svc")
 	b.K.Run(0)
@@ -113,6 +120,7 @@ func TestDuplicateSharesPacketAcrossRecycledCompletions(t *testing.T) {
 
 	var posted []*dev.Request
 	var pkts []*dev.Packet
+	var bodies []any
 	queued := false
 	for b.K.Step() {
 		reqs, ps := b.Dev.QueuedRxForTest()
@@ -122,6 +130,7 @@ func TestDuplicateSharesPacketAcrossRecycledCompletions(t *testing.T) {
 		if len(reqs) == 1 && !queued {
 			posted = append(posted, reqs[0])
 			pkts = append(pkts, ps[0])
+			bodies = append(bodies, ps[0].Body)
 		}
 		queued = len(reqs) == 1
 	}
@@ -134,11 +143,22 @@ func TestDuplicateSharesPacketAcrossRecycledCompletions(t *testing.T) {
 	if posted[0] != posted[1] {
 		t.Fatal("the duplicate's rx completion is not the recycled first one")
 	}
-	if pkts[0] != pkts[1] || pkts[0] == nil {
-		t.Fatal("the two completions carried different packets")
+	if pkts[0] == pkts[1] || pkts[0] == nil || pkts[1] == nil {
+		t.Fatal("the duplicate shares the first arrival's packet")
+	}
+	if bodies[0] != 1 || bodies[1] != 1 {
+		t.Fatalf("the arrivals carried bodies %v, want the message twice", bodies)
 	}
 	if free := b.Dev.RxFreeForTest(); len(free) != 1 || free[0] != posted[0] {
 		t.Fatalf("free list %v, want the one recycled completion", free)
+	}
+	free := b.Dev.PacketFreeForTest()
+	if len(free) != 2 || !slices.Contains(free, pkts[0]) || !slices.Contains(free, pkts[1]) {
+		t.Fatalf("receiver's packet free list %v, want both arrivals' packets", free)
+	}
+	if a.Dev.PacketsMadeForTest() != 2 || len(a.Dev.PacketFreeForTest()) != 0 {
+		t.Fatalf("sender made %d packets and keeps %d; want the 2 it sent and none",
+			a.Dev.PacketsMadeForTest(), len(a.Dev.PacketFreeForTest()))
 	}
 	if len(*got) != 2 || (*got)[0] != 1 || (*got)[1] != 1 {
 		t.Fatalf("sink received %v, want the message twice", *got)
@@ -233,5 +253,45 @@ func TestRecycledRxCompletionGuards(t *testing.T) {
 		wantPanic(t, "dev: rx completion processed after it was recycled", func() {
 			b.K.Run(0)
 		})
+	})
+}
+
+// TestRecycledPacketGuards pins the DebugChecks panics on a packet used
+// after it went back on a free list: freeing it again, an arrival
+// carrying it, an rx completion carrying it, and a netmsg inbox entry
+// holding it.
+func TestRecycledPacketGuards(t *testing.T) {
+	// freed returns a fresh pair and a packet b received and freed.
+	freed := func(t *testing.T) (*kern.System, *dev.Packet) {
+		a, b := bootPair(t)
+		startSink(b, "svc")
+		b.K.Run(0)
+		startSpray(a, "svc", 1)
+		a.K.Run(0)
+		b.K.Run(0)
+		free := b.Dev.PacketFreeForTest()
+		if len(free) != 1 || !free[0].FreeForTest() {
+			t.Fatalf("receiver's free list %v, want the one delivered packet", free)
+		}
+		b.K.DebugChecks = true
+		return b, free[0]
+	}
+	t.Run("freed twice", func(t *testing.T) {
+		b, p := freed(t)
+		wantPanic(t, "dev: packet freed twice", func() { b.Dev.FreePacketForTest(p) })
+	})
+	t.Run("arrival", func(t *testing.T) {
+		b, p := freed(t)
+		wantPanic(t, "dev: arrival of a packet already on a free list", func() { b.Net.NIC.ReceiveForTest(p) })
+	})
+	t.Run("rx completion", func(t *testing.T) {
+		b, p := freed(t)
+		b.Net.NIC.PostRxForTest(p)
+		wantPanic(t, "dev: rx completion carries a packet already on a free list", func() { b.K.Run(0) })
+	})
+	t.Run("inbox entry", func(t *testing.T) {
+		b, p := freed(t)
+		b.Net.InboxForTest(p)
+		wantPanic(t, "dev: netmsg inbox holds a packet already on a free list", func() { b.K.Run(0) })
 	})
 }

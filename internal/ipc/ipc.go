@@ -291,9 +291,12 @@ func (p *Port) limit() int {
 // record (threadIPC.regs), so the reaper and thread_abort touch only the
 // dying thread's registrations instead of sweeping every port.
 type rcvWaiter struct {
-	t          *core.Thread
-	cancelled  bool
-	send       bool // on a send-waiter list, not a receive list
+	t         *core.Thread
+	cancelled bool
+	send      bool // on a send-waiter list, not a receive list
+	// timeout is the armed receive or send timeout: a pooled clock event
+	// whose one holder is this registration. timedOut clears it as it
+	// fires, and every Cancel clears it right after.
 	timeout    *machine.Event
 	prev, next *rcvWaiter
 }
@@ -391,8 +394,11 @@ type IPC struct {
 	ContMsgSendRetry *core.Continuation
 
 	// resumeReceiveFn is resumeReceive's method value, bound once: the
-	// process-model receive blocks with it on every call.
+	// process-model receive blocks with it on every call. timedOutFn is
+	// the receive and send timeouts' action, bound at the first timeout
+	// armed (timeoutAction) instead of at boot.
 	resumeReceiveFn func(*core.Env)
+	timedOutFn      func(any)
 
 	// threads holds each thread's IPC record, by thread ID. Thread IDs
 	// are small and dense per kernel, so a slice beats a map on the
@@ -630,10 +636,7 @@ func (x *IPC) popWaiterList(list *[]*rcvWaiter) *core.Thread {
 			continue
 		}
 		w.cancelled = true
-		if w.timeout != nil {
-			x.K.Clock.Cancel(w.timeout)
-			w.timeout = nil
-		}
+		x.disarm(w)
 		res = w.t
 		x.freeWaiter(w)
 		break
@@ -671,9 +674,10 @@ func (x *IPC) newWaiter(t *core.Thread) *rcvWaiter {
 
 // freeWaiter unlinks a registration that has left its waiter list from
 // its thread's index and recycles it. A registration whose timeout is
-// still armed is left to the garbage collector: the timeout closure holds
-// a reference, and recycling it would let a stale timer cancel an
-// unrelated waiter. One whose timeout fired or was cancelled is safe.
+// still armed is left to the garbage collector: the pending timer names
+// it, and recycling it would let the timer's action land on an
+// unrelated waiter. One whose timeout fired or was cancelled holds no
+// handle and is safe.
 func (x *IPC) freeWaiter(w *rcvWaiter) {
 	if w.prev != nil {
 		w.prev.next = w.next
@@ -684,7 +688,7 @@ func (x *IPC) freeWaiter(w *rcvWaiter) {
 		w.next.prev = w.prev
 	}
 	w.prev, w.next = nil, nil
-	if w.timeout.Pending() {
+	if w.timeout != nil {
 		return
 	}
 	*w = rcvWaiter{}
@@ -852,14 +856,7 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	r := x.recv(dest)
 	r.sendWaiters = x.pushWaiter(r.sendWaiters, w)
 	if d := opts.SndTimeout; d != 0 {
-		w.timeout = x.K.Clock.After(d, "mach_msg-snd-timeout", func() {
-			if w.cancelled || w.t.State() != core.StateWaiting {
-				return
-			}
-			w.cancelled = true
-			x.K.PostWaitResult(w.t, SendTimedOut)
-			x.K.Setrun(w.t)
-		})
+		w.timeout = x.K.Clock.ScheduleArg(x.K.Clock.Now()+d, "mach_msg-snd-timeout", x.timeoutAction(), w)
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "mach_msg send (queue full)"
@@ -890,14 +887,42 @@ func (x *IPC) armTimeout(w *rcvWaiter, d machine.Duration) {
 	if d == 0 {
 		return
 	}
-	w.timeout = x.K.Clock.After(d, "mach_msg-rcv-timeout", func() {
-		if w.cancelled || w.t.State() != core.StateWaiting {
-			return
-		}
-		w.cancelled = true
-		x.K.PostWaitResult(w.t, RcvTimedOut)
-		x.K.Setrun(w.t)
-	})
+	w.timeout = x.K.Clock.ScheduleArg(x.K.Clock.Now()+d, "mach_msg-rcv-timeout", x.timeoutAction(), w)
+}
+
+// timeoutAction returns timedOut's method value, binding it on first use.
+func (x *IPC) timeoutAction() func(any) {
+	if x.timedOutFn == nil {
+		x.timedOutFn = x.timedOut
+	}
+	return x.timedOutFn
+}
+
+// timedOut is the receive and send timeouts' action: the registration's
+// wait ends with RcvTimedOut, or SendTimedOut on a send-waiter list,
+// unless something else ended it first.
+func (x *IPC) timedOut(arg any) {
+	w := arg.(*rcvWaiter)
+	w.timeout = nil
+	if w.cancelled || w.t.State() != core.StateWaiting {
+		return
+	}
+	w.cancelled = true
+	code := RcvTimedOut
+	if w.send {
+		code = SendTimedOut
+	}
+	x.K.PostWaitResult(w.t, code)
+	x.K.Setrun(w.t)
+}
+
+// disarm cancels a registration's armed timeout, if any, and drops the
+// handle: the event is back on the clock's free list.
+func (x *IPC) disarm(w *rcvWaiter) {
+	if w.timeout != nil {
+		x.K.Clock.Cancel(w.timeout)
+		w.timeout = nil
+	}
 }
 
 // DestroyPort destroys a port: queued messages are discarded, blocked
@@ -929,9 +954,7 @@ func (x *IPC) failWaiters(list []*rcvWaiter, code uint64) []*rcvWaiter {
 			continue
 		}
 		w.cancelled = true
-		if w.timeout != nil {
-			x.K.Clock.Cancel(w.timeout)
-		}
+		x.disarm(w)
 		x.K.PostWaitResult(w.t, code)
 		x.K.Setrun(w.t)
 	}

@@ -20,9 +20,7 @@ func (x *IPC) AbortWaiter(t *core.Thread) (code uint64, ok bool) {
 			continue
 		}
 		w.cancelled = true
-		if w.timeout != nil {
-			x.K.Clock.Cancel(w.timeout)
-		}
+		x.disarm(w)
 		if w.send {
 			return SendInterrupted, true
 		}

@@ -4,6 +4,7 @@
 package ipc
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -137,6 +138,56 @@ func TestTimedOutReceivesDoNotPile(t *testing.T) {
 			}
 			if longest > 8 {
 				t.Errorf("waiter list reached %d registrations, want at most 8", longest)
+			}
+		})
+	}
+}
+
+// TestArmedRegistrationNotReusedBeforeTimerFires frees a registration
+// whose receive timeout is still armed, under every kernel. The thread
+// is woken from outside ipc while its registration stays live, so the
+// next pop frees the registration with its timer pending. The
+// registration must stay off the free list until the timer has fired,
+// so the timer's action cannot land on a reused registration: the
+// registrations made meanwhile are other records, and the action clears
+// the handle it held.
+func TestArmedRegistrationNotReusedBeforeTimerFires(t *testing.T) {
+	for _, f := range poolFlavors {
+		t.Run(f.FlagName(), func(t *testing.T) {
+			k, x := newPoolKernel(f)
+			exit := core.ProgramFunc(func(*core.Env, *core.Thread) core.Action { return core.Exit() })
+			th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: exit})
+			other := k.NewThread(core.ThreadSpec{Name: "o", SpaceID: 1, Program: exit})
+			port := x.NewPort("p")
+			x.RegisterReceiver(th, port, 0, 1000)
+			w := port.rcvWaiters()[0]
+			if !w.timeout.Pending() {
+				t.Fatal("the registration holds no armed timeout")
+			}
+			k.Setrun(th)
+			if got := x.popWaiter(port); got != nil {
+				t.Fatalf("popped %v, which is not waiting", got)
+			}
+			if slices.Contains(x.waiterFree, w) || !w.timeout.Pending() {
+				t.Fatal("a registration with an armed timeout went back on the free list")
+			}
+			for i := 0; i < 3; i++ {
+				v := x.newWaiter(other)
+				if v == w {
+					t.Fatal("the armed registration was reused before its timer fired")
+				}
+				x.freeWaiter(v)
+			}
+			ev := k.Clock.AdvanceToNextEvent()
+			if ev == nil || ev.Label != "mach_msg-rcv-timeout" {
+				t.Fatalf("next event %v, want the receive timeout", ev)
+			}
+			k.Clock.Fire(ev, true)
+			if w.timeout != nil {
+				t.Fatal("the timeout's action left its handle set")
+			}
+			if _, posted := th.TakeWaitResult(); posted {
+				t.Fatal("the stale timeout ended a wait its thread was not in")
 			}
 		})
 	}

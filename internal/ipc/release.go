@@ -22,10 +22,7 @@ func (x *IPC) ReleaseThread(t *core.Thread) {
 	x.FreeMessage(r.received)
 	r.delivered, r.received = nil, nil
 	for w := r.regs; w != nil; w = w.next {
-		if w.timeout != nil {
-			x.K.Clock.Cancel(w.timeout)
-			w.timeout = nil
-		}
+		x.disarm(w)
 		w.cancelled = true
 	}
 }

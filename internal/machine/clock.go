@@ -107,10 +107,12 @@ type Clock struct {
 	// ever lower-bound activity conservatively.
 	watcher func()
 
-	// free holds fired events for ScheduleRemote and ScheduleArg to
-	// reuse. Only this machine's own context touches it: the barrier
-	// flush schedules single-threaded, and the machine's own round
-	// schedules, fires and frees.
+	// free holds fired and cancelled events for ScheduleRemote and
+	// ScheduleArg to reuse. Only this machine's own context touches it:
+	// the barrier flush schedules single-threaded, and the machine's own
+	// round schedules, fires, cancels and frees. Events never move
+	// between clocks, so the list is bounded by the clock's peak number
+	// of pending pooled events.
 	free []*Event
 }
 
@@ -184,17 +186,21 @@ func (c *Clock) ScheduleRemote(when Time, key uint64, label string, fn func(any)
 // ScheduleArg registers fn(arg) to fire at absolute time when, ordered
 // like Schedule. fn is meant to be bound once and arg to carry what it
 // acts on, so the timer needs no closure; its event comes from the
-// clock's free list and goes back to it once Fire has run it. Like
-// ScheduleRemote it returns no handle: nothing may cancel the event or
-// keep it past its firing.
-func (c *Clock) ScheduleArg(when Time, label string, fn func(any), arg any) {
+// clock's free list and goes back to it once Fire has run it or Cancel
+// has removed it. The returned handle is valid until then and has one
+// holder, which clears it at both points: first thing in fn, and right
+// after every Cancel. From then on the event may be queued again for an
+// unrelated timer, and a kept handle would name that one. PurgeLocal
+// recycles a pending one too; a crash drops its holder with the rest of
+// the dead incarnation.
+func (c *Clock) ScheduleArg(when Time, label string, fn func(any), arg any) *Event {
 	seq := c.seq
 	c.seq++
-	c.schedulePooled(when, seq, label, fn, arg)
+	return c.schedulePooled(when, seq, label, fn, arg)
 }
 
 // schedulePooled queues fn(arg) at when on an event from the free list.
-func (c *Clock) schedulePooled(when Time, seq uint64, label string, fn func(any), arg any) {
+func (c *Clock) schedulePooled(when Time, seq uint64, label string, fn func(any), arg any) *Event {
 	var e *Event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
@@ -206,6 +212,7 @@ func (c *Clock) schedulePooled(when Time, seq uint64, label string, fn func(any)
 	heap.Push(&c.events, e)
 	c.foreground++
 	c.notify()
+	return e
 }
 
 // Fire runs an event the caller popped (PopDue, AdvanceToNextEvent). An
@@ -251,15 +258,25 @@ func (c *Clock) AfterBackground(d Duration, label string, fn func()) *Event {
 func (c *Clock) HasForeground() bool { return c.foreground > 0 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op returning false.
+// already-cancelled event is a no-op returning false. A pooled timer
+// (ScheduleArg) goes back to the free list, so its holder clears the
+// handle right after; cancelling an event that is already on the free
+// list panics, since a handle kept that long may name a reused event.
 func (c *Clock) Cancel(e *Event) bool {
 	if e == nil || e.index < 0 {
+		if e != nil && e.index == indexRecycled {
+			panic("machine: pooled event cancelled after it was recycled")
+		}
 		return false
 	}
 	heap.Remove(&c.events, e.index)
-	e.index = indexCancelled
 	if !e.Background {
 		c.foreground--
+	}
+	if e.arrive != nil {
+		c.recycle(e)
+	} else {
+		e.index = indexCancelled
 	}
 	c.notify()
 	return true

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -326,9 +327,12 @@ func (r *refClock) pop() (refEvent, bool) {
 // Schedule, Cancel and PurgeLocal over seeded random sequences, and
 // requires every event to fire in the order of a reference clock that
 // never recycles. Some pooled events schedule an arrival while they
-// fire, before their own event is freed.
+// fire, before their own event is freed. Pooled timers are cancelled at
+// random too: each has one holder, which clears its handle first thing
+// in the action and right after a Cancel (or when a purge drops it), so
+// a cancelled event goes back on the free list and may be reused.
 func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
-	reused := 0
+	reused, cancelled := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewClock()
@@ -352,9 +356,29 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 			c.ScheduleRemote(when, k, label, arrive, label)
 			ref.remote(when, k, label)
 		}
+		// armed lists the holders of pending pooled timers.
+		type holder struct {
+			label string
+			ev    *Event
+		}
+		var armed []*holder
+		drop := func(h *holder) {
+			h.ev = nil
+			i := slices.Index(armed, h)
+			armed[i] = armed[len(armed)-1]
+			armed = armed[:len(armed)-1]
+		}
+		tick := func(arg any) {
+			h := arg.(*holder)
+			drop(h)
+			fired = append(fired, h.label)
+			if rng.Intn(4) == 0 {
+				remote(h.label + "+")
+			}
+		}
 		for op := 0; op < 400; op++ {
 			label := string(rune('a'+op%26)) + "." + string(rune('0'+op/26%10)) + "." + string(rune('0'+op/260))
-			switch x := rng.Intn(10); {
+			switch x := rng.Intn(11); {
 			case x < 3:
 				when := c.Now() + Time(rng.Intn(50))
 				e := c.Schedule(when, label, func() { fired = append(fired, label) })
@@ -362,8 +386,10 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 				handles = append(handles, e)
 			case x < 4:
 				when := c.Now() + Time(rng.Intn(50))
-				c.ScheduleArg(when, label, arrive, label)
-				ref.schedule(when, label, nil)
+				h := &holder{label: label}
+				h.ev = c.ScheduleArg(when, label, tick, h)
+				armed = append(armed, h)
+				ref.schedule(when, label, h.ev)
 			case x < 6:
 				remote(label)
 			case x < 7 && len(handles) > 0:
@@ -371,9 +397,23 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 				if got, want := c.Cancel(e), ref.cancel(e); got != want {
 					t.Fatalf("seed %d: Cancel(%s) = %v, reference %v", seed, e.Label, got, want)
 				}
-			case x < 8 && rng.Intn(4) == 0:
+			case x < 8 && len(armed) > 0:
+				h := armed[rng.Intn(len(armed))]
+				e := h.ev
+				if got, want := c.Cancel(e), ref.cancel(e); !got || !want {
+					t.Fatalf("seed %d: Cancel of armed timer %s = %v, reference %v", seed, h.label, got, want)
+				}
+				drop(h)
+				cancelled++
+				if e.Pending() {
+					t.Fatalf("seed %d: cancelled timer %s still pending", seed, h.label)
+				}
+			case x < 9 && rng.Intn(4) == 0:
 				if got, want := c.PurgeLocal(), ref.purgeLocal(); got != want {
 					t.Fatalf("seed %d: PurgeLocal removed %d, reference %d", seed, got, want)
+				}
+				for len(armed) > 0 {
+					drop(armed[0])
 				}
 			default:
 				for n := rng.Intn(4); n >= 0; n-- {
@@ -408,13 +448,54 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 			}
 			c.Fire(ev, true)
 		}
-		if len(ref.pending) != 0 || c.HasForeground() {
-			t.Fatalf("seed %d: %d reference events left, clock foreground %v", seed, len(ref.pending), c.HasForeground())
+		if len(ref.pending) != 0 || c.HasForeground() || len(armed) != 0 {
+			t.Fatalf("seed %d: %d reference events left, clock foreground %v, %d timers armed",
+				seed, len(ref.pending), c.HasForeground(), len(armed))
 		}
 	}
-	if reused == 0 {
-		t.Fatal("no pooled event was ever reused")
+	if reused == 0 || cancelled == 0 {
+		t.Fatalf("%d pooled events reused, %d pooled timers cancelled; want both", reused, cancelled)
 	}
+}
+
+// TestCancelAfterRecyclingPanics pins the clock's guard on a pooled
+// timer's handle kept too long: cancelling the event once it is back on
+// the free list, after it fired or after an earlier Cancel, panics by
+// name. Cancelling a pending pooled timer returns its event to the free
+// list, and the next ScheduleArg reuses it.
+func TestCancelAfterRecyclingPanics(t *testing.T) {
+	const want = "machine: pooled event cancelled after it was recycled"
+	wantPanic := func(t *testing.T, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != want {
+				t.Fatalf("panic %v, want %q", r, want)
+			}
+		}()
+		f()
+	}
+	t.Run("after firing", func(t *testing.T) {
+		c := NewClock()
+		ev := c.ScheduleArg(5, "timer", func(any) {}, nil)
+		c.Fire(c.AdvanceToNextEvent(), true)
+		wantPanic(t, func() { c.Cancel(ev) })
+	})
+	t.Run("after cancelling", func(t *testing.T) {
+		c := NewClock()
+		ran := false
+		ev := c.ScheduleArg(5, "timer", func(any) { ran = true }, nil)
+		if !c.Cancel(ev) || ev.Pending() || c.HasForeground() || c.Pending() != 0 {
+			t.Fatal("Cancel left the pooled timer queued")
+		}
+		if again := c.ScheduleArg(7, "next", func(any) {}, nil); again != ev {
+			t.Fatal("the cancelled event was not reused")
+		}
+		c.Fire(c.AdvanceToNextEvent(), true)
+		if ran {
+			t.Fatal("the cancelled timer's action ran")
+		}
+		wantPanic(t, func() { c.Cancel(ev) })
+	})
 }
 
 // TestArrivalFiredAfterRecyclingPanics pins the checked clock's guard: an
