@@ -557,9 +557,9 @@ func BenchmarkClusterScale(b *testing.B) {
 		cluster := kern.NewCluster(systems...)
 		cluster.Drive(false) // drain boot work; every machine goes idle
 		s0 := systems[0]
-		var tick func()
-		tick = func() { s0.K.Clock.After(machine.Duration(20_000), "tick", tick) }
-		tick()
+		var tick func(any)
+		tick = func(any) { s0.K.Clock.Schedule(s0.K.Clock.Now()+machine.Duration(20_000), tick, nil) }
+		tick(nil)
 		cluster.SetDeferredForTest(true)
 		defer cluster.SetDeferredForTest(false)
 		b.ReportAllocs()

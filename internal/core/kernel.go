@@ -1372,8 +1372,14 @@ func (k *Kernel) Run(deadline machine.Time) uint64 {
 // then: a sleep's wake-up. The timer is an event from the clock's free
 // list carrying t, with the action bound once per kernel, so a sleeping
 // thread costs the host no closure and no event of its own.
-func (k *Kernel) WakeAt(when machine.Time, label string, t *Thread) {
-	k.Clock.ScheduleArg(when, label, k.wakeFn, t)
+func (k *Kernel) WakeAt(when machine.Time, t *Thread) {
+	k.Clock.Schedule(when, k.wakeFn, t)
+}
+
+// WakeAtBackground is WakeAt on a housekeeping event, which does not by
+// itself keep an idle machine running: a periodic tick's wake-up.
+func (k *Kernel) WakeAtBackground(when machine.Time, t *Thread) {
+	k.Clock.ScheduleBackground(when, k.wakeFn, t)
 }
 
 // wake is WakeAt's timer action.

@@ -110,7 +110,7 @@ func sleepSyscall(d machine.Duration) core.Action {
 	return core.Syscall("sleep", func(e *core.Env) {
 		th := e.Cur()
 		e.K.SetState(th, core.StateWaiting)
-		e.K.Clock.After(d, "sleep-wakeup", func() { e.K.Setrun(th) })
+		e.K.Clock.Schedule(e.K.Clock.Now()+d, func(any) { e.K.Setrun(th) }, nil)
 		e.K.Block(e, stats.BlockInternal, sleepDone,
 			func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 1) }, 64, "sleep")
 	})
@@ -366,7 +366,7 @@ func TestScratchSurvivesBlock(t *testing.T) {
 			th := e.Cur()
 			th.Scratch.PutWord(0, 0xabcd)
 			e.K.SetState(th, core.StateWaiting)
-			e.K.Clock.After(1000, "wake", func() { e.K.Setrun(th) })
+			e.K.Clock.Schedule(e.K.Clock.Now()+1000, func(any) { e.K.Setrun(th) }, nil)
 			e.K.Block(e, stats.BlockInternal, resumeCont, nil, 0, "")
 		}),
 	}}
@@ -405,7 +405,7 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 					server.Cont, server.State())
 			}
 			e.K.SetState(th, core.StateWaiting)
-			e.K.Clock.After(1000, "client-wake", func() { e.K.Setrun(th) })
+			e.K.Clock.Schedule(e.K.Clock.Now()+1000, func(any) { e.K.Setrun(th) }, nil)
 			e.K.ThreadHandoff(e, stats.BlockReceive, sleepDone, server)
 			handedOff = true
 			// Now running as the server, inside the client's still-live
@@ -465,7 +465,7 @@ func TestRecognizeWrongContinuation(t *testing.T) {
 		core.Syscall("send", func(e *core.Env) {
 			th := e.Cur()
 			e.K.SetState(th, core.StateWaiting)
-			e.K.Clock.After(1000, "client-wake", func() { e.K.Setrun(th) })
+			e.K.Clock.Schedule(e.K.Clock.Now()+1000, func(any) { e.K.Setrun(th) }, nil)
 			e.K.ThreadHandoff(e, stats.BlockReceive, sleepDone, server)
 			if e.K.Recognize(e, expect) {
 				t.Error("recognized the wrong continuation")
@@ -601,7 +601,7 @@ func TestProcessModelBlockResumesAtContinuationBody(t *testing.T) {
 		core.Syscall("probe", func(e *core.Env) {
 			th := e.Cur()
 			e.K.SetState(th, core.StateWaiting)
-			e.K.Clock.After(10*1000*1000, "probe-wakeup", func() { e.K.Setrun(th) })
+			e.K.Clock.Schedule(e.K.Clock.Now()+10*1000*1000, func(any) { e.K.Setrun(th) }, nil)
 			held = th.Stack
 			e.K.Block(e, stats.BlockInternal, body, nil, 80, "probe-wait")
 		}),

@@ -26,7 +26,7 @@ func TestProfileKeyIsTheName(t *testing.T) {
 		return core.Syscall("sleep", func(e *core.Env) {
 			th := e.Cur()
 			e.K.SetState(th, core.StateWaiting)
-			e.K.Clock.After(1000, "sleep-wakeup", func() { e.K.Setrun(th) })
+			e.K.Clock.Schedule(e.K.Clock.Now()+1000, func(any) { e.K.Setrun(th) }, nil)
 			e.K.Block(e, stats.BlockInternal, c, wake, 64, "sleep")
 		})
 	}

@@ -67,9 +67,9 @@ func TestActionMustTransfer(t *testing.T) {
 // Validate reports.
 func TestInterruptHandlerMustNotTransfer(t *testing.T) {
 	k := newKernel(t, true, 1)
-	k.Clock.After(1000, "rogue-irq", func() {
+	k.Clock.Schedule(k.Clock.Now()+1000, func(any) {
 		k.TakeInterrupt("rogue", func(e *core.Env) { e.K.CallContinuation(e, sleepDone) })
-	})
+	}, nil)
 	// The interrupt lands between steps of a long user burst, so the
 	// processor's current thread is the one whose stack it borrows.
 	mustPanic(t, `core: interrupt handler "rogue" transferred control`, func() {

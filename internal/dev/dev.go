@@ -109,6 +109,12 @@ type Device struct {
 	queue    fifo[*Request]
 	inflight *Request
 
+	// serviceDone (the service timer's action) and intr (the interrupt
+	// handler) are bound at NewDevice; both read the request in service
+	// from inflight.
+	serviceDone func(any)
+	intr        func(*core.Env)
+
 	// Counters.
 	Requests       uint64
 	Interrupts     uint64
@@ -147,30 +153,40 @@ func (d *Device) start() {
 	r := d.queue.pop()
 	d.inflight = r
 	latency := r.Latency + d.Sub.injectLatency(d, r)
-	d.Sub.K.Clock.After(latency, d.Name+"-io", func() { d.complete(r) })
+	clock := d.Sub.K.Clock
+	clock.Schedule(clock.Now()+latency, d.serviceDone, nil)
 }
 
-// complete is the device raising its interrupt: the handler runs in
-// interrupt context on the current processor's stack, acknowledges the
-// transfer, restarts the device, and defers the rest to the io_done
-// thread. No stack is allocated anywhere on this path.
-func (d *Device) complete(r *Request) {
+// complete is the device raising its interrupt at the end of a service
+// time. The trace detail names the request only when the ring keeps it.
+func (d *Device) complete(any) {
+	label := d.Name
+	if r := d.Sub.K.Obs; r != nil && r.Retains() {
+		label += " " + d.inflight.Label
+	}
+	d.Sub.K.TakeInterrupt(label, d.intr)
+}
+
+// interrupt is the device's interrupt handler: it runs in interrupt
+// context on the current processor's stack, acknowledges the transfer,
+// restarts the device, and defers the rest to the io_done thread. No
+// stack is allocated anywhere on this path.
+func (d *Device) interrupt(e *core.Env) {
 	s := d.Sub
-	s.K.TakeInterrupt(d.Name+" "+r.Label, func(e *core.Env) {
-		e.Charge(intrHandlerCost)
-		s.noteHandlerWork(intrHandlerCost)
-		d.Interrupts++
-		d.inflight = nil
-		// Completion beat the I/O timeout: disarm it here, in the
-		// interrupt handler, so a timeout scheduled for this same tick
-		// (but sequenced later) is cleanly cancelled.
-		s.disarmTimeout(r)
-		s.injectCompletion(d, r)
-		if d.queue.size() > 0 {
-			d.start()
-		}
-		s.PostCompletion(r)
-	})
+	r := d.inflight
+	e.Charge(intrHandlerCost)
+	s.noteHandlerWork(intrHandlerCost)
+	d.Interrupts++
+	d.inflight = nil
+	// Completion beat the I/O timeout: disarm it here, in the interrupt
+	// handler, so a timeout scheduled for this same tick (but sequenced
+	// later) is cleanly cancelled.
+	s.disarmTimeout(r)
+	s.injectCompletion(d, r)
+	if d.queue.size() > 0 {
+		d.start()
+	}
+	s.PostCompletion(r)
 }
 
 // Subsystem is the per-machine device layer: the device registry, the
@@ -284,6 +300,7 @@ func (s *Subsystem) NewDevice(name string, service machine.Duration) *Device {
 		panic(fmt.Sprintf("dev: duplicate device %q", name))
 	}
 	d := &Device{Name: name, Sub: s, ServiceTime: service}
+	d.serviceDone, d.intr = d.complete, d.interrupt
 	s.devices = append(s.devices, d)
 	s.byName[name] = d
 	return d

@@ -51,7 +51,7 @@ func (s *Subsystem) submitIO(t *core.Thread, d *Device, label string, bytes int,
 	}
 	if s.IoTimeout > 0 {
 		s.bindTimers()
-		r.timeout = s.K.Clock.ScheduleArg(s.K.Clock.Now()+s.IoTimeout, d.Name+"-io-timeout", s.ioTimedOutFn, r)
+		r.timeout = s.K.Clock.Schedule(s.K.Clock.Now()+s.IoTimeout, s.ioTimedOutFn, r)
 	}
 	d.Submit(r)
 }
@@ -111,7 +111,7 @@ func (s *Subsystem) retryOrFail(e *core.Env, code uint64, cont *core.Continuatio
 	s.IoRetries++
 	backoff := s.IoRetryBackoff << uint(attempt-1)
 	s.bindTimers()
-	s.pendingRetry[t.ID] = s.K.Clock.ScheduleArg(s.K.Clock.Now()+backoff, d.Name+"-io-retry", s.retryFn, t)
+	s.pendingRetry[t.ID] = s.K.Clock.Schedule(s.K.Clock.Now()+backoff, s.retryFn, t)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "device retry: " + d.Name
 	s.K.Block(e, stats.BlockDeviceIO, cont, nil, 192, "device-retry")

@@ -15,7 +15,7 @@ import (
 // The tests in this file pin the two lifetime rules of the recycled wire
 // path under every kernel: a packet has one owner (the sending machine's
 // free list, one arrival, the receiving machine's free list), and a
-// pooled timer has one holder, which drops its handle once the timer has
+// timer has one holder, which drops its handle once the timer has
 // fired or been cancelled.
 
 var lifetimeFlavors = []kern.Flavor{kern.MK40, kern.MK32, kern.Mach25}
@@ -52,7 +52,7 @@ func sendSleepSend(sys *kern.System, remote string, gap machine.Duration) {
 		case step == 2 && gap > 0:
 			return core.Syscall("sleep", func(e *core.Env) {
 				t := e.Cur()
-				e.K.WakeAt(e.K.Clock.Now()+gap, "test-wake", t)
+				e.K.WakeAt(e.K.Clock.Now()+gap, t)
 				e.K.SetState(t, core.StateWaiting)
 				e.K.Block(e, stats.BlockInternal, sleepResume, nil, 96, "test-sleep")
 			})
@@ -185,7 +185,7 @@ func TestReliableLinkPacketsOwned(t *testing.T) {
 			startSpray(a, "svc", 25)
 			startSpray(b, "svc", 25)
 			inFlight := func(from, to *dev.NIC) int {
-				emitted := from.TxPackets - from.Severed - from.Dropped + from.Duplicated
+				emitted := from.TxPackets - from.Severed - from.Fault.Stats.Drops + from.Fault.Stats.Dups
 				return int(emitted - to.RxPackets - to.RxWhileDown)
 			}
 			cluster := kern.NewCluster(a, b)
@@ -206,9 +206,9 @@ func TestReliableLinkPacketsOwned(t *testing.T) {
 					t.Fatalf("round %d: %d packets made, %d free, held or in flight", rounds, made, owned)
 				}
 			}
-			if a.Net.NIC.Dropped == 0 || a.Net.NIC.Duplicated == 0 || a.Net.NIC.Delayed == 0 || a.Net.Retransmits == 0 {
+			if st := a.Net.NIC.Fault.Stats; st.Drops == 0 || st.Dups == 0 || st.Delays == 0 || a.Net.Retransmits == 0 {
 				t.Fatalf("faults did not bite: dropped %d, duplicated %d, delayed %d, retransmits %d",
-					a.Net.NIC.Dropped, a.Net.NIC.Duplicated, a.Net.NIC.Delayed, a.Net.Retransmits)
+					st.Drops, st.Dups, st.Delays, a.Net.Retransmits)
 			}
 			checkExactlyOnce(t, *gotB, 25)
 			checkExactlyOnce(t, *gotA, 25)

@@ -132,11 +132,6 @@ type NIC struct {
 	dirtyMark bool
 	pending   []wireDelivery
 
-	// rxLabel and rxDupLabel are the arrival event labels, precomputed at
-	// Connect so the transmit path does not build strings per packet.
-	rxLabel    string
-	rxDupLabel string
-
 	// onArrive (the arrival events' action), rxIntr (the rx interrupt
 	// handler) and its label are bound at this NIC's first arrival
 	// instead of at boot. rxPkt hands the arriving packet to rxIntr.
@@ -155,7 +150,7 @@ type NIC struct {
 	down bool
 
 	// Fault, when non-nil, injects wire faults on transmit: packet drop,
-	// duplication, and delay (reordering).
+	// duplication, and delay (reordering). Its Stats count them.
 	Fault *fault.Plan
 
 	// Topo, when non-nil, is the cluster's shared topology-fault schedule
@@ -170,9 +165,6 @@ type NIC struct {
 	TxPackets   uint64
 	RxPackets   uint64
 	Interrupts  uint64
-	Dropped     uint64 // transmissions lost to injected drops
-	Duplicated  uint64 // transmissions that arrived twice
-	Delayed     uint64 // transmissions held back on the wire
 	Severed     uint64 // transmissions cut by a partition or drop-link window
 	LinkDelayed uint64 // transmissions slowed by a delay-link window
 	RxWhileDown uint64 // arrivals discarded because the machine was down
@@ -181,10 +173,9 @@ type NIC struct {
 // wireDelivery is one packet arrival bound for the peer machine, buffered
 // while a parallel round executes.
 type wireDelivery struct {
-	at    machine.Time
-	key   uint64
-	label string
-	pkt   *Packet
+	at  machine.Time
+	key uint64
+	pkt *Packet
 }
 
 // NewNIC registers a NIC on this machine.
@@ -232,8 +223,6 @@ func Connect(a, b *NIC, wire machine.Duration) {
 	}
 	a.peer, b.peer = b, a
 	a.Wire, b.Wire = wire, wire
-	a.rxLabel, a.rxDupLabel = a.Name+"-rx", a.Name+"-rx-dup"
-	b.rxLabel, b.rxDupLabel = b.Name+"-rx", b.Name+"-rx-dup"
 }
 
 // Peer returns the connected NIC, nil when unconnected.
@@ -285,7 +274,6 @@ func (n *NIC) Transmit(e *core.Env, pkt *Packet) {
 	if n.Fault.DropPacket() {
 		// Lost on the wire: the sender already paid the tx cost and, if
 		// running the reliability protocol, will retransmit.
-		n.Dropped++
 		n.emitWireFault(e, "drop", 0)
 		n.Sub.freePacket(pkt)
 		return
@@ -300,22 +288,19 @@ func (n *NIC) Transmit(e *core.Env, pkt *Packet) {
 	}
 	if extra := n.Fault.DelayPacket(); extra > 0 {
 		// Held back: a later transmission can overtake this one.
-		n.Delayed++
 		n.emitWireFault(e, "delay", extra)
 		wire += extra
 	}
 	var dup *Packet
 	if n.Fault.DupPacket() {
 		// The duplicate is a second copy with an arrival of its own.
-		n.Duplicated++
 		n.emitWireFault(e, "duplicate", 0)
 		dup = n.Sub.newPacket(*pkt)
 	}
-	peer := n.peer
 	arrival := now + wire
-	n.deliverAt(arrival, peer.rxLabel, pkt)
+	n.deliverAt(arrival, pkt)
 	if dup != nil {
-		n.deliverAt(arrival+n.Wire/2, peer.rxDupLabel, dup)
+		n.deliverAt(arrival+n.Wire/2, dup)
 	}
 }
 
@@ -325,7 +310,7 @@ func (n *NIC) Transmit(e *core.Env, pkt *Packet) {
 // order identical under the sequential and parallel drivers: at equal
 // arrival times, wire events order after the peer's local events and
 // among themselves by emission order, never by scheduling order.
-func (n *NIC) deliverAt(at machine.Time, label string, pkt *Packet) {
+func (n *NIC) deliverAt(at machine.Time, pkt *Packet) {
 	peer := n.peer
 	key := uint64(peer.index)<<32 | (n.txSeq & 0xffffffff)
 	n.txSeq++
@@ -334,10 +319,10 @@ func (n *NIC) deliverAt(at machine.Time, label string, pkt *Packet) {
 			n.dirtyMark = true
 			n.Sub.dirtyNICs = append(n.Sub.dirtyNICs, n)
 		}
-		n.pending = append(n.pending, wireDelivery{at: at, key: key, label: label, pkt: pkt})
+		n.pending = append(n.pending, wireDelivery{at: at, key: key, pkt: pkt})
 		return
 	}
-	peer.Sub.K.Clock.ScheduleRemote(at, key, label, peer.arrival(), pkt)
+	peer.Sub.K.Clock.ScheduleRemote(at, key, peer.arrival(), pkt)
 }
 
 // arrival returns the action of an arrival event on this NIC, bound at
@@ -365,7 +350,7 @@ func (n *NIC) FlushDeferred() int {
 	peer := n.peer
 	for i := range n.pending {
 		d := n.pending[i]
-		peer.Sub.K.Clock.ScheduleRemote(d.at, d.key, d.label, peer.arrival(), d.pkt)
+		peer.Sub.K.Clock.ScheduleRemote(d.at, d.key, peer.arrival(), d.pkt)
 		n.pending[i] = wireDelivery{}
 	}
 	n.pending = n.pending[:0]
@@ -888,7 +873,7 @@ func (n *Netmsg) armRexmit(u *unackedPkt) {
 		n.rexmitFn = n.rexmit
 	}
 	d := n.RexmitTimeout << uint(u.attempts)
-	u.timer = n.Sub.K.Clock.ScheduleArg(n.Sub.K.Clock.Now()+d, "netmsg-rexmit", n.rexmitFn, u)
+	u.timer = n.Sub.K.Clock.Schedule(n.Sub.K.Clock.Now()+d, n.rexmitFn, u)
 }
 
 // rexmit is the retransmit timer's action. The timer cannot transmit

@@ -89,7 +89,7 @@ func TestReliableDeliveryUnderPacketLoss(t *testing.T) {
 	startSpray(a, "svc", n)
 	cluster.Drive(false)
 	checkExactlyOnce(t, *got, n)
-	if a.Net.NIC.Dropped == 0 {
+	if a.Net.NIC.Fault.Stats.Drops == 0 {
 		t.Fatal("fault plan injected no drops — test is vacuous")
 	}
 	if a.Net.Retransmits == 0 {
@@ -138,7 +138,7 @@ func TestReliableDeliverySurvivesReorder(t *testing.T) {
 	startSpray(a, "svc", n)
 	cluster.Drive(false)
 	checkExactlyOnce(t, *got, n)
-	if a.Net.NIC.Delayed == 0 {
+	if a.Net.NIC.Fault.Stats.Delays == 0 {
 		t.Fatal("fault plan injected no delays — test is vacuous")
 	}
 	// Once the overtaken packets arrive, the watermark absorbs the ones

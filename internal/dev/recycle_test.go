@@ -134,8 +134,8 @@ func TestDuplicateCopiesPacketAcrossRecycledCompletions(t *testing.T) {
 		}
 		queued = len(reqs) == 1
 	}
-	if a.Net.NIC.Duplicated != 1 || b.Net.NIC.RxPackets != 2 {
-		t.Fatalf("duplicated %d, received %d; want 1 and 2", a.Net.NIC.Duplicated, b.Net.NIC.RxPackets)
+	if a.Net.NIC.Fault.Stats.Dups != 1 || b.Net.NIC.RxPackets != 2 {
+		t.Fatalf("duplicated %d, received %d; want 1 and 2", a.Net.NIC.Fault.Stats.Dups, b.Net.NIC.RxPackets)
 	}
 	if len(posted) != 2 {
 		t.Fatalf("%d rx completions posted, want 2", len(posted))

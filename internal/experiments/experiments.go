@@ -503,9 +503,7 @@ func Firefly886(flavor kern.Flavor) FireflyResult {
 		prog := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
 			return core.Syscall("sleep", func(e *core.Env) {
 				t := e.Cur()
-				sys.K.Clock.AfterBackground(machine.Duration(1e15), "timer", func() {
-					sys.K.Setrun(t)
-				})
+				sys.K.WakeAtBackground(sys.K.Clock.Now()+machine.Duration(1e15), t)
 				e.K.SetState(t, core.StateWaiting)
 				sys.K.Block(e, stats.BlockInternal, contSleepForever, nil, 128, "sleep")
 			})

@@ -856,7 +856,7 @@ func (x *IPC) blockFullQueue(e *core.Env, dest *Port, opts MsgOptions) {
 	r := x.recv(dest)
 	r.sendWaiters = x.pushWaiter(r.sendWaiters, w)
 	if d := opts.SndTimeout; d != 0 {
-		w.timeout = x.K.Clock.ScheduleArg(x.K.Clock.Now()+d, "mach_msg-snd-timeout", x.timeoutAction(), w)
+		w.timeout = x.K.Clock.Schedule(x.K.Clock.Now()+d, x.timeoutAction(), w)
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "mach_msg send (queue full)"
@@ -887,7 +887,7 @@ func (x *IPC) armTimeout(w *rcvWaiter, d machine.Duration) {
 	if d == 0 {
 		return
 	}
-	w.timeout = x.K.Clock.ScheduleArg(x.K.Clock.Now()+d, "mach_msg-rcv-timeout", x.timeoutAction(), w)
+	w.timeout = x.K.Clock.Schedule(x.K.Clock.Now()+d, x.timeoutAction(), w)
 }
 
 // timeoutAction returns timedOut's method value, binding it on first use.

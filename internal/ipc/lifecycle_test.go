@@ -324,14 +324,14 @@ func TestTimeoutRaceWithSender(t *testing.T) {
 		rt := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: recvProg})
 		k.Setrun(rt)
 		d := delay
-		k.Clock.After(d, "late-send", func() {
+		k.Clock.Schedule(k.Clock.Now()+d, func(any) {
 			// Direct delivery attempt from interrupt context, as a
 			// device-driven sender would.
 			if w := x.PopWaiter(&core.Env{K: k, P: k.Procs[0]}, port); w != nil {
 				x.DeliverTo(&core.Env{K: k, P: k.Procs[0]}, w, x.NewMessage(1, 24, nil, nil))
 				k.Setrun(w)
 			}
-		})
+		}, nil)
 		k.Run(0)
 		if rt.State() != core.StateHalted {
 			t.Fatalf("delay %v: receiver stuck", d)

@@ -178,8 +178,9 @@ func TestArmedRegistrationNotReusedBeforeTimerFires(t *testing.T) {
 				}
 				x.freeWaiter(v)
 			}
+			armed := w.timeout
 			ev := k.Clock.AdvanceToNextEvent()
-			if ev == nil || ev.Label != "mach_msg-rcv-timeout" {
+			if ev == nil || ev != armed {
 				t.Fatalf("next event %v, want the receive timeout", ev)
 			}
 			k.Clock.Fire(ev, true)

@@ -62,12 +62,12 @@ func runSendRace(t *testing.T, skew int64) uint64 {
 		t.Fatal("send timeout not armed")
 	}
 	delay := int64(w.timeout.When) + skew - int64(k.Clock.Now())
-	k.Clock.After(machine.Duration(delay), "drain", func() {
+	k.Clock.Schedule(k.Clock.Now()+machine.Duration(delay), func(any) {
 		e := &core.Env{K: k, P: k.Procs[0]}
 		if port.QueueLen() > 0 {
 			port.pull(x, e)
 		}
-	})
+	}, nil)
 
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -113,7 +113,7 @@ func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 		t.Fatal("receive timeout not armed")
 	}
 	delay := int64(w.timeout.When) + skew - int64(k.Clock.Now())
-	k.Clock.After(machine.Duration(delay), "deliver", func() {
+	k.Clock.Schedule(k.Clock.Now()+machine.Duration(delay), func(any) {
 		e := &core.Env{K: k, P: k.Procs[0]}
 		m := x.NewMessage(1, HeaderBytes, 7, nil)
 		if rcv := x.PopWaiter(e, port); rcv != nil {
@@ -122,7 +122,7 @@ func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 		} else {
 			x.Enqueue(e, port, m)
 		}
-	})
+	}, nil)
 
 	k.Run(0)
 	if th.State() != core.StateHalted {

@@ -105,22 +105,22 @@ func TestSendRetryKeepsOptions(t *testing.T) {
 			// At 1 ms the queue drains and refills at once: the retry
 			// parks again and must arm a fresh timeout.
 			var drainedAt, second machine.Time
-			k.Clock.After(1_000_000, "drain-refill", func() {
+			k.Clock.Schedule(k.Clock.Now()+1_000_000, func(any) {
 				e := &core.Env{K: k, P: k.Procs[0]}
 				x.FreeMessage(srv.pull(x, e))
 				x.enqueue(e, srv, x.NewMessage(1, HeaderBytes, "filler2", nil))
 				drainedAt = k.Clock.Now()
-			})
+			}, nil)
 			// At 2.5 ms, past the first park's expiry and before the
 			// second's, the server starts draining.
-			k.Clock.After(2_500_000, "serve", func() {
+			k.Clock.Schedule(k.Clock.Now()+2_500_000, func(any) {
 				for _, w := range srv.sndWaiters() {
 					if !w.cancelled && w.timeout != nil && w.timeout.Pending() {
 						second = w.timeout.When
 					}
 				}
 				k.Setrun(server)
-			})
+			}, nil)
 			k.Run(0)
 
 			if first.Pending() {
@@ -197,9 +197,9 @@ func TestSendRetryKeepsReceiveTimeout(t *testing.T) {
 			if srv.SendWaiters() != 1 {
 				t.Fatalf("client not parked on the full queue: %v", client.State())
 			}
-			k.Clock.After(1_000_000, "drain", func() {
+			k.Clock.Schedule(k.Clock.Now()+1_000_000, func(any) {
 				x.FreeMessage(srv.pull(x, &core.Env{K: k, P: k.Procs[0]}))
-			})
+			}, nil)
 			k.Run(0)
 			if client.State() != core.StateHalted {
 				t.Fatalf("client stuck in %v (%q)", client.State(), client.WaitLabel)

@@ -43,12 +43,17 @@ func TestActivityHeapMatchesSweep(t *testing.T) {
 	cluster.SetDeferredForTest(true)
 	defer cluster.SetDeferredForTest(false)
 
+	// owned is a foreground timer's one holder: its action clears ev, so
+	// a handle whose event fired (and went back on the free list) is
+	// never cancelled.
 	type owned struct {
 		clock *machine.Clock
 		ev    *machine.Event
 	}
+	fired := func(arg any) { arg.(*owned).ev = nil }
+	idle := func(any) {}
 	rng := workload.NewRNG(7)
-	var live []owned
+	var live []*owned
 	check := func(step int) {
 		t.Helper()
 		hf, okf := cluster.HorizonFastForTest()
@@ -65,13 +70,18 @@ func TestActivityHeapMatchesSweep(t *testing.T) {
 		switch rng.Intn(6) {
 		case 0, 1:
 			at := s.K.Clock.Now() + machine.Time(1+rng.Intn(5_000_000))
-			live = append(live, owned{s.K.Clock, s.K.Clock.Schedule(at, "prop-fg", func() {})})
+			o := &owned{clock: s.K.Clock}
+			o.ev = s.K.Clock.Schedule(at, fired, o)
+			live = append(live, o)
 		case 2:
-			s.K.Clock.AfterBackground(machine.Duration(1+rng.Intn(5_000_000)), "prop-bg", func() {})
+			s.K.Clock.ScheduleBackground(s.K.Clock.Now()+machine.Duration(1+rng.Intn(5_000_000)), idle, nil)
 		case 3:
 			if len(live) > 0 {
 				j := rng.Intn(len(live))
-				live[j].clock.Cancel(live[j].ev)
+				if o := live[j]; o.ev != nil {
+					o.clock.Cancel(o.ev)
+					o.ev = nil
+				}
 				live = append(live[:j], live[j+1:]...)
 			}
 		case 4:

@@ -110,8 +110,14 @@ func (s *System) UnackedLen() int {
 // ordinary foreground clock event, so the parallel driver's horizon
 // rounds order it deterministically against all other work.
 func (s *System) ScheduleCrash(at machine.Time, rebootAfter machine.Duration) {
-	s.K.Clock.Schedule(at, "machine-crash", func() { s.Crash(rebootAfter) })
+	s.K.Clock.Schedule(at, s.crashTimer, rebootAfter)
 }
+
+// crashTimer is ScheduleCrash's timer action; arg is the reboot delay.
+func (s *System) crashTimer(rebootAfter any) { s.Crash(rebootAfter.(machine.Duration)) }
+
+// rebootTimer is the warm reboot's timer action.
+func (s *System) rebootTimer(any) { s.Reboot() }
 
 // Crash kills the machine now: capture the panic record, drop every
 // thread, stack and local timer, and leave the NICs discarding arrivals.
@@ -157,7 +163,7 @@ func (s *System) Crash(rebootAfter machine.Duration) {
 	s.tasks = nil
 	s.Callout, s.Reaper, s.contReaper = nil, nil, nil
 	if rebootAfter > 0 {
-		s.K.Clock.After(rebootAfter, "machine-reboot", func() { s.Reboot() })
+		s.K.Clock.Schedule(s.K.Clock.Now()+rebootAfter, s.rebootTimer, nil)
 	}
 }
 

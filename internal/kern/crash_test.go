@@ -472,7 +472,7 @@ func TestReaperReleasesRejectedCallerResources(t *testing.T) {
 	// Run would overshoot straight into the timeout firing. At the tick
 	// the caller is parked with the callout still armed.
 	tick := sys.K.Clock.Now() + machine.Duration(1e6)
-	sys.K.Clock.After(machine.Duration(1e6), "park-probe", func() {})
+	sys.K.Clock.Schedule(sys.K.Clock.Now()+machine.Duration(1e6), func(any) {}, nil)
 	sys.Run(tick)
 	if abandTh.State() != core.StateWaiting {
 		t.Fatalf("abandoned caller state = %v, want waiting", abandTh.State())

@@ -112,13 +112,9 @@ type Config struct {
 
 	// DisableDaemons omits the device subsystem and its kernel threads
 	// (io-done, netmsg, reaper), for experiments that need an exact stack
-	// census or the bare pre-device kernel.
+	// census or the bare pre-device kernel, whose VM pages in on the
+	// flat-latency path (each page-in an independent timer).
 	DisableDaemons bool
-
-	// LegacyFlatDisk boots the device subsystem but keeps VM paging on the
-	// flat-latency path (each page-in an independent timer) instead of the
-	// queued disk device, for regression comparison.
-	LegacyFlatDisk bool
 
 	// NoHandoff and NoRecognition disable individual continuation
 	// optimizations, for ablation benchmarks.
@@ -298,11 +294,7 @@ func (s *System) bootSubstrates(adopt []*dev.NIC) {
 		s.Dev = dev.NewSubsystem(s.K)
 		s.Disk = s.Dev.NewDevice("disk", lat)
 	}
-	vmDisk := s.Disk
-	if cfg.LegacyFlatDisk {
-		vmDisk = nil
-	}
-	s.VM = vm.New(s.K, vm.Config{Frames: cfg.Frames, DiskLatency: cfg.DiskLatency, Disk: vmDisk})
+	s.VM = vm.New(s.K, vm.Config{Frames: cfg.Frames, DiskLatency: cfg.DiskLatency, Disk: s.Disk})
 	s.IPC = ipc.New(s.K)
 	s.Exc = exc.New(s.K, s.IPC)
 	if s.Dev != nil {
@@ -446,11 +438,7 @@ func (s *System) calloutLoop(e *core.Env) {
 	s.CalloutTicks++
 	e.Charge(machine.Cost{Instrs: 200, Loads: 60, Stores: 30})
 	t := e.Cur()
-	s.K.Clock.AfterBackground(CalloutInterval, "callout-tick", func() {
-		if t.State() == core.StateWaiting {
-			s.K.Setrun(t)
-		}
-	})
+	s.K.WakeAtBackground(s.K.Clock.Now()+CalloutInterval, t)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "callout: tick wait"
 	// A nil continuation forces the process model even in MK40.
@@ -524,11 +512,7 @@ func (s *System) Run(deadline machine.Time) uint64 { return s.K.Run(deadline) }
 func (s *System) AllocWait(e *core.Env, frameBytes int, resume func(*core.Env)) {
 	s.AllocWaits++
 	t := e.Cur()
-	s.K.Clock.After(machine.Duration(500*1000), "kmem-free", func() {
-		if t.State() == core.StateWaiting {
-			s.K.Setrun(t)
-		}
-	})
+	s.K.WakeAt(s.K.Clock.Now()+machine.Duration(500*1000), t)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "kmem alloc"
 	s.K.Block(e, stats.BlockKernelAlloc, nil, resume, frameBytes, "kmem-wait")
@@ -540,11 +524,7 @@ func (s *System) AllocWait(e *core.Env, frameBytes int, resume func(*core.Env)) 
 func (s *System) LockWait(e *core.Env, frameBytes int, resume func(*core.Env)) {
 	s.LockWaits++
 	t := e.Cur()
-	s.K.Clock.After(machine.Duration(50*1000), "lock-release", func() {
-		if t.State() == core.StateWaiting {
-			s.K.Setrun(t)
-		}
-	})
+	s.K.WakeAt(s.K.Clock.Now()+machine.Duration(50*1000), t)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "lock wait"
 	s.K.Block(e, stats.BlockLock, nil, resume, frameBytes, "lock-wait")

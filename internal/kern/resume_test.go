@@ -9,6 +9,7 @@ import (
 	"repro/internal/dev"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/vm"
 )
@@ -37,35 +38,56 @@ func (p *syscallLog) Next(e *core.Env, t *core.Thread) core.Action {
 }
 
 // resumeOutcome is what user space and the VM observe of one scenario.
+// Waits lists, for a scenario that names a waiter, each of that thread's
+// blocks that a wake-up ended: its reason, whether it kept its stack
+// (the process model), and the simulated time from block to wake-up.
 type resumeOutcome struct {
 	Rets                                         []uint64
 	Resident                                     string
 	FreeFrames                                   int
 	Evictions, FrameWaits, CowBreaks, DiskFaults uint64
 	DevBlocks, FaultBlocks                       uint64
+	Waits                                        []string
 }
 
 const resumeDisk = machine.Duration(500 * 1000) // 500 µs
+
+// resumeScenario is one entry of TestResumePointsAgreeAcrossKernels.
+// setup arranges state before the user thread starts; acts are its
+// actions. A scenario with a waiter boots the callout thread and reports
+// the waits of the thread waiter names (the user thread when it returns
+// nil).
+type resumeScenario struct {
+	name   string
+	setup  func(*kern.System)
+	acts   func(*kern.System) []core.Action
+	waiter func(*kern.System) *core.Thread
+	check  func(resumeOutcome) error
+}
 
 // runResumeScenario boots flavor with an 8-frame memory whose frames
 // space 1 holds (pages 1-8), lets setup arrange more state, runs acts on
 // one thread in space 2 to quiescence with the invariant sweep armed, and
 // reports the outcome.
-func runResumeScenario(t *testing.T, flavor kern.Flavor, setup func(*kern.System), acts func(*kern.System) []core.Action) resumeOutcome {
+func runResumeScenario(t *testing.T, flavor kern.Flavor, sc resumeScenario) resumeOutcome {
 	t.Helper()
 	sys := kern.New(kern.Config{
 		Flavor: flavor, Arch: machine.ArchDS3100,
-		DisableCallout: true, DiskLatency: resumeDisk, Frames: 8,
+		DisableCallout: sc.waiter == nil, DiskLatency: resumeDisk, Frames: 8,
 	})
 	sys.K.DebugChecks = true
+	var rec *obs.Recorder
+	if sc.waiter != nil {
+		rec = sys.EnableObservation(obs.DefaultCapacity)
+	}
 	owner, user := sys.NewTask("owner"), sys.NewTask("user")
 	for p := uint64(1); p <= 8; p++ {
 		sys.VM.Touch(owner.ID, p<<vm.PageShift)
 	}
-	if setup != nil {
-		setup(sys)
+	if sc.setup != nil {
+		sc.setup(sys)
 	}
-	prog := &syscallLog{acts: acts(sys)}
+	prog := &syscallLog{acts: sc.acts(sys)}
 	th := user.NewThread("u", prog, 10)
 	sys.Start(th)
 	sys.Run(0)
@@ -87,6 +109,14 @@ func runResumeScenario(t *testing.T, flavor kern.Flavor, setup func(*kern.System
 			}
 		}
 	}
+	var waits []string
+	if sc.waiter != nil {
+		w := sc.waiter(sys)
+		if w == nil {
+			w = th
+		}
+		waits = waitsOf(rec.Events(), w.ID)
+	}
 	st := sys.K.Stats
 	return resumeOutcome{
 		Rets:        prog.rets,
@@ -98,7 +128,50 @@ func runResumeScenario(t *testing.T, flavor kern.Flavor, setup func(*kern.System
 		DiskFaults:  sys.VM.DiskFaults,
 		DevBlocks:   st.BlocksWithDiscard[stats.BlockDeviceIO] + st.BlocksWithoutDiscard[stats.BlockDeviceIO],
 		FaultBlocks: st.BlocksWithDiscard[stats.BlockPageFault] + st.BlocksWithoutDiscard[stats.BlockPageFault],
+		Waits:       waits,
 	}
+}
+
+// waitsOf pairs thread tid's blocks with the wake-ups that ended them, in
+// the form resumeOutcome.Waits documents. Only blocks after the thread's
+// first observed wake-up count: the callout thread's first block comes
+// before anything observed woke it, in the boot's contention for the
+// processor, where the kernels' stack costs differ.
+func waitsOf(evs []obs.Event, tid int) []string {
+	var waits []string
+	var blocked *obs.Event
+	woken := false
+	for i := range evs {
+		ev := &evs[i]
+		switch {
+		case ev.TID != tid:
+		case ev.Kind == obs.ThreadBlocked:
+			blocked = ev
+		case ev.Kind == obs.Wakeup:
+			if blocked != nil && woken {
+				model := "continuation"
+				if blocked.Cont == "" {
+					model = "process model"
+				}
+				waits = append(waits, fmt.Sprintf("%s, %s, woken after %v", blocked.Detail, model, ev.When-blocked.When))
+			}
+			blocked, woken = nil, true
+		}
+	}
+	return waits
+}
+
+// processWait is the one wait a process-model scenario expects.
+func processWait(reason stats.BlockReason, d machine.Duration) string {
+	return fmt.Sprintf("%s, process model, woken after %v", reason, d)
+}
+
+// waitSyscall is a system call whose body starts wait and returns ret
+// once it resumes.
+func waitSyscall(wait func(e *core.Env, resume func(*core.Env)), ret uint64) core.Action {
+	return core.Syscall("wait", func(e *core.Env) {
+		wait(e, func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, ret) })
+	})
 }
 
 func touch(page uint64, write bool) core.Action {
@@ -111,15 +184,15 @@ func touch(page uint64, write bool) core.Action {
 // device_write_continue (a completed write, then one whose every attempt
 // times out through the retry path), vm_fault_retry after a page-in frame
 // wait and after a copy-on-write frame wait, and pageout_continue, which
-// frees the frames both waits need. The kernels differ in cost only, so
-// return values, page residency and freed frames must agree.
+// frees the frames both waits need. It also runs the waits that block
+// under the process model in every kernel and wake on a timer
+// (Kernel.WakeAt): the kmem and lock waits, a kernel-mode page fault and
+// the callout thread's tick. The kernels differ in cost only, so return
+// values, page residency, freed frames and each timed wait's reason and
+// length must agree.
 func TestResumePointsAgreeAcrossKernels(t *testing.T) {
-	scenarios := []struct {
-		name  string
-		setup func(*kern.System)
-		acts  func(*kern.System) []core.Action
-		check func(resumeOutcome) error
-	}{
+	user := func(*kern.System) *core.Thread { return nil }
+	scenarios := []resumeScenario{
 		{
 			name: "device_write",
 			acts: func(sys *kern.System) []core.Action {
@@ -168,18 +241,77 @@ func TestResumePointsAgreeAcrossKernels(t *testing.T) {
 				return nil
 			},
 		},
+		{
+			name: "kmem wait",
+			acts: func(sys *kern.System) []core.Action {
+				return []core.Action{waitSyscall(func(e *core.Env, resume func(*core.Env)) {
+					sys.AllocWait(e, 256, resume)
+				}, 41)}
+			},
+			waiter: user,
+			check:  wantTimedWait(41, processWait(stats.BlockKernelAlloc, 500*1000)),
+		},
+		{
+			name: "lock wait",
+			acts: func(sys *kern.System) []core.Action {
+				return []core.Action{waitSyscall(func(e *core.Env, resume func(*core.Env)) {
+					sys.LockWait(e, 128, resume)
+				}, 42)}
+			},
+			waiter: user,
+			check:  wantTimedWait(42, processWait(stats.BlockLock, 50*1000)),
+		},
+		{
+			name: "kernel fault",
+			acts: func(sys *kern.System) []core.Action {
+				return []core.Action{waitSyscall(func(e *core.Env, resume func(*core.Env)) {
+					sys.VM.KernelFault(e, 256, resume)
+				}, 43)}
+			},
+			waiter: user,
+			check:  wantTimedWait(43, processWait(stats.BlockKernelFault, resumeDisk)),
+		},
+		{
+			// A foreground timer just past the second tick keeps the run
+			// going until the tick has woken the callout thread twice;
+			// the wait between the two ticks is the one observed.
+			name: "callout tick",
+			setup: func(sys *kern.System) {
+				sys.K.Clock.Schedule(2*kern.CalloutInterval+resumeDisk, func(any) {}, nil)
+			},
+			acts:   func(*kern.System) []core.Action { return nil },
+			waiter: func(sys *kern.System) *core.Thread { return sys.Callout },
+			check: func(o resumeOutcome) error {
+				want := processWait(stats.BlockInternal, kern.CalloutInterval)
+				if len(o.Waits) != 1 || o.Waits[0] != want {
+					return fmt.Errorf("want one wait %q", want)
+				}
+				return nil
+			},
+		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			want := runResumeScenario(t, kern.MK40, sc.setup, sc.acts)
+			want := runResumeScenario(t, kern.MK40, sc)
 			if err := sc.check(want); err != nil {
 				t.Fatalf("MK40: %v; got %+v", err, want)
 			}
 			for _, flavor := range []kern.Flavor{kern.MK32, kern.Mach25} {
-				if got := runResumeScenario(t, flavor, sc.setup, sc.acts); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				if got := runResumeScenario(t, flavor, sc); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 					t.Errorf("%v: %+v\nMK40: %+v", flavor, got, want)
 				}
 			}
 		})
+	}
+}
+
+// wantTimedWait checks a scenario whose one system call makes one timed
+// wait: it returns ret, and the user thread's only wait is wait.
+func wantTimedWait(ret uint64, wait string) func(resumeOutcome) error {
+	return func(o resumeOutcome) error {
+		if len(o.Rets) != 1 || o.Rets[0] != ret || len(o.Waits) != 1 || o.Waits[0] != wait {
+			return fmt.Errorf("want return %d and one wait %q", ret, wait)
+		}
+		return nil
 	}
 }

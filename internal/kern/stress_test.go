@@ -54,11 +54,11 @@ func (p *chaosProgram) Next(e *core.Env, t *core.Thread) core.Action {
 		return core.Syscall("sleep", func(e *core.Env) {
 			th := e.Cur()
 			d := machine.Duration(1000 * (1 + p.rng.Intn(500)))
-			p.sys.K.Clock.After(d, "chaos-sleep", func() {
+			p.sys.K.Clock.Schedule(p.sys.K.Clock.Now()+d, func(any) {
 				if th.State() == core.StateWaiting {
 					p.sys.K.Setrun(th)
 				}
-			})
+			}, nil)
 			e.K.SetState(th, core.StateWaiting)
 			p.sys.K.Block(e, stats.BlockInternal, chaosSleepDone,
 				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 0) }, 96, "chaos-sleep")

@@ -69,11 +69,11 @@ func TestWaitResultAcrossSubsystems(t *testing.T) {
 					send(e, stuffed) // fills the queue
 				},
 				func(e *core.Env) {
-					sys.K.Clock.After(ms, "abort", func() {
+					sys.K.Clock.Schedule(sys.K.Clock.Now()+ms, func(any) {
 						if !sys.ThreadAbort(client) {
 							t.Error("ThreadAbort refused the parked sender")
 						}
-					})
+					}, nil)
 					send(e, stuffed)
 				},
 				func(e *core.Env) {

@@ -22,40 +22,32 @@ func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Micros()) }
 type Duration = Time
 
 // Event is a deferred action in simulated time: a timer expiry, a disk
-// completion, a device interrupt.
+// completion, a device interrupt, a wire arrival. Like a continuation it
+// is a function bound once plus the state it acts on: fn runs on arg.
+// Every event comes from its clock's free list and goes back to it once
+// it has fired, been cancelled or been purged.
 type Event struct {
 	When Time
-	// Fire runs when the clock reaches When. It executes in dispatcher
-	// context (not on any thread's stack). An event from the clock's free
-	// list has none; it runs arrive instead.
-	Fire func()
-	// Label describes the event for traces.
-	Label string
 	// Background marks housekeeping events (periodic kernel ticks) that
 	// should not, by themselves, keep an otherwise quiescent simulation
 	// alive.
 	Background bool
 
-	// arrive and arg are the action of an event from the clock's free
-	// list: a wire arrival (ScheduleRemote) or a local timer with no
-	// closure (ScheduleArg).
-	arrive func(any)
-	arg    any
+	// fn runs with arg when the clock reaches When, in dispatcher context
+	// (not on any thread's stack).
+	fn  func(any)
+	arg any
 
 	seq   uint64 // tiebreaker for determinism
 	index int    // heap bookkeeping; negative once out of the heap
 }
 
-// Negative Event.index values: popped (fired or about to be), cancelled,
-// and an event back on its clock's free list.
+// Negative Event.index values: popped (fired or about to be), and an
+// event back on its clock's free list.
 const (
-	indexPopped    = -1
-	indexCancelled = -2
-	indexRecycled  = -3
+	indexPopped   = -1
+	indexRecycled = -2
 )
-
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == indexCancelled }
 
 // Pending reports whether the event is still queued (neither fired nor
 // cancelled). The invariant checker uses it to prove that cancelled
@@ -107,12 +99,12 @@ type Clock struct {
 	// ever lower-bound activity conservatively.
 	watcher func()
 
-	// free holds fired and cancelled events for ScheduleRemote and
-	// ScheduleArg to reuse. Only this machine's own context touches it:
-	// the barrier flush schedules single-threaded, and the machine's own
-	// round schedules, fires, cancels and frees. Events never move
-	// between clocks, so the list is bounded by the clock's peak number
-	// of pending pooled events.
+	// free holds fired, cancelled and purged events for the next schedule
+	// to reuse. Only this machine's own context touches it: the barrier
+	// flush schedules single-threaded, and the machine's own round
+	// schedules, fires, cancels and frees. Events never move between
+	// clocks, so the list is bounded by the clock's peak number of pending
+	// events.
 	free []*Event
 }
 
@@ -150,15 +142,29 @@ func (c *Clock) AdvanceMicros(us float64) {
 	c.Advance(Duration(us*1000 + 0.5))
 }
 
-// Schedule registers fn to fire at absolute time when. Scheduling in the
-// past is allowed; the event becomes due immediately.
-func (c *Clock) Schedule(when Time, label string, fn func()) *Event {
-	e := &Event{When: when, Fire: fn, Label: label, seq: c.seq}
+// Schedule registers fn(arg) to fire at absolute time when. Scheduling in
+// the past is allowed; the event becomes due immediately. fn is meant to
+// be bound once and arg to carry what it acts on, so a timer needs no
+// closure. The returned handle is valid until Fire has run fn or Cancel
+// has removed the event; either puts it back on the free list. A caller
+// that may cancel the timer is its one holder and clears the handle at
+// both points: first thing in fn, and right after every Cancel. From then
+// on the event may be queued again for an unrelated timer, and a kept
+// handle would name that one. A caller that never cancels drops the
+// handle. PurgeLocal recycles a pending event too; a crash drops its
+// holder with the rest of the dead incarnation.
+func (c *Clock) Schedule(when Time, fn func(any), arg any) *Event {
+	seq := c.seq
 	c.seq++
-	heap.Push(&c.events, e)
-	c.foreground++
-	c.notify()
-	return e
+	return c.schedule(when, seq, false, fn, arg)
+}
+
+// ScheduleBackground is Schedule for a housekeeping event, which does not
+// keep an idle simulation alive (see HasForeground).
+func (c *Clock) ScheduleBackground(when Time, fn func(any), arg any) *Event {
+	seq := c.seq
+	c.seq++
+	return c.schedule(when, seq, true, fn, arg)
 }
 
 // remoteBand is the high bit of the tie-break sequence. Local events use
@@ -175,32 +181,15 @@ const remoteBand = uint64(1) << 63
 // with arg when it fires. key must be unique among pending remote events
 // and deterministic for the packet it represents (the cluster drivers
 // build it from the receiving NIC's index and the sender's emission
-// counter). The event comes from the clock's free list and goes back to
-// it once Fire has run it, so no handle is returned: nothing may cancel
-// an arrival or keep it past its firing. A crash cannot recall one
-// either (PurgeLocal keeps them).
-func (c *Clock) ScheduleRemote(when Time, key uint64, label string, fn func(any), arg any) {
-	c.schedulePooled(when, remoteBand|key, label, fn, arg)
+// counter). No handle is returned: nothing may cancel an arrival or keep
+// it past its firing. A crash cannot recall one either (PurgeLocal keeps
+// them).
+func (c *Clock) ScheduleRemote(when Time, key uint64, fn func(any), arg any) {
+	c.schedule(when, remoteBand|key, false, fn, arg)
 }
 
-// ScheduleArg registers fn(arg) to fire at absolute time when, ordered
-// like Schedule. fn is meant to be bound once and arg to carry what it
-// acts on, so the timer needs no closure; its event comes from the
-// clock's free list and goes back to it once Fire has run it or Cancel
-// has removed it. The returned handle is valid until then and has one
-// holder, which clears it at both points: first thing in fn, and right
-// after every Cancel. From then on the event may be queued again for an
-// unrelated timer, and a kept handle would name that one. PurgeLocal
-// recycles a pending one too; a crash drops its holder with the rest of
-// the dead incarnation.
-func (c *Clock) ScheduleArg(when Time, label string, fn func(any), arg any) *Event {
-	seq := c.seq
-	c.seq++
-	return c.schedulePooled(when, seq, label, fn, arg)
-}
-
-// schedulePooled queues fn(arg) at when on an event from the free list.
-func (c *Clock) schedulePooled(when Time, seq uint64, label string, fn func(any), arg any) *Event {
+// schedule queues fn(arg) at when on an event from the free list.
+func (c *Clock) schedule(when Time, seq uint64, background bool, fn func(any), arg any) *Event {
 	var e *Event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
@@ -208,76 +197,54 @@ func (c *Clock) schedulePooled(when Time, seq uint64, label string, fn func(any)
 	} else {
 		e = new(Event)
 	}
-	*e = Event{When: when, Label: label, arrive: fn, arg: arg, seq: seq}
+	*e = Event{When: when, Background: background, fn: fn, arg: arg, seq: seq}
 	heap.Push(&c.events, e)
-	c.foreground++
+	if !background {
+		c.foreground++
+	}
 	c.notify()
 	return e
 }
 
-// Fire runs an event the caller popped (PopDue, AdvanceToNextEvent). An
-// event from the free list (ScheduleRemote, ScheduleArg) returns to it
-// once it has run. With checks set (the kernel's DebugChecks), firing an
-// event that is already back on the free list panics.
+// Fire runs an event the caller popped (PopDue, AdvanceToNextEvent), then
+// returns it to the free list. With checks set (the kernel's
+// DebugChecks), firing an event that is already back on the free list
+// panics.
 func (c *Clock) Fire(e *Event, checks bool) {
 	if checks && e.index == indexRecycled {
-		panic("machine: pooled event fired after it was recycled")
+		panic("machine: event fired after it was recycled")
 	}
-	if e.arrive == nil {
-		e.Fire()
-		return
-	}
-	e.arrive(e.arg)
+	e.fn(e.arg)
 	c.recycle(e)
 }
 
-// recycle puts a pooled event that has left the heap back on the free
-// list.
+// recycle puts an event that has left the heap back on the free list.
 func (c *Clock) recycle(e *Event) {
 	*e = Event{index: indexRecycled}
 	c.free = append(c.free, e)
-}
-
-// After registers fn to fire d nanoseconds from now.
-func (c *Clock) After(d Duration, label string, fn func()) *Event {
-	return c.Schedule(c.now+d, label, fn)
-}
-
-// AfterBackground registers a housekeeping event that does not keep an
-// idle simulation alive (see HasForeground).
-func (c *Clock) AfterBackground(d Duration, label string, fn func()) *Event {
-	e := c.Schedule(c.now+d, label, fn)
-	e.Background = true
-	c.foreground--
-	c.notify()
-	return e
 }
 
 // HasForeground reports whether any pending event is a real one (not
 // housekeeping); the run loop quiesces when none remain.
 func (c *Clock) HasForeground() bool { return c.foreground > 0 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op returning false. A pooled timer
-// (ScheduleArg) goes back to the free list, so its holder clears the
-// handle right after; cancelling an event that is already on the free
-// list panics, since a handle kept that long may name a reused event.
+// Cancel removes a pending event and returns it to the free list, so its
+// holder clears the handle right after. Cancelling nil, or an event
+// popped but not yet fired, is a no-op returning false; cancelling an
+// event that is already on the free list panics, since a handle kept that
+// long may name a reused event.
 func (c *Clock) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 {
-		if e != nil && e.index == indexRecycled {
-			panic("machine: pooled event cancelled after it was recycled")
-		}
+	if e == nil || e.index == indexPopped {
 		return false
+	}
+	if e.index == indexRecycled {
+		panic("machine: event cancelled after it was recycled")
 	}
 	heap.Remove(&c.events, e.index)
 	if !e.Background {
 		c.foreground--
 	}
-	if e.arrive != nil {
-		c.recycle(e)
-	} else {
-		e.index = indexCancelled
-	}
+	c.recycle(e)
 	c.notify()
 	return true
 }
@@ -328,11 +295,11 @@ func (c *Clock) Pending() int { return len(c.events) }
 
 // PurgeLocal cancels every locally-scheduled pending event — callout
 // expiries, retransmit timers, device completions, background ticks —
-// and returns how many it removed. Events scheduled by a remote machine
-// (ScheduleRemote's band) survive: they model packets already on the
-// wire, which a machine crash cannot recall. The crashed machine's
-// receive path is responsible for dropping them on arrival. A purged
-// ScheduleArg timer goes back to the free list.
+// returns it to the free list, and returns how many it removed. Events
+// scheduled by a remote machine (ScheduleRemote's band) survive: they
+// model packets already on the wire, which a machine crash cannot recall.
+// The crashed machine's receive path is responsible for dropping them on
+// arrival.
 func (c *Clock) PurgeLocal() int {
 	kept := c.events[:0]
 	purged := 0
@@ -341,13 +308,10 @@ func (c *Clock) PurgeLocal() int {
 			kept = append(kept, e)
 			continue
 		}
-		e.index = indexCancelled
 		if !e.Background {
 			c.foreground--
 		}
-		if e.arrive != nil {
-			c.recycle(e)
-		}
+		c.recycle(e)
 		purged++
 	}
 	// Zero the tail so purged events are not retained by the backing

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -45,22 +46,29 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 	NewClock().AdvanceMicros(-1)
 }
 
+// record returns an action that appends its argument to *fired.
+func record(fired *[]string) func(any) {
+	return func(arg any) { *fired = append(*fired, arg.(string)) }
+}
+
+func nop(any) {}
+
 func TestEventOrdering(t *testing.T) {
 	c := NewClock()
 	var fired []string
-	c.Schedule(300, "c", func() { fired = append(fired, "c") })
-	c.Schedule(100, "a", func() { fired = append(fired, "a") })
-	c.Schedule(200, "b", func() { fired = append(fired, "b") })
+	c.Schedule(300, record(&fired), "c")
+	c.Schedule(100, record(&fired), "a")
+	c.Schedule(200, record(&fired), "b")
 
 	c.Advance(250)
 	for e := c.PopDue(); e != nil; e = c.PopDue() {
-		e.Fire()
+		c.Fire(e, true)
 	}
 	if len(fired) != 2 || fired[0] != "a" || fired[1] != "b" {
 		t.Fatalf("fired = %v", fired)
 	}
 	c.Advance(100)
-	if e := c.PopDue(); e == nil || e.Label != "c" {
+	if e := c.PopDue(); e == nil || e.When != 300 {
 		t.Fatalf("expected c due, got %+v", e)
 	}
 }
@@ -69,12 +77,11 @@ func TestEventSameTimeFIFO(t *testing.T) {
 	c := NewClock()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		c.Schedule(50, "e", func() { order = append(order, i) })
+		c.Schedule(50, func(arg any) { order = append(order, arg.(int)) }, i)
 	}
 	c.Advance(50)
 	for e := c.PopDue(); e != nil; e = c.PopDue() {
-		e.Fire()
+		c.Fire(e, true)
 	}
 	for i, v := range order {
 		if v != i {
@@ -83,22 +90,23 @@ func TestEventSameTimeFIFO(t *testing.T) {
 	}
 }
 
+// TestEventCancel cancels a pending event: it never fires, and its event
+// goes back on the free list, so a second Cancel through the kept handle
+// panics as recycled.
 func TestEventCancel(t *testing.T) {
 	c := NewClock()
 	fired := false
-	e := c.Schedule(10, "x", func() { fired = true })
+	e := c.Schedule(10, func(any) { fired = true }, nil)
 	if !c.Cancel(e) {
 		t.Fatal("Cancel returned false for pending event")
 	}
-	if c.Cancel(e) {
-		t.Fatal("double cancel returned true")
+	if e.Pending() {
+		t.Fatal("cancelled event still pending")
 	}
-	if !e.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
+	mustPanic(t, "machine: event cancelled after it was recycled", func() { c.Cancel(e) })
 	c.Advance(20)
 	if ev := c.PopDue(); ev != nil {
-		t.Fatalf("cancelled event still due: %v", ev.Label)
+		t.Fatalf("cancelled event still due at %v", ev.When)
 	}
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -113,7 +121,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	var es []*Event
 	for i := 0; i < 20; i++ {
 		when := Time((i * 37) % 100)
-		es = append(es, c.Schedule(when, "e", func() {}))
+		es = append(es, c.Schedule(when, nop, nil))
 	}
 	// Cancel every third event, then verify the rest drain in time order.
 	for i := 0; i < len(es); i += 3 {
@@ -137,9 +145,9 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 
 func TestAdvanceToNextEvent(t *testing.T) {
 	c := NewClock()
-	c.Schedule(500, "wake", func() {})
+	wake := c.Schedule(500, nop, nil)
 	e := c.AdvanceToNextEvent()
-	if e == nil || e.Label != "wake" {
+	if e != wake {
 		t.Fatalf("AdvanceToNextEvent = %+v", e)
 	}
 	if c.Now() != 500 {
@@ -152,7 +160,7 @@ func TestAdvanceToNextEvent(t *testing.T) {
 
 func TestAdvanceToNextEventNeverGoesBack(t *testing.T) {
 	c := NewClock()
-	c.Schedule(10, "past", func() {})
+	c.Schedule(10, nop, nil)
 	c.Advance(100)
 	c.AdvanceToNextEvent()
 	if c.Now() != 100 {
@@ -162,9 +170,9 @@ func TestAdvanceToNextEventNeverGoesBack(t *testing.T) {
 
 func TestPopDueNotEarly(t *testing.T) {
 	c := NewClock()
-	c.Schedule(10, "later", func() {})
+	c.Schedule(10, nop, nil)
 	if e := c.PopDue(); e != nil {
-		t.Fatalf("event due early: %v", e.Label)
+		t.Fatalf("event due early: %v", e.When)
 	}
 	if c.Pending() != 1 {
 		t.Fatalf("Pending = %d", c.Pending())
@@ -177,7 +185,7 @@ func TestEventHeapProperty(t *testing.T) {
 	f := func(times []uint32) bool {
 		c := NewClock()
 		for _, ti := range times {
-			c.Schedule(Time(ti), "e", func() {})
+			c.Schedule(Time(ti), nop, nil)
 		}
 		c.now = ^Time(0) >> 1
 		var last Time
@@ -208,12 +216,11 @@ func TestTimeConversions(t *testing.T) {
 func TestPurgeLocalKeepsWireEvents(t *testing.T) {
 	c := NewClock()
 	var fired []string
-	c.Schedule(10, "local-a", func() { fired = append(fired, "local-a") })
-	c.AfterBackground(20, "tick", func() { fired = append(fired, "tick") })
-	arrive := func(label any) { fired = append(fired, label.(string)) }
-	c.ScheduleRemote(15, 1, "wire-1", arrive, "wire-1")
-	c.ScheduleRemote(15, 2, "wire-2", arrive, "wire-2")
-	c.Schedule(30, "local-b", func() { fired = append(fired, "local-b") })
+	c.Schedule(10, record(&fired), "local-a")
+	c.ScheduleBackground(20, record(&fired), "tick")
+	c.ScheduleRemote(15, 1, record(&fired), "wire-1")
+	c.ScheduleRemote(15, 2, record(&fired), "wire-2")
+	c.Schedule(30, record(&fired), "local-b")
 
 	if purged := c.PurgeLocal(); purged != 3 {
 		t.Fatalf("purged %d events, want 3 (two local + one background)", purged)
@@ -239,20 +246,21 @@ func TestPurgeLocalKeepsWireEvents(t *testing.T) {
 	}
 }
 
+// TestPurgeLocalCancelledEventsStayDead purges a pending local event: it
+// never fires, and it is back on the free list, so a Cancel through the
+// kept handle panics as recycled.
 func TestPurgeLocalCancelledEventsStayDead(t *testing.T) {
 	c := NewClock()
 	ran := false
-	e := c.Schedule(10, "local", func() { ran = true })
+	e := c.Schedule(10, func(any) { ran = true }, nil)
 	c.PurgeLocal()
 	if e.Pending() {
 		t.Fatal("purged event still pending")
 	}
-	if c.Cancel(e) {
-		t.Fatal("Cancel succeeded on a purged event")
-	}
+	mustPanic(t, "machine: event cancelled after it was recycled", func() { c.Cancel(e) })
 	c.Advance(20)
 	if got := c.PopDue(); got != nil {
-		t.Fatalf("PopDue returned purged event %v", got.Label)
+		t.Fatalf("PopDue returned purged event at %v", got.When)
 	}
 	if ran {
 		t.Fatal("purged event fired")
@@ -322,15 +330,14 @@ func (r *refClock) pop() (refEvent, bool) {
 	return p, true
 }
 
-// TestRecycledArrivalsFireInReferenceOrder mixes wire arrivals and
-// ScheduleArg timers, whose events the clock recycles, with local
-// Schedule, Cancel and PurgeLocal over seeded random sequences, and
-// requires every event to fire in the order of a reference clock that
-// never recycles. Some pooled events schedule an arrival while they
-// fire, before their own event is freed. Pooled timers are cancelled at
-// random too: each has one holder, which clears its handle first thing
-// in the action and right after a Cancel (or when a purge drops it), so
-// a cancelled event goes back on the free list and may be reused.
+// TestRecycledArrivalsFireInReferenceOrder mixes wire arrivals and local
+// timers, whose events the clock recycles, with Cancel and PurgeLocal
+// over seeded random sequences, and requires every event to fire in the
+// order of a reference clock that never recycles. Some events schedule an
+// arrival while they fire, before their own event is freed. Every local
+// timer has one holder, which clears its handle first thing in the
+// action and right after a Cancel (or when a purge drops it), so a
+// cancelled event goes back on the free list and may be reused.
 func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 	reused, cancelled := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -338,7 +345,6 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 		c := NewClock()
 		ref := &refClock{}
 		var fired []string
-		var handles []*Event
 		seen := make(map[*Event]bool)
 		key := uint64(0)
 		var remote func(label string)
@@ -353,10 +359,10 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 			key++
 			k := uint64(rng.Intn(8))<<32 | key
 			when := c.Now() + Time(rng.Intn(50))
-			c.ScheduleRemote(when, k, label, arrive, label)
+			c.ScheduleRemote(when, k, arrive, label)
 			ref.remote(when, k, label)
 		}
-		// armed lists the holders of pending pooled timers.
+		// armed lists the holders of pending local timers.
 		type holder struct {
 			label string
 			ev    *Event
@@ -379,24 +385,14 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			label := string(rune('a'+op%26)) + "." + string(rune('0'+op/26%10)) + "." + string(rune('0'+op/260))
 			switch x := rng.Intn(11); {
-			case x < 3:
-				when := c.Now() + Time(rng.Intn(50))
-				e := c.Schedule(when, label, func() { fired = append(fired, label) })
-				ref.schedule(when, label, e)
-				handles = append(handles, e)
 			case x < 4:
 				when := c.Now() + Time(rng.Intn(50))
 				h := &holder{label: label}
-				h.ev = c.ScheduleArg(when, label, tick, h)
+				h.ev = c.Schedule(when, tick, h)
 				armed = append(armed, h)
 				ref.schedule(when, label, h.ev)
 			case x < 6:
 				remote(label)
-			case x < 7 && len(handles) > 0:
-				e := handles[rng.Intn(len(handles))]
-				if got, want := c.Cancel(e), ref.cancel(e); got != want {
-					t.Fatalf("seed %d: Cancel(%s) = %v, reference %v", seed, e.Label, got, want)
-				}
 			case x < 8 && len(armed) > 0:
 				h := armed[rng.Intn(len(armed))]
 				e := h.ev
@@ -425,15 +421,13 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 					if ev == nil {
 						break
 					}
-					if ev.When != want.when || ev.Label != want.label {
-						t.Fatalf("seed %d: popped %s@%d, reference %s@%d", seed, ev.Label, ev.When, want.label, want.when)
+					if ev.When != want.when {
+						t.Fatalf("seed %d: popped an event at %d, reference %s@%d", seed, ev.When, want.label, want.when)
 					}
-					if ev.Fire == nil {
-						if seen[ev] {
-							reused++
-						}
-						seen[ev] = true
+					if seen[ev] {
+						reused++
 					}
+					seen[ev] = true
 					c.Fire(ev, true)
 					if got := fired[len(fired)-1]; got != want.label {
 						t.Fatalf("seed %d: fired %s, reference %s", seed, got, want.label)
@@ -443,10 +437,10 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 		}
 		for ev := c.AdvanceToNextEvent(); ev != nil; ev = c.AdvanceToNextEvent() {
 			want, _ := ref.pop()
-			if ev.Label != want.label {
-				t.Fatalf("seed %d: drained %s, reference %s", seed, ev.Label, want.label)
-			}
 			c.Fire(ev, true)
+			if got := fired[len(fired)-1]; got != want.label {
+				t.Fatalf("seed %d: drained %s, reference %s", seed, got, want.label)
+			}
 		}
 		if len(ref.pending) != 0 || c.HasForeground() || len(armed) != 0 {
 			t.Fatalf("seed %d: %d reference events left, clock foreground %v, %d timers armed",
@@ -454,47 +448,49 @@ func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
 		}
 	}
 	if reused == 0 || cancelled == 0 {
-		t.Fatalf("%d pooled events reused, %d pooled timers cancelled; want both", reused, cancelled)
+		t.Fatalf("%d events reused, %d timers cancelled; want both", reused, cancelled)
 	}
 }
 
-// TestCancelAfterRecyclingPanics pins the clock's guard on a pooled
-// timer's handle kept too long: cancelling the event once it is back on
-// the free list, after it fired or after an earlier Cancel, panics by
-// name. Cancelling a pending pooled timer returns its event to the free
-// list, and the next ScheduleArg reuses it.
+// mustPanic runs f and requires it to panic with want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestCancelAfterRecyclingPanics pins the clock's guard on a timer's
+// handle kept too long: cancelling the event once it is back on the free
+// list, after it fired or after an earlier Cancel, panics by name.
+// Cancelling a pending timer returns its event to the free list, and the
+// next Schedule reuses it.
 func TestCancelAfterRecyclingPanics(t *testing.T) {
-	const want = "machine: pooled event cancelled after it was recycled"
-	wantPanic := func(t *testing.T, f func()) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r != want {
-				t.Fatalf("panic %v, want %q", r, want)
-			}
-		}()
-		f()
-	}
+	const want = "machine: event cancelled after it was recycled"
 	t.Run("after firing", func(t *testing.T) {
 		c := NewClock()
-		ev := c.ScheduleArg(5, "timer", func(any) {}, nil)
+		ev := c.Schedule(5, nop, nil)
 		c.Fire(c.AdvanceToNextEvent(), true)
-		wantPanic(t, func() { c.Cancel(ev) })
+		mustPanic(t, want, func() { c.Cancel(ev) })
 	})
 	t.Run("after cancelling", func(t *testing.T) {
 		c := NewClock()
 		ran := false
-		ev := c.ScheduleArg(5, "timer", func(any) { ran = true }, nil)
+		ev := c.Schedule(5, func(any) { ran = true }, nil)
 		if !c.Cancel(ev) || ev.Pending() || c.HasForeground() || c.Pending() != 0 {
-			t.Fatal("Cancel left the pooled timer queued")
+			t.Fatal("Cancel left the timer queued")
 		}
-		if again := c.ScheduleArg(7, "next", func(any) {}, nil); again != ev {
+		if again := c.Schedule(7, nop, nil); again != ev {
 			t.Fatal("the cancelled event was not reused")
 		}
 		c.Fire(c.AdvanceToNextEvent(), true)
 		if ran {
 			t.Fatal("the cancelled timer's action ran")
 		}
-		wantPanic(t, func() { c.Cancel(ev) })
+		mustPanic(t, want, func() { c.Cancel(ev) })
 	})
 }
 
@@ -504,20 +500,24 @@ func TestCancelAfterRecyclingPanics(t *testing.T) {
 func TestArrivalFiredAfterRecyclingPanics(t *testing.T) {
 	c := NewClock()
 	n := 0
-	c.ScheduleRemote(5, 1, "wire", func(any) { n++ }, nil)
+	c.ScheduleRemote(5, 1, func(any) { n++ }, nil)
 	ev := c.AdvanceToNextEvent()
 	c.Fire(ev, true)
 	if n != 1 {
 		t.Fatalf("arrival ran %d times, want 1", n)
 	}
-	defer func() {
-		const want = "machine: pooled event fired after it was recycled"
-		if r := recover(); r != want {
-			t.Fatalf("panic %v, want %q", r, want)
-		}
-		if n != 1 {
-			t.Fatalf("recycled arrival ran again (%d runs)", n)
-		}
-	}()
-	c.Fire(ev, true)
+	mustPanic(t, "machine: event fired after it was recycled", func() { c.Fire(ev, true) })
+	if n != 1 {
+		t.Fatalf("recycled arrival ran again (%d runs)", n)
+	}
+}
+
+// TestEventLayout pins the size of a clock event, which every pending
+// timer, device completion and wire arrival holds: a time, the
+// background mark, one bound action and its argument, and the heap's
+// tie-break and index.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 56 {
+		t.Errorf("Event is %d bytes, want at most 56", n)
+	}
 }

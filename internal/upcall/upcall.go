@@ -180,9 +180,8 @@ func (a *AsyncIO) Submit(e *core.Env, latency machine.Duration, oncomplete *core
 	e.Charge(submitCost)
 	a.Submitted++
 	a.inflight[t.ID]++
-	a.sys.K.Clock.After(latency, "aio-complete", func() {
-		a.complete(t, oncomplete)
-	})
+	clock := a.sys.K.Clock
+	clock.Schedule(clock.Now()+latency, func(any) { a.complete(t, oncomplete) }, nil)
 }
 
 // complete runs at I/O completion (interrupt context).

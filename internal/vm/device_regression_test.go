@@ -26,16 +26,16 @@ func serialFaulter(sys *kern.System, n int) *core.Thread {
 
 // TestPagerStormLegacyVersusDevice is the regression gate for the disk
 // device rewiring: a serial pager storm must behave identically whether
-// page-ins go through the legacy flat-latency path or the queued disk
-// device at queue depth 1 — same faults, same residency, same blocks —
-// and the device path's added interrupt overhead must be negligible
-// against the 20 ms disk.
+// page-ins go through the legacy flat-latency path (a kernel booted
+// without the device subsystem) or the queued disk device at queue depth
+// 1 — same faults, same residency, same blocks — and the device path's
+// added interrupt overhead must be negligible against the 20 ms disk.
 func TestPagerStormLegacyVersusDevice(t *testing.T) {
 	const pages = 60
 	boot := func(legacy bool) *kern.System {
 		return kern.New(kern.Config{
 			Flavor: kern.MK40, Arch: machine.ArchDS3100,
-			Frames: 512, DisableCallout: true, LegacyFlatDisk: legacy,
+			Frames: 512, DisableCallout: true, DisableDaemons: legacy,
 		})
 	}
 

@@ -112,6 +112,10 @@ type VM struct {
 
 	contPageout *core.Continuation
 
+	// pageInFn is pageIn's method value, bound once: the flat-latency
+	// page-in timer's action.
+	pageInFn func(any)
+
 	// Counters.
 	FastFaults   uint64 // page already resident
 	DiskFaults   uint64 // waited for the disk
@@ -169,6 +173,7 @@ func New(k *core.Kernel, cfg Config) *VM {
 	v.ContFaultRetry = core.NewContinuation("vm_fault_retry", v.faultRetry)
 	v.contPageout = core.NewContinuation("pageout_continue", v.pageoutLoop)
 
+	v.pageInFn = v.pageIn
 	k.HandleFault = v.HandleFault
 	v.Daemon = k.NewThread(core.ThreadSpec{
 		Name:     "pageout",
@@ -269,20 +274,26 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 			Inline: func(e2 *core.Env) { v.faultContinue(e2) },
 		})
 	} else {
-		v.K.Clock.After(v.DiskLatency, "page-in", func() {
-			// Disk interrupt: the page is in memory; map it and wake the
-			// faulter. Mapping cost is charged in the faulter's
-			// continuation.
-			sp.resident[page] = &pageEntry{}
-			v.fifo = append(v.fifo, pageRef{space: sp, page: page})
-			v.K.Setrun(t)
-		})
+		v.K.Clock.Schedule(v.K.Clock.Now()+v.DiskLatency, v.pageInFn, t)
 	}
 	t.Scratch.PutWord(0, uint32(page))
 	t.Scratch.PutWord(1, wflag)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "vm: page-in"
 	v.K.Block(e, stats.BlockPageFault, v.ContFaultContinue, nil, 160, "vm-page-in")
+}
+
+// pageIn is the flat-latency disk's interrupt, on a timer carrying the
+// faulting thread: the page named by its scratch word 0 is in memory; map
+// it and wake the faulter. Mapping cost is charged in the faulter's
+// continuation.
+func (v *VM) pageIn(arg any) {
+	t := arg.(*core.Thread)
+	sp := v.SpaceOf(t)
+	page := uint64(t.Scratch.Word(0))
+	sp.resident[page] = &pageEntry{}
+	v.fifo = append(v.fifo, pageRef{space: sp, page: page})
+	v.K.Setrun(t)
 }
 
 // faultContinue runs when the page-in completes: enter the page into the
@@ -313,9 +324,7 @@ func (v *VM) KernelFault(e *core.Env, frameBytes int, resume func(*core.Env)) {
 			v.wakeDaemon()
 		}
 	}
-	v.K.Clock.After(v.DiskLatency, "kernel-page-in", func() {
-		v.K.Setrun(t)
-	})
+	v.K.WakeAt(v.K.Clock.Now()+v.DiskLatency, t)
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "vm: kernel fault"
 	v.K.Block(e, stats.BlockKernelFault, nil, func(e2 *core.Env) {

@@ -68,7 +68,7 @@ func (d *Daemon) loop(e *core.Env) {
 	}
 	if d.pending > 0 {
 		// More device work queued: wait for the next interrupt.
-		e.K.WakeAt(e.K.Clock.Now()+itemGap, "dev-intr", t)
+		e.K.WakeAt(e.K.Clock.Now()+itemGap, t)
 	}
 	e.K.SetState(t, core.StateWaiting)
 	t.WaitLabel = "daemon: idle"

@@ -88,19 +88,17 @@ type MTLoadResult struct {
 }
 
 // thinker is one open-loop workload's think sleep: the syscall name
-// (also the wait label), the wake event's name, and the continuation
-// that resumes the session. Each workload has its own, so traces and
-// profiles name the workload whose session slept.
+// (also the wait label) and the continuation that resumes the session.
+// Each workload has its own, so traces and profiles name the workload
+// whose session slept.
 type thinker struct {
-	name, wake string
-	done       *core.Continuation
+	name string
+	done *core.Continuation
 }
 
 var (
-	tenantThink = &thinker{"tenant-think", "tenant-wake",
-		core.NewContinuation("tenant_think_done", resumeThink)}
-	stormThink = &thinker{"storm-think", "storm-wake",
-		core.NewContinuation("storm_think_done", resumeThink)}
+	tenantThink = &thinker{"tenant-think", core.NewContinuation("tenant_think_done", resumeThink)}
+	stormThink  = &thinker{"storm-think", core.NewContinuation("storm_think_done", resumeThink)}
 )
 
 // resumeThink returns 0 from a think sleep.
@@ -113,7 +111,7 @@ func resumeThink(e *core.Env) { e.K.ThreadSyscallReturn(e, 0) }
 // Transfers control.
 func thinkSleep(e *core.Env, until machine.Time, k *thinker) {
 	th := e.Cur()
-	e.K.WakeAt(until, k.wake, th)
+	e.K.WakeAt(until, th)
 	e.K.SetState(th, core.StateWaiting)
 	e.K.Block(e, stats.BlockInternal, k.done, nil, 96, k.name)
 }

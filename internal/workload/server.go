@@ -119,7 +119,7 @@ func NewServer(sys *kern.System, port *ipc.Port, workCycles uint64) *Server {
 	packet := s.packetArrived // the wait's timer action, bound once
 	s.netWaitAct = core.Syscall("mach_msg(net-receive)", func(e *core.Env) {
 		th := e.Cur()
-		sys.K.Clock.ScheduleArg(sys.K.Clock.Now()+s.RemoteLatency, "afs-packet", packet, th)
+		sys.K.Clock.Schedule(sys.K.Clock.Now()+s.RemoteLatency, packet, th)
 		e.K.SetState(th, core.StateWaiting)
 		th.WaitLabel = "afs: network wait"
 		sys.K.Block(e, stats.BlockReceive, s.contNetWait, nil, 192, "afs-net-wait")
@@ -128,7 +128,7 @@ func NewServer(sys *kern.System, port *ipc.Port, workCycles uint64) *Server {
 	return s
 }
 
-// packetArrived is the network wait's timer action, on a pooled event
+// packetArrived is the network wait's timer action, on an event
 // carrying the waiting thread: the reply packet kicks the network daemon
 // and wakes the server.
 func (s *Server) packetArrived(arg any) {
