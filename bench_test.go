@@ -423,6 +423,80 @@ func BenchmarkClusterRound(b *testing.B) {
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/round")
 }
 
+// clockTimer is one BenchmarkClockQueue timer's holder: the handle of
+// its pending event, cleared when the event fires or is cancelled.
+type clockTimer struct{ ev *machine.Event }
+
+// BenchmarkClockQueue measures the clock's event queue at a steady
+// pending population: 64 events (storm-on's deepest clock holds 56) and
+// 8 192 (mtload-dense's client clocks hold up to 8 001). Each op
+// schedules one timer at a random offset and fires the earliest; one op
+// in eight also cancels a pending timer from the middle of the queue and
+// schedules a replacement. Events come from the clock's free list, so CI
+// gates both at 0 allocs/op (benchjson -zero-allocs), and it bounds
+// p8192 at 3x p64 (medians of five): the queue is a heap, O(log n) per
+// op, and one that scanned its pending events would cost ~100x.
+func BenchmarkClockQueue(b *testing.B) {
+	for _, pending := range []int{64, 8192} {
+		b.Run(fmt.Sprintf("p%d", pending), func(b *testing.B) {
+			c := machine.NewClock()
+			timers := make([]clockTimer, pending+2)
+			idle := make([]*clockTimer, 0, len(timers))
+			for i := range timers {
+				idle = append(idle, &timers[i])
+			}
+			fire := func(arg any) {
+				t := arg.(*clockTimer)
+				t.ev = nil
+				idle = append(idle, t)
+			}
+			rng := uint64(0x9e3779b97f4a7c15)
+			draw := func(n int) int {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return int(rng % uint64(n))
+			}
+			schedule := func() {
+				t := idle[len(idle)-1]
+				idle = idle[:len(idle)-1]
+				t.ev = c.Schedule(c.Now()+machine.Time(1+draw(4*pending)), fire, t)
+			}
+			for range pending {
+				schedule()
+			}
+			op := func(i int) {
+				schedule()
+				if i%8 == 0 {
+					for {
+						t := &timers[draw(len(timers))]
+						if t.ev != nil {
+							c.Cancel(t.ev)
+							t.ev = nil
+							idle = append(idle, t)
+							break
+						}
+					}
+					schedule()
+				}
+				c.Fire(c.AdvanceToNextEvent(), false)
+			}
+			for i := range 4 * pending {
+				op(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(i)
+			}
+			b.StopTimer()
+			if c.Pending() != pending {
+				b.Fatalf("%d events pending, want %d", c.Pending(), pending)
+			}
+		})
+	}
+}
+
 // crossClient is the cross-machine RPC benchmarks' client: one RPC after
 // another through a netmsg proxy, each receive bounded by timeout (zero
 // waits forever), counting the replies.
@@ -801,23 +875,25 @@ func BenchmarkKVSpanOverhead(b *testing.B) {
 
 // BenchmarkKVCritPath times the report-side critical-path analyzer on
 // the spans of one fully sampled DefaultKV run, recorded before the
-// timer starts. CI bounds it at 0.15x BenchmarkKVSpanOverhead/on, the
-// run that records those spans (benchjson -max-ratio): the analyzer
-// once took ~18% of that run, most of it in map building, slice growth
-// and sorting copied spans.
+// timer starts and read in place from each machine's chunks, as the KV
+// report reads them. CI bounds its median at 0.08x the median of
+// BenchmarkKVSpanOverhead/on, the run that records those spans
+// (benchjson -max-ratio over -count 5): the analyzer once took ~18% of
+// that run, most of it in map building, slice growth and sorting copied
+// spans.
 func BenchmarkKVCritPath(b *testing.B) {
 	spec := workload.DefaultKV()
 	spec.SampleEvery = 1
 	res := workload.RunKV(kern.MK40, machine.ArchDS3100, spec)
-	var spans []obs.Span
+	var sets [][]obs.Span
 	for _, sys := range res.Machines {
-		spans = append(spans, sys.K.Obs.Spans()...)
+		sets = append(sets, sys.K.Obs.SpanChunks()...)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cp *obs.CritPath
 	for i := 0; i < b.N; i++ {
-		cp = obs.AnalyzeCritPath(spans)
+		cp = obs.AnalyzeCritPath(sets...)
 	}
 	b.ReportMetric(float64(len(cp.Ops)), "ops")
 }

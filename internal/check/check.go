@@ -13,8 +13,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/machine"
 )
@@ -136,7 +137,7 @@ func Linearizable(h []Op) Result {
 	for k := range perKey {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	res.Linearizable = true
 	for _, k := range keys {
 		ops := perKey[k]
@@ -169,11 +170,11 @@ type keyState struct {
 // Sorting by invocation keeps the DFS visiting candidates in a
 // deterministic order; correctness does not depend on it.
 func linearizableKey(ops []Op) bool {
-	sort.SliceStable(ops, func(i, j int) bool {
-		if ops[i].Invoke != ops[j].Invoke {
-			return ops[i].Invoke < ops[j].Invoke
+	slices.SortStableFunc(ops, func(a, b Op) int {
+		if c := cmp.Compare(a.Invoke, b.Invoke); c != 0 {
+			return c
 		}
-		return ops[i].Client < ops[j].Client
+		return cmp.Compare(a.Client, b.Client)
 	})
 	// needMask are the completed ops: all must be linearized for the
 	// history to pass. Indeterminate puts may linearize or vanish.
@@ -265,11 +266,11 @@ func SplitBrain(logs []map[AckKey]uint64) []AckKey {
 			bad = append(bad, k)
 		}
 	}
-	sort.Slice(bad, func(i, j int) bool {
-		if bad[i].Group != bad[j].Group {
-			return bad[i].Group < bad[j].Group
+	slices.SortFunc(bad, func(a, b AckKey) int {
+		if c := cmp.Compare(a.Group, b.Group); c != 0 {
+			return c
 		}
-		return bad[i].Epoch < bad[j].Epoch
+		return cmp.Compare(a.Epoch, b.Epoch)
 	})
 	return bad
 }

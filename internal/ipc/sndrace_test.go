@@ -61,7 +61,7 @@ func runSendRace(t *testing.T, skew int64) uint64 {
 	if w.timeout == nil || !w.timeout.Pending() {
 		t.Fatal("send timeout not armed")
 	}
-	delay := int64(w.timeout.When) + skew - int64(k.Clock.Now())
+	delay := int64(k.Clock.When(w.timeout)) + skew - int64(k.Clock.Now())
 	k.Clock.Schedule(k.Clock.Now()+machine.Duration(delay), func(any) {
 		e := &core.Env{K: k, P: k.Procs[0]}
 		if port.QueueLen() > 0 {
@@ -112,7 +112,7 @@ func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 	if w.timeout == nil || !w.timeout.Pending() {
 		t.Fatal("receive timeout not armed")
 	}
-	delay := int64(w.timeout.When) + skew - int64(k.Clock.Now())
+	delay := int64(k.Clock.When(w.timeout)) + skew - int64(k.Clock.Now())
 	k.Clock.Schedule(k.Clock.Now()+machine.Duration(delay), func(any) {
 		e := &core.Env{K: k, P: k.Procs[0]}
 		m := x.NewMessage(1, HeaderBytes, 7, nil)

@@ -116,7 +116,7 @@ func TestSendRetryKeepsOptions(t *testing.T) {
 			k.Clock.Schedule(k.Clock.Now()+2_500_000, func(any) {
 				for _, w := range srv.sndWaiters() {
 					if !w.cancelled && w.timeout != nil && w.timeout.Pending() {
-						second = w.timeout.When
+						second = k.Clock.When(w.timeout)
 					}
 				}
 				k.Setrun(server)

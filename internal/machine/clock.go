@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulated timestamp in nanoseconds since boot. The simulator
 // never reads the host clock; identical inputs produce identical
@@ -25,21 +22,20 @@ type Duration = Time
 // completion, a device interrupt, a wire arrival. Like a continuation it
 // is a function bound once plus the state it acts on: fn runs on arg.
 // Every event comes from its clock's free list and goes back to it once
-// it has fired, been cancelled or been purged.
+// it has fired, been cancelled or been purged. The event's due time and
+// tie-break live in its clock's queue slot, not here (Clock.When reads
+// them): the queue orders keys, and an event stays where it was written.
 type Event struct {
-	When Time
 	// Background marks housekeeping events (periodic kernel ticks) that
 	// should not, by themselves, keep an otherwise quiescent simulation
 	// alive.
 	Background bool
+	index      int32 // slot in the clock's queue; negative once out of it
 
-	// fn runs with arg when the clock reaches When, in dispatcher context
-	// (not on any thread's stack).
+	// fn runs with arg when the clock reaches the event's time, in
+	// dispatcher context (not on any thread's stack).
 	fn  func(any)
 	arg any
-
-	seq   uint64 // tiebreaker for determinism
-	index int    // heap bookkeeping; negative once out of the heap
 }
 
 // Negative Event.index values: popped (fired or about to be), and an
@@ -54,39 +50,26 @@ const (
 // waiters hold no live callouts.
 func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
-type eventHeap []*Event
+// slot is one entry of the clock's queue: an event's key, (when, seq),
+// kept beside a pointer to the event. Sifting compares and moves slots
+// only; the event itself is touched just to note its new index, which
+// keeps Cancel O(log n).
+type slot struct {
+	when Time
+	seq  uint64 // tie-break: local schedule order, or a remote key
+	ev   *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].When != h[j].When {
-		return h[i].When < h[j].When
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = indexPopped
-	*h = old[:n-1]
-	return e
+// before is the queue order, a strict total order: keys are unique per
+// clock (see remoteBand), so any correct heap pops the same sequence.
+func (s *slot) before(t *slot) bool {
+	return s.when < t.when || (s.when == t.when && s.seq < t.seq)
 }
 
 // Clock is the simulated global time source plus the pending-event queue.
 type Clock struct {
 	now        Time
-	events     eventHeap
+	events     []slot // a binary min-heap in slot order
 	seq        uint64
 	foreground int // pending non-background events
 
@@ -170,7 +153,7 @@ func (c *Clock) ScheduleBackground(when Time, fn func(any), arg any) *Event {
 // remoteBand is the high bit of the tie-break sequence. Local events use
 // the clock's own counter (always below the band); events scheduled by a
 // remote machine carry a caller-supplied key raised into the band, so at
-// equal When every remote arrival orders after every local event, and
+// equal times every remote arrival orders after every local event, and
 // remote arrivals order among themselves by key alone. That makes the
 // heap order a function of the machine's own history plus the wire
 // traffic — independent of which driver (sequential or parallel) found
@@ -197,12 +180,72 @@ func (c *Clock) schedule(when Time, seq uint64, background bool, fn func(any), a
 	} else {
 		e = new(Event)
 	}
-	*e = Event{When: when, Background: background, fn: fn, arg: arg, seq: seq}
-	heap.Push(&c.events, e)
+	*e = Event{Background: background, fn: fn, arg: arg}
+	c.events = append(c.events, slot{})
+	c.up(len(c.events)-1, slot{when: when, seq: seq, ev: e})
 	if !background {
 		c.foreground++
 	}
 	c.notify()
+	return e
+}
+
+// up writes s into the queue at hole i or above it, moving each later
+// parent down into the hole.
+func (c *Clock) up(i int, s slot) {
+	h := c.events
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = int32(i)
+		i = p
+	}
+	h[i] = s
+	s.ev.index = int32(i)
+}
+
+// down writes s into the queue at hole i or below it, moving the earlier
+// child up into the hole while it orders before s, and returns where s
+// landed.
+func (c *Clock) down(i int, s slot) int {
+	h := c.events
+	n := len(h)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&s) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.index = int32(i)
+		i = m
+	}
+	h[i] = s
+	s.ev.index = int32(i)
+	return i
+}
+
+// remove takes the slot at i out of the queue and returns its event,
+// marked popped.
+func (c *Clock) remove(i int) *Event {
+	h := c.events
+	e := h[i].ev
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	c.events = h[:n]
+	if i < n && c.down(i, last) == i {
+		c.up(i, last)
+	}
+	e.index = indexPopped
 	return e
 }
 
@@ -240,7 +283,7 @@ func (c *Clock) Cancel(e *Event) bool {
 	if e.index == indexRecycled {
 		panic("machine: event cancelled after it was recycled")
 	}
-	heap.Remove(&c.events, e.index)
+	c.remove(int(e.index))
 	if !e.Background {
 		c.foreground--
 	}
@@ -255,16 +298,25 @@ func (c *Clock) NextEventTime() (Time, bool) {
 	if len(c.events) == 0 {
 		return 0, false
 	}
-	return c.events[0].When, true
+	return c.events[0].when, true
+}
+
+// When returns the time a pending event is due. It panics for an event
+// that is not pending: once popped, an event no longer has a time.
+func (c *Clock) When(e *Event) Time {
+	if !e.Pending() {
+		panic("machine: When of an event that is not pending")
+	}
+	return c.events[e.index].when
 }
 
 // PopDue removes and returns the earliest event whose time has arrived,
 // or nil if none is due. The caller fires it.
 func (c *Clock) PopDue() *Event {
-	if len(c.events) == 0 || c.events[0].When > c.now {
+	if len(c.events) == 0 || c.events[0].when > c.now {
 		return nil
 	}
-	e := heap.Pop(&c.events).(*Event)
+	e := c.remove(0)
 	if !e.Background {
 		c.foreground--
 	}
@@ -279,12 +331,12 @@ func (c *Clock) AdvanceToNextEvent() *Event {
 	if len(c.events) == 0 {
 		return nil
 	}
-	e := heap.Pop(&c.events).(*Event)
+	if when := c.events[0].when; when > c.now {
+		c.now = when
+	}
+	e := c.remove(0)
 	if !e.Background {
 		c.foreground--
-	}
-	if e.When > c.now {
-		c.now = e.When
 	}
 	c.notify()
 	return e
@@ -302,29 +354,28 @@ func (c *Clock) Pending() int { return len(c.events) }
 // arrival.
 func (c *Clock) PurgeLocal() int {
 	kept := c.events[:0]
-	purged := 0
-	for _, e := range c.events {
-		if e.seq&remoteBand != 0 {
-			kept = append(kept, e)
+	for _, s := range c.events {
+		if s.seq&remoteBand != 0 {
+			kept = append(kept, s)
 			continue
 		}
-		if !e.Background {
+		if !s.ev.Background {
 			c.foreground--
 		}
-		c.recycle(e)
-		purged++
+		c.recycle(s.ev)
 	}
+	purged := len(c.events) - len(kept)
 	// Zero the tail so purged events are not retained by the backing
-	// array, then restore the heap invariant over the survivors (Init
-	// only fixes the bookkeeping of elements it swaps, so reindex first).
-	for i := len(kept); i < len(c.events); i++ {
-		c.events[i] = nil
-	}
+	// array, then restore the heap order over the survivors (down only
+	// notes the index of slots it moves, so note every one first).
+	clear(c.events[len(kept):])
 	c.events = kept
-	for i, e := range c.events {
-		e.index = i
+	for i := range kept {
+		kept[i].ev.index = int32(i)
 	}
-	heap.Init(&c.events)
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		c.down(i, kept[i])
+	}
 	c.notify()
 	return purged
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -68,8 +69,13 @@ func TestEventOrdering(t *testing.T) {
 		t.Fatalf("fired = %v", fired)
 	}
 	c.Advance(100)
-	if e := c.PopDue(); e == nil || e.When != 300 {
-		t.Fatalf("expected c due, got %+v", e)
+	e := c.PopDue()
+	if e == nil {
+		t.Fatal("expected c due")
+	}
+	c.Fire(e, true)
+	if len(fired) != 3 || fired[2] != "c" {
+		t.Fatalf("fired = %v", fired)
 	}
 }
 
@@ -106,7 +112,7 @@ func TestEventCancel(t *testing.T) {
 	mustPanic(t, "machine: event cancelled after it was recycled", func() { c.Cancel(e) })
 	c.Advance(20)
 	if ev := c.PopDue(); ev != nil {
-		t.Fatalf("cancelled event still due at %v", ev.When)
+		t.Fatal("cancelled event still due")
 	}
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -116,27 +122,36 @@ func TestEventCancel(t *testing.T) {
 	}
 }
 
+// stamp returns an action that appends its argument, the time it was
+// scheduled for, to *fired.
+func stamp(fired *[]Time) func(any) {
+	return func(arg any) { *fired = append(*fired, arg.(Time)) }
+}
+
 func TestCancelMiddleOfHeap(t *testing.T) {
 	c := NewClock()
 	var es []*Event
+	var fired []Time
+	fire := stamp(&fired)
 	for i := 0; i < 20; i++ {
 		when := Time((i * 37) % 100)
-		es = append(es, c.Schedule(when, nop, nil))
+		es = append(es, c.Schedule(when, fire, when))
+		if got := c.When(es[i]); got != when {
+			t.Fatalf("When = %v, want %v", got, when)
+		}
 	}
 	// Cancel every third event, then verify the rest drain in time order.
 	for i := 0; i < len(es); i += 3 {
 		c.Cancel(es[i])
 	}
 	c.Advance(1000)
-	var last Time
-	count := 0
 	for e := c.PopDue(); e != nil; e = c.PopDue() {
-		if e.When < last {
-			t.Fatalf("heap order violated: %v after %v", e.When, last)
-		}
-		last = e.When
-		count++
+		c.Fire(e, true)
 	}
+	if !slices.IsSorted(fired) {
+		t.Fatalf("heap order violated: %v", fired)
+	}
+	count := len(fired)
 	want := len(es) - (len(es)+2)/3
 	if count != want {
 		t.Fatalf("drained %d events, want %d", count, want)
@@ -172,7 +187,7 @@ func TestPopDueNotEarly(t *testing.T) {
 	c := NewClock()
 	c.Schedule(10, nop, nil)
 	if e := c.PopDue(); e != nil {
-		t.Fatalf("event due early: %v", e.When)
+		t.Fatal("event due early")
 	}
 	if c.Pending() != 1 {
 		t.Fatalf("Pending = %d", c.Pending())
@@ -184,18 +199,16 @@ func TestPopDueNotEarly(t *testing.T) {
 func TestEventHeapProperty(t *testing.T) {
 	f := func(times []uint32) bool {
 		c := NewClock()
+		var fired []Time
+		fire := stamp(&fired)
 		for _, ti := range times {
-			c.Schedule(Time(ti), nop, nil)
+			c.Schedule(Time(ti), fire, Time(ti))
 		}
 		c.now = ^Time(0) >> 1
-		var last Time
 		for e := c.PopDue(); e != nil; e = c.PopDue() {
-			if e.When < last {
-				return false
-			}
-			last = e.When
+			c.Fire(e, true)
 		}
-		return c.Pending() == 0
+		return c.Pending() == 0 && len(fired) == len(times) && slices.IsSorted(fired)
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -260,7 +273,7 @@ func TestPurgeLocalCancelledEventsStayDead(t *testing.T) {
 	mustPanic(t, "machine: event cancelled after it was recycled", func() { c.Cancel(e) })
 	c.Advance(20)
 	if got := c.PopDue(); got != nil {
-		t.Fatalf("PopDue returned purged event at %v", got.When)
+		t.Fatal("PopDue returned a purged event")
 	}
 	if ran {
 		t.Fatal("purged event fired")
@@ -337,118 +350,144 @@ func (r *refClock) pop() (refEvent, bool) {
 // arrival while they fire, before their own event is freed. Every local
 // timer has one holder, which clears its handle first thing in the
 // action and right after a Cancel (or when a purge drops it), so a
-// cancelled event goes back on the free list and may be reused.
+// cancelled event goes back on the free list and may be reused. The
+// churn mix keeps a few events pending; the schedule-heavy mix keeps
+// thousands, so a sift error that shows only deep in the heap fails too.
 func TestRecycledArrivalsFireInReferenceOrder(t *testing.T) {
-	reused, cancelled := 0, 0
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := NewClock()
-		ref := &refClock{}
-		var fired []string
-		seen := make(map[*Event]bool)
-		key := uint64(0)
-		var remote func(label string)
-		arrive := func(arg any) {
-			label := arg.(string)
-			fired = append(fired, label)
-			if rng.Intn(4) == 0 {
-				remote(label + "+")
-			}
-		}
-		remote = func(label string) {
-			key++
-			k := uint64(rng.Intn(8))<<32 | key
-			when := c.Now() + Time(rng.Intn(50))
-			c.ScheduleRemote(when, k, arrive, label)
-			ref.remote(when, k, label)
-		}
-		// armed lists the holders of pending local timers.
-		type holder struct {
-			label string
-			ev    *Event
-		}
-		var armed []*holder
-		drop := func(h *holder) {
-			h.ev = nil
-			i := slices.Index(armed, h)
-			armed[i] = armed[len(armed)-1]
-			armed = armed[:len(armed)-1]
-		}
-		tick := func(arg any) {
-			h := arg.(*holder)
-			drop(h)
-			fired = append(fired, h.label)
-			if rng.Intn(4) == 0 {
-				remote(h.label + "+")
-			}
-		}
-		for op := 0; op < 400; op++ {
-			label := string(rune('a'+op%26)) + "." + string(rune('0'+op/26%10)) + "." + string(rune('0'+op/260))
-			switch x := rng.Intn(11); {
-			case x < 4:
-				when := c.Now() + Time(rng.Intn(50))
-				h := &holder{label: label}
-				h.ev = c.Schedule(when, tick, h)
-				armed = append(armed, h)
-				ref.schedule(when, label, h.ev)
-			case x < 6:
-				remote(label)
-			case x < 8 && len(armed) > 0:
-				h := armed[rng.Intn(len(armed))]
-				e := h.ev
-				if got, want := c.Cancel(e), ref.cancel(e); !got || !want {
-					t.Fatalf("seed %d: Cancel of armed timer %s = %v, reference %v", seed, h.label, got, want)
+	mixes := []struct {
+		name    string
+		seeds   int64
+		ops     int
+		horizon int // events fall due within this many ns of now
+		// Out of every sum of weights: schedule, arrive, cancel, purge
+		// (one in four draws), and the rest pops one to four events.
+		schedule, arrive, cancel, purge, pop int
+	}{
+		{"churn", 40, 400, 50, 4, 2, 2, 1, 2},
+		{"schedule-heavy", 3, 8000, 5000, 480, 160, 80, 1, 70},
+	}
+	reused, cancelled, deepest := 0, 0, 0
+	for _, mix := range mixes {
+		for seed := int64(1); seed <= mix.seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := NewClock()
+			ref := &refClock{}
+			var fired []string
+			seen := make(map[*Event]bool)
+			key := uint64(0)
+			due := func() Time { return c.Now() + Time(rng.Intn(mix.horizon)) }
+			var remote func(label string)
+			arrive := func(arg any) {
+				label := arg.(string)
+				fired = append(fired, label)
+				if rng.Intn(4) == 0 {
+					remote(label + "+")
 				}
+			}
+			remote = func(label string) {
+				key++
+				k := uint64(rng.Intn(8))<<32 | key
+				when := due()
+				c.ScheduleRemote(when, k, arrive, label)
+				ref.remote(when, k, label)
+			}
+			// armed lists the holders of pending local timers.
+			type holder struct {
+				label string
+				ev    *Event
+			}
+			var armed []*holder
+			drop := func(h *holder) {
+				h.ev = nil
+				i := slices.Index(armed, h)
+				armed[i] = armed[len(armed)-1]
+				armed = armed[:len(armed)-1]
+			}
+			tick := func(arg any) {
+				h := arg.(*holder)
 				drop(h)
-				cancelled++
-				if e.Pending() {
-					t.Fatalf("seed %d: cancelled timer %s still pending", seed, h.label)
-				}
-			case x < 9 && rng.Intn(4) == 0:
-				if got, want := c.PurgeLocal(), ref.purgeLocal(); got != want {
-					t.Fatalf("seed %d: PurgeLocal removed %d, reference %d", seed, got, want)
-				}
-				for len(armed) > 0 {
-					drop(armed[0])
-				}
-			default:
-				for n := rng.Intn(4); n >= 0; n-- {
-					ev := c.AdvanceToNextEvent()
-					want, ok := ref.pop()
-					if (ev != nil) != ok {
-						t.Fatalf("seed %d: clock popped %v, reference has an event: %v", seed, ev != nil, ok)
-					}
-					if ev == nil {
-						break
-					}
-					if ev.When != want.when {
-						t.Fatalf("seed %d: popped an event at %d, reference %s@%d", seed, ev.When, want.label, want.when)
-					}
-					if seen[ev] {
-						reused++
-					}
-					seen[ev] = true
-					c.Fire(ev, true)
-					if got := fired[len(fired)-1]; got != want.label {
-						t.Fatalf("seed %d: fired %s, reference %s", seed, got, want.label)
-					}
+				fired = append(fired, h.label)
+				if rng.Intn(4) == 0 {
+					remote(h.label + "+")
 				}
 			}
-		}
-		for ev := c.AdvanceToNextEvent(); ev != nil; ev = c.AdvanceToNextEvent() {
-			want, _ := ref.pop()
-			c.Fire(ev, true)
-			if got := fired[len(fired)-1]; got != want.label {
-				t.Fatalf("seed %d: drained %s, reference %s", seed, got, want.label)
+			total := mix.schedule + mix.arrive + mix.cancel + mix.purge + mix.pop
+			for op := 0; op < mix.ops; op++ {
+				label := strconv.Itoa(op)
+				switch x := rng.Intn(total); {
+				case x < mix.schedule:
+					when := due()
+					h := &holder{label: label}
+					h.ev = c.Schedule(when, tick, h)
+					armed = append(armed, h)
+					ref.schedule(when, label, h.ev)
+					if got := c.When(h.ev); got != when {
+						t.Fatalf("%s seed %d: When = %d, want %d", mix.name, seed, got, when)
+					}
+				case x < mix.schedule+mix.arrive:
+					remote(label)
+				case x < mix.schedule+mix.arrive+mix.cancel && len(armed) > 0:
+					h := armed[rng.Intn(len(armed))]
+					e := h.ev
+					if got, want := c.Cancel(e), ref.cancel(e); !got || !want {
+						t.Fatalf("%s seed %d: Cancel of armed timer %s = %v, reference %v", mix.name, seed, h.label, got, want)
+					}
+					drop(h)
+					cancelled++
+					if e.Pending() {
+						t.Fatalf("%s seed %d: cancelled timer %s still pending", mix.name, seed, h.label)
+					}
+				case x < mix.schedule+mix.arrive+mix.cancel+mix.purge && rng.Intn(4) == 0:
+					if got, want := c.PurgeLocal(), ref.purgeLocal(); got != want {
+						t.Fatalf("%s seed %d: PurgeLocal removed %d, reference %d", mix.name, seed, got, want)
+					}
+					for len(armed) > 0 {
+						drop(armed[0])
+					}
+				default:
+					for n := rng.Intn(4); n >= 0; n-- {
+						ev := c.AdvanceToNextEvent()
+						want, ok := ref.pop()
+						if (ev != nil) != ok {
+							t.Fatalf("%s seed %d: clock popped %v, reference has an event: %v", mix.name, seed, ev != nil, ok)
+						}
+						if ev == nil {
+							break
+						}
+						// Every event falls due at or after the time it
+						// was scheduled, so the clock now reads its time.
+						if c.Now() != want.when {
+							t.Fatalf("%s seed %d: popped an event at %d, reference %s@%d", mix.name, seed, c.Now(), want.label, want.when)
+						}
+						if seen[ev] {
+							reused++
+						}
+						seen[ev] = true
+						c.Fire(ev, true)
+						if got := fired[len(fired)-1]; got != want.label {
+							t.Fatalf("%s seed %d: fired %s, reference %s", mix.name, seed, got, want.label)
+						}
+					}
+				}
+				deepest = max(deepest, c.Pending())
 			}
-		}
-		if len(ref.pending) != 0 || c.HasForeground() || len(armed) != 0 {
-			t.Fatalf("seed %d: %d reference events left, clock foreground %v, %d timers armed",
-				seed, len(ref.pending), c.HasForeground(), len(armed))
+			for ev := c.AdvanceToNextEvent(); ev != nil; ev = c.AdvanceToNextEvent() {
+				want, _ := ref.pop()
+				c.Fire(ev, true)
+				if got := fired[len(fired)-1]; got != want.label {
+					t.Fatalf("%s seed %d: drained %s, reference %s", mix.name, seed, got, want.label)
+				}
+			}
+			if len(ref.pending) != 0 || c.HasForeground() || len(armed) != 0 {
+				t.Fatalf("%s seed %d: %d reference events left, clock foreground %v, %d timers armed",
+					mix.name, seed, len(ref.pending), c.HasForeground(), len(armed))
+			}
 		}
 	}
-	if reused == 0 || cancelled == 0 {
-		t.Fatalf("%d events reused, %d timers cancelled; want both", reused, cancelled)
+	t.Logf("%d events reused, %d timers cancelled, at most %d pending", reused, cancelled, deepest)
+	if reused == 0 || cancelled == 0 || deepest < 2000 {
+		t.Fatalf("%d events reused, %d timers cancelled, at most %d pending; want reuse, cancels and 2000 pending",
+			reused, cancelled, deepest)
 	}
 }
 
@@ -513,11 +552,14 @@ func TestArrivalFiredAfterRecyclingPanics(t *testing.T) {
 }
 
 // TestEventLayout pins the size of a clock event, which every pending
-// timer, device completion and wire arrival holds: a time, the
-// background mark, one bound action and its argument, and the heap's
-// tie-break and index.
+// timer, device completion and wire arrival holds: the background mark
+// and queue index, and one bound action and its argument. The time and
+// tie-break live in the queue's slot (24 bytes).
 func TestEventLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n > 56 {
-		t.Errorf("Event is %d bytes, want at most 56", n)
+	if n := unsafe.Sizeof(Event{}); n > 32 {
+		t.Errorf("Event is %d bytes, want at most 32", n)
+	}
+	if n := unsafe.Sizeof(slot{}); n > 24 {
+		t.Errorf("a queue slot is %d bytes, want at most 24", n)
 	}
 }

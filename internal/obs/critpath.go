@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"repro/internal/machine"
@@ -54,48 +55,74 @@ type CritPath struct {
 const SlowestN = 5
 
 // AnalyzeCritPath groups spans by trace, decomposes every trace that has
-// a root span (Parent 0), and aggregates. Input order does not matter;
-// output order is deterministic (ops sorted by start time, then trace
-// id).
-func AnalyzeCritPath(spans []Span) *CritPath {
+// a root span (Parent 0), and aggregates. The spans are read in place
+// from sets, in the order of their concatenation, which is the input
+// order: it decides between duplicate span ids and between otherwise
+// tied roots, and nothing else. Output order is deterministic (ops
+// sorted by start time, then trace id).
+func AnalyzeCritPath(sets ...[]Span) *CritPath {
 	cp := &CritPath{}
 	for i := range cp.PerSeg {
 		cp.PerSeg[i] = &Histogram{Name: Seg(i).String()}
 	}
-	// Group by trace with one sort of (trace, index) keys. Within a
-	// trace, indices stay in input order, which decides between
-	// duplicate span ids and between otherwise tied roots.
-	keys := make([]spanKey, len(spans))
-	for i := range spans {
-		keys[i] = spanKey{spans[i].Trace, i}
+	n := 0
+	for _, set := range sets {
+		n += len(set)
 	}
-	slices.SortFunc(keys, func(a, b spanKey) int {
-		if c := cmp.Compare(a.trace, b.trace); c != 0 {
-			return c
+	// Group by trace in one pass over an open-addressing table, chaining
+	// each trace's spans in input order. Trace ids are SplitMix-mixed, so
+	// their low bits index the table well. The table has more entries
+	// than there are spans, so a probe always ends; a trace holds about
+	// ten spans, so it stays mostly empty.
+	mask := uint64(1)<<bits.Len(uint(n)) - 1
+	table := make([]traceChain, mask+1)
+	links := make([]spanLink, 0, n)
+	for _, set := range sets {
+		for i := range set {
+			sp := &set[i]
+			k := int32(len(links))
+			links = append(links, spanLink{sp: sp, next: -1})
+			h := sp.Trace & mask
+			for table[h].head != 0 && table[h].trace != sp.Trace {
+				h = (h + 1) & mask
+			}
+			if c := &table[h]; c.head == 0 {
+				*c = traceChain{trace: sp.Trace, head: k + 1, tail: k}
+			} else {
+				links[c.tail].next = k
+				c.tail = k
+			}
 		}
-		return cmp.Compare(a.i, b.i)
-	})
+	}
+	// Decompose each trace, then order the ops by sorting small keys.
 	var sc critScratch
-	for lo := 0; lo < len(keys); {
-		hi := lo + 1
-		for hi < len(keys) && keys[hi].trace == keys[lo].trace {
-			hi++
+	var ops []OpPath
+	var keys []opKey
+	for _, c := range table {
+		if c.head == 0 {
+			continue
 		}
 		sc.tr = sc.tr[:0]
-		for _, k := range keys[lo:hi] {
-			sc.tr = append(sc.tr, k.i)
+		for k := c.head - 1; k >= 0; k = links[k].next {
+			sc.tr = append(sc.tr, links[k].sp)
 		}
-		if op, ok := sc.decompose(spans); ok {
-			cp.Ops = append(cp.Ops, op)
+		if op, ok := sc.decompose(); ok {
+			keys = append(keys, opKey{op.Start, op.Trace, int32(len(ops))})
+			ops = append(ops, op)
 		}
-		lo = hi
 	}
-	slices.SortFunc(cp.Ops, func(a, b OpPath) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+	slices.SortFunc(keys, func(a, b opKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Trace, b.Trace)
+		return cmp.Compare(a.trace, b.trace)
 	})
+	if len(keys) > 0 {
+		cp.Ops = make([]OpPath, len(keys))
+		for i, k := range keys {
+			cp.Ops[i] = ops[k.i]
+		}
+	}
 	for i := range cp.Ops {
 		op := &cp.Ops[i]
 		for s, d := range op.Seg {
@@ -117,10 +144,25 @@ func AnalyzeCritPath(spans []Span) *CritPath {
 	return cp
 }
 
-// spanKey places span i in the trace grouping sort.
-type spanKey struct {
+// traceChain is one trace's entry in AnalyzeCritPath's table: its id and
+// the first (head-1; 0 marks a free entry) and last of its spans' links.
+type traceChain struct {
+	trace      uint64
+	head, tail int32
+}
+
+// spanLink is one input span, in input order, and the link to the next
+// span of its trace (-1 at the end).
+type spanLink struct {
+	sp   *Span
+	next int32
+}
+
+// opKey places decomposed op i in the output order.
+type opKey struct {
+	start machine.Time
 	trace uint64
-	i     int
+	i     int32
 }
 
 // slower orders the slowest-ops listing: larger total first, then
@@ -134,34 +176,33 @@ func slower(a, b *OpPath) bool {
 
 // critScratch holds decompose's per-trace buffers, reused across the
 // traces of one AnalyzeCritPath call. A span is addressed by its
-// position in tr, the trace's span indices in input order.
+// position in tr, the trace's spans in input order.
 type critScratch struct {
-	tr     []int
+	tr     []*Span
 	parent []int // position of each span's parent, -1 if not recorded
 	depth  []int // depth in the causal tree; 0 until computed
 	bounds []machine.Time
 }
 
 // decompose runs the deepest-cover sweep over the trace in sc.tr.
-func (sc *critScratch) decompose(spans []Span) (OpPath, bool) {
+func (sc *critScratch) decompose() (OpPath, bool) {
 	tr := sc.tr
 	// Root: the span with no parent; if a trace somehow has several
 	// (it should not), the earliest-starting smallest-id one wins.
 	root := -1
-	for k, i := range tr {
-		sp := &spans[i]
+	for k, sp := range tr {
 		if sp.Parent != 0 {
 			continue
 		}
-		if root < 0 || sp.Start < spans[tr[root]].Start ||
-			(sp.Start == spans[tr[root]].Start && sp.ID < spans[tr[root]].ID) {
+		if root < 0 || sp.Start < tr[root].Start ||
+			(sp.Start == tr[root].Start && sp.ID < tr[root].ID) {
 			root = k
 		}
 	}
 	if root < 0 {
 		return OpPath{}, false
 	}
-	rs := &spans[tr[root]]
+	rs := tr[root]
 	op := OpPath{
 		Trace:  rs.Trace,
 		Name:   rs.Name,
@@ -180,10 +221,10 @@ func (sc *critScratch) decompose(spans []Span) (OpPath, bool) {
 	// quadratic in them anyway.
 	n := len(tr)
 	parent := sc.parent[:0]
-	for _, i := range tr {
+	for _, sp := range tr {
 		p := -1
 		for j, o := range tr {
-			if spans[o].ID == spans[i].Parent {
+			if o.ID == sp.Parent {
 				p = j
 				break
 			}
@@ -202,8 +243,7 @@ func (sc *critScratch) decompose(spans []Span) (OpPath, bool) {
 
 	// Elementary intervals: every clamped span boundary inside the root.
 	bounds := append(sc.bounds[:0], rs.Start, rs.End)
-	for _, i := range tr {
-		sp := &spans[i]
+	for _, sp := range tr {
 		if sp.Start > rs.Start && sp.Start < rs.End {
 			bounds = append(bounds, sp.Start)
 		}
@@ -220,16 +260,15 @@ func (sc *critScratch) decompose(spans []Span) (OpPath, bool) {
 			continue
 		}
 		best := root
-		for k, i := range tr {
-			sp := &spans[i]
+		for k, sp := range tr {
 			if k == root || sp.Start > lo || sp.End < hi {
 				continue
 			}
-			if best == root || better(sp, &spans[tr[best]], depth[k], depth[best]) {
+			if best == root || better(sp, tr[best], depth[k], depth[best]) {
 				best = k
 			}
 		}
-		op.Seg[spans[tr[best]].Seg] += machine.Duration(hi - lo)
+		op.Seg[tr[best].Seg] += machine.Duration(hi - lo)
 	}
 	return op, true
 }

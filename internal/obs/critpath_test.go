@@ -354,20 +354,48 @@ func randomSpanSet(rng *rand.Rand) []Span {
 	return spans
 }
 
+// cutSpans splits spans at random points into one to four consecutive
+// sets, some of them possibly empty, whose concatenation is spans.
+func cutSpans(rng *rand.Rand, spans []Span) [][]Span {
+	cuts := []int{0, len(spans)}
+	for range rng.Intn(4) {
+		cuts = append(cuts, rng.Intn(len(spans)+1))
+	}
+	sort.Ints(cuts)
+	sets := make([][]Span, 0, len(cuts)-1)
+	for i := 0; i+1 < len(cuts); i++ {
+		sets = append(sets, spans[cuts[i]:cuts[i+1]])
+	}
+	return sets
+}
+
 // TestCritPathMatchesReference holds AnalyzeCritPath to the reference
 // analyzer on 1 000 seeded random span sets: the CritPath must be deep
-// equal, op by op and histogram by histogram. It also counts the sets
-// that exercise each hard case, so a generator change cannot quietly
-// stop covering one.
+// equal, op by op and histogram by histogram. The analyzer reads each
+// set cut into one to four pieces, as it reads a report's machines, and
+// the reference reads their concatenation. It also counts the sets that
+// exercise each hard case, so a generator change cannot quietly stop
+// covering one.
 func TestCritPathMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	var dupIDs, selfParents, cycles, multiRoots, zeroRoots, straddles int
+	cut := rand.New(rand.NewSource(23))
+	var dupIDs, selfParents, cycles, multiRoots, zeroRoots, straddles, pieces, empties int
 	for set := range 1000 {
 		spans := randomSpanSet(rng)
-		got, want := AnalyzeCritPath(spans), refAnalyzeCritPath(spans)
+		sets := cutSpans(cut, spans)
+		got, want := AnalyzeCritPath(sets...), refAnalyzeCritPath(spans)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("set %d: analyzer diverges from the reference\nspans: %+v\ngot:  %+v\nwant: %+v",
-				set, spans, got.Ops, want.Ops)
+			t.Fatalf("set %d: analyzer diverges from the reference\nsets: %+v\ngot:  %+v\nwant: %+v",
+				set, sets, got.Ops, want.Ops)
+		}
+		if len(sets) > 1 {
+			pieces++
+		}
+		for _, s := range sets {
+			if len(s) == 0 {
+				empties++
+				break
+			}
 		}
 		byTrace := map[uint64][]Span{}
 		for _, sp := range spans {
@@ -415,10 +443,11 @@ func TestCritPathMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("sets with duplicate ids %d, self-parents %d, cycles %d, several roots %d, zero-length roots %d, straddling spans %d",
-		dupIDs, selfParents, cycles, multiRoots, zeroRoots, straddles)
+	t.Logf("sets with duplicate ids %d, self-parents %d, cycles %d, several roots %d, zero-length roots %d, straddling spans %d; cut in pieces %d, with an empty piece %d",
+		dupIDs, selfParents, cycles, multiRoots, zeroRoots, straddles, pieces, empties)
 	for name, n := range map[string]int{"duplicate ids": dupIDs, "self-parents": selfParents, "cycles": cycles,
-		"several roots": multiRoots, "zero-length roots": zeroRoots, "straddling spans": straddles} {
+		"several roots": multiRoots, "zero-length roots": zeroRoots, "straddling spans": straddles,
+		"several pieces": pieces, "an empty piece": empties} {
 		if n < 50 {
 			t.Errorf("only %d of 1000 sets have %s", n, name)
 		}

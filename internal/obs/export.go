@@ -134,11 +134,13 @@ func writeChromeSpans(b *bytes.Buffer, emit func([]byte), recs []*Recorder) {
 		if r == nil {
 			continue
 		}
-		for _, sp := range r.Spans() {
-			ps := pidSpan{pid, sp}
-			all = append(all, ps)
-			if _, ok := byID[sp.ID]; !ok {
-				byID[sp.ID] = ps
+		for _, chunk := range r.SpanChunks() {
+			for _, sp := range chunk {
+				ps := pidSpan{pid, sp}
+				all = append(all, ps)
+				if _, ok := byID[sp.ID]; !ok {
+					byID[sp.ID] = ps
+				}
 			}
 		}
 	}
@@ -391,20 +393,20 @@ func SummarizeSpans(data []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var all []Span
+	sets := make([][]Span, 0, len(machines))
 	var b bytes.Buffer
 	total := 0
 	for _, m := range machines {
 		total += len(m.Spans)
-		all = append(all, m.Spans...)
+		sets = append(sets, m.Spans)
 	}
 	fmt.Fprintf(&b, "spans: %d machine(s), %d spans\n", len(machines), total)
 	for _, m := range machines {
 		fmt.Fprintf(&b, "  machine %d: %d spans\n", m.PID, len(m.Spans))
 	}
-	writeShedSection(&b, all)
+	writeShedSection(&b, sets)
 	b.WriteString("\n")
-	WriteCritPath(&b, AnalyzeCritPath(all))
+	WriteCritPath(&b, AnalyzeCritPath(sets...))
 	writeCensusSection(&b, data)
 	return b.String(), nil
 }
@@ -414,11 +416,13 @@ func SummarizeSpans(data []byte) (string, error) {
 // breaker) so the spanview shows where an armed run refused work.
 // Silent when nothing shed, which keeps unarmed span summaries
 // unchanged.
-func writeShedSection(b *bytes.Buffer, all []Span) {
+func writeShedSection(b *bytes.Buffer, sets [][]Span) {
 	shed := make(map[string]int)
-	for _, sp := range all {
-		if strings.HasPrefix(sp.Detail, "shed:") {
-			shed[strings.TrimPrefix(sp.Detail, "shed:")]++
+	for _, set := range sets {
+		for _, sp := range set {
+			if strings.HasPrefix(sp.Detail, "shed:") {
+				shed[strings.TrimPrefix(sp.Detail, "shed:")]++
+			}
 		}
 	}
 	if len(shed) == 0 {

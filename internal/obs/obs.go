@@ -421,10 +421,11 @@ type Recorder struct {
 	// emit path.
 	lat []threadLat
 
-	// Span store (span.go): completed causal-trace spans, the machine
-	// index salting span ids, the span-id mint serial, and the 1-in-N
-	// head-sampling rate (0 and 1 both mean "keep everything").
-	spans       []Span
+	// Span store (span.go): completed causal-trace spans in chunks of
+	// spanChunk, the machine index salting span ids, the span-id mint
+	// serial, and the 1-in-N head-sampling rate (0 and 1 both mean "keep
+	// everything").
+	spans       [][]Span
 	host        int
 	spanSalt    uint64
 	sampleEvery uint64

@@ -170,7 +170,7 @@ func TestLazyRingMatchesPreallocated(t *testing.T) {
 		}
 		for _, r := range recs[1:] {
 			if !reflect.DeepEqual(r.Hist, lazy.Hist) || !reflect.DeepEqual(r.Profiles(), lazy.Profiles()) ||
-				!reflect.DeepEqual(r.Spans(), lazy.Spans()) || r.KindCounts != lazy.KindCounts {
+				!reflect.DeepEqual(r.SpanChunks(), lazy.SpanChunks()) || r.KindCounts != lazy.KindCounts {
 				t.Fatalf("%d emits: capacity-%d recorder's statistics differ from the lazy ring's", emits, r.capacity)
 			}
 		}

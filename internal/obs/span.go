@@ -218,18 +218,30 @@ func (r *Recorder) NextSpanID(trace uint64) uint64 {
 	return MintSpanID(trace, uint64(r.host)<<40|r.spanSalt)
 }
 
+// spanChunk is how many spans one chunk of a recorder's span store holds.
+// A recorded span stays in its chunk: the store grows by adding chunks,
+// never by copying the spans it holds.
+const spanChunk = 256
+
 // RecordSpan appends one completed span. Spans for unsampled traces
 // (Trace 0) and nil recorders are dropped for free.
 func (r *Recorder) RecordSpan(sp Span) {
 	if r == nil || sp.Trace == 0 {
 		return
 	}
-	r.spans = append(r.spans, sp)
+	n := len(r.spans)
+	if n == 0 || len(r.spans[n-1]) == spanChunk {
+		r.spans = append(r.spans, make([]Span, 0, spanChunk))
+		n++
+	}
+	r.spans[n-1] = append(r.spans[n-1], sp)
 }
 
-// Spans returns the recorded spans in record order. The slice is the
-// recorder's own; callers must not mutate it.
-func (r *Recorder) Spans() []Span {
+// SpanChunks returns the recorded spans in record order, as consecutive
+// chunks: every chunk but the last is full, and none is empty, so a
+// recorder with no spans returns none. The chunks are the recorder's
+// own; callers read the spans in place and must not mutate them.
+func (r *Recorder) SpanChunks() [][]Span {
 	if r == nil {
 		return nil
 	}

@@ -112,13 +112,13 @@ func TestResetClearsSpanState(t *testing.T) {
 	first := r.NextSpanID(42)
 	r.RecordSpan(Span{Trace: 42, ID: first, Name: "x", Start: 0, End: 10})
 	r.Census = Census{StackHighWater: 2, BlockedHighWater: 9, LiveThreads: 5}
-	if len(r.Spans()) != 1 {
-		t.Fatalf("recorded %d spans, want 1", len(r.Spans()))
+	if n := spanCount(r); n != 1 {
+		t.Fatalf("recorded %d spans, want 1", n)
 	}
 
 	r.Reset()
-	if len(r.Spans()) != 0 {
-		t.Fatalf("Reset kept %d spans", len(r.Spans()))
+	if n := spanCount(r); n != 0 || len(r.SpanChunks()) != 0 {
+		t.Fatalf("Reset kept %d spans in %d chunks", n, len(r.SpanChunks()))
 	}
 	if !r.Census.Zero() {
 		t.Fatalf("Reset kept census %+v", r.Census)
@@ -147,7 +147,7 @@ func TestResetClearsSpanState(t *testing.T) {
 func TestRecordSpanDrops(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.RecordSpan(Span{Trace: 1, ID: 1})
-	if nilRec.Spans() != nil {
+	if nilRec.SpanChunks() != nil {
 		t.Fatal("nil recorder returned spans")
 	}
 	if nilRec.SampleTrace(7) {
@@ -155,8 +155,56 @@ func TestRecordSpanDrops(t *testing.T) {
 	}
 	r := NewRecorder(machine.NewClock(), 8)
 	r.RecordSpan(Span{Trace: 0, ID: 1, Name: "dropped"})
-	if len(r.Spans()) != 0 {
+	if len(r.SpanChunks()) != 0 {
 		t.Fatal("zero-trace span was recorded")
+	}
+}
+
+// spanCount returns how many spans r holds across its chunks.
+func spanCount(r *Recorder) int {
+	n := 0
+	for _, chunk := range r.SpanChunks() {
+		n += len(chunk)
+	}
+	return n
+}
+
+// TestSpanStoreChunks records spans past several chunk boundaries: they
+// read back in record order, every chunk but the last is full and none
+// is empty, and a recorded span never moves, so a pointer taken right
+// after recording it still addresses it once the store has grown.
+func TestSpanStoreChunks(t *testing.T) {
+	r := NewRecorder(machine.NewClock(), 0)
+	const n = 3*spanChunk + 17
+	addr := make([]*Span, 0, n)
+	for i := range n {
+		r.RecordSpan(Span{Trace: uint64(1 + i%7), ID: uint64(i), Start: machine.Time(i)})
+		chunks := r.SpanChunks()
+		last := chunks[len(chunks)-1]
+		addr = append(addr, &last[len(last)-1])
+	}
+	chunks := r.SpanChunks()
+	if len(chunks) != n/spanChunk+1 {
+		t.Fatalf("%d spans in %d chunks, want %d", n, len(chunks), n/spanChunk+1)
+	}
+	i := 0
+	for c, chunk := range chunks {
+		if len(chunk) == 0 || (c < len(chunks)-1 && len(chunk) != spanChunk) {
+			t.Fatalf("chunk %d holds %d spans", c, len(chunk))
+		}
+		for k := range chunk {
+			sp := &chunk[k]
+			if sp.ID != uint64(i) {
+				t.Fatalf("span %d reads back as span %d", i, sp.ID)
+			}
+			if sp != addr[i] {
+				t.Fatalf("span %d moved after it was recorded", i)
+			}
+			i++
+		}
+	}
+	if i != n {
+		t.Fatalf("read back %d spans, want %d", i, n)
 	}
 }
 

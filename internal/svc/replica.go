@@ -1,8 +1,9 @@
 package svc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -654,7 +655,7 @@ func (r *Replica) snapshot() []Entry {
 			out = append(out, ent)
 		}
 		sub := out[base:]
-		sort.Slice(sub, func(i, j int) bool { return sub[i].Key < sub[j].Key })
+		slices.SortFunc(sub, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
 	}
 	return out
 }

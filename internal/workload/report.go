@@ -83,21 +83,20 @@ func writeMachineSection(w io.Writer, name string, sys *kern.System, opt NetRPCR
 	WriteFaultReport(w, sys, opt)
 }
 
-// writeCritPathSection collects every machine's recorded spans, runs the
-// critical-path analyzer over them, and prints the attribution table.
-// No-op when no machine sampled any span (tracing or sampling off).
+// writeCritPathSection runs the critical-path analyzer over every
+// machine's recorded spans, read in place in machine order, and prints
+// the attribution table. No-op when no machine sampled any span (tracing
+// or sampling off).
 func writeCritPathSection(w io.Writer, machines []*kern.System) {
-	var spans []obs.Span
+	var sets [][]obs.Span
 	for _, sys := range machines {
-		if r := sys.K.Obs; r != nil {
-			spans = append(spans, r.Spans()...)
-		}
+		sets = append(sets, sys.K.Obs.SpanChunks()...)
 	}
-	if len(spans) == 0 {
+	if len(sets) == 0 {
 		return
 	}
 	fmt.Fprintf(w, "\n")
-	obs.WriteCritPath(w, obs.AnalyzeCritPath(spans))
+	obs.WriteCritPath(w, obs.AnalyzeCritPath(sets...))
 }
 
 // writeRecoveryReport prints the crash/failover accounting and the

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -9,15 +10,14 @@ import (
 	"repro/internal/obs"
 )
 
-// collectSpans gathers every machine's recorded spans.
-func collectSpans(machines []*kern.System) []obs.Span {
-	var spans []obs.Span
+// spanSets gathers every machine's span chunks in machine order, as the
+// reports pass them to the analyzer.
+func spanSets(machines []*kern.System) [][]obs.Span {
+	var sets [][]obs.Span
 	for _, sys := range machines {
-		if r := sys.K.Obs; r != nil {
-			spans = append(spans, r.Spans()...)
-		}
+		sets = append(sets, sys.K.Obs.SpanChunks()...)
 	}
-	return spans
+	return sets
 }
 
 // TestKVSpanAttributionSums is the tracing acceptance property: under
@@ -36,7 +36,7 @@ func TestKVSpanAttributionSums(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("failed ops: %d", res.Failed)
 	}
-	cp := obs.AnalyzeCritPath(collectSpans(res.Machines))
+	cp := obs.AnalyzeCritPath(spanSets(res.Machines)...)
 	if len(cp.Ops) != res.Completed {
 		t.Fatalf("decomposed %d ops, want every completed op (%d)", len(cp.Ops), res.Completed)
 	}
@@ -83,8 +83,9 @@ func TestKVSampling(t *testing.T) {
 	spec := DefaultKV()
 	spec.SampleEvery = 4
 	res := RunKV(kern.MK40, machine.ArchDS3100, spec)
-	spans := collectSpans(res.Machines)
-	cp := obs.AnalyzeCritPath(spans)
+	sets := spanSets(res.Machines)
+	cp := obs.AnalyzeCritPath(sets...)
+	spans := slices.Concat(sets...)
 	if len(cp.Ops) == 0 || len(cp.Ops) >= res.Completed {
 		t.Fatalf("1/4 sampling decomposed %d of %d ops", len(cp.Ops), res.Completed)
 	}
@@ -103,7 +104,7 @@ func TestKVSampling(t *testing.T) {
 	}
 	// Rerun: the sampled subset is the same.
 	res2 := RunKV(kern.MK40, machine.ArchDS3100, spec)
-	cp2 := obs.AnalyzeCritPath(collectSpans(res2.Machines))
+	cp2 := obs.AnalyzeCritPath(spanSets(res2.Machines)...)
 	if len(cp2.Ops) != len(cp.Ops) {
 		t.Fatalf("sampled %d ops then %d: head sampling not deterministic", len(cp.Ops), len(cp2.Ops))
 	}
@@ -115,8 +116,9 @@ func TestKVSampling(t *testing.T) {
 // cache.fetch span is a child, not a fresh root.
 func TestSvcGraphSpanChain(t *testing.T) {
 	res := RunSvcGraph(kern.MK40, machine.ArchDS3100, DefaultSvcGraph())
-	spans := collectSpans(res.Machines)
-	cp := obs.AnalyzeCritPath(spans)
+	sets := spanSets(res.Machines)
+	cp := obs.AnalyzeCritPath(sets...)
+	spans := slices.Concat(sets...)
 	if len(cp.Ops) != res.Completed {
 		t.Fatalf("decomposed %d ops, want %d", len(cp.Ops), res.Completed)
 	}
