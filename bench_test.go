@@ -715,8 +715,9 @@ func BenchmarkBlockedPopulation(b *testing.B) {
 // boot's, per session, is host-B/session: the session's thread, ports,
 // program, observability and netmsg records on both machines. The same
 // count of bare threads blocked receiving on their own ports, on one
-// machine, gives host-B/thread. CI gates host-B/session at 800 and
-// host-B/thread at 660 (benchjson -max-metric).
+// machine, gives host-B/thread. Sessions, threads and ports are named
+// as mtload names them, a shared base and an index each, so no name
+// string is counted. CI gates both figures with benchjson -max-metric.
 func BenchmarkBlockedSessionBytes(b *testing.B) {
 	const n = 8000
 	var perSession, perThread float64
@@ -760,19 +761,19 @@ func bootSessionPair(n int) []*kern.System {
 		s.EnableObservation(0).SetHost(i)
 	}
 	port := srv.IPC.NewPort("echo")
-	port.QueueLimit = 2 * (n + 1)
+	port.QueueLimit = int32(2 * (n + 1))
 	srv.Net.Export("echo", port)
 	st := srv.NewTask("echo-server")
 	for w := 0; w < 4; w++ {
-		srv.Start(st.NewThread(fmt.Sprintf("srv-%d", w), workload.NewEchoServer(srv, port), 20))
+		srv.Start(st.NewNamedThread(core.IndexedName("srv-", w), workload.NewEchoServer(srv, port), 20))
 	}
 	ct := cli.NewTask("sessions")
 	proxy := cli.Net.ProxyFor("echo")
 	sessions := make([]*parkedSession, n)
 	for j := range sessions {
-		s := &parkedSession{sys: cli, proxy: proxy, reply: cli.IPC.NewPort(fmt.Sprintf("rp-%d", j))}
+		s := &parkedSession{sys: cli, proxy: proxy, reply: cli.IPC.NewNamedPort(core.IndexedName("rp-", j))}
 		sessions[j] = s
-		cli.Start(ct.NewThread(fmt.Sprintf("session-%d", j), s, 10))
+		cli.Start(ct.NewNamedThread(core.IndexedName("session-", j), s, 10))
 	}
 	kern.NewCluster(cli, srv).Drive(false)
 	for _, s := range sessions {
@@ -790,8 +791,8 @@ func bootParkedThreads(n int) []*kern.System {
 	sys.EnableObservation(0).SetHost(0)
 	task := sys.NewTask("parked")
 	for j := 0; j < n; j++ {
-		s := &parkedSession{sys: sys, reply: sys.IPC.NewPort(fmt.Sprintf("parked-%d", j)), called: true}
-		sys.Start(task.NewThread(fmt.Sprintf("parked-%d", j), s, 10))
+		s := &parkedSession{sys: sys, reply: sys.IPC.NewNamedPort(core.IndexedName("parked-", j)), called: true}
+		sys.Start(task.NewNamedThread(core.IndexedName("parked-", j), s, 10))
 	}
 	sys.Run(0)
 	return []*kern.System{sys}

@@ -41,7 +41,7 @@ func main() {
 		handled++
 		if handled <= 3 {
 			fmt.Printf("  handler: emulating privileged instruction (code %d) for %s\n",
-				info.Code, info.Thread.Name)
+				info.Code, info.Thread.Name())
 		}
 		return mach.Syscall("mach_msg(reply+receive)", func(e *mach.Env) {
 			reply := sys.NewMessage(1, 24, nil, nil)

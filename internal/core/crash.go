@@ -63,7 +63,7 @@ func (k *Kernel) CrashReset() int {
 // promises ("the continuation identifies what the thread is doing").
 type BlockedSnapshot struct {
 	ID    int
-	Name  string
+	Name  Name
 	State ThreadState
 	// Cont is the saved continuation's name, "<stack>" for a
 	// process-model block, or "<running>" for the current thread.
@@ -82,7 +82,7 @@ func (k *Kernel) SnapshotThreads() []BlockedSnapshot {
 		}
 		snap := BlockedSnapshot{
 			ID:        t.ID,
-			Name:      t.Name,
+			Name:      t.Name(),
 			State:     t.state,
 			WaitLabel: t.WaitLabel,
 		}

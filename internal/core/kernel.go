@@ -122,13 +122,11 @@ func (e *Env) Trace(kind obs.Kind, detail string) {
 	if r == nil {
 		return
 	}
-	name := "<parked>"
 	tid := 0
 	if e.P.Cur != nil {
-		name = e.P.Cur.Name
 		tid = e.P.Cur.ID
 	}
-	r.Emit(kind, tid, name, detail)
+	r.Emit(kind, tid, detail)
 }
 
 // resumeStep is the payload stored in a preserved stack frame: the
@@ -222,7 +220,8 @@ type Kernel struct {
 	Procs  []*Processor
 
 	// Obs is the observability recorder; nil (the default) disables
-	// tracing, leaving only a nil check on every emit path.
+	// tracing, leaving only a nil check on every emit path. Install one
+	// with Observe, which also gives it the kernel's thread names.
 	Obs *obs.Recorder
 
 	// Flavor is the kernel being simulated (see Config).
@@ -331,7 +330,9 @@ func NewKernel(cfg Config) *Kernel {
 
 // ThreadSpec describes a thread to create.
 type ThreadSpec struct {
-	Name     string
+	// Name is the thread's name; the zero Name names it thread-N after
+	// its ID.
+	Name     Name
 	SpaceID  int
 	Program  UserProgram
 	Priority int
@@ -368,7 +369,6 @@ func (k *Kernel) NewThread(spec ThreadSpec) *Thread {
 	k.nextThreadID++
 	t := &Thread{
 		ID:       k.nextThreadID,
-		Name:     spec.Name,
 		Mode:     ModeKernel,
 		SpaceID:  spec.SpaceID,
 		Program:  spec.Program,
@@ -376,9 +376,10 @@ func (k *Kernel) NewThread(spec ThreadSpec) *Thread {
 		Internal: spec.Internal,
 		NoStats:  spec.NoStats,
 	}
-	if t.Name == "" {
-		t.Name = fmt.Sprintf("thread-%d", t.ID)
+	if spec.Name == (Name{}) {
+		spec.Name = IndexedName("thread-", t.ID)
 	}
+	t.setName(spec.Name)
 	start := spec.Start
 	if start == nil {
 		start = ContThreadStart
@@ -430,7 +431,7 @@ func (k *Kernel) Setrun(t *Thread) {
 	switch t.state {
 	case StateWaiting:
 		if r := k.Obs; r != nil {
-			r.Emit(obs.Wakeup, t.ID, t.Name, t.WaitLabel)
+			r.Emit(obs.Wakeup, t.ID, t.WaitLabel)
 		}
 		k.SetState(t, StateRunnable)
 		t.WaitLabel = ""
@@ -485,7 +486,7 @@ func (k *Kernel) StackAttach(e *Env, t *Thread, s *machine.Stack, cont *Continua
 	e.Charge(k.Costs.StackAttach)
 	k.Stats.StackAttaches++
 	if r := k.Obs; r != nil {
-		r.EmitCont(obs.StackAttach, t.ID, t.Name, cont.obsID(), "", 0)
+		r.EmitCont(obs.StackAttach, t.ID, cont.obsID(), "", 0)
 	}
 	s.SetOwner(machine.OwnerThread)
 	t.Stack = s
@@ -504,7 +505,7 @@ func (k *Kernel) StackDetach(e *Env, t *Thread) *machine.Stack {
 	}
 	e.Charge(k.Costs.StackDetach)
 	if r := k.Obs; r != nil {
-		r.Emit(obs.StackDetach, t.ID, t.Name, "")
+		r.Emit(obs.StackDetach, t.ID, "")
 	}
 	t.Stack = nil
 	s.SetOwner(machine.OwnerTransit)
@@ -541,9 +542,9 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 	if r := k.Obs; r != nil {
 		detail := ""
 		if r.Retains() {
-			detail = "from " + old.Name
+			detail = "from " + old.eventName()
 		}
-		r.EmitCont(obs.StackHandoff, newt.ID, newt.Name, newt.Cont.obsID(), detail, old.ID)
+		r.EmitCont(obs.StackHandoff, newt.ID, newt.Cont.obsID(), detail, old.ID)
 	}
 }
 
@@ -563,7 +564,7 @@ func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
 	}
 	t.Stack.Reset()
 	if r := k.Obs; r != nil {
-		r.EmitCont(obs.ContinuationCall, t.ID, t.Name, c.obsID(), c.name, 0)
+		r.EmitCont(obs.ContinuationCall, t.ID, c.obsID(), c.name, 0)
 	}
 	e.P.transfer(c.fn)
 }
@@ -590,7 +591,7 @@ func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), fr
 	if r := k.Obs; r != nil {
 		detail := ""
 		if r.Retains() {
-			detail = "to " + newt.Name
+			detail = "to " + newt.eventName()
 		}
 		e.Trace(obs.ContextSwitch, detail)
 	}
@@ -824,7 +825,7 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 	if r := k.Obs; r != nil {
 		detail := ""
 		if r.Retains() {
-			detail = fmt.Sprintf("%s blocked; processor %d parks", old.Name, e.P.ID)
+			detail = fmt.Sprintf("%s blocked; processor %d parks", old.eventName(), e.P.ID)
 		}
 		e.Trace(obs.Block, detail)
 	}
@@ -897,7 +898,7 @@ func (k *Kernel) ThreadHandoff(e *Env, reason stats.BlockReason, cont *Continuat
 func (k *Kernel) traceBlock(e *Env, old *Thread, cont *Continuation) {
 	detail := ""
 	if k.Obs.Retains() {
-		detail = old.Name + " blocked with " + cont.Name()
+		detail = old.eventName() + " blocked with " + cont.Name()
 	}
 	e.Trace(obs.Block, detail)
 }
@@ -917,14 +918,14 @@ func (k *Kernel) Recognize(e *Env, expect *Continuation) bool {
 			if t.Cont != nil {
 				actual = t.Cont.Name()
 			}
-			r.EmitCont(obs.RecognitionMiss, t.ID, t.Name, expect.obsID(), actual, 0)
+			r.EmitCont(obs.RecognitionMiss, t.ID, expect.obsID(), actual, 0)
 		}
 		return false
 	}
 	t.Cont = nil
 	k.Stats.Recognitions++
 	if r := k.Obs; r != nil {
-		r.EmitCont(obs.Recognition, t.ID, t.Name, expect.obsID(), expect.Name(), 0)
+		r.EmitCont(obs.Recognition, t.ID, expect.obsID(), expect.Name(), 0)
 	}
 	return true
 }
@@ -946,7 +947,7 @@ func (k *Kernel) threadContinue(e *Env, cont *Continuation) {
 	k.Stats.ContinuationCalls++
 	if r := k.Obs; r != nil {
 		t := e.Cur()
-		r.EmitCont(obs.ContinuationCall, t.ID, t.Name, cont.obsID(), cont.name, 0)
+		r.EmitCont(obs.ContinuationCall, t.ID, cont.obsID(), cont.name, 0)
 	}
 	cont.fn(e)
 }
@@ -975,7 +976,7 @@ func (k *Kernel) ThreadDispatch(e *Env, old *Thread) {
 // to its preserved resume step, prefixed by disposal of the old thread.
 func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
 	if r := k.Obs; r != nil {
-		r.Emit(obs.Dispatch, newt.ID, newt.Name, "")
+		r.Emit(obs.Dispatch, newt.ID, "")
 	}
 	p.Prev = old
 	p.Cur = newt
@@ -1003,7 +1004,7 @@ func (k *Kernel) recordBlock(t *Thread, reason stats.BlockReason, discarded bool
 		if t.state == StateRunnable {
 			yield = 1
 		}
-		r.EmitCont(obs.ThreadBlocked, t.ID, t.Name, cont.obsID(), reason.String(), yield)
+		r.EmitCont(obs.ThreadBlocked, t.ID, cont.obsID(), reason.String(), yield)
 	}
 	// Sample the blocked-thread census at its only growth point: the
 	// count can rise exactly when a block completes.
@@ -1399,6 +1400,24 @@ func (k *Kernel) ThreadByID(id int) *Thread {
 		return nil
 	}
 	return k.Threads[i]
+}
+
+// Observe installs r as the kernel's event recorder, and with it the
+// lookup through which a recorder that retains events names each event's
+// acting thread.
+func (k *Kernel) Observe(r *obs.Recorder) {
+	r.NameThreads(k.eventThreadName)
+	k.Obs = r
+}
+
+// eventThreadName is the name a retained event carries for thread tid,
+// built once per thread (Thread.eventName); "" for an id the registry
+// does not hold.
+func (k *Kernel) eventThreadName(tid int) string {
+	if t := k.ThreadByID(tid); t != nil {
+		return t.eventName()
+	}
+	return ""
 }
 
 // LiveThreads counts threads that have not halted.

@@ -53,7 +53,7 @@ func start(k *core.Kernel, t *core.Thread) {
 func TestRunTrivialProgram(t *testing.T) {
 	k := newKernel(t, true, 1)
 	prog := &script{actions: []core.Action{core.RunFor(16670)}} // ~1 ms
-	th := k.NewThread(core.ThreadSpec{Name: "user", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("user"), SpaceID: 1, Program: prog})
 	start(k, th)
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -75,7 +75,7 @@ func TestSyscallReturnValueReachesProgram(t *testing.T) {
 		}),
 		core.RunFor(100),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "user", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("user"), SpaceID: 1, Program: prog})
 	start(k, th)
 	k.Run(0)
 	if len(prog.retvals) != 1 || prog.retvals[0] != 42 {
@@ -91,7 +91,7 @@ func TestSyscallHandlerMustNotReturn(t *testing.T) {
 	prog := &script{actions: []core.Action{
 		core.Syscall("broken", func(e *core.Env) {}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "user", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("user"), SpaceID: 1, Program: prog})
 	start(k, th)
 	mustPanic(t, `core: syscall "broken" handler returned instead of transferring control`, func() {
 		k.Run(0)
@@ -119,7 +119,7 @@ func sleepSyscall(d machine.Duration) core.Action {
 func TestSleepViaContinuationDiscardsStack(t *testing.T) {
 	k := newKernel(t, true, 1)
 	prog := &script{actions: []core.Action{sleepSyscall(1000 * 1000)}}
-	th := k.NewThread(core.ThreadSpec{Name: "sleeper", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("sleeper"), SpaceID: 1, Program: prog})
 	start(k, th)
 
 	// Drive until the sleeper has blocked and the processor parked.
@@ -156,7 +156,7 @@ func TestSleepViaContinuationDiscardsStack(t *testing.T) {
 func TestSleepProcessModelKeepsStack(t *testing.T) {
 	k := newKernel(t, false, 1)
 	prog := &script{actions: []core.Action{sleepSyscall(1000 * 1000)}}
-	th := k.NewThread(core.ThreadSpec{Name: "sleeper", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("sleeper"), SpaceID: 1, Program: prog})
 	start(k, th)
 
 	for i := 0; i < 100 && th.State() != core.StateWaiting; i++ {
@@ -201,7 +201,7 @@ func TestHandoffBetweenContinuationThreads(t *testing.T) {
 			sleepSyscall(100 * 1000),
 			core.RunFor(1000),
 		}}
-		return p, k.NewThread(core.ThreadSpec{Name: name, SpaceID: 1, Program: p})
+		return p, k.NewThread(core.ThreadSpec{Name: core.NameOf(name), SpaceID: 1, Program: p})
 	}
 	_, a := mk("a")
 	_, b := mk("b")
@@ -228,7 +228,7 @@ func TestProcessModelUsesContextSwitches(t *testing.T) {
 			sleepSyscall(100 * 1000),
 			core.RunFor(1000),
 		}}
-		return k.NewThread(core.ThreadSpec{Name: name, SpaceID: 1, Program: p})
+		return k.NewThread(core.ThreadSpec{Name: core.NameOf(name), SpaceID: 1, Program: p})
 	}
 	a := mk("a")
 	b := mk("b")
@@ -252,7 +252,7 @@ func TestPreemptionRoundRobin(t *testing.T) {
 	k.Sched = sched.New(machine.Duration(1000 * 1000)) // 1 ms quantum
 	mk := func(name string) *core.Thread {
 		p := &script{actions: []core.Action{core.RunFor(16670 * 10)}} // 10 ms
-		return k.NewThread(core.ThreadSpec{Name: name, SpaceID: 1, Program: p})
+		return k.NewThread(core.ThreadSpec{Name: core.NameOf(name), SpaceID: 1, Program: p})
 	}
 	a := mk("a")
 	b := mk("b")
@@ -281,7 +281,7 @@ func TestYield(t *testing.T) {
 			{Kind: core.ActYield},
 			core.RunFor(100),
 		}}
-		return k.NewThread(core.ThreadSpec{Name: name, SpaceID: 1, Program: p})
+		return k.NewThread(core.ThreadSpec{Name: core.NameOf(name), SpaceID: 1, Program: p})
 	}
 	a := mk("a")
 	b := mk("b")
@@ -299,7 +299,7 @@ func TestYieldAloneKeepsProcessor(t *testing.T) {
 		{Kind: core.ActYield},
 		core.RunFor(100),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "solo", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("solo"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -314,7 +314,7 @@ func TestYieldAloneKeepsProcessor(t *testing.T) {
 func TestHaltFreesStack(t *testing.T) {
 	k := newKernel(t, true, 1)
 	p := &script{actions: []core.Action{core.RunFor(10)}}
-	th := k.NewThread(core.ThreadSpec{Name: "short", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("short"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -343,7 +343,7 @@ func TestWakeupBeforeBlockIsNotLost(t *testing.T) {
 				func(e2 *core.Env) { e2.K.ThreadSyscallReturn(e2, 1) }, 64, "wait")
 		}),
 	}}
-	waiter = k.NewThread(core.ThreadSpec{Name: "waiter", SpaceID: 1, Program: prog})
+	waiter = k.NewThread(core.ThreadSpec{Name: core.NameOf("waiter"), SpaceID: 1, Program: prog})
 	k.Setrun(waiter)
 	k.Run(0)
 	if waiter.State() != core.StateHalted {
@@ -370,7 +370,7 @@ func TestScratchSurvivesBlock(t *testing.T) {
 			e.K.Block(e, stats.BlockInternal, resumeCont, nil, 0, "")
 		}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "stasher", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("stasher"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	k.Run(0)
 	if observed != 0xabcd {
@@ -394,7 +394,7 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 		}),
 		core.RunFor(10),
 	}}
-	server = k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: serverProg})
+	server = k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 2, Program: serverProg})
 
 	clientProg := &script{actions: []core.Action{
 		core.RunFor(100), // let the server block first
@@ -421,7 +421,7 @@ func TestThreadHandoffAndRecognition(t *testing.T) {
 			e.K.CallContinuation(e, server.Cont)
 		}),
 	}}
-	client := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: clientProg})
+	client := k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: clientProg})
 	k.Setrun(server)
 	k.Setrun(client)
 	k.Run(0)
@@ -455,7 +455,7 @@ func TestRecognizeWrongContinuation(t *testing.T) {
 			e.K.Block(e, stats.BlockReceive, other, nil, 0, "")
 		}),
 	}}
-	server = k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: serverProg})
+	server = k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 2, Program: serverProg})
 
 	expect := core.NewContinuation("expected", func(e *core.Env) {
 		e.K.ThreadSyscallReturn(e, 0)
@@ -474,7 +474,7 @@ func TestRecognizeWrongContinuation(t *testing.T) {
 			e.K.CallContinuation(e, e.Cur().Cont)
 		}),
 	}}
-	client := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: clientProg})
+	client := k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: clientProg})
 	k.Setrun(server)
 	k.Setrun(client)
 	k.Run(0)
@@ -498,7 +498,7 @@ func TestMultiprocessorRunsAllThreads(t *testing.T) {
 			sleepSyscall(10 * 1000),
 			core.RunFor(1000),
 		}}
-		th := k.NewThread(core.ThreadSpec{Name: "worker", SpaceID: i + 1, Program: p})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("worker"), SpaceID: i + 1, Program: p})
 		threads = append(threads, th)
 		k.Setrun(th)
 	}
@@ -515,7 +515,7 @@ func TestKernelEntriesCharged(t *testing.T) {
 	prog := &script{actions: []core.Action{
 		core.Syscall("nop", func(e *core.Env) { e.K.ThreadSyscallReturn(e, 5) }),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	before := k.Acct.Total()
 	k.Run(0)
@@ -534,7 +534,7 @@ func TestDeterministicReplay(t *testing.T) {
 				sleepSyscall(machine.Duration(1000 * (i + 1))),
 				core.RunFor(500),
 			}}
-			k.Setrun(k.NewThread(core.ThreadSpec{Name: "w", SpaceID: i + 1, Program: p}))
+			k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("w"), SpaceID: i + 1, Program: p}))
 		}
 		steps := k.Run(0)
 		return k.Clock.Now(), steps, k.Acct.Total()
@@ -554,7 +554,7 @@ func TestBlockWithoutWaitStatePanics(t *testing.T) {
 			e.K.Block(e, stats.BlockInternal, sleepDone, nil, 0, "")
 		}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	defer func() {
 		if recover() == nil {
@@ -575,7 +575,7 @@ func TestBlockNeitherStylePanics(t *testing.T) {
 			e.K.Block(e, stats.BlockInternal, nil, nil, 0, "")
 		}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	defer func() {
 		if recover() == nil {
@@ -606,8 +606,8 @@ func TestProcessModelBlockResumesAtContinuationBody(t *testing.T) {
 			e.K.Block(e, stats.BlockInternal, body, nil, 80, "probe-wait")
 		}),
 	}}
-	sleeper := k.NewThread(core.ThreadSpec{Name: "sleeper", SpaceID: 1, Program: prog})
-	other := k.NewThread(core.ThreadSpec{Name: "other", SpaceID: 2,
+	sleeper := k.NewThread(core.ThreadSpec{Name: core.NameOf("sleeper"), SpaceID: 1, Program: prog})
+	other := k.NewThread(core.ThreadSpec{Name: core.NameOf("other"), SpaceID: 2,
 		Program: &script{actions: []core.Action{core.RunFor(1000)}}})
 	k.Setrun(sleeper)
 	k.Setrun(other)
@@ -648,7 +648,7 @@ func TestProcessModelBlockResumesAtContinuationBody(t *testing.T) {
 func TestRunDeadline(t *testing.T) {
 	k := newKernel(t, true, 1)
 	prog := &script{actions: []core.Action{core.RunFor(16670 * 1000)}} // ~1 s
-	th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	k.Run(machine.Time(1000)) // 1 us deadline
 	if th.State() == core.StateHalted {
@@ -671,7 +671,7 @@ func TestRunningThreadAlwaysHasStack(t *testing.T) {
 			sleepSyscall(1000),
 			core.Syscall("check", check),
 		}}
-		k.Setrun(k.NewThread(core.ThreadSpec{Name: "w", SpaceID: 1, Program: p}))
+		k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("w"), SpaceID: 1, Program: p}))
 	}
 	k.Run(0)
 }
@@ -686,7 +686,7 @@ func TestSyscallReturnOverrideDiscount(t *testing.T) {
 				e.K.ThreadSyscallReturnOverride(e, 7, discount)
 			}),
 		}}
-		th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog})
 		k.Setrun(th)
 		k.Run(0)
 		if th.State() != core.StateHalted || prog.retvals[0] != 7 {
@@ -709,7 +709,7 @@ func TestOverrideOutsideSyscallPanics(t *testing.T) {
 	k.HandleException = func(e *core.Env, code int) {
 		e.K.ThreadSyscallReturnOverride(e, 0, machine.Cost{})
 	}
-	th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	defer func() {
 		if recover() == nil {
@@ -729,7 +729,7 @@ func TestValidateCleanAfterEveryScenario(t *testing.T) {
 			{Kind: core.ActYield},
 			core.RunFor(500),
 		}}
-		k.Setrun(k.NewThread(core.ThreadSpec{Name: "w", SpaceID: i + 1, Program: p}))
+		k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("w"), SpaceID: i + 1, Program: p}))
 	}
 	k.Run(0)
 	if err := k.Validate(); err != nil {
@@ -742,7 +742,7 @@ func TestValidateCleanAfterEveryScenario(t *testing.T) {
 // the reference, which fills one of them, has overflowed its area.
 func TestValidateFlagsScratchOverflow(t *testing.T) {
 	k := newKernel(t, true, 1)
-	th := k.NewThread(core.ThreadSpec{Name: "full", SpaceID: 1, Program: &script{}})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("full"), SpaceID: 1, Program: &script{}})
 	for i := 0; i < core.ScratchSlots; i++ {
 		th.Scratch.PutWord(i, 1)
 	}

@@ -32,7 +32,7 @@ func TestProfileKeyIsTheName(t *testing.T) {
 	}
 	var threads []*core.Thread
 	for i, c := range []*core.Continuation{first, second} {
-		th := k.NewThread(core.ThreadSpec{Name: []string{"a", "b"}[i], SpaceID: 1,
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf([]string{"a", "b"}[i]), SpaceID: 1,
 			Program: &script{actions: []core.Action{sleepWith(c)}}})
 		threads = append(threads, th)
 		start(k, th)

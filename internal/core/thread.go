@@ -74,8 +74,11 @@ const (
 // state lives behind Scratch's one reference. TestThreadLayout pins the
 // size.
 type Thread struct {
-	ID   int
-	Name string
+	ID int
+
+	// nameBase, nameIdx and nameTail are the thread's Name (see Name),
+	// stored apart so the index and tail fill the flag bytes' padding.
+	nameBase string
 
 	// state is the scheduling state, read through State and written only
 	// through Kernel.SetState, which keeps the kernel's waiting count
@@ -115,6 +118,9 @@ type Thread struct {
 	// registry until the next compaction; every registry walker already
 	// skips halted threads.
 	reaped bool
+
+	nameTail uint8
+	nameIdx  uint32
 
 	// Cont is the thread's continuation while blocked in the interrupt
 	// style; nil for a thread blocked under the process model or running.
@@ -209,11 +215,31 @@ func (t *Thread) Reaped() bool { return t.reaped }
 // Queued reports whether the thread is currently on a run queue.
 func (t *Thread) Queued() bool { return t.queued }
 
+// Name returns the thread's name; its String builds the text.
+func (t *Thread) Name() Name {
+	return Name{base: t.nameBase, idx: t.nameIdx, tail: t.nameTail}
+}
+
+// setName stores n in the thread's name fields.
+func (t *Thread) setName(n Name) {
+	t.nameBase, t.nameIdx, t.nameTail = n.base, n.idx, n.tail
+}
+
+// eventName returns the thread's name text for a retained event. It
+// builds the text once and keeps it as the thread's base, so a thread
+// that acts in many retained events pays for one string.
+func (t *Thread) eventName() string {
+	if t.nameIdx != 0 {
+		t.setName(NameOf(t.Name().String()))
+	}
+	return t.nameBase
+}
+
 func (t *Thread) String() string {
 	if t == nil {
 		return "<no thread>"
 	}
-	return fmt.Sprintf("thread %d (%s)", t.ID, t.Name)
+	return fmt.Sprintf("thread %d (%s)", t.ID, t.Name())
 }
 
 // Blocked reports whether the thread is waiting.

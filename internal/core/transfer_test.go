@@ -28,7 +28,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 // runOne starts a user thread running the given actions and drives the
 // kernel to quiescence.
 func runOne(k *core.Kernel, actions ...core.Action) {
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "user", SpaceID: 1, Program: &script{actions: actions}}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("user"), SpaceID: 1, Program: &script{actions: actions}}))
 	k.Run(0)
 }
 
@@ -55,7 +55,7 @@ func TestExceptionHandlerMustTransfer(t *testing.T) {
 func TestActionMustTransfer(t *testing.T) {
 	k := newKernel(t, true, 1)
 	lazy := core.NewContinuation("lazy_start", func(e *core.Env) {})
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "lazy", Start: lazy}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("lazy"), Start: lazy}))
 	mustPanic(t, "core: action on processor 0 returned without transferring control (current thread 1 (lazy))", func() {
 		k.Run(0)
 	})

@@ -30,7 +30,7 @@ func TestWaitResultGuards(t *testing.T) {
 	t.Run("post onto a held result", func(t *testing.T) {
 		k := newKernel(t, true, 1)
 		k.DebugChecks = true
-		th := k.NewThread(core.ThreadSpec{Name: "w", SpaceID: 1, Program: &script{}})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("w"), SpaceID: 1, Program: &script{}})
 		k.PostWaitResult(th, 0x10004003)
 		wantPanic(t, fmt.Sprintf("core: wait result 0x10004007 posted onto %v, which still holds 0x10004003", th), func() {
 			k.PostWaitResult(th, 0x10004007)
@@ -52,7 +52,7 @@ func TestWaitResultGuards(t *testing.T) {
 				e.K.ThreadSyscallReturn(e, 0)
 			}),
 		}}
-		th := k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog})
 		k.Setrun(th)
 		wantPanic(t, fmt.Sprintf("core: %v returns to user space holding wait result 0x10004003", th), func() {
 			k.Run(0)

@@ -285,7 +285,7 @@ func NewSubsystem(k *core.Kernel) *Subsystem {
 	s.ContDeviceRead = core.NewContinuation("device_read_continue", s.deviceReadContinue)
 	s.ContDeviceWrite = core.NewContinuation("device_write_continue", s.deviceWriteContinue)
 	s.IoThread = k.NewThread(core.ThreadSpec{
-		Name:     "io-done",
+		Name:     core.NameOf("io-done"),
 		SpaceID:  0,
 		Internal: true,
 		Priority: 29,

@@ -279,11 +279,11 @@ func (s *Subsystem) emitFault(t *core.Thread, detail string) {
 	if rec == nil {
 		return
 	}
-	tid, name := 0, ""
+	tid := 0
 	if t != nil {
-		tid, name = t.ID, t.Name
+		tid = t.ID
 	}
-	rec.Emit(obs.FaultInject, tid, name, detail)
+	rec.Emit(obs.FaultInject, tid, detail)
 }
 
 // injectLatency applies the fault plan's latency spike to a request

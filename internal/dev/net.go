@@ -236,9 +236,9 @@ func (n *NIC) emitWireFault(e *core.Env, what string, extra machine.Duration) {
 	if r == nil {
 		return
 	}
-	tid, name := 0, ""
+	tid := 0
 	if t := e.Cur(); t != nil {
-		tid, name = t.ID, t.Name
+		tid = t.ID
 	}
 	detail := ""
 	if r.Retains() {
@@ -247,7 +247,7 @@ func (n *NIC) emitWireFault(e *core.Env, what string, extra machine.Duration) {
 			detail += " +" + strconv.FormatUint(uint64(extra)/1000, 10) + "us"
 		}
 	}
-	r.Emit(obs.FaultInject, tid, name, detail)
+	r.Emit(obs.FaultInject, tid, detail)
 }
 
 // Transmit puts a packet on the wire in the sender's kernel context and
@@ -622,7 +622,7 @@ func NewNetmsg(s *Subsystem, x *ipc.IPC, nic *NIC) *Netmsg {
 		name = fmt.Sprintf("netmsg%d", nic.index)
 	}
 	n.Thread = s.K.NewThread(core.ThreadSpec{
-		Name:     name,
+		Name:     core.NameOf(name),
 		SpaceID:  0,
 		Internal: true,
 		Priority: 29,
@@ -763,7 +763,7 @@ func (n *Netmsg) PeerAlive() bool {
 		n.declaredDead = true
 		n.DeathsDetected++
 		if r := n.Sub.K.Obs; r != nil {
-			r.Emit(obs.PeerDeath, 0, "", n.NIC.Name)
+			r.Emit(obs.PeerDeath, 0, n.NIC.Name)
 		}
 		return false
 	}
@@ -808,7 +808,7 @@ func (n *Netmsg) noteIncarnation(pkt *Packet) (stale bool) {
 		n.declaredDead = false
 		n.Recoveries++
 		if r := n.Sub.K.Obs; r != nil {
-			r.EmitArg(obs.PeerDeath, 0, "", n.NIC.Name, 1)
+			r.EmitArg(obs.PeerDeath, 0, n.NIC.Name, 1)
 		}
 	}
 	if pkt.SrcInc > n.peerInc {
@@ -924,7 +924,7 @@ func (n *Netmsg) loop(e *core.Env) {
 				n.HeartbeatsTx++
 				if r := n.Sub.K.Obs; r != nil {
 					t := e.Cur()
-					r.EmitArg(obs.Heartbeat, t.ID, t.Name, n.NIC.Name, int(n.Inc))
+					r.EmitArg(obs.Heartbeat, t.ID, n.NIC.Name, int(n.Inc))
 				}
 			} else {
 				n.Retransmits++

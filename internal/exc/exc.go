@@ -122,7 +122,7 @@ func (ex *Exc) Handle(e *core.Env, code int) {
 	}
 	if ports.reply == nil {
 		// The kernel is the reply port's receiver: its sink restarts t.
-		ports.reply = ex.X.NewPort(fmt.Sprintf("exc-reply-%d", t.ID))
+		ports.reply = ex.X.NewNamedPort(core.IndexedName("exc-reply-", t.ID))
 		ports.reply.KernelSink = func(e *core.Env, msg *ipc.Message, opts ipc.MsgOptions) {
 			ex.replySink(e, t, msg, opts)
 		}

@@ -77,9 +77,9 @@ func runExc(t *testing.T, flavor core.Flavor, raises int) (*core.Kernel, *ipc.IP
 	srv := &excServer{x: x, port: port}
 	// The exception server runs in the same address space as the
 	// faulting thread, as in the paper's benchmark.
-	st := k.NewThread(core.ThreadSpec{Name: "exc-server", SpaceID: 1, Program: srv})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("exc-server"), SpaceID: 1, Program: srv})
 	fp := &faulterProg{count: raises}
-	ft := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: fp})
+	ft := k.NewThread(core.ThreadSpec{Name: core.NameOf("faulter"), SpaceID: 1, Program: fp})
 	ex.SetExceptionPort(ft, port)
 	k.Setrun(st)
 	k.Setrun(ft)
@@ -156,8 +156,8 @@ func TestExceptionFaulterStacklessWhileServerWorks(t *testing.T) {
 	k, x, ex := newExcKernel(t, core.MK40)
 	port := x.NewPort("exc-server")
 	srv := &excServer{x: x, port: port}
-	st := k.NewThread(core.ThreadSpec{Name: "exc-server", SpaceID: 1, Program: srv})
-	ft := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: &faulterProg{count: 1}})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("exc-server"), SpaceID: 1, Program: srv})
+	ft := k.NewThread(core.ThreadSpec{Name: core.NameOf("faulter"), SpaceID: 1, Program: &faulterProg{count: 1}})
 	ex.SetExceptionPort(ft, port)
 	k.Setrun(st)
 	k.Setrun(ft)
@@ -184,7 +184,7 @@ func TestExceptionFaulterStacklessWhileServerWorks(t *testing.T) {
 
 func TestExceptionWithoutPortPanics(t *testing.T) {
 	k, _, _ := newExcKernel(t, core.MK40)
-	ft := k.NewThread(core.ThreadSpec{Name: "orphan", SpaceID: 1, Program: &faulterProg{count: 1}})
+	ft := k.NewThread(core.ThreadSpec{Name: core.NameOf("orphan"), SpaceID: 1, Program: &faulterProg{count: 1}})
 	k.Setrun(ft)
 	defer func() {
 		if recover() == nil {
@@ -208,9 +208,9 @@ func TestSlowRaiseWhenServerBusy(t *testing.T) {
 	ex := exc.New(k, x)
 	port := x.NewPort("exc-server")
 	srv := &excServer{x: x, port: port}
-	st := k.NewThread(core.ThreadSpec{Name: "exc-server", SpaceID: 1, Program: srv})
-	f1 := k.NewThread(core.ThreadSpec{Name: "f1", SpaceID: 1, Program: &faulterProg{count: 3}})
-	f2 := k.NewThread(core.ThreadSpec{Name: "f2", SpaceID: 1, Program: &faulterProg{count: 3}})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("exc-server"), SpaceID: 1, Program: srv})
+	f1 := k.NewThread(core.ThreadSpec{Name: core.NameOf("f1"), SpaceID: 1, Program: &faulterProg{count: 3}})
+	f2 := k.NewThread(core.ThreadSpec{Name: core.NameOf("f2"), SpaceID: 1, Program: &faulterProg{count: 3}})
 	ex.SetExceptionPort(f1, port)
 	ex.SetExceptionPort(f2, port)
 	k.Setrun(st)

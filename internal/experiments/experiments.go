@@ -494,7 +494,7 @@ func Firefly886(flavor kern.Flavor) FireflyResult {
 		})
 	}
 	for i := 0; i < receivers+netWaits+excWaits; i++ {
-		th := task.NewThread(fmt.Sprintf("blocked-%d", i), recvProg(), 10)
+		th := task.NewNamedThread(core.IndexedName("blocked-", i), recvProg(), 10)
 		blocked = append(blocked, th)
 		sys.Start(th)
 	}
@@ -508,7 +508,7 @@ func Firefly886(flavor kern.Flavor) FireflyResult {
 				sys.K.Block(e, stats.BlockInternal, contSleepForever, nil, 128, "sleep")
 			})
 		})
-		th := task.NewThread(fmt.Sprintf("timer-%d", i), prog, 10)
+		th := task.NewNamedThread(core.IndexedName("timer-", i), prog, 10)
 		blocked = append(blocked, th)
 		sys.Start(th)
 	}
@@ -523,7 +523,7 @@ func Firefly886(flavor kern.Flavor) FireflyResult {
 		prog := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
 			return core.RunFor(10000)
 		})
-		sys.Start(task.NewThread(fmt.Sprintf("busy-%d", i), prog, 5))
+		sys.Start(task.NewNamedThread(core.IndexedName("busy-", i), prog, 5))
 	}
 
 	// Drive until the blocked population has settled (every processor

@@ -136,7 +136,7 @@ func (x *IPC) FindDeadlock() []string {
 		if t.Cont != nil {
 			cont = t.Cont.Name()
 		}
-		out = append(out, fmt.Sprintf("%s (%s)", t.Name, cont))
+		out = append(out, fmt.Sprintf("%s (%s)", t.Name(), cont))
 	}
 	return out
 }

@@ -56,7 +56,7 @@ func primeSend(k *core.Kernel, x *ipc.IPC, to *ipc.Port) {
 			x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: to})
 		})
 	})
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "primer", SpaceID: 90, Program: prog}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("primer"), SpaceID: 90, Program: prog}))
 }
 
 // TestFindDeadlockSelfWait: the smallest possible blocking cycle — a
@@ -67,7 +67,7 @@ func TestFindDeadlockSelfWait(t *testing.T) {
 	port := x.NewPort("self")
 	reply := x.NewPort("self-reply")
 	sw := &selfWaiter{x: x, port: port, reply: reply}
-	th := k.NewThread(core.ThreadSpec{Name: "selfish", SpaceID: 1, Program: sw})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("selfish"), SpaceID: 1, Program: sw})
 	k.Setrun(th)
 	primeSend(k, x, port)
 	k.Run(0)
@@ -135,7 +135,7 @@ func buildFullPortSelfBlock(t *testing.T, sndTimeout machine.Duration) (*ipc.IPC
 	port := x.NewPort("narrow")
 	port.QueueLimit = 1
 	fp := &fullPortSender{x: x, port: port, sndTimeout: sndTimeout}
-	th := k.NewThread(core.ThreadSpec{Name: "flooder", SpaceID: 1, Program: fp})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("flooder"), SpaceID: 1, Program: fp})
 	k.Setrun(th)
 	primeSend(k, x, port)
 	// Step until the sender is parked in its flood phase (step >= 2 rules

@@ -143,7 +143,7 @@ type Message struct {
 // TestPortLayout pins the size.
 type Port struct {
 	ID   int
-	Name string
+	name core.Name
 
 	// rcv is the port's receive side while it has one.
 	rcv *portRecv
@@ -160,7 +160,7 @@ type Port struct {
 
 	// QueueLimit bounds the message queue; senders block when it is
 	// full. Zero means DefaultQueueLimit.
-	QueueLimit int
+	QueueLimit int32
 
 	// Route is an integer the owner of KernelSink keeps with the port,
 	// so one sink can serve many ports: on a netmsg reply proxy, the
@@ -184,6 +184,19 @@ type Port struct {
 	// dead marks a destroyed port: sends fail with SendInvalidDest and
 	// receives with RcvPortDied.
 	dead bool
+}
+
+// Name returns the port's name; its String builds the text.
+func (p *Port) Name() core.Name { return p.name }
+
+// trace emits a control-transfer step on p, naming the port only when
+// the recorder keeps the event.
+func (p *Port) trace(e *core.Env, kind obs.Kind) {
+	detail := ""
+	if r := e.K.Obs; r != nil && r.Retains() {
+		detail = p.name.String()
+	}
+	e.Trace(kind, detail)
 }
 
 // portRecv is a port's receive side: its queued messages, the threads
@@ -277,7 +290,7 @@ func liveWaiters(list []*rcvWaiter) int {
 // limit returns the effective queue bound.
 func (p *Port) limit() int {
 	if p.QueueLimit > 0 {
-		return p.QueueLimit
+		return int(p.QueueLimit)
 	}
 	return DefaultQueueLimit
 }
@@ -486,10 +499,15 @@ func New(k *core.Kernel) *IPC {
 	return x
 }
 
-// NewPort allocates a port.
-func (x *IPC) NewPort(name string) *Port {
+// NewPort allocates a port named name.
+func (x *IPC) NewPort(name string) *Port { return x.NewNamedPort(core.NameOf(name)) }
+
+// NewNamedPort allocates a port named n. A family of ports (a session's
+// reply ports) shares one base and gives each port its own index, so
+// naming them builds no string.
+func (x *IPC) NewNamedPort(n core.Name) *Port {
 	x.nextPortID++
-	p := &Port{ID: x.nextPortID, Name: name}
+	p := &Port{ID: x.nextPortID, name: n}
 	x.ports = append(x.ports, p)
 	return p
 }
@@ -736,12 +754,11 @@ func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 		// A combined send+receive whose request carries a reply port is
 		// the client half of an RPC; the copy-out that completes the
 		// receive closes the bracket.
-		t := e.Cur()
 		dest := ""
-		if opts.SendTo != nil {
-			dest = opts.SendTo.Name
+		if opts.SendTo != nil && r.Retains() {
+			dest = opts.SendTo.name.String()
 		}
-		r.Emit(obs.RPCStart, t.ID, t.Name, dest)
+		r.Emit(obs.RPCStart, e.Cur().ID, dest)
 	}
 	if opts.Send != nil {
 		x.send(e, opts, src)
@@ -795,7 +812,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 	}
 
 	e.Charge(findRecvCost)
-	e.Trace(obs.FindReceiver, dest.Name)
+	dest.trace(e, obs.FindReceiver)
 	recv := x.popWaiter(dest)
 	if recv == nil {
 		// A thread blocked on the port's set can take the message too.
@@ -973,7 +990,7 @@ func (x *IPC) enqueue(e *core.Env, p *Port, msg *Message) {
 	r.queue = append(r.queue, msg)
 	p.Enqueued++
 	x.QueuedSends++
-	e.Trace(obs.QueueMessage, p.Name)
+	p.trace(e, obs.QueueMessage)
 }
 
 // finishSendPhase either falls into the receive phase (returning to the
@@ -1145,7 +1162,7 @@ func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 			detail = strconv.Itoa(m.Size) + " bytes"
 		}
 		e.Trace(obs.CopyOut, detail)
-		r.Emit(obs.RPCEnd, t.ID, t.Name, "")
+		r.Emit(obs.RPCEnd, t.ID, "")
 	}
 	x.thread(t).received = m
 	if x.UserReturnHook != nil && x.UserReturnHook(e, t, m) {

@@ -93,8 +93,8 @@ func runRPC(t *testing.T, flavor core.Flavor, rpcs, maxSize int) (*core.Kernel, 
 	replyPort := x.NewPort("reply")
 	srv := &rpcServer{x: x, port: serverPort, maxSize: maxSize}
 	cli := &rpcClient{x: x, server: serverPort, reply: replyPort, count: rpcs}
-	st := k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: srv})
-	ct := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: cli})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 2, Program: srv})
+	ct := k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: cli})
 	k.Setrun(st)
 	k.Setrun(ct)
 	k.Run(0)
@@ -226,7 +226,7 @@ func TestRcvTooLarge(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port, MaxSize: 64})
 		})
 	})
-	rt := k.NewThread(core.ThreadSpec{Name: "recv", SpaceID: 1, Program: recvProg})
+	rt := k.NewThread(core.ThreadSpec{Name: core.NameOf("recv"), SpaceID: 1, Program: recvProg})
 	sendProg := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
 		if th.KernelEntries > 0 {
 			return core.Exit()
@@ -236,7 +236,7 @@ func TestRcvTooLarge(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{Send: big, SendTo: port})
 		})
 	})
-	st := k.NewThread(core.ThreadSpec{Name: "send", SpaceID: 2, Program: sendProg})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("send"), SpaceID: 2, Program: sendProg})
 	k.Setrun(rt)
 	k.Setrun(st)
 	k.Run(0)
@@ -257,7 +257,7 @@ func TestSendOnlyQueuesWithoutReceiver(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 		})
 	})
-	st := k.NewThread(core.ThreadSpec{Name: "producer", SpaceID: 1, Program: prog})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("producer"), SpaceID: 1, Program: prog})
 	k.Setrun(st)
 	k.Run(0)
 	if port.QueueLen() != 3 {
@@ -294,8 +294,8 @@ func TestQueuedMessagesDrainFIFO(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 		})
 	})
-	prod := k.NewThread(core.ThreadSpec{Name: "producer", SpaceID: 1, Program: prodProg})
-	cons := k.NewThread(core.ThreadSpec{Name: "consumer", SpaceID: 2, Program: consProg})
+	prod := k.NewThread(core.ThreadSpec{Name: core.NameOf("producer"), SpaceID: 1, Program: prodProg})
+	cons := k.NewThread(core.ThreadSpec{Name: core.NameOf("consumer"), SpaceID: 2, Program: consProg})
 	k.Setrun(prod)
 	k.Setrun(cons)
 	k.Run(0)
@@ -319,7 +319,7 @@ func TestReceiversAreStacklessWhileBlocked(t *testing.T) {
 				x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 			})
 		})
-		th := k.NewThread(core.ThreadSpec{Name: "srv", SpaceID: i + 1, Program: prog})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("srv"), SpaceID: i + 1, Program: prog})
 		servers = append(servers, th)
 		k.Setrun(th)
 	}
@@ -395,7 +395,7 @@ func TestPerSenderFIFOProperty(t *testing.T) {
 					x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 				})
 			})
-			k.Setrun(k.NewThread(core.ThreadSpec{Name: "s", SpaceID: s + 1, Program: prog}))
+			k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: s + 1, Program: prog}))
 		}
 		want := nSenders * ((perSender + 1) / 2)
 		var got [][2]int
@@ -410,7 +410,7 @@ func TestPerSenderFIFOProperty(t *testing.T) {
 				x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 			})
 		})
-		k.Setrun(k.NewThread(core.ThreadSpec{Name: "c", SpaceID: 99, Program: cons}))
+		k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("c"), SpaceID: 99, Program: cons}))
 		k.Run(0)
 
 		if len(got) != want {

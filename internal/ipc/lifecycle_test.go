@@ -38,7 +38,7 @@ func TestReceiveTimeout(t *testing.T) {
 			})
 		}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -67,7 +67,7 @@ func TestReceiveTimeoutCancelledByDelivery(t *testing.T) {
 				})
 			}),
 		}}
-		rt := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: recvProg})
+		rt := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 1, Program: recvProg})
 		sendProg := &retvalProg{acts: []core.Action{
 			core.RunFor(1000),
 			core.Syscall("send", func(e *core.Env) {
@@ -75,7 +75,7 @@ func TestReceiveTimeoutCancelledByDelivery(t *testing.T) {
 				x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 			}),
 		}}
-		st := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 2, Program: sendProg})
+		st := k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: 2, Program: sendProg})
 		k.Setrun(rt)
 		k.Setrun(st)
 		k.Run(0)
@@ -99,7 +99,7 @@ func TestDestroyPortWakesReceivers(t *testing.T) {
 				x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 			}),
 		}}
-		th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: i + 1, Program: prog})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: i + 1, Program: prog})
 		k.Setrun(th)
 		defer func(p *retvalProg) { rets = append(rets, p.rets...) }(prog)
 	}
@@ -110,7 +110,7 @@ func TestDestroyPortWakesReceivers(t *testing.T) {
 			e.K.ThreadSyscallReturn(e, 0)
 		}),
 	}}
-	dt := k.NewThread(core.ThreadSpec{Name: "d", SpaceID: 9, Program: destroyer})
+	dt := k.NewThread(core.ThreadSpec{Name: core.NameOf("d"), SpaceID: 9, Program: destroyer})
 	k.Setrun(dt)
 	k.Run(0)
 	if !port.Dead() {
@@ -134,7 +134,7 @@ func TestDestroyedPortReceiversGetPortDied(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 		}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	for i := 0; i < 100 && th.State() != core.StateWaiting; i++ {
 		k.Step()
@@ -160,7 +160,7 @@ func TestSendToDeadPortFails(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 		}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	k.Run(0)
 	if len(prog.rets) != 2 || prog.rets[1] != ipc.SendInvalidDest {
@@ -186,7 +186,7 @@ func TestQueueLimitBlocksSender(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 		})
 	})
-	pt := k.NewThread(core.ThreadSpec{Name: "producer", SpaceID: 1, Program: producer})
+	pt := k.NewThread(core.ThreadSpec{Name: core.NameOf("producer"), SpaceID: 1, Program: producer})
 	k.Setrun(pt)
 
 	// Drive until the producer blocks on the full queue.
@@ -221,7 +221,7 @@ func TestQueueLimitBlocksSender(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 		})
 	})
-	ct := k.NewThread(core.ThreadSpec{Name: "consumer", SpaceID: 2, Program: consumer})
+	ct := k.NewThread(core.ThreadSpec{Name: core.NameOf("consumer"), SpaceID: 2, Program: consumer})
 	k.Setrun(ct)
 	k.Run(0)
 	if pt.State() != core.StateHalted || ct.State() != core.StateHalted {
@@ -266,8 +266,8 @@ func TestQueueLimitProcessModel(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 		})
 	})
-	pt := k.NewThread(core.ThreadSpec{Name: "producer", SpaceID: 1, Program: producer})
-	ct := k.NewThread(core.ThreadSpec{Name: "consumer", SpaceID: 2, Program: consumer})
+	pt := k.NewThread(core.ThreadSpec{Name: core.NameOf("producer"), SpaceID: 1, Program: producer})
+	ct := k.NewThread(core.ThreadSpec{Name: core.NameOf("consumer"), SpaceID: 2, Program: consumer})
 	k.Setrun(pt)
 	k.Setrun(ct)
 	k.Run(0)
@@ -290,7 +290,7 @@ func TestDestroyPortWakesBlockedSender(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 		}),
 	}}
-	th := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	for i := 0; i < 10000 && th.State() != core.StateWaiting; i++ {
 		k.Step()
@@ -321,7 +321,7 @@ func TestTimeoutRaceWithSender(t *testing.T) {
 				x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port, RcvTimeout: 1000})
 			}),
 		}}
-		rt := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: recvProg})
+		rt := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 1, Program: recvProg})
 		k.Setrun(rt)
 		d := delay
 		k.Clock.Schedule(k.Clock.Now()+d, func(any) {

@@ -20,8 +20,6 @@ type source interface {
 	pull(x *IPC, e *core.Env) *Message
 	// push registers a receive waiter (x supplies the registration pool).
 	push(x *IPC, t *core.Thread) *rcvWaiter
-	// srcName labels the source for traces.
-	srcName() string
 }
 
 // PortSet is a Mach port set: a server receives from all member ports
@@ -51,7 +49,7 @@ func (x *IPC) AddToSet(p *Port, ps *PortSet) {
 		return
 	}
 	if p.set != nil {
-		panic(fmt.Sprintf("ipc: port %s already in set %s", p.Name, p.set.Name))
+		panic(fmt.Sprintf("ipc: port %s already in set %s", p.Name(), p.set.Name))
 	}
 	p.set = ps
 	ps.members = append(ps.members, p)
@@ -108,8 +106,6 @@ func (ps *PortSet) push(x *IPC, t *core.Thread) *rcvWaiter {
 	return w
 }
 
-func (ps *PortSet) srcName() string { return ps.Name }
-
 // ---------------------------------------------------------------------
 // Port's source implementation.
 // ---------------------------------------------------------------------
@@ -133,14 +129,12 @@ func (p *Port) pull(x *IPC, e *core.Env) *Message {
 	p.Dequeued++
 	e.Charge(dequeueCost)
 	e.Charge(reparseCost)
-	e.Trace(obs.DequeueMessage, p.Name)
+	p.trace(e, obs.DequeueMessage)
 	// Room opened up: release a sender blocked on the full queue.
 	x.wakeSender(p)
 	x.settle(p)
 	return m
 }
-
-func (p *Port) srcName() string { return p.Name }
 
 // findSetReceiver locates a thread blocked on the port's set, if any.
 func (x *IPC) findSetReceiver(p *Port) *core.Thread {

@@ -61,7 +61,7 @@ func TestReceiveFromSetDrainsAllMembers(t *testing.T) {
 				x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 			})
 		})
-		k.Setrun(k.NewThread(core.ThreadSpec{Name: "prod", SpaceID: i + 1, Program: prog}))
+		k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("prod"), SpaceID: i + 1, Program: prog}))
 	}
 
 	var got [][2]int
@@ -76,7 +76,7 @@ func TestReceiveFromSetDrainsAllMembers(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFromSet: ps})
 		})
 	})
-	st := k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 9, Program: server})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 9, Program: server})
 	k.Setrun(st)
 	k.Run(0)
 
@@ -125,7 +125,7 @@ func TestSetWaiterGetsFastHandoff(t *testing.T) {
 			})
 		})
 	})
-	st := k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: server})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 2, Program: server})
 
 	reply := x.NewPort("reply")
 	done := 0
@@ -143,7 +143,7 @@ func TestSetWaiterGetsFastHandoff(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{Send: req, SendTo: port, ReceiveFrom: reply})
 		})
 	})
-	ct := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: client})
+	ct := k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: client})
 	k.Setrun(st)
 	k.Setrun(ct)
 	k.Run(0)
@@ -181,11 +181,11 @@ func TestSetRoundRobinAcrossMembers(t *testing.T) {
 			if n%2 == 1 {
 				port = b
 			}
-			m := x.NewMessage(uint32(n), ipc.HeaderBytes, port.Name, nil)
+			m := x.NewMessage(uint32(n), ipc.HeaderBytes, port.Name().String(), nil)
 			x.MachMsg(e, ipc.MsgOptions{Send: m, SendTo: port})
 		})
 	})
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "prod", SpaceID: 1, Program: prod}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("prod"), SpaceID: 1, Program: prod}))
 	k.Run(0)
 
 	var order []string
@@ -200,7 +200,7 @@ func TestSetRoundRobinAcrossMembers(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFromSet: ps})
 		})
 	})
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "cons", SpaceID: 2, Program: cons}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("cons"), SpaceID: 2, Program: cons}))
 	k.Run(0)
 	// Round robin alternates members rather than draining one port dry.
 	if len(order) != 4 || order[0] == order[1] {
@@ -217,7 +217,7 @@ func TestBothReceiveFieldsPanics(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: p, ReceiveFromSet: ps})
 		})
 	})
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "u", SpaceID: 1, Program: prog}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("u"), SpaceID: 1, Program: prog}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

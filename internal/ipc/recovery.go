@@ -72,12 +72,12 @@ func (x *IPC) checkInvariants() error {
 			continue
 		}
 		if len(r.queue)+len(r.waiters)+len(r.sendWaiters) == 0 {
-			return fmt.Errorf("ipc: port %s holds an empty receive record", p.Name)
+			return fmt.Errorf("ipc: port %s holds an empty receive record", p.Name())
 		}
-		if err := check(r.waiters, "port "+p.Name, false); err != nil {
+		if err := check(r.waiters, "port "+p.Name().String(), false); err != nil {
 			return err
 		}
-		if err := check(r.sendWaiters, "send-waiters of "+p.Name, true); err != nil {
+		if err := check(r.sendWaiters, "send-waiters of "+p.Name().String(), true); err != nil {
 			return err
 		}
 	}

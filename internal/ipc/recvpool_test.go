@@ -78,8 +78,8 @@ func TestRPCLeavesReplyPortIdle(t *testing.T) {
 					})
 				})
 			})
-			k.Setrun(k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: server}))
-			cli := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: client})
+			k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 2, Program: server}))
+			cli := k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: client})
 			k.Setrun(cli)
 			k.Run(0)
 			if cli.State() != core.StateHalted || done != rpcs {
@@ -130,7 +130,7 @@ func TestTimedOutReceivesDoNotPile(t *testing.T) {
 					x.MachMsg(e, MsgOptions{ReceiveFrom: port, RcvTimeout: machine.Duration(1000)})
 				})
 			})
-			th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: prog})
+			th := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 1, Program: prog})
 			k.Setrun(th)
 			k.Run(0)
 			if th.State() != core.StateHalted || timedOut != receives {
@@ -156,8 +156,8 @@ func TestArmedRegistrationNotReusedBeforeTimerFires(t *testing.T) {
 		t.Run(f.FlagName(), func(t *testing.T) {
 			k, x := newPoolKernel(f)
 			exit := core.ProgramFunc(func(*core.Env, *core.Thread) core.Action { return core.Exit() })
-			th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: exit})
-			other := k.NewThread(core.ThreadSpec{Name: "o", SpaceID: 1, Program: exit})
+			th := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 1, Program: exit})
+			other := k.NewThread(core.ThreadSpec{Name: core.NameOf("o"), SpaceID: 1, Program: exit})
 			port := x.NewPort("p")
 			x.RegisterReceiver(th, port, 0, 1000)
 			w := port.rcvWaiters()[0]

@@ -48,7 +48,7 @@ func runSendRace(t *testing.T, skew int64) uint64 {
 			})
 		})
 	})
-	th := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 
 	// Park the sender without letting any timer fire.
@@ -101,7 +101,7 @@ func runRcvRace(t *testing.T, skew int64) (ret uint64, queued int) {
 	port := x.NewPort("raced")
 
 	prog := &oneRecv{x: x, port: port, timeout: machine.Duration(1_000_000)}
-	th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	for k.StepNoAdvance() {
 	}

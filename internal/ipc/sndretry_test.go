@@ -37,7 +37,7 @@ func TestSendRetryKeepsOptions(t *testing.T) {
 			var rets []uint64
 			var reply any
 			step := 0
-			client := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: core.ProgramFunc(
+			client := k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: core.ProgramFunc(
 				func(e *core.Env, th *core.Thread) core.Action {
 					if th.UserReturn == core.ReturnNone && th.KernelEntries > 0 {
 						rets = append(rets, th.MD.RetVal)
@@ -65,7 +65,7 @@ func TestSendRetryKeepsOptions(t *testing.T) {
 
 			var req *Message
 			replied := false
-			server := k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: core.ProgramFunc(
+			server := k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 2, Program: core.ProgramFunc(
 				func(e *core.Env, th *core.Thread) core.Action {
 					if m := x.Received(th); m != nil {
 						if m.Reply == nil {
@@ -170,7 +170,7 @@ func TestSendRetryKeepsReceiveTimeout(t *testing.T) {
 
 			var rets []uint64
 			step := 0
-			client := k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: core.ProgramFunc(
+			client := k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: core.ProgramFunc(
 				func(e *core.Env, th *core.Thread) core.Action {
 					if th.UserReturn == core.ReturnNone && th.KernelEntries > 0 {
 						rets = append(rets, th.MD.RetVal)

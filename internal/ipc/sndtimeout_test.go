@@ -29,7 +29,7 @@ func TestSendTimeout(t *testing.T) {
 				})
 			}),
 		}}
-		th := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 1, Program: prog})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: 1, Program: prog})
 		k.Setrun(th)
 		k.Run(0)
 		if th.State() != core.StateHalted {
@@ -78,7 +78,7 @@ func TestSendTimeoutCancelledByDrain(t *testing.T) {
 			})
 		})
 	})
-	st := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: 1, Program: sender})
+	st := k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: 1, Program: sender})
 	got := 0
 	receiver := core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
 		if m := x.Received(th); m != nil {
@@ -91,7 +91,7 @@ func TestSendTimeoutCancelledByDrain(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{ReceiveFrom: port})
 		})
 	})
-	rt := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: 2, Program: receiver})
+	rt := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: 2, Program: receiver})
 	k.Setrun(st)
 	k.Setrun(rt)
 	k.Run(0)
@@ -147,14 +147,14 @@ func TestDestroyPortUnderLoad(t *testing.T) {
 	for i := 0; i < 4; i++ { // 2 fill the queue, 2 park as send-waiters
 		p := mkSender(i)
 		senders = append(senders, p)
-		th := k.NewThread(core.ThreadSpec{Name: "s", SpaceID: i + 1, Program: p})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("s"), SpaceID: i + 1, Program: p})
 		threads = append(threads, th)
 		k.Setrun(th)
 	}
 	for i := 0; i < 2; i++ {
 		p := mkReceiver()
 		receivers = append(receivers, p)
-		th := k.NewThread(core.ThreadSpec{Name: "r", SpaceID: i + 5, Program: p})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("r"), SpaceID: i + 5, Program: p})
 		threads = append(threads, th)
 		k.Setrun(th)
 	}

@@ -35,7 +35,7 @@ func TestKernelSinkMustTransfer(t *testing.T) {
 			x.MachMsg(e, ipc.MsgOptions{Send: x.NewMessage(1, ipc.HeaderBytes, nil, nil), SendTo: sink})
 		})
 	})
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "sender", SpaceID: 1, Program: prog}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("sender"), SpaceID: 1, Program: prog}))
 	mustPanic(t, "ipc: kernel sink returned instead of transferring control", func() { k.Run(0) })
 }
 
@@ -48,7 +48,7 @@ func TestUserReturnHookMustTransfer(t *testing.T) {
 	server, reply := x.NewPort("server"), x.NewPort("reply")
 	srv := &rpcServer{x: x, port: server}
 	cli := &rpcClient{x: x, server: server, reply: reply, count: 1}
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "server", SpaceID: 2, Program: srv}))
-	k.Setrun(k.NewThread(core.ThreadSpec{Name: "client", SpaceID: 1, Program: cli}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("server"), SpaceID: 2, Program: srv}))
+	k.Setrun(k.NewThread(core.ThreadSpec{Name: core.NameOf("client"), SpaceID: 1, Program: cli}))
 	mustPanic(t, "ipc: user return hook returned instead of transferring control", func() { k.Run(0) })
 }

@@ -37,7 +37,7 @@ func (s *System) ThreadAbort(t *core.Thread) bool {
 	}
 	s.K.PostWaitResult(t, code)
 	if r := s.K.Obs; r != nil {
-		r.Emit(obs.Abort, t.ID, t.Name, t.WaitLabel)
+		r.Emit(obs.Abort, t.ID, t.WaitLabel)
 	}
 	t.Scratch.Reset()
 	s.K.AbortToContinuation(t, s.contAborted)

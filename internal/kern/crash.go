@@ -141,7 +141,7 @@ func (s *System) Crash(rebootAfter machine.Duration) {
 	rec.Unacked = s.UnackedLen()
 	s.PanicRecord = rec
 	if r := s.K.Obs; r != nil {
-		r.EmitArg(obs.MachineCrash, 0, "",
+		r.EmitArg(obs.MachineCrash, 0,
 			fmt.Sprintf("%d threads, %d ports, %d pending I/O, %d unacked",
 				len(rec.Threads), rec.Ports, rec.PendingIO, rec.Unacked),
 			int(s.Incarnation))
@@ -201,7 +201,7 @@ func (s *System) Reboot() {
 	}
 	s.Reboots++
 	if r := s.K.Obs; r != nil {
-		r.EmitArg(obs.MachineReboot, 0, "", "", int(s.Incarnation))
+		r.EmitArg(obs.MachineReboot, 0, "", int(s.Incarnation))
 	}
 	for _, svc := range s.services {
 		svc.install(s)

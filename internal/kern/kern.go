@@ -252,6 +252,13 @@ type Task struct {
 	// has not yet (see unlinkFromTask).
 	Threads []*core.Thread
 	reaped  int
+
+	// base and joined are the last thread-name base the task named a
+	// thread under and that base joined to the task's name
+	// ("task/base"). Callers name a family of threads (a tenant's
+	// sessions) one after another, so the task builds one string per
+	// family, not one per thread.
+	base, joined string
 }
 
 // New boots a system.
@@ -345,7 +352,7 @@ func (s *System) AddLink() *dev.Netmsg {
 func (s *System) startReaper() {
 	s.contReaper = core.NewContinuation("reaper_continue", s.reaperLoop)
 	s.Reaper = s.K.NewThread(core.ThreadSpec{
-		Name:     "reaper",
+		Name:     core.NameOf("reaper"),
 		SpaceID:  0,
 		Internal: true,
 		Priority: 28,
@@ -379,7 +386,7 @@ func (s *System) reaperLoop(e *core.Env) {
 		}
 		if residue != 0 {
 			panic(fmt.Sprintf("kern: reaper leak — thread %s still owns %d resources after release",
-				t.Name, residue))
+				t.Name(), residue))
 		}
 		s.unlinkFromTask(t)
 		s.Reaped++
@@ -423,7 +430,7 @@ func (s *System) unlinkFromTask(th *core.Thread) {
 // "a constant per-machine, and not per-processor, overhead" (§3.4).
 func (s *System) startCallout() {
 	s.Callout = s.K.NewThread(core.ThreadSpec{
-		Name:     "callout",
+		Name:     core.NameOf("callout"),
 		SpaceID:  0,
 		Internal: true,
 		Priority: 31,
@@ -461,11 +468,21 @@ func (s *System) NewTask(name string) *Task {
 // Tasks returns all created tasks.
 func (s *System) Tasks() []*Task { return s.tasks }
 
-// NewThread creates a thread in the task. The thread starts blocked; call
-// System.Start to make it runnable.
+// NewThread creates a thread named name in the task. The thread starts
+// blocked; call System.Start to make it runnable.
 func (t *Task) NewThread(name string, prog core.UserProgram, priority int) *core.Thread {
+	return t.NewNamedThread(core.NameOf(name), prog, priority)
+}
+
+// NewNamedThread is NewThread for a thread named n, which reads
+// "task/n". A family of threads (a tenant's sessions) shares one base
+// and gives each thread its own index, so naming them builds no string.
+func (t *Task) NewNamedThread(n core.Name, prog core.UserProgram, priority int) *core.Thread {
+	if t.joined == "" || t.base != n.Base() {
+		t.base, t.joined = n.Base(), t.Name+"/"+n.Base()
+	}
 	th := t.sys.K.NewThread(core.ThreadSpec{
-		Name:     fmt.Sprintf("%s/%s", t.Name, name),
+		Name:     n.WithBase(t.joined),
 		SpaceID:  t.ID,
 		Program:  prog,
 		Priority: priority,
@@ -486,7 +503,7 @@ func (s *System) Start(t *core.Thread) { s.K.Setrun(t) }
 // even when the ring keeps nothing or evicts early events.
 func (s *System) EnableObservation(capacity int) *obs.Recorder {
 	r := obs.NewRecorder(s.K.Clock, capacity)
-	s.K.Obs = r
+	s.K.Observe(r)
 	return r
 }
 

@@ -270,8 +270,8 @@ func TestTaskThreadNaming(t *testing.T) {
 	th := task.NewThread("main", core.ProgramFunc(func(e *core.Env, th *core.Thread) core.Action {
 		return core.Exit()
 	}), 5)
-	if th.Name != "emacs/main" {
-		t.Fatalf("thread name = %q", th.Name)
+	if got := th.Name().String(); got != "emacs/main" {
+		t.Fatalf("thread name = %q", got)
 	}
 	if len(sys.Tasks()) != 1 || sys.Tasks()[0].ID != task.ID {
 		t.Fatal("task registry wrong")

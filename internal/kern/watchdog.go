@@ -112,12 +112,12 @@ func (w *Watchdog) Check() error {
 		w.Stalls++
 		names := make([]string, 0, s.Sched.Len())
 		for _, t := range s.Sched.Queued() {
-			names = append(names, t.Name)
+			names = append(names, t.Name().String())
 		}
 		cur := "idle"
 		for _, p := range s.K.Procs {
 			if p.Cur != nil {
-				cur = p.Cur.Name
+				cur = p.Cur.Name().String()
 			}
 		}
 		return fmt.Errorf("watchdog: stall: %d threads runnable [%s] behind %s (inc %d), no dispatch progress since %v",

@@ -19,7 +19,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 
 	"repro/internal/machine"
@@ -65,46 +64,49 @@ func AnalyzeCritPath(sets ...[]Span) *CritPath {
 	for i := range cp.PerSeg {
 		cp.PerSeg[i] = &Histogram{Name: Seg(i).String()}
 	}
+	// Group by trace in one pass over an open-addressing table, chaining
+	// each trace's spans in input order through next, which is indexed
+	// by a span's input position (starts[s] is set s's first). Trace ids
+	// are SplitMix-mixed, so their low bits index the table well. The
+	// table grows at half load, so it is sized by the trace count (a
+	// trace holds about ten spans), and a probe always ends.
+	starts := make([]int32, len(sets))
 	n := 0
-	for _, set := range sets {
+	for s, set := range sets {
+		starts[s] = int32(n)
 		n += len(set)
 	}
-	// Group by trace in one pass over an open-addressing table, chaining
-	// each trace's spans in input order. Trace ids are SplitMix-mixed, so
-	// their low bits index the table well. The table has more entries
-	// than there are spans, so a probe always ends; a trace holds about
-	// ten spans, so it stays mostly empty.
-	mask := uint64(1)<<bits.Len(uint(n)) - 1
-	table := make([]traceChain, mask+1)
-	links := make([]spanLink, 0, n)
+	next := make([]int32, n)
+	var tab traceTable
+	k := int32(0)
 	for _, set := range sets {
 		for i := range set {
-			sp := &set[i]
-			k := int32(len(links))
-			links = append(links, spanLink{sp: sp, next: -1})
-			h := sp.Trace & mask
-			for table[h].head != 0 && table[h].trace != sp.Trace {
-				h = (h + 1) & mask
-			}
-			if c := &table[h]; c.head == 0 {
-				*c = traceChain{trace: sp.Trace, head: k + 1, tail: k}
+			next[k] = -1
+			if c := tab.chain(set[i].Trace); c.head == 0 {
+				c.head, c.tail = k+1, k
 			} else {
-				links[c.tail].next = k
+				next[c.tail] = k
 				c.tail = k
 			}
+			k++
 		}
 	}
 	// Decompose each trace, then order the ops by sorting small keys.
 	var sc critScratch
-	var ops []OpPath
-	var keys []opKey
-	for _, c := range table {
+	ops := make([]OpPath, 0, tab.used)
+	keys := make([]opKey, 0, tab.used)
+	for _, c := range tab.slots {
 		if c.head == 0 {
 			continue
 		}
+		// The chain runs in input order, so its sets only move forward.
 		sc.tr = sc.tr[:0]
-		for k := c.head - 1; k >= 0; k = links[k].next {
-			sc.tr = append(sc.tr, links[k].sp)
+		s := 0
+		for k := c.head - 1; k >= 0; k = next[k] {
+			for s+1 < len(starts) && starts[s+1] <= k {
+				s++
+			}
+			sc.tr = append(sc.tr, &sets[s][k-starts[s]])
 		}
 		if op, ok := sc.decompose(); ok {
 			keys = append(keys, opKey{op.Start, op.Trace, int32(len(ops))})
@@ -145,17 +147,56 @@ func AnalyzeCritPath(sets ...[]Span) *CritPath {
 }
 
 // traceChain is one trace's entry in AnalyzeCritPath's table: its id and
-// the first (head-1; 0 marks a free entry) and last of its spans' links.
+// the input positions of its first (head-1; 0 marks a free entry) and
+// last spans.
 type traceChain struct {
 	trace      uint64
 	head, tail int32
 }
 
-// spanLink is one input span, in input order, and the link to the next
-// span of its trace (-1 at the end).
-type spanLink struct {
-	sp   *Span
-	next int32
+// traceTable is AnalyzeCritPath's open-addressing table of traces. It
+// starts at minTraceTable entries and doubles whenever an insert would
+// fill more than half of it.
+type traceTable struct {
+	slots []traceChain
+	used  int
+}
+
+const minTraceTable = 64
+
+// chain returns trace's entry, claiming a free one (head 0) for a trace
+// not seen before.
+func (t *traceTable) chain(trace uint64) *traceChain {
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow()
+	}
+	c := t.probe(trace)
+	if c.head == 0 {
+		c.trace = trace
+		t.used++
+	}
+	return c
+}
+
+// probe returns trace's entry, or the free entry where it belongs.
+func (t *traceTable) probe(trace uint64) *traceChain {
+	mask := uint64(len(t.slots) - 1)
+	h := trace & mask
+	for t.slots[h].head != 0 && t.slots[h].trace != trace {
+		h = (h + 1) & mask
+	}
+	return &t.slots[h]
+}
+
+// grow doubles the table and reinserts its traces.
+func (t *traceTable) grow() {
+	old := t.slots
+	t.slots = make([]traceChain, max(2*len(old), minTraceTable))
+	for _, c := range old {
+		if c.head != 0 {
+			*t.probe(c.trace) = c
+		}
+	}
 }
 
 // opKey places decomposed op i in the output order.

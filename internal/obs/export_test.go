@@ -12,22 +12,23 @@ import (
 )
 
 // fillRecorder emits a small synthetic kernel history: two threads, a
-// block/handoff pair, an interrupt, and an RPC bracket.
+// block/handoff pair, an interrupt on a parked processor, and an RPC
+// bracket.
 func fillRecorder() *Recorder {
 	clock := machine.NewClock()
-	r := NewRecorder(clock, 128)
-	r.Emit(KernelEntry, 1, "task/cli", "mach_msg(rpc)")
-	r.Emit(RPCStart, 1, "task/cli", "echo")
+	r := named(NewRecorder(clock, 128), map[int]string{1: "task/cli", 2: "task/srv"})
+	r.Emit(KernelEntry, 1, "mach_msg(rpc)")
+	r.Emit(RPCStart, 1, "echo")
 	clock.Advance(100)
-	r.EmitCont(ThreadBlocked, 1, "task/cli", Intern("mach_msg_continue"), "message receive", 0)
+	r.EmitCont(ThreadBlocked, 1, Intern("mach_msg_continue"), "message receive", 0)
 	clock.Advance(50)
-	r.EmitCont(StackHandoff, 2, "task/srv", Intern("mach_msg_continue"), "from task/cli", 1)
-	r.EmitCont(Recognition, 2, "task/srv", Intern("mach_msg_continue"), "mach_msg_continue", 0)
+	r.EmitCont(StackHandoff, 2, Intern("mach_msg_continue"), "from task/cli", 1)
+	r.EmitCont(Recognition, 2, Intern("mach_msg_continue"), "mach_msg_continue", 0)
 	clock.Advance(25)
-	r.Emit(Interrupt, 0, "", "disk read")
+	r.Emit(Interrupt, 0, "disk read")
 	clock.Advance(825)
-	r.Emit(RPCEnd, 1, "task/cli", "")
-	r.Emit(KernelExit, 1, "task/cli", "syscall return 0")
+	r.Emit(RPCEnd, 1, "")
+	r.Emit(KernelExit, 1, "syscall return 0")
 	return r
 }
 
@@ -167,19 +168,19 @@ func TestSummarizeRejectsGarbage(t *testing.T) {
 // from the far side, and a failover/failback pair.
 func fillRecoveryRecorder() *Recorder {
 	clock := machine.NewClock()
-	r := NewRecorder(clock, 128)
+	r := named(NewRecorder(clock, 128), map[int]string{3: "netmsg", 6: "netmsg1", 7: "net-client/cli"})
 	clock.Advance(40_000_000)
-	r.EmitArg(MachineCrash, 0, "", "3 threads, 2 ports, 1 pending I/O, 0 unacked", 1)
+	r.EmitArg(MachineCrash, 0, "3 threads, 2 ports, 1 pending I/O, 0 unacked", 1)
 	clock.Advance(20_000_000)
-	r.EmitArg(PeerDeath, 0, "", "ne0", 0)
-	r.EmitArg(Failover, 7, "net-client/cli", "primary -> replica", 1)
+	r.EmitArg(PeerDeath, 0, "ne0", 0)
+	r.EmitArg(Failover, 7, "primary -> replica", 1)
 	clock.Advance(60_000_000)
-	r.EmitArg(MachineReboot, 0, "", "", 2)
-	r.EmitArg(Heartbeat, 3, "netmsg", "ne0", 2)
-	r.EmitArg(Heartbeat, 6, "netmsg1", "ne1", 2)
+	r.EmitArg(MachineReboot, 0, "", 2)
+	r.EmitArg(Heartbeat, 3, "ne0", 2)
+	r.EmitArg(Heartbeat, 6, "ne1", 2)
 	clock.Advance(1_000_000)
-	r.EmitArg(PeerDeath, 0, "", "ne0", 1)
-	r.EmitArg(Failover, 7, "net-client/cli", "replica -> primary", 0)
+	r.EmitArg(PeerDeath, 0, "ne0", 1)
+	r.EmitArg(Failover, 7, "replica -> primary", 0)
 	return r
 }
 

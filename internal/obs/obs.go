@@ -20,7 +20,8 @@
 // only when Retains says the ring will keep it. The statistics take the
 // event's fields as values — kind, thread id, argument, time and an
 // interned continuation id — so an event that is not retained is never
-// built.
+// built, and no thread name is built for it: a retained event names its
+// thread through the lookup the kernel installs (NameThreads).
 package obs
 
 import (
@@ -250,8 +251,9 @@ type Event struct {
 	// Arg is kind-specific: the previous thread's id for StackHandoff,
 	// 1 for a yield-style ThreadBlocked (thread stayed runnable).
 	Arg int
-	// Thread is the acting thread's name; Cont the continuation
-	// involved, when any; Detail a human-readable qualifier.
+	// Thread is the acting thread's name, resolved from TID when the
+	// event is retained; Cont the continuation involved, when any;
+	// Detail a human-readable qualifier.
 	Thread string
 	Cont   string
 	Detail string
@@ -410,6 +412,13 @@ type Recorder struct {
 	conts []*ContProfile
 	names *nameTable
 
+	// threadName is the kernel's thread-name lookup (NameThreads);
+	// namedTID and tidName cache its last answer, since consecutive
+	// events tend to share their thread.
+	threadName func(tid int) string
+	namedTID   int
+	tidName    string
+
 	// svc holds the named service-level histograms (per-tier request
 	// latencies maintained by workload code via Service, not by kernel
 	// events).
@@ -525,9 +534,10 @@ func newRecorder(capacity int, names *nameTable) *Recorder {
 	return r
 }
 
-// Emit records one event stamped with the current clock.
-func (r *Recorder) Emit(kind Kind, tid int, thread, detail string) {
-	r.emit(kind, tid, thread, NoCont, detail, 0)
+// Emit records one event of thread tid (0 for none) stamped with the
+// current clock.
+func (r *Recorder) Emit(kind Kind, tid int, detail string) {
+	r.emit(kind, tid, NoCont, detail, 0)
 }
 
 // Retains reports whether the recorder keeps events for Events and the
@@ -536,27 +546,53 @@ func (r *Recorder) Emit(kind Kind, tid int, thread, detail string) {
 func (r *Recorder) Retains() bool { return r.capacity > 0 }
 
 // EmitArg is Emit with the kind-specific Arg field.
-func (r *Recorder) EmitArg(kind Kind, tid int, thread, detail string, arg int) {
-	r.emit(kind, tid, thread, NoCont, detail, arg)
+func (r *Recorder) EmitArg(kind Kind, tid int, detail string, arg int) {
+	r.emit(kind, tid, NoCont, detail, arg)
 }
 
 // EmitCont is EmitArg for an event involving continuation cont, an id
 // from Intern.
-func (r *Recorder) EmitCont(kind Kind, tid int, thread string, cont ContID, detail string, arg int) {
-	r.emit(kind, tid, thread, cont, detail, arg)
+func (r *Recorder) EmitCont(kind Kind, tid int, cont ContID, detail string, arg int) {
+	r.emit(kind, tid, cont, detail, arg)
 }
 
-func (r *Recorder) emit(kind Kind, tid int, thread string, cont ContID, detail string, arg int) {
+// NameThreads installs the lookup a retaining recorder names each
+// event's acting thread through; the kernel installs its own
+// (core.Kernel.Observe). A recorder that retains nothing never calls it.
+func (r *Recorder) NameThreads(lookup func(tid int) string) {
+	r.threadName, r.namedTID, r.tidName = lookup, 0, ""
+}
+
+// parked is the thread name a retained control-transfer step carries
+// when no thread was current: an interrupt taken on a parked processor.
+const parked = "<parked>"
+
+func (r *Recorder) emit(kind Kind, tid int, cont ContID, detail string, arg int) {
 	var when machine.Time
 	if r.clock != nil {
 		when = r.clock.Now()
 	}
 	if r.Retains() {
 		r.store(&Event{Seq: r.seq, When: when, Kind: kind, TID: tid, Arg: arg,
-			Thread: thread, Cont: r.contName(cont), Detail: detail})
+			Thread: r.eventThread(kind, tid), Cont: r.contName(cont), Detail: detail})
 	}
 	r.seq++
 	r.process(kind, tid, arg, when, cont)
+}
+
+// eventThread names a retained event's acting thread: through the
+// installed lookup, or parked for a thread-less control-transfer step;
+// other thread-less events name none.
+func (r *Recorder) eventThread(kind Kind, tid int) string {
+	switch {
+	case tid == 0 && kind <= Interrupt:
+		return parked
+	case tid == 0 || r.threadName == nil:
+		return ""
+	case tid != r.namedTID:
+		r.namedTID, r.tidName = tid, r.threadName(tid)
+	}
+	return r.tidName
 }
 
 // contName returns cont's name for a retained event: from its profile

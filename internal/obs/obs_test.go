@@ -85,7 +85,7 @@ func TestRingEviction(t *testing.T) {
 	clock := machine.NewClock()
 	r := NewRecorder(clock, 4)
 	for i := 0; i < 6; i++ {
-		r.Emit(Note, i, "t", "n")
+		r.Emit(Note, i, "n")
 		clock.Advance(10)
 	}
 	if r.Len() != 4 {
@@ -116,7 +116,7 @@ func TestRingEviction(t *testing.T) {
 func TestDefaultCapacity(t *testing.T) {
 	r := NewRecorder(machine.NewClock(), 0)
 	for i := 0; i < 3; i++ {
-		r.Emit(Note, 1, "t", "n")
+		r.Emit(Note, 1, "n")
 	}
 	if evs := r.Events(); len(evs) != 0 || r.Len() != 0 || r.Dropped != 0 || r.Retains() {
 		t.Fatalf("capacity 0: %d events, Len %d, Dropped %d, Retains %v; want none, 0, 0, false",
@@ -146,12 +146,15 @@ func TestLazyRingMatchesPreallocated(t *testing.T) {
 		pre.ring = make([]Event, 0, capacity)
 		free := NewRecorder(clock, 0)
 		recs := []*Recorder{lazy, pre, free}
+		for _, r := range recs {
+			r.NameThreads(func(tid int) string { return fmt.Sprintf("t%d", tid-1) })
+		}
 		for i := 0; i < emits; i++ {
 			clock.Advance(machine.Duration(i%7 + 1))
 			kind := Kind(i % NumKinds)
 			name := fmt.Sprintf("t%d", i%5)
 			for _, r := range recs {
-				r.EmitCont(kind, i%5+1, name, Intern("c"), fmt.Sprint(i), i)
+				r.EmitCont(kind, i%5+1, Intern("c"), fmt.Sprint(i), i)
 				if i%11 == 0 {
 					r.RecordSpan(Span{Trace: uint64(i + 1), ID: r.NextSpanID(uint64(i + 1)), Name: name,
 						Start: clock.Now() - 3, End: clock.Now()})
@@ -196,11 +199,11 @@ func TestLatencyStateMachine(t *testing.T) {
 
 	// Thread 1 blocks with a continuation at t=0, wakes at t=100, runs at
 	// t=130: one block->wakeup sample of 100, one dispatch sample of 30.
-	r.EmitCont(ThreadBlocked, 1, "a", Intern("cont_a"), "message receive", 0)
+	r.EmitCont(ThreadBlocked, 1, Intern("cont_a"), "message receive", 0)
 	clock.Advance(100)
-	r.Emit(Wakeup, 1, "a", "")
+	r.Emit(Wakeup, 1, "")
 	clock.Advance(30)
-	r.Emit(Dispatch, 1, "a", "")
+	r.Emit(Dispatch, 1, "")
 
 	bw := r.Hist[LatBlockToWakeup]
 	if bw.Count != 1 || bw.Sum != 100 {
@@ -214,9 +217,9 @@ func TestLatencyStateMachine(t *testing.T) {
 	// Thread 2 blocks at t=130 and receives a stack handoff from thread 3
 	// at t=150: its wait closes (20) and its dispatch latency is zero —
 	// the handoff fast path shows up in bucket 0.
-	r.EmitCont(ThreadBlocked, 2, "b", Intern("cont_b"), "message receive", 0)
+	r.EmitCont(ThreadBlocked, 2, Intern("cont_b"), "message receive", 0)
 	clock.Advance(20)
-	r.EmitCont(StackHandoff, 2, "b", Intern("cont_b"), "from c", 3)
+	r.EmitCont(StackHandoff, 2, Intern("cont_b"), "from c", 3)
 	if bw.Count != 2 || bw.Sum != 120 {
 		t.Fatalf("block->wakeup count/sum = %d/%d, want 2/120", bw.Count, bw.Sum)
 	}
@@ -226,9 +229,9 @@ func TestLatencyStateMachine(t *testing.T) {
 
 	// A yield (Arg=1) is not a block: the thread stayed runnable, so its
 	// queue time goes to dispatch latency, not block->wakeup.
-	r.EmitArg(ThreadBlocked, 4, "d", "preempted", 1)
+	r.EmitArg(ThreadBlocked, 4, "preempted", 1)
 	clock.Advance(40)
-	r.Emit(Dispatch, 4, "d", "")
+	r.Emit(Dispatch, 4, "")
 	if bw.Count != 2 {
 		t.Fatalf("yield leaked into block->wakeup: count = %d", bw.Count)
 	}
@@ -240,12 +243,12 @@ func TestLatencyStateMachine(t *testing.T) {
 func TestStackLifetime(t *testing.T) {
 	clock := machine.NewClock()
 	r := NewRecorder(clock, 64)
-	r.Emit(StackAttach, 1, "a", "")
+	r.Emit(StackAttach, 1, "")
 	clock.Advance(500)
 	// Handoff from 1 to 2 closes 1's tenure and opens 2's.
-	r.EmitArg(StackHandoff, 2, "b", "from a", 1)
+	r.EmitArg(StackHandoff, 2, "from a", 1)
 	clock.Advance(250)
-	r.Emit(StackDetach, 2, "b", "")
+	r.Emit(StackDetach, 2, "")
 	h := r.Hist[LatStackLifetime]
 	if h.Count != 2 || h.Sum != 750 || h.Min != 250 || h.Max != 500 {
 		t.Fatalf("stack lifetime count/sum/min/max = %d/%d/%d/%d", h.Count, h.Sum, h.Min, h.Max)
@@ -256,13 +259,13 @@ func TestRPCRoundTrip(t *testing.T) {
 	clock := machine.NewClock()
 	r := NewRecorder(clock, 64)
 	// An unmatched end is ignored.
-	r.Emit(RPCEnd, 1, "a", "")
+	r.Emit(RPCEnd, 1, "")
 	if r.Hist[LatRPCRoundTrip].Count != 0 {
 		t.Fatal("unmatched RPCEnd produced a sample")
 	}
-	r.Emit(RPCStart, 1, "a", "echo")
+	r.Emit(RPCStart, 1, "echo")
 	clock.Advance(1000)
-	r.Emit(RPCEnd, 1, "a", "")
+	r.Emit(RPCEnd, 1, "")
 	h := r.Hist[LatRPCRoundTrip]
 	if h.Count != 1 || h.Sum != 1000 {
 		t.Fatalf("rpc count/sum = %d/%d", h.Count, h.Sum)
@@ -272,11 +275,11 @@ func TestRPCRoundTrip(t *testing.T) {
 func TestContinuationProfiler(t *testing.T) {
 	clock := machine.NewClock()
 	r := NewRecorder(clock, 64)
-	r.EmitCont(ThreadBlocked, 1, "a", Intern("mach_msg_continue"), "message receive", 0)
-	r.EmitCont(Recognition, 2, "b", Intern("mach_msg_continue"), "mach_msg_continue", 0)
-	r.EmitCont(RecognitionMiss, 2, "b", Intern("mach_msg_continue"), "other_continue", 0)
-	r.EmitCont(StackHandoff, 1, "a", Intern("mach_msg_continue"), "from b", 2)
-	r.EmitCont(ContinuationCall, 3, "c", Intern("thread_start"), "thread_start", 0)
+	r.EmitCont(ThreadBlocked, 1, Intern("mach_msg_continue"), "message receive", 0)
+	r.EmitCont(Recognition, 2, Intern("mach_msg_continue"), "mach_msg_continue", 0)
+	r.EmitCont(RecognitionMiss, 2, Intern("mach_msg_continue"), "other_continue", 0)
+	r.EmitCont(StackHandoff, 1, Intern("mach_msg_continue"), "from b", 2)
+	r.EmitCont(ContinuationCall, 3, Intern("thread_start"), "thread_start", 0)
 
 	p := r.Profile("mach_msg_continue")
 	if p == nil {
@@ -304,14 +307,16 @@ func TestContinuationProfiler(t *testing.T) {
 
 func TestTransferStringKeepsOnlyTransferKinds(t *testing.T) {
 	clock := machine.NewClock()
-	r := NewRecorder(clock, 64)
-	r.Emit(KernelEntry, 1, "task/t", "mach_msg(rpc)")
-	r.EmitCont(ThreadBlocked, 1, "task/t", Intern("c"), "message receive", 0) // lifecycle: dropped
-	r.Emit(Dispatch, 1, "task/t", "")                                         // lifecycle: dropped
-	r.Emit(Wakeup, 1, "task/t", "")                                           // not a step
-	r.Emit(Block, 1, "task/t", "t blocked with c")
+	r := named(NewRecorder(clock, 64), map[int]string{1: "task/t"})
+	r.Emit(KernelEntry, 1, "mach_msg(rpc)")
+	r.EmitCont(ThreadBlocked, 1, Intern("c"), "message receive", 0) // lifecycle: dropped
+	r.Emit(Dispatch, 1, "")                                         // lifecycle: dropped
+	r.Emit(Wakeup, 1, "")                                           // not a step
+	r.Emit(Block, 1, "t blocked with c")
+	r.Emit(Interrupt, 0, "disk read") // no thread current: parked
 	s := TransferString(r.Events())
-	want := " 1. [task/t] kernel-entry: mach_msg(rpc)\n 2. [task/t] block: t blocked with c\n"
+	want := " 1. [task/t] kernel-entry: mach_msg(rpc)\n 2. [task/t] block: t blocked with c\n" +
+		" 3. [<parked>] interrupt: disk read\n"
 	if s != want {
 		t.Fatalf("TransferString =\n%s\nwant\n%s", s, want)
 	}
@@ -376,12 +381,12 @@ func TestReportDeterministic(t *testing.T) {
 		clock := machine.NewClock()
 		r := NewRecorder(clock, 64)
 		for i := 0; i < 10; i++ {
-			r.EmitCont(ThreadBlocked, i%3+1, "t", Intern("cont_x"), "message receive", 0)
+			r.EmitCont(ThreadBlocked, i%3+1, Intern("cont_x"), "message receive", 0)
 			clock.Advance(machine.Duration(100 * (i + 1)))
-			r.Emit(Wakeup, i%3+1, "t", "")
+			r.Emit(Wakeup, i%3+1, "")
 			clock.Advance(7)
-			r.Emit(Dispatch, i%3+1, "t", "")
-			r.EmitCont(Recognition, 9, "probe", Intern("cont_x"), "cont_x", 0)
+			r.Emit(Dispatch, i%3+1, "")
+			r.EmitCont(Recognition, 9, Intern("cont_x"), "cont_x", 0)
 		}
 		var b strings.Builder
 		r.WriteReport(&b)
@@ -402,9 +407,9 @@ func TestReportDeterministic(t *testing.T) {
 func TestReset(t *testing.T) {
 	clock := machine.NewClock()
 	r := NewRecorder(clock, 8)
-	r.EmitCont(ThreadBlocked, 1, "a", Intern("c"), "x", 0)
+	r.EmitCont(ThreadBlocked, 1, Intern("c"), "x", 0)
 	clock.Advance(5)
-	r.Emit(Wakeup, 1, "a", "")
+	r.Emit(Wakeup, 1, "")
 	r.Reset()
 	if r.Len() != 0 || r.Dropped != 0 {
 		t.Fatalf("Len/Dropped after reset = %d/%d", r.Len(), r.Dropped)
@@ -417,8 +422,15 @@ func TestReset(t *testing.T) {
 			t.Fatalf("histogram %s survived reset", h.Name)
 		}
 	}
-	r.Emit(Note, 1, "a", "fresh")
+	r.Emit(Note, 1, "fresh")
 	if evs := r.Events(); len(evs) != 1 || evs[0].Seq != 0 {
 		t.Fatalf("post-reset events = %v", evs)
 	}
+}
+
+// named installs a thread-name lookup on r that reads names by thread
+// id, as a kernel's does.
+func named(r *Recorder, names map[int]string) *Recorder {
+	r.NameThreads(func(tid int) string { return names[tid] })
+	return r
 }

@@ -1,8 +1,6 @@
 package svc
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/ipc"
 	"repro/internal/kern"
@@ -111,7 +109,7 @@ func InstallCache(s *kern.System, cfg *CacheConfig) {
 		n.Export(CachePortName, port)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		name := fmt.Sprintf("cache-w%d", i)
+		name := core.IndexedName("cache-w", i)
 		kv := &Caller{
 			Sys: s, Name: name, ID: i,
 			Map: cfg.Map, Links: cfg.Links, Timeout: cfg.Timeout,
@@ -119,7 +117,7 @@ func InstallCache(s *kern.System, cfg *CacheConfig) {
 		}
 		kv.Reset(s)
 		w := &cacheWorker{sys: s, cfg: cfg, sh: sh, port: port, kv: kv}
-		s.Start(task.NewThread(name, w, 18))
+		s.Start(task.NewNamedThread(name, w, 18))
 	}
 }
 

@@ -77,8 +77,11 @@ const (
 // counted in Stats.Mismatches (an abandoned Put releases its key — the
 // write may or may not have landed).
 type Caller struct {
-	Sys  *kern.System
-	Name string
+	Sys *kern.System
+	// Name names the caller's thread; its reply port reads Name followed
+	// by "-reply". Callers of one group share a base, each with its own
+	// index (core.IndexedName).
+	Name core.Name
 	// ID is this caller's global index among all client threads — the
 	// done protocol's identity.
 	ID  int
@@ -193,7 +196,7 @@ type Caller struct {
 // consistency bookkeeping are retained — they are the caller's durable
 // identity.
 func (c *Caller) Reset(s *kern.System) {
-	c.reply = s.IPC.NewPort(c.Name + "-reply")
+	c.reply = s.IPC.NewNamedPort(c.Name.Suffixed("-reply"))
 	c.waiting = false
 	c.attempts = 0
 }
@@ -342,7 +345,7 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 					c.believed[g] = NumRanks - 1 - c.believed[g]
 					c.Stats.Failovers++
 					if r := c.Sys.K.Obs; r != nil {
-						r.EmitArg(obs.Failover, t.ID, t.Name,
+						r.EmitArg(obs.Failover, t.ID,
 							fmt.Sprintf("group %d -> rank %d", g, c.believed[g]), 1)
 					}
 				}

@@ -246,8 +246,11 @@ func (r *Replica) pushPeer(w *Wire, ctx obs.TraceContext, at machine.Time) {
 
 // wireBytes prices a Wire for the simulated copy/transfer costs.
 func wireBytes(w *Wire) int {
-	n := 160 + 8*(len(w.Epochs)+len(w.Seqs)+len(w.Leaders)) +
-		16*len(w.Grants) + 24*len(w.Snap)
+	n := 160
+	if rj := w.Rejoin; rj != nil {
+		n += 8*(len(rj.Epochs)+len(rj.Seqs)+len(rj.Leaders)) +
+			16*len(rj.Grants) + 24*len(rj.Snap)
+	}
 	if n < ipc.HeaderBytes {
 		n = ipc.HeaderBytes
 	}
@@ -314,7 +317,7 @@ func (r *Replica) tick(t *core.Thread) {
 			ep := leases.Promote(g, r.cfg.Rank)
 			stats.Elections++
 			if rec := r.sys.K.Obs; rec != nil {
-				rec.EmitArg(obs.Election, t.ID, t.Name,
+				rec.EmitArg(obs.Election, t.ID,
 					fmt.Sprintf("group %d", g), int(ep))
 			}
 		}
@@ -350,8 +353,8 @@ func (r *Replica) tick(t *core.Thread) {
 		for g := range leases.L {
 			leaders[g] = leases.L[g].Leader
 		}
-		r.pushPeer(&Wire{Kind: MsgRejoin, Epochs: leases.Epochs(), Leaders: leaders,
-			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)}, obs.TraceContext{}, 0)
+		r.pushPeer(&Wire{Kind: MsgRejoin, Rejoin: &Rejoin{Epochs: leases.Epochs(), Leaders: leaders,
+			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)}}, obs.TraceContext{}, 0)
 	}
 }
 
@@ -480,14 +483,15 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 		}
 
 	case MsgRejoin:
-		grants := DecideRejoin(leases, r.cfg.Rank, w.From, w.Epochs, w.Leaders)
+		rj := w.Rejoin
+		grants := DecideRejoin(leases, r.cfg.Rank, w.From, rj.Epochs, rj.Leaders)
 		for _, gr := range grants {
 			if !gr.Rejected {
 				continue
 			}
 			var presented uint64
-			if gr.Group < len(w.Epochs) {
-				presented = w.Epochs[gr.Group]
+			if gr.Group < len(rj.Epochs) {
+				presented = rj.Epochs[gr.Group]
 			}
 			r.fence(t, gr.Group, "rejoin", presented)
 		}
@@ -497,14 +501,15 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			// lease that I never saw. The version-checked apply keeps my
 			// newer writes; Break skips this, which is the deliberate
 			// acked-write-loss the linearizability checker must flag.
-			r.merge(w.Seqs, w.Snap)
-			stats.Merged += uint64(len(w.Snap))
+			r.merge(rj.Seqs, rj.Snap)
+			stats.Merged += uint64(len(rj.Snap))
 		}
-		r.pushPeer(&Wire{Kind: MsgRejoinOK, Grants: grants,
-			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)}, obs.TraceContext{}, 0)
+		r.pushPeer(&Wire{Kind: MsgRejoinOK, Rejoin: &Rejoin{Grants: grants,
+			Snap: r.snapshot(), Seqs: append([]uint64(nil), r.seq...)}}, obs.TraceContext{}, 0)
 
 	case MsgRejoinOK:
-		for _, gr := range w.Grants {
+		rj := w.Rejoin
+		for _, gr := range rj.Grants {
 			leases.Adopt(gr.Group, gr.Epoch, gr.Leader)
 			if leases.L[gr.Group].Leader != r.cfg.Rank {
 				r.bouncePending(gr.Group, leases.L[gr.Group].Leader)
@@ -515,7 +520,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 			// direction too: in a symmetric depose each side's RejoinOK
 			// would otherwise carry the other's solo-acked writes and
 			// quietly repair the loss the knob exists to demonstrate.
-			r.merge(w.Seqs, w.Snap)
+			r.merge(rj.Seqs, rj.Snap)
 		}
 		if r.recovering {
 			r.recovering = false
@@ -538,7 +543,7 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 func (r *Replica) fence(t *core.Thread, g int, what string, presented uint64) {
 	r.cfg.Stats.FencingRejections++
 	if rec := r.sys.K.Obs; rec != nil {
-		rec.EmitArg(obs.Fencing, t.ID, t.Name, fmt.Sprintf("group %d %s", g, what), int(presented))
+		rec.EmitArg(obs.Fencing, t.ID, fmt.Sprintf("group %d %s", g, what), int(presented))
 	}
 }
 

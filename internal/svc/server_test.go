@@ -474,8 +474,8 @@ func TestRejoinMerge(t *testing.T) {
 					cfg.Leases.Promote(1, 0)
 				}},
 				step{"rejoin probe presenting the old view", func(t *testing.T) {
-					r.handle(th, request(sys, &Wire{Kind: MsgRejoin, From: 1,
-						Epochs: []uint64{1, 1}, Leaders: []int{0, 1}, Snap: snap, Seqs: []uint64{3, 4}}, nil))
+					r.handle(th, request(sys, &Wire{Kind: MsgRejoin, From: 1, Rejoin: &Rejoin{
+						Epochs: []uint64{1, 1}, Leaders: []int{0, 1}, Snap: snap, Seqs: []uint64{3, 4}}}, nil))
 					wantMerged := uint64(2)
 					if broken {
 						wantMerged = 0
@@ -498,7 +498,7 @@ func TestRejoinMerge(t *testing.T) {
 					}
 				}},
 				step{"the answer carries grants and the merged store", func(t *testing.T) {
-					w := wantPeer(t, r, wantOne(t, takeOut(r)), MsgRejoinOK)
+					w := wantPeer(t, r, wantOne(t, takeOut(r)), MsgRejoinOK).Rejoin
 					if len(w.Grants) != 2 || w.Grants[0].Rejected || !w.Grants[1].Rejected ||
 						w.Grants[1].Epoch != 2 || w.Grants[1].Leader != 0 {
 						t.Fatalf("grants %+v", w.Grants)
@@ -514,9 +514,9 @@ func TestRejoinMerge(t *testing.T) {
 				step{"a recovering replica installs the leader's store from RejoinOK", func(t *testing.T) {
 					r.recovering = true
 					k2 := keyIn(cfg.Map, 0, k0+1)
-					r.handle(th, request(sys, &Wire{Kind: MsgRejoinOK, From: 1,
+					r.handle(th, request(sys, &Wire{Kind: MsgRejoinOK, From: 1, Rejoin: &Rejoin{
 						Grants: []GroupGrant{{Group: 0, Epoch: 1, Leader: 0}, {Group: 1, Epoch: 2, Leader: 0}},
-						Snap:   []Entry{{Key: k2, Val: 8, Ver: Version{Epoch: 1, Seq: 7}}}, Seqs: []uint64{7, 4}}, nil))
+						Snap:   []Entry{{Key: k2, Val: 8, Ver: Version{Epoch: 1, Seq: 7}}}, Seqs: []uint64{7, 4}}}, nil))
 					wantStore(t, k2, 8)
 					if r.recovering || cfg.Stats.Syncs != 1 {
 						t.Fatalf("recovering %v, syncs %d after RejoinOK", r.recovering, cfg.Stats.Syncs)
@@ -538,7 +538,7 @@ func TestRejoinMerge(t *testing.T) {
 // shed one after an attempt timed out, releases it.
 func TestCallerOutcomes(t *testing.T) {
 	sys := bootMachine()
-	c := &Caller{Sys: sys, Name: "c0", Map: NewShardMap(0, 0), Timeout: DefaultCallTimeout,
+	c := &Caller{Sys: sys, Name: core.NameOf("c0"), Map: NewShardMap(0, 0), Timeout: DefaultCallTimeout,
 		Record: true, Track: true, Ops: []KVOp{
 			{Op: OpPut, Key: 1, Val: 10}, // 0 ok
 			{Op: OpGet, Key: 1},          // 1 ok, reads 10

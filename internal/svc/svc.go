@@ -174,10 +174,18 @@ type Wire struct {
 	Expired  bool
 	Rejected bool
 
-	// Epochs/Leaders are the rejoiner's durable lease view (MsgRejoin);
-	// Grants/Snap/Seqs answer it (MsgRejoinOK). Seqs carries the
-	// per-group replication sequence high-water so a re-granted leader
-	// continues numbering above every write it may have missed.
+	// Rejoin is the state a MsgRejoin or MsgRejoinOK carries; nil on
+	// every other message, so client ops, replies, replicates and
+	// renewals carry none of its five slices.
+	Rejoin *Rejoin
+}
+
+// Rejoin is a rejoin exchange's payload. Epochs/Leaders are the
+// rejoiner's durable lease view (MsgRejoin); Grants answer it
+// (MsgRejoinOK). Both directions carry a store snapshot, and Seqs the
+// per-group replication sequence high-water so a re-granted leader
+// continues numbering above every write it may have missed.
+type Rejoin struct {
 	Epochs  []uint64
 	Leaders []int
 	Grants  []GroupGrant

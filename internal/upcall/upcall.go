@@ -70,7 +70,7 @@ func NewPool(sys *kern.System, task *kern.Task, n int) *Pool {
 		sys.K.ThreadSyscallReturn(e, 1)
 	})
 	for i := 0; i < n; i++ {
-		th := task.NewThread(fmt.Sprintf("upcall-%d", i), p.program(), 25)
+		th := task.NewNamedThread(core.IndexedName("upcall-", i), p.program(), 25)
 		sys.Start(th)
 	}
 	return p

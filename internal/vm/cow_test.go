@@ -94,7 +94,7 @@ func TestWriteFaultBreaksSharing(t *testing.T) {
 		addr  uint64
 		write bool
 	}{0x5000, true})
-	th := k.NewThread(core.ThreadSpec{Name: "writer", SpaceID: 2, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("writer"), SpaceID: 2, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -127,7 +127,7 @@ func TestReadFaultKeepsSharing(t *testing.T) {
 		addr  uint64
 		write bool
 	}{0x5000, false})
-	th := k.NewThread(core.ThreadSpec{Name: "reader", SpaceID: 2, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("reader"), SpaceID: 2, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if v.CowBreaks != 0 {
@@ -154,7 +154,7 @@ func TestLastMapperPrivatizesWithoutCopy(t *testing.T) {
 		addr  uint64
 		write bool
 	}{0x7000, true})
-	t1 := k.NewThread(core.ThreadSpec{Name: "w1", SpaceID: 1, Program: pw1})
+	t1 := k.NewThread(core.ThreadSpec{Name: core.NameOf("w1"), SpaceID: 1, Program: pw1})
 	k.Setrun(t1)
 	k.Run(0)
 	framesAfterFirst := v.FreeFrames
@@ -164,7 +164,7 @@ func TestLastMapperPrivatizesWithoutCopy(t *testing.T) {
 		addr  uint64
 		write bool
 	}{0x7000, true})
-	t2 := k.NewThread(core.ThreadSpec{Name: "w2", SpaceID: 2, Program: pw2})
+	t2 := k.NewThread(core.ThreadSpec{Name: core.NameOf("w2"), SpaceID: 2, Program: pw2})
 	k.Setrun(t2)
 	k.Run(0)
 
@@ -201,7 +201,7 @@ func TestSharedEvictionFreesFrameOnlyAtLastRef(t *testing.T) {
 		}{uint64(0x100000 + i*vm.PageSize), false})
 	}
 	p := &cowProg{v: v, touches: touches}
-	th := k.NewThread(core.ThreadSpec{Name: "churn", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("churn"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if th.State() != core.StateHalted {

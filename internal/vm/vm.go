@@ -113,8 +113,14 @@ type VM struct {
 	contPageout *core.Continuation
 
 	// pageInFn is pageIn's method value, bound once: the flat-latency
-	// page-in timer's action.
-	pageInFn func(any)
+	// page-in timer's action. faultContinueFn is faultContinue's, every
+	// disk page-in's inline completion.
+	pageInFn        func(any)
+	faultContinueFn func(*core.Env)
+
+	// diskReads holds the paging disk's finished read records for the
+	// next page-ins to reuse (newDiskRead).
+	diskReads []*diskRead
 
 	// Counters.
 	FastFaults   uint64 // page already resident
@@ -174,9 +180,10 @@ func New(k *core.Kernel, cfg Config) *VM {
 	v.contPageout = core.NewContinuation("pageout_continue", v.pageoutLoop)
 
 	v.pageInFn = v.pageIn
+	v.faultContinueFn = v.faultContinue
 	k.HandleFault = v.HandleFault
 	v.Daemon = k.NewThread(core.ThreadSpec{
-		Name:     "pageout",
+		Name:     core.NameOf("pageout"),
 		SpaceID:  0,
 		Internal: true,
 		Priority: 30,
@@ -261,18 +268,18 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 		// continuation kernel) hands its stack straight to the faulter,
 		// recognizing vm_fault_continue. Concurrent faulters queue behind
 		// each other on the one device — a pager storm sees the spindle.
-		v.Disk.Submit(&dev.Request{
-			Label:   "page-in",
-			Bytes:   PageSize,
-			Latency: v.DiskLatency,
-			Complete: func(e2 *core.Env) {
-				sp.resident[page] = &pageEntry{}
-				v.fifo = append(v.fifo, pageRef{space: sp, page: page})
-			},
-			Waiter: t,
-			Expect: v.ContFaultContinue,
-			Inline: func(e2 *core.Env) { v.faultContinue(e2) },
-		})
+		d := v.newDiskRead()
+		d.sp, d.page = sp, page
+		d.req = dev.Request{
+			Label:    "page-in",
+			Bytes:    PageSize,
+			Latency:  v.DiskLatency,
+			Complete: d.req.Complete,
+			Waiter:   t,
+			Expect:   v.ContFaultContinue,
+			Inline:   v.faultContinueFn,
+		}
+		v.Disk.Submit(&d.req)
 	} else {
 		v.K.Clock.Schedule(v.K.Clock.Now()+v.DiskLatency, v.pageInFn, t)
 	}
@@ -289,11 +296,47 @@ func (v *VM) fault(e *core.Env, addr uint64, write bool) {
 // continuation.
 func (v *VM) pageIn(arg any) {
 	t := arg.(*core.Thread)
-	sp := v.SpaceOf(t)
-	page := uint64(t.Scratch.Word(0))
+	v.mapPage(v.SpaceOf(t), uint64(t.Scratch.Word(0)))
+	v.K.Setrun(t)
+}
+
+// mapPage makes page resident in sp, the youngest page in the eviction
+// queue.
+func (v *VM) mapPage(sp *Space, page uint64) {
 	sp.resident[page] = &pageEntry{}
 	v.fifo = append(v.fifo, pageRef{space: sp, page: page})
-	v.K.Setrun(t)
+}
+
+// diskRead is one page-in on the paging disk: its device request and the
+// page it maps. The record keeps the page even when an abort detaches
+// the faulter, and its completion is bound once, when the record is
+// made, so a page-in that reuses one allocates only the page's entry.
+type diskRead struct {
+	req  dev.Request
+	sp   *Space
+	page uint64
+}
+
+// newDiskRead returns a finished read record, or a new one.
+func (v *VM) newDiskRead() *diskRead {
+	if n := len(v.diskReads); n > 0 {
+		d := v.diskReads[n-1]
+		v.diskReads = v.diskReads[:n-1]
+		return d
+	}
+	d := &diskRead{}
+	d.req.Complete = func(*core.Env) { v.diskReadDone(d) }
+	return d
+}
+
+// diskReadDone is a disk read's completion, run by io_done: it maps the
+// page and frees the record. io_done's last use of the request is to
+// resume its faulter, so no later fault can take the record while the
+// completion is still being processed.
+func (v *VM) diskReadDone(d *diskRead) {
+	v.mapPage(d.sp, d.page)
+	d.sp = nil
+	v.diskReads = append(v.diskReads, d)
 }
 
 // faultContinue runs when the page-in completes: enter the page into the

@@ -48,7 +48,7 @@ func TestFaultBringsPageIn(t *testing.T) {
 	k, v := newVMKernel(t, true, 64)
 	v.NewSpace(1)
 	p := &faultProg{addrs: []uint64{0x1000, 0x2000, 0x1000}, v: v, space: 1}
-	th := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("faulter"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -69,7 +69,7 @@ func TestFaultingThreadIsStackless(t *testing.T) {
 	k, v := newVMKernel(t, true, 64)
 	v.NewSpace(1)
 	p := &faultProg{addrs: []uint64{0x5000}, v: v, space: 1}
-	th := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("faulter"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	for i := 0; i < 200 && th.State() != core.StateWaiting; i++ {
 		if !k.Step() {
@@ -95,7 +95,7 @@ func TestFaultProcessModelKeepsStack(t *testing.T) {
 	k, v := newVMKernel(t, false, 64)
 	v.NewSpace(1)
 	p := &faultProg{addrs: []uint64{0x5000}, v: v, space: 1}
-	th := k.NewThread(core.ThreadSpec{Name: "faulter", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("faulter"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	for i := 0; i < 200 && th.State() != core.StateWaiting; i++ {
 		if !k.Step() {
@@ -120,7 +120,7 @@ func TestPageoutDaemonFreesFrames(t *testing.T) {
 		addrs = append(addrs, uint64(i+1)<<vm.PageShift)
 	}
 	p := &faultProg{addrs: addrs, v: v, space: 1}
-	th := k.NewThread(core.ThreadSpec{Name: "pig", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("pig"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if th.State() != core.StateHalted {
@@ -148,7 +148,7 @@ func TestManyFaultersFewStacks(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v.NewSpace(i + 1)
 		p := &faultProg{addrs: []uint64{0x10000}, v: v, space: i + 1}
-		th := k.NewThread(core.ThreadSpec{Name: "f", SpaceID: i + 1, Program: p})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("f"), SpaceID: i + 1, Program: p})
 		threads = append(threads, th)
 		k.Setrun(th)
 	}
@@ -194,7 +194,7 @@ func TestKernelFaultUsesProcessModel(t *testing.T) {
 			})
 		})
 	})
-	th := k.NewThread(core.ThreadSpec{Name: "syscaller", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("syscaller"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 
 	for i := 0; i < 200 && th.State() != core.StateWaiting; i++ {
@@ -231,7 +231,7 @@ func TestFrameWaitAndRetry(t *testing.T) {
 			addrs = append(addrs, uint64(j+1)<<vm.PageShift)
 		}
 		p := &faultProg{addrs: addrs, v: v, space: i + 1}
-		th := k.NewThread(core.ThreadSpec{Name: "greedy", SpaceID: i + 1, Program: p})
+		th := k.NewThread(core.ThreadSpec{Name: core.NameOf("greedy"), SpaceID: i + 1, Program: p})
 		threads = append(threads, th)
 		k.Setrun(th)
 	}
@@ -255,7 +255,7 @@ func TestTouchPreloadsWorkingSet(t *testing.T) {
 		t.Fatalf("FreeFrames = %d", v.FreeFrames)
 	}
 	p := &faultProg{addrs: []uint64{0x3000}, v: v, space: 1}
-	th := k.NewThread(core.ThreadSpec{Name: "warm", SpaceID: 1, Program: p})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("warm"), SpaceID: 1, Program: p})
 	k.Setrun(th)
 	k.Run(0)
 	if v.DiskFaults != 0 {
@@ -273,7 +273,7 @@ func TestResidentFaultIsFast(t *testing.T) {
 		}
 		return core.Action{Kind: core.ActFault, Addr: 0x8000}
 	})
-	th := k.NewThread(core.ThreadSpec{Name: "fast", SpaceID: 1, Program: prog})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("fast"), SpaceID: 1, Program: prog})
 	k.Setrun(th)
 	k.Run(0)
 	if v.FastFaults != 1 || v.DiskFaults != 0 {
@@ -299,7 +299,7 @@ func TestDuplicateSpacePanics(t *testing.T) {
 
 func TestUnregisteredSpacePanics(t *testing.T) {
 	k, v := newVMKernel(t, true, 16)
-	th := k.NewThread(core.ThreadSpec{Name: "orphan", SpaceID: 9})
+	th := k.NewThread(core.ThreadSpec{Name: core.NameOf("orphan"), SpaceID: 9})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unregistered space did not panic")

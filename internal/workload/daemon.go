@@ -32,7 +32,7 @@ func NewDaemon(sys *kern.System, name string, workCost machine.Cost) *Daemon {
 	d := &Daemon{sys: sys, workCost: workCost}
 	d.cont = core.NewContinuation(name+"_continue", d.loop)
 	d.Thread = sys.K.NewThread(core.ThreadSpec{
-		Name:     name,
+		Name:     core.NameOf(name),
 		SpaceID:  0,
 		Internal: true,
 		Priority: 28,

@@ -9,8 +9,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/ipc"
@@ -69,7 +67,7 @@ func (r *RecoveryStats) fill(machines []*kern.System) {
 // RPC it was on.
 type haClient struct {
 	sys   *kern.System
-	name  string
+	name  core.Name
 	bytes int
 	rpcs  int
 
@@ -111,7 +109,7 @@ func (c *haClient) emitSwitch(t *core.Thread, toReplica bool) {
 	if toReplica {
 		detail, arg = "primary -> replica", 1
 	}
-	r.EmitArg(obs.Failover, t.ID, t.Name, detail, arg)
+	r.EmitArg(obs.Failover, t.ID, detail, arg)
 }
 
 func (c *haClient) Next(e *core.Env, t *core.Thread) core.Action {
@@ -195,7 +193,7 @@ func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 		st := s.NewTask("echo-server")
 		sport := s.IPC.NewPort("echo")
 		if clientsPer > 1 {
-			sport.QueueLimit = 4 * clientsPer
+			sport.QueueLimit = int32(4 * clientsPer)
 		}
 		for _, n := range s.Links {
 			n.Export("echo", sport)
@@ -213,13 +211,15 @@ func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 	var clis []*haClient
 	for _, cm := range []*kern.System{ms[0], ms[3]} {
 		var mine []*haClient
+		base := "cli"
+		if cm == ms[3] {
+			base = "cli-b"
+		}
+		indexed := base + "-"
 		for j := 0; j < clientsPer; j++ {
-			name := "cli"
-			if cm == ms[3] {
-				name = "cli-b"
-			}
+			name := core.NameOf(base)
 			if j > 0 {
-				name = fmt.Sprintf("%s-%d", name, j)
+				name = core.IndexedName(indexed, j)
 			}
 			cli := &haClient{sys: cm, name: name, bytes: msgBytes, rpcs: spec.RPCs}
 			mine = append(mine, cli)
@@ -228,10 +228,10 @@ func installHA(ms []*kern.System, spec NetRPCSpec) []*haClient {
 		cm.RegisterService("net-clients", func(s *kern.System) {
 			ct := s.NewTask("net-client")
 			for _, cli := range mine {
-				cli.reply = s.IPC.NewPort(cli.name + "-reply")
+				cli.reply = s.IPC.NewNamedPort(cli.name.Suffixed("-reply"))
 				cli.waiting = false
 				cli.attempts = 0
-				s.Start(ct.NewThread(cli.name, cli, 10))
+				s.Start(ct.NewNamedThread(cli.name, cli, 10))
 			}
 		})
 	}

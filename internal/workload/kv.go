@@ -15,6 +15,7 @@ import (
 	"io"
 
 	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/fault"
 	"repro/internal/kern"
@@ -278,7 +279,7 @@ func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
 		for j := 0; j < clientsPer; j++ {
 			id := base + j
 			cli := &svc.Caller{
-				Sys: s, Name: fmt.Sprintf("%s%d", tag, j), ID: id,
+				Sys: s, Name: core.IndexedName(tag, j), ID: id,
 				Map: smap, Links: [svc.NumRanks]int{0, 1},
 				Timeout: tmo.rpcTimeout, HistName: "kv.op",
 				Ops:      kvOps(spec.Seed, id, spec.Ops, spec.Keyspan, spec.PutPer10k),
@@ -335,7 +336,7 @@ func startCallers(s *kern.System, service, task string, clis []*svc.Caller) {
 		ct := s.NewTask(task)
 		for _, c := range clis {
 			c.Reset(s)
-			s.Start(ct.NewThread(c.Name, c, 10))
+			s.Start(ct.NewNamedThread(c.Name, c, 10))
 		}
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/ipc"
@@ -217,6 +218,8 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		parallel: spec.Parallel,
 	})
 	res.Machines = c.machines
+	threadNames, replyNames := mtSessionNames(tenants)
+	hists := make([]*obs.Histogram, len(tenants))
 	var sessions []*mtSession
 	for p := 0; p < pairs; p++ {
 		a, b := c.machines[2*p], c.machines[2*p+1]
@@ -224,32 +227,35 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		sport := b.IPC.NewPort("echo")
 		// Every session on the pair can land a request in the same
 		// wire-latency window.
-		sport.QueueLimit = 2 * (loads[p] + 1)
+		sport.QueueLimit = int32(2 * (loads[p] + 1))
 		b.Net.Export("echo", sport)
 		for w := 0; w < mtServerWorkers; w++ {
-			name := "srv"
+			name := core.NameOf("srv")
 			if w > 0 {
-				name = fmt.Sprintf("srv-%d", w)
+				name = core.IndexedName("srv-", w)
 			}
-			b.Start(st.NewThread(name, NewEchoServer(b, sport), 20))
+			b.Start(st.NewNamedThread(name, NewEchoServer(b, sport), 20))
 		}
 
 		ct := a.NewTask("tenants")
 		for ti := range tenants {
 			tn := &tenants[ti]
+			if placement[p][ti] > 0 {
+				hists[ti] = a.K.Obs.Service("tenant " + tn.Name)
+			}
 			for j := 0; j < placement[p][ti]; j++ {
 				s := &mtSession{
 					sys: a, tenant: tn, tenantIx: int32(ti),
 					proxy: a.Net.ProxyFor("echo"),
-					reply: a.IPC.NewPort(fmt.Sprintf("rp-%d-%d", ti, j)),
+					reply: a.IPC.NewNamedPort(replyNames[ti].Index(j)),
 					rng: RNG{state: spec.Seed ^ uint64(p)<<40 ^
 						uint64(ti)<<20 ^ uint64(j)},
-					hist:     a.K.Obs.Service("tenant " + tn.Name),
+					hist:     hists[ti],
 					ops:      int32(spec.Ops),
 					intended: a.K.Clock.Now() + machine.Time(warmup),
 				}
 				sessions = append(sessions, s)
-				a.Start(ct.NewThread(fmt.Sprintf("%s-%d", tn.Name, j), s, 10))
+				a.Start(ct.NewNamedThread(threadNames[ti].Index(j), s, 10))
 			}
 		}
 	}
@@ -269,6 +275,20 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 		ts.Attained += uint64(s.attained)
 	}
 	return res
+}
+
+// mtSessionNames returns, per tenant, the names its sessions index: the
+// j-th session of tenant ti on a client machine is the thread
+// "tenants/<tenant>-j" with reply port "rp-ti-j". A tenant's sessions
+// share the two bases, so booting them builds no name string.
+func mtSessionNames(tenants []TenantSpec) (threads, replies []core.Name) {
+	threads = make([]core.Name, len(tenants))
+	replies = make([]core.Name, len(tenants))
+	for ti := range tenants {
+		threads[ti] = core.NameOf(tenants[ti].Name + "-")
+		replies[ti] = core.NameOf("rp-" + strconv.Itoa(ti) + "-")
+	}
+	return threads, replies
 }
 
 // WriteMTLoadReport prints the aggregate run report: the cluster

@@ -10,8 +10,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/fault"
@@ -278,7 +276,7 @@ func installPairs(ms []*kern.System, spec NetRPCSpec) []*netClient {
 			// Many clients can land requests in the same wire-latency
 			// window; the default queue limit would force senders into
 			// the full-queue backoff path and serialize them.
-			sport.QueueLimit = 2 * clients
+			sport.QueueLimit = int32(2 * clients)
 		}
 		b.Net.Export("echo", sport)
 		b.Start(st.NewThread("srv", NewEchoServer(b, sport), 20))
@@ -289,15 +287,15 @@ func installPairs(ms []*kern.System, spec NetRPCSpec) []*netClient {
 		// driver.
 		ct := a.NewTask("net-client")
 		for j := 0; j < clients; j++ {
-			replyName, threadName := "echo-reply", "cli"
+			replyName, threadName := core.NameOf("echo-reply"), core.NameOf("cli")
 			if j > 0 {
-				replyName = fmt.Sprintf("echo-reply-%d", j)
-				threadName = fmt.Sprintf("cli-%d", j)
+				replyName = core.IndexedName("echo-reply-", j)
+				threadName = core.IndexedName("cli-", j)
 			}
 			cli := &netClient{sys: a, proxy: a.Net.ProxyFor("echo"),
-				reply: a.IPC.NewPort(replyName), bytes: msgBytes, rpcs: spec.RPCs}
+				reply: a.IPC.NewNamedPort(replyName), bytes: msgBytes, rpcs: spec.RPCs}
 			clis = append(clis, cli)
-			a.Start(ct.NewThread(threadName, cli, 10))
+			a.Start(ct.NewNamedThread(threadName, cli, 10))
 		}
 	}
 	return clis

@@ -302,7 +302,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 	clis := make([]*svc.Caller, spec.Sessions)
 	for j := range sessions {
 		cli := &svc.Caller{
-			Sys: frontend, Name: fmt.Sprintf("storm%d", j), ID: j,
+			Sys: frontend, Name: core.IndexedName("storm", j), ID: j,
 			Map: smap, Links: [svc.NumRanks]int{0, 0},
 			Port: svc.CachePortName, Timeout: stormTimeout,
 			MaxAttempts: 16,
@@ -326,7 +326,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		ct := fsys.NewTask("storm")
 		for _, s := range sessions {
 			s.cli.Reset(fsys)
-			fsys.Start(ct.NewThread(s.cli.Name, s, 10))
+			fsys.Start(ct.NewNamedThread(s.cli.Name, s, 10))
 		}
 	})
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
@@ -115,7 +116,7 @@ func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcG
 	fronts := make([]*svc.Caller, frontends)
 	for j := range fronts {
 		fronts[j] = &svc.Caller{
-			Sys: c.machines[0], Name: fmt.Sprintf("fe%d", j), ID: j,
+			Sys: c.machines[0], Name: core.IndexedName("fe", j), ID: j,
 			Map: smap, Links: [svc.NumRanks]int{0, 0},
 			Port: svc.CachePortName, Timeout: tmo.rpcTimeout,
 			HistName: "frontend",

@@ -232,7 +232,7 @@ func Install(sys *kern.System, spec Spec, seed uint64) *Instance {
 		srv.RemoteLatency = spec.RemoteLatency
 		srv.rng = NewRNG(rng.Next())
 		inst.Servers = append(inst.Servers, srv)
-		th := serverTask.NewThread(fmt.Sprintf("svc-%d", i), srv, 20)
+		th := serverTask.NewNamedThread(core.IndexedName("svc-", i), srv, 20)
 		sys.Start(th)
 	}
 
@@ -249,9 +249,10 @@ func Install(sys *kern.System, spec Spec, seed uint64) *Instance {
 
 	// Client tasks.
 	for _, cs := range spec.Clients {
+		replyName := core.NameOf(cs.Name + "-").Suffixed("-reply")
 		for i := 0; i < cs.Count; i++ {
 			task := sys.NewTask(fmt.Sprintf("%s-%d", cs.Name, i))
-			reply := sys.IPC.NewPort(fmt.Sprintf("%s-%d-reply", cs.Name, i))
+			reply := sys.IPC.NewNamedPort(replyName.Index(i))
 			cl := NewClient(sys, cs, servicePort, reply, NewRNG(rng.Next()))
 			inst.Clients = append(inst.Clients, cl)
 			th := task.NewThread("main", cl, cs.Priority)
