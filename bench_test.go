@@ -649,6 +649,33 @@ func BenchmarkClusterScale(b *testing.B) {
 	b.Run("m256", func(b *testing.B) { run(b, 256) })
 }
 
+// BenchmarkMTLoadWidth measures what a cluster's width costs the host at
+// a fixed load per pair: 128 client/server pairs with 80 sessions per
+// client machine, each session doing 12 ops. pairs runs them as 128
+// separate two-machine RunMTLoad runs per op, m256 as one 256-machine run
+// (the mtload-wide benchmark workload). The pairs share no link, so Drive
+// runs each one to quiescence on its own and m256 should cost little
+// more than pairs; CI bounds the ratio, which a driver that visits every
+// active machine in each cluster-wide horizon round (~2x) would exceed.
+func BenchmarkMTLoadWidth(b *testing.B) {
+	const pairs, tenants, sessions, ops = 128, 4, 80, 12
+	run := func(b *testing.B, machines, runs int) {
+		var steps uint64
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < runs; r++ {
+				res := workload.RunMTLoad(kern.MK40, machine.ArchDS3100, workload.MTLoadSpec{
+					Machines: machines, Tenants: tenants, Ops: ops, Seed: 1 + uint64(r),
+					SessionsPerTenant: machines / 2 * sessions / tenants,
+				})
+				steps += res.Steps
+			}
+		}
+		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	}
+	b.Run("pairs", func(b *testing.B) { run(b, 2, pairs) })
+	b.Run("m256", func(b *testing.B) { run(b, 2*pairs, 1) })
+}
+
 // BenchmarkBlockedPopulation measures what one short-lived thread's whole
 // life costs next to a population of parked ones: one machine holds P
 // threads blocked receiving, each registered on its own port, and each

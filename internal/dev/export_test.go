@@ -22,9 +22,9 @@ func (s *Subsystem) QueuedRxForTest() (reqs []*Request, pkts []*Packet) {
 // RxFreeForTest returns the rx completions on the free list.
 func (s *Subsystem) RxFreeForTest() []*Request { return s.rxFree }
 
-// DedupForTest returns the link's dedup watermark and how many delivered
-// sequence numbers wait above it.
-func (n *Netmsg) DedupForTest() (low uint64, above int) { return n.seen.low, len(n.seen.above) }
+// DedupForTest returns the link's dedup watermark and how many intervals
+// of delivered sequence numbers wait above it.
+func (n *Netmsg) DedupForTest() (low uint64, intervals int) { return n.seen.low, len(n.seen.above) }
 
 // PacketFreeForTest returns the packets on the machine's free list, and
 // PacketsMadeForTest how many packets the machine has allocated.

@@ -9,6 +9,7 @@ package dev
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -531,46 +532,66 @@ type Netmsg struct {
 
 // dedup is the set of peer data sequence numbers already delivered, kept
 // as a watermark below which every number has been delivered plus the
-// delivered numbers above it. The peer numbers its packets 1, 2, ... per
-// incarnation, so in-order traffic leaves the set empty and only packets
-// that overtook a lost or delayed one wait in it. (A link rebuilt by this
-// machine's reboot hears the peer's numbering mid-stream, so its
-// watermark stays at 0 and every number it delivers waits in the set.)
+// delivered numbers above it as sorted, disjoint intervals that neither
+// touch each other nor the watermark. The peer numbers its packets 1, 2,
+// ... per incarnation, so in-order traffic leaves no interval and only
+// packets that overtook a lost or delayed one wait in one. A link rebuilt
+// by this machine's reboot hears the peer's numbering mid-stream, so its
+// watermark stays at 0, but its in-order stream still costs one interval.
 type dedup struct {
 	low   uint64
-	above map[uint64]struct{}
+	above []seqRange
 }
+
+// seqRange is the delivered sequence numbers lo through hi.
+type seqRange struct{ lo, hi uint64 }
 
 // first records seq as delivered and reports whether it was not already.
 func (d *dedup) first(seq uint64) bool {
 	if seq <= d.low {
 		return false
 	}
-	if _, dup := d.above[seq]; dup {
-		return false
-	}
-	if seq != d.low+1 {
-		if d.above == nil {
-			d.above = make(map[uint64]struct{})
+	if seq == d.low+1 {
+		d.low = seq
+		if len(d.above) > 0 && d.above[0].lo == seq+1 {
+			d.low = d.above[0].hi
+			d.above = slices.Delete(d.above, 0, 1)
 		}
-		d.above[seq] = struct{}{}
 		return true
 	}
-	d.low = seq
-	for {
-		if _, ok := d.above[d.low+1]; !ok {
-			return true
+	// i is the first interval ending at seq-1 or later: the one seq falls
+	// in or extends upward, or else the one it precedes.
+	a := d.above
+	i, j := 0, len(a)
+	for i < j {
+		if m := int(uint(i+j) >> 1); a[m].hi+1 < seq {
+			i = m + 1
+		} else {
+			j = m
 		}
-		delete(d.above, d.low+1)
-		d.low++
 	}
+	switch {
+	case i == len(a) || a[i].lo > seq+1:
+		d.above = slices.Insert(a, i, seqRange{seq, seq})
+	case a[i].lo == seq+1:
+		a[i].lo = seq
+	case a[i].hi+1 == seq:
+		a[i].hi = seq
+		if i+1 < len(a) && a[i+1].lo == seq+1 {
+			a[i].hi = a[i+1].hi
+			d.above = slices.Delete(a, i+1, i+2)
+		}
+	default: // a[i].lo <= seq <= a[i].hi
+		return false
+	}
+	return true
 }
 
 // reset forgets every delivered number: the peer's new incarnation
 // numbers its packets from 1 again.
 func (d *dedup) reset() {
 	d.low = 0
-	clear(d.above)
+	d.above = d.above[:0]
 }
 
 // unackedPkt tracks one transmitted-but-unacknowledged data packet. It

@@ -8,6 +8,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ipc"
 	"repro/internal/kern"
+	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // bootLossyPair boots two connected machines with the reliability
@@ -207,5 +209,40 @@ func TestRetransmitGivesUpAfterMax(t *testing.T) {
 	if a.Net.NIC.TxPackets != wantSends {
 		t.Fatalf("tx packets = %d, want %d (1 + RexmitMax per message)",
 			a.Net.NIC.TxPackets, wantSends)
+	}
+}
+
+// TestRebuiltLinkDedupStaysSmall runs the replicated KV with its backup
+// crashing at 40 ms and warm-rebooting 40 ms later. The rebooted
+// machine's links hear their peers' numbering mid-stream, so their
+// watermarks stay at 0, yet every link of every machine must end with at
+// most two intervals of delivered numbers above its watermark (the map
+// that preceded the intervals held one entry per packet, 55 to 116 on
+// the rebooted machine's links).
+func TestRebuiltLinkDedupStaysSmall(t *testing.T) {
+	spec, err := fault.ParseSpec("crash=2@40ms:reboot+40ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := workload.DefaultKV()
+	kv.FaultSpec = spec
+	res := workload.RunKV(kern.MK40, machine.ArchToshiba5200, kv)
+	if res.Machines[2].Reboots != 1 {
+		t.Fatalf("machine 2 rebooted %d times, want 1", res.Machines[2].Reboots)
+	}
+	rebuilt := 0
+	for i, s := range res.Machines {
+		for j, l := range s.Links {
+			low, intervals := l.DedupForTest()
+			if intervals > 2 {
+				t.Errorf("machine %d link %d: %d intervals above watermark %d, want at most 2", i, j, intervals, low)
+			}
+			if i == 2 && low == 0 && intervals > 0 {
+				rebuilt++
+			}
+		}
+	}
+	if rebuilt == 0 {
+		t.Fatalf("no link of the rebooted machine heard its peer mid-stream; the run no longer exercises a rebuilt link")
 	}
 }

@@ -1,12 +1,14 @@
 package kern_test
 
 // Tests for the O(active)-cost cluster driver: the indexed activity heap
-// against the naive full-sweep horizon, and the cached wire lookahead
-// against link changes.
+// against the naive full-sweep horizon, the cached wire lookahead
+// against link changes, and Drive's partition into connected components.
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/kern"
 	"repro/internal/machine"
@@ -150,5 +152,81 @@ func TestCrashRebootRefreshesWireCache(t *testing.T) {
 	hn, okn := cluster.HorizonForTest()
 	if hf != hn || okf != okn {
 		t.Fatalf("post-reboot horizon (%v, %v) != naive sweep (%v, %v)", hf, okf, hn, okn)
+	}
+}
+
+// TestComponents checks Drive's partition of the machines into the
+// connected components of the link graph: each component lists its
+// machines in ascending order, the components come in ascending order
+// of their lowest machine, and the partition is closed — every
+// connected NIC's peer lies in the NIC's own component (CrossCheck
+// asserts it too, and each cluster is then driven to quiescence with
+// CrossCheck armed).
+func TestComponents(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		nodev []int // machines booted without a device subsystem
+		links [][2]int
+		want  [][]int
+	}{
+		{name: "pairs", n: 6, links: [][2]int{{0, 1}, {2, 3}, {4, 5}},
+			want: [][]int{{0, 1}, {2, 3}, {4, 5}}},
+		{name: "chain", n: 5, links: [][2]int{{3, 4}, {0, 1}, {2, 3}, {1, 2}},
+			want: [][]int{{0, 1, 2, 3, 4}}},
+		{name: "kv", n: 4, links: [][2]int{{0, 1}, {0, 2}, {3, 1}, {3, 2}, {1, 2}},
+			want: [][]int{{0, 1, 2, 3}}},
+		{name: "isolated", n: 6, links: [][2]int{{4, 1}, {5, 2}},
+			want: [][]int{{0}, {1, 4}, {2, 5}, {3}}},
+		{name: "no device subsystem", n: 4, nodev: []int{1}, links: [][2]int{{3, 0}},
+			want: [][]int{{0, 3}, {1}, {2}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			systems := make([]*kern.System, tc.n)
+			for i := range systems {
+				cfg := kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100}
+				cfg.DisableDaemons = slices.Contains(tc.nodev, i)
+				systems[i] = kern.New(cfg)
+			}
+			used := make([]int, tc.n)
+			nic := func(i int) *dev.NIC {
+				if used[i] == len(systems[i].Links) {
+					systems[i].AddLink()
+				}
+				used[i]++
+				return systems[i].Links[used[i]-1].NIC
+			}
+			for _, l := range tc.links {
+				dev.Connect(nic(l[0]), nic(l[1]), 0)
+			}
+			cluster := kern.NewCluster(systems...)
+			cluster.CrossCheck = true
+			got := cluster.ComponentsForTest()
+			if !slices.EqualFunc(got, tc.want, slices.Equal[[]int]) {
+				t.Fatalf("components %v, want %v", got, tc.want)
+			}
+			comp := make(map[*core.Kernel]int)
+			for c, ms := range got {
+				for _, i := range ms {
+					comp[systems[i].K] = c
+				}
+			}
+			for i, s := range systems {
+				if s.Dev == nil {
+					continue
+				}
+				for _, n := range s.Dev.NICs() {
+					if p := n.Peer(); p != nil && comp[p.Sub.K] != comp[s.K] {
+						t.Fatalf("machine %d NIC %s reaches component %d from component %d",
+							i, n.Name, comp[p.Sub.K], comp[s.K])
+					}
+				}
+			}
+			cluster.Drive(false)
+			if _, ok := cluster.HorizonForTest(); ok {
+				t.Fatalf("cluster not quiescent after Drive")
+			}
+		})
 	}
 }

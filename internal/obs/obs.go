@@ -413,11 +413,14 @@ type Recorder struct {
 	names *nameTable
 
 	// threadName is the kernel's thread-name lookup (NameThreads);
-	// namedTID and tidName cache its last answer, since consecutive
-	// events tend to share their thread.
-	threadName func(tid int) string
-	namedTID   int
-	tidName    string
+	// threadNames caches each name it built, indexed by thread id. The
+	// kernel never reuses an id, not even across a crash, so an id's
+	// name never changes. firstNames backs the table until an id
+	// outgrows it: a kernel's first threads are its few daemons,
+	// numbered from 1, so a boot names them without allocating.
+	threadName  func(tid int) string
+	threadNames []string
+	firstNames  [8]string
 
 	// svc holds the named service-level histograms (per-tier request
 	// latencies maintained by workload code via Service, not by kernel
@@ -560,7 +563,14 @@ func (r *Recorder) EmitCont(kind Kind, tid int, cont ContID, detail string, arg 
 // event's acting thread through; the kernel installs its own
 // (core.Kernel.Observe). A recorder that retains nothing never calls it.
 func (r *Recorder) NameThreads(lookup func(tid int) string) {
-	r.threadName, r.namedTID, r.tidName = lookup, 0, ""
+	r.threadName = lookup
+	r.clearThreadNames()
+}
+
+// clearThreadNames empties the thread-name table onto firstNames.
+func (r *Recorder) clearThreadNames() {
+	clear(r.firstNames[:])
+	r.threadNames = r.firstNames[:]
 }
 
 // parked is the thread name a retained control-transfer step carries
@@ -581,18 +591,28 @@ func (r *Recorder) emit(kind Kind, tid int, cont ContID, detail string, arg int)
 }
 
 // eventThread names a retained event's acting thread: through the
-// installed lookup, or parked for a thread-less control-transfer step;
-// other thread-less events name none.
+// installed lookup, once per thread, or parked for a thread-less
+// control-transfer step; other thread-less events name none. An id the
+// lookup cannot name is asked again at its next event.
 func (r *Recorder) eventThread(kind Kind, tid int) string {
 	switch {
 	case tid == 0 && kind <= Interrupt:
 		return parked
 	case tid == 0 || r.threadName == nil:
 		return ""
-	case tid != r.namedTID:
-		r.namedTID, r.tidName = tid, r.threadName(tid)
+	case tid < len(r.threadNames) && r.threadNames[tid] != "":
+		return r.threadNames[tid]
 	}
-	return r.tidName
+	name := r.threadName(tid)
+	if name != "" {
+		if tid >= len(r.threadNames) {
+			grown := make([]string, max(tid+1, 2*len(r.threadNames)))
+			copy(grown, r.threadNames)
+			r.threadNames = grown
+		}
+		r.threadNames[tid] = name
+	}
+	return name
 }
 
 // contName returns cont's name for a retained event: from its profile
@@ -813,6 +833,7 @@ func (r *Recorder) Reset() {
 	r.lat = nil
 	r.spans = nil
 	r.spanSalt = 0
+	r.clearThreadNames()
 	r.Census = Census{}
 }
 

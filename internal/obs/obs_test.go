@@ -434,3 +434,38 @@ func named(r *Recorder, names map[int]string) *Recorder {
 	r.NameThreads(func(tid int) string { return names[tid] })
 	return r
 }
+
+// TestThreadNamedOnce checks that a retaining recorder asks the kernel's
+// lookup for each thread's name once, however often its events
+// alternate with another thread's, asks again for an id the lookup could
+// not name, and forgets every name on Reset.
+func TestThreadNamedOnce(t *testing.T) {
+	r := NewRecorder(nil, 64)
+	asked := map[int]int{}
+	// Thread 20 lies past the recorder's first table, so naming it grows
+	// the table under the names already built.
+	names := map[int]string{1: "client", 2: "server", 20: "worker"}
+	r.NameThreads(func(tid int) string {
+		asked[tid]++
+		return names[tid]
+	})
+	for i := 0; i < 10; i++ {
+		r.Emit(Note, 1, "")
+		r.Emit(Note, 2, "")
+		r.Emit(Note, 3, "")
+		r.Emit(Note, 20, "")
+	}
+	if asked[1] != 1 || asked[2] != 1 || asked[20] != 1 || asked[3] != 10 {
+		t.Fatalf("lookups per thread %v, want 1 for each named thread and 10 for the unnamed one", asked)
+	}
+	for i, ev := range r.Events() {
+		if want := []string{"client", "server", "", "worker"}[i%4]; ev.Thread != want {
+			t.Fatalf("event %d names %q, want %q", i, ev.Thread, want)
+		}
+	}
+	r.Reset()
+	r.Emit(Note, 1, "")
+	if asked[1] != 2 {
+		t.Fatalf("thread 1 looked up %d times after Reset, want 2", asked[1])
+	}
+}

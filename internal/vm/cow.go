@@ -14,7 +14,8 @@ type share struct {
 	refs int
 }
 
-// pageEntry describes one resident virtual page of a space.
+// pageEntry describes one resident virtual page of a space; a space's
+// resident map holds it by value, so a change is stored back.
 type pageEntry struct {
 	// shared is non-nil while the page is a copy-on-write mapping of a
 	// frame other spaces may also map.
@@ -45,8 +46,8 @@ func (v *VM) ShareCopyOnWrite(e *core.Env, srcID, dstID int, addr uint64, n int)
 	shared := 0
 	for i := 0; i < n; i++ {
 		page := (addr >> PageShift) + uint64(i)
-		entry := src.resident[page]
-		if entry == nil {
+		entry, ok := src.resident[page]
+		if !ok {
 			continue
 		}
 		if _, already := dst.resident[page]; already {
@@ -55,9 +56,10 @@ func (v *VM) ShareCopyOnWrite(e *core.Env, srcID, dstID int, addr uint64, n int)
 		e.Charge(cowMapCost)
 		if entry.shared == nil {
 			entry.shared = &share{refs: 1}
+			src.resident[page] = entry
 		}
 		entry.shared.refs++
-		dst.resident[page] = &pageEntry{shared: entry.shared}
+		dst.resident[page] = pageEntry{shared: entry.shared}
 		v.fifo = append(v.fifo, pageRef{space: dst, page: page})
 		v.CowShares++
 		shared++
@@ -81,12 +83,12 @@ func (s *Space) SharedPages() int {
 // thread's space. It either privatizes in place (last reference) or
 // copies the page to a fresh frame, possibly blocking for one. Transfers
 // control.
-func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
+func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry pageEntry) {
 	t := e.Cur()
 	e.Charge(cowBreakCost)
 	if entry.shared.refs == 1 {
 		// Last mapper: just take the frame private.
-		entry.shared = nil
+		sp.resident[page] = pageEntry{}
 		v.CowBreaks++
 		v.K.ThreadExceptionReturn(e)
 		return
@@ -110,7 +112,7 @@ func (v *VM) breakCow(e *core.Env, sp *Space, page uint64, entry *pageEntry) {
 	}
 	e.Charge(machine.CopyBytes(PageSize))
 	entry.shared.refs--
-	entry.shared = nil
+	sp.resident[page] = pageEntry{}
 	v.CowBreaks++
 	v.K.ThreadExceptionReturn(e)
 }

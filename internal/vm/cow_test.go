@@ -177,6 +177,45 @@ func TestLastMapperPrivatizesWithoutCopy(t *testing.T) {
 	}
 }
 
+// TestBrokenSharingStaysBroken checks that both copy-on-write sites store
+// their change back into the page entries, which a space holds by value:
+// sharing marks the source's entry shared as well as the destination's,
+// and a write fault leaves the writer's entry private, so the second of
+// two writes in each space faults fast instead of breaking the sharing
+// again. The first space to write copies the page; the other, now its
+// frame's last mapper, takes the frame private.
+func TestBrokenSharingStaysBroken(t *testing.T) {
+	k, v := newCowKernel(t, 64)
+	v.NewSpace(1)
+	v.NewSpace(2)
+	v.Touch(1, 0x5000)
+	v.ShareCopyOnWrite(env(k), 1, 2, 0x5000, 1)
+	framesBefore := v.FreeFrames
+	writeTwice := func(space int) {
+		p := &cowProg{v: v}
+		for i := 0; i < 2; i++ {
+			p.touches = append(p.touches, struct {
+				addr  uint64
+				write bool
+			}{0x5000, true})
+		}
+		th := k.NewThread(core.ThreadSpec{Name: core.IndexedName("writer-", space), SpaceID: space, Program: p})
+		k.Setrun(th)
+		k.Run(0)
+		if th.State() != core.StateHalted {
+			t.Fatalf("writer in space %d: state %v", space, th.State())
+		}
+	}
+	writeTwice(2)
+	writeTwice(1)
+	if v.CowBreaks != 2 || v.FastFaults != 2 {
+		t.Fatalf("CowBreaks = %d and FastFaults = %d, want one break and one fast fault per space", v.CowBreaks, v.FastFaults)
+	}
+	if v.FreeFrames != framesBefore-1 {
+		t.Fatalf("frames: %d -> %d, want one private copy", framesBefore, v.FreeFrames)
+	}
+}
+
 func TestSharedEvictionFreesFrameOnlyAtLastRef(t *testing.T) {
 	// Fill a tiny machine, forcing the daemon to evict shared pages, and
 	// check frame accounting stays consistent.

@@ -47,15 +47,18 @@ var evictCost = machine.Cost{Instrs: 150, Loads: 40, Stores: 25}
 
 // Space is one task's address space: the set of resident virtual pages.
 // The simulator does not store page contents; residency, sharing and
-// mapping cost are what the paper's paths exercise.
+// mapping cost are what the paper's paths exercise. The entries are held
+// by value, so mapping a page allocates nothing beyond the map's own
+// growth.
 type Space struct {
 	ID       int
-	resident map[uint64]*pageEntry
+	resident map[uint64]pageEntry
 }
 
 // Resident reports whether the page holding addr is mapped.
 func (s *Space) Resident(addr uint64) bool {
-	return s.resident[addr>>PageShift] != nil
+	_, ok := s.resident[addr>>PageShift]
+	return ok
 }
 
 // ResidentPages counts mapped pages.
@@ -197,7 +200,7 @@ func (v *VM) NewSpace(id int) *Space {
 	if _, dup := v.spaces[id]; dup {
 		panic(fmt.Sprintf("vm: duplicate space %d", id))
 	}
-	s := &Space{ID: id, resident: make(map[uint64]*pageEntry)}
+	s := &Space{ID: id, resident: make(map[uint64]pageEntry)}
 	v.spaces[id] = s
 	return s
 }
@@ -217,7 +220,7 @@ func (v *VM) HandleFault(e *core.Env, addr uint64, write bool) {
 	e.Charge(faultSoftCost)
 	t := e.Cur()
 	sp := v.SpaceOf(t)
-	if entry := sp.resident[addr>>PageShift]; entry != nil {
+	if entry, ok := sp.resident[addr>>PageShift]; ok {
 		if write && entry.shared != nil {
 			// A store to a copy-on-write page: resolve the sharing.
 			v.breakCow(e, sp, addr>>PageShift, entry)
@@ -303,7 +306,7 @@ func (v *VM) pageIn(arg any) {
 // mapPage makes page resident in sp, the youngest page in the eviction
 // queue.
 func (v *VM) mapPage(sp *Space, page uint64) {
-	sp.resident[page] = &pageEntry{}
+	sp.resident[page] = pageEntry{}
 	v.fifo = append(v.fifo, pageRef{space: sp, page: page})
 }
 
@@ -390,8 +393,8 @@ func (v *VM) pageoutLoop(e *core.Env) {
 	for v.FreeFrames < v.HighWater && len(v.fifo) > 0 {
 		ref := v.fifo[0]
 		v.fifo = v.fifo[1:]
-		entry := ref.space.resident[ref.page]
-		if entry == nil {
+		entry, ok := ref.space.resident[ref.page]
+		if !ok {
 			continue // already unmapped
 		}
 		delete(ref.space.resident, ref.page)
@@ -442,14 +445,14 @@ func (v *VM) Touch(spaceID int, addr uint64) {
 		panic(fmt.Sprintf("vm: Touch on unregistered space %d", spaceID))
 	}
 	page := addr >> PageShift
-	if sp.resident[page] != nil {
+	if _, ok := sp.resident[page]; ok {
 		return
 	}
 	if v.FreeFrames == 0 {
 		panic("vm: Touch with no free frames")
 	}
 	v.FreeFrames--
-	sp.resident[page] = &pageEntry{}
+	sp.resident[page] = pageEntry{}
 	v.fifo = append(v.fifo, pageRef{space: sp, page: page})
 }
 

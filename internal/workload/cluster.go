@@ -219,6 +219,10 @@ func boot(spec clusterSpec) *cluster {
 	return &cluster{spec: spec, machines: ms, topo: topo}
 }
 
+// driveCluster runs a booted cluster to quiescence: Drive, unless a test
+// drives the same cluster another way.
+var driveCluster = (*kern.Cluster).Drive
+
 // drive schedules the fault plan's machine crashes, runs the cluster to
 // quiescence, and stamps each recorder with its machine's memory
 // census. It returns the dispatcher steps taken and machine 0's elapsed
@@ -231,7 +235,7 @@ func (c *cluster) drive() (uint64, machine.Duration) {
 	kc.CrossCheck = c.spec.debug
 	clock := c.machines[0].K.Clock
 	start := clock.Now()
-	steps := kc.Drive(c.spec.parallel)
+	steps := driveCluster(kc, c.spec.parallel)
 	for _, s := range c.machines {
 		if r := s.K.Obs; r != nil {
 			r.Census = s.MemoryCensus()
