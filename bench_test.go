@@ -676,6 +676,32 @@ func BenchmarkMTLoadWidth(b *testing.B) {
 	b.Run("m256", func(b *testing.B) { run(b, 2*pairs, 1) })
 }
 
+// BenchmarkClusterEvents measures what feeding the kernel's events to a
+// reader costs a cluster run: one 16-machine mtload run per op (80
+// sessions per client machine, 12 ops each, mtload-wide's load per
+// pair) whose recorders have no reader for kernel events ("none", every
+// cluster run without -trace or -profile: the recorders keep the tenant
+// histograms alone), or the profile reader ("profile", machsim
+// -profile: every event stamped and folded into the statistics). CI
+// bounds none at 0.9x profile on medians of five, which recorders that
+// took events no report reads would exceed.
+func BenchmarkClusterEvents(b *testing.B) {
+	const machines, tenants, sessions, ops = 16, 4, 80, 12
+	run := func(b *testing.B, profile bool) {
+		var steps uint64
+		for i := 0; i < b.N; i++ {
+			res := workload.RunMTLoad(kern.MK40, machine.ArchDS3100, workload.MTLoadSpec{
+				Machines: machines, Tenants: tenants, Ops: ops, Seed: 1,
+				SessionsPerTenant: machines / 2 * sessions / tenants, Profile: profile,
+			})
+			steps += res.Steps
+		}
+		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	}
+	b.Run("none", func(b *testing.B) { run(b, false) })
+	b.Run("profile", func(b *testing.B) { run(b, true) })
+}
+
 // BenchmarkBlockedPopulation measures what one short-lived thread's whole
 // life costs next to a population of parked ones: one machine holds P
 // threads blocked receiving, each registered on its own port, and each
@@ -735,7 +761,8 @@ func BenchmarkBlockedPopulation(b *testing.B) {
 // BenchmarkBlockedSessionBytes measures what a blocked session costs the
 // host, the simulator's side of the paper's Table 5: kernel memory per
 // blocked thread (690 bytes on MK40). Two MK40 DS3100 machines share one
-// link, observed as cluster runs are, with four echo workers on the
+// link, each with a recorder that takes no kernel events, as cluster
+// runs without -trace or -profile boot, with four echo workers on the
 // server. 8 000 client sessions each complete one echo RPC through
 // netmsg and then park in a receive on their reply port. Once the
 // cluster quiesces, the live heap (after two collections) less an empty
@@ -785,7 +812,7 @@ func bootSessionPair(n int) []*kern.System {
 	cli, srv := kern.New(cfg), kern.New(cfg)
 	dev.Connect(cli.Net.NIC, srv.Net.NIC, 0)
 	for i, s := range []*kern.System{cli, srv} {
-		s.EnableObservation(0).SetHost(i)
+		s.EnableServiceRecorder().SetHost(i)
 	}
 	port := srv.IPC.NewPort("echo")
 	port.QueueLimit = int32(2 * (n + 1))
@@ -811,11 +838,12 @@ func bootSessionPair(n int) []*kern.System {
 	return []*kern.System{cli, srv}
 }
 
-// bootParkedThreads boots one observed MK40 DS3100 machine whose n
-// threads each block receiving on their own port.
+// bootParkedThreads boots one MK40 DS3100 machine, its recorder taking
+// no kernel events, whose n threads each block receiving on their own
+// port.
 func bootParkedThreads(n int) []*kern.System {
 	sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100})
-	sys.EnableObservation(0).SetHost(0)
+	sys.EnableServiceRecorder().SetHost(0)
 	task := sys.NewTask("parked")
 	for j := 0; j < n; j++ {
 		s := &parkedSession{sys: sys, reply: sys.IPC.NewNamedPort(core.IndexedName("parked-", j)), called: true}
@@ -856,13 +884,14 @@ func (s *parkedSession) call(e *core.Env) {
 }
 
 // BenchmarkDispatchTracedVsUntraced measures the observability tax on
-// the hottest simulator path: host time per simulated fast RPC with the
-// obs recorder absent (the default — each would-be event is a single nil
-// check), installed but retaining nothing ("observed": every event
-// stamped and folded into the online histograms, as on every untraced
-// cluster run), and retaining a full ring ("traced": every event also
-// formatted and ring-buffered, as under -trace). EXPERIMENTS.md records
-// the ratios; CI holds the observed arm at 0 allocs/op.
+// the hottest simulator path: host time per simulated fast RPC with no
+// recorder taking events (the default — each would-be event is a single
+// check, as on a cluster run without -trace or -profile), with the
+// profile reader ("observed": every event stamped and folded into the
+// online histograms and profiles, as under machsim -profile, but none
+// retained), and with a full ring ("traced": every event also formatted
+// and ring-buffered, as under -trace). EXPERIMENTS.md records the
+// ratios; CI holds the observed arm at 0 allocs/op.
 func BenchmarkDispatchTracedVsUntraced(b *testing.B) {
 	run := func(b *testing.B, observe bool, capacity int) {
 		sys := kern.New(kern.Config{Flavor: kern.MK40, Arch: machine.ArchDS3100, DisableCallout: true})

@@ -81,7 +81,8 @@
 // svcgraph, mtload and the mtload storm (-overload); a flag the run does
 // not read exits 2 naming the flag, before anything boots. So -pairs
 // off netrpc's client/server pairs (including the HA topology that
-// -failover and -crash select), -scale or -v on a cluster workload,
+// -failover and a crash rule, in -crash or -faults, select; the message
+// names that topology), -scale or -v on a cluster workload,
 // -parallel on a paper workload, and -check, -seed, -trace or a fault
 // plan on the fuzz campaign are all rejected rather than ignored.
 //
@@ -143,8 +144,9 @@
 // cmd/traceview). -profile prints the per-continuation profile and the
 // latency histograms after the run. Both are deterministic: the same
 // flags and seed produce byte-identical traces and reports. Only -trace
-// retains kernel events; without it the recorders keep the statistics
-// alone.
+// retains kernel events, and only -trace and -profile feed them to the
+// recorders: without either, the cluster workloads' recorders take no
+// kernel events and keep only their service histograms and spans.
 //
 // The kv and svcgraph workloads additionally run causal tracing: every
 // client operation mints a deterministic trace context that rides the
@@ -272,7 +274,7 @@ func main() {
 	case "compile", "build", "dos":
 		run = paperRun(name, flavor, arch)
 	case "netrpc":
-		run = netRPCRun(flavor, arch)
+		run = netRPCRun(flavor, arch, &scope)
 	case "kv":
 		if given["fuzz"] {
 			scope = "the kv fuzz campaign (-fuzz)"
@@ -521,14 +523,18 @@ func paperRun(name string, flavor kern.Flavor, arch machine.Arch) func() {
 }
 
 // netRPCRun drives the cross-machine echo workload and prints
-// per-machine block tables plus the device subsystem counters.
-func netRPCRun(flavor kern.Flavor, arch machine.Arch) func() {
+// per-machine block tables plus the device subsystem counters. It
+// narrows scope, the run main names in a rejection, to the HA topology
+// when the run boots that.
+func netRPCRun(flavor kern.Flavor, arch machine.Arch, scope *string) func() {
 	spec := workload.DefaultNetRPC()
 	var faulted bool
 	spec.FaultSeed, spec.FaultSpec, faulted = readCrashFaults("netrpc")
 	// A crash implies the HA topology, which has no client/server pairs.
 	spec.Failover = failover.get() || len(spec.FaultSpec.Crashes) > 0
-	if !spec.Failover {
+	if spec.Failover {
+		*scope = "the netrpc failover topology (-failover or a crash rule)"
+	} else {
 		spec.Pairs, _ = readPositive(pairs)
 	}
 	exitIf(spec.FaultSpec.CheckMachines(spec.Machines()))
@@ -564,7 +570,7 @@ func kvRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.Overload = readOverload()
 	spec.BreakOverload = breakOv.get()
 	out := readObserver()
-	spec.KeepEvents = out.keep()
+	spec.KeepEvents, spec.Profile = out.keep(), out.profile
 	return func() {
 		res := workload.RunKV(flavor, arch, spec)
 		workload.WriteKVReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{Faults: faulted})
@@ -588,7 +594,7 @@ func svcGraphRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.DebugChecks = check.get()
 	spec.SampleEvery = readSample()
 	out := readObserver()
-	spec.KeepEvents = out.keep()
+	spec.KeepEvents, spec.Profile = out.keep(), out.profile
 	return func() {
 		res := workload.RunSvcGraph(flavor, arch, spec)
 		workload.WriteSvcGraphReport(os.Stdout, flavor, arch, res, workload.NetRPCReportOptions{Faults: faulted})
@@ -618,7 +624,7 @@ func stormRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.BreakOverload = breakOv.get()
 	spec.SampleEvery = readSample()
 	out := readObserver()
-	spec.KeepEvents = out.keep()
+	spec.KeepEvents, spec.Profile = out.keep(), out.profile
 	return func() {
 		res := workload.RunStorm(flavor, arch, spec)
 		workload.WriteStormReport(os.Stdout, flavor, arch, res)
@@ -644,7 +650,7 @@ func mtLoadRun(flavor kern.Flavor, arch machine.Arch) func() {
 	spec.Parallel = parallel.get()
 	spec.DebugChecks = check.get()
 	out := readObserver()
-	spec.KeepEvents = out.keep()
+	spec.KeepEvents, spec.Profile = out.keep(), out.profile
 	return func() {
 		res := workload.RunMTLoad(flavor, arch, spec)
 		workload.WriteMTLoadReport(os.Stdout, res)

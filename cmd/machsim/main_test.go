@@ -84,8 +84,12 @@ func TestValidateWorkloadFlags(t *testing.T) {
 		{"breakkv on svcgraph", "-workload svcgraph -breakkv", "-breakkv does not apply to -workload svcgraph"},
 		{"netrpc cluster flags", "-workload netrpc -pairs 2 -clients 2 -faults 7:drop=0.05 -check", ""},
 		{"netrpc failover flags", "-workload netrpc -clients 2 -failover -faults 7:drop=0.05 -crash 1@40ms:reboot+40ms -check", ""},
-		{"pairs under failover", "-workload netrpc -pairs 2 -failover", "-pairs does not apply to -workload netrpc"},
-		{"pairs under crash", "-workload netrpc -pairs 2 -crash 1@40ms:reboot+40ms", "-pairs does not apply to -workload netrpc"},
+		{"pairs under failover", "-workload netrpc -pairs 2 -failover",
+			"-pairs does not apply to the netrpc failover topology (-failover or a crash rule)"},
+		{"pairs under crash", "-workload netrpc -pairs 2 -crash 1@40ms:reboot+40ms",
+			"-pairs does not apply to the netrpc failover topology (-failover or a crash rule)"},
+		{"pairs under a crash rule", "-workload netrpc -pairs 2 -faults 9:crash=3@30ms:reboot+30ms",
+			"-pairs does not apply to the netrpc failover topology (-failover or a crash rule)"},
 		{"pairs on svcgraph", "-workload svcgraph -pairs 2", "-pairs does not apply to -workload svcgraph"},
 		{"failover on svcgraph", "-workload svcgraph -failover", "-failover does not apply to -workload svcgraph"},
 		{"pairs on kv", "-workload kv -pairs 2", "-pairs does not apply to -workload kv"},
@@ -319,8 +323,7 @@ func TestFuzzReproRunsAsPrinted(t *testing.T) {
 // plan. Regenerate, only for an intended output change, with:
 // go test ./cmd/machsim -run TestPaperReportGolden -update-golden
 func TestPaperReportGolden(t *testing.T) {
-	bin := buildMachsim(t)
-	runs := []struct{ name, args string }{
+	checkRunsGolden(t, "paper-", []goldenRun{
 		{"compile-mk40", "-workload compile -flavor mk40 -v"},
 		{"build-mk40", "-workload build -flavor mk40 -v -check"},
 		{"dos-mk40", "-workload dos -flavor mk40 -v -check"},
@@ -330,14 +333,39 @@ func TestPaperReportGolden(t *testing.T) {
 		{"compile-mach25", "-workload compile -flavor mach25 -v -check"},
 		{"build-mach25", "-workload build -flavor mach25 -v -check"},
 		{"dos-mach25", "-workload dos -flavor mach25 -v"},
-	}
+	})
+}
+
+// TestProfileReportGolden pins -profile on two cluster workloads: the
+// per-machine continuation tables and latency histograms come from the
+// kernel events the recorders take only because -profile names that
+// reader, so a run that stopped feeding them would print empty tables.
+// The goldens were written by the build before recorders without a
+// reader stopped taking events; the report must not have moved.
+// Regenerate, only for an intended output change, with:
+// go test ./cmd/machsim -run TestProfileReportGolden -update-golden
+func TestProfileReportGolden(t *testing.T) {
+	checkRunsGolden(t, "profile-", []goldenRun{
+		{"kv", "-workload kv -profile"},
+		{"mtload-m4", "-workload mtload -machines 4 -profile"},
+	})
+}
+
+// goldenRun is one machsim command line whose stdout a golden pins.
+type goldenRun struct{ name, args string }
+
+// checkRunsGolden runs machsim on each run's arguments, one subtest
+// per run, and compares its stdout with the golden file
+// testdata/golden/<prefix><name>.txt.
+func checkRunsGolden(t *testing.T, prefix string, runs []goldenRun) {
+	bin := buildMachsim(t)
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
 			out, err := exec.Command(bin, strings.Fields(run.args)...).Output()
 			if err != nil {
 				t.Fatalf("machsim %s: %v", run.args, err)
 			}
-			checkGolden(t, filepath.Join("testdata", "golden", "paper-"+run.name+".txt"), out)
+			checkGolden(t, filepath.Join("testdata", "golden", prefix+run.name+".txt"), out)
 		})
 	}
 }

@@ -110,16 +110,17 @@ func (e *Env) Charge(c machine.Cost) {
 	e.K.Acct.Charge(c)
 }
 
-// Trace emits an observability event naming the current thread. A nil
-// recorder (the default) makes this a nil check and nothing more; call
-// sites that would pay formatting costs for the detail string build it
-// only when e.K.Obs retains events, and pass "" otherwise.
+// Trace emits an observability event naming the current thread. Without
+// a recorder that takes events (nil, the default, or one with no reader
+// for them) this is one check and nothing more; call sites that would
+// pay formatting costs for the detail string build it only when e.K.Obs
+// retains events, and pass "" otherwise.
 func (e *Env) Trace(kind obs.Kind, detail string) {
 	if e.P.transferred && e.K.DebugChecks {
 		e.K.afterTransfer("Trace")
 	}
 	r := e.K.Obs
-	if r == nil {
+	if !r.TakesEvents() {
 		return
 	}
 	tid := 0
@@ -220,8 +221,10 @@ type Kernel struct {
 	Procs  []*Processor
 
 	// Obs is the observability recorder; nil (the default) disables
-	// tracing, leaving only a nil check on every emit path. Install one
-	// with Observe, which also gives it the kernel's thread names.
+	// tracing. Every emit path checks Obs.TakesEvents first, so neither
+	// a nil recorder nor one without a reader for events costs more
+	// than that check. Install one with Observe, which also gives it
+	// the kernel's thread names.
 	Obs *obs.Recorder
 
 	// Flavor is the kernel being simulated (see Config).
@@ -430,7 +433,7 @@ func (k *Kernel) Setrun(t *Thread) {
 	}
 	switch t.state {
 	case StateWaiting:
-		if r := k.Obs; r != nil {
+		if r := k.Obs; r.TakesEvents() {
 			r.Emit(obs.Wakeup, t.ID, t.WaitLabel)
 		}
 		k.SetState(t, StateRunnable)
@@ -485,7 +488,7 @@ func (k *Kernel) StackAttach(e *Env, t *Thread, s *machine.Stack, cont *Continua
 	}
 	e.Charge(k.Costs.StackAttach)
 	k.Stats.StackAttaches++
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		r.EmitCont(obs.StackAttach, t.ID, cont.obsID(), "", 0)
 	}
 	s.SetOwner(machine.OwnerThread)
@@ -504,7 +507,7 @@ func (k *Kernel) StackDetach(e *Env, t *Thread) *machine.Stack {
 		panic(fmt.Sprintf("core: StackDetach on stackless %v", t))
 	}
 	e.Charge(k.Costs.StackDetach)
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		r.Emit(obs.StackDetach, t.ID, "")
 	}
 	t.Stack = nil
@@ -539,7 +542,7 @@ func (k *Kernel) StackHandoff(e *Env, newt *Thread) {
 	e.P.Cur = newt
 	newt.QuantumRemaining = k.Sched.Quantum()
 	k.Stats.Handoffs++
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		detail := ""
 		if r.Retains() {
 			detail = "from " + old.eventName()
@@ -563,7 +566,7 @@ func (k *Kernel) CallContinuation(e *Env, c *Continuation) {
 		t.Cont = nil
 	}
 	t.Stack.Reset()
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		r.EmitCont(obs.ContinuationCall, t.ID, c.obsID(), c.name, 0)
 	}
 	e.P.transfer(c.fn)
@@ -588,7 +591,7 @@ func (k *Kernel) SwitchContext(e *Env, cont *Continuation, resume func(*Env), fr
 	}
 	e.Charge(cost)
 	k.Stats.ContextSwitches++
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		detail := ""
 		if r.Retains() {
 			detail = "to " + newt.eventName()
@@ -629,7 +632,7 @@ func (k *Kernel) ThreadSyscallReturn(e *Env, retval uint64) {
 	}
 	t.MD.RetVal = retval
 	e.Charge(k.Costs.SyscallExit)
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		detail := ""
 		if r.Retains() {
 			// strconv, not Sprintf: this runs once per syscall when traced.
@@ -822,7 +825,7 @@ func (k *Kernel) blockAndPark(e *Env, reason stats.BlockReason, cont *Continuati
 		// the run loop picks the thread right back up.
 		k.queueRunnable(old)
 	}
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		detail := ""
 		if r.Retains() {
 			detail = fmt.Sprintf("%s blocked; processor %d parks", old.eventName(), e.P.ID)
@@ -888,13 +891,13 @@ func (k *Kernel) ThreadHandoff(e *Env, reason stats.BlockReason, cont *Continuat
 	if old.state == StateRunnable {
 		k.queueRunnable(old)
 	}
-	if k.Obs != nil {
+	if k.Obs.TakesEvents() {
 		k.traceBlock(e, old, cont)
 	}
 }
 
 // traceBlock emits the Block step of a handoff: old gave its stack away
-// and blocked with cont. The caller checks that k.Obs is set.
+// and blocked with cont. The caller checks that k.Obs takes events.
 func (k *Kernel) traceBlock(e *Env, old *Thread, cont *Continuation) {
 	detail := ""
 	if k.Obs.Retains() {
@@ -913,7 +916,7 @@ func (k *Kernel) Recognize(e *Env, expect *Continuation) bool {
 	// The comparison itself is a couple of instructions.
 	e.Charge(machine.Cost{Instrs: 3, Loads: 1})
 	if k.NoRecognition || t.Cont != expect {
-		if r := k.Obs; r != nil {
+		if r := k.Obs; r.TakesEvents() {
 			actual := "<none>"
 			if t.Cont != nil {
 				actual = t.Cont.Name()
@@ -924,7 +927,7 @@ func (k *Kernel) Recognize(e *Env, expect *Continuation) bool {
 	}
 	t.Cont = nil
 	k.Stats.Recognitions++
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		r.EmitCont(obs.Recognition, t.ID, expect.obsID(), expect.Name(), 0)
 	}
 	return true
@@ -945,7 +948,7 @@ func (k *Kernel) threadContinue(e *Env, cont *Continuation) {
 	k.ThreadDispatch(e, e.P.Prev)
 	e.Charge(k.Costs.CallContinuation)
 	k.Stats.ContinuationCalls++
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		t := e.Cur()
 		r.EmitCont(obs.ContinuationCall, t.ID, cont.obsID(), cont.name, 0)
 	}
@@ -975,7 +978,7 @@ func (k *Kernel) ThreadDispatch(e *Env, old *Thread) {
 // resumeOn installs newt as the processor's current thread and transfers
 // to its preserved resume step, prefixed by disposal of the old thread.
 func (k *Kernel) resumeOn(p *Processor, newt, old *Thread) {
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		r.Emit(obs.Dispatch, newt.ID, "")
 	}
 	p.Prev = old
@@ -999,7 +1002,7 @@ func (k *Kernel) recordBlock(t *Thread, reason stats.BlockReason, discarded bool
 	if t.Internal {
 		reason = stats.BlockInternal
 	}
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		yield := 0
 		if t.state == StateRunnable {
 			yield = 1
@@ -1101,7 +1104,7 @@ func (k *Kernel) userStep(e *Env) {
 		}
 	case ActFault:
 		label := ""
-		if r := k.Obs; r != nil && r.Retains() {
+		if r := k.Obs; r.Retains() {
 			label = fmt.Sprintf("page fault @%#x", act.Addr)
 		}
 		k.KernelEntry(e, ReturnException, label)
@@ -1114,7 +1117,7 @@ func (k *Kernel) userStep(e *Env) {
 		}
 	case ActException:
 		label := ""
-		if r := k.Obs; r != nil && r.Retains() {
+		if r := k.Obs; r.Retains() {
 			label = "exception " + strconv.Itoa(act.Code)
 		}
 		k.KernelEntry(e, ReturnException, label)
@@ -1402,9 +1405,10 @@ func (k *Kernel) ThreadByID(id int) *Thread {
 	return k.Threads[i]
 }
 
-// Observe installs r as the kernel's event recorder, and with it the
-// lookup through which a recorder that retains events names each event's
-// acting thread.
+// Observe installs r as the kernel's recorder, and with it the lookup
+// through which a recorder that retains events names each event's acting
+// thread. The emit sites feed r only when it takes events
+// (obs.Recorder.TakesEvents).
 func (k *Kernel) Observe(r *obs.Recorder) {
 	r.NameThreads(k.eventThreadName)
 	k.Obs = r

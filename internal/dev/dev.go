@@ -161,7 +161,7 @@ func (d *Device) start() {
 // time. The trace detail names the request only when the ring keeps it.
 func (d *Device) complete(any) {
 	label := d.Name
-	if r := d.Sub.K.Obs; r != nil && r.Retains() {
+	if r := d.Sub.K.Obs; r.Retains() {
 		label += " " + d.inflight.Label
 	}
 	d.Sub.K.TakeInterrupt(label, d.intr)

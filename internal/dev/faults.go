@@ -9,6 +9,7 @@ package dev
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -268,20 +269,29 @@ func (s *Subsystem) injectCompletion(d *Device, r *Request) {
 	if r.CanFail && r.Err == 0 && s.Fault.DeviceFail(d.Name) {
 		r.Err = DevIOError
 		s.IoFailures++
-		s.emitFault(r.Waiter, d.Name+" fail")
+		s.emitFault(r.Waiter, d, "fail", 0)
 	}
 }
 
-// emitFault records a fault-plan firing against the waiting thread (or
-// anonymously when the fault hits between waiters).
-func (s *Subsystem) emitFault(t *core.Thread, detail string) {
+// emitFault records a fault-plan firing on device d against the waiting
+// thread (or anonymously when the fault hits between waiters); extra,
+// when nonzero, is the latency it adds. The detail is built only when
+// the ring keeps it.
+func (s *Subsystem) emitFault(t *core.Thread, d *Device, what string, extra machine.Duration) {
 	rec := s.K.Obs
-	if rec == nil {
+	if !rec.TakesEvents() {
 		return
 	}
 	tid := 0
 	if t != nil {
 		tid = t.ID
+	}
+	detail := ""
+	if rec.Retains() {
+		detail = d.Name + " " + what
+		if extra > 0 {
+			detail += " +" + strconv.FormatUint(uint64(extra)/1000, 10) + "us"
+		}
 	}
 	rec.Emit(obs.FaultInject, tid, detail)
 }
@@ -294,7 +304,7 @@ func (s *Subsystem) injectLatency(d *Device, r *Request) machine.Duration {
 	}
 	extra := s.Fault.DeviceDelay(d.Name)
 	if extra > 0 {
-		s.emitFault(r.Waiter, fmt.Sprintf("%s slow +%dus", d.Name, uint64(extra)/1000))
+		s.emitFault(r.Waiter, d, "slow", extra)
 	}
 	return extra
 }

@@ -234,7 +234,7 @@ func (n *NIC) Peer() *NIC { return n.peer }
 // detail is built only when the ring keeps it.
 func (n *NIC) emitWireFault(e *core.Env, what string, extra machine.Duration) {
 	r := n.Sub.K.Obs
-	if r == nil {
+	if !r.TakesEvents() {
 		return
 	}
 	tid := 0
@@ -783,7 +783,7 @@ func (n *Netmsg) PeerAlive() bool {
 	if n.Sub.K.Clock.Now()-n.lastHeard > n.deadAfter() {
 		n.declaredDead = true
 		n.DeathsDetected++
-		if r := n.Sub.K.Obs; r != nil {
+		if r := n.Sub.K.Obs; r.TakesEvents() {
 			r.Emit(obs.PeerDeath, 0, n.NIC.Name)
 		}
 		return false
@@ -828,7 +828,7 @@ func (n *Netmsg) noteIncarnation(pkt *Packet) (stale bool) {
 	if n.declaredDead {
 		n.declaredDead = false
 		n.Recoveries++
-		if r := n.Sub.K.Obs; r != nil {
+		if r := n.Sub.K.Obs; r.TakesEvents() {
 			r.EmitArg(obs.PeerDeath, 0, n.NIC.Name, 1)
 		}
 	}
@@ -943,7 +943,7 @@ func (n *Netmsg) loop(e *core.Env) {
 			pkt := n.outbox.pop()
 			if pkt.Heartbeat {
 				n.HeartbeatsTx++
-				if r := n.Sub.K.Obs; r != nil {
+				if r := n.Sub.K.Obs; r.TakesEvents() {
 					t := e.Cur()
 					r.EmitArg(obs.Heartbeat, t.ID, n.NIC.Name, int(n.Inc))
 				}

@@ -193,7 +193,7 @@ func (p *Port) Name() core.Name { return p.name }
 // the recorder keeps the event.
 func (p *Port) trace(e *core.Env, kind obs.Kind) {
 	detail := ""
-	if r := e.K.Obs; r != nil && r.Retains() {
+	if r := e.K.Obs; r.Retains() {
 		detail = p.name.String()
 	}
 	e.Trace(kind, detail)
@@ -750,7 +750,7 @@ func (x *IPC) pushWaiter(list []*rcvWaiter, w *rcvWaiter) []*rcvWaiter {
 func (x *IPC) MachMsg(e *core.Env, opts MsgOptions) {
 	e.Charge(validateCost)
 	src := opts.receiveSource()
-	if r := x.K.Obs; r != nil && opts.Send != nil && src != nil && opts.Send.Reply != nil {
+	if r := x.K.Obs; r.TakesEvents() && opts.Send != nil && src != nil && opts.Send.Reply != nil {
 		// A combined send+receive whose request carries a reply port is
 		// the client half of an RPC; the copy-out that completes the
 		// receive closes the bracket.
@@ -787,7 +787,7 @@ func (x *IPC) send(e *core.Env, opts MsgOptions, src source) {
 		msg.Trace = t.Trace
 	}
 	e.Charge(transferCost(msg)) // copyin or out-of-line map
-	if r := k.Obs; r != nil {
+	if r := k.Obs; r.TakesEvents() {
 		detail := ""
 		if r.Retains() {
 			detail = strconv.Itoa(msg.Size) + " bytes"
@@ -1156,7 +1156,7 @@ func (x *IPC) finishReceiveChecked(e *core.Env, m *Message, maxSize int) {
 func (x *IPC) copyOutAndReturn(e *core.Env, m *Message) {
 	t := e.Cur()
 	e.Charge(transferCost(m))
-	if r := x.K.Obs; r != nil {
+	if r := x.K.Obs; r.TakesEvents() {
 		detail := ""
 		if r.Retains() {
 			detail = strconv.Itoa(m.Size) + " bytes"

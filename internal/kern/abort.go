@@ -36,7 +36,7 @@ func (s *System) ThreadAbort(t *core.Thread) bool {
 		return false
 	}
 	s.K.PostWaitResult(t, code)
-	if r := s.K.Obs; r != nil {
+	if r := s.K.Obs; r.TakesEvents() {
 		r.Emit(obs.Abort, t.ID, t.WaitLabel)
 	}
 	t.Scratch.Reset()

@@ -140,11 +140,13 @@ func (s *System) Crash(rebootAfter machine.Duration) {
 	}
 	rec.Unacked = s.UnackedLen()
 	s.PanicRecord = rec
-	if r := s.K.Obs; r != nil {
-		r.EmitArg(obs.MachineCrash, 0,
-			fmt.Sprintf("%d threads, %d ports, %d pending I/O, %d unacked",
-				len(rec.Threads), rec.Ports, rec.PendingIO, rec.Unacked),
-			int(s.Incarnation))
+	if r := s.K.Obs; r.TakesEvents() {
+		detail := ""
+		if r.Retains() {
+			detail = fmt.Sprintf("%d threads, %d ports, %d pending I/O, %d unacked",
+				len(rec.Threads), rec.Ports, rec.PendingIO, rec.Unacked)
+		}
+		r.EmitArg(obs.MachineCrash, 0, detail, int(s.Incarnation))
 	}
 	s.CrashCount++
 	s.Down = true
@@ -200,7 +202,7 @@ func (s *System) Reboot() {
 		n.AnnounceIncarnation()
 	}
 	s.Reboots++
-	if r := s.K.Obs; r != nil {
+	if r := s.K.Obs; r.TakesEvents() {
 		r.EmitArg(obs.MachineReboot, 0, "", int(s.Incarnation))
 	}
 	for _, svc := range s.services {

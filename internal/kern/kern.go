@@ -495,14 +495,25 @@ func (t *Task) NewNamedThread(n core.Name, prog core.UserProgram, priority int) 
 func (s *System) Start(t *core.Thread) { s.K.Setrun(t) }
 
 // EnableObservation installs an event recorder on this machine's kernel
-// and returns it. Retention is opt-in: the recorder keeps the newest
-// capacity events for Events and the trace export, and capacity 0 keeps
-// none (pass obs.DefaultCapacity to read a trace back). Histograms, the
-// continuation profiler, spans and the census are maintained online from
-// this point on at any capacity, so they see the whole observed window
-// even when the ring keeps nothing or evicts early events.
+// and returns it. Every kernel event goes to the recorder's two readers:
+// its ring, which keeps the newest capacity events for Events and the
+// trace export (capacity 0 keeps none; pass obs.DefaultCapacity to read
+// a trace back), and the profile report's statistics. The histograms
+// and the continuation profiler are maintained online from this point
+// on at any capacity, so they see the whole observed window even when
+// the ring keeps nothing or evicts early events.
 func (s *System) EnableObservation(capacity int) *obs.Recorder {
 	r := obs.NewRecorder(s.K.Clock, capacity)
+	s.K.Observe(r)
+	return r
+}
+
+// EnableServiceRecorder installs a recorder that takes no kernel events
+// (obs.NewServiceRecorder) and returns it: the machine's services record
+// their histograms and spans into it and the census is stamped on it,
+// while every kernel emit site costs one check, as with no recorder.
+func (s *System) EnableServiceRecorder() *obs.Recorder {
+	r := obs.NewServiceRecorder(s.K.Clock)
 	s.K.Observe(r)
 	return r
 }

@@ -12,8 +12,12 @@
 // timestamps come from the simulated clock — so two identical runs export
 // byte-identical traces (the CI diff relies on this).
 //
-// A kernel with a nil Recorder pays only a nil check per would-be event;
-// histograms and the profiler are updated online at emit time, so they
+// Kernel events go only to a recorder that has a reader for them: its
+// ring (Retains) or the profile report. Every kernel emit site checks
+// TakesEvents first, so a kernel with a nil Recorder, or with one that
+// takes no events (NewServiceRecorder: service histograms, spans and
+// the census only), pays one predictable branch per would-be event.
+// Histograms and the profiler are updated online at emit time, so they
 // cover the whole run even after the ring has started evicting old
 // events. Retention is opt-in: a recorder of capacity 0 keeps no events
 // and runs only the statistics, and emit sites format a detail string
@@ -385,12 +389,16 @@ const DefaultCapacity = 1 << 16
 
 // Recorder is one kernel's event sink: online histograms and the
 // continuation profiler, plus a drop-oldest ring of events when asked
-// to retain any. The zero recorder is not usable; a nil *Recorder is the
-// disabled state and every kernel emit site nil-checks before paying any
-// formatting cost.
+// to retain any, beside the service histograms, spans and census that
+// workload code records directly. The zero recorder is not usable; a nil
+// *Recorder is the disabled state, and every kernel emit site checks
+// TakesEvents before paying any formatting cost.
 type Recorder struct {
 	clock *machine.Clock
 	seq   uint64
+	// events is whether kernel emit sites feed this recorder
+	// (TakesEvents).
+	events bool
 
 	capacity int
 	ring     []Event
@@ -503,12 +511,24 @@ func (r *Recorder) closeLat(l Latency, at *uint64, when machine.Time) bool {
 	return true
 }
 
-// NewRecorder returns a recorder stamping events from clock and
-// retaining the newest capacity of them. A capacity of 0 (or less)
-// retains none: histograms, profiles, spans and the census still cover
-// every event, but Events and the trace export are empty.
+// NewRecorder returns a recorder that takes the kernel's events,
+// stamping them from clock and retaining the newest capacity of them. A
+// capacity of 0 (or less) retains none: histograms and profiles still
+// cover every event, but Events and the trace export are empty.
 func NewRecorder(clock *machine.Clock, capacity int) *Recorder {
 	r := newRecorder(max(capacity, 0), &liveNames)
+	r.clock = clock
+	r.events = true
+	return r
+}
+
+// NewServiceRecorder returns a recorder that takes no kernel events: no
+// ring and no profile report reads them, so the kernel's emit sites skip
+// it (TakesEvents is false). It holds only what is recorded into it
+// directly — service histograms, spans and the memory census — and its
+// kind counts, latency histograms, profiles and ring stay empty.
+func NewServiceRecorder(clock *machine.Clock) *Recorder {
+	r := newRecorder(0, &liveNames)
 	r.clock = clock
 	return r
 }
@@ -522,8 +542,9 @@ func NewReplay() *Recorder { return newRecorder(0, new(nameTable)) }
 
 // initialRing is the ring's starting allocation; store doubles it up to
 // the recorder's capacity, so short traced runs never pay for a full
-// DefaultCapacity ring.
-const initialRing = 256
+// DefaultCapacity ring, and an idle machine's boot (a few events) for
+// more than a few.
+const initialRing = 8
 
 func newRecorder(capacity int, names *nameTable) *Recorder {
 	r := &Recorder{
@@ -538,15 +559,20 @@ func newRecorder(capacity int, names *nameTable) *Recorder {
 }
 
 // Emit records one event of thread tid (0 for none) stamped with the
-// current clock.
+// current clock. Kernel emit sites call it only when TakesEvents holds.
 func (r *Recorder) Emit(kind Kind, tid int, detail string) {
 	r.emit(kind, tid, NoCont, detail, 0)
 }
 
-// Retains reports whether the recorder keeps events for Events and the
-// trace export. Emit sites build detail strings only the ring reads when
-// it does, and pass "" otherwise.
-func (r *Recorder) Retains() bool { return r.capacity > 0 }
+// TakesEvents reports whether kernel emit sites feed r: r is non-nil and
+// has a reader for its events, a ring (Retains) or the profile report.
+// Every emit site checks it before setting up the event's arguments.
+func (r *Recorder) TakesEvents() bool { return r != nil && r.events }
+
+// Retains reports whether r is non-nil and keeps events for Events and
+// the trace export. Emit sites build detail strings only the ring reads
+// when it does, and pass "" otherwise.
+func (r *Recorder) Retains() bool { return r != nil && r.capacity > 0 }
 
 // EmitArg is Emit with the kind-specific Arg field.
 func (r *Recorder) EmitArg(kind Kind, tid int, detail string, arg int) {
@@ -582,7 +608,7 @@ func (r *Recorder) emit(kind Kind, tid int, cont ContID, detail string, arg int)
 	if r.clock != nil {
 		when = r.clock.Now()
 	}
-	if r.Retains() {
+	if r.capacity > 0 {
 		r.store(&Event{Seq: r.seq, When: when, Kind: kind, TID: tid, Arg: arg,
 			Thread: r.eventThread(kind, tid), Cont: r.contName(cont), Detail: detail})
 	}

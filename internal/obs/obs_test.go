@@ -130,16 +130,18 @@ func TestDefaultCapacity(t *testing.T) {
 	}
 }
 
-// TestLazyRingMatchesPreallocated drives a lazily grown ring, one
+// TestLazyRingMatchesPreallocated drives a ring that starts at
+// initialRing events and doubles, clamped to its capacity, one
 // preallocated at full capacity and a ring-free recorder through the
-// same emits and spans, well past capacity and across several
-// doublings. Both rings must retain and export the same events in the
-// same order, and the grown ring must stop at exactly capacity; all
-// three must agree on histograms, profiles and spans, which never read
-// the ring.
+// same emits and spans, one at a time and well past capacity, for
+// capacities below, at and above the first ring. After every emit both
+// rings must hold the newest capacity events in emit order and count
+// every evicted one; at every growth step and the first eviction their
+// exports must be byte-identical, and the grown ring must stop at
+// exactly capacity. All three must agree on histograms, profiles and
+// spans, which never read the ring.
 func TestLazyRingMatchesPreallocated(t *testing.T) {
-	const capacity = 3*initialRing + 17 // not a power-of-two multiple
-	for _, emits := range []int{1, initialRing, initialRing + 1, capacity, 4*capacity + 5} {
+	for _, capacity := range []int{1, initialRing - 1, initialRing, initialRing + 1, 3*initialRing + 17, 512} {
 		clock := machine.NewClock()
 		lazy := NewRecorder(clock, capacity)
 		pre := NewRecorder(clock, capacity)
@@ -149,7 +151,11 @@ func TestLazyRingMatchesPreallocated(t *testing.T) {
 		for _, r := range recs {
 			r.NameThreads(func(tid int) string { return fmt.Sprintf("t%d", tid-1) })
 		}
-		for i := 0; i < emits; i++ {
+		grown := cap(lazy.ring)
+		if grown != min(initialRing, capacity) {
+			t.Fatalf("capacity %d: first ring holds %d events, want %d", capacity, grown, min(initialRing, capacity))
+		}
+		for i := 0; i < 3*capacity+5; i++ {
 			clock.Advance(machine.Duration(i%7 + 1))
 			kind := Kind(i % NumKinds)
 			name := fmt.Sprintf("t%d", i%5)
@@ -160,33 +166,82 @@ func TestLazyRingMatchesPreallocated(t *testing.T) {
 						Start: clock.Now() - 3, End: clock.Now()})
 				}
 			}
+			emits := i + 1
+			kept := min(emits, capacity)
+			evs := lazy.Events()
+			if len(evs) != kept || lazy.Dropped != uint64(emits-kept) {
+				t.Fatalf("capacity %d, %d emits: %d events, %d dropped; want %d, %d",
+					capacity, emits, len(evs), lazy.Dropped, kept, emits-kept)
+			}
+			for j, ev := range evs {
+				if want := emits - kept + j; ev.Seq != uint64(want) || ev.Arg != want {
+					t.Fatalf("capacity %d, %d emits: event %d has seq %d arg %d, want %d",
+						capacity, emits, j, ev.Seq, ev.Arg, want)
+				}
+			}
+			if !reflect.DeepEqual(evs, pre.Events()) || lazy.Dropped != pre.Dropped {
+				t.Fatalf("capacity %d, %d emits: the lazy ring differs from the preallocated one", capacity, emits)
+			}
+			if c := cap(lazy.ring); c != grown || emits == capacity+1 {
+				if c != grown && c != min(2*grown, capacity) {
+					t.Fatalf("capacity %d, %d emits: ring grew %d -> %d, want %d",
+						capacity, emits, grown, c, min(2*grown, capacity))
+				}
+				grown = c
+				var a, b bytes.Buffer
+				if err := WriteChrome(&a, lazy); err != nil {
+					t.Fatal(err)
+				}
+				if err := WriteChrome(&b, pre); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Fatalf("capacity %d, %d emits: Chrome exports differ", capacity, emits)
+				}
+			}
 		}
-		if !reflect.DeepEqual(lazy.Events(), pre.Events()) || lazy.Dropped != pre.Dropped {
-			t.Fatalf("%d emits: lazy ring retains %d events (dropped %d), preallocated %d (dropped %d)",
-				emits, lazy.Len(), lazy.Dropped, pre.Len(), pre.Dropped)
-		}
-		if c := cap(lazy.ring); c > capacity || (emits >= capacity && c != capacity) {
-			t.Fatalf("%d emits: lazy ring capacity %d, want at most (and when full exactly) %d", emits, c, capacity)
+		if cap(lazy.ring) != capacity {
+			t.Fatalf("capacity %d: full ring holds %d", capacity, cap(lazy.ring))
 		}
 		if free.Len() != 0 || free.Dropped != 0 {
-			t.Fatalf("%d emits: ring-free recorder retains %d events (dropped %d)", emits, free.Len(), free.Dropped)
+			t.Fatalf("capacity %d: ring-free recorder retains %d events (dropped %d)", capacity, free.Len(), free.Dropped)
 		}
 		for _, r := range recs[1:] {
 			if !reflect.DeepEqual(r.Hist, lazy.Hist) || !reflect.DeepEqual(r.Profiles(), lazy.Profiles()) ||
 				!reflect.DeepEqual(r.SpanChunks(), lazy.SpanChunks()) || r.KindCounts != lazy.KindCounts {
-				t.Fatalf("%d emits: capacity-%d recorder's statistics differ from the lazy ring's", emits, r.capacity)
+				t.Fatalf("capacity %d: capacity-%d recorder's statistics differ from the lazy ring's", capacity, r.capacity)
 			}
 		}
-		var a, b bytes.Buffer
-		if err := WriteChrome(&a, lazy); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestEventReaders pins which recorders the kernel's emit sites feed:
+// one with a reader for events (a ring or the profile, which every
+// NewRecorder keeps), never a nil one or a service recorder, which keeps
+// its service histograms and spans alone.
+func TestEventReaders(t *testing.T) {
+	clock := machine.NewClock()
+	var none *Recorder
+	svc := NewServiceRecorder(clock)
+	for _, c := range []struct {
+		name          string
+		r             *Recorder
+		takes, retain bool
+	}{
+		{"nil", none, false, false},
+		{"service", svc, false, false},
+		{"profile", NewRecorder(clock, 0), true, false},
+		{"ring", NewRecorder(clock, DefaultCapacity), true, true},
+	} {
+		if c.r.TakesEvents() != c.takes || c.r.Retains() != c.retain {
+			t.Fatalf("%s recorder: TakesEvents %v, Retains %v; want %v, %v",
+				c.name, c.r.TakesEvents(), c.r.Retains(), c.takes, c.retain)
 		}
-		if err := WriteChrome(&b, pre); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("%d emits: Chrome exports differ", emits)
-		}
+	}
+	svc.Service("tier").Observe(7)
+	svc.RecordSpan(Span{Trace: 1, ID: svc.NextSpanID(1), Name: "op", End: 7})
+	if h := svc.ServiceHistograms(); len(h) != 1 || h[0].Count != 1 || len(svc.SpanChunks()) != 1 {
+		t.Fatalf("service recorder keeps %d histograms and %d span chunks, want 1 and 1", len(h), len(svc.SpanChunks()))
 	}
 }
 

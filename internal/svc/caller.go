@@ -344,9 +344,12 @@ func (c *Caller) Step(e *core.Env, t *core.Thread) (core.Action, bool) {
 					stalled = true
 					c.believed[g] = NumRanks - 1 - c.believed[g]
 					c.Stats.Failovers++
-					if r := c.Sys.K.Obs; r != nil {
-						r.EmitArg(obs.Failover, t.ID,
-							fmt.Sprintf("group %d -> rank %d", g, c.believed[g]), 1)
+					if r := c.Sys.K.Obs; r.TakesEvents() {
+						detail := ""
+						if r.Retains() {
+							detail = fmt.Sprintf("group %d -> rank %d", g, c.believed[g])
+						}
+						r.EmitArg(obs.Failover, t.ID, detail, 1)
 					}
 				}
 			}

@@ -316,9 +316,12 @@ func (r *Replica) tick(t *core.Thread) {
 			}
 			ep := leases.Promote(g, r.cfg.Rank)
 			stats.Elections++
-			if rec := r.sys.K.Obs; rec != nil {
-				rec.EmitArg(obs.Election, t.ID,
-					fmt.Sprintf("group %d", g), int(ep))
+			if rec := r.sys.K.Obs; rec.TakesEvents() {
+				detail := ""
+				if rec.Retains() {
+					detail = fmt.Sprintf("group %d", g)
+				}
+				rec.EmitArg(obs.Election, t.ID, detail, int(ep))
 			}
 		}
 	}
@@ -542,8 +545,12 @@ func (r *Replica) handle(t *core.Thread, m *ipc.Message) {
 // (what) presented a stale epoch for group g.
 func (r *Replica) fence(t *core.Thread, g int, what string, presented uint64) {
 	r.cfg.Stats.FencingRejections++
-	if rec := r.sys.K.Obs; rec != nil {
-		rec.EmitArg(obs.Fencing, t.ID, fmt.Sprintf("group %d %s", g, what), int(presented))
+	if rec := r.sys.K.Obs; rec.TakesEvents() {
+		detail := ""
+		if rec.Retains() {
+			detail = fmt.Sprintf("group %d %s", g, what)
+		}
+		rec.EmitArg(obs.Fencing, t.ID, detail, int(presented))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // topology is a cluster's shape: one role label per machine, and the
@@ -138,12 +139,16 @@ type clusterSpec struct {
 	// debug arms each kernel's invariant sweep and the driver's
 	// naive-sweep cross-check.
 	debug bool
-	// observe installs a recorder retaining ringCap events (none when
-	// zero; see retained) and head-sampling 1 in sample traces. Its host
-	// index is the machine index, which salts span ids so they never
-	// collide across machines.
+	// observe installs a recorder on every machine, head-sampling 1 in
+	// sample traces. Its kernel events go to the readers the run names:
+	// a ring retaining ringCap events (none when zero; see retained) and
+	// the profile report (profile). Without either reader the recorder
+	// takes no events and holds only the services' histograms and spans
+	// and the census. Its host index is the machine index, which salts
+	// span ids so they never collide across machines.
 	observe bool
 	ringCap int
+	profile bool
 	sample  int
 	// parallel drives the horizon rounds on goroutines.
 	parallel bool
@@ -151,8 +156,11 @@ type clusterSpec struct {
 
 // retained is the event ring a run's recorders keep: capacity events
 // when the run asks for its trace (a spec's KeepEvents, set by machsim
-// -trace), none otherwise. Histograms, profiles, spans and the census
-// come from every event either way.
+// -trace), none otherwise. The ring is one of the two readers of kernel
+// events; the profile report (a spec's Profile, set by machsim
+// -profile) is the other, and a run with neither feeds its recorders no
+// events. Service histograms, spans and the census are not events and
+// are kept either way.
 func retained(keep bool, capacity int) int {
 	if keep {
 		return capacity
@@ -211,7 +219,12 @@ func boot(spec clusterSpec) *cluster {
 			}
 		}
 		if spec.observe {
-			r := s.EnableObservation(spec.ringCap)
+			var r *obs.Recorder
+			if spec.ringCap > 0 || spec.profile {
+				r = s.EnableObservation(spec.ringCap)
+			} else {
+				r = s.EnableServiceRecorder()
+			}
 			r.SetHost(i)
 			r.SetSpanSampling(spec.sample)
 		}

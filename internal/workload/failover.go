@@ -102,7 +102,7 @@ func (c *haClient) target() *dev.Netmsg {
 // event stream.
 func (c *haClient) emitSwitch(t *core.Thread, toReplica bool) {
 	r := c.sys.K.Obs
-	if r == nil {
+	if !r.TakesEvents() {
 		return
 	}
 	detail, arg := "replica -> primary", 0

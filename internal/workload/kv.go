@@ -44,9 +44,12 @@ type KVSpec struct {
 	// 1-in-N hash class of operation trace ids. 0 or 1 samples every op.
 	SampleEvery int
 	// KeepEvents retains each machine's newest obs.DefaultCapacity
-	// kernel events for the trace export (machsim -trace). Reports,
-	// histograms, spans and the census do not read them.
+	// kernel events for the trace export (machsim -trace); Profile feeds
+	// them to each recorder's statistics for the profile report (machsim
+	// -profile). Without either, the recorders take no kernel events:
+	// reports, service histograms, spans and the census do not read them.
 	KeepEvents bool
+	Profile    bool
 	// Parallel runs the cluster's horizon rounds with one goroutine per
 	// machine; results are byte-identical to the sequential rounds.
 	Parallel bool
@@ -244,7 +247,7 @@ func RunKV(flavor kern.Flavor, arch machine.Arch, spec KVSpec) *KVResult {
 		faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
 		observe: true, ringCap: retained(spec.KeepEvents, obs.DefaultCapacity),
-		sample: spec.SampleEvery, parallel: spec.Parallel,
+		profile: spec.Profile, sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &KVResult{Machines: c.machines, Topo: c.topo}
 

@@ -46,8 +46,11 @@ type MTLoadSpec struct {
 	// the cluster driver's naive-sweep cross-check on every round.
 	DebugChecks bool
 	// KeepEvents retains each machine's newest mtRing kernel events for
-	// the trace export (machsim -trace).
+	// the trace export (machsim -trace); Profile feeds them to the
+	// profile report (machsim -profile). Without either, the recorders
+	// take no kernel events and hold only the tenant histograms.
 	KeepEvents bool
+	Profile    bool
 }
 
 // mtRing is a traced run's per-machine event ring: small, so
@@ -215,7 +218,7 @@ func RunMTLoad(flavor kern.Flavor, arch machine.Arch, spec MTLoadSpec) *MTLoadRe
 	c := boot(clusterSpec{
 		topo: pairTopology(pairs), cfg: kern.Config{Flavor: flavor, Arch: arch},
 		debug: spec.DebugChecks, observe: true, ringCap: retained(spec.KeepEvents, mtRing),
-		parallel: spec.Parallel,
+		profile: spec.Profile, parallel: spec.Parallel,
 	})
 	res.Machines = c.machines
 	threadNames, replyNames := mtSessionNames(tenants)

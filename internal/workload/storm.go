@@ -77,10 +77,11 @@ type StormSpec struct {
 	// write the linearizability checker must flag. Never set outside
 	// tests and machsim's -breakoverload flag.
 	BreakOverload bool
-	// SampleEvery, KeepEvents, Parallel, DebugChecks as in the other
-	// cluster specs.
+	// SampleEvery, KeepEvents, Profile, Parallel, DebugChecks as in the
+	// other cluster specs.
 	SampleEvery int
 	KeepEvents  bool
+	Profile     bool
 	Parallel    bool
 	DebugChecks bool
 }
@@ -277,7 +278,7 @@ func RunStorm(flavor kern.Flavor, arch machine.Arch, spec StormSpec) *StormResul
 		wire: stormWire, faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
 		observe: true, ringCap: retained(spec.KeepEvents, obs.DefaultCapacity),
-		sample: spec.SampleEvery, parallel: spec.Parallel,
+		profile: spec.Profile, sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &StormResult{Spec: spec, Machines: c.machines, Topo: c.topo}
 	smap := svc.NewShardMap(0, 0)

@@ -47,8 +47,10 @@ type SvcGraphSpec struct {
 	// SampleEvery is the causal-tracing head-sampling rate as in KVSpec:
 	// keep the 1-in-N hash class of trace ids; 0 or 1 samples every op.
 	SampleEvery int
-	// KeepEvents retains kernel events for the trace export as in KVSpec.
+	// KeepEvents and Profile name the readers of kernel events as in
+	// KVSpec.
 	KeepEvents bool
+	Profile    bool
 	// Parallel / DebugChecks as in the other workload specs.
 	Parallel    bool
 	DebugChecks bool
@@ -101,7 +103,7 @@ func RunSvcGraph(flavor kern.Flavor, arch machine.Arch, spec SvcGraphSpec) *SvcG
 		faultSeed: spec.FaultSeed, faults: spec.FaultSpec,
 		reliable: true, deadAfter: tmo.deadAfter, debug: spec.DebugChecks,
 		observe: true, ringCap: retained(spec.KeepEvents, obs.DefaultCapacity),
-		sample: spec.SampleEvery, parallel: spec.Parallel,
+		profile: spec.Profile, sample: spec.SampleEvery, parallel: spec.Parallel,
 	})
 	res := &SvcGraphResult{Machines: c.machines, Topo: c.topo}
 
